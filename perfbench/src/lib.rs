@@ -22,6 +22,7 @@
 //! ```
 
 pub mod cli_json;
+pub mod mem;
 pub mod paper_offline;
 pub mod replay_easy;
 pub mod runner;
@@ -30,6 +31,9 @@ pub mod stats;
 pub mod trace;
 
 use runner::{run, Report, RunArgs};
+
+#[global_allocator]
+static ALLOCATOR: mem::Counting = mem::Counting;
 
 /// Workload names, in `BENCHMARK.json` order.
 pub const WORKLOADS: &[&str] = &["paper_offline", "serve_moldable", "replay_easy", "cli_json"];

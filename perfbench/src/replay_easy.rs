@@ -13,8 +13,9 @@
 //! trace's few worst bursts, and averaging over many traces keeps the
 //! figures from following the seed.
 
-use crate::runner::{Fnv, Recorder, Workload};
+use crate::runner::{nanos_since, Fnv, Recorder, Workload};
 use crate::seed_for;
+use crate::stats::median;
 use crate::trace::{span, Tracer};
 use demt_frontend::{
     replay_queue, rigid_request, QueueOrder, QueuePolicy, ReplayMetrics, SubmittedJob,
@@ -30,9 +31,10 @@ pub const PROCS: usize = 1000;
 pub const TRACES: usize = 64;
 /// Jobs per trace.
 pub const JOBS: usize = 1_250;
-/// Mean Pareto inter-arrival gap: close to saturating the machine, so
-/// a queue builds up and backfilling has work to do.
-pub const GAP: f64 = 0.012;
+/// Mean Pareto inter-arrival gap: the jobs request about as much area
+/// as the machine has (offered load ≈ 1), so a queue builds up all
+/// through a trace and backfilling has work to do.
+pub const GAP: f64 = 0.010;
 
 /// The generated rigid job streams, each in release order.
 pub struct ReplayEasy {
@@ -85,6 +87,71 @@ impl Workload for ReplayEasy {
             replay(jobs, tr, rec);
         }
     }
+
+    /// Medians over the traces of: the offered load (requested area over
+    /// `m` × the release span); the share of the machine busy between the
+    /// first and the last release; `ReplayMetrics`' utilization, whose
+    /// span runs to the last completion; the jobs still queued at the last
+    /// release; the mean wait and the mean runtime.
+    fn shape(&self) -> Result<Option<String>, String> {
+        let mut load = Vec::new();
+        let mut util = Vec::new();
+        let mut wait = Vec::new();
+        let mut run = Vec::new();
+        let mut arrivals_util = Vec::new();
+        let mut backlog = Vec::new();
+        for jobs in &self.traces {
+            let area: f64 = jobs
+                .iter()
+                .map(|j| j.rigid_procs as f64 * j.rigid_time())
+                .sum();
+            let first = jobs.first().map_or(0.0, |j| j.release);
+            let last = jobs.last().map_or(0.0, |j| j.release);
+            load.push(area / (PROCS as f64 * (last - first)));
+            let mut metrics = ReplayMetrics::new();
+            let mut busy = 0.0;
+            let mut waiting = 0usize;
+            replay_queue(
+                PROCS,
+                jobs.iter().cloned(),
+                QueuePolicy::EasyBackfill,
+                QueueOrder::Arrival,
+                |job, p| {
+                    let _ = metrics.record(p.task, job.release, p.start, p.duration, p.procs.len());
+                    let inside = (p.start + p.duration).min(last) - p.start.max(first);
+                    busy += inside.max(0.0) * p.procs.len() as f64;
+                    waiting += usize::from(p.start > last);
+                },
+            )
+            .map_err(|e| format!("replay_queue: {e}"))?;
+            let s = metrics
+                .finish(PROCS)
+                .map_err(|e| format!("replay metrics: {e}"))?;
+            util.push(s.utilization);
+            arrivals_util.push(busy / (PROCS as f64 * (last - first)));
+            backlog.push(waiting as f64);
+            wait.push(s.mean_wait);
+            run.push(jobs.iter().map(SubmittedJob::rigid_time).sum::<f64>() / jobs.len() as f64);
+        }
+        let (lo, hi) = (min(&util), max(&util));
+        Ok(Some(format!(
+            "shape offered_load={} utilization_while_arriving={} utilization={} (min {lo}, max {hi}) queued_at_last_arrival={} mean_wait={} mean_runtime={} mean_gap={GAP}",
+            median(&mut load),
+            median(&mut arrivals_util),
+            median(&mut util),
+            median(&mut backlog),
+            median(&mut wait),
+            median(&mut run)
+        )))
+    }
+}
+
+fn min(v: &[f64]) -> f64 {
+    v.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+fn max(v: &[f64]) -> f64 {
+    v.iter().copied().fold(f64::NEG_INFINITY, f64::max)
 }
 
 /// Replays one trace through a fresh EASY queue.
@@ -92,9 +159,11 @@ fn replay(jobs: &[SubmittedJob], tr: Option<&Tracer>, rec: &mut Recorder) {
     let (ops0, failed0) = (rec.ops, rec.failed);
     let last_pull = Cell::new(Instant::now());
     let feed = jobs.iter().map(|j| {
-        let j = j.clone();
-        last_pull.set(Instant::now());
-        j
+        span(tr, "bench.feed", || {
+            let j = j.clone();
+            last_pull.set(Instant::now());
+            j
+        })
     });
     let mut metrics = ReplayMetrics::new();
     let outcome = span(tr, "frontend.replay_queue", || {
@@ -104,14 +173,14 @@ fn replay(jobs: &[SubmittedJob], tr: Option<&Tracer>, rec: &mut Recorder) {
             QueuePolicy::EasyBackfill,
             QueueOrder::Arrival,
             |job, p| {
-                let arrived = last_pull.get().elapsed();
-                let ok = span(tr, "frontend.metrics_record", || {
-                    metrics.record(p.task, job.release, p.start, p.duration, p.procs.len())
-                })
-                .is_ok();
                 span(tr, "bench.sink", || {
+                    let arrived = nanos_since(last_pull.get());
+                    let ok = span(tr, "frontend.metrics_record", || {
+                        metrics.record(p.task, job.release, p.start, p.duration, p.procs.len())
+                    })
+                    .is_ok();
                     rec.fingerprint.placement(p);
-                    rec.op(u64::try_from(arrived.as_nanos()).unwrap_or(u64::MAX), ok);
+                    rec.op(arrived, ok);
                 });
             },
         )

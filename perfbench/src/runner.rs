@@ -7,18 +7,33 @@
 //! placement fingerprint, so a pass whose fingerprint differs from the
 //! warm-up's counts all its ops as failed.
 
+use crate::mem;
 use crate::stats::{median, percentiles, MIN_OPS};
 use crate::trace::Tracer;
 use demt_platform::Placement;
 use serde_json::Value;
 use std::time::{Duration, Instant};
 
-/// Set-ups per run; `setup_s` is their median.
-pub const SETUP_REPEATS: usize = 3;
+/// Bytes in a MiB.
+const MIB: f64 = 1024.0 * 1024.0;
 
-/// Fewest timed passes per run; `ops_per_s` is the pass count over the
-/// median pass time.
+/// Fewest set-ups per run; `setup_s` is their median.
+pub const MIN_SETUPS: usize = 3;
+
+/// Set-ups continue past [`MIN_SETUPS`] until they have taken this many
+/// seconds in all, so that a short set-up is a median of many.
+pub const SETUP_SECONDS: f64 = 2.0;
+
+/// Most set-ups per run.
+pub const MAX_SETUPS: usize = 25;
+
+/// Fewest timed passes per run.
 pub const MIN_PASSES: usize = 5;
+
+/// The latency buffer is sized for this many times the passes the
+/// fastest warm-up pass predicts, so that it never grows while the
+/// program's peak memory is being watched.
+const LATENCY_HEADROOM: usize = 3;
 
 /// FNV-1a 64 over the bytes a workload feeds it: the fingerprint of a
 /// pass's placements, or of a pool's inputs.
@@ -101,6 +116,12 @@ pub trait Workload: Sized {
     /// returns its placement fingerprint, which must equal a pass's.
     fn cross_check(&self, _tr: Option<&Tracer>) -> Option<Result<Fnv, String>> {
         None
+    }
+
+    /// One `shape …` line describing the traffic the inputs make (load,
+    /// batch sizes), computed outside the timed region.
+    fn shape(&self) -> Result<Option<String>, String> {
+        Ok(None)
     }
 }
 
@@ -317,15 +338,15 @@ pub fn glue_share(wall_ns: u64, layer_self_ns: u64) -> f64 {
     ratio(wall_ns.saturating_sub(layer_self_ns) as f64, wall_ns as f64)
 }
 
-/// Peak resident set of this process in MiB, from `/proc/self/status`.
-fn peak_rss_mb() -> Result<f64, String> {
+/// A `kB` line of `/proc/self/status` (e.g. `VmHWM:`), in MiB.
+fn status_mb(field: &str) -> Result<f64, String> {
     let status = std::fs::read_to_string("/proc/self/status")
         .map_err(|e| format!("/proc/self/status: {e}"))?;
     let kb: f64 = status
         .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .find_map(|l| l.strip_prefix(field))
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
-        .ok_or("no VmHWM line in /proc/self/status")?;
+        .ok_or_else(|| format!("no {field} line in /proc/self/status"))?;
     Ok(kb / 1024.0)
 }
 
@@ -361,14 +382,19 @@ fn checked_pass<W: Workload>(w: &W, tr: Option<&Tracer>, rec: &mut Recorder, ref
 pub fn run<W: Workload>(name: &str, args: RunArgs) -> Result<Report, String> {
     // Set-up: generate the pool and run one warm-up pass, several times;
     // the previous pool is dropped before the next is built.
-    let mut setup_s = Vec::with_capacity(SETUP_REPEATS);
+    let mut setup_s = Vec::new();
+    let mut fastest_pass_s = f64::INFINITY;
     let mut prepared: Option<(W, Recorder)> = None;
-    for _ in 0..SETUP_REPEATS {
+    while setup_s.len() < MIN_SETUPS
+        || (setup_s.iter().sum::<f64>() < SETUP_SECONDS && setup_s.len() < MAX_SETUPS)
+    {
         drop(prepared.take());
         let t = Instant::now();
         let w = W::setup(args.seed)?;
         let mut warm = Recorder::default();
+        let p = Instant::now();
         w.pass(None, &mut warm);
+        fastest_pass_s = fastest_pass_s.min(p.elapsed().as_secs_f64());
         setup_s.push(t.elapsed().as_secs_f64());
         prepared = Some((w, warm));
     }
@@ -397,10 +423,7 @@ pub fn run<W: Workload>(name: &str, args: RunArgs) -> Result<Report, String> {
         Ok(())
     };
     cross(None)?;
-    // The timed loop repeats the warm-up's ops, so the program's peak is
-    // already reached; read before the loop stores its latency samples,
-    // which would otherwise make the figure follow throughput.
-    let peak_rss = peak_rss_mb()?;
+    notes.extend(w.shape()?);
 
     let budget = Duration::from_secs(args.seconds);
     let mut rec = Recorder::default();
@@ -438,6 +461,16 @@ pub fn run<W: Workload>(name: &str, args: RunArgs) -> Result<Report, String> {
         ));
         per_layer(&tracer, &wall)
     } else {
+        // Every latency sample lands in memory allocated before the peak
+        // restarts, so the peak follows the program, not the number of
+        // ops the host lets the run complete.
+        let passes_expected = (args.seconds as f64 / fastest_pass_s).ceil() as usize;
+        let capacity = (ops_per_pass as usize)
+            * (LATENCY_HEADROOM * passes_expected.max(MIN_PASSES) + 1)
+            + MIN_OPS;
+        rec.latencies_ns = Vec::with_capacity(capacity);
+        let held = mem::reset_peak();
+
         let started = Instant::now();
         let mut pass_s = Vec::new();
         while started.elapsed() < budget
@@ -448,21 +481,34 @@ pub fn run<W: Workload>(name: &str, args: RunArgs) -> Result<Report, String> {
             checked_pass(&w, None, &mut rec, reference);
             pass_s.push(t.elapsed().as_secs_f64());
         }
-        let passes = pass_s.len();
         let wall_s = started.elapsed().as_secs_f64();
-        let ops_per_s = ops_per_pass as f64 / median(&mut pass_s);
+        let peak_mb = (mem::peak_bytes() - held) as f64 / MIB;
+        let passes = pass_s.len();
+        let ops_per_s = rec.ops as f64 / wall_s;
+        let median_pass_s = median(&mut pass_s);
         let lat = percentiles(&mut rec.latencies_ns)?;
         notes.push(format!(
-            "latency samples={} p50_ms={} p99_ms={} passes={passes} ops_per_pass={ops_per_pass} wall_s={wall_s}",
+            "latency samples={} p50_ms={} p99_ms={} passes={passes} ops_per_pass={ops_per_pass} wall_s={wall_s} median_pass_s={median_pass_s}",
             lat.samples,
             lat.p50_ns as f64 / 1e6,
             lat.p99_ns as f64 / 1e6
+        ));
+        notes.push(format!(
+            "memory held_at_start_mb={} peak_above_held_mb={peak_mb} process_vmhwm_mb={} latency_buffer={capacity} regrown={}",
+            held as f64 / MIB,
+            status_mb("VmHWM:")?,
+            rec.latencies_ns.capacity() > capacity
+        ));
+        notes.push(format!(
+            "setup repeats={} setup_s={:?}",
+            setup_s.len(),
+            setup_s
         ));
         vec![
             ("ops_per_s", ops_per_s, "1/s"),
             ("latency_p50_ms", lat.p50_ns as f64 / 1e6, "ms"),
             ("latency_p99_ms", lat.p99_ns as f64 / 1e6, "ms"),
-            ("peak_rss_mb", peak_rss, "MiB"),
+            ("peak_rss_mb", peak_mb, "MiB"),
             ("setup_s", median(&mut setup_s), "s"),
         ]
     };

@@ -12,8 +12,9 @@
 //! `Placement::write_json` in the sink. Its placement bytes must equal
 //! the daemon's.
 
-use crate::runner::{Fnv, Recorder, Workload};
+use crate::runner::{nanos_since, Fnv, Recorder, Workload};
 use crate::seed_for;
+use crate::stats::percentile;
 use crate::trace::{count, span, Tracer};
 use demt_api::{ScheduleReport, Scheduler, SchedulerContext};
 use demt_baselines::registry;
@@ -29,9 +30,13 @@ use std::time::Instant;
 pub const PROCS: usize = 200;
 /// Submits in the log; each is about 4 KB of JSON at m = 200.
 pub const EVENTS: usize = 8000;
-/// Mean Pareto inter-arrival gap: cohorts range from one job to over a
-/// hundred.
-pub const GAP: f64 = 0.1;
+/// Independent arrival streams the log strings together, each released
+/// once the machine has drained the previous one, so that every stream
+/// opens with small cohorts that grow to hundreds of jobs.
+pub const SESSIONS: usize = 8;
+/// Mean Pareto inter-arrival gap: within a session, cohorts grow from
+/// one job to about 300.
+pub const GAP: f64 = 0.05;
 /// Pareto tail shape of the gaps: light enough that the largest cohorts,
 /// which set the p99, do not hinge on one burst of the seed.
 pub const SHAPE: f64 = 8.0;
@@ -60,11 +65,10 @@ struct Sink<'a> {
 
 impl Write for Sink<'_> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let arrived = self.last_pull.get().elapsed();
         span(self.tr, "bench.sink", || {
+            let ns = nanos_since(self.last_pull.get());
             self.rec.fingerprint.update(buf);
             let lines = buf.iter().filter(|&&b| b == b'\n').count() as u64;
-            let ns = u64::try_from(arrived.as_nanos()).unwrap_or(u64::MAX);
             for _ in 0..lines {
                 self.rec.op(ns, true);
             }
@@ -101,22 +105,33 @@ impl Scheduler for Timed<'_> {
 
 impl Workload for ServeMoldable {
     fn setup(seed: u64) -> Result<Self, String> {
-        let spec = TraceSpec {
-            kind: WorkloadKind::Cirne,
-            mean_interarrival: GAP,
-            pareto_shape: SHAPE,
-            ..TraceSpec::new(EVENTS, PROCS, seed_for(seed, 0x5e7e))
-        };
-        let events: Vec<JobEvent> = TraceGen::new(&spec)
-            .map(|tj| {
-                JobEvent::submit_moldable(
-                    tj.task.id().index(),
-                    tj.release,
-                    tj.task.weight(),
-                    tj.task.times().to_vec(),
+        let mut events: Vec<JobEvent> = Vec::with_capacity(EVENTS);
+        let mut quiet_from = 0.0;
+        for session in 0..SESSIONS {
+            let spec = TraceSpec {
+                kind: WorkloadKind::Cirne,
+                mean_interarrival: GAP,
+                pareto_shape: SHAPE,
+                ..TraceSpec::new(
+                    EVENTS / SESSIONS,
+                    PROCS,
+                    seed_for(seed, 0x5e7e + session as u64),
                 )
-            })
-            .collect();
+            };
+            // The next session starts after the machine has drained: no
+            // schedule of the backlog outlasts its total sequential work.
+            let start = quiet_from;
+            for tj in TraceGen::new(&spec) {
+                let times = tj.task.times();
+                quiet_from = f64::max(quiet_from, start + tj.release) + times[0];
+                events.push(JobEvent::submit_moldable(
+                    events.len(),
+                    start + tj.release,
+                    tj.task.weight(),
+                    times.to_vec(),
+                ));
+            }
+        }
         let mut log = Vec::new();
         for ev in &events {
             let line = serde_json::to_string(ev).map_err(|e| format!("rendering the log: {e}"))?;
@@ -138,7 +153,7 @@ impl Workload for ServeMoldable {
         let mut reader = EventReader::new(&self.log[..]);
         let events = std::iter::from_fn(|| {
             let ev = span(tr, "serve.event_reader", || reader.next());
-            last_pull.set(Instant::now());
+            span(tr, "bench.feed", || last_pull.set(Instant::now()));
             ev
         });
         let mut sink = Sink {
@@ -162,13 +177,32 @@ impl Workload for ServeMoldable {
     }
 
     fn cross_check(&self, tr: Option<&Tracer>) -> Option<Result<Fnv, String>> {
-        Some(self.stream(tr))
+        Some(self.stream(tr).map(|(fp, _)| fp))
+    }
+
+    /// The cohort sizes DEMT is handed, from pass (b).
+    fn shape(&self) -> Result<Option<String>, String> {
+        let (_, mut sizes) = self.stream(None)?;
+        sizes.sort_unstable();
+        let (Some(&lo), Some(&hi)) = (sizes.first(), sizes.last()) else {
+            return Err("pass (b) scheduled no batch".to_string());
+        };
+        let at = |pct| percentile(&sizes, pct);
+        Ok(Some(format!(
+            "shape batches={} jobs_per_batch min={lo} p10={} p25={} median={} p90={} max={hi}",
+            sizes.len(),
+            at(10),
+            at(25),
+            at(50),
+            at(90)
+        )))
     }
 }
 
 impl ServeMoldable {
-    /// Pass (b): the same events through `stream_batch_schedule`.
-    fn stream(&self, tr: Option<&Tracer>) -> Result<Fnv, String> {
+    /// Pass (b): the same events through `stream_batch_schedule`. Returns
+    /// the placement fingerprint and the size of every batch.
+    fn stream(&self, tr: Option<&Tracer>) -> Result<(Fnv, Vec<u64>), String> {
         let inner = registry()
             .by_name("demt")
             .ok_or("the registry has no demt entry")?;
@@ -189,8 +223,10 @@ impl ServeMoldable {
                 });
         let mut fp = Fnv::default();
         let mut line = Vec::new();
+        let mut sizes = Vec::new();
         let outcome = span(tr, "online.stream", || {
             stream_batch_schedule(PROCS, jobs, &timed, |placements, _| {
+                sizes.push(placements.len() as u64);
                 for p in placements {
                     span(tr, "platform.write_json", || {
                         line.clear();
@@ -207,6 +243,6 @@ impl ServeMoldable {
         }
         count(tr, "online.sessions", 1.0);
         count(tr, "online.decisions", outcome.decisions as f64);
-        Ok(fp)
+        Ok((fp, sizes))
     }
 }
