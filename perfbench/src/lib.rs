@@ -12,7 +12,8 @@
 //!
 //! Inputs are generated from the seed during set-up and held in memory;
 //! every pass of a run does the same fixed list of ops, and every op's
-//! output is checked. `--trace 0` reports the end-to-end metrics;
+//! output is checked. `--trace 0` reports the end-to-end metrics, with
+//! times in seconds of a host at nominal speed (see [`mod@reference`]);
 //! `--trace 1` wraps the calls into each layer in spans and reports the
 //! per-layer metrics instead (see [`trace`]).
 //!
@@ -24,6 +25,7 @@
 pub mod cli_json;
 pub mod mem;
 pub mod paper_offline;
+pub mod reference;
 pub mod replay_easy;
 pub mod runner;
 pub mod serve_moldable;

@@ -78,3 +78,10 @@ pub fn reset_peak() -> usize {
     PEAK.store(live, Relaxed);
     live
 }
+
+/// Puts the peak back to `peak`, or to the bytes live now if more, so
+/// that what was allocated and freed since `peak` was read does not
+/// count.
+pub fn restore_peak(peak: usize) {
+    PEAK.store(peak.max(live_bytes()), Relaxed);
+}

@@ -6,8 +6,13 @@
 //! the previous one returned. Every pass of a run computes the same
 //! placement fingerprint, so a pass whose fingerprint differs from the
 //! warm-up's counts all its ops as failed.
+//!
+//! Set-ups and timed passes alternate with blocks of the reference
+//! computation, and the end-to-end times are reported in seconds of a
+//! host at nominal speed ([`crate::reference`]).
 
 use crate::mem;
+use crate::reference::{HostClock, Reference};
 use crate::stats::{median, percentiles, MIN_OPS};
 use crate::trace::Tracer;
 use demt_platform::Placement;
@@ -29,6 +34,14 @@ pub const MAX_SETUPS: usize = 25;
 
 /// Fewest timed passes per run.
 pub const MIN_PASSES: usize = 5;
+
+/// After each set-up and each timed pass, a block of the reference
+/// computation runs for about this share of that set-up's or pass's
+/// time; see [`crate::reference`].
+pub const REFERENCE_SHARE: f64 = 0.4;
+
+/// Reference units timed once at the start, to size the blocks.
+const CALIBRATION_UNITS: u64 = 50;
 
 /// The latency buffer is sized for this many times the passes the
 /// fastest warm-up pass predicts, so that it never grows while the
@@ -367,26 +380,34 @@ fn metric_object(metrics: &[(&str, f64, &str)]) -> Value {
     )
 }
 
-/// Runs one pass and, when its fingerprint differs from `reference`,
+/// Runs one pass and, when its fingerprint differs from `expected`,
 /// marks every op it attempted as failed.
-fn checked_pass<W: Workload>(w: &W, tr: Option<&Tracer>, rec: &mut Recorder, reference: Fnv) {
+fn checked_pass<W: Workload>(w: &W, tr: Option<&Tracer>, rec: &mut Recorder, expected: Fnv) {
     let (ops0, failed0) = (rec.ops, rec.failed);
     rec.fingerprint = Fnv::default();
     w.pass(tr, rec);
-    if rec.fingerprint != reference {
+    if rec.fingerprint != expected {
         rec.failed = failed0 + (rec.ops - ops0);
     }
 }
 
 /// Set-up, warm-up, the timed loop and the report for workload `W`.
 pub fn run<W: Workload>(name: &str, args: RunArgs) -> Result<Report, String> {
+    let reference = Reference::new();
+    let mut calibration = HostClock::default();
+    reference.block(CALIBRATION_UNITS, &mut calibration)?;
+    let unit_s = calibration.ns as f64 / calibration.units as f64 / 1e9;
+
     // Set-up: generate the pool and run one warm-up pass, several times;
-    // the previous pool is dropped before the next is built.
+    // the previous pool is dropped before the next is built. Each set-up
+    // is followed by a reference block that gives its host factor.
+    let mut setup_wall_s = Vec::new();
     let mut setup_s = Vec::new();
+    let mut setup_host = HostClock::default();
     let mut fastest_pass_s = f64::INFINITY;
     let mut prepared: Option<(W, Recorder)> = None;
-    while setup_s.len() < MIN_SETUPS
-        || (setup_s.iter().sum::<f64>() < SETUP_SECONDS && setup_s.len() < MAX_SETUPS)
+    while setup_wall_s.len() < MIN_SETUPS
+        || (setup_wall_s.iter().sum::<f64>() < SETUP_SECONDS && setup_wall_s.len() < MAX_SETUPS)
     {
         drop(prepared.take());
         let t = Instant::now();
@@ -395,7 +416,16 @@ pub fn run<W: Workload>(name: &str, args: RunArgs) -> Result<Report, String> {
         let p = Instant::now();
         w.pass(None, &mut warm);
         fastest_pass_s = fastest_pass_s.min(p.elapsed().as_secs_f64());
-        setup_s.push(t.elapsed().as_secs_f64());
+        let wall_s = t.elapsed().as_secs_f64();
+        let mut host = HostClock::default();
+        reference.block(
+            Reference::units_for(REFERENCE_SHARE * wall_s, unit_s),
+            &mut host,
+        )?;
+        setup_wall_s.push(wall_s);
+        setup_s.push(host.normalize(wall_s));
+        setup_host.ns += host.ns;
+        setup_host.units += host.units;
         prepared = Some((w, warm));
     }
     let (w, warm) = prepared.ok_or("no set-up ran")?;
@@ -405,18 +435,18 @@ pub fn run<W: Workload>(name: &str, args: RunArgs) -> Result<Report, String> {
             warm.failed, warm.ops
         ));
     }
-    let reference = warm.fingerprint;
+    let expected = warm.fingerprint;
     let ops_per_pass = warm.ops;
     let mut notes = vec![format!(
         "fingerprint workload={name} seed={} inputs={:016x} placements={:016x}",
         args.seed,
         w.input_digest(),
-        reference.value()
+        expected.value()
     )];
     let mut cross_failures = 0u64;
     let mut cross = |tr: Option<&Tracer>| -> Result<(), String> {
         if let Some(fp) = w.cross_check(tr) {
-            if fp? != reference {
+            if fp? != expected {
                 cross_failures += ops_per_pass;
             }
         }
@@ -438,7 +468,7 @@ pub fn run<W: Workload>(name: &str, args: RunArgs) -> Result<Report, String> {
             let tr = traced.then_some(&tracer);
             let ops0 = rec.ops;
             let t = Instant::now();
-            checked_pass(&w, tr, &mut rec, reference);
+            checked_pass(&w, tr, &mut rec, expected);
             let ns = nanos_since(t);
             if traced {
                 wall.traced_ns += ns;
@@ -469,8 +499,12 @@ pub fn run<W: Workload>(name: &str, args: RunArgs) -> Result<Report, String> {
             * (LATENCY_HEADROOM * passes_expected.max(MIN_PASSES) + 1)
             + MIN_OPS;
         rec.latencies_ns = Vec::with_capacity(capacity);
+        let units = Reference::units_for(REFERENCE_SHARE * fastest_pass_s, unit_s);
+        let mut host = HostClock::default();
         let held = mem::reset_peak();
 
+        // Passes alternate with reference blocks; the blocks' allocations
+        // are left out of the peak.
         let started = Instant::now();
         let mut pass_s = Vec::new();
         while started.elapsed() < budget
@@ -478,20 +512,30 @@ pub fn run<W: Workload>(name: &str, args: RunArgs) -> Result<Report, String> {
             || rec.latencies_ns.len() < MIN_OPS
         {
             let t = Instant::now();
-            checked_pass(&w, None, &mut rec, reference);
+            checked_pass(&w, None, &mut rec, expected);
             pass_s.push(t.elapsed().as_secs_f64());
+            let peak = mem::peak_bytes();
+            reference.block(units, &mut host)?;
+            mem::restore_peak(peak);
         }
-        let wall_s = started.elapsed().as_secs_f64();
         let peak_mb = (mem::peak_bytes() - held) as f64 / MIB;
         let passes = pass_s.len();
-        let ops_per_s = rec.ops as f64 / wall_s;
+        let program_s: f64 = pass_s.iter().sum();
+        let wall_ops_per_s = rec.ops as f64 / program_s;
         let median_pass_s = median(&mut pass_s);
         let lat = percentiles(&mut rec.latencies_ns)?;
+        let (p50_ms, p99_ms) = (lat.p50_ns as f64 / 1e6, lat.p99_ns as f64 / 1e6);
+        let wall_setup_s = median(&mut setup_wall_s);
         notes.push(format!(
-            "latency samples={} p50_ms={} p99_ms={} passes={passes} ops_per_pass={ops_per_pass} wall_s={wall_s} median_pass_s={median_pass_s}",
-            lat.samples,
-            lat.p50_ns as f64 / 1e6,
-            lat.p99_ns as f64 / 1e6
+            "latency samples={} passes={passes} ops_per_pass={ops_per_pass} program_s={program_s} median_pass_s={median_pass_s}",
+            lat.samples
+        ));
+        notes.push(format!(
+            "host reference_units={} unit_us={} factor={} setup_factor={} wall ops_per_s={wall_ops_per_s} p50_ms={p50_ms} p99_ms={p99_ms} setup_s={wall_setup_s}",
+            host.units,
+            host.ns as f64 / host.units as f64 / 1e3,
+            host.factor(),
+            setup_host.factor()
         ));
         notes.push(format!(
             "memory held_at_start_mb={} peak_above_held_mb={peak_mb} process_vmhwm_mb={} latency_buffer={capacity} regrown={}",
@@ -500,14 +544,18 @@ pub fn run<W: Workload>(name: &str, args: RunArgs) -> Result<Report, String> {
             rec.latencies_ns.capacity() > capacity
         ));
         notes.push(format!(
-            "setup repeats={} setup_s={:?}",
-            setup_s.len(),
-            setup_s
+            "setup repeats={} wall_s={:?}",
+            setup_wall_s.len(),
+            setup_wall_s
         ));
         vec![
-            ("ops_per_s", ops_per_s, "1/s"),
-            ("latency_p50_ms", lat.p50_ns as f64 / 1e6, "ms"),
-            ("latency_p99_ms", lat.p99_ns as f64 / 1e6, "ms"),
+            (
+                "ops_per_s",
+                rec.ops as f64 / host.normalize(program_s),
+                "1/s",
+            ),
+            ("latency_p50_ms", host.normalize(p50_ms), "ms"),
+            ("latency_p99_ms", host.normalize(p99_ms), "ms"),
             ("peak_rss_mb", peak_mb, "MiB"),
             ("setup_s", median(&mut setup_s), "s"),
         ]

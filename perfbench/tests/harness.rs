@@ -1,5 +1,6 @@
 //! Unit tests of the benchmark's own arithmetic and input generation.
 
+use demt_perfbench::reference::{HostClock, Reference, NOMINAL_UNIT_NS};
 use demt_perfbench::runner::{glue_share, Workload};
 use demt_perfbench::stats::{nearest_rank, percentile, percentiles, MIN_OPS};
 use demt_perfbench::trace::{span, Tracer};
@@ -78,6 +79,35 @@ fn span_records_only_when_tracing() {
     assert_eq!(t.span_totals("y").count, 1);
     let (x, y) = (t.span_totals("x"), t.span_totals("y"));
     assert_eq!(x.self_ns, x.total_ns - y.total_ns);
+}
+
+#[test]
+fn host_factor_scales_times_to_the_nominal_host() {
+    assert_eq!(HostClock::default().factor(), 1.0);
+    let units = 10;
+    let slow = HostClock {
+        ns: (2.0 * NOMINAL_UNIT_NS) as u64 * units,
+        units,
+    };
+    assert!((slow.factor() - 2.0).abs() < 1e-12);
+    // Three wall seconds at half speed are 1.5 s of a nominal host, so
+    // a rate doubles and a latency halves.
+    assert!((slow.normalize(3.0) - 1.5).abs() < 1e-12);
+}
+
+#[test]
+fn reference_units_repeat_their_result() {
+    let r = Reference::new();
+    assert_eq!(r.unit(), r.unit());
+    let mut clock = HostClock::default();
+    r.block(3, &mut clock)
+        .expect("the reference is deterministic");
+    r.block(2, &mut clock)
+        .expect("the reference is deterministic");
+    assert_eq!(clock.units, 5);
+    assert!(clock.ns > 0);
+    assert_eq!(Reference::units_for(1.0, 0.3), 4);
+    assert_eq!(Reference::units_for(0.0, 0.3), 1);
 }
 
 fn same_seed_same_inputs<W: Workload>() {

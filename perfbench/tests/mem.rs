@@ -1,7 +1,7 @@
 //! The counting allocator's peak. A test binary of its own: the counters
 //! are process-wide, and a concurrent test would move them.
 
-use demt_perfbench::mem::{live_bytes, peak_bytes, reset_peak};
+use demt_perfbench::mem::{live_bytes, peak_bytes, reset_peak, restore_peak};
 
 #[test]
 fn peak_counts_what_is_allocated_after_the_reset() {
@@ -22,4 +22,12 @@ fn peak_counts_what_is_allocated_after_the_reset() {
     assert!(peak >= held + 3 * MIB);
     assert_eq!(reset_peak(), live_bytes());
     assert!(peak_bytes() < peak);
+
+    // Memory allocated and freed between a read and a restore leaves no
+    // trace in the peak.
+    let before = peak_bytes();
+    drop(std::hint::black_box(Vec::<u8>::with_capacity(2 * MIB)));
+    assert!(peak_bytes() >= before + 2 * MIB);
+    restore_peak(before);
+    assert_eq!(peak_bytes(), before);
 }
