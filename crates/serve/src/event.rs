@@ -456,6 +456,19 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_lines_are_parse_errors_not_crashes() {
+        for hostile in ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+            let text = format!("{hostile}\n");
+            match EventReader::new(text.as_bytes()).next() {
+                Some(Err(ServeError::Parse { line: 1, message })) => {
+                    assert!(message.contains("recursion limit"), "{message}");
+                }
+                other => panic!("expected a line-1 parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn grid_traces_are_sorted_dense_and_reproducible() {
         let a = grid_events(200, 64, 9);
         let b = grid_events(200, 64, 9);
