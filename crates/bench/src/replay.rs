@@ -1,9 +1,8 @@
 //! `demt replaybench` — archive-scale replay benchmark harness.
 //!
 //! Feeds a job trace — synthetic ([`TraceSpec`] one-liner, streamed by
-//! [`TraceGen`]) or a real SWF file (streamed by
-//! [`SwfJobStream`](demt_frontend::SwfJobStream)) — through the two
-//! production scheduling paths in constant memory:
+//! [`TraceGen`]) or a real SWF file (streamed by [`SwfJobStream`]) —
+//! through the two production scheduling paths in constant memory:
 //!
 //! * the **serve** leg: moldable jobs through the persistent
 //!   Shmoys–Wein–Williamson core

@@ -13,13 +13,18 @@
 //!   processors free up, and later jobs may start immediately iff they
 //!   do not push that reservation back (they either finish before it or
 //!   fit in the processors it leaves spare).
+//!
+//! One engine implements both, streamed over a feed:
+//! [`replay_queue`](crate::replay_queue). [`queue_schedule_ordered`] and
+//! [`queue_schedule`] collect it over a slice. [`queue_schedule_scan`]
+//! is a separate quadratic rescan loop, kept only as the oracle the
+//! engine is tested against.
 
+use crate::replay::run_queue;
 use crate::stream::SubmittedJob;
 use demt_model::ProcSet;
-use demt_platform::{FreeSet, Placement, Schedule, Skyline};
+use demt_platform::{Placement, Schedule};
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BTreeSet;
 
 /// Queueing discipline of the front-end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,206 +48,46 @@ pub enum QueueOrder {
 }
 
 /// [`queue_schedule_ordered`] with the classic arrival ordering.
+// demt-lint: allow(P2, reaches queue_schedule_ordered's documented panic on a request wider than the machine, and by name resolution of `.next()` the generator-invariant expects behind replay_queue's allow)
 pub fn queue_schedule(m: usize, jobs: &[SubmittedJob], policy: QueuePolicy) -> Schedule {
     queue_schedule_ordered(m, jobs, policy, QueueOrder::Arrival)
-}
-
-/// Maps an `f64` onto a `u64` whose natural order equals
-/// [`f64::total_cmp`], so float priorities can key a [`BTreeSet`].
-pub(crate) fn order_bits(x: f64) -> u64 {
-    let b = x.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | (1 << 63)
-    }
 }
 
 /// Simulates the front-end on `m` processors and returns the resulting
 /// schedule (placements carry explicit processor indices so the
 /// workspace validator can audit it against the rigid instance).
 ///
-/// Jobs are queued per `order` among those already released; panics if
-/// a request exceeds the machine.
+/// Jobs are queued per `order` among those already released, ties
+/// broken by slice index; panics if a request exceeds the machine.
 ///
-/// The engine is event-incremental: the waiting queue is a [`BTreeSet`]
-/// fed by an arrival cursor (no per-round rescans of the whole stream),
-/// running jobs live in a completion-ordered set, processor identities
-/// in a [`FreeSet`] bitset, and the EASY head reservation is answered
-/// by a [`Skyline`] of the in-flight windows — each window is released
-/// from the profile when its job completes, so the skyline never grows
-/// beyond the jobs currently running. Placements are bitwise identical
-/// to the retired scan engine, [`queue_schedule_scan`], which is kept
-/// as a differential oracle.
+/// This collects the streaming engine behind
+/// [`replay_queue`](crate::replay_queue), fed in `(release, index)`
+/// order with each job's slice index as its sequence key, so the
+/// stream need not be sorted. Placements are bitwise identical to the
+/// rescan engine [`queue_schedule_scan`], kept as a differential
+/// oracle.
 pub fn queue_schedule_ordered(
     m: usize,
     jobs: &[SubmittedJob],
     policy: QueuePolicy,
     order: QueueOrder,
 ) -> Schedule {
-    for j in jobs {
-        assert!(
-            j.rigid_procs >= 1 && j.rigid_procs <= m,
-            "job {} requests {} of {m} processors",
-            j.task.id(),
-            j.rigid_procs
-        );
-    }
-    let n = jobs.len();
+    let mut by_release: Vec<usize> = (0..jobs.len()).collect();
+    by_release.sort_by(|&a, &b| jobs[a].release.total_cmp(&jobs[b].release).then(a.cmp(&b)));
     let mut schedule = Schedule::new(m);
-    // Arrival cursor: indices by (release, index); admission into the
-    // queue is monotone in `now`, so each job is admitted exactly once.
-    let mut arrivals: Vec<usize> = (0..n).collect();
-    arrivals.sort_by(|&a, &b| jobs[a].release.total_cmp(&jobs[b].release).then(a.cmp(&b)));
-    let mut next_arrival = 0usize;
-    // Waiting queue, ordered exactly as the scan engine orders it:
-    // submission index under `Arrival`, (weight desc, index) under
-    // `Priority` — `order_bits` makes the float key total-order safe.
-    let prio = |i: usize| match order {
-        QueueOrder::Arrival => Reverse(0u64),
-        QueueOrder::Priority => Reverse(order_bits(jobs[i].task.weight())),
-    };
-    let mut pending: BTreeSet<(Reverse<u64>, usize)> = BTreeSet::new();
-    // Running jobs: completion-ordered index set (completions are
-    // finite and ≥ 0, so the bit pattern orders like the number), the
-    // committed window and identities per job, and the free pool.
-    let mut running: BTreeSet<(u64, usize)> = BTreeSet::new();
-    let mut windows: Vec<Option<(f64, f64, ProcSet)>> = vec![None; n];
-    let mut free = FreeSet::full(m);
-    let mut sky = Skyline::new(m);
-    let mut now = 0.0_f64;
-    let mut remaining = n;
-
-    let admit =
-        |now: f64, next_arrival: &mut usize, pending: &mut BTreeSet<(Reverse<u64>, usize)>| {
-            while *next_arrival < n && jobs[arrivals[*next_arrival]].release <= now + 1e-12 {
-                let i = arrivals[*next_arrival];
-                pending.insert((prio(i), i));
-                *next_arrival += 1;
-            }
-        };
-    admit(now, &mut next_arrival, &mut pending);
-
-    let start_job = |schedule: &mut Schedule,
-                     running: &mut BTreeSet<(u64, usize)>,
-                     windows: &mut Vec<Option<(f64, f64, ProcSet)>>,
-                     free: &mut FreeSet,
-                     sky: &mut Skyline,
-                     idx: usize,
-                     now: f64| {
-        let j = &jobs[idx];
-        let d = j.rigid_time();
-        let end = now + d;
-        let procs = free.take_lowest(j.rigid_procs);
-        sky.commit_until(now, end, j.rigid_procs);
-        schedule.push(Placement {
-            task: j.task.id(),
-            start: now,
-            duration: d,
-            procs: procs.clone(),
-        });
-        running.insert((end.to_bits(), idx));
-        windows[idx] = Some((now, end, procs));
-    };
-
-    while remaining > 0 {
-        let mut progress = false;
-        if let Some(&(_, head)) = pending.first() {
-            let k_head = jobs[head].rigid_procs;
-            // 1. Start the head if it fits right now.
-            if k_head <= free.len() {
-                pending.pop_first();
-                start_job(
-                    &mut schedule,
-                    &mut running,
-                    &mut windows,
-                    &mut free,
-                    &mut sky,
-                    head,
-                    now,
-                );
-                remaining -= 1;
-                progress = true;
-            } else if policy == QueuePolicy::EasyBackfill {
-                // 2. Head reservation: only completions lie ahead of
-                // `now` in the skyline, so the free count never
-                // decreases and the earliest window start is the
-                // earliest instant `k_head` processors are free at all.
-                let t_r = sky.earliest_fit(now, jobs[head].rigid_time(), k_head);
-                // Processors free at t_r once the head starts, with the
-                // scan engine's tolerance on completions landing at t_r.
-                let slack = sky.free_at(t_r + 1e-12) - k_head;
-                // 3. Backfill candidates, in queue order behind the head.
-                let mut chosen = None;
-                for &(key, cand) in pending.iter().skip(1) {
-                    let d = jobs[cand].rigid_time();
-                    let k = jobs[cand].rigid_procs;
-                    if k > free.len() {
-                        continue;
-                    }
-                    let finishes_before = now + d <= t_r + 1e-12;
-                    let fits_in_slack = k <= slack;
-                    if finishes_before || fits_in_slack {
-                        chosen = Some((key, cand));
-                        break;
-                    }
-                }
-                if let Some((key, cand)) = chosen {
-                    pending.remove(&(key, cand));
-                    start_job(
-                        &mut schedule,
-                        &mut running,
-                        &mut windows,
-                        &mut free,
-                        &mut sky,
-                        cand,
-                        now,
-                    );
-                    remaining -= 1;
-                    progress = true;
-                }
-            }
-        }
-        if progress {
-            continue;
-        }
-        // Advance time to the next event: completion or arrival.
-        let next_completion = running
-            .first()
-            .map(|&(c, _)| f64::from_bits(c))
-            .unwrap_or(f64::INFINITY);
-        let next_arr = if next_arrival < n {
-            jobs[arrivals[next_arrival]].release
-        } else {
-            f64::INFINITY
-        };
-        let next = next_completion.min(next_arr);
-        assert!(
-            next.is_finite(),
-            "front-end stalled with {remaining} jobs left"
-        );
-        now = next;
-        // Release completed jobs: identities back to the pool, windows
-        // out of the skyline (keeping its segment count bounded).
-        while let Some(&(c, idx)) = running.first() {
-            if f64::from_bits(c) > now + 1e-12 {
-                break;
-            }
-            running.pop_first();
-            if let Some((s, e, procs)) = windows[idx].take() {
-                sky.release_until(s, e, jobs[idx].rigid_procs);
-                free.release(&procs);
-            }
-        }
-        admit(now, &mut next_arrival, &mut pending);
-    }
+    let feed = by_release.iter().map(|&i| (i, &jobs[i]));
+    run_queue(m, feed, policy, order, |_, p| schedule.push(p))
+        // demt-lint: allow(P1, documented panicking wrapper: the feed is sorted above, so only an oversized request fails)
+        .unwrap_or_else(|e| panic!("{e}"));
     schedule
 }
 
-/// The retired per-round rescan engine, kept verbatim as a differential
-/// oracle for [`queue_schedule_ordered`] (the two must agree bit for
-/// bit on every stream; `tests/prop_easy.rs` enforces it). Quadratic in
-/// the stream length — do not use it for anything but testing.
+/// The per-round rescan engine, an independent differential oracle for
+/// the queue engine: [`queue_schedule_ordered`] and
+/// [`replay_queue`](crate::replay_queue) must agree with it bit for bit
+/// on every stream (`tests/prop_easy.rs`, `tests/prop_replay.rs`).
+/// Quadratic in the stream length — do not use it for anything but
+/// testing.
 #[doc(hidden)]
 pub fn queue_schedule_scan(
     m: usize,

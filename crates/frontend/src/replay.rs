@@ -1,30 +1,29 @@
-//! Streaming FCFS / EASY-backfilling replay over a job feed.
+//! The FCFS / EASY-backfilling queue engine, streamed over a job feed.
 //!
-//! [`replay_queue`] is the iterator-fed twin of
-//! [`queue_schedule_ordered`](crate::queue_schedule_ordered): the same
-//! event-incremental engine — arrival cursor, [`BTreeSet`] queue,
-//! completion-ordered running set, [`FreeSet`] identities, head
-//! reservation answered by a [`Skyline`] — but it never holds the
-//! stream or the schedule. Jobs are pulled from the feed as virtual
-//! time reaches their release, each placement is handed to a callback
-//! at decision time and dropped, and live state is bounded by the jobs
-//! currently queued or running. That is what lets `demt replaybench`
-//! push archive-scale traces (10⁶+ jobs) through the queue disciplines
-//! in constant memory.
+//! [`replay_queue`] runs the front-end's one queue engine: an arrival
+//! cursor over the feed, a waiting queue ordered by [`QueueOrder`], a
+//! completion-ordered running set, [`FreeSet`] processor identities,
+//! and an EASY head reservation answered by a [`Skyline`] of the
+//! windows in flight. It never holds the stream or the schedule. Jobs
+//! are pulled from the feed as virtual time reaches their release,
+//! each placement is handed to a callback at decision time and
+//! dropped, and live state is bounded by the jobs currently queued or
+//! running. That is what lets `demt replaybench` push archive-scale
+//! traces (10⁶+ jobs) through the queue disciplines in constant memory.
 //!
-//! Determinism contract: on any release-sorted feed the emitted
-//! placements are **byte-identical** (as serialized JSON) to
-//! `queue_schedule_ordered` on the collected stream — the differential
-//! proptest in `tests/prop_replay.rs` pins the two engines together.
+//! [`queue_schedule_ordered`](crate::queue_schedule_ordered) collects
+//! the same engine over a slice. The quadratic rescan loop
+//! [`queue_schedule_scan`](crate::queue_schedule_scan) is the
+//! independent oracle both are tested against (`tests/prop_easy.rs`,
+//! `tests/prop_replay.rs`).
 
-use crate::easy::order_bits;
 use crate::stream::SubmittedJob;
 use crate::{QueueOrder, QueuePolicy};
 use demt_model::{ProcSet, TaskId};
 use demt_platform::{FreeSet, Placement, Skyline};
+use std::borrow::Borrow;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet};
-use std::iter::Peekable;
+use std::collections::BTreeMap;
 
 /// Rejected replay feed or a wedged simulation, reported by
 /// [`replay_queue`].
@@ -93,61 +92,6 @@ pub struct ReplayOutcome {
     pub makespan: f64,
 }
 
-/// Jobs admitted into the simulation but not yet started, keyed by feed
-/// position.
-type LiveJobs = BTreeMap<usize, SubmittedJob>;
-/// The waiting queue: `(priority key, feed position)`.
-type WaitQueue = BTreeSet<(Reverse<u64>, usize)>;
-
-/// Feed-order cursor: the next feed position and the release of the
-/// last admitted job (for the sortedness check).
-struct FeedCursor {
-    index: usize,
-    prev_release: f64,
-}
-
-/// Pulls every feed job released by `now` into the waiting queue,
-/// validating order and request size on the way in.
-fn admit_released<I: Iterator<Item = SubmittedJob>>(
-    now: f64,
-    m: usize,
-    order: QueueOrder,
-    feed: &mut Peekable<I>,
-    cursor: &mut FeedCursor,
-    live: &mut LiveJobs,
-    pending: &mut WaitQueue,
-) -> Result<(), ReplayError> {
-    while let Some(peeked) = feed.peek() {
-        if peeked.release > now + 1e-12 {
-            break;
-        }
-        let Some(j) = feed.next() else { break };
-        if cursor.index > 0 && j.release < cursor.prev_release {
-            return Err(ReplayError::OutOfOrder {
-                index: cursor.index,
-                release: j.release,
-                prev: cursor.prev_release,
-            });
-        }
-        cursor.prev_release = j.release;
-        if j.rigid_procs < 1 || j.rigid_procs > m {
-            return Err(ReplayError::BadRequest {
-                task: j.task.id(),
-                procs: j.rigid_procs,
-                m,
-            });
-        }
-        let key = match order {
-            QueueOrder::Arrival => Reverse(0u64),
-            QueueOrder::Priority => Reverse(order_bits(j.task.weight())),
-        };
-        pending.insert((key, cursor.index));
-        live.insert(cursor.index, j);
-        cursor.index += 1;
-    }
-    Ok(())
-}
-
 /// Simulates the front-end queue disciplines over a release-sorted job
 /// feed on `m` processors, invoking `on_start` once per job **at
 /// decision time** with the job and its placement (explicit processor
@@ -156,10 +100,9 @@ fn admit_released<I: Iterator<Item = SubmittedJob>>(
 ///
 /// The feed must be sorted by release date
 /// ([`ReplayError::OutOfOrder`]) and every request must fit the machine
-/// ([`ReplayError::BadRequest`]); placements are emitted in the same
-/// order, bit for bit, as
-/// [`queue_schedule_ordered`](crate::queue_schedule_ordered) on the
-/// collected stream.
+/// ([`ReplayError::BadRequest`]). Jobs of equal priority queue in feed
+/// order.
+// demt-lint: allow(P2, the engine has no panic site of its own; the call graph resolves the feed's `.next()` by name to TraceGen::next and SwfJobStream::next, whose expects hold because their generators only build valid profiles)
 pub fn replay_queue<I, F>(
     m: usize,
     jobs: I,
@@ -171,18 +114,37 @@ where
     I: IntoIterator<Item = SubmittedJob>,
     F: FnMut(&SubmittedJob, &Placement),
 {
+    run_queue(m, jobs.into_iter().enumerate(), policy, order, |j, p| {
+        on_start(j, &p)
+    })
+}
+
+/// The queue engine. Each job comes with a sequence key, unique per
+/// job: the waiting queue breaks priority ties by it (so it is the
+/// arrival order), and [`ReplayError::OutOfOrder`] reports it as the
+/// feed position.
+pub(crate) fn run_queue<J, I, F>(
+    m: usize,
+    jobs: I,
+    policy: QueuePolicy,
+    order: QueueOrder,
+    mut on_start: F,
+) -> Result<ReplayOutcome, ReplayError>
+where
+    J: Borrow<SubmittedJob>,
+    I: IntoIterator<Item = (usize, J)>,
+    F: FnMut(&SubmittedJob, Placement),
+{
     let mut feed = jobs.into_iter().peekable();
-    let mut cursor = FeedCursor {
-        index: 0,
-        prev_release: 0.0,
-    };
-    let mut live: LiveJobs = BTreeMap::new();
-    let mut pending: WaitQueue = BTreeSet::new();
-    // Running jobs: completion-ordered (bit pattern orders like the
-    // value for finite non-negative completions) plus their committed
-    // windows `(start, end, identities, width)`.
-    let mut running: BTreeSet<(u64, usize)> = BTreeSet::new();
-    let mut windows: BTreeMap<usize, (f64, f64, ProcSet, usize)> = BTreeMap::new();
+    let mut prev = f64::NEG_INFINITY;
+    // Waiting jobs by (priority, sequence key): weight descending under
+    // `Priority` (`order_bits` makes the float key total-order safe),
+    // a constant under `Arrival`.
+    let mut waiting: BTreeMap<(Reverse<u64>, usize), J> = BTreeMap::new();
+    // Running windows by (completion, sequence key), with their start,
+    // identities and width. Completions are finite and non-negative, so
+    // the bit pattern orders like the value.
+    let mut running: BTreeMap<(u64, usize), (f64, ProcSet, usize)> = BTreeMap::new();
     let mut free = FreeSet::full(m);
     let mut sky = Skyline::new(m);
     let mut now = 0.0_f64;
@@ -190,153 +152,144 @@ where
         decisions: 0,
         makespan: 0.0,
     };
-
-    // One job leaves `live` and starts right now.
-    let mut start_job = |idx: usize,
-                         now: f64,
-                         live: &mut LiveJobs,
-                         running: &mut BTreeSet<(u64, usize)>,
-                         windows: &mut BTreeMap<usize, (f64, f64, ProcSet, usize)>,
-                         free: &mut FreeSet,
-                         sky: &mut Skyline| {
-        // demt-lint: allow(P1, every queued index was inserted into `live` at admission)
-        let j = live.remove(&idx).expect("queued job is live");
-        let d = j.rigid_time();
-        let end = now + d;
-        let procs = free.take_lowest(j.rigid_procs);
-        sky.commit_until(now, end, j.rigid_procs);
-        running.insert((end.to_bits(), idx));
-        windows.insert(idx, (now, end, procs.clone(), j.rigid_procs));
-        let placement = Placement {
-            task: j.task.id(),
-            start: now,
-            duration: d,
-            procs,
-        };
-        outcome.decisions += 1;
-        if end > outcome.makespan {
-            outcome.makespan = end;
-        }
-        on_start(&j, &placement);
-    };
-
-    admit_released(
-        now,
-        m,
-        order,
-        &mut feed,
-        &mut cursor,
-        &mut live,
-        &mut pending,
-    )?;
-
-    while !pending.is_empty() || feed.peek().is_some() {
-        let mut progress = false;
-        if let Some(&(_, head)) = pending.first() {
-            let head_job = live
-                .get(&head)
-                // demt-lint: allow(P1, every queued index was inserted into `live` at admission)
-                .expect("queue head is live");
-            let k_head = head_job.rigid_procs;
-            // 1. Start the head if it fits right now.
-            if k_head <= free.len() {
-                pending.pop_first();
-                start_job(
-                    head,
-                    now,
-                    &mut live,
-                    &mut running,
-                    &mut windows,
-                    &mut free,
-                    &mut sky,
-                );
-                progress = true;
-            } else if policy == QueuePolicy::EasyBackfill {
-                // 2. Head reservation: only completions lie ahead of
-                // `now` in the skyline, so the earliest window start is
-                // the earliest instant `k_head` processors are free.
-                let t_r = sky.earliest_fit(now, head_job.rigid_time(), k_head);
-                let slack = sky.free_at(t_r + 1e-12) - k_head;
-                // 3. Backfill candidates, in queue order behind the head.
-                let mut chosen = None;
-                for &(key, cand) in pending.iter().skip(1) {
-                    let cand_job = live
-                        .get(&cand)
-                        // demt-lint: allow(P1, every queued index was inserted into `live` at admission)
-                        .expect("queued job is live");
-                    let d = cand_job.rigid_time();
-                    let k = cand_job.rigid_procs;
-                    if k > free.len() {
-                        continue;
-                    }
-                    let finishes_before = now + d <= t_r + 1e-12;
-                    let fits_in_slack = k <= slack;
-                    if finishes_before || fits_in_slack {
-                        chosen = Some((key, cand));
-                        break;
-                    }
-                }
-                if let Some((key, cand)) = chosen {
-                    pending.remove(&(key, cand));
-                    start_job(
-                        cand,
-                        now,
-                        &mut live,
-                        &mut running,
-                        &mut windows,
-                        &mut free,
-                        &mut sky,
-                    );
-                    progress = true;
-                }
+    loop {
+        // Admit every job released by `now`, validating on the way in.
+        while let Some((_, j)) = feed.peek() {
+            if j.borrow().release > now + 1e-12 {
+                break;
             }
+            let Some((seq, j)) = feed.next() else { break };
+            let job = j.borrow();
+            if job.release < prev {
+                return Err(ReplayError::OutOfOrder {
+                    index: seq,
+                    release: job.release,
+                    prev,
+                });
+            }
+            prev = job.release;
+            if job.rigid_procs < 1 || job.rigid_procs > m {
+                return Err(ReplayError::BadRequest {
+                    task: job.task.id(),
+                    procs: job.rigid_procs,
+                    m,
+                });
+            }
+            let priority = match order {
+                QueueOrder::Arrival => Reverse(0u64),
+                QueueOrder::Priority => Reverse(order_bits(job.task.weight())),
+            };
+            waiting.insert((priority, seq), j);
         }
-        if progress {
-            continue;
+        // Start jobs at `now` until none can.
+        while let Some(key) = next_start(&waiting, &free, &sky, now, policy) {
+            let Some(j) = waiting.remove(&key) else { break };
+            let job = j.borrow();
+            let d = job.rigid_time();
+            let end = now + d;
+            let procs = free.take_lowest(job.rigid_procs);
+            sky.commit_until(now, end, job.rigid_procs);
+            running.insert(
+                (end.to_bits(), key.1),
+                (now, procs.clone(), job.rigid_procs),
+            );
+            outcome.decisions += 1;
+            if end > outcome.makespan {
+                outcome.makespan = end;
+            }
+            let placement = Placement {
+                task: job.task.id(),
+                start: now,
+                duration: d,
+                procs,
+            };
+            on_start(job, placement);
+        }
+        if waiting.is_empty() && feed.peek().is_none() {
+            return Ok(outcome);
         }
         // Advance time to the next event: completion or arrival.
         let next_completion = running
-            .first()
-            .map(|&(c, _)| f64::from_bits(c))
-            .unwrap_or(f64::INFINITY);
-        let next_arrival = feed.peek().map_or(f64::INFINITY, |j| j.release);
+            .first_key_value()
+            .map_or(f64::INFINITY, |(&(c, _), _)| f64::from_bits(c));
+        let next_arrival = feed
+            .peek()
+            .map_or(f64::INFINITY, |(_, j)| j.borrow().release);
         let next = next_completion.min(next_arrival);
         if !next.is_finite() {
             return Err(ReplayError::Stalled {
-                waiting: pending.len(),
+                waiting: waiting.len(),
             });
         }
         now = next;
         // Release completed jobs: identities back to the pool, windows
         // out of the skyline (keeping its segment count bounded).
-        while let Some(&(c, idx)) = running.first() {
-            if f64::from_bits(c) > now + 1e-12 {
+        while let Some(done) = running.first_entry() {
+            let end = f64::from_bits(done.key().0);
+            if end > now + 1e-12 {
                 break;
             }
-            running.pop_first();
-            if let Some((s, e, procs, k)) = windows.remove(&idx) {
-                sky.release_until(s, e, k);
-                free.release(&procs);
-            }
+            let (start, procs, k) = done.remove();
+            sky.release_until(start, end, k);
+            free.release(&procs);
         }
-        admit_released(
-            now,
-            m,
-            order,
-            &mut feed,
-            &mut cursor,
-            &mut live,
-            &mut pending,
-        )?;
     }
-    Ok(outcome)
+}
+
+/// The waiting job to start at `now`, if any: the queue head if it
+/// fits; under EASY, otherwise the first later job that fits now and
+/// does not push back the head's reservation.
+fn next_start<J: Borrow<SubmittedJob>>(
+    waiting: &BTreeMap<(Reverse<u64>, usize), J>,
+    free: &FreeSet,
+    sky: &Skyline,
+    now: f64,
+    policy: QueuePolicy,
+) -> Option<(Reverse<u64>, usize)> {
+    let (&head_key, head) = waiting.first_key_value()?;
+    let head = head.borrow();
+    if head.rigid_procs <= free.len() {
+        return Some(head_key);
+    }
+    if policy == QueuePolicy::Fcfs {
+        return None;
+    }
+    // Head reservation: only completions lie ahead of `now` in the
+    // skyline, so the free count never decreases and the earliest window
+    // start is the earliest instant the head's processors are free.
+    let t_r = sky.earliest_fit(now, head.rigid_time(), head.rigid_procs);
+    // Processors free at t_r once the head starts, with a tolerance on
+    // completions landing at t_r.
+    let slack = sky.free_at(t_r + 1e-12) - head.rigid_procs;
+    // A later job may jump ahead iff it fits now and either finishes
+    // before the reservation or fits in the processors it leaves spare.
+    waiting
+        .iter()
+        .skip(1)
+        .find(|&(_, j)| {
+            let j: &SubmittedJob = j.borrow();
+            j.rigid_procs <= free.len()
+                && (now + j.rigid_time() <= t_r + 1e-12 || j.rigid_procs <= slack)
+        })
+        .map(|(&key, _)| key)
+}
+
+/// Maps an `f64` onto a `u64` whose natural order equals
+/// [`f64::total_cmp`], so float priorities can key a [`BTreeMap`].
+fn order_bits(x: f64) -> u64 {
+    let b = x.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | (1 << 63)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue_schedule_ordered;
-    use demt_model::{MoldableTask, TaskId};
+    use crate::queue_schedule_scan;
+    use demt_model::MoldableTask;
     use demt_platform::Schedule;
 
     fn job(id: usize, release: f64, procs: usize, time: f64, m: usize) -> SubmittedJob {
@@ -348,7 +301,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_replay_matches_the_materialized_engine() {
+    fn streamed_replay_matches_the_scan_oracle() {
         let m = 4;
         let jobs: Vec<SubmittedJob> = (0..30)
             .map(|i| {
@@ -363,7 +316,7 @@ mod tests {
             .collect();
         for policy in [QueuePolicy::Fcfs, QueuePolicy::EasyBackfill] {
             for order in [QueueOrder::Arrival, QueueOrder::Priority] {
-                let reference = queue_schedule_ordered(m, &jobs, policy, order);
+                let reference = queue_schedule_scan(m, &jobs, policy, order);
                 let mut streamed = Schedule::new(m);
                 let out = replay_queue(m, jobs.iter().cloned(), policy, order, |j, p| {
                     assert_eq!(j.task.id(), p.task);

@@ -1,13 +1,13 @@
-//! Differential oracle for the streaming replay engine: on random
+//! Differential oracle for the streaming queue engine: on random
 //! release-sorted rigid job feeds, [`replay_queue`] must emit
-//! placements **bit for bit** equal to the materialized
-//! [`queue_schedule_ordered`] on the collected stream — compared as
+//! placements **bit for bit** equal to the independent rescan loop
+//! [`queue_schedule_scan`] on the collected stream — compared as
 //! serialized JSON, so every start instant, duration, and processor
 //! identity list participates. This is the contract that makes
 //! replaybench's EASY leg independent of streaming versus
 //! materialization.
 
-use demt_frontend::{queue_schedule_ordered, replay_queue, QueueOrder, QueuePolicy, SubmittedJob};
+use demt_frontend::{queue_schedule_scan, replay_queue, QueueOrder, QueuePolicy, SubmittedJob};
 use demt_model::{MoldableTask, TaskId};
 use demt_platform::Schedule;
 use proptest::prelude::*;
@@ -68,7 +68,7 @@ fn grid_stream() -> impl Strategy<Value = (usize, Vec<SubmittedJob>)> {
 fn assert_stream_matches(m: usize, jobs: &[SubmittedJob]) -> Result<(), TestCaseError> {
     for policy in [QueuePolicy::Fcfs, QueuePolicy::EasyBackfill] {
         for order in [QueueOrder::Arrival, QueueOrder::Priority] {
-            let reference = queue_schedule_ordered(m, jobs, policy, order);
+            let reference = queue_schedule_scan(m, jobs, policy, order);
             let mut streamed = Schedule::new(m);
             let outcome = replay_queue(m, jobs.iter().cloned(), policy, order, |j, p| {
                 streamed.push(p.clone());
@@ -95,7 +95,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn streamed_replay_matches_the_materialized_engine((m, jobs) in sorted_stream()) {
+    fn streamed_replay_matches_the_scan_oracle((m, jobs) in sorted_stream()) {
         assert_stream_matches(m, &jobs)?;
     }
 

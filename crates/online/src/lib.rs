@@ -107,6 +107,14 @@ pub enum OnlineError {
         /// The release date that preceded it.
         prev: f64,
     },
+    /// The off-line scheduler's schedule for a batch does not hold one
+    /// placement per job of the batch.
+    DroppedJob {
+        /// Jobs handed to the scheduler.
+        batch: usize,
+        /// Placements it returned.
+        placed: usize,
+    },
 }
 
 impl std::fmt::Display for OnlineError {
@@ -144,6 +152,12 @@ impl std::fmt::Display for OnlineError {
                     "streamed feed out of order at position {index}: release {release} after {prev}"
                 )
             }
+            OnlineError::DroppedJob { batch, placed } => {
+                write!(
+                    f,
+                    "off-line scheduler placed {placed} of the {batch} jobs in its batch"
+                )
+            }
         }
     }
 }
@@ -168,28 +182,18 @@ pub fn try_online_batch_schedule(
     jobs: &[OnlineJob],
     scheduler: &dyn Scheduler,
 ) -> Result<OnlineResult, OnlineError> {
-    for (i, j) in jobs.iter().enumerate() {
-        if j.task.id().index() != i {
-            return Err(OnlineError::NonDenseIds {
-                index: i,
-                found: j.task.id(),
-            });
-        }
-        if !(j.release >= 0.0 && j.release.is_finite()) {
-            return Err(OnlineError::BadRelease {
-                task: j.task.id(),
-                release: j.release,
-            });
-        }
-        if j.task.max_procs() != m {
-            return Err(OnlineError::MachineMismatch {
-                task: j.task.id(),
-                covers: j.task.max_procs(),
-                procs: m,
-            });
-        }
+    // The loop validates each job at submit; the whole feed must also
+    // assemble into one coherent instance (the all-at-once contract).
+    let mut batch_loop = BatchLoop::new(m);
+    for j in jobs {
+        batch_loop.submit(j.task.clone(), j.release)?;
     }
-    batch_schedule_validated(m, jobs, scheduler)
+    Instance::new(m, jobs.iter().map(|j| j.task.clone()).collect())
+        .map_err(OnlineError::InvalidInstance)?;
+    while batch_loop.pending() > 0 {
+        batch_loop.run_batch(scheduler)?;
+    }
+    Ok(batch_loop.finish())
 }
 
 /// Panicking wrapper around [`try_online_batch_schedule`] for feeds
@@ -201,29 +205,6 @@ pub fn online_batch_schedule(
 ) -> OnlineResult {
     // demt-lint: allow(P1, documented panicking wrapper; fallible callers use try_online_batch_schedule)
     try_online_batch_schedule(m, jobs, scheduler).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The batch loop proper, on a feed that already passed validation:
-/// the whole feed is checked for coherent instance assembly (the
-/// historical all-at-once contract), then streamed through a
-/// [`BatchLoop`] — the same incremental core the `demt serve` daemon
-/// drives event by event, which is what makes the daemon's
-/// byte-identity guarantee against this function structural.
-fn batch_schedule_validated(
-    m: usize,
-    jobs: &[OnlineJob],
-    scheduler: &dyn Scheduler,
-) -> Result<OnlineResult, OnlineError> {
-    Instance::new(m, jobs.iter().map(|j| j.task.clone()).collect())
-        .map_err(OnlineError::InvalidInstance)?;
-    let mut batch_loop = BatchLoop::new(m);
-    for j in jobs {
-        batch_loop.submit(j.task.clone(), j.release)?;
-    }
-    while batch_loop.pending() > 0 {
-        batch_loop.run_batch(scheduler)?;
-    }
-    Ok(batch_loop.finish())
 }
 
 /// A job waiting for its batch.
@@ -290,6 +271,8 @@ pub struct BatchLoop {
     /// the batch most recently planned, released when the next batch
     /// starts (virtual time has passed them by then).
     inflight: Vec<(f64, f64, usize)>,
+    /// Release dates of the most recent batch's jobs, in decision order.
+    batch_releases: Vec<f64>,
 }
 
 impl BatchLoop {
@@ -308,6 +291,7 @@ impl BatchLoop {
             schedule: Schedule::new(m),
             batches: Vec::new(),
             inflight: Vec::new(),
+            batch_releases: Vec::new(),
         }
     }
 
@@ -343,6 +327,13 @@ impl BatchLoop {
     /// The shared scheduler context (dual cache, machine skyline).
     pub fn context(&self) -> &SchedulerContext {
         &self.ctx
+    }
+
+    /// Release dates of the jobs the most recent
+    /// [`BatchLoop::run_batch`] placed, aligned with the placements it
+    /// appended to [`BatchLoop::schedule`].
+    pub fn batch_releases(&self) -> &[f64] {
+        &self.batch_releases
     }
 
     /// Earliest release date among pending jobs.
@@ -459,13 +450,12 @@ impl BatchLoop {
                 sky.reset();
             }
         }
-        let Some(min_r) = self.next_release() else {
+        self.batch_releases.clear();
+        // Fast-forward through an idle gap to the next release.
+        let Some(start) = self.next_batch_start() else {
             return Ok(0);
         };
-        if min_r > self.now + 1e-12 {
-            // Fast-forward through the idle gap to the next release.
-            self.now = min_r;
-        }
+        self.now = start;
 
         // Gather the batch: every pending job released by `now`, in id
         // order (`BTreeMap` iteration), re-id'd densely.
@@ -479,6 +469,7 @@ impl BatchLoop {
         mapping.sort();
         let mut fp = DeltaFingerprint::new(self.m);
         let mut tasks = Vec::with_capacity(mapping.len());
+        let mut releases = Vec::with_capacity(mapping.len());
         for (new_id, original) in mapping.iter().enumerate() {
             // demt-lint: allow(P1, every id in `mapping` was just drawn from the pending index)
             let mut job = self.pending.remove(&original.index()).expect("indexed job");
@@ -487,14 +478,21 @@ impl BatchLoop {
             fp.push(job.hash);
             job.task.set_id(TaskId(new_id));
             tasks.push(job.task);
+            releases.push(job.release);
         }
         let sub = Instance::new(self.m, tasks).map_err(OnlineError::InvalidInstance)?;
         self.ctx.prime_fingerprint(fp.value());
         let inner = scheduler.schedule(&sub, &mut self.ctx).schedule;
-        assert_eq!(inner.len(), sub.len(), "off-line scheduler dropped a job");
+        if inner.len() != sub.len() {
+            return Err(OnlineError::DroppedJob {
+                batch: sub.len(),
+                placed: inner.len(),
+            });
+        }
         let length = inner.makespan();
         for p in inner.placements() {
             let original = mapping[p.task.index()];
+            self.batch_releases.push(releases[p.task.index()]);
             let start = self.now + p.start;
             // The window end is offset from batch-local coordinates in
             // one rounding, exactly like the start: `start + duration`
@@ -562,21 +560,115 @@ pub struct StreamOutcome {
     pub horizon: f64,
 }
 
+/// What [`Admission::step`] asks its caller to do next.
+#[derive(Debug, PartialEq)]
+pub enum Admitted<E> {
+    /// Events admitted before the next batch, in feed order: apply every
+    /// submit and cancel to the [`BatchLoop`], then step again.
+    Cohort(Vec<E>),
+    /// No unseen event can join the next batch: run it.
+    Batch,
+}
+
+/// Cohort admission: the event-order rule of the batch
+/// framework, shared by every [`BatchLoop`] feed
+/// ([`stream_batch_schedule`] and the `demt serve` daemon).
+///
+/// An event joins the pending set only while its timestamp is at or
+/// before the instant the next batch can start
+/// ([`BatchLoop::next_batch_start`]), so each planned batch holds
+/// exactly the jobs [`try_online_batch_schedule`] gathers from the
+/// whole feed. Events arrive in cohorts: the bound is read from the
+/// loop once per cohort and then tracked locally (a submit pulls it to
+/// `max(now, release)`), so the caller can process a cohort as a whole
+/// (the daemon lifts it on a worker pool) before applying it. A cancel
+/// can push the true bound later, which under-admits; the next step
+/// re-reads the bound and admits the rest, and a batch is announced
+/// only once a cohort comes back empty. [`stream_batch_schedule`] is
+/// the plainest caller.
+#[derive(Debug)]
+pub struct Admission<E> {
+    /// The first event past the bound, held for the next cohort.
+    held: Option<E>,
+    /// The event source has returned its last event.
+    exhausted: bool,
+}
+
+impl<E> Default for Admission<E> {
+    fn default() -> Self {
+        Self {
+            held: None,
+            exhausted: false,
+        }
+    }
+}
+
+impl<E> Admission<E> {
+    /// The next step for `bl`: a cohort to apply, a batch to run, or
+    /// `None` once the feed is drained and nothing is pending.
+    ///
+    /// `pull` yields the next event of the feed (`Ok(None)` at its end).
+    /// It runs exactly once per event, so per-event validation and
+    /// counting belong in it; its errors pass through unchanged.
+    /// `arrival` reads an event's timestamp and whether it submits a
+    /// job: only a submit can pull the next batch start earlier.
+    pub fn step<X>(
+        &mut self,
+        bl: &BatchLoop,
+        mut pull: impl FnMut() -> Result<Option<E>, X>,
+        arrival: impl Fn(&E) -> (f64, bool),
+    ) -> Result<Option<Admitted<E>>, X> {
+        let mut bound = bl.next_batch_start();
+        let mut cohort = Vec::new();
+        loop {
+            let ev = match self.held.take() {
+                Some(ev) => ev,
+                None if self.exhausted => break,
+                None => match pull()? {
+                    Some(ev) => ev,
+                    None => {
+                        self.exhausted = true;
+                        break;
+                    }
+                },
+            };
+            let (release, submit) = arrival(&ev);
+            if bound.is_some_and(|b| release > b + 1e-12) {
+                self.held = Some(ev);
+                break;
+            }
+            if submit {
+                let start = release.max(bl.now());
+                bound = Some(bound.map_or(start, |b| b.min(start)));
+            }
+            cohort.push(ev);
+        }
+        // With nothing pending the bound admits any event, so an empty
+        // cohort over an empty pending set means the feed is drained.
+        Ok(if !cohort.is_empty() {
+            Some(Admitted::Cohort(cohort))
+        } else if bl.pending() > 0 {
+            Some(Admitted::Batch)
+        } else {
+            None
+        })
+    }
+}
+
 /// Streams a release-sorted job feed through a [`BatchLoop`] in
-/// constant memory: jobs are admitted with the event-order rule the
-/// `demt serve` daemon uses (submit while the release is not after
-/// [`BatchLoop::next_batch_start`]), each batch is planned and then
-/// **drained** via [`BatchLoop::take_emitted`], and the sink receives
-/// that batch's placements (decision order) alongside the matching
-/// original release dates — so metrics, hashing, or serialization can
-/// run without the schedule ever being materialized whole.
+/// constant memory: jobs are admitted by [`Admission`], as in the
+/// `demt serve` daemon, each batch is planned and then **drained**
+/// via [`BatchLoop::take_emitted`], and the sink receives that batch's
+/// placements (decision order) alongside the matching original release
+/// dates, so metrics, hashing, or serialization can run without the
+/// schedule ever being materialized whole.
 ///
 /// The feed must be sorted by release date ([`OnlineError::OutOfOrder`]
 /// otherwise) with dense ids `0..n` in feed order; placements are
 /// byte-identical to [`try_online_batch_schedule`] on the collected
 /// feed, which is what makes replay results workers- and
 /// buffering-independent.
-// demt-lint: allow(P2, streams through BatchLoop::run_batch whose scheduler-contract assertion is baselined; the streaming entry adds no new panic site)
+// demt-lint: allow(P2, streams through BatchLoop::run_batch, whose dyn Scheduler call is baselined at try_online_batch_schedule; the streaming entry adds no new panic site)
 pub fn stream_batch_schedule<I, F>(
     m: usize,
     jobs: I,
@@ -588,61 +680,46 @@ where
     F: FnMut(&[Placement], &[f64]),
 {
     let mut bl = BatchLoop::new(m);
-    let mut feed = jobs.into_iter().peekable();
-    // Original id → release date for the jobs in flight; bounded by the
-    // pending set, entries leave as soon as the job is placed.
-    let mut releases: BTreeMap<usize, f64> = BTreeMap::new();
-    let mut prev_release = 0.0_f64;
-    let mut index = 0_usize;
+    let mut admission = Admission::default();
+    let mut feed = jobs.into_iter().enumerate();
+    let mut prev = f64::NEG_INFINITY;
+    let mut pull = || {
+        let Some((index, j)) = feed.next() else {
+            return Ok(None);
+        };
+        if j.release < prev {
+            return Err(OnlineError::OutOfOrder {
+                index,
+                release: j.release,
+                prev,
+            });
+        }
+        prev = j.release;
+        Ok(Some(j))
+    };
     let mut outcome = StreamOutcome {
         decisions: 0,
         batches: 0,
         horizon: 0.0,
     };
-    let mut batch_releases: Vec<f64> = Vec::new();
-    loop {
-        while let Some(peeked) = feed.peek() {
-            let admit = match bl.next_batch_start() {
-                Some(t) => peeked.release <= t + 1e-12,
-                None => true,
-            };
-            if !admit {
-                break;
+    while let Some(step) = admission.step(&bl, &mut pull, |j| (j.release, true))? {
+        match step {
+            Admitted::Cohort(cohort) => {
+                for j in cohort {
+                    bl.submit(j.task, j.release)?;
+                }
             }
-            let Some(j) = feed.next() else { break };
-            if index > 0 && j.release < prev_release {
-                return Err(OnlineError::OutOfOrder {
-                    index,
-                    release: j.release,
-                    prev: prev_release,
-                });
-            }
-            prev_release = j.release;
-            index += 1;
-            let id = j.task.id().index();
-            bl.submit(j.task, j.release)?;
-            releases.insert(id, j.release);
-        }
-        if bl.pending() == 0 {
-            // With nothing pending the admission rule accepts any next
-            // event, so the feed is necessarily exhausted here.
-            break;
-        }
-        bl.run_batch(scheduler)?;
-        let batch = bl.take_emitted();
-        batch_releases.clear();
-        for p in batch.schedule.placements() {
-            let r = releases.remove(&p.task.index());
-            debug_assert!(r.is_some(), "placement for a job never submitted");
-            batch_releases.push(r.unwrap_or(0.0));
-            let end = p.start + p.duration;
-            if end > outcome.horizon {
-                outcome.horizon = end;
+            Admitted::Batch => {
+                bl.run_batch(scheduler)?;
+                let batch = bl.take_emitted();
+                for p in batch.schedule.placements() {
+                    outcome.horizon = outcome.horizon.max(p.start + p.duration);
+                }
+                outcome.decisions += batch.schedule.len();
+                outcome.batches += batch.batches.len();
+                sink(batch.schedule.placements(), bl.batch_releases());
             }
         }
-        outcome.decisions += batch.schedule.len();
-        outcome.batches += batch.batches.len();
-        sink(batch.schedule.placements(), &batch_releases);
     }
     Ok(outcome)
 }
@@ -656,6 +733,7 @@ pub fn release_vector(jobs: &[OnlineJob]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use demt_api::ScheduleReport;
     use demt_core::DemtScheduler;
     use demt_platform::{validate_with_releases, Criteria};
     use demt_workload::{generate, WorkloadKind};
@@ -663,6 +741,11 @@ mod tests {
 
     fn demt() -> DemtScheduler {
         DemtScheduler::default()
+    }
+
+    /// [`Admission::step`]'s view of a job feed: every event submits.
+    fn submit(j: &OnlineJob) -> (f64, bool) {
+        (j.release, true)
     }
 
     fn online_jobs(
@@ -828,10 +911,11 @@ mod tests {
 
     #[test]
     fn batch_loop_streaming_matches_wrapper_bytes() {
-        // Drive the loop the way an event source would — submit each
-        // job only once its release is due, running batches as soon as
-        // no unseen event can still join — and require placements
-        // byte-identical (serde-JSON) to the all-at-once wrapper.
+        // Drive the loop through `Admission`, the way an event
+        // source does (submit each job only once its release is due, run
+        // batches as soon as no unseen event can still join), and
+        // require placements byte-identical (serde-JSON) to the
+        // all-at-once wrapper.
         let mut jobs = online_jobs(WorkloadKind::Mixed, 30, 8, 21, 25.0);
         jobs.sort_by(|a, b| a.release.total_cmp(&b.release));
         for (i, j) in jobs.iter_mut().enumerate() {
@@ -840,28 +924,26 @@ mod tests {
         let batch = try_online_batch_schedule(8, &jobs, &demt()).unwrap();
 
         let mut bl = BatchLoop::new(8);
-        let mut feed = jobs.iter().peekable();
-        loop {
-            while let Some(j) = feed.peek() {
-                let admit = match bl.next_batch_start() {
-                    Some(t) => j.release <= t + 1e-12,
-                    None => true,
-                };
-                if !admit {
-                    break;
+        let mut admission = Admission::default();
+        let mut feed = jobs.iter().cloned();
+        let mut cohorts = 0;
+        while let Some(step) = admission
+            .step(&bl, || Ok::<_, OnlineError>(feed.next()), submit)
+            .unwrap()
+        {
+            match step {
+                Admitted::Cohort(cohort) => {
+                    cohorts += 1;
+                    for j in cohort {
+                        bl.submit(j.task, j.release).unwrap();
+                    }
                 }
-                let j = feed.next().expect("peeked");
-                bl.submit(j.task.clone(), j.release).unwrap();
+                Admitted::Batch => {
+                    bl.run_batch(&demt()).unwrap();
+                }
             }
-            if bl.pending() == 0 {
-                assert!(
-                    feed.peek().is_none(),
-                    "event admitted whenever pending is empty"
-                );
-                break;
-            }
-            bl.run_batch(&demt()).unwrap();
         }
+        assert!(cohorts > 1, "the feed arrives over several cohorts");
         let streamed = bl.finish();
         assert_eq!(
             serde_json::to_string(&streamed.schedule).unwrap(),
@@ -869,6 +951,91 @@ mod tests {
             "streamed and batch placements must be byte-identical"
         );
         assert_eq!(streamed.batches, batch.batches);
+    }
+
+    #[test]
+    fn admission_holds_events_past_the_next_batch_start() {
+        let t = |id: usize| MoldableTask::sequential(TaskId(id), 1.0, 1.0, 2).unwrap();
+        let job = |id, release| OnlineJob {
+            task: t(id),
+            release,
+        };
+        let mut feed = vec![job(0, 0.0), job(1, 0.0), job(2, 3.0)].into_iter();
+        let mut pull = || Ok::<_, OnlineError>(feed.next());
+        let mut bl = BatchLoop::new(2);
+        let mut admission = Admission::default();
+        // Both t=0 jobs form the first cohort; the t=3 job is held.
+        let Some(Admitted::Cohort(first)) = admission.step(&bl, &mut pull, submit).unwrap() else {
+            panic!("expected a cohort");
+        };
+        assert_eq!(first.len(), 2);
+        for j in first {
+            bl.submit(j.task, j.release).unwrap();
+        }
+        assert_eq!(
+            admission.step(&bl, &mut pull, submit).unwrap(),
+            Some(Admitted::Batch)
+        );
+        bl.run_batch(&demt()).unwrap();
+        // The batch ends before t=3 and nothing is pending, so the held
+        // job is admitted.
+        let Some(Admitted::Cohort(second)) = admission.step(&bl, &mut pull, submit).unwrap() else {
+            panic!("expected the held job");
+        };
+        assert_eq!(second.len(), 1);
+        for j in second {
+            bl.submit(j.task, j.release).unwrap();
+        }
+        assert_eq!(
+            admission.step(&bl, &mut pull, submit).unwrap(),
+            Some(Admitted::Batch)
+        );
+        bl.run_batch(&demt()).unwrap();
+        assert_eq!(admission.step(&bl, &mut pull, submit).unwrap(), None);
+        assert_eq!(bl.finish().batches.len(), 2);
+    }
+
+    /// DEMT with its first placement removed: an off-line scheduler that
+    /// breaks the place-every-job contract.
+    struct Lossy;
+
+    impl Scheduler for Lossy {
+        fn name(&self) -> &str {
+            "lossy"
+        }
+
+        fn legend(&self) -> &str {
+            "DEMT minus one job"
+        }
+
+        fn schedule(&self, inst: &Instance, ctx: &mut SchedulerContext) -> ScheduleReport {
+            let mut report = demt().schedule(inst, ctx);
+            let mut kept = Schedule::new(inst.procs());
+            for p in &report.schedule.placements()[1..] {
+                kept.push(p.clone());
+            }
+            report.schedule = kept;
+            report
+        }
+    }
+
+    #[test]
+    fn a_scheduler_that_drops_a_job_is_a_typed_error() {
+        let mut bl = BatchLoop::new(2);
+        for id in 0..2 {
+            bl.submit(
+                MoldableTask::sequential(TaskId(id), 1.0, 1.0, 2).unwrap(),
+                0.0,
+            )
+            .unwrap();
+        }
+        assert_eq!(
+            bl.run_batch(&Lossy),
+            Err(OnlineError::DroppedJob {
+                batch: 2,
+                placed: 1
+            })
+        );
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The event loop: cohort admission, incremental re-planning on the
+//! The event loop: the shared [`Admission`] rule feeding the
 //! persistent [`BatchLoop`], parallel event lifting and placement
 //! serialization, and the `--oracle` differential check.
 
@@ -8,7 +8,7 @@ use demt_api::{DeltaFingerprint, FnScheduler, Scheduler, SchedulerContext};
 use demt_baselines::registry;
 use demt_exec::Pool;
 use demt_model::{Instance, MoldableTask, TaskId};
-use demt_online::{try_online_batch_schedule, BatchLoop, OnlineJob};
+use demt_online::{try_online_batch_schedule, Admission, Admitted, BatchLoop, OnlineJob};
 use demt_platform::{list_schedule, ListPolicy, ListTask, Schedule};
 use std::io::Write;
 use std::sync::OnceLock;
@@ -110,19 +110,20 @@ pub fn resolve_scheduler(name: &str) -> Result<&'static dyn Scheduler, ServeErro
     })
 }
 
-/// Drives the daemon over one event stream: admits events into the
-/// persistent [`BatchLoop`] cohort by cohort, re-plans one batch per
-/// round, and writes one JSON placement line per decision to `out`.
+/// Drives the daemon over one event stream: [`Admission`] hands over
+/// cohorts of events to apply to the persistent [`BatchLoop`] and
+/// announces each batch, which is planned and written as one JSON
+/// placement line per decision to `out`.
 ///
 /// **Determinism contract.** For a cancel-free stream, the emitted
 /// placements are byte-identical to serializing
 /// [`try_online_batch_schedule`]'s schedule on the equivalent
 /// [`OnlineJob`] feed, for every `workers` count — enforced by
 /// `--oracle`, the differential proptests, and the CI smoke job. The
-/// cohort rule makes this structural: an event is admitted only while
-/// its timestamp is at or before the instant the next batch can start
-/// (`BatchLoop::next_batch_start`), so each planned batch contains
-/// exactly the jobs the all-at-once wrapper would have gathered.
+/// admission rule makes this structural: it is the one
+/// [`stream_batch_schedule`](demt_online::stream_batch_schedule) runs,
+/// and it admits an event only while its timestamp is at or before the
+/// instant the next batch can start.
 ///
 /// Submit lifting (profile construction + content hashing) and
 /// placement serialization run on the worker pool; both are ordered
@@ -149,9 +150,8 @@ where
     let scheduler = resolve_scheduler(&cfg.algorithm)?;
     let pool = Pool::new(cfg.workers);
     let mut bl = BatchLoop::new(cfg.procs);
+    let mut admission = Admission::default();
     let mut events = events;
-    let mut held: Option<(usize, JobEvent)> = None;
-    let mut exhausted = false;
     let mut prev_t = f64::NEG_INFINITY;
     let mut batches = 0usize;
     let mut last_tick = 0u64;
@@ -161,138 +161,102 @@ where
     let mut oracle_events: Vec<JobEvent> = Vec::new();
     let mut oracle_mirror: Vec<u8> = Vec::new();
 
-    loop {
-        // Admission to fixpoint: gather every event admissible at the
-        // current next-batch-start bound. The bound is tracked locally
-        // across the cohort (a submit can only pull it earlier, and by
-        // exactly `max(now, release)`); a cancel can push the true
-        // bound later, which under-admits — corrected by the refresh
-        // on the next fixpoint round, never over-admitting.
-        loop {
-            let mut cohort: Vec<(usize, JobEvent)> = Vec::new();
-            let mut bound = bl.next_batch_start();
-            loop {
-                let next = match held.take() {
-                    Some(ev) => Some(ev),
-                    None if exhausted => None,
-                    None => match events.next() {
-                        Some(r) => {
-                            let (line, ev) = r?;
-                            if ev.release < prev_t {
-                                return Err(ServeError::OutOfOrder {
-                                    line,
+    let mut pull = |stats: &mut ServeStats| {
+        let Some(r) = events.next() else {
+            return Ok(None);
+        };
+        let (line, ev) = r?;
+        if ev.release < prev_t {
+            return Err(ServeError::OutOfOrder {
+                line,
+                release: ev.release,
+                prev: prev_t,
+            });
+        }
+        prev_t = ev.release;
+        stats.event();
+        Ok(Some((line, ev)))
+    };
+    let arrival = |(_, ev): &(usize, JobEvent)| (ev.release, ev.is_submit());
+    while let Some(step) = admission.step(&bl, || pull(stats), arrival)? {
+        match step {
+            Admitted::Cohort(cohort) => {
+                // Lift the cohort's submits on the pool: profile
+                // construction is O(m) per job and hashing O(m) again —
+                // the daemon's per-event hot path.
+                type Lifted = Option<Result<(MoldableTask, u64), String>>;
+                let lifted: Vec<Lifted> = pool.par_map(&cohort, |_, (_, ev)| {
+                    if !ev.is_submit() {
+                        return None;
+                    }
+                    Some(ev.to_task(cfg.procs).map(|task| {
+                        let hash = DeltaFingerprint::task_hash(&task);
+                        (task, hash)
+                    }))
+                });
+                for ((line, ev), lift) in cohort.into_iter().zip(lifted) {
+                    match lift {
+                        Some(Ok((task, hash))) => {
+                            if cfg.oracle {
+                                oracle_feed.push(OnlineJob {
+                                    task: task.clone(),
                                     release: ev.release,
-                                    prev: prev_t,
                                 });
                             }
-                            prev_t = ev.release;
-                            stats.event();
-                            Some((line, ev))
+                            bl.submit_hashed(task, ev.release, hash)?;
                         }
+                        Some(Err(message)) => return Err(ServeError::Event { line, message }),
                         None => {
-                            exhausted = true;
-                            None
+                            if !bl.cancel(TaskId(ev.job)) {
+                                return Err(ServeError::Event {
+                                    line,
+                                    message: format!(
+                                        "cancel of job {} which is not pending \
+                                         (unknown, already placed, or already cancelled)",
+                                        ev.job
+                                    ),
+                                });
+                            }
                         }
-                    },
-                };
-                let Some((line, ev)) = next else { break };
-                if bound.is_some_and(|b| ev.release > b + 1e-12) {
-                    held = Some((line, ev));
-                    break;
-                }
-                if ev.is_submit() {
-                    let start = ev.release.max(bl.now());
-                    bound = Some(bound.map_or(start, |b| b.min(start)));
-                }
-                cohort.push((line, ev));
-            }
-            if cohort.is_empty() {
-                break;
-            }
-            // Lift the cohort's submits on the pool: profile
-            // construction is O(m) per job and hashing O(m) again —
-            // the daemon's per-event hot path.
-            type Lifted = Option<Result<(MoldableTask, u64), String>>;
-            let lifted: Vec<Lifted> = pool.par_map(&cohort, |_, (_, ev)| {
-                if !ev.is_submit() {
-                    return None;
-                }
-                Some(ev.to_task(cfg.procs).map(|task| {
-                    let hash = DeltaFingerprint::task_hash(&task);
-                    (task, hash)
-                }))
-            });
-            for ((line, ev), lift) in cohort.iter().zip(lifted) {
-                if cfg.oracle {
-                    oracle_events.push(ev.clone());
-                }
-                match lift {
-                    Some(Ok((task, hash))) => {
-                        if cfg.oracle {
-                            oracle_feed.push(OnlineJob {
-                                task: task.clone(),
-                                release: ev.release,
-                            });
-                        }
-                        bl.submit_hashed(task, ev.release, hash)?;
                     }
-                    Some(Err(message)) => {
-                        return Err(ServeError::Event {
-                            line: *line,
-                            message,
-                        })
-                    }
-                    None => {
-                        if !bl.cancel(TaskId(ev.job)) {
-                            return Err(ServeError::Event {
-                                line: *line,
-                                message: format!(
-                                    "cancel of job {} which is not pending \
-                                     (unknown, already placed, or already cancelled)",
-                                    ev.job
-                                ),
-                            });
-                        }
+                    if cfg.oracle {
+                        oracle_events.push(ev);
                     }
                 }
             }
-        }
-
-        // Re-plan: one batch per round, placements out as JSON lines.
-        let before = bl.decisions();
-        stats.batch_starts();
-        let emitted = bl.run_batch(scheduler)?;
-        let fresh = &bl.schedule().placements()[before..];
-        let busy: f64 = fresh
-            .iter()
-            .map(|p| p.procs.len() as f64 * p.duration)
-            .sum();
-        stats.batch_done(emitted, busy);
-        if emitted > 0 {
-            batches += 1;
-            let lines: Vec<Vec<u8>> = pool.par_map(fresh, |_, p| {
-                let mut line = Vec::with_capacity(64 + 8 * p.procs.len());
-                p.write_json(&mut line);
-                line.push(b'\n');
-                line
-            });
-            for l in &lines {
-                out.write_all(l)
-                    .map_err(|e| ServeError::Io(e.to_string()))?;
-                if cfg.oracle {
-                    oracle_mirror.extend_from_slice(l);
+            Admitted::Batch => {
+                // Re-plan: one batch, placements out as JSON lines.
+                let before = bl.decisions();
+                stats.batch_starts();
+                let emitted = bl.run_batch(scheduler)?;
+                let fresh = &bl.schedule().placements()[before..];
+                let busy: f64 = fresh
+                    .iter()
+                    .map(|p| p.procs.len() as f64 * p.duration)
+                    .sum();
+                stats.batch_done(emitted, busy);
+                batches += 1;
+                let lines: Vec<Vec<u8>> = pool.par_map(fresh, |_, p| {
+                    let mut line = Vec::with_capacity(64 + 8 * p.procs.len());
+                    p.write_json(&mut line);
+                    line.push(b'\n');
+                    line
+                });
+                for l in &lines {
+                    out.write_all(l)
+                        .map_err(|e| ServeError::Io(e.to_string()))?;
+                    if cfg.oracle {
+                        oracle_mirror.extend_from_slice(l);
+                    }
+                }
+                if cfg.tick > 0 {
+                    let due = stats.decisions() / cfg.tick as u64;
+                    if due > last_tick {
+                        last_tick = due;
+                        write_snapshot(stats, bl.now(), &mut stats_out)?;
+                    }
                 }
             }
-            if cfg.tick > 0 {
-                let due = stats.decisions() / cfg.tick as u64;
-                if due > last_tick {
-                    last_tick = due;
-                    write_snapshot(stats, bl.now(), &mut stats_out)?;
-                }
-            }
-        }
-        if emitted == 0 && held.is_none() && exhausted {
-            break;
         }
     }
     out.flush().map_err(|e| ServeError::Io(e.to_string()))?;

@@ -15,8 +15,9 @@
 //!  stdin / socket / trace      crates/serve/src/event.rs  (EventReader)
 //!        │  JobEvent
 //!        ▼
-//!  cohort admission + lift     crates/serve/src/daemon.rs (run_events,
-//!        │  MoldableTask + hash         lifted on demt-exec's pool)
+//!  cohort admission + lift     demt-online::Admission, driven by
+//!        │  MoldableTask + hash         run_events (daemon.rs); cohorts
+//!        │                              lifted on demt-exec's pool
 //!        ▼
 //!  incremental re-planning     demt-online::BatchLoop (persistent
 //!        │  Placement                  skyline + primed dual cache)
@@ -26,7 +27,10 @@
 //!
 //! **Determinism.** Replaying an event log produces placements
 //! byte-identical to [`demt_online::try_online_batch_schedule`] on the
-//! equivalent batch feed, for any `--workers` count — checked in-process
+//! equivalent batch feed, for any `--workers` count. The daemon admits
+//! events with the same [`demt_online::Admission`] rule as
+//! [`demt_online::stream_batch_schedule`], so the two cannot drift
+//! apart. The contract is checked in-process
 //! by `--oracle`, by this crate's differential proptests, and by the CI
 //! smoke job (`cmp` of two independent runs). Wall-clock readings are
 //! confined to [`stats`]; they feed the stats stream only, never a

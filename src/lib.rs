@@ -30,7 +30,7 @@
 //! | [`frontend`] | `demt-frontend` | cluster front-end simulation: job streams, FCFS/EASY queues, SWF traces, response metrics |
 //! | [`divisible`] | `demt-divisible` | divisible-load & preemptive scheduling: McNaughton, Smith gangs, moldable bridging |
 //! | [`lint`] | `demt-lint` | workspace static analyzer: parser + symbol table + call graph; determinism, panic-freedom and transitive panic reachability, float equality, crate layering, unsafe, stale suppressions (`demt lint`) |
-//! | [`bench`] | `demt-bench` | Criterion micro-benches plus the archive-scale replay benchmark harness (`demt replaybench`) |
+//! | [`bench`](mod@bench) | `demt-bench` | Criterion micro-benches plus the archive-scale replay benchmark harness (`demt replaybench`) |
 //!
 //! `ARCHITECTURE.md` at the repository root maps the paper's structure
 //! (dual approximation, shelf partition, Graham lists, LP lower bounds,
