@@ -26,15 +26,16 @@
 
 #![warn(missing_docs)]
 
+pub mod clock;
 mod hierarchy;
 
 pub use hierarchy::HierarchicalScheduler;
 
+use clock::Stopwatch;
 use demt_dual::{dual_approx, DualConfig, DualResult};
 use demt_model::{Instance, MoldableTask};
 use demt_platform::{Criteria, Schedule, Skyline};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// A batch scheduler: maps an off-line [`Instance`] to a
 /// [`ScheduleReport`], drawing shared per-run state (today: the dual
@@ -353,7 +354,7 @@ pub struct ScheduleReport {
 /// ```
 #[derive(Debug)]
 pub struct ReportTimer {
-    t0: Instant,
+    clock: Stopwatch,
     phases: Vec<PhaseTiming>,
 }
 
@@ -361,16 +362,16 @@ impl ReportTimer {
     /// Starts the overall wall-clock.
     pub fn start() -> Self {
         Self {
-            t0: Instant::now(),
+            clock: Stopwatch::start(),
             phases: Vec::new(),
         }
     }
 
     /// Runs `f` as a named phase, recording its wall-clock.
     pub fn phase<T>(&mut self, name: &str, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
+        let clock = Stopwatch::start();
         let out = f();
-        self.record(name, t0.elapsed().as_secs_f64());
+        self.record(name, clock.seconds());
         out
     }
 
@@ -400,7 +401,7 @@ impl ReportTimer {
             algorithm: algorithm.to_string(),
             schedule,
             criteria,
-            wall_seconds: self.t0.elapsed().as_secs_f64(),
+            wall_seconds: self.clock.seconds(),
             phases: self.phases,
         }
     }

@@ -59,9 +59,7 @@ fn dual_list_report(
         // The dual approximation is undefined on empty instances.
         return timer.finish(name, inst, Schedule::new(inst.procs()));
     }
-    let t0 = std::time::Instant::now();
-    let dual = ctx.dual(inst);
-    timer.record("dual", t0.elapsed().as_secs_f64());
+    let dual = timer.phase("dual", || ctx.dual(inst));
     let schedule = timer.phase("list", || run(inst, dual));
     timer.finish(name, inst, schedule)
 }

@@ -22,27 +22,26 @@
 //!   job `cmp`s two runs to enforce it.
 //! * **stderr** (and `--bench-out`, appended) — one
 //!   `{"bench":"replaybench",...}` JSON line per leg with wall seconds,
-//!   jobs/sec, and p50/p99 decision latency from a
-//!   [`LatencyHistogram`]. This module is on the `lint.toml`
-//!   `[paths].timing` allowlist: wall clocks feed these report lines
+//!   jobs/sec, and p50/p99 decision latency from the workspace's one
+//!   clock, [`DecisionLatency`]: wall time feeds these report lines
 //!   only, never a scheduling decision.
 //!
 //! `--floors FILE --tier NAME` turns the run into a perf gate: measured
 //! jobs/sec below the checked-in floor exits non-zero.
 
+use demt_api::clock::DecisionLatency;
 use demt_exec::Pool;
 use demt_frontend::{
     replay_queue, rigid_request, MetricsError, QueueOrder, QueuePolicy, ReplayMetrics,
     ReplaySummary, SubmittedJob, SwfJobStream,
 };
 use demt_online::{stream_batch_schedule, OnlineJob};
-use demt_serve::{resolve_scheduler, LatencyHistogram};
+use demt_serve::resolve_scheduler;
 use demt_workload::{TraceGen, TraceSpec};
 use serde_json::{json, Value};
 use std::cell::RefCell;
 use std::io::{BufReader, Write};
 use std::rc::Rc;
-use std::time::Instant;
 
 const USAGE: &str = "\
 usage: demt replaybench --gen-trace SPEC [options]     replay a synthetic trace
@@ -264,27 +263,23 @@ fn open_source(
     }
 }
 
-/// Everything one leg produces: the deterministic record for stdout and
-/// the timing numbers for the stderr/trend line.
+/// Everything one leg produces: the deterministic record for stdout,
+/// the measured rate the floors gate, and the stderr/trend timing line.
 struct LegReport {
     engine: &'static str,
     record: Value,
     decisions: usize,
-    wall_seconds: f64,
     jobs_per_sec: f64,
-    p50_us: f64,
-    p99_us: f64,
+    timing: Value,
 }
 
 /// Shared per-leg accumulator state: metrics fold, content hash, and
-/// the decision-latency histogram.
+/// the decision-latency recorder (whose clock also times the leg).
 struct LegState {
     metrics: ReplayMetrics,
     hash: Fnv,
-    hist: LatencyHistogram,
-    last: Instant,
+    latency: DecisionLatency,
     metrics_err: Option<MetricsError>,
-    buf: Vec<u8>,
 }
 
 impl LegState {
@@ -292,75 +287,79 @@ impl LegState {
         Self {
             metrics: ReplayMetrics::new(),
             hash: Fnv::new(),
-            hist: LatencyHistogram::new(),
-            last: Instant::now(),
+            latency: DecisionLatency::default(),
             metrics_err: None,
-            buf: Vec::new(),
         }
     }
 
-    /// Nanoseconds since the previous decision event on this leg.
-    fn lap(&mut self) -> u64 {
-        let now = Instant::now();
-        let nanos = now
-            .duration_since(self.last)
-            .as_nanos()
-            .min(u128::from(u64::MAX)) as u64;
-        self.last = now;
-        nanos
+    /// Tallies one placement and its bytes; parks the first metrics error.
+    fn tally(&mut self, blob: &[u8], p: &demt_platform::Placement, release: f64) {
+        self.hash.update(blob);
+        if let Err(e) = self
+            .metrics
+            .record(p.task, release, p.start, p.duration, p.procs.len())
+        {
+            self.metrics_err.get_or_insert(e);
+        }
     }
 
+    /// Closes the leg (a parked source or metrics error wins); `record`
+    /// builds the stdout record from the summary and placement hash.
     fn finish(
         self,
-        m: usize,
-        started: Instant,
+        opts: &Opts,
+        engine: &'static str,
         decisions: usize,
-    ) -> Result<(ReplaySummary, Fnv, f64, f64, f64), String> {
+        source_err: &ErrSlot,
+        record: impl FnOnce(&ReplaySummary, String) -> Value,
+    ) -> Result<LegReport, String> {
+        if let Some(e) = source_err.borrow_mut().take() {
+            return Err(e);
+        }
         if let Some(e) = self.metrics_err {
             return Err(format!("metrics: {e}"));
         }
         let summary = self
             .metrics
-            .finish(m)
+            .finish(opts.source.procs())
             .map_err(|e| format!("metrics: {e}"))?;
-        let wall = started.elapsed().as_secs_f64();
-        let p50 = self.hist.quantile(0.50) as f64 / 1e3;
-        let p99 = self.hist.quantile(0.99) as f64 / 1e3;
-        let _ = decisions;
-        Ok((summary, self.hash, wall, p50, p99))
+        let wall = self.latency.seconds();
+        let jobs_per_sec = decisions as f64 / wall.max(f64::MIN_POSITIVE);
+        Ok(LegReport {
+            engine,
+            record: record(&summary, self.hash.hex()),
+            decisions,
+            jobs_per_sec,
+            // The `BENCH_replay.json` schema, keys sorted.
+            timing: json!({
+                "bench": "replaybench",
+                "engine": engine,
+                "jobs": decisions,
+                "jobs_per_sec": jobs_per_sec,
+                "label": opts.label,
+                "p50_us": self.latency.quantile_us(0.50),
+                "p99_us": self.latency.quantile_us(0.99),
+                "procs": opts.source.procs(),
+                "source": opts.source.label(),
+                "wall_seconds": wall,
+                "workers": opts.workers,
+            }),
+        })
     }
 }
 
 fn queue_leg(opts: &Opts) -> Result<LegReport, String> {
     let m = opts.source.procs();
-    let (feed, err) = {
-        let inner = open_source(opts)?;
-        fuse(inner)
-    };
-    let started = Instant::now();
+    let (feed, err) = fuse(open_source(opts)?);
     let mut st = LegState::new();
-    let state = RefCell::new(&mut st);
+    let mut buf = Vec::new();
     let outcome = replay_queue(m, feed, opts.policy, opts.order, |job, p| {
-        let st = &mut **state.borrow_mut();
-        let nanos = st.lap();
-        st.hist.record(nanos, 1);
-        st.buf.clear();
-        p.write_json(&mut st.buf);
-        let buf = std::mem::take(&mut st.buf);
-        st.hash.update(&buf);
-        st.buf = buf;
-        if let Err(e) = st
-            .metrics
-            .record(p.task, job.release, p.start, p.duration, p.procs.len())
-        {
-            st.metrics_err.get_or_insert(e);
-        }
+        st.latency.record(1);
+        buf.clear();
+        p.write_json(&mut buf);
+        st.tally(&buf, p, job.release);
     })
     .map_err(|e| format!("queue replay: {e}"))?;
-    if let Some(e) = err.borrow_mut().take() {
-        return Err(e);
-    }
-    let (summary, hash, wall, p50, p99) = st.finish(m, started, outcome.decisions)?;
     let policy = match opts.policy {
         QueuePolicy::EasyBackfill => "easy",
         QueuePolicy::Fcfs => "fcfs",
@@ -369,9 +368,8 @@ fn queue_leg(opts: &Opts) -> Result<LegReport, String> {
         QueueOrder::Arrival => "arrival",
         QueueOrder::Priority => "priority",
     };
-    Ok(LegReport {
-        engine: "queue",
-        record: json!({
+    st.finish(opts, "queue", outcome.decisions, &err, |summary, hash| {
+        json!({
             "decisions": outcome.decisions,
             "engine": "queue",
             "makespan": summary.makespan,
@@ -380,15 +378,10 @@ fn queue_leg(opts: &Opts) -> Result<LegReport, String> {
             "mean_response": summary.mean_response,
             "mean_wait": summary.mean_wait,
             "order": order,
-            "placement_hash": hash.hex(),
+            "placement_hash": hash,
             "policy": policy,
             "utilization": summary.utilization,
-        }),
-        decisions: outcome.decisions,
-        wall_seconds: wall,
-        jobs_per_sec: outcome.decisions as f64 / wall.max(f64::MIN_POSITIVE),
-        p50_us: p50,
-        p99_us: p99,
+        })
     })
 }
 
@@ -396,22 +389,14 @@ fn serve_leg(opts: &Opts) -> Result<LegReport, String> {
     let m = opts.source.procs();
     let scheduler = resolve_scheduler(&opts.algorithm).map_err(|e| format!("--algorithm: {e}"))?;
     let pool = Pool::new(opts.workers);
-    let (feed, err) = {
-        let inner = open_source(opts)?;
-        fuse(inner)
-    };
+    let (feed, err) = fuse(open_source(opts)?);
     let online = feed.map(|j| OnlineJob {
         task: j.task,
         release: j.release,
     });
-    let started = Instant::now();
     let mut st = LegState::new();
-    let state = RefCell::new(&mut st);
     let out = stream_batch_schedule(m, online, scheduler, |placements, releases| {
-        let st = &mut **state.borrow_mut();
-        let nanos = st.lap();
-        let emitted = placements.len().max(1) as u64;
-        st.hist.record(nanos / emitted, placements.len() as u64);
+        st.latency.record(placements.len() as u64);
         // The workers knob parallelizes serialization only; the fold
         // below stays in decision order, so the hash (and stdout) are
         // identical for every worker count.
@@ -421,23 +406,12 @@ fn serve_leg(opts: &Opts) -> Result<LegReport, String> {
             v
         });
         for ((p, blob), &release) in placements.iter().zip(&blobs).zip(releases) {
-            st.hash.update(blob);
-            if let Err(e) = st
-                .metrics
-                .record(p.task, release, p.start, p.duration, p.procs.len())
-            {
-                st.metrics_err.get_or_insert(e);
-            }
+            st.tally(blob, p, release);
         }
     })
     .map_err(|e| format!("serve replay: {e}"))?;
-    if let Some(e) = err.borrow_mut().take() {
-        return Err(e);
-    }
-    let (summary, hash, wall, p50, p99) = st.finish(m, started, out.decisions)?;
-    Ok(LegReport {
-        engine: "serve",
-        record: json!({
+    st.finish(opts, "serve", out.decisions, &err, |summary, hash| {
+        json!({
             "algorithm": opts.algorithm,
             "batches": out.batches,
             "decisions": out.decisions,
@@ -447,14 +421,9 @@ fn serve_leg(opts: &Opts) -> Result<LegReport, String> {
             "mean_bounded_slowdown": summary.mean_bounded_slowdown,
             "mean_response": summary.mean_response,
             "mean_wait": summary.mean_wait,
-            "placement_hash": hash.hex(),
+            "placement_hash": hash,
             "utilization": summary.utilization,
-        }),
-        decisions: out.decisions,
-        wall_seconds: wall,
-        jobs_per_sec: out.decisions as f64 / wall.max(f64::MIN_POSITIVE),
-        p50_us: p50,
-        p99_us: p99,
+        })
     })
 }
 
@@ -494,14 +463,19 @@ fn parse_floors(text: &str, tier: &str) -> Result<Vec<(String, f64)>, String> {
 }
 
 /// Checks every `<engine>_jobs_per_sec` floor of the tier against the
-/// measured legs. Returns the list of violations (empty = gate passes).
+/// measured legs. Returns the list of violations (empty = gate passes);
+/// a malformed key or an engine other than `queue`/`serve` is an error,
+/// so a misspelt floor cannot silently drop out of the gate.
 fn check_floors(floors: &[(String, f64)], legs: &[LegReport]) -> Result<Vec<String>, String> {
     let mut failures = Vec::new();
     for (key, floor) in floors {
-        let Some(engine) = key.strip_suffix("_jobs_per_sec") else {
-            return Err(format!(
-                "floors key {key:?}: expected <engine>_jobs_per_sec"
-            ));
+        let engine = match key.strip_suffix("_jobs_per_sec") {
+            Some(engine @ ("queue" | "serve")) => engine,
+            _ => {
+                return Err(format!(
+                    "floors key {key:?}: expected queue_jobs_per_sec or serve_jobs_per_sec"
+                ))
+            }
         };
         let Some(leg) = legs.iter().find(|l| l.engine == engine) else {
             // A floor for a leg this invocation did not run is not an
@@ -519,24 +493,6 @@ fn check_floors(floors: &[(String, f64)], legs: &[LegReport]) -> Result<Vec<Stri
     Ok(failures)
 }
 
-/// One machine-readable timing line per leg (the `BENCH_replay.json`
-/// schema; keys sorted so the trend file diffs cleanly).
-fn timing_line(opts: &Opts, source: &str, leg: &LegReport) -> Value {
-    json!({
-        "bench": "replaybench",
-        "engine": leg.engine,
-        "jobs": leg.decisions,
-        "jobs_per_sec": leg.jobs_per_sec,
-        "label": opts.label,
-        "p50_us": leg.p50_us,
-        "p99_us": leg.p99_us,
-        "procs": opts.source.procs(),
-        "source": source,
-        "wall_seconds": leg.wall_seconds,
-        "workers": opts.workers,
-    })
-}
-
 fn run(opts: &Opts) -> Result<(String, i32), String> {
     let mut legs = Vec::new();
     if opts.queue_leg {
@@ -545,7 +501,6 @@ fn run(opts: &Opts) -> Result<(String, i32), String> {
     if opts.serve_leg {
         legs.push(serve_leg(opts)?);
     }
-    let source = opts.source.label();
     let jobs = legs.iter().map(|l| l.decisions).max().unwrap_or(0);
     if legs.iter().any(|l| l.decisions != jobs) {
         return Err(format!(
@@ -564,7 +519,7 @@ fn run(opts: &Opts) -> Result<(String, i32), String> {
         "engines": Value::Array(legs.iter().map(|l| l.record.clone()).collect()),
         "jobs": jobs,
         "procs": opts.source.procs(),
-        "source": source,
+        "source": opts.source.label(),
     });
     let doc = serde_json::to_string(&doc).map_err(|e| format!("serialize: {e}"))?;
 
@@ -580,8 +535,7 @@ fn run(opts: &Opts) -> Result<(String, i32), String> {
         None => None,
     };
     for leg in &legs {
-        let line = serde_json::to_string(&timing_line(opts, &source, leg))
-            .map_err(|e| format!("serialize: {e}"))?;
+        let line = serde_json::to_string(&leg.timing).map_err(|e| format!("serialize: {e}"))?;
         eprintln!("{line}");
         if let Some(f) = trend.as_mut() {
             writeln!(f, "{line}").map_err(|e| format!("--bench-out: {e}"))?;
@@ -679,22 +633,25 @@ serve_jobs_per_sec = 2e4
             engine,
             record: json!(null),
             decisions: 10,
-            wall_seconds: 1.0,
             jobs_per_sec: jps,
-            p50_us: 0.0,
-            p99_us: 0.0,
+            timing: json!(null),
         };
         let legs = vec![leg("queue", 100.0), leg("serve", 5000.0)];
         let floors = vec![
             ("queue_jobs_per_sec".to_string(), 200.0),
             ("serve_jobs_per_sec".to_string(), 200.0),
-            ("absent_jobs_per_sec".to_string(), 1e9),
         ];
         let failures = check_floors(&floors, &legs).unwrap();
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("queue"));
+        // A known engine this run skipped (--engine serve) is not gated.
+        let serve_only = vec![leg("serve", 5000.0)];
+        let skipped = vec![("queue_jobs_per_sec".to_string(), 1e9)];
+        assert!(check_floors(&skipped, &serve_only).unwrap().is_empty());
         let bad = vec![("queue_throughput".to_string(), 1.0)];
         assert!(check_floors(&bad, &legs).is_err(), "malformed key");
+        let typo = vec![("qeue_jobs_per_sec".to_string(), 1.0)];
+        assert!(check_floors(&typo, &legs).is_err(), "unknown engine");
     }
 
     #[test]

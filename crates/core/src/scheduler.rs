@@ -7,7 +7,6 @@ use crate::{demt_schedule_with_dual, DemtConfig};
 use demt_api::{ReportTimer, ScheduleReport, Scheduler, SchedulerContext};
 use demt_model::Instance;
 use demt_platform::Schedule;
-use std::time::Instant;
 
 /// The paper's algorithm as a registry entry (name `"demt"`).
 ///
@@ -52,9 +51,7 @@ impl Scheduler for DemtScheduler {
             // The dual approximation is undefined on empty instances.
             return timer.finish(self.name(), inst, Schedule::new(inst.procs()));
         }
-        let t0 = Instant::now();
-        let dual = ctx.dual(inst);
-        timer.record("dual", t0.elapsed().as_secs_f64());
+        let dual = timer.phase("dual", || ctx.dual(inst));
         let result = timer.phase("batch+compact", || {
             demt_schedule_with_dual(inst, &self.cfg, dual)
         });

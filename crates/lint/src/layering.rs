@@ -130,12 +130,13 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     // tooling (standalone: no scheduling-crate deps, nothing depends
     // on it except the facade)
     ("demt-lint", &[]),
-    // top: benches (micro-benches are dev-dep-only; the replaybench
-    // harness drives both production engines); the facade re-exports
-    // everything
+    // top: benches (micro-benches are dev-dep-only; replaybench drives
+    // both production engines on the demt-api clock); the facade
+    // re-exports everything
     (
         "demt-bench",
         &[
+            "demt-api",
             "demt-exec",
             "demt-frontend",
             "demt-model",

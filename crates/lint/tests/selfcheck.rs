@@ -34,6 +34,14 @@ fn workspace_lints_clean() {
     assert_eq!(report.warn_count(), 0, "no warns either:\n{rendered}");
 }
 
+/// The wall clock has exactly one reader: re-adding a timing
+/// exemption has to edit this test.
+#[test]
+fn the_wall_clock_has_one_reader() {
+    let root = repo_root();
+    assert_eq!(repo_config(&root).timing, ["crates/api/src/clock.rs"]);
+}
+
 #[test]
 fn declared_layering_is_a_dag() {
     layering::table_is_dag().expect("ALLOWED_DEPS is acyclic and closed");

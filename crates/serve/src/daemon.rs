@@ -130,8 +130,8 @@ pub fn resolve_scheduler(name: &str) -> Result<&'static dyn Scheduler, ServeErro
 /// `par_map`s, so parallelism never reorders output.
 ///
 /// Stats snapshots go to `stats_out` every [`ServeConfig::tick`]
-/// decisions (plus one final snapshot); pass [`ServeStats::new`] so
-/// wall-clock readings stay confined to the stats module.
+/// decisions (plus one final snapshot); pass [`ServeStats::new`], whose
+/// recorder keeps wall-clock readings out of this loop.
 // demt-lint: allow(P2, reaches Pool::par_map's join expect, which only fires when a worker thread is poisoned)
 pub fn run_events<I, W>(
     cfg: &ServeConfig,

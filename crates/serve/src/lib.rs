@@ -46,4 +46,4 @@ pub mod stats;
 pub use cli::serve_cli;
 pub use daemon::{greedy_scheduler, resolve_scheduler, run_events, ServeConfig, ServeSummary};
 pub use event::{grid_events, EventReader, JobEvent, ServeError};
-pub use stats::{LatencyHistogram, ServeStats, StatsSnapshot};
+pub use stats::{ServeStats, StatsSnapshot};

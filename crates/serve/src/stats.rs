@@ -1,74 +1,9 @@
-//! Rolling daemon statistics: throughput, decision-latency histogram,
-//! machine utilization.
-//!
-//! This module is the serve crate's **only** wall-clock reader (it is
-//! listed under `[paths].timing` in `lint.toml`): timings feed the
-//! stats stream exclusively, never a scheduling decision, so the
-//! placement output stays bit-reproducible while the operator still
-//! sees real latencies.
+//! Rolling daemon statistics: throughput, decision-latency percentiles
+//! (timed by [`demt_api::clock::DecisionLatency`], feeding this stream
+//! only, never a scheduling decision), machine utilization.
 
+use demt_api::clock::DecisionLatency;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
-
-/// Log-scale latency histogram: bucket `i` counts samples with
-/// `floor(log2(nanos)) == i`. 64 buckets cover every representable
-/// `u64` nanosecond count; quantiles resolve to a factor-of-two, which
-/// is the honest precision for sub-microsecond decision loops.
-#[derive(Debug, Clone)]
-pub struct LatencyHistogram {
-    buckets: [u64; 64],
-    count: u64,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self {
-            buckets: [0; 64],
-            count: 0,
-        }
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one latency sample, `count` times (a batch of `count`
-    /// decisions that shared one planning pass records the per-decision
-    /// share once per decision).
-    pub fn record(&mut self, nanos: u64, count: u64) {
-        let bucket = 63 - u64::leading_zeros(nanos.max(1)) as usize;
-        self.buckets[bucket] += count;
-        self.count += count;
-    }
-
-    /// Total samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The `q`-quantile (`0 < q ≤ 1`) in nanoseconds: the upper edge of
-    /// the first bucket whose cumulative count reaches `q·total`. Zero
-    /// with no samples.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let clamped = q.clamp(0.0, 1.0);
-        // ceil(q * count) without round-tripping through huge floats.
-        let target = ((clamped * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return if i >= 63 { u64::MAX } else { 2u64 << i };
-            }
-        }
-        u64::MAX
-    }
-}
 
 /// One stats snapshot, emitted as a JSON line on the stats stream.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -92,17 +27,14 @@ pub struct StatsSnapshot {
 }
 
 /// Rolling daemon counters. The scheduling loop reports events, batch
-/// timings, and placement areas; this struct owns every `Instant` so
-/// the loop itself stays clock-free.
+/// timings, and placement areas; this struct owns the latency recorder
+/// so the loop itself stays clock-free.
 #[derive(Debug)]
 pub struct ServeStats {
     procs: usize,
-    started: Instant,
-    batch_began: Option<Instant>,
+    latency: DecisionLatency,
     events: u64,
-    decisions: u64,
     batches: u64,
-    hist: LatencyHistogram,
     busy_area: f64,
 }
 
@@ -112,12 +44,9 @@ impl ServeStats {
     pub fn new(procs: usize) -> Self {
         Self {
             procs,
-            started: Instant::now(),
-            batch_began: None,
+            latency: DecisionLatency::default(),
             events: 0,
-            decisions: 0,
             batches: 0,
-            hist: LatencyHistogram::new(),
             busy_area: 0.0,
         }
     }
@@ -129,49 +58,44 @@ impl ServeStats {
 
     /// A planning pass is starting.
     pub fn batch_starts(&mut self) {
-        self.batch_began = Some(Instant::now());
+        self.latency.mark();
     }
 
     /// A planning pass emitted `emitted` placements covering
-    /// `busy_area` processor-seconds. The pass's wall time is recorded
-    /// as `emitted` samples of the per-decision share; a pass that
-    /// placed nothing (the drained-feed probe) is not counted.
+    /// `busy_area` processor-seconds. The time since the last mark
+    /// (`batch_starts`, else the previous pass, else `new`) is recorded
+    /// as `emitted` per-decision shares; an empty pass is not counted.
     pub fn batch_done(&mut self, emitted: usize, busy_area: f64) {
-        let nanos = self
-            .batch_began
-            .take()
-            .map(|t| t.elapsed().as_nanos() as u64)
-            .unwrap_or(0);
+        self.latency.record(emitted as u64);
         if emitted > 0 {
             self.batches += 1;
             self.busy_area += busy_area;
-            self.decisions += emitted as u64;
-            self.hist.record(nanos / emitted as u64, emitted as u64);
         }
     }
 
-    /// Placements emitted so far.
+    /// Placements emitted so far (one latency sample each).
     pub fn decisions(&self) -> u64 {
-        self.decisions
+        self.latency.count()
     }
 
     /// A snapshot of every rolling metric; `horizon` is the daemon's
     /// current virtual time (the utilization denominator).
     pub fn snapshot(&self, horizon: f64) -> StatsSnapshot {
-        let wall = self.started.elapsed().as_secs_f64();
+        let wall = self.latency.seconds();
+        let decisions = self.decisions();
         let denom = self.procs as f64 * horizon;
         StatsSnapshot {
             events: self.events,
-            decisions: self.decisions,
+            decisions,
             batches: self.batches,
             wall_seconds: wall,
             throughput: if wall > 0.0 {
-                self.decisions as f64 / wall
+                decisions as f64 / wall
             } else {
                 0.0
             },
-            p50_us: self.hist.quantile(0.50) as f64 / 1e3,
-            p99_us: self.hist.quantile(0.99) as f64 / 1e3,
+            p50_us: self.latency.quantile_us(0.50),
+            p99_us: self.latency.quantile_us(0.99),
             utilization: if denom > 0.0 {
                 self.busy_area / denom
             } else {
@@ -186,22 +110,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quantiles_walk_the_log_buckets() {
-        let mut h = LatencyHistogram::new();
-        for _ in 0..90 {
-            h.record(1_000, 1); // bucket ⌊log2 1000⌋ = 9, upper edge 1024
-        }
-        for _ in 0..10 {
-            h.record(1_000_000, 1); // bucket 19, upper edge 2²⁰
-        }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.quantile(0.5), 1 << 10);
-        assert_eq!(h.quantile(0.90), 1 << 10);
-        assert_eq!(h.quantile(0.99), 1 << 20);
-        assert_eq!(LatencyHistogram::new().quantile(0.5), 0);
-    }
-
-    #[test]
     fn snapshots_aggregate_batches_into_decisions() {
         let mut s = ServeStats::new(8);
         s.event();
@@ -214,5 +122,19 @@ mod tests {
         assert_eq!(snap.batches, 1);
         assert!((snap.utilization - 0.5).abs() < 1e-12);
         assert!(snap.p99_us >= snap.p50_us);
+    }
+
+    #[test]
+    fn a_pass_without_batch_starts_is_timed_from_the_last_mark() {
+        let mut s = ServeStats::new(4);
+        std::thread::sleep(std::time::Duration::from_millis(3));
+        s.batch_done(1, 1.0);
+        let snap = s.snapshot(1.0);
+        assert_eq!(snap.decisions, 1);
+        assert!(
+            snap.p50_us >= 2_000.0,
+            "timed since new: {} µs",
+            snap.p50_us
+        );
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::algorithms::Algorithm;
 use crate::stats::RatioAccum;
-use demt_api::{Scheduler, SchedulerContext};
+use demt_api::{clock::Stopwatch, Scheduler, SchedulerContext};
 use demt_bounds::{minsum_lower_bound_with_horizon, squashed_minsum_bound, BoundConfig};
 use demt_core::DemtConfig;
 use demt_exec::Pool;
@@ -20,7 +20,6 @@ use demt_platform::validate;
 use demt_workload::{generate, WorkloadKind};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 /// Sweep configuration. [`ExperimentConfig::paper`] reproduces the
 /// SPAA'04 setting (200 processors, 25–400 tasks, 40 runs per point);
@@ -254,7 +253,7 @@ pub fn run_figures_on<P: Fn(&str) + Sync>(
         }
     }
 
-    let t0 = Instant::now();
+    let clock = Stopwatch::start();
     let done_in_point: Vec<AtomicUsize> = (0..kinds.len() * points_per_fig)
         .map(|_| AtomicUsize::new(0))
         .collect();
@@ -272,7 +271,7 @@ pub fn run_figures_on<P: Fn(&str) + Sync>(
                 cell.kind.name(),
                 cell.n,
                 cfg.runs,
-                t0.elapsed().as_secs_f64()
+                clock.seconds()
             ));
         }
         series
@@ -373,9 +372,9 @@ pub fn run_timing(
         for run in 0..cfg.runs {
             let seed = run_seed(cfg, kind, n, run);
             let inst = generate(kind, n, cfg.procs, seed);
-            let t0 = Instant::now();
+            let clock = Stopwatch::start();
             let r = demt_core::demt_schedule(&inst, &cfg.demt);
-            total += t0.elapsed().as_secs_f64();
+            total += clock.seconds();
             std::hint::black_box(&r.schedule);
         }
         let avg = total / cfg.runs.max(1) as f64;

@@ -217,13 +217,13 @@ fn listbench_cmd(opts: &Opts) {
     };
     let engine = opts.get("engine").unwrap_or("skyline");
     let tasks = bench_grid(n, m, seed);
-    let start = std::time::Instant::now();
+    let clock = demt::api::clock::Stopwatch::start();
     let schedule = match engine {
         "skyline" => try_list_schedule(m, &tasks, policy).unwrap_or_else(|e| die(&e.to_string())),
         "scan" => list_schedule_scan(m, &tasks, policy),
         other => die(&format!("bad --engine {other} (skyline|scan)")),
     };
-    let wall = start.elapsed().as_secs_f64();
+    let wall = clock.seconds();
     demt::platform::validate_no_overlap(&schedule)
         .unwrap_or_else(|e| die(&format!("internal: overlapping schedule: {e}")));
     // Same line shape as `demt replaybench` timing lines (sorted keys,

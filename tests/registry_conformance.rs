@@ -197,6 +197,49 @@ fn every_scheduler_conforms_under_the_hierarchy_adapter() {
 }
 
 #[test]
+fn every_entry_reports_its_exact_phase_list() {
+    // The phase names (and their order) are part of the `--metrics
+    // json` report; pin them per entry, plain and under the hierarchy
+    // adapter, which appends its own "expand" phase.
+    let expected = |name: &str| -> &[&str] {
+        match name {
+            "demt" => &["dual", "batch+compact"],
+            "list" | "lptf" | "saf" => &["dual", "list"],
+            "gang" | "sequential" => &["list"],
+            other => panic!("{other}: no expected phase list"),
+        }
+    };
+    let phases =
+        |r: &ScheduleReport| -> Vec<String> { r.phases.iter().map(|p| p.phase.clone()).collect() };
+    let h = Hierarchy::parse("2x2x2").unwrap();
+    let inst = generate(WorkloadKind::Mixed, 20, 8, 5);
+    let empty = InstanceBuilder::new(8).build().unwrap();
+    for s in registry().all() {
+        let plain = s.schedule(&inst, &mut SchedulerContext::new());
+        assert_eq!(phases(&plain), expected(s.name()), "{}", s.name());
+
+        let wrapped = HierarchicalScheduler::new(s, h);
+        let mut nested = expected(s.name()).to_vec();
+        nested.push("expand");
+        let report = wrapped.schedule(&inst, &mut SchedulerContext::new());
+        assert_eq!(phases(&report), nested, "{}", wrapped.name());
+
+        // On the empty instance the dual is undefined, so the entries
+        // that draw it return before any phase; the dual-free entries
+        // still run (and time) their list pass.
+        let mut on_empty: Vec<&str> = match s.name() {
+            "gang" | "sequential" => vec!["list"],
+            _ => vec![],
+        };
+        let report = s.schedule(&empty, &mut SchedulerContext::new());
+        assert_eq!(phases(&report), on_empty, "{}: empty", s.name());
+        on_empty.push("expand");
+        let report = wrapped.schedule(&empty, &mut SchedulerContext::new());
+        assert_eq!(phases(&report), on_empty, "{}: empty", wrapped.name());
+    }
+}
+
+#[test]
 fn serve_placements_are_byte_identical_for_one_and_four_workers() {
     // The daemon's worker pool only parallelizes lifting and
     // serialization; per registry entry, workers=1 and workers=4 must
