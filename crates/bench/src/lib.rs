@@ -1,48 +1,8 @@
-//! Benchmark crate: Criterion micro-benches (see `benches/`) plus the
-//! archive-scale [`replay`] harness behind `demt replaybench`.
+//! The archive-scale [`replay`] harness behind `demt replaybench`.
 //!
-//! One Criterion group per paper figure plus kernel, executor, LP and
-//! ablation benches; quality series are regenerated by the `repro`
-//! binary of `demt-sim`.
-//!
-//! # Benchmark methodology — how to read the `bench …` numbers
-//!
-//! This workspace builds against the **vendored criterion stand-in**
-//! (`vendor/criterion`), not the real crate, so every bench target
-//! prints plain lines of the form
-//!
-//! ```text
-//! bench lp_solver/seeded/400    6340696.0 ns/iter (32 iters)
-//! ```
-//!
-//! Read them with the stand-in's contract in mind:
-//!
-//! * **One warm-up call** runs outside the measurement, then the
-//!   routine is repeated until a fixed **200 ms wall-clock budget** is
-//!   spent; the number reported is `elapsed / iterations` — an
-//!   arithmetic mean, not a statistical estimate. There are no
-//!   outlier rejection, confidence intervals, or saved baselines;
-//!   `sample_size`/`measurement_time` knobs are accepted and ignored.
-//! * **`(N iters)` is the health indicator.** A per-iter time backed by
-//!   only 2–5 iterations carries easily ±10 % noise; treat differences
-//!   below that as ties. Speedup claims in ROADMAP/CHANGES come from
-//!   ratios well outside that band (2× and up).
-//! * **Compare ratios on the same machine, same build.** The numbers
-//!   recorded in the ROADMAP were taken in this (single-core) dev
-//!   container with `cargo bench -p demt-bench`; absolute values will
-//!   differ elsewhere, the cold/seeded/warm *ratios* transfer.
-//! * Benches that exercise the executor (`exec`, sweep benches with a
-//!   pool) are parallelism-neutral on a single-core host: expect
-//!   parity there, and see the CI logs' timed `repro` runs for the
-//!   multi-core speedup measurements.
-//!
-//! The LP benches (`benches/lp.rs`) are the cold-vs-warm evidence for
-//! the revised simplex: `lp_solver/cold` (two-phase from scratch) vs
-//! `lp_solver/seeded` (greedy structural basis) vs `lp_solver/reopt`
-//! (re-solve from the optimal basis), and `lp_sweep/cold_restarts` vs
-//! `lp_sweep/warm_chain` for the whole horizon sweep that
-//! `demt-bounds` runs in production. Swap the real criterion back in
-//! (see `vendor/README.md`) for statistics-grade analysis.
+//! The repository benchmark (`perfbench/`, declared in
+//! `BENCHMARK.json`) measures the paper pipeline layer by layer; this
+//! crate streams million-job traces through the two production engines.
 
 #![warn(missing_docs)]
 

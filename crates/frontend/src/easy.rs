@@ -16,15 +16,16 @@
 //!
 //! One engine implements both, streamed over a feed:
 //! [`replay_queue`](crate::replay_queue). [`queue_schedule_ordered`] and
-//! [`queue_schedule`] collect it over a slice. [`queue_schedule_scan`]
-//! is a separate quadratic rescan loop, kept only as the oracle the
-//! engine is tested against.
+//! [`queue_schedule`] collect it over a slice. A separate quadratic
+//! rescan loop, `queue_schedule_scan`, is compiled only under
+//! `#[cfg(test)]`, as the oracle the engine is tested against.
 
 use crate::replay::run_queue;
 use crate::stream::SubmittedJob;
-use demt_model::ProcSet;
-use demt_platform::{Placement, Schedule};
+use demt_platform::Schedule;
 use serde::{Deserialize, Serialize};
+#[cfg(test)]
+use {demt_model::ProcSet, demt_platform::Placement};
 
 /// Queueing discipline of the front-end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,8 +65,7 @@ pub fn queue_schedule(m: usize, jobs: &[SubmittedJob], policy: QueuePolicy) -> S
 /// [`replay_queue`](crate::replay_queue), fed in `(release, index)`
 /// order with each job's slice index as its sequence key, so the
 /// stream need not be sorted. Placements are bitwise identical to the
-/// rescan engine [`queue_schedule_scan`], kept as a differential
-/// oracle.
+/// test-only rescan oracle.
 pub fn queue_schedule_ordered(
     m: usize,
     jobs: &[SubmittedJob],
@@ -85,11 +85,10 @@ pub fn queue_schedule_ordered(
 /// The per-round rescan engine, an independent differential oracle for
 /// the queue engine: [`queue_schedule_ordered`] and
 /// [`replay_queue`](crate::replay_queue) must agree with it bit for bit
-/// on every stream (`tests/prop_easy.rs`, `tests/prop_replay.rs`).
-/// Quadratic in the stream length — do not use it for anything but
-/// testing.
-#[doc(hidden)]
-pub fn queue_schedule_scan(
+/// on every stream (the crate's `difftests`). Quadratic in the stream
+/// length.
+#[cfg(test)]
+pub(crate) fn queue_schedule_scan(
     m: usize,
     jobs: &[SubmittedJob],
     policy: QueuePolicy,
@@ -216,6 +215,7 @@ pub fn queue_schedule_scan(
     schedule
 }
 
+#[cfg(test)]
 fn start_job(
     schedule: &mut Schedule,
     running: &mut Vec<(f64, Vec<u32>)>,

@@ -32,14 +32,14 @@
 
 #![warn(missing_docs)]
 
+#[cfg(test)]
+mod difftests;
 mod easy;
 mod metrics;
 mod replay;
 mod stream;
 mod swf;
 
-#[doc(hidden)]
-pub use easy::queue_schedule_scan;
 pub use easy::{queue_schedule, queue_schedule_ordered, QueueOrder, QueuePolicy};
 pub use metrics::{
     job_metrics, stream_metrics, try_job_metrics, try_stream_metrics, JobMetrics, MetricsError,

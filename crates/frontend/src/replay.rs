@@ -12,10 +12,9 @@
 //! traces (10⁶+ jobs) through the queue disciplines in constant memory.
 //!
 //! [`queue_schedule_ordered`](crate::queue_schedule_ordered) collects
-//! the same engine over a slice. The quadratic rescan loop
-//! [`queue_schedule_scan`](crate::queue_schedule_scan) is the
-//! independent oracle both are tested against (`tests/prop_easy.rs`,
-//! `tests/prop_replay.rs`).
+//! the same engine over a slice. Both are tested against an independent
+//! quadratic rescan loop, compiled only under `#[cfg(test)]` (the
+//! crate's `difftests`).
 
 use crate::stream::SubmittedJob;
 use crate::{QueueOrder, QueuePolicy};
@@ -288,49 +287,13 @@ fn order_bits(x: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue_schedule_scan;
     use demt_model::MoldableTask;
-    use demt_platform::Schedule;
 
     fn job(id: usize, release: f64, procs: usize, time: f64, m: usize) -> SubmittedJob {
         SubmittedJob {
             task: MoldableTask::rigid(TaskId(id), 1.0, procs, time, m).unwrap(),
             release,
             rigid_procs: procs,
-        }
-    }
-
-    #[test]
-    fn streamed_replay_matches_the_scan_oracle() {
-        let m = 4;
-        let jobs: Vec<SubmittedJob> = (0..30)
-            .map(|i| {
-                job(
-                    i,
-                    i as f64 * 0.25,
-                    1 + (i * 3) % 4,
-                    0.3 + (i % 6) as f64 * 0.45,
-                    m,
-                )
-            })
-            .collect();
-        for policy in [QueuePolicy::Fcfs, QueuePolicy::EasyBackfill] {
-            for order in [QueueOrder::Arrival, QueueOrder::Priority] {
-                let reference = queue_schedule_scan(m, &jobs, policy, order);
-                let mut streamed = Schedule::new(m);
-                let out = replay_queue(m, jobs.iter().cloned(), policy, order, |j, p| {
-                    assert_eq!(j.task.id(), p.task);
-                    streamed.push(p.clone());
-                })
-                .unwrap();
-                assert_eq!(
-                    serde_json::to_string(&streamed).unwrap(),
-                    serde_json::to_string(&reference).unwrap(),
-                    "{policy:?}/{order:?} diverge"
-                );
-                assert_eq!(out.decisions, jobs.len());
-                assert!((out.makespan - reference.makespan()).abs() < 1e-12);
-            }
         }
     }
 

@@ -130,9 +130,8 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
     // tooling (standalone: no scheduling-crate deps, nothing depends
     // on it except the facade)
     ("demt-lint", &[]),
-    // top: benches (micro-benches are dev-dep-only; replaybench drives
-    // both production engines on the demt-api clock); the facade
-    // re-exports everything
+    // top: the replaybench harness (drives both production engines on
+    // the demt-api clock); the facade re-exports everything
     (
         "demt-bench",
         &[

@@ -11,8 +11,7 @@
 //!   output in tests and the harness;
 //! * [`list_schedule`] / [`try_list_schedule`] — the Graham-style
 //!   event-driven list engine used by the baselines and by DEMT's
-//!   compaction, running on the skyline structures below (the former
-//!   all-`m` scan survives as a hidden differential reference);
+//!   compaction, running on the skyline structures below;
 //! * [`Skyline`] / [`Frontier`] — event-ordered free-processor profiles
 //!   keyed by time: the count skyline (earliest-fit queries, backfill
 //!   pre-filtering) and the availability frontier (strict-order
@@ -29,6 +28,8 @@
 
 mod compact;
 mod criteria;
+#[cfg(test)]
+mod difftests;
 mod gantt;
 mod list;
 mod reserve;
@@ -39,8 +40,6 @@ mod validate;
 pub use compact::pull_earlier;
 pub use criteria::Criteria;
 pub use gantt::render_gantt;
-#[doc(hidden)]
-pub use list::list_schedule_scan;
 pub use list::{
     bench_grid, list_schedule, try_list_schedule, FreeSet, ListError, ListPolicy, ListTask,
 };

@@ -23,11 +23,11 @@
 //!
 //! The placement loop used to rescan all `m` processors (and re-sort
 //! the free list) at every state change — `O(n·(n + m log m))` per
-//! schedule, the dominant cost at cluster scale. The default engine now
-//! runs on event-ordered structures from [`crate::skyline`]; the old
-//! scan survives as [`list_schedule_scan`], a hidden reference kept
-//! *only* for the differential proptest suite, the `platform` bench and
-//! the CI perf guard (the same pattern as `demt-lp`'s dense solver).
+//! schedule, the dominant cost at cluster scale. The engine now runs on
+//! event-ordered structures from [`crate::skyline`]; the old scan
+//! survives only under `#[cfg(test)]`, as the reference the crate's
+//! differential tests pin the engine against byte for byte (the same
+//! pattern as `demt-lp`'s dense solver).
 //!
 //! | step | scan reference | skyline engine |
 //! |---|---|---|
@@ -38,10 +38,8 @@
 //!
 //! `E` is the number of availability groups (≤ placements), `k` the
 //! allotment. Total: `O((n + Σkᵢ) log(n·m))` instead of
-//! `O(n·(n + m log m))` — at `m = 10⁴` the skyline engine is several
-//! times faster end-to-end (see `benches/platform.rs` and the CI perf
-//! guard), while a proptest suite pins its output byte-identical to
-//! the scan.
+//! `O(n·(n + m log m))`. `demt listbench --procs 10000` times the engine
+//! on the [`bench_grid`] shape.
 //!
 //! The m = 10⁴ scale is cheap enough to run in a doctest now:
 //!
@@ -227,9 +225,9 @@ pub fn list_schedule(m: usize, tasks: &[ListTask], policy: ListPolicy) -> Schedu
 /// Deterministic pseudo-random benchmark grid (splitmix64 — no rng
 /// dependency, so the same seed yields the same tasks everywhere):
 /// mostly narrow jobs, ~1 in 29 machine-scale wide tasks, a quarter
-/// arriving late. The **single source** for `benches/platform.rs` and
-/// the `demt listbench` CI guard — the perf numbers of the two are
-/// comparable precisely because they schedule this same shape.
+/// arriving late. `m` must be at least 1 (allotments are drawn modulo
+/// `m`). The single source for `demt listbench`, `demt serve
+/// --gen-grid` and the engine-vs-scan difftest on the same grids.
 pub fn bench_grid(n: usize, m: usize, seed: u64) -> Vec<ListTask> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let mut next = move || {
@@ -257,12 +255,11 @@ pub fn bench_grid(n: usize, m: usize, seed: u64) -> Vec<ListTask> {
 }
 
 /// The retained `O(n·(n + m log m))` scan engine, kept as the
-/// differential reference for the skyline engine (proptest suite,
-/// `platform` bench, CI perf guard). Identical output, same panics.
-#[doc(hidden)]
-pub fn list_schedule_scan(m: usize, tasks: &[ListTask], policy: ListPolicy) -> Schedule {
+/// differential reference for the skyline engine. Identical output,
+/// same panics.
+#[cfg(test)]
+pub(crate) fn list_schedule_scan(m: usize, tasks: &[ListTask], policy: ListPolicy) -> Schedule {
     if let Err(e) = check_tasks(m, tasks) {
-        // demt-lint: allow(P1, hidden differential reference that keeps the same panicking contract as list_schedule)
         panic!("{e}");
     }
     match policy {
@@ -499,6 +496,7 @@ fn ordered(m: usize, tasks: &[ListTask]) -> Schedule {
 
 /// The pre-skyline engines, verbatim: full task-list rescans and free
 /// list re-sorts. Reference semantics for the differential tests.
+#[cfg(test)]
 mod scan {
     use super::{EventTime, ListTask};
     use crate::{Placement, Schedule};
@@ -727,40 +725,6 @@ mod tests {
         for policy in [ListPolicy::Greedy, ListPolicy::Ordered] {
             let s = list_schedule(3, &[], policy);
             assert!(s.is_empty());
-            let s = list_schedule_scan(3, &[], policy);
-            assert!(s.is_empty());
-        }
-    }
-
-    #[test]
-    fn skyline_and_scan_agree_on_fixed_corner_cases() {
-        // Ties everywhere: equal durations, equal ready times, widths
-        // that exactly exhaust the machine, a blocked head.
-        let cases: Vec<(usize, Vec<ListTask>)> = vec![
-            (1, vec![lt(0, 1, 1.0), lt(1, 1, 1.0), lt(2, 1, 1.0)]),
-            (
-                4,
-                vec![lt(0, 4, 2.0), lt(1, 2, 2.0), lt(2, 2, 2.0), lt(3, 3, 1.0)],
-            ),
-            (5, {
-                let mut v = vec![lt(0, 5, 1.5), lt(1, 1, 3.0), lt(2, 4, 1.5)];
-                v[1].ready = 1.5;
-                v.push(lt(3, 2, 1.5));
-                v
-            }),
-            (
-                6,
-                (0..12)
-                    .map(|i| lt(i, 1 + i % 3, 0.5 + (i % 4) as f64))
-                    .collect(),
-            ),
-        ];
-        for (m, tasks) in cases {
-            for policy in [ListPolicy::Greedy, ListPolicy::Ordered] {
-                let sky = list_schedule(m, &tasks, policy);
-                let scan = list_schedule_scan(m, &tasks, policy);
-                assert_eq!(sky, scan, "m={m}, {policy:?}");
-            }
         }
     }
 }

@@ -1,14 +1,10 @@
 //! Property tests for the platform substrate: the list engine always
-//! emits valid schedules, compaction never hurts, the validator accepts
-//! what the engine builds, and — the differential pin — the skyline
-//! engine reproduces the retained scan reference **byte for byte** on
-//! random allotments, ready times, both policies and degenerate ties.
+//! emits valid schedules, compaction never hurts, and the validator
+//! accepts what the engine builds. The byte-for-byte pins against the
+//! retained references live in the crate's `difftests` module.
 
 use demt_model::{Instance, InstanceBuilder, TaskId};
-use demt_platform::{
-    backfill_schedule, list_schedule, list_schedule_scan, pull_earlier, validate,
-    validate_no_overlap, Criteria, ListPolicy, ListTask, Reservation,
-};
+use demt_platform::{list_schedule, pull_earlier, validate, Criteria, ListPolicy, ListTask};
 use proptest::prelude::*;
 
 /// Random monotonic instance plus a per-task allotment choice.
@@ -100,98 +96,6 @@ proptest! {
     }
 }
 
-/// Raw `ListTask` lists for the differential suite: durations and
-/// ready times drawn from small discrete grids so exact f64 **ties**
-/// (equal completion events, equal frontier groups, simultaneous
-/// releases) occur constantly — the territory where an engine's tie
-/// handling shows. The machine range crosses the 64-bit word boundary
-/// so the greedy engine's free-processor bitset exercises multi-word
-/// take/insert paths, not just word 0.
-fn arb_raw_list() -> impl Strategy<Value = (usize, Vec<ListTask>)> {
-    (1usize..150, 0usize..40)
-        .prop_flat_map(|(m, n)| {
-            let tasks =
-                prop::collection::vec((0usize..100, 0usize..8, 0usize..6, 0usize..10), n..=n);
-            (Just(m), tasks)
-        })
-        .prop_map(|(m, raw)| {
-            const DURATIONS: [f64; 8] = [0.5, 1.0, 1.0, 1.5, 2.5, 2.5, 4.0, 0.125];
-            const READIES: [f64; 6] = [0.0, 0.0, 0.0, 1.0, 2.5, 6.0];
-            let tasks = raw
-                .into_iter()
-                .enumerate()
-                .map(|(i, (kraw, draw, rraw, wide))| {
-                    // ~10% full-machine tasks force serialization points.
-                    let alloc = if wide == 0 { m } else { 1 + kraw % m };
-                    let mut t = ListTask::new(TaskId(i), alloc, DURATIONS[draw]);
-                    t.ready = READIES[rraw];
-                    t
-                })
-                .collect();
-            (m, tasks)
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn skyline_engine_matches_scan_reference_byte_for_byte((m, tasks) in arb_raw_list()) {
-        for policy in [ListPolicy::Greedy, ListPolicy::Ordered] {
-            let sky = list_schedule(m, &tasks, policy);
-            let scan = list_schedule_scan(m, &tasks, policy);
-            prop_assert_eq!(&sky, &scan, "{:?}: schedules diverge", policy);
-            // Byte-identical serialization, the form CI diffs.
-            let a = serde_json::to_string(&sky).expect("serializable");
-            let b = serde_json::to_string(&scan).expect("serializable");
-            prop_assert_eq!(a, b, "{:?}: JSON bytes diverge", policy);
-            // And no skyline placement ever overlaps on a processor.
-            prop_assert!(validate_no_overlap(&sky).is_ok(), "{:?}: {:?}", policy, validate_no_overlap(&sky));
-        }
-    }
-
-    #[test]
-    fn backfill_prefilter_preserves_placements_and_never_overlaps(
-        (m, tasks) in arb_raw_list(),
-        rraw in prop::collection::vec((0usize..10, 1usize..4, 0usize..8), 0..3),
-    ) {
-        // Reservations derived from the drawn grid, staggered so they
-        // never overlap on a processor: reservation j uses a disjoint
-        // time window per proc stripe.
-        let reservations: Vec<Reservation> = rraw
-            .iter()
-            .enumerate()
-            .map(|(j, &(sraw, len, praw))| {
-                let procs: Vec<u32> = (0..m as u32).filter(|q| (*q as usize + praw).is_multiple_of(3)).collect();
-                Reservation {
-                    start: 20.0 * j as f64 + sraw as f64,
-                    duration: len as f64,
-                    procs,
-                }
-            })
-            .filter(|r| !r.procs.is_empty())
-            .collect();
-        let s = backfill_schedule(m, &tasks, &reservations);
-        prop_assert_eq!(s.len(), tasks.len());
-        prop_assert!(validate_no_overlap(&s).is_ok(), "{:?}", validate_no_overlap(&s));
-        // No placement intrudes into a reservation window.
-        for p in s.placements() {
-            for r in &reservations {
-                for &q in &r.procs {
-                    if p.procs.contains(q) {
-                        let disjoint = p.completion() <= r.start + 1e-9 || p.start >= r.end() - 1e-9;
-                        prop_assert!(disjoint, "{} collides with a reservation on {q}", p.task);
-                    }
-                }
-            }
-        }
-        // Ready times are honoured (up to the candidate dedup slack).
-        for p in s.placements() {
-            prop_assert!(p.start >= tasks[p.task.index()].ready - 1e-9);
-        }
-    }
-}
-
 #[test]
 fn ordered_and_greedy_handle_a_thousand_tasks() {
     // Smoke test at realistic scale: n = 1000 unit tasks on 64 procs.
@@ -206,9 +110,5 @@ fn ordered_and_greedy_handle_a_thousand_tasks() {
         validate(&inst, &s).unwrap();
         assert_eq!(s.makespan(), (1000f64 / 64.0).ceil());
         assert_eq!(s.placement_of(TaskId(999)).map(|p| p.alloc()), Some(1));
-        // The maximal-ties regime at scale: 1000 identical unit tasks
-        // produce 64-way simultaneous completion events, and the
-        // engines must still agree placement for placement.
-        assert_eq!(s, list_schedule_scan(64, &tasks, policy), "{policy:?}");
     }
 }

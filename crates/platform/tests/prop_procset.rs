@@ -1,33 +1,16 @@
-//! ProcSet differential property suite.
+//! ProcSet algebra against a `BTreeSet` reference on random id sets:
+//! union/subtract/intersect agree element-wise, `take_k_*` splits are
+//! exact partitions, iteration is sorted, the canonical form (sorted,
+//! disjoint, non-adjacent) survives every operation, and serde
+//! round-trips through the plain id-array wire form byte-for-byte.
 //!
-//! Two layers of evidence that the interval-set placement
-//! representation changed *nothing observable*:
-//!
-//! 1. **Algebra** — every [`ProcSet`] operation against a `BTreeSet`
-//!    reference on random id sets: union/subtract/intersect agree
-//!    element-wise, `take_k_*` splits are exact partitions, iteration
-//!    is sorted, the canonical form (sorted, disjoint, non-adjacent)
-//!    survives every operation, and serde round-trips through the
-//!    plain id-array wire form byte-for-byte.
-//! 2. **Engines** — the ProcSet-backed skyline engines against the
-//!    retained `Vec<usize>` bookkeeping references, compared as
-//!    serialized JSON **bytes** on tie-heavy grids (equal durations and
-//!    ready times force maximal tie-breaking stress): both list
-//!    policies, conservative backfilling (against a local pure-Vec scan
-//!    reimplementation without the skyline pre-filter), and the EASY
-//!    queue front-end.
+//! The ProcSet-backed engines are pinned against the `Vec` bookkeeping
+//! references by the `difftests` modules of `demt-platform` and
+//! `demt-frontend`.
 
-use demt_model::{ProcSet, TaskId};
-use demt_platform::{
-    backfill_schedule, list_schedule_scan, try_list_schedule, validate_no_overlap, ListPolicy,
-    ListTask, Placement, Reservation, Schedule,
-};
+use demt_model::ProcSet;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-
-// ---------------------------------------------------------------------
-// Layer 1: ProcSet algebra vs BTreeSet
-// ---------------------------------------------------------------------
 
 /// Random id set in a small universe (tight ids force adjacent-range
 /// coalescing; the algebra is id-value agnostic beyond that).
@@ -127,171 +110,5 @@ proptest! {
         prop_assert_eq!(&bytes, &serde_json::to_string(&as_vec).unwrap());
         let back: ProcSet = serde_json::from_str(&bytes).unwrap();
         prop_assert_eq!(back, s);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Layer 2: engine differentials, byte-for-byte
-// ---------------------------------------------------------------------
-
-/// Tie-heavy task list: durations from a 3-value menu and ready times
-/// from a 2-value menu, so many events coincide exactly and the
-/// tie-breaking order inside the engines carries all the weight.
-fn arb_tie_grid() -> impl Strategy<Value = (usize, Vec<ListTask>)> {
-    (2usize..8, 1usize..20)
-        .prop_flat_map(|(m, n)| {
-            let tasks = prop::collection::vec((0usize..m, 0usize..3, 0usize..2), n..=n);
-            (Just(m), tasks)
-        })
-        .prop_map(|(m, raw)| {
-            let tasks = raw
-                .into_iter()
-                .enumerate()
-                .map(|(i, (alloc, d, r))| {
-                    let mut t = ListTask::new(TaskId(i), 1 + alloc % m, [1.0, 2.0, 0.5][d]);
-                    t.ready = [0.0, 1.0][r];
-                    t
-                })
-                .collect();
-            (m, tasks)
-        })
-}
-
-fn json(s: &Schedule) -> String {
-    serde_json::to_string(s).unwrap()
-}
-
-/// Pure-Vec conservative backfilling: the `backfill_schedule` algorithm
-/// with the skyline pre-filter removed and `Vec<u32>` bookkeeping —
-/// the documented "sound filter" claim means placements must match the
-/// engine exactly.
-fn backfill_reference(m: usize, tasks: &[ListTask], reservations: &[Reservation]) -> Schedule {
-    let mut busy: Vec<Vec<(f64, f64)>> = vec![Vec::new(); m];
-    let free_during = |busy: &[Vec<(f64, f64)>], q: usize, s: f64, e: f64| {
-        busy[q]
-            .iter()
-            .all(|&(bs, be)| e <= bs + 1e-12 || s >= be - 1e-12)
-    };
-    for r in reservations {
-        for &q in &r.procs {
-            busy[q as usize].push((r.start, r.end()));
-        }
-    }
-    let mut schedule = Schedule::new(m);
-    for t in tasks {
-        let mut candidates: Vec<f64> = vec![t.ready];
-        for p in &busy {
-            for &(_, be) in p {
-                if be > t.ready - 1e-12 {
-                    candidates.push(be);
-                }
-            }
-        }
-        candidates.sort_by(|a, b| a.total_cmp(b));
-        candidates.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-        for &s in &candidates {
-            let e = s + t.duration;
-            let free: Vec<u32> = (0..m as u32)
-                .filter(|&q| free_during(&busy, q as usize, s, e))
-                .collect();
-            if free.len() >= t.alloc {
-                let procs: Vec<u32> = free[..t.alloc].to_vec();
-                for &q in &procs {
-                    let pos = busy[q as usize].partition_point(|&(bs, _)| bs < s);
-                    busy[q as usize].insert(pos, (s, e));
-                }
-                schedule.push(Placement {
-                    task: t.id,
-                    start: s,
-                    duration: t.duration,
-                    procs: ProcSet::from_ids(procs),
-                });
-                break;
-            }
-        }
-    }
-    schedule
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn list_engines_agree_byte_for_byte((m, tasks) in arb_tie_grid()) {
-        for policy in [ListPolicy::Greedy, ListPolicy::Ordered] {
-            let skyline = try_list_schedule(m, &tasks, policy).unwrap();
-            let scan = list_schedule_scan(m, &tasks, policy);
-            prop_assert_eq!(json(&skyline), json(&scan), "{:?} diverged", policy);
-            prop_assert!(validate_no_overlap(&skyline).is_ok());
-        }
-    }
-
-    #[test]
-    fn backfill_engine_matches_the_vec_reference(
-        (m, tasks) in arb_tie_grid(),
-        window in (0usize..3, 1usize..3),
-    ) {
-        // One deterministic maintenance window derived from the grid,
-        // plus the reservation-free case when it would be degenerate.
-        let reservations = if m > 1 {
-            vec![Reservation {
-                start: window.0 as f64,
-                duration: window.1 as f64,
-                procs: vec![0, (m as u32) - 1],
-            }]
-        } else {
-            Vec::new()
-        };
-        let engine = backfill_schedule(m, &tasks, &reservations);
-        let reference = backfill_reference(m, &tasks, &reservations);
-        prop_assert_eq!(json(&engine), json(&reference));
-        prop_assert!(validate_no_overlap(&engine).is_ok());
-    }
-}
-
-// ---------------------------------------------------------------------
-// EASY queue differential (rigid front-end jobs)
-// ---------------------------------------------------------------------
-
-/// Tie-heavy rigid job stream for the EASY queue: small width/runtime
-/// menus and coinciding releases.
-fn arb_job_stream() -> impl Strategy<Value = (usize, Vec<demt_frontend::SubmittedJob>)> {
-    (2usize..8, 1usize..14)
-        .prop_flat_map(|(m, n)| {
-            let jobs = prop::collection::vec((0usize..m, 0usize..3, 0usize..3), n..=n);
-            (Just(m), jobs)
-        })
-        .prop_map(|(m, raw)| {
-            let jobs = raw
-                .into_iter()
-                .enumerate()
-                .map(|(i, (w, d, r))| {
-                    let width = 1 + w % m;
-                    let time = [1.0, 2.0, 3.0][d];
-                    let task =
-                        demt_model::MoldableTask::rigid(TaskId(i), 1.0, width, time, m).unwrap();
-                    demt_frontend::SubmittedJob {
-                        task,
-                        release: [0.0, 0.5, 2.0][r],
-                        rigid_procs: width,
-                    }
-                })
-                .collect();
-            (m, jobs)
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn easy_queue_engines_agree_byte_for_byte((m, jobs) in arb_job_stream()) {
-        use demt_frontend::{queue_schedule, queue_schedule_scan, QueuePolicy};
-        for policy in [QueuePolicy::Fcfs, QueuePolicy::EasyBackfill] {
-            let skyline = queue_schedule(m, &jobs, policy);
-            let scan = queue_schedule_scan(m, &jobs, policy, demt_frontend::QueueOrder::Arrival);
-            prop_assert_eq!(json(&skyline), json(&scan), "{:?} diverged", policy);
-            prop_assert!(validate_no_overlap(&skyline).is_ok());
-        }
     }
 }

@@ -200,14 +200,17 @@ fn algorithms_cmd() {
 }
 
 /// `demt listbench` — the CI determinism + perf guard for the list
-/// engine: schedule the shared `demt_platform::bench_grid` (the same
-/// grid `benches/platform.rs` measures) with the skyline engine or the
-/// retained scan reference, print the schedule JSON on stdout (the two
-/// engines must produce identical bytes) and timing metrics on stderr
-/// (where the skyline speedup lands in the CI logs).
+/// engine: schedule the shared `demt_platform::bench_grid` with the
+/// skyline engine, print the schedule JSON on stdout (byte-identical
+/// run to run; the crate's difftests pin it to the scan reference on
+/// the CI grids) and timing metrics on stderr (where the engine's
+/// jobs/sec lands in the CI logs).
 fn listbench_cmd(opts: &Opts) {
-    use demt::platform::{bench_grid, list_schedule_scan, try_list_schedule, ListPolicy};
+    use demt::platform::{bench_grid, try_list_schedule, ListPolicy};
     let m = opts.usize("procs", 1000);
+    if m == 0 {
+        die("bad --procs 0 (the grid needs at least one processor)");
+    }
     let n = opts.usize("tasks", 2000);
     let seed = opts.u64("seed", 0);
     let policy = match opts.get("policy").unwrap_or("greedy") {
@@ -215,14 +218,9 @@ fn listbench_cmd(opts: &Opts) {
         "ordered" => ListPolicy::Ordered,
         other => die(&format!("bad --policy {other} (greedy|ordered)")),
     };
-    let engine = opts.get("engine").unwrap_or("skyline");
     let tasks = bench_grid(n, m, seed);
     let clock = demt::api::clock::Stopwatch::start();
-    let schedule = match engine {
-        "skyline" => try_list_schedule(m, &tasks, policy).unwrap_or_else(|e| die(&e.to_string())),
-        "scan" => list_schedule_scan(m, &tasks, policy),
-        other => die(&format!("bad --engine {other} (skyline|scan)")),
-    };
+    let schedule = try_list_schedule(m, &tasks, policy).unwrap_or_else(|e| die(&e.to_string()));
     let wall = clock.seconds();
     demt::platform::validate_no_overlap(&schedule)
         .unwrap_or_else(|e| die(&format!("internal: overlapping schedule: {e}")));
@@ -233,7 +231,7 @@ fn listbench_cmd(opts: &Opts) {
         "{}",
         serde_json::json!({
             "bench": "listbench",
-            "engine": engine,
+            "engine": "skyline",
             "jobs": n,
             "jobs_per_sec": n as f64 / wall.max(f64::MIN_POSITIVE),
             "makespan": schedule.makespan(),
@@ -487,10 +485,9 @@ COMMANDS
   algorithms
             list the scheduler registry (name and figure legend)
   listbench --procs M --tasks N [--seed S] [--policy greedy|ordered]
-            [--engine skyline|scan]
-            schedule a deterministic grid with the chosen list engine;
-            schedule JSON on stdout (byte-identical across engines),
-            timing metrics on stderr — the CI determinism + perf guard
+            schedule a deterministic grid with the skyline list engine;
+            schedule JSON on stdout, timing metrics on stderr — the CI
+            determinism + perf guard
   validate  --instance FILE
             read a schedule from stdin, audit it against the instance
   bound     [--sweep K] [--workers W]

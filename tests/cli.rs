@@ -326,6 +326,17 @@ fn frontend_supports_pareto_arrivals() {
 }
 
 #[test]
+fn listbench_rejects_an_empty_machine() {
+    let out = demt()
+        .args(["listbench", "--procs", "0", "--tasks", "10"])
+        .output()
+        .expect("listbench");
+    assert_eq!(out.status.code(), Some(2), "die(), not a panic");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("bad --procs 0"), "{err}");
+}
+
+#[test]
 fn every_algorithm_round_trips_and_respects_bounds() {
     // generate → schedule (each algorithm) → validate → bound, all via
     // JSON stdin/stdout, asserting every schedule beats neither bound.
