@@ -295,13 +295,18 @@ impl Pool {
     }
 
     /// Applies `f` to every item in parallel and returns the results
-    /// **in item order** — deterministic for any worker count.
+    /// **in item order** — deterministic for any worker count. With at
+    /// most one item there is nothing to share, so `f` runs inline on
+    /// the caller and no thread starts.
     pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
+        if items.len() <= 1 {
+            return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        }
         let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
         let f = &f;
         self.scope(|s| {
@@ -323,12 +328,18 @@ impl Pool {
             .collect()
     }
 
-    /// Applies `f` to every item in parallel, for its side effects.
+    /// Applies `f` to every item in parallel, for its side effects
+    /// (inline on the caller with at most one item, like
+    /// [`Pool::par_map`]).
     pub fn par_for_each<T, F>(&self, items: &[T], f: F)
     where
         T: Sync,
         F: Fn(usize, &T) + Sync,
     {
+        if items.len() <= 1 {
+            items.iter().enumerate().for_each(|(i, t)| f(i, t));
+            return;
+        }
         let f = &f;
         self.scope(|s| {
             for (i, item) in items.iter().enumerate() {
@@ -394,6 +405,17 @@ mod tests {
         pool.par_for_each(&[] as &[u32], |_, _| panic!("never called"));
         let folded = pool.par_map_reduce(&[] as &[u32], 7u32, |_, &x| x, |a, r| a + r);
         assert_eq!(folded, 7);
+    }
+
+    #[test]
+    fn a_single_item_runs_inline_on_the_caller() {
+        let pool = Pool::new(4);
+        let caller = std::thread::current().id();
+        let ids = pool.par_map(&[7u32], |_, _| std::thread::current().id());
+        assert_eq!(ids, vec![caller]);
+        pool.par_for_each(&[7u32], |_, _| {
+            assert_eq!(std::thread::current().id(), caller);
+        });
     }
 
     #[test]
@@ -535,7 +557,7 @@ mod tests {
         }));
         assert!(result.is_err());
         // No deadlock and the pool still works.
-        assert_eq!(pool.par_map(&[9u32], |_, &x| x), vec![9]);
+        assert_eq!(pool.par_map(&[9u32, 10], |_, &x| x), vec![9, 10]);
     }
 
     #[test]

@@ -190,10 +190,22 @@ pub fn try_online_batch_schedule(
     }
     Instance::new(m, jobs.iter().map(|j| j.task.clone()).collect())
         .map_err(OnlineError::InvalidInstance)?;
-    while batch_loop.pending() > 0 {
-        batch_loop.run_batch(scheduler)?;
+    let mut schedule = Schedule::new(m);
+    let mut batches = Vec::new();
+    while let Some(batch) = batch_loop.run_batch(scheduler)? {
+        // The trace lists the batch's jobs in id order, as it gathered them.
+        let mut jobs: Vec<TaskId> = batch.placements.iter().map(|p| p.task).collect();
+        jobs.sort();
+        batches.push(BatchTrace {
+            start: batch.start,
+            length: batch.length,
+            jobs,
+        });
+        for p in batch.placements {
+            schedule.push(p);
+        }
     }
-    Ok(batch_loop.finish())
+    Ok(OnlineResult { schedule, batches })
 }
 
 /// Panicking wrapper around [`try_online_batch_schedule`] for feeds
@@ -235,23 +247,33 @@ struct PendingJob {
 ///   capacity is queryable between events while the profile stays
 ///   bounded by the windows in flight.
 ///
+/// The loop keeps no history: [`BatchLoop::run_batch`] hands each
+/// planned batch out by value, so its memory is the pending set plus
+/// one batch in flight, however long it runs. Every driver — the
+/// all-at-once wrapper, [`stream_batch_schedule`] and the `demt serve`
+/// daemon — consumes the batches the same way.
+///
 /// Determinism contract: submitting jobs (dense ids, in id order) and
-/// calling [`BatchLoop::run_batch`] until the pending set drains
-/// produces placements **byte-identical** to
-/// [`try_online_batch_schedule`] on the same feed — the wrapper is
-/// itself implemented on this loop.
+/// calling [`BatchLoop::run_batch`] until it returns `None` produces
+/// placements **byte-identical** to [`try_online_batch_schedule`] on
+/// the same feed — the wrapper is itself implemented on this loop.
 ///
 /// ```
 /// use demt_core::DemtScheduler;
 /// use demt_model::{MoldableTask, TaskId};
 /// use demt_online::BatchLoop;
+/// let demt = DemtScheduler::default();
 /// let mut bl = BatchLoop::new(2);
 /// bl.submit(MoldableTask::linear(TaskId(0), 1.0, 4.0, 2).unwrap(), 0.0).unwrap();
-/// bl.run_batch(&DemtScheduler::default()).unwrap();
+/// let first = bl.run_batch(&demt).unwrap().unwrap();
 /// // A job arriving while the first batch ran joins the next batch.
 /// bl.submit(MoldableTask::linear(TaskId(1), 1.0, 4.0, 2).unwrap(), 0.5).unwrap();
-/// bl.run_batch(&DemtScheduler::default()).unwrap();
-/// assert_eq!(bl.finish().schedule.len(), 2);
+/// let second = bl.run_batch(&demt).unwrap().unwrap();
+/// assert_eq!(second.start, first.start + first.length);
+/// assert_eq!(second.placements[0].task, TaskId(1));
+/// assert_eq!(second.releases, [0.5]);
+/// // Nothing pending, nothing planned.
+/// assert!(bl.run_batch(&demt).unwrap().is_none());
 /// ```
 #[derive(Debug)]
 pub struct BatchLoop {
@@ -265,14 +287,24 @@ pub struct BatchLoop {
     /// and non-negative, so the IEEE bit pattern orders like the value.
     by_release: BTreeSet<(u64, usize)>,
     ctx: SchedulerContext,
-    schedule: Schedule,
-    batches: Vec<BatchTrace>,
     /// `(start, end, k)` windows committed to the machine skyline for
     /// the batch most recently planned, released when the next batch
     /// starts (virtual time has passed them by then).
     inflight: Vec<(f64, f64, usize)>,
-    /// Release dates of the most recent batch's jobs, in decision order.
-    batch_releases: Vec<f64>,
+}
+
+/// One batch planned by [`BatchLoop::run_batch`], handed out by value.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PlannedBatch {
+    /// Instant the batch started (all member jobs were released by then).
+    pub start: f64,
+    /// Batch length (makespan of the inner off-line schedule).
+    pub length: f64,
+    /// The batch's placements in decision order, offset to `start` and
+    /// carrying the original job ids.
+    pub placements: Vec<Placement>,
+    /// Original release dates, aligned with `placements`.
+    pub releases: Vec<f64>,
 }
 
 impl BatchLoop {
@@ -288,10 +320,7 @@ impl BatchLoop {
             pending: BTreeMap::new(),
             by_release: BTreeSet::new(),
             ctx,
-            schedule: Schedule::new(m),
-            batches: Vec::new(),
             inflight: Vec::new(),
-            batch_releases: Vec::new(),
         }
     }
 
@@ -311,29 +340,9 @@ impl BatchLoop {
         self.pending.len()
     }
 
-    /// Decisions emitted so far.
-    pub fn decisions(&self) -> usize {
-        self.schedule.len()
-    }
-
-    /// The combined schedule so far — placements are appended in
-    /// decision order, so a caller that remembers
-    /// [`BatchLoop::decisions`] before a [`BatchLoop::run_batch`] call
-    /// can slice exactly the placements that batch emitted.
-    pub fn schedule(&self) -> &Schedule {
-        &self.schedule
-    }
-
     /// The shared scheduler context (dual cache, machine skyline).
     pub fn context(&self) -> &SchedulerContext {
         &self.ctx
-    }
-
-    /// Release dates of the jobs the most recent
-    /// [`BatchLoop::run_batch`] placed, aligned with the placements it
-    /// appended to [`BatchLoop::schedule`].
-    pub fn batch_releases(&self) -> &[f64] {
-        &self.batch_releases
     }
 
     /// Earliest release date among pending jobs.
@@ -431,17 +440,19 @@ impl BatchLoop {
     /// Plans and (virtually) executes the next batch: fast-forwards
     /// through an idle gap if nothing is released yet, gathers every
     /// pending job released by then, hands the sub-instance to the
-    /// off-line `scheduler` with the primed context, appends the
-    /// offset placements, and advances the clock past the batch.
-    /// Returns the number of placements emitted — `0` with nothing
-    /// pending.
+    /// off-line `scheduler` with the primed context, offsets its
+    /// placements to the batch start, and advances the clock past the
+    /// batch. Returns the batch — `None` with nothing pending.
     ///
     /// On `Err` the loop must be discarded: the batch's jobs have left
     /// the pending set.
-    pub fn run_batch(&mut self, scheduler: &dyn Scheduler) -> Result<usize, OnlineError> {
+    pub fn run_batch(
+        &mut self,
+        scheduler: &dyn Scheduler,
+    ) -> Result<Option<PlannedBatch>, OnlineError> {
         // Virtual time is about to move past the previous batch: give
         // its windows back so the skyline stays small forever. Every
-        // window committed since the last drain is in `inflight`, so
+        // window committed by the previous batch is in `inflight`, so
         // releasing them all is an O(1)-shaped reset rather than
         // per-window carves.
         if !self.inflight.is_empty() {
@@ -450,10 +461,9 @@ impl BatchLoop {
                 sky.reset();
             }
         }
-        self.batch_releases.clear();
         // Fast-forward through an idle gap to the next release.
         let Some(start) = self.next_batch_start() else {
-            return Ok(0);
+            return Ok(None);
         };
         self.now = start;
 
@@ -490,22 +500,21 @@ impl BatchLoop {
             });
         }
         let length = inner.makespan();
-        for p in inner.placements() {
-            let original = mapping[p.task.index()];
-            self.batch_releases.push(releases[p.task.index()]);
-            let start = self.now + p.start;
+        // Rewrite the inner placements in place: offset to the batch
+        // start and back to the original ids.
+        let mut placements = inner.into_placements();
+        let mut batch_releases = Vec::with_capacity(placements.len());
+        for p in &mut placements {
+            let local = p.task.index();
+            batch_releases.push(releases[local]);
             // The window end is offset from batch-local coordinates in
             // one rounding, exactly like the start: `start + duration`
             // here would re-round and can overlap a bitwise-abutting
             // neighbor by one ulp (a phantom overcommit).
             let end = self.now + (p.start + p.duration);
-            self.inflight.push((start, end, p.procs.len()));
-            self.schedule.push(Placement {
-                task: original,
-                start,
-                duration: p.duration,
-                procs: p.procs.clone(),
-            });
+            p.start += self.now;
+            p.task = mapping[local];
+            self.inflight.push((p.start, end, p.procs.len()));
         }
         // Mirror the whole batch into the machine profile in one
         // sweep. Saturating: the engines may emit windows overlapping
@@ -514,35 +523,14 @@ impl BatchLoop {
         if let Some(sky) = self.ctx.machine_mut() {
             sky.commit_all_saturating(&self.inflight);
         }
-        let emitted = inner.len();
-        self.batches.push(BatchTrace {
+        let batch = PlannedBatch {
             start: self.now,
             length,
-            jobs: mapping,
-        });
+            placements,
+            releases: batch_releases,
+        };
         self.now += length.max(f64::MIN_POSITIVE);
-        Ok(emitted)
-    }
-
-    /// Drains everything scheduled since the last drain, leaving the
-    /// loop live — the constant-memory streaming variant of
-    /// [`BatchLoop::finish`]: a replay driver that drains after every
-    /// batch holds only one batch of placements at a time instead of
-    /// the whole run. [`BatchLoop::decisions`] restarts from zero after
-    /// a drain (it counts the *undrained* schedule).
-    pub fn take_emitted(&mut self) -> OnlineResult {
-        OnlineResult {
-            schedule: std::mem::replace(&mut self.schedule, Schedule::new(self.m)),
-            batches: std::mem::take(&mut self.batches),
-        }
-    }
-
-    /// Consumes the loop, returning everything scheduled so far.
-    pub fn finish(self) -> OnlineResult {
-        OnlineResult {
-            schedule: self.schedule,
-            batches: self.batches,
-        }
+        Ok(Some(batch))
     }
 }
 
@@ -555,9 +543,6 @@ pub struct StreamOutcome {
     pub decisions: usize,
     /// Batches executed.
     pub batches: usize,
-    /// Latest completion instant over every placement (`0` for an
-    /// empty feed).
-    pub horizon: f64,
 }
 
 /// What [`Admission::step`] asks its caller to do next.
@@ -657,8 +642,7 @@ impl<E> Admission<E> {
 
 /// Streams a release-sorted job feed through a [`BatchLoop`] in
 /// constant memory: jobs are admitted by [`Admission`], as in the
-/// `demt serve` daemon, each batch is planned and then **drained**
-/// via [`BatchLoop::take_emitted`], and the sink receives that batch's
+/// `demt serve` daemon, and the sink receives each [`PlannedBatch`]'s
 /// placements (decision order) alongside the matching original release
 /// dates, so metrics, hashing, or serialization can run without the
 /// schedule ever being materialized whole.
@@ -700,7 +684,6 @@ where
     let mut outcome = StreamOutcome {
         decisions: 0,
         batches: 0,
-        horizon: 0.0,
     };
     while let Some(step) = admission.step(&bl, &mut pull, |j| (j.release, true))? {
         match step {
@@ -710,14 +693,11 @@ where
                 }
             }
             Admitted::Batch => {
-                bl.run_batch(scheduler)?;
-                let batch = bl.take_emitted();
-                for p in batch.schedule.placements() {
-                    outcome.horizon = outcome.horizon.max(p.start + p.duration);
+                if let Some(batch) = bl.run_batch(scheduler)? {
+                    outcome.decisions += batch.placements.len();
+                    outcome.batches += 1;
+                    sink(&batch.placements, &batch.releases);
                 }
-                outcome.decisions += batch.schedule.len();
-                outcome.batches += batch.batches.len();
-                sink(batch.schedule.placements(), bl.batch_releases());
             }
         }
     }
@@ -927,6 +907,8 @@ mod tests {
         let mut admission = Admission::default();
         let mut feed = jobs.iter().cloned();
         let mut cohorts = 0;
+        let mut streamed = Schedule::new(8);
+        let mut windows = Vec::new();
         while let Some(step) = admission
             .step(&bl, || Ok::<_, OnlineError>(feed.next()), submit)
             .unwrap()
@@ -939,18 +921,22 @@ mod tests {
                     }
                 }
                 Admitted::Batch => {
-                    bl.run_batch(&demt()).unwrap();
+                    let planned = bl.run_batch(&demt()).unwrap().expect("jobs pending");
+                    windows.push((planned.start, planned.length));
+                    for p in planned.placements {
+                        streamed.push(p);
+                    }
                 }
             }
         }
         assert!(cohorts > 1, "the feed arrives over several cohorts");
-        let streamed = bl.finish();
         assert_eq!(
-            serde_json::to_string(&streamed.schedule).unwrap(),
+            serde_json::to_string(&streamed).unwrap(),
             serde_json::to_string(&batch.schedule).unwrap(),
             "streamed and batch placements must be byte-identical"
         );
-        assert_eq!(streamed.batches, batch.batches);
+        let wrapper: Vec<(f64, f64)> = batch.batches.iter().map(|b| (b.start, b.length)).collect();
+        assert_eq!(windows, wrapper);
     }
 
     #[test]
@@ -990,9 +976,9 @@ mod tests {
             admission.step(&bl, &mut pull, submit).unwrap(),
             Some(Admitted::Batch)
         );
-        bl.run_batch(&demt()).unwrap();
+        assert!(bl.run_batch(&demt()).unwrap().is_some());
         assert_eq!(admission.step(&bl, &mut pull, submit).unwrap(), None);
-        assert_eq!(bl.finish().batches.len(), 2);
+        assert_eq!(bl.pending(), 0);
     }
 
     /// DEMT with its first placement removed: an off-line scheduler that
@@ -1077,14 +1063,19 @@ mod tests {
         assert!(bl.cancel(TaskId(1)), "pending job cancels");
         assert!(!bl.cancel(TaskId(1)), "second cancel is a no-op");
         assert_eq!(bl.pending(), 1);
-        bl.run_batch(&demt()).unwrap();
+        let first = bl.run_batch(&demt()).unwrap().expect("job 0 pending");
         assert!(!bl.cancel(TaskId(0)), "placed job is running, not pending");
         // A cancelled id stays consumed: the next submit is id 2.
         bl.submit(t(2), 0.0).unwrap();
-        bl.run_batch(&demt()).unwrap();
-        let out = bl.finish();
-        assert_eq!(out.schedule.len(), 2);
-        assert!(out.schedule.placement_of(TaskId(1)).is_none());
+        let second = bl.run_batch(&demt()).unwrap().expect("job 2 pending");
+        let placed: Vec<TaskId> = first
+            .placements
+            .iter()
+            .chain(&second.placements)
+            .map(|p| p.task)
+            .collect();
+        assert_eq!(placed, [TaskId(0), TaskId(2)]);
+        assert!(bl.run_batch(&demt()).unwrap().is_none());
     }
 
     #[test]
@@ -1118,7 +1109,6 @@ mod tests {
         }
         assert_eq!(out.decisions, jobs.len());
         assert_eq!(out.batches, batch.batches.len());
-        assert!((out.horizon - batch.schedule.makespan()).abs() < 1e-12);
     }
 
     #[test]
@@ -1145,24 +1135,37 @@ mod tests {
     }
 
     #[test]
-    fn take_emitted_drains_incrementally() {
-        let mut bl = BatchLoop::new(2);
-        let t = |id: usize, d: f64| MoldableTask::sequential(TaskId(id), 1.0, d, 2).unwrap();
-        bl.submit(t(0, 2.0), 0.0).unwrap();
-        bl.run_batch(&demt()).unwrap();
-        let first = bl.take_emitted();
-        assert_eq!(first.schedule.len(), 1);
-        assert_eq!(first.batches.len(), 1);
-        assert_eq!(bl.decisions(), 0, "drain restarts the counter");
-        bl.submit(t(1, 1.0), 3.0).unwrap();
-        bl.run_batch(&demt()).unwrap();
-        let second = bl.take_emitted();
-        assert_eq!(second.schedule.len(), 1);
-        assert_eq!(second.schedule.placements()[0].task, TaskId(1));
-        // Nothing left after the drains.
-        let rest = bl.finish();
-        assert_eq!(rest.schedule.len(), 0);
-        assert!(rest.batches.is_empty());
+    fn returned_batches_concatenate_to_the_wrapper_bytes() {
+        let jobs = online_jobs(WorkloadKind::Mixed, 40, 8, 17, 30.0);
+        let wrapper = try_online_batch_schedule(8, &jobs, &demt()).unwrap();
+
+        let mut bl = BatchLoop::new(8);
+        for j in &jobs {
+            bl.submit(j.task.clone(), j.release).unwrap();
+        }
+        let mut concatenated = Schedule::new(8);
+        let mut batches = 0;
+        while let Some(batch) = bl.run_batch(&demt()).unwrap() {
+            batches += 1;
+            // Each release lines up with its placement and was due by
+            // the batch start.
+            assert_eq!(batch.releases.len(), batch.placements.len());
+            for (p, &r) in batch.placements.iter().zip(&batch.releases) {
+                assert_eq!(r, jobs[p.task.index()].release);
+                assert!(r <= batch.start + 1e-12, "{r} after {}", batch.start);
+                assert!(p.start >= batch.start);
+            }
+            for p in batch.placements {
+                concatenated.push(p);
+            }
+        }
+        assert!(batches > 1, "the feed spans several batches");
+        assert_eq!(batches, wrapper.batches.len());
+        assert_eq!(
+            serde_json::to_string(&concatenated).unwrap(),
+            serde_json::to_string(&wrapper.schedule).unwrap(),
+            "returned batches must serialize like the wrapper"
+        );
     }
 
     #[test]

@@ -155,6 +155,11 @@ impl Schedule {
         &mut self.placements
     }
 
+    /// The placements, moved out, in insertion order.
+    pub fn into_placements(self) -> Vec<Placement> {
+        self.placements
+    }
+
     /// Adds a placement. Sortedness and disjointness of the processor
     /// set are structural [`ProcSet`] invariants — no audit needed here.
     pub fn push(&mut self, p: Placement) {

@@ -27,7 +27,9 @@ options:
   --stats PATH       write stats JSON lines to PATH (default: stderr)
   --oracle           self-check at EOF: cancel-free feeds diff against the
                      all-at-once batch wrapper, cancel feeds against a
-                     single-worker replay; both audit for overlaps
+                     single-worker replay; both audit for overlaps. Holds
+                     O(n) memory (event log, output mirror, schedule);
+                     plain serve keeps only pending jobs and one batch
   --seed S           lift seed for --replay / trace seed for --gen-grid
   --once             with --socket: serve one connection, then exit
 ";
@@ -84,6 +86,9 @@ fn parse_opts(args: &[String]) -> Result<ServeOpts, String> {
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown flag {other}")),
         }
+    }
+    if o.workers == 0 {
+        return Err("--workers must be at least 1".to_string());
     }
     Ok(o)
 }

@@ -9,7 +9,7 @@ use demt_baselines::registry;
 use demt_exec::Pool;
 use demt_model::{Instance, MoldableTask, TaskId};
 use demt_online::{try_online_batch_schedule, Admission, Admitted, BatchLoop, OnlineJob};
-use demt_platform::{list_schedule, ListPolicy, ListTask, Schedule};
+use demt_platform::{list_schedule, ListPolicy, ListTask, Placement, Schedule};
 use std::io::Write;
 use std::sync::OnceLock;
 
@@ -37,6 +37,10 @@ pub struct ServeConfig {
     /// single-worker loop and must reproduce the emitted bytes exactly.
     /// Both variants audit the final schedule with
     /// [`demt_platform::validate_no_overlap`].
+    ///
+    /// The check holds O(n) memory — the event log, a mirror of the
+    /// output bytes and a copy of the schedule — where a plain daemon
+    /// holds only its pending jobs and the batch in flight.
     pub oracle: bool,
 }
 
@@ -113,7 +117,9 @@ pub fn resolve_scheduler(name: &str) -> Result<&'static dyn Scheduler, ServeErro
 /// Drives the daemon over one event stream: [`Admission`] hands over
 /// cohorts of events to apply to the persistent [`BatchLoop`] and
 /// announces each batch, which is planned and written as one JSON
-/// placement line per decision to `out`.
+/// placement line per decision to `out`. Each batch is dropped once
+/// written, so memory does not grow with the decisions made (unless
+/// [`ServeConfig::oracle`] asks for the self-check).
 ///
 /// **Determinism contract.** For a cancel-free stream, the emitted
 /// placements are byte-identical to serializing
@@ -153,13 +159,8 @@ where
     let mut admission = Admission::default();
     let mut events = events;
     let mut prev_t = f64::NEG_INFINITY;
-    let mut batches = 0usize;
     let mut last_tick = 0u64;
-    let mut oracle_feed: Vec<OnlineJob> = Vec::new();
-    // Under --oracle: the full event log in processed (= input) order,
-    // and a mirror of every byte written, for the replay comparison.
-    let mut oracle_events: Vec<JobEvent> = Vec::new();
-    let mut oracle_mirror: Vec<u8> = Vec::new();
+    let mut oracle = cfg.oracle.then(OracleLog::default);
 
     let mut pull = |stats: &mut ServeStats| {
         let Some(r) = events.next() else {
@@ -197,8 +198,8 @@ where
                 for ((line, ev), lift) in cohort.into_iter().zip(lifted) {
                     match lift {
                         Some(Ok((task, hash))) => {
-                            if cfg.oracle {
-                                oracle_feed.push(OnlineJob {
+                            if let Some(o) = oracle.as_mut() {
+                                o.feed.push(OnlineJob {
                                     task: task.clone(),
                                     release: ev.release,
                                 });
@@ -219,24 +220,21 @@ where
                             }
                         }
                     }
-                    if cfg.oracle {
-                        oracle_events.push(ev);
+                    if let Some(o) = oracle.as_mut() {
+                        o.events.push(ev);
                     }
                 }
             }
             Admitted::Batch => {
                 // Re-plan: one batch, placements out as JSON lines.
-                let before = bl.decisions();
                 stats.batch_starts();
-                let emitted = bl.run_batch(scheduler)?;
-                let fresh = &bl.schedule().placements()[before..];
-                let busy: f64 = fresh
-                    .iter()
-                    .map(|p| p.procs.len() as f64 * p.duration)
-                    .sum();
-                stats.batch_done(emitted, busy);
-                batches += 1;
-                let lines: Vec<Vec<u8>> = pool.par_map(fresh, |_, p| {
+                // Admission announces a batch only with jobs pending.
+                let Some(batch) = bl.run_batch(scheduler)? else {
+                    continue;
+                };
+                let busy = batch.placements.iter().map(Placement::area).sum();
+                stats.batch_done(batch.placements.len(), busy);
+                let lines: Vec<Vec<u8>> = pool.par_map(&batch.placements, |_, p| {
                     let mut line = Vec::with_capacity(64 + 8 * p.procs.len());
                     p.write_json(&mut line);
                     line.push(b'\n');
@@ -245,9 +243,10 @@ where
                 for l in &lines {
                     out.write_all(l)
                         .map_err(|e| ServeError::Io(e.to_string()))?;
-                    if cfg.oracle {
-                        oracle_mirror.extend_from_slice(l);
-                    }
+                }
+                if let Some(o) = oracle.as_mut() {
+                    o.mirror.extend(lines.iter().flatten());
+                    o.schedule.extend(batch.placements);
                 }
                 if cfg.tick > 0 {
                     let due = stats.decisions() / cfg.tick as u64;
@@ -262,24 +261,15 @@ where
     out.flush().map_err(|e| ServeError::Io(e.to_string()))?;
     write_snapshot(stats, bl.now(), &mut stats_out)?;
 
+    let snap = stats.snapshot(bl.now());
     let summary = ServeSummary {
-        events: {
-            let snap = stats.snapshot(bl.now());
-            snap.events
-        },
-        decisions: bl.decisions(),
-        batches,
+        events: snap.events,
+        decisions: snap.decisions as usize,
+        batches: snap.batches as usize,
         horizon: bl.now(),
     };
-    if cfg.oracle {
-        check_oracle(
-            cfg,
-            &oracle_feed,
-            &oracle_events,
-            &oracle_mirror,
-            scheduler,
-            bl,
-        )?;
+    if let Some(o) = oracle {
+        check_oracle(cfg, o, scheduler)?;
     }
     Ok(summary)
 }
@@ -298,6 +288,20 @@ fn write_snapshot(
     writeln!(sink, "{line}").map_err(|e| ServeError::Io(e.to_string()))
 }
 
+/// What `--oracle` records for its end-of-stream check: O(n) memory
+/// that a plain daemon does not keep.
+#[derive(Default)]
+struct OracleLog {
+    /// Every lifted submit, as an all-at-once feed.
+    feed: Vec<OnlineJob>,
+    /// Every event, in processed (= input) order.
+    events: Vec<JobEvent>,
+    /// Every byte written to `out`.
+    mirror: Vec<u8>,
+    /// Every placement, in decision order.
+    schedule: Vec<Placement>,
+}
+
 /// The `--oracle` differential check. Cancel-free feeds are re-planned
 /// from scratch by the all-at-once batch wrapper and must serialize to
 /// the same bytes placement by placement. Feeds with cancels have no
@@ -307,17 +311,14 @@ fn write_snapshot(
 /// for processor conflicts on the interval sets.
 fn check_oracle(
     cfg: &ServeConfig,
-    feed: &[OnlineJob],
-    events: &[JobEvent],
-    mirror: &[u8],
+    log: OracleLog,
     scheduler: &dyn Scheduler,
-    bl: BatchLoop,
 ) -> Result<(), ServeError> {
-    let incremental = bl.finish().schedule;
+    let incremental = Schedule::from_placements(cfg.procs, log.schedule);
     demt_platform::validate_no_overlap(&incremental)
         .map_err(|e| ServeError::Oracle(format!("post-stream overlap audit: {e}")))?;
-    if events.iter().all(JobEvent::is_submit) {
-        let batch = try_online_batch_schedule(cfg.procs, feed, scheduler)?.schedule;
+    if log.events.iter().all(JobEvent::is_submit) {
+        let batch = try_online_batch_schedule(cfg.procs, &log.feed, scheduler)?.schedule;
         let a = serde_json::to_string(&incremental).map_err(|e| ServeError::Io(e.to_string()))?;
         let b = serde_json::to_string(&batch).map_err(|e| ServeError::Io(e.to_string()))?;
         if a != b {
@@ -338,20 +339,19 @@ fn check_oracle(
     let mut replay_stats = ServeStats::new(cfg.procs);
     run_events(
         &replay_cfg,
-        events
-            .iter()
-            .cloned()
+        log.events
+            .into_iter()
             .enumerate()
             .map(|(i, e)| Ok((i + 1, e))),
         &mut replay_out,
         &mut replay_stats,
         None,
     )?;
-    if replay_out != mirror {
+    if replay_out != log.mirror {
         return Err(ServeError::Oracle(format!(
             "cancel-trace replay diverged: daemon wrote {} bytes, the \
              single-worker replay {}",
-            mirror.len(),
+            log.mirror.len(),
             replay_out.len()
         )));
     }

@@ -20,10 +20,16 @@
 //!        │                              lifted on demt-exec's pool
 //!        ▼
 //!  incremental re-planning     demt-online::BatchLoop (persistent
-//!        │  Placement                  skyline + primed dual cache)
+//!        │  PlannedBatch               skyline + primed dual cache)
 //!        ▼
 //!  JSON placement line         stdout / socket   (stats → stderr/file)
 //! ```
+//!
+//! **Memory.** The loop hands each batch out by value and keeps no
+//! history; the daemon writes the batch and drops it. Resident memory
+//! is the pending jobs plus one batch in flight, flat over any number
+//! of decisions. Only `--oracle` ([`ServeConfig::oracle`]) holds O(n)
+//! state for its end-of-stream check.
 //!
 //! **Determinism.** Replaying an event log produces placements
 //! byte-identical to [`demt_online::try_online_batch_schedule`] on the

@@ -307,8 +307,12 @@ proptest! {
                 prop_assert!(bl.cancel(TaskId(ev.job)), "cancel target must be pending");
             }
         }
-        while bl.run_batch(scheduler).expect("valid batches") > 0 {}
-        demt_platform::validate_no_overlap(bl.schedule()).expect("overlap-free schedule");
+        let mut placed = Vec::new();
+        while let Some(batch) = bl.run_batch(scheduler).expect("valid batches") {
+            placed.extend(batch.placements);
+        }
+        let schedule = demt_platform::Schedule::from_placements(m, placed);
+        demt_platform::validate_no_overlap(&schedule).expect("overlap-free schedule");
         let sky = bl.context().machine().expect("attached mirror");
         prop_assert_eq!(sky.segments(), 1, "stale windows survive the drain");
         prop_assert_eq!(sky.free_at(bl.now()), m, "mirror is not all-free");

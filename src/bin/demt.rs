@@ -114,12 +114,11 @@ fn generate_cmd(opts: &Opts) {
                 .unwrap_or_else(|| die("bad --kind (weakly|highly|mixed|cirne)"))
         })
         .unwrap_or(WorkloadKind::Cirne);
-    let inst = generate(
-        kind,
-        opts.usize("tasks", 50),
-        opts.usize("procs", 64),
-        opts.u64("seed", 0),
-    );
+    let procs = opts.usize("procs", 64);
+    if procs == 0 {
+        die("bad --procs 0 (the machine needs at least one processor)");
+    }
+    let inst = generate(kind, opts.usize("tasks", 50), procs, opts.u64("seed", 0));
     println!(
         "{}",
         serde_json::to_string_pretty(&inst).expect("serializable")
@@ -366,9 +365,21 @@ fn frontend_cmd(opts: &Opts) {
             .get("kind")
             .map(|k| WorkloadKind::from_name(k).unwrap_or_else(|| die("bad --kind")))
             .unwrap_or(WorkloadKind::Cirne),
-        jobs: opts.usize("jobs", 60),
-        procs: opts.usize("procs", 32),
-        mean_interarrival: opts.f64("gap", 0.5),
+        jobs: match opts.usize("jobs", 60) {
+            0 => die("bad --jobs 0 (the stream needs at least one job)"),
+            n => n,
+        },
+        procs: match opts.usize("procs", 32) {
+            0 => die("bad --procs 0 (the machine needs at least one processor)"),
+            m => m,
+        },
+        mean_interarrival: {
+            let gap = opts.f64("gap", 0.5);
+            if !(gap > 0.0 && gap.is_finite()) {
+                die("bad --gap (the mean inter-arrival time must be positive and finite)")
+            }
+            gap
+        },
         arrivals: match opts.get("arrivals").unwrap_or("poisson") {
             "poisson" | "exponential" => ArrivalModel::Poisson,
             "pareto" => ArrivalModel::Pareto,

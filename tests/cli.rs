@@ -337,6 +337,25 @@ fn listbench_rejects_an_empty_machine() {
 }
 
 #[test]
+fn degenerate_generator_inputs_die_instead_of_panicking() {
+    let cases: [(&[&str], &str); 7] = [
+        (&["generate", "--procs", "0"], "bad --procs 0"),
+        (&["frontend", "--procs", "0"], "bad --procs 0"),
+        (&["frontend", "--jobs", "0"], "bad --jobs 0"),
+        (&["frontend", "--gap", "0"], "bad --gap"),
+        (&["frontend", "--gap", "-1"], "bad --gap"),
+        (&["frontend", "--gap", "nan"], "bad --gap"),
+        (&["serve", "--procs", "4", "--workers", "0"], "--workers"),
+    ];
+    for (args, needle) in cases {
+        let out = demt().args(args).output().expect("demt");
+        assert_eq!(out.status.code(), Some(2), "{args:?}: die(), not a panic");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn every_algorithm_round_trips_and_respects_bounds() {
     // generate → schedule (each algorithm) → validate → bound, all via
     // JSON stdin/stdout, asserting every schedule beats neither bound.
