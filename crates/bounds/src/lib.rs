@@ -45,7 +45,7 @@
 
 use demt_dual::{cmax_lower_bound, dual_approx, DualConfig};
 use demt_lp::{Basis, LinearProgram, Relation};
-use demt_model::Instance;
+use demt_model::{approx_le, Instance};
 
 /// Horizons per warm-start chain in the sweep APIs. Chunks are cut at
 /// this fixed size — *independent of the worker count* — so the warm
@@ -256,12 +256,14 @@ pub fn assemble_minsum_lp(inst: &Instance, cmax_estimate: f64, cfg: &BoundConfig
     let mut surfaces: Vec<f64> = Vec::new(); // per variable, S_{i,ℓ}
     let mut owner: Vec<(usize, usize)> = Vec::new(); // var → (task, interval)
     let mut last_var_of_task = vec![usize::MAX; n];
+    let mut surf = vec![f64::INFINITY; last];
     for (i, t) in inst.tasks().iter().enumerate() {
+        let (first, min_work) = surfaces_within(t.times(), &boundaries[1..n_intervals], &mut surf);
         for l in 0..n_intervals {
             let surface = if l == last {
-                Some(t.min_work())
+                Some(min_work)
             } else {
-                t.min_area_within(boundaries[l + 1])
+                (l >= first).then_some(surf[l])
             };
             if let Some(s) = surface {
                 var_of[i][l] = objective.len();
@@ -309,6 +311,50 @@ pub fn assemble_minsum_lp(inst: &Instance, cmax_estimate: f64, cfg: &BoundConfig
         surfaces,
         weights: inst.tasks().iter().map(|t| t.weight()).collect(),
     }
+}
+
+/// Every surface coefficient of one task in a single walk over its
+/// times. On return `surf[ℓ]` equals `min_area_within(deadlines[ℓ])`
+/// for every `ℓ ≥ first`, and no allotment meets `deadlines[ℓ]` for
+/// `ℓ < first` (`first == deadlines.len()` when none meets any). The
+/// second value is `min_work()`, the unbounded interval's coefficient.
+///
+/// Each allotment `k` is charged to the first deadline it meets;
+/// `approx_le(p, ·)` is monotone in the deadline, so a prefix min over
+/// the deadlines takes the min over the very set `min_area_within`
+/// scans, and `min` is exact: the coefficients match it bit for bit.
+/// The search for the first deadline starts from the previous
+/// allotment's, so it is `O(1)` amortized on monotone vectors and
+/// correct on any. `deadlines` must be ascending.
+fn surfaces_within(times: &[f64], deadlines: &[f64], surf: &mut [f64]) -> (usize, f64) {
+    let nb = deadlines.len();
+    surf.fill(f64::INFINITY);
+    let mut first = nb;
+    let mut min_work = f64::INFINITY;
+    let mut l = nb;
+    for (i, &p) in times.iter().enumerate() {
+        let area = (i + 1) as f64 * p;
+        min_work = min_work.min(area);
+        // `nb` stands for the unbounded interval, which every time meets.
+        let meets = |l: usize| l == nb || approx_le(p, deadlines[l]);
+        if meets(l) {
+            while l > 0 && meets(l - 1) {
+                l -= 1;
+            }
+        } else {
+            while !meets(l) {
+                l += 1;
+            }
+        }
+        if l < nb {
+            surf[l] = surf[l].min(area);
+            first = first.min(l);
+        }
+    }
+    for l in first + 1..nb {
+        surf[l] = surf[l].min(surf[l - 1]);
+    }
+    (first, min_work)
 }
 
 /// What a basis column *meant* in its originating horizon LP, so it can
@@ -522,9 +568,124 @@ pub fn instance_bounds_detailed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use demt_model::{InstanceBuilder, TaskId};
+    use demt_model::{InstanceBuilder, MoldableTask, TaskId, REL_EPS};
     use demt_platform::{list_schedule, Criteria, ListPolicy, ListTask};
     use demt_workload::{generate, WorkloadKind};
+    use proptest::prelude::*;
+
+    /// Per task and interval, the bits of `S_{i,ℓ}` when `x_{i,ℓ}` exists,
+    /// as the assembled LP records them.
+    fn assembled_surfaces(ml: &MinsumLp) -> Vec<Vec<Option<u64>>> {
+        ml.var_of
+            .iter()
+            .map(|vars| {
+                vars.iter()
+                    .map(|&v| (v != usize::MAX).then(|| ml.surfaces[v].to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The same table from one `min_area_within` scan per bounded
+    /// interval and `min_work` for the unbounded last one.
+    fn scanned_surfaces(inst: &Instance, boundaries: &[f64]) -> Vec<Vec<Option<u64>>> {
+        let last = boundaries.len() - 2;
+        inst.tasks()
+            .iter()
+            .map(|t| {
+                (0..=last)
+                    .map(|l| {
+                        let s = if l == last {
+                            Some(t.min_work())
+                        } else {
+                            t.min_area_within(boundaries[l + 1])
+                        };
+                        s.map(f64::to_bits)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn assert_surfaces_match_scans(inst: &Instance, cmax: f64) {
+        let ml = assemble_minsum_lp(inst, cmax, &BoundConfig::default());
+        assert_eq!(
+            assembled_surfaces(&ml),
+            scanned_surfaces(inst, &ml.boundaries),
+            "horizon {cmax}, boundaries {:?}",
+            ml.boundaries
+        );
+    }
+
+    #[test]
+    fn surfaces_match_per_interval_scans_on_every_family() {
+        for kind in WorkloadKind::ALL {
+            for (n, m) in [(25, 200), (60, 16), (12, 3)] {
+                let inst = generate(kind, n, m, 5);
+                let cmax = dual_approx(&inst, &DualConfig::default()).cmax_estimate;
+                for scale in [0.5, 1.0, 1.7, 4.0] {
+                    assert_surfaces_match_scans(&inst, cmax * scale);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn surfaces_match_per_interval_scans_on_rigid_tasks() {
+        let m = 12;
+        let mut b = InstanceBuilder::new(m);
+        for (i, &(width, time)) in [(1, 3.0), (4, 0.75), (12, 5.0), (7, 1.5), (2, 0.25)]
+            .iter()
+            .enumerate()
+        {
+            let id = b.next_id();
+            b.push_task(MoldableTask::rigid(id, 1.0 + i as f64, width, time, m).unwrap())
+                .unwrap();
+        }
+        let inst = b.build().unwrap();
+        for cmax in [0.3, 1.0, 5.0, 6.0, 40.0] {
+            assert_surfaces_match_scans(&inst, cmax);
+        }
+    }
+
+    /// A processing time: uniform over three decades, or a boundary
+    /// `cmax/2^j` (`j ≤ 6`, or `2·cmax`) moved by a few `REL_EPS`, where
+    /// `approx_le` flips.
+    fn arb_time(cmax: f64) -> impl Strategy<Value = f64> {
+        (0usize..3, 0.01f64..10.0, 0usize..8, -3i32..=3).prop_map(
+            move |(pick, uniform, j, shift)| {
+                if pick == 0 {
+                    uniform * cmax
+                } else {
+                    let boundary = if j == 7 {
+                        2.0 * cmax
+                    } else {
+                        cmax / (1u32 << j) as f64
+                    };
+                    boundary * (1.0 + f64::from(shift) * 0.5 * REL_EPS)
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn surfaces_match_per_interval_scans_on_arbitrary_vectors(
+            (cmax, tasks) in (1usize..=9, 0.05f64..50.0).prop_flat_map(|(m, cmax)| {
+                let task = (0.1f64..5.0, prop::collection::vec(arb_time(cmax), m..=m));
+                (Just(cmax), prop::collection::vec(task, 1..=6))
+            }),
+        ) {
+            let m = tasks[0].1.len();
+            let mut b = InstanceBuilder::new(m);
+            for (w, times) in tasks {
+                b.push_times(w, times).unwrap();
+            }
+            assert_surfaces_match_scans(&b.build().unwrap(), cmax);
+        }
+    }
 
     #[test]
     fn boundaries_are_doubling_and_anchored() {

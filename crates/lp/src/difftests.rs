@@ -3,11 +3,17 @@
 //! infeasible, unbounded and degenerate programs, plus warm-vs-cold
 //! agreement. Two independent implementations agreeing on the optimum
 //! (within `1e-9`) is the crate's main correctness argument.
+//!
+//! The sparse LU factorization is pinned bit for bit against its dense
+//! accumulator reference on random sparse bases and on the seed and
+//! optimal bases of real §3.3 minsum programs.
 
 use crate::problem::{LinearProgram, Relation};
-use crate::simplex::{solve, solve_from, solve_with_basis, LpError};
+use crate::simplex::{factor_both, solve, solve_from, solve_with_basis, LpError};
 use crate::{dense, Basis};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// `(objective, rows)` where each row is `(coeffs, relation, rhs)`.
 type RawLp = (Vec<f64>, Vec<(Vec<f64>, usize, f64)>);
@@ -214,4 +220,123 @@ fn minsum_shaped_chain_warm_starts_match_dense() {
         seed = Some(basis);
     }
     assert!(warm_hits >= 4, "chain failed to warm start: {warm_hits}");
+}
+
+/// A random sparse square basis: `m` structural columns holding about
+/// `density·m` entries each from `{±1, ±2, ±0.5}` (so exact cancellation
+/// and dependent columns happen), every other row `≤` so its slack unit
+/// column joins the pool, and `m` distinct columns of that pool drawn
+/// as the basis.
+fn random_square_basis(m: usize, density: f64, seed: u64) -> (LinearProgram, Vec<usize>) {
+    const VALUES: [f64; 6] = [1.0, -1.0, 2.0, -2.0, 0.5, -0.5];
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
+    for j in 0..m {
+        for (i, row) in rows.iter_mut().enumerate() {
+            if rng.random_range(0.0..1.0) < density || (i == j && rng.random_range(0u32..4) > 0) {
+                row.push((j, VALUES[rng.random_range(0..VALUES.len())]));
+            }
+        }
+    }
+    let mut lp = LinearProgram::minimize(vec![1.0; m]);
+    for (i, coeffs) in rows.into_iter().enumerate() {
+        let relation = if i % 2 == 0 {
+            Relation::Le
+        } else {
+            Relation::Eq
+        };
+        lp.constrain(coeffs, relation, 1.0);
+    }
+    let pool = m + lp.num_slacks();
+    let mut keyed: Vec<(u64, usize)> = (0..pool).map(|c| (rng.random::<u64>(), c)).collect();
+    keyed.sort_unstable();
+    (lp, keyed.into_iter().take(m).map(|(_, c)| c).collect())
+}
+
+/// Factorizes `basis` both ways, asserts bit-identical factors (or
+/// `None` from both), and reports whether it was nonsingular.
+fn assert_same_factors(lp: &LinearProgram, basis: &[usize], what: &str) -> bool {
+    let (sparse, dense) = factor_both(lp, basis);
+    assert!(
+        sparse == dense,
+        "{what}: sparse LU differs from the dense reference"
+    );
+    sparse.is_some()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn sparse_lu_matches_dense_on_random_bases(
+        m in 1usize..=200,
+        density in 0.0f64..0.2,
+        seed in 0u64..1 << 40,
+    ) {
+        let (lp, basis) = random_square_basis(m, density, seed);
+        assert_same_factors(&lp, &basis, &format!("m={m} density={density} seed={seed}"));
+    }
+}
+
+#[test]
+fn random_bases_reach_both_singular_and_nonsingular_factorizations() {
+    let (mut singular, mut regular) = (0usize, 0usize);
+    for m in [1, 2, 3, 5, 8, 13, 30, 60, 120, 200] {
+        for density in [0.0, 0.01, 0.05, 0.15, 0.4] {
+            for seed in 0..4 {
+                let (lp, basis) = random_square_basis(m, density, seed);
+                let what = format!("m={m} density={density} seed={seed}");
+                if assert_same_factors(&lp, &basis, &what) {
+                    regular += 1;
+                } else {
+                    singular += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        singular > 0 && regular > 0,
+        "{singular} singular, {regular} regular"
+    );
+}
+
+/// Rebuilds a `demt-lp` program handed over by `demt-bounds`, whose
+/// types come from this crate's non-test build.
+fn rebuild(lp: &demt_bounds::MinsumLp) -> LinearProgram {
+    let mut out = LinearProgram::minimize(lp.lp.objective().to_vec());
+    for c in lp.lp.constraints() {
+        let relation = match format!("{:?}", c.relation).as_str() {
+            "Le" => Relation::Le,
+            "Ge" => Relation::Ge,
+            "Eq" => Relation::Eq,
+            other => panic!("unknown relation {other}"),
+        };
+        out.constrain(c.coeffs.clone(), relation, c.rhs);
+    }
+    out
+}
+
+#[test]
+fn sparse_lu_matches_dense_on_minsum_bases() {
+    use demt_workload::{generate, WorkloadKind};
+    let cfg = demt_bounds::BoundConfig::default();
+    for kind in WorkloadKind::ALL {
+        for n in [25, 100, 400] {
+            let inst = generate(kind, n, 200, 3);
+            let cmax = demt_dual::dual_approx(&inst, &cfg.dual).cmax_estimate;
+            let ml = demt_bounds::assemble_minsum_lp(&inst, cmax, &cfg);
+            let lp = rebuild(&ml);
+            let greedy = ml.greedy_basis();
+            let (_, optimal) = solve_from(&lp, &Basis::new(greedy.columns().to_vec()))
+                .expect("the greedy seed is feasible");
+            for (name, basis) in [
+                ("greedy", greedy.columns()),
+                ("all-last", ml.seed_basis().columns()),
+                ("optimal", optimal.columns()),
+            ] {
+                let what = format!("{kind} n={n} {name} basis");
+                assert!(assert_same_factors(&lp, basis, &what), "{what} is singular");
+            }
+        }
+    }
 }

@@ -239,15 +239,6 @@ impl CscMatrix {
         let (rows, vals) = self.col(j);
         rows.iter().zip(vals).map(|(&r, &v)| y[r] * v).sum()
     }
-
-    /// Adds column `j` into a dense row-indexed accumulator.
-    #[inline]
-    pub fn scatter_col(&self, j: usize, out: &mut [f64]) {
-        let (rows, vals) = self.col(j);
-        for (&r, &v) in rows.iter().zip(vals) {
-            out[r] += v;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -296,9 +287,6 @@ mod tests {
         // The exactly-cancelling duplicate is dropped.
         assert_eq!(m.col(2), (&[][..], &[][..]));
         assert_eq!(m.dot_col(0, &[1.0, 10.0, 100.0]), 402.0);
-        let mut acc = vec![0.0; 3];
-        m.scatter_col(0, &mut acc);
-        assert_eq!(acc, vec![2.0, 0.0, 4.0]);
     }
 
     #[test]

@@ -23,6 +23,8 @@
 //! sweep) cheap.
 
 use crate::problem::{CscMatrix, LinearProgram, Relation};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Solver outcome for an LP that has an optimum.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,13 +203,21 @@ fn build_form(lp: &LinearProgram) -> Form {
     }
 }
 
-/// Scatters standard-form column `j` into a dense row-indexed buffer.
+/// Standard-form column `j` as parallel `(rows, values)` slices.
 /// Columns `>= n_real` are the implicit artificial unit vectors.
-fn scatter_column(form: &Form, art_row: &[usize], j: usize, out: &mut [f64]) {
+fn column<'a>(form: &'a Form, art_row: &'a [usize], j: usize) -> (&'a [usize], &'a [f64]) {
     if j < form.n_real {
-        form.a.scatter_col(j, out);
+        form.a.col(j)
     } else {
-        out[art_row[j - form.n_real]] += 1.0;
+        (std::slice::from_ref(&art_row[j - form.n_real]), &[1.0])
+    }
+}
+
+/// Scatters standard-form column `j` into a dense row-indexed buffer.
+fn scatter_column(form: &Form, art_row: &[usize], j: usize, out: &mut [f64]) {
+    let (rows, vals) = column(form, art_row, j);
+    for (&r, &v) in rows.iter().zip(vals) {
+        out[r] += v;
     }
 }
 
@@ -259,41 +269,154 @@ impl Eta {
 }
 
 /// Sparse LU factors of the basis matrix, `P·B = L·U` with partial
-/// pivoting, built left-looking (Gilbert–Peierls without the symbolic
-/// pass — a dense accumulator per column, fine at a few hundred rows).
+/// pivoting, built left-looking (Gilbert–Peierls). Each column's solve
+/// visits only the positions its nonzeros reach through `L`, so a
+/// factorization costs in proportion to the nonzeros of the basis and
+/// its factors, not to `m²`.
 struct Factor {
     /// Column `k` of unit-lower `L`: `(original row, multiplier)` for
-    /// rows pivoted after position `k`.
+    /// rows pivoted after position `k`, in ascending row order.
     l_cols: Vec<Vec<(usize, f64)>>,
-    /// Column `j` of `U`: `(position k < j, value)`.
+    /// Column `j` of `U`: `(position k < j, value)`, in ascending
+    /// position order.
     u_cols: Vec<Vec<(usize, f64)>>,
     u_diag: Vec<f64>,
     /// Position → original row of its pivot.
     rperm: Vec<usize>,
-    /// Original row → position (inverse of `rperm`).
+    /// Original row → position (inverse of `rperm`; `usize::MAX` while
+    /// the row is not pivoted).
     pinv: Vec<usize>,
 }
 
 impl Factor {
-    /// Factorizes the basis columns; `None` when numerically singular.
-    fn new(m: usize, basis: &[usize], scatter: impl Fn(usize, &mut [f64])) -> Option<Factor> {
-        debug_assert_eq!(basis.len(), m);
-        let mut f = Factor {
+    fn with_capacity(m: usize) -> Factor {
+        Factor {
             l_cols: Vec::with_capacity(m),
             u_cols: Vec::with_capacity(m),
             u_diag: Vec::with_capacity(m),
             rperm: Vec::with_capacity(m),
             pinv: vec![usize::MAX; m],
-        };
+        }
+    }
+
+    /// Records the pivot of the column at the next position.
+    fn push(&mut self, piv: usize, d: f64, ucol: Vec<(usize, f64)>, lcol: Vec<(usize, f64)>) {
+        self.pinv[piv] = self.rperm.len();
+        self.rperm.push(piv);
+        self.u_diag.push(d);
+        self.u_cols.push(ucol);
+        self.l_cols.push(lcol);
+    }
+
+    /// Factorizes the basis columns, each given as its sparse
+    /// `(rows, values)`; `None` when numerically singular.
+    ///
+    /// Each column is scattered into a dense accumulator whose touched
+    /// rows (its pattern) are tracked. The left-looking solve then runs
+    /// over the pivoted rows of the pattern in ascending position
+    /// order, drawn from a min-heap: the rows of `l_cols[k]` are pivoted
+    /// after `k`, so every position the solve reaches is larger than the
+    /// one it came from. Positions it never reaches hold an exact zero,
+    /// which the dense loop over `0..pos` skips as well, so the same
+    /// floating-point operations run in the same order and the factors
+    /// come out bit for bit as the dense loop's.
+    fn new<'a>(
+        m: usize,
+        basis: &[usize],
+        column: impl Fn(usize) -> (&'a [usize], &'a [f64]),
+    ) -> Option<Factor> {
+        debug_assert_eq!(basis.len(), m);
+        let mut f = Factor::with_capacity(m);
+        let mut work = vec![0.0; m];
+        let mut in_pattern = vec![false; m];
+        let mut pattern: Vec<usize> = Vec::new();
+        let mut reach: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
+        for &bj in basis {
+            let (rows, vals) = column(bj);
+            for (&r, &v) in rows.iter().zip(vals) {
+                work[r] += v;
+                if !in_pattern[r] {
+                    in_pattern[r] = true;
+                    pattern.push(r);
+                    if f.pinv[r] != usize::MAX {
+                        reach.push(Reverse(f.pinv[r]));
+                    }
+                }
+            }
+            let col_max = pattern.iter().fold(0.0f64, |a, &r| a.max(work[r].abs()));
+            // Left-looking solve against the columns factored so far. A
+            // position's value is final when it is popped: later
+            // positions only update rows pivoted after them.
+            let mut ucol = Vec::new();
+            while let Some(Reverse(k)) = reach.pop() {
+                let t = work[f.rperm[k]];
+                // demt-lint: allow(F1, exact zero skips a structurally absent sparse entry; no tolerance is intended)
+                if t == 0.0 {
+                    continue;
+                }
+                for &(i, lv) in &f.l_cols[k] {
+                    work[i] -= lv * t;
+                    if !in_pattern[i] {
+                        in_pattern[i] = true;
+                        pattern.push(i);
+                        if f.pinv[i] != usize::MAX {
+                            reach.push(Reverse(f.pinv[i]));
+                        }
+                    }
+                }
+                ucol.push((k, t));
+            }
+            // Partial pivoting over the not-yet-pivoted rows, in
+            // ascending row order so ties go to the lowest row.
+            pattern.sort_unstable();
+            let mut piv = usize::MAX;
+            let mut best = 0.0f64;
+            for &i in &pattern {
+                if f.pinv[i] == usize::MAX && work[i].abs() > best {
+                    best = work[i].abs();
+                    piv = i;
+                }
+            }
+            if best <= 1e-10 * col_max.max(1.0) {
+                return None; // dependent column: singular basis
+            }
+            let d = work[piv];
+            let mut lcol = Vec::new();
+            for &i in &pattern {
+                // demt-lint: allow(F1, exact zero skips a structurally absent sparse entry; no tolerance is intended)
+                if f.pinv[i] == usize::MAX && i != piv && work[i] != 0.0 {
+                    lcol.push((i, work[i] / d));
+                }
+                work[i] = 0.0;
+                in_pattern[i] = false;
+            }
+            pattern.clear();
+            f.push(piv, d, ucol, lcol);
+        }
+        Some(f)
+    }
+
+    /// The dense-accumulator factorization the sparse [`Factor::new`]
+    /// replaced: every column pays `O(m)` for its solve over `0..pos`,
+    /// its `U` gather, its pivot search and its `L` gather. Kept as the
+    /// reference the differential tests pin `new` against bit for bit.
+    #[cfg(test)]
+    fn new_dense<'a>(
+        m: usize,
+        basis: &[usize],
+        column: impl Fn(usize) -> (&'a [usize], &'a [f64]),
+    ) -> Option<Factor> {
+        let mut f = Factor::with_capacity(m);
         let mut work = vec![0.0; m];
         let mut pivoted = vec![false; m];
         for (pos, &bj) in basis.iter().enumerate() {
-            scatter(bj, &mut work);
+            let (rows, vals) = column(bj);
+            for (&r, &v) in rows.iter().zip(vals) {
+                work[r] += v;
+            }
             let col_max = work.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
-            // Left-looking solve against the columns factored so far.
             for k in 0..pos {
                 let t = work[f.rperm[k]];
-                // demt-lint: allow(F1, exact zero skips a structurally absent sparse entry; no tolerance is intended)
                 if t != 0.0 {
                     for &(i, lv) in &f.l_cols[k] {
                         work[i] -= lv * t;
@@ -303,13 +426,11 @@ impl Factor {
             let mut ucol = Vec::new();
             for (k, &row) in f.rperm.iter().enumerate() {
                 let v = work[row];
-                // demt-lint: allow(F1, exact zero skips a structurally absent sparse entry; no tolerance is intended)
                 if v != 0.0 {
                     ucol.push((k, v));
                 }
                 work[row] = 0.0;
             }
-            // Partial pivoting over the not-yet-pivoted rows.
             let mut piv = usize::MAX;
             let mut best = 0.0f64;
             for (i, w) in work.iter().enumerate() {
@@ -319,22 +440,17 @@ impl Factor {
                 }
             }
             if best <= 1e-10 * col_max.max(1.0) {
-                return None; // dependent column: singular basis
+                return None;
             }
             let d = work[piv];
             let mut lcol = Vec::new();
             for (i, w) in work.iter_mut().enumerate() {
-                // demt-lint: allow(F1, exact zero skips a structurally absent sparse entry; no tolerance is intended)
                 if !pivoted[i] && i != piv && *w != 0.0 {
                     lcol.push((i, *w / d));
                 }
                 *w = 0.0;
             }
-            f.u_diag.push(d);
-            f.u_cols.push(ucol);
-            f.l_cols.push(lcol);
-            f.pinv[piv] = pos;
-            f.rperm.push(piv);
+            f.push(piv, d, ucol, lcol);
             pivoted[piv] = true;
         }
         Some(f)
@@ -405,6 +521,45 @@ impl Factor {
     }
 }
 
+/// A factorization's `(l_cols, u_cols, u_diag, rperm)` with every float
+/// as its bit pattern, so two factorizations compare bit for bit.
+#[cfg(test)]
+pub(crate) type FactorBits = (
+    Vec<Vec<(usize, u64)>>,
+    Vec<Vec<(usize, u64)>>,
+    Vec<u64>,
+    Vec<usize>,
+);
+
+/// Factorizes `basis` (standard-form columns of `lp`, structural or
+/// slack) with [`Factor::new`] and with the dense reference
+/// [`Factor::new_dense`], in that order.
+#[cfg(test)]
+pub(crate) fn factor_both(
+    lp: &LinearProgram,
+    basis: &[usize],
+) -> (Option<FactorBits>, Option<FactorBits>) {
+    let form = build_form(lp);
+    let col = |j| column(&form, &[], j);
+    let cols = |c: &[Vec<(usize, f64)>]| -> Vec<Vec<(usize, u64)>> {
+        c.iter()
+            .map(|v| v.iter().map(|&(i, x)| (i, x.to_bits())).collect())
+            .collect()
+    };
+    let bits = |f: Factor| -> FactorBits {
+        (
+            cols(&f.l_cols),
+            cols(&f.u_cols),
+            f.u_diag.iter().map(|x| x.to_bits()).collect(),
+            f.rperm,
+        )
+    };
+    (
+        Factor::new(form.m, basis, col).map(bits),
+        Factor::new_dense(form.m, basis, col).map(bits),
+    )
+}
+
 // ---------------------------------------------------------------------------
 // The revised simplex driver
 // ---------------------------------------------------------------------------
@@ -448,10 +603,8 @@ impl Rev<'_> {
     fn refactorize(&mut self) -> Result<(), LpError> {
         self.etas.clear();
         let (form, art_row) = (&self.form, &self.art_row);
-        self.factor = Factor::new(form.m, &self.basis, |j, w| {
-            scatter_column(form, art_row, j, w)
-        })
-        .ok_or(LpError::SingularBasis)?;
+        self.factor = Factor::new(form.m, &self.basis, |j| column(form, art_row, j))
+            .ok_or(LpError::SingularBasis)?;
         let mut xb = self.form.b.clone();
         self.factor.ftran(&[], &mut xb);
         for v in &mut xb {
@@ -778,7 +931,7 @@ pub fn solve_with_basis(lp: &LinearProgram) -> Result<(Solution, Basis), LpError
         }
     }
     let total = form.n_real + art_row.len();
-    let factor = Factor::new(m, &basis, |j, w| scatter_column(&form, &art_row, j, w))
+    let factor = Factor::new(m, &basis, |j| column(&form, &art_row, j))
         // demt-lint: allow(P1, the start basis is slack/artificial unit columns forming an identity)
         .expect("the unit start basis is nonsingular");
     let x_b = form.b.clone();
@@ -874,7 +1027,7 @@ pub fn solve_from(lp: &LinearProgram, seed: &Basis) -> Result<(Solution, Basis),
         return solve_with_basis(lp);
     }
     let basis = seed.cols.clone();
-    let Some(factor) = Factor::new(m, &basis, |j, w| scatter_column(&form, &[], j, w)) else {
+    let Some(factor) = Factor::new(m, &basis, |j| column(&form, &[], j)) else {
         return solve_with_basis(lp);
     };
     let mut x_b = form.b.clone();

@@ -8,10 +8,24 @@ use serde::{Deserialize, Serialize};
 ///
 /// Task ids are dense (`tasks[i].id() == TaskId(i)`) so that algorithm
 /// crates can index side arrays by id.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Instance {
     procs: usize,
     tasks: Vec<MoldableTask>,
+}
+
+/// Decoding goes through [`Instance::new`], so a document with no
+/// processors, a task vector of the wrong length or non-dense ids is
+/// rejected as a decode error instead of building an invalid instance.
+impl Deserialize for Instance {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::de::Error> {
+        let serde::Value::Object(obj) = v else {
+            return Err(serde::de::Error::custom("expected an instance object"));
+        };
+        let procs: usize = serde::__field(obj, "procs")?;
+        let tasks: Vec<MoldableTask> = serde::__field(obj, "tasks")?;
+        Instance::new(procs, tasks).map_err(serde::de::Error::custom)
+    }
 }
 
 impl Instance {

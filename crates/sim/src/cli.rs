@@ -80,6 +80,9 @@ pub fn repro_cli(args: &[String]) -> i32 {
             other => die(&format!("unknown argument {other} (try --help)")),
         }
     }
+    if cfg.workers == 0 {
+        die("--workers must be at least 1");
+    }
     if figures.is_empty() {
         for f in ["fig3", "fig4", "fig5", "fig6", "fig7", "ablation"] {
             figures.insert(f.to_string());

@@ -270,7 +270,14 @@ fn validate_cmd(opts: &Opts) {
 }
 
 fn bound_cmd(opts: &Opts) {
+    let workers = opts.usize("workers", 1);
+    if workers == 0 {
+        die("--workers must be at least 1");
+    }
     let inst: Instance = read_stdin_json("instance");
+    if inst.is_empty() {
+        die("bound needs at least one task");
+    }
     let cfg = BoundConfig::default();
     if let Some(k) = opts.get("sweep") {
         // Warm-started horizon sweep: `k` horizons fanned out around
@@ -281,7 +288,6 @@ fn bound_cmd(opts: &Opts) {
         if k == 0 {
             die("--sweep needs at least one horizon");
         }
-        let workers = opts.usize("workers", 1);
         let dual = dual_approx(&inst, &cfg.dual);
         let horizons: Vec<f64> = (0..k)
             .map(|i| dual.lower_bound * (1.0 + 0.25 * i as f64))

@@ -338,7 +338,7 @@ fn listbench_rejects_an_empty_machine() {
 
 #[test]
 fn degenerate_generator_inputs_die_instead_of_panicking() {
-    let cases: [(&[&str], &str); 7] = [
+    let cases: [(&[&str], &str); 9] = [
         (&["generate", "--procs", "0"], "bad --procs 0"),
         (&["frontend", "--procs", "0"], "bad --procs 0"),
         (&["frontend", "--jobs", "0"], "bad --jobs 0"),
@@ -346,12 +346,89 @@ fn degenerate_generator_inputs_die_instead_of_panicking() {
         (&["frontend", "--gap", "-1"], "bad --gap"),
         (&["frontend", "--gap", "nan"], "bad --gap"),
         (&["serve", "--procs", "4", "--workers", "0"], "--workers"),
+        (&["bound", "--sweep", "2", "--workers", "0"], "--workers"),
+        (&["repro", "fig6", "--workers", "0"], "--workers"),
     ];
     for (args, needle) in cases {
         let out = demt().args(args).output().expect("demt");
         assert_eq!(out.status.code(), Some(2), "{args:?}: die(), not a panic");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(needle), "{args:?}: {err}");
+    }
+
+    // Instance documents that `Instance::new` rejects: a sparse task id,
+    // no processors, and a times vector shorter than the machine.
+    let dir = std::env::temp_dir().join(format!("demt-cli-bad-inst-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let inst_path = dir.join("inst.json");
+    let docs: [(&str, &str); 3] = [
+        (
+            r#"{"procs":2,"tasks":[{"id":5,"weight":1.0,"times":[1.0,0.6]}]}"#,
+            "task id 5",
+        ),
+        (r#"{"procs":0,"tasks":[]}"#, "zero processors"),
+        (
+            r#"{"procs":2,"tasks":[{"id":0,"weight":1.0,"times":[1.0]}]}"#,
+            "covers 1 processors but instance has 2",
+        ),
+    ];
+    for (doc, needle) in docs {
+        std::fs::write(&inst_path, doc).unwrap();
+        let validate = ["validate", "--instance", inst_path.to_str().unwrap()];
+        for args in [&["schedule"][..], &["bound"], &validate] {
+            // `validate` dies before reading its stdin, so feed the
+            // document from the file rather than through a pipe.
+            let stdin = std::fs::File::open(&inst_path).unwrap();
+            let out = demt().args(args).stdin(stdin).output().expect("demt");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{args:?} on {doc}: die(), not a panic: {err}"
+            );
+            assert!(err.contains(needle), "{args:?} on {doc}: {err}");
+        }
+    }
+
+    // An instance without tasks has no bound; `schedule` accepts it.
+    std::fs::write(&inst_path, r#"{"procs":3,"tasks":[]}"#).unwrap();
+    for args in [&["bound"][..], &["bound", "--sweep", "3"]] {
+        let stdin = std::fs::File::open(&inst_path).unwrap();
+        let out = demt().args(args).stdin(stdin).output().expect("demt");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?}: die(), not a panic: {err}"
+        );
+        assert!(err.contains("at least one task"), "{args:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bound_output_matches_the_checked_in_goldens() {
+    let out = demt()
+        .args([
+            "generate", "--kind", "cirne", "--tasks", "120", "--procs", "64", "--seed", "9",
+        ])
+        .output()
+        .expect("generate");
+    assert!(out.status.success());
+    let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    for (args, golden) in [
+        (&["bound"][..], "bound_cirne_120x64_s9.json"),
+        (
+            &["bound", "--sweep", "12"],
+            "bound_sweep12_cirne_120x64_s9.json",
+        ),
+    ] {
+        let mut cmd = demt();
+        cmd.args(args);
+        let (stdout, err, ok) = run_with_stdin(cmd, &out.stdout);
+        assert!(ok, "{args:?}: {err}");
+        let want = std::fs::read_to_string(data.join(golden)).expect("golden");
+        assert!(stdout == want, "{args:?} differs from {golden}:\n{stdout}");
     }
 }
 
