@@ -104,9 +104,6 @@ impl<S: Scheduler> Scheduler for HierarchicalScheduler<S> {
             return self.inner.schedule(inst, ctx);
         };
         let mut timer = ReportTimer::start();
-        // The context may be primed with the *original* instance's
-        // fingerprint; the coarse instance must key its own dual.
-        ctx.clear_fingerprint();
         let report = self.inner.schedule(&coarse, ctx);
         for p in &report.phases {
             timer.record(&p.phase, p.seconds);

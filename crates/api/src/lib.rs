@@ -34,7 +34,7 @@ pub use hierarchy::HierarchicalScheduler;
 use clock::Stopwatch;
 use demt_dual::{dual_approx, DualConfig, DualResult};
 use demt_model::{Instance, MoldableTask};
-use demt_platform::{Criteria, Schedule, Skyline};
+use demt_platform::{Criteria, Schedule};
 use serde::{Deserialize, Serialize};
 
 /// A batch scheduler: maps an off-line [`Instance`] to a
@@ -103,8 +103,6 @@ pub struct SchedulerContext {
     dual_cfg: DualConfig,
     cache: Option<(u64, DualResult)>,
     dual_runs: usize,
-    primed: Option<u64>,
-    machine: Option<Skyline>,
 }
 
 impl SchedulerContext {
@@ -132,7 +130,7 @@ impl SchedulerContext {
     /// undefined there — schedulers must special-case empty instances
     /// before asking for it).
     pub fn dual(&mut self, inst: &Instance) -> &DualResult {
-        let fp = self.primed.unwrap_or_else(|| fingerprint(inst));
+        let fp = fingerprint(inst);
         let hit = matches!(&self.cache, Some((key, _)) if *key == fp);
         if !hit {
             self.dual_runs += 1;
@@ -148,170 +146,53 @@ impl SchedulerContext {
     pub fn dual_runs(&self) -> usize {
         self.dual_runs
     }
-
-    /// Keys the dual cache with a caller-computed fingerprint — the
-    /// incremental path used by the on-line batch loop, which assembles
-    /// the key in `O(n)` from per-task [`DeltaFingerprint::task_hash`]es
-    /// it patched on job add/remove, instead of letting
-    /// [`SchedulerContext::dual`] re-hash every execution-time vector
-    /// (`O(n·m)`) per call.
-    ///
-    /// Contract: while a context is primed, every [`Scheduler::schedule`]
-    /// call it is handed must be re-primed for (and only ask the dual
-    /// about) the exact instance the fingerprint was built from; call
-    /// [`SchedulerContext::clear_fingerprint`] before handing the
-    /// context to code that does not prime. The two keyspaces never mix
-    /// in one cache: a stale primed key can only cause a redundant dual
-    /// run, never a wrong hit, *provided* the caller keys distinct
-    /// instances distinctly — which [`DeltaFingerprint`] guarantees up
-    /// to 64-bit hash collisions, the same bar as the built-in
-    /// fingerprint.
-    pub fn prime_fingerprint(&mut self, fp: u64) {
-        self.primed = Some(fp);
-    }
-
-    /// Reverts [`SchedulerContext::dual`] to hashing the instance
-    /// itself (drops any primed fingerprint, keeps the cached result).
-    pub fn clear_fingerprint(&mut self) {
-        self.primed = None;
-    }
-
-    /// Attaches a fresh all-free machine [`Skyline`] over `procs`
-    /// processors. The context only stores it (schedulers and event
-    /// loops query and mutate it via
-    /// [`SchedulerContext::machine`]/[`SchedulerContext::machine_mut`]);
-    /// re-attaching resets the profile.
-    pub fn attach_machine(&mut self, procs: usize) {
-        self.machine = Some(Skyline::new(procs));
-    }
-
-    /// The attached machine occupancy profile, if any.
-    pub fn machine(&self) -> Option<&Skyline> {
-        self.machine.as_ref()
-    }
-
-    /// Mutable access to the attached machine occupancy profile: the
-    /// on-line loop commits each placement's window at decision time
-    /// and releases it once the batch completes, so
-    /// [`Skyline::free_at`] answers "how loaded is the machine right
-    /// now" between events while the segment count stays bounded by the
-    /// windows in flight.
-    pub fn machine_mut(&mut self) -> Option<&mut Skyline> {
-        self.machine.as_mut()
-    }
 }
 
-/// Order-sensitive instance fingerprint assembled from cached per-task
-/// content hashes — the delta-update path for the dual cache.
-///
-/// A caller that keeps one [`DeltaFingerprint::task_hash`] per pending
-/// job (computed once, at submit, where it can also be parallelized)
-/// re-keys the cache for each batch in `O(n)` by folding the stored
-/// hashes in task order, instead of re-reading all `n·m` execution-time
-/// points per schedule call. The fold mixes processor count, task
-/// count, position and content, so it distinguishes everything the
-/// built-in instance hash does.
-///
-/// ```
-/// use demt_api::DeltaFingerprint;
-/// use demt_model::{MoldableTask, TaskId};
-/// let a = MoldableTask::rigid(TaskId(0), 1.0, 2, 3.0, 4).unwrap();
-/// let b = MoldableTask::rigid(TaskId(1), 1.0, 1, 5.0, 4).unwrap();
-/// let (ha, hb) = (DeltaFingerprint::task_hash(&a), DeltaFingerprint::task_hash(&b));
-/// let mut ab = DeltaFingerprint::new(4);
-/// ab.push(ha);
-/// ab.push(hb);
-/// let mut ba = DeltaFingerprint::new(4);
-/// ba.push(hb);
-/// ba.push(ha);
-/// assert_ne!(ab.value(), ba.value(), "order-sensitive");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeltaFingerprint {
-    h: u64,
-    count: u64,
-}
-
-impl DeltaFingerprint {
-    /// Fingerprint of an empty instance on `procs` processors.
-    pub fn new(procs: usize) -> Self {
-        let mut fp = Self {
-            h: 0xcbf2_9ce4_8422_2325,
-            count: 0,
-        };
-        fp.mix(procs as u64);
-        fp
-    }
-
-    /// FNV-1a over one task's numeric content — for explicit tasks the
-    /// weight and every execution-time point (the `O(m)` part, paid
-    /// once per job), for compactly-stored rigid tasks the three
-    /// numbers that define the virtual vector, under a tag, in `O(1)`.
-    ///
-    /// A rigid task therefore hashes differently from its materialized
-    /// explicit twin. Both keys are deterministic functions of the task
-    /// content, which is all the dual cache needs — colliding feeds hit
-    /// the same entries, diverging representations merely miss.
-    pub fn task_hash(task: &MoldableTask) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        mix(task.weight().to_bits());
-        if let Some((width, time)) = task.rigid_shape() {
-            // Tag prevents a crafted explicit vector from aliasing the
-            // compact encoding's field layout.
-            mix(0x5249_4749_445f_5631); // "RIGID_V1"
-            mix(width as u64);
-            mix(time.to_bits());
-            mix(task.max_procs() as u64);
-        } else {
-            for &x in task.times() {
-                mix(x.to_bits());
-            }
-        }
-        h
-    }
-
-    /// Folds the next task (by its cached hash) into the fingerprint.
-    pub fn push(&mut self, task_hash: u64) {
-        self.mix(task_hash);
-        self.count += 1;
-    }
-
-    /// The cache key for the instance assembled so far.
-    pub fn value(&self) -> u64 {
-        let mut fin = *self;
-        fin.mix(self.count);
-        fin.h
-    }
-
-    fn mix(&mut self, v: u64) {
-        self.h ^= v;
-        self.h = self.h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-/// FNV-1a over the instance's full numeric content (processor count,
-/// task count, weights, and every point of every execution-time
-/// vector). Collisions between instances met by one context are
-/// astronomically unlikely; a miss only costs a redundant dual run.
+/// The dual cache's key: FNV-1a over the processor count, each task's
+/// content hash in task order, and the task count. Ids never enter it
+/// (the on-line loop re-ids every batch densely). Collisions between
+/// instances met by one context are astronomically unlikely; a miss
+/// only costs a redundant dual run.
 fn fingerprint(inst: &Instance) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    mix(inst.procs() as u64);
-    mix(inst.len() as u64);
+    let mut h = FNV_OFFSET;
+    h = fnv_mix(h, inst.procs() as u64);
     for t in inst.tasks() {
-        mix(t.weight().to_bits());
-        for &x in t.times() {
-            mix(x.to_bits());
+        h = fnv_mix(h, task_hash(t));
+    }
+    fnv_mix(h, inst.len() as u64)
+}
+
+/// FNV-1a over one task's numeric content: for explicit tasks the
+/// weight and every execution-time point, for compactly-stored rigid
+/// tasks the three numbers that define the virtual vector, under a
+/// tag, in `O(1)`. A rigid task therefore keys apart from its explicit
+/// twin; both keys are deterministic in the task content, which is all
+/// the cache needs.
+fn task_hash(task: &MoldableTask) -> u64 {
+    let mut h = fnv_mix(FNV_OFFSET, task.weight().to_bits());
+    if let Some((width, time)) = task.rigid_shape() {
+        // The tag keeps a crafted explicit vector from aliasing the
+        // compact encoding's field layout.
+        for v in [
+            0x5249_4749_445f_5631, // "RIGID_V1"
+            width as u64,
+            time.to_bits(),
+            task.max_procs() as u64,
+        ] {
+            h = fnv_mix(h, v);
+        }
+    } else {
+        for &x in task.times() {
+            h = fnv_mix(h, x.to_bits());
         }
     }
     h
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv_mix(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
 }
 
 /// Wall-clock of one named phase inside a scheduler run.
@@ -561,65 +442,48 @@ mod tests {
     }
 
     #[test]
-    fn primed_fingerprint_keys_the_dual_cache() {
-        let inst = generate(WorkloadKind::Mixed, 20, 8, 1);
-        let mut fp = DeltaFingerprint::new(inst.procs());
-        for t in inst.tasks() {
-            fp.push(DeltaFingerprint::task_hash(t));
-        }
-        let mut ctx = SchedulerContext::new();
-        ctx.prime_fingerprint(fp.value());
-        let lb = ctx.dual(&inst).lower_bound;
-        assert_eq!(ctx.dual_runs(), 1);
-        // Same primed key: cache hit without re-hashing the instance.
-        ctx.prime_fingerprint(fp.value());
-        assert_eq!(ctx.dual(&inst).lower_bound, lb);
-        assert_eq!(ctx.dual_runs(), 1);
-        // Unprimed, the built-in hash is a different keyspace: the
-        // cache misses and recomputes, but the result is identical.
-        ctx.clear_fingerprint();
-        assert_eq!(ctx.dual(&inst).lower_bound, lb);
-        assert_eq!(ctx.dual_runs(), 2);
-    }
-
-    #[test]
-    fn delta_fingerprint_distinguishes_shape_and_content() {
+    fn dual_key_distinguishes_shape_and_content() {
         use demt_model::{MoldableTask, TaskId};
-        let a = MoldableTask::rigid(TaskId(0), 1.0, 2, 3.0, 4).unwrap();
-        let b = MoldableTask::rigid(TaskId(1), 1.0, 1, 5.0, 4).unwrap();
-        let (ha, hb) = (
-            DeltaFingerprint::task_hash(&a),
-            DeltaFingerprint::task_hash(&b),
-        );
-        let fold = |procs: usize, hashes: &[u64]| {
-            let mut fp = DeltaFingerprint::new(procs);
-            for &h in hashes {
-                fp.push(h);
-            }
-            fp.value()
+        let rigid = |id, procs, time, m| MoldableTask::rigid(TaskId(id), 1.0, procs, time, m);
+        let inst = |m: usize, tasks: &[(usize, f64)]| {
+            let tasks = tasks
+                .iter()
+                .enumerate()
+                .map(|(id, &(procs, time))| rigid(id, procs, time, m).unwrap())
+                .collect();
+            Instance::new(m, tasks).unwrap()
         };
-        assert_eq!(fold(4, &[ha, hb]), fold(4, &[ha, hb]));
-        assert_ne!(fold(4, &[ha, hb]), fold(4, &[hb, ha]), "order-sensitive");
-        assert_ne!(fold(4, &[ha]), fold(4, &[ha, ha]), "count-sensitive");
-        assert_ne!(fold(4, &[ha]), fold(8, &[ha]), "machine-sensitive");
-        // Id does not enter the hash: batches re-id densely.
-        let a2 = MoldableTask::rigid(TaskId(7), 1.0, 2, 3.0, 4).unwrap();
-        assert_eq!(ha, DeltaFingerprint::task_hash(&a2));
-    }
-
-    #[test]
-    fn attached_machine_skyline_tracks_commits_and_releases() {
-        let mut ctx = SchedulerContext::new();
-        assert!(ctx.machine().is_none());
-        ctx.attach_machine(6);
-        if let Some(sky) = ctx.machine_mut() {
-            sky.commit(0.0, 2.0, 4);
-        }
-        assert_eq!(ctx.machine().map(|s| s.free_at(1.0)), Some(2));
-        if let Some(sky) = ctx.machine_mut() {
-            sky.release(0.0, 2.0, 4);
-        }
-        assert_eq!(ctx.machine().map(|s| s.segments()), Some(1));
+        // Runs of the dual over `a` then `b` on one fresh context: 1
+        // when both share a key, 2 when they key apart.
+        let runs = |a: &Instance, b: &Instance| {
+            let mut ctx = SchedulerContext::new();
+            ctx.dual(a);
+            ctx.dual(b);
+            ctx.dual_runs()
+        };
+        let (a, b) = ((2, 3.0), (1, 5.0));
+        assert_eq!(runs(&inst(4, &[a, b]), &inst(4, &[a, b])), 1);
+        assert_eq!(
+            runs(&inst(4, &[a, b]), &inst(4, &[b, a])),
+            2,
+            "order-sensitive"
+        );
+        assert_eq!(
+            runs(&inst(4, &[a]), &inst(4, &[a, a])),
+            2,
+            "count-sensitive"
+        );
+        assert_eq!(runs(&inst(4, &[a]), &inst(8, &[a])), 2, "machine-sensitive");
+        // Ids do not enter the key: a derived instance re-ids its tasks
+        // densely and still hits the entry of the same content.
+        let (tail, _) = inst(4, &[a, b]).restrict(&[TaskId(1)]).unwrap();
+        assert_eq!(runs(&tail, &inst(4, &[b])), 1, "id-blind");
+        let moved = rigid(7, 1, 5.0, 4).unwrap();
+        assert_eq!(task_hash(&moved), task_hash(&tail.tasks()[0]));
+        // A compact rigid task keys apart from its explicit twin.
+        let twin = MoldableTask::new(TaskId(0), 1.0, tail.tasks()[0].times().to_vec()).unwrap();
+        let explicit = Instance::new(4, vec![twin]).unwrap();
+        assert_eq!(runs(&tail, &explicit), 2, "rigid keys apart from explicit");
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 #![warn(missing_docs)]
 
-use demt_api::{DeltaFingerprint, Scheduler, SchedulerContext};
+use demt_api::{Scheduler, SchedulerContext};
 use demt_model::{Instance, ModelError, MoldableTask, TaskId};
 use demt_platform::{Placement, Schedule};
 use std::collections::BTreeMap;
@@ -182,14 +182,15 @@ pub fn try_online_batch_schedule(
     jobs: &[OnlineJob],
     scheduler: &dyn Scheduler,
 ) -> Result<OnlineResult, OnlineError> {
-    // The loop validates each job at submit; the whole feed must also
-    // assemble into one coherent instance (the all-at-once contract).
+    // The loop validates each job at submit; only an empty machine
+    // under an empty feed gets past those checks.
     let mut batch_loop = BatchLoop::new(m);
     for j in jobs {
         batch_loop.submit(j.task.clone(), j.release)?;
     }
-    Instance::new(m, jobs.iter().map(|j| j.task.clone()).collect())
-        .map_err(OnlineError::InvalidInstance)?;
+    if m == 0 {
+        return Err(OnlineError::InvalidInstance(ModelError::NoProcessors));
+    }
     let mut schedule = Schedule::new(m);
     let mut batches = Vec::new();
     while let Some(batch) = batch_loop.run_batch(scheduler)? {
@@ -224,28 +225,17 @@ pub fn online_batch_schedule(
 struct PendingJob {
     task: MoldableTask,
     release: f64,
-    /// Cached [`DeltaFingerprint::task_hash`], computed once at submit.
-    hash: u64,
 }
 
 /// The incremental Shmoys–Wein–Williamson core: a persistent event
 /// loop that accepts submits and cancels between batches and re-plans
 /// one batch at a time, instead of requiring the whole feed up front.
 ///
-/// State that persists across batches — and is *patched*, never
-/// rebuilt, per event:
-///
-/// * the pending set (keyed by original job id) plus a release-sorted
-///   index, so admitting the next batch is `O(batch + log n)`, not a
-///   rescan of every job;
-/// * per-job content hashes folded into a [`DeltaFingerprint`] at
-///   batch formation, priming the shared [`SchedulerContext`]'s dual
-///   cache in `O(batch)` instead of the `O(n·m)` instance re-hash;
-/// * the machine occupancy [`Skyline`](demt_platform::Skyline)
-///   attached to the context: every placement's window is committed at
-///   decision time and released when its batch completes, so free
-///   capacity is queryable between events while the profile stays
-///   bounded by the windows in flight.
+/// The pending set (keyed by original job id) and its release-sorted
+/// index persist across batches and are *patched*, never rebuilt, per
+/// event, so admitting the next batch is `O(batch + log n)`, not a
+/// rescan of every job. One [`SchedulerContext`] serves every batch;
+/// its dual cache keys on each batch instance itself.
 ///
 /// The loop keeps no history: [`BatchLoop::run_batch`] hands each
 /// planned batch out by value, so its memory is the pending set plus
@@ -287,10 +277,6 @@ pub struct BatchLoop {
     /// and non-negative, so the IEEE bit pattern orders like the value.
     by_release: BTreeSet<(u64, usize)>,
     ctx: SchedulerContext,
-    /// `(start, end, k)` windows committed to the machine skyline for
-    /// the batch most recently planned, released when the next batch
-    /// starts (virtual time has passed them by then).
-    inflight: Vec<(f64, f64, usize)>,
 }
 
 /// One batch planned by [`BatchLoop::run_batch`], handed out by value.
@@ -309,18 +295,15 @@ pub struct PlannedBatch {
 
 impl BatchLoop {
     /// Empty loop over `m` processors at virtual time `0`, with a fresh
-    /// [`SchedulerContext`] carrying the machine skyline.
+    /// [`SchedulerContext`].
     pub fn new(m: usize) -> Self {
-        let mut ctx = SchedulerContext::new();
-        ctx.attach_machine(m);
         Self {
             m,
             now: 0.0,
             next_id: 0,
             pending: BTreeMap::new(),
             by_release: BTreeSet::new(),
-            ctx,
-            inflight: Vec::new(),
+            ctx: SchedulerContext::new(),
         }
     }
 
@@ -338,11 +321,6 @@ impl BatchLoop {
     /// Number of jobs submitted but not yet scheduled or cancelled.
     pub fn pending(&self) -> usize {
         self.pending.len()
-    }
-
-    /// The shared scheduler context (dual cache, machine skyline).
-    pub fn context(&self) -> &SchedulerContext {
-        &self.ctx
     }
 
     /// Earliest release date among pending jobs.
@@ -366,21 +344,11 @@ impl BatchLoop {
         })
     }
 
-    /// Submits one job with the precomputed content hash — the
-    /// parallel-lift path: callers that build tasks on a worker pool
-    /// hash them there too, keeping this method `O(log n)`. The hash
-    /// must equal [`DeltaFingerprint::task_hash`] of `task`.
-    pub fn submit_hashed(
-        &mut self,
-        task: MoldableTask,
-        release: f64,
-        hash: u64,
-    ) -> Result<(), OnlineError> {
-        debug_assert_eq!(
-            hash,
-            DeltaFingerprint::task_hash(&task),
-            "submitted hash does not match the task content"
-        );
+    /// Submits one job. Ids must arrive dense `0..` in submit order;
+    /// release dates must be finite and non-negative but may lie in the
+    /// past (the job simply joins the next batch), so completed batches
+    /// are never re-planned.
+    pub fn submit(&mut self, task: MoldableTask, release: f64) -> Result<(), OnlineError> {
         if task.id().index() != self.next_id {
             return Err(OnlineError::NonDenseIds {
                 index: self.next_id,
@@ -403,25 +371,8 @@ impl BatchLoop {
         let id = task.id().index();
         self.next_id += 1;
         self.by_release.insert((release.to_bits(), id));
-        self.pending.insert(
-            id,
-            PendingJob {
-                task,
-                release,
-                hash,
-            },
-        );
+        self.pending.insert(id, PendingJob { task, release });
         Ok(())
-    }
-
-    /// Submits one job (hashing its content here; see
-    /// [`BatchLoop::submit_hashed`] for the precomputed path). Ids must
-    /// arrive dense `0..` in submit order; release dates must be finite
-    /// and non-negative but may lie in the past (the job simply joins
-    /// the next batch), so completed batches are never re-planned.
-    pub fn submit(&mut self, task: MoldableTask, release: f64) -> Result<(), OnlineError> {
-        let hash = DeltaFingerprint::task_hash(&task);
-        self.submit_hashed(task, release, hash)
     }
 
     /// Cancels a pending job. Returns whether it was still pending —
@@ -440,7 +391,7 @@ impl BatchLoop {
     /// Plans and (virtually) executes the next batch: fast-forwards
     /// through an idle gap if nothing is released yet, gathers every
     /// pending job released by then, hands the sub-instance to the
-    /// off-line `scheduler` with the primed context, offsets its
+    /// off-line `scheduler` with the shared context, offsets its
     /// placements to the batch start, and advances the clock past the
     /// batch. Returns the batch — `None` with nothing pending.
     ///
@@ -450,17 +401,6 @@ impl BatchLoop {
         &mut self,
         scheduler: &dyn Scheduler,
     ) -> Result<Option<PlannedBatch>, OnlineError> {
-        // Virtual time is about to move past the previous batch: give
-        // its windows back so the skyline stays small forever. Every
-        // window committed by the previous batch is in `inflight`, so
-        // releasing them all is an O(1)-shaped reset rather than
-        // per-window carves.
-        if !self.inflight.is_empty() {
-            self.inflight.clear();
-            if let Some(sky) = self.ctx.machine_mut() {
-                sky.reset();
-            }
-        }
         // Fast-forward through an idle gap to the next release.
         let Some(start) = self.next_batch_start() else {
             return Ok(None);
@@ -477,7 +417,6 @@ impl BatchLoop {
             .collect();
         let mut mapping: Vec<TaskId> = ready.iter().map(|&id| TaskId(id)).collect();
         mapping.sort();
-        let mut fp = DeltaFingerprint::new(self.m);
         let mut tasks = Vec::with_capacity(mapping.len());
         let mut releases = Vec::with_capacity(mapping.len());
         for (new_id, original) in mapping.iter().enumerate() {
@@ -485,13 +424,11 @@ impl BatchLoop {
             let mut job = self.pending.remove(&original.index()).expect("indexed job");
             self.by_release
                 .remove(&(job.release.to_bits(), original.index()));
-            fp.push(job.hash);
             job.task.set_id(TaskId(new_id));
             tasks.push(job.task);
             releases.push(job.release);
         }
         let sub = Instance::new(self.m, tasks).map_err(OnlineError::InvalidInstance)?;
-        self.ctx.prime_fingerprint(fp.value());
         let inner = scheduler.schedule(&sub, &mut self.ctx).schedule;
         if inner.len() != sub.len() {
             return Err(OnlineError::DroppedJob {
@@ -507,21 +444,8 @@ impl BatchLoop {
         for p in &mut placements {
             let local = p.task.index();
             batch_releases.push(releases[local]);
-            // The window end is offset from batch-local coordinates in
-            // one rounding, exactly like the start: `start + duration`
-            // here would re-round and can overlap a bitwise-abutting
-            // neighbor by one ulp (a phantom overcommit).
-            let end = self.now + (p.start + p.duration);
             p.start += self.now;
             p.task = mapping[local];
-            self.inflight.push((p.start, end, p.procs.len()));
-        }
-        // Mirror the whole batch into the machine profile in one
-        // sweep. Saturating: the engines may emit windows overlapping
-        // by one ulp on a processor (the validator tolerates it), and
-        // this profile is bookkeeping, not an invariant check.
-        if let Some(sky) = self.ctx.machine_mut() {
-            sky.commit_all_saturating(&self.inflight);
         }
         let batch = PlannedBatch {
             start: self.now,
@@ -885,6 +809,11 @@ mod tests {
                 ..
             })
         ));
+        // An empty machine is rejected even with nothing to place.
+        assert_eq!(
+            try_online_batch_schedule(0, &[], &demt()).err(),
+            Some(OnlineError::InvalidInstance(ModelError::NoProcessors))
+        );
         // A clean feed sails through the same entry point.
         assert!(try_online_batch_schedule(2, &[], &demt()).is_ok());
     }
@@ -1025,28 +954,26 @@ mod tests {
     }
 
     #[test]
-    fn batch_loop_releases_machine_windows() {
+    fn a_derived_instance_never_hands_its_dual_to_the_batch() {
+        use demt_api::FnScheduler;
+        use demt_dual::dual_approx;
+        // A wrapper that asks the dual about a sub-instance before its
+        // own must still get its own batch's dual back.
+        let wrapper = FnScheduler::new("derived", "Derived", |inst, ctx| {
+            let (head, _) = inst.restrict(&[TaskId(0)]).unwrap();
+            ctx.dual(&head);
+            let got = format!("{:?}", ctx.dual(inst));
+            let want = format!("{:?}", dual_approx(inst, ctx.dual_config()));
+            assert_eq!(got, want, "the batch got another instance's dual");
+            demt().schedule(inst, ctx).schedule
+        });
         let mut bl = BatchLoop::new(4);
-        bl.submit(
-            MoldableTask::sequential(TaskId(0), 1.0, 2.0, 4).unwrap(),
-            0.0,
-        )
-        .unwrap();
-        bl.run_batch(&demt()).unwrap();
-        // The batch window is committed while in flight…
-        let sky = bl.context().machine().unwrap();
-        assert!(sky.free_at(1.0) < 4, "window committed at decision time");
-        bl.submit(
-            MoldableTask::sequential(TaskId(1), 1.0, 1.0, 4).unwrap(),
-            5.0,
-        )
-        .unwrap();
-        bl.run_batch(&demt()).unwrap();
-        // …and released when the next batch starts: only the new
-        // window remains, so the profile stays small.
-        let sky = bl.context().machine().unwrap();
-        assert_eq!(sky.free_at(1.0), 4, "completed window released");
-        assert!(sky.segments() <= 3);
+        for (id, time) in [(0, 1.0), (1, 3.0), (2, 2.0)] {
+            bl.submit(MoldableTask::linear(TaskId(id), 1.0, time, 4).unwrap(), 0.0)
+                .unwrap();
+        }
+        let batch = bl.run_batch(&wrapper).unwrap().unwrap();
+        assert_eq!(batch.placements.len(), 3);
     }
 
     #[test]

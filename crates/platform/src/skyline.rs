@@ -91,17 +91,6 @@ impl Skyline {
         self.procs
     }
 
-    /// Restores the fresh all-free profile in `O(E)` (dropping the
-    /// segment list) — the bulk form of releasing every in-flight
-    /// window at once. A caller that tracks its committed windows and
-    /// releases *all* of them at a drain point (the batch loop does)
-    /// gets the same profile this produces, only without paying a
-    /// per-window `O(log E)` split and coalesce.
-    pub fn reset(&mut self) {
-        self.segs.clear();
-        self.segs.insert(TimeKey(0.0), self.procs);
-    }
-
     /// Number of segments `E` currently in the profile.
     pub fn segments(&self) -> usize {
         self.segs.len()
@@ -183,106 +172,6 @@ impl Skyline {
         }
     }
 
-    /// [`Skyline::commit_until`] for occupancy *bookkeeping* rather
-    /// than engine invariants: a segment with fewer than `k` free
-    /// processors clamps at zero instead of panicking.
-    ///
-    /// The placement engines may legally emit windows that overlap by
-    /// one ulp on a processor — the list engines release completion
-    /// events up to `1e-15` early, and [`crate::validate`] tolerates
-    /// exactly that — so a caller mirroring an already-validated
-    /// schedule into a capacity profile must absorb the phantom
-    /// overlap rather than treat it as an overcommit. The clamp only
-    /// ever under-reports free capacity, and only inside the
-    /// ulp-sized overlap; pairing every window with
-    /// [`Skyline::release_until_saturating`] restores the exact
-    /// all-free profile because the release clamps at the machine
-    /// size symmetrically.
-    pub fn commit_until_saturating(&mut self, start: f64, end: f64, k: usize) {
-        assert!(
-            start >= 0.0 && start.is_finite() && end >= start && end.is_finite(),
-            "bad commit window [{start}, {end})"
-        );
-        if end == start {
-            return;
-        }
-        self.split_at(start);
-        self.split_at(end);
-        for (_, f) in self.segs.range_mut((
-            Bound::Included(TimeKey(start)),
-            Bound::Excluded(TimeKey(end)),
-        )) {
-            *f = f.saturating_sub(k);
-        }
-    }
-
-    /// Commits every `(start, end, k)` window in one boundary sweep:
-    /// the free count at every instant afterwards equals calling
-    /// [`Skyline::commit_until_saturating`] once per window, in any
-    /// order — iterated saturating subtraction of individual widths
-    /// equals one saturating subtraction of their sum, because every
-    /// step only subtracts. (The sweep also coalesces as it goes, so
-    /// it may hold *fewer* segments than the per-window carves, which
-    /// keep every window edge.) The sweep sorts the `2n` window boundaries
-    /// and rebuilds the segment list in a single merged pass with the
-    /// old profile, so committing a whole batch costs
-    /// `O((E + n) log n)` instead of the `O(n · E)` of `n` per-window
-    /// carves — the difference between microseconds and milliseconds
-    /// when a daemon mirrors a 10⁴-placement batch. Windows are
-    /// validated exactly like the per-window variant.
-    pub fn commit_all_saturating(&mut self, windows: &[(f64, f64, usize)]) {
-        let mut events: Vec<(TimeKey, i64)> = Vec::with_capacity(windows.len() * 2);
-        for &(start, end, k) in windows {
-            assert!(
-                start >= 0.0 && start.is_finite() && end >= start && end.is_finite(),
-                "bad commit window [{start}, {end})"
-            );
-            if end > start && k > 0 {
-                events.push((TimeKey(start), k as i64));
-                events.push((TimeKey(end), -(k as i64)));
-            }
-        }
-        if events.is_empty() {
-            return;
-        }
-        events.sort_unstable_by_key(|e| e.0);
-        let old: Vec<(TimeKey, usize)> = std::mem::take(&mut self.segs).into_iter().collect();
-        let mut segs = BTreeMap::new();
-        let (mut oi, mut ei) = (0usize, 0usize);
-        // The free count of the old profile left of its first boundary
-        // (construction always seeds a boundary at 0, so this only
-        // matters for a window starting at -0.0, which sorts first).
-        let mut old_free = self.procs;
-        let mut load: i64 = 0;
-        let mut emitted = None;
-        while oi < old.len() || ei < events.len() {
-            let t = match (old.get(oi), events.get(ei)) {
-                (Some(&(ot, _)), Some(&(et, _))) if et < ot => et,
-                (Some(&(ot, _)), _) => ot,
-                (None, Some(&(et, _))) => et,
-                (None, None) => break,
-            };
-            while oi < old.len() && old[oi].0 == t {
-                old_free = old[oi].1;
-                oi += 1;
-            }
-            while ei < events.len() && events[ei].0 == t {
-                load += events[ei].1;
-                ei += 1;
-            }
-            // Active widths never sum negative (every end follows its
-            // start), so the cast is lossless.
-            let f = old_free.saturating_sub(load.max(0) as usize);
-            // Coalesce inline; the boundary at the sweep start is
-            // structural (it is 0.0 or earlier) and always kept.
-            if emitted != Some(f) {
-                segs.insert(t, f);
-                emitted = Some(f);
-            }
-        }
-        self.segs = segs;
-    }
-
     /// Returns `k` processors to the free pool over
     /// `[start, start + duration)` — the exact inverse of
     /// [`Skyline::commit`] — then erases any segment boundary the window
@@ -338,32 +227,6 @@ impl Skyline {
                 self.procs
             );
             *f = sum;
-        }
-        self.coalesce(start, end);
-    }
-
-    /// [`Skyline::release_until`] for bookkeeping profiles built with
-    /// [`Skyline::commit_until_saturating`]: a segment that would
-    /// exceed the machine size clamps at it instead of panicking. The
-    /// clamp is exactly the inverse of the commit-side clamp — the
-    /// increments a saturated commit dropped are the ones a saturated
-    /// release drops again — so releasing every committed window still
-    /// ends on the pristine all-free profile.
-    pub fn release_until_saturating(&mut self, start: f64, end: f64, k: usize) {
-        assert!(
-            start >= 0.0 && start.is_finite() && end >= start && end.is_finite(),
-            "bad release window [{start}, {end})"
-        );
-        if end == start {
-            return;
-        }
-        self.split_at(start);
-        self.split_at(end);
-        for (_, f) in self.segs.range_mut((
-            Bound::Included(TimeKey(start)),
-            Bound::Excluded(TimeKey(end)),
-        )) {
-            *f = (*f + k).min(self.procs);
         }
         self.coalesce(start, end);
     }
@@ -700,86 +563,6 @@ mod tests {
         let mut sky = Skyline::new(2);
         sky.commit(0.0, 1.0, 2);
         sky.commit(0.5, 1.0, 1);
-    }
-
-    #[test]
-    fn saturating_pair_absorbs_ulp_overlap_and_round_trips() {
-        // Two full-machine windows overlapping by one ulp — the shape
-        // the list engines emit when a completion event is released
-        // 1e-15 early and a successor starts on the freed processors.
-        let m = 2;
-        let end_a = 5.000000000000001;
-        let start_b = 5.0;
-        let mut sky = Skyline::new(m);
-        sky.commit_until_saturating(0.0, end_a, m);
-        // The strict commit would panic here; the bookkeeping commit
-        // clamps the ulp-wide [start_b, end_a) segment at zero free.
-        sky.commit_until_saturating(start_b, 9.0, m);
-        assert_eq!(sky.free_at(5.0), 0);
-        assert_eq!(sky.free_at(7.0), 0);
-        // Releasing both windows restores the pristine profile: the
-        // increments the saturated commit dropped are dropped again.
-        sky.release_until_saturating(0.0, end_a, m);
-        sky.release_until_saturating(start_b, 9.0, m);
-        assert_eq!(sky.segments(), 1);
-        assert_eq!(sky.free_at(0.0), m);
-        // Outside the overlap, both variants agree exactly.
-        let mut strict = Skyline::new(4);
-        let mut lossy = Skyline::new(4);
-        strict.commit_until(1.0, 3.0, 2);
-        lossy.commit_until_saturating(1.0, 3.0, 2);
-        assert_eq!(strict.free_at(2.0), lossy.free_at(2.0));
-    }
-
-    #[test]
-    fn reset_restores_the_fresh_profile() {
-        let mut sky = Skyline::new(6);
-        sky.commit(1.0, 1.0, 4);
-        sky.commit(2.5, 1.0, 6);
-        assert!(sky.segments() > 1);
-        sky.reset();
-        assert_eq!(sky.segments(), 1);
-        assert_eq!(sky.free_at(1.5), 6);
-        assert_eq!(sky.earliest_fit(0.0, 5.0, 6), 0.0);
-    }
-
-    #[test]
-    fn bulk_commit_matches_per_window_commits() {
-        // Deterministic pseudo-random overlapping windows, including
-        // widths that saturate: the one-sweep commit must land on the
-        // same profile as per-window saturating carves.
-        let m = 9;
-        let mut windows = Vec::new();
-        let mut x = 31u64;
-        for _ in 0..60 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let s = ((x >> 33) % 80) as f64 / 4.0;
-            let d = (1 + (x >> 17) % 20) as f64 / 4.0;
-            let k = (1 + (x >> 5) % 6) as usize;
-            windows.push((s, s + d, k));
-        }
-        // Sweep onto a non-pristine profile to exercise the merge.
-        let mut one_by_one = Skyline::new(m);
-        one_by_one.commit(3.0, 10.0, 2);
-        let mut bulk = one_by_one.clone();
-        for &(s, e, k) in &windows {
-            one_by_one.commit_until_saturating(s, e, k);
-        }
-        bulk.commit_all_saturating(&windows);
-        // The sweep coalesces inline; per-window carves keep every
-        // window edge — same step function, possibly fewer segments.
-        assert!(bulk.segments() <= one_by_one.segments());
-        for q in 0..140 {
-            let t = q as f64 / 4.0;
-            assert_eq!(bulk.free_at(t), one_by_one.free_at(t), "free counts at {t}");
-        }
-        // And an ulp-overlap pair saturates identically in bulk.
-        let mut sky = Skyline::new(2);
-        sky.commit_all_saturating(&[(0.0, 5.000000000000001, 2), (5.0, 9.0, 2)]);
-        assert_eq!(sky.free_at(5.0), 0);
-        assert_eq!(sky.free_at(8.0), 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::event::{JobEvent, ServeError};
 use crate::stats::ServeStats;
-use demt_api::{DeltaFingerprint, FnScheduler, Scheduler, SchedulerContext};
+use demt_api::{FnScheduler, Scheduler, SchedulerContext};
 use demt_baselines::registry;
 use demt_exec::Pool;
 use demt_model::{Instance, MoldableTask, TaskId};
@@ -182,29 +182,23 @@ where
     while let Some(step) = admission.step(&bl, || pull(stats), arrival)? {
         match step {
             Admitted::Cohort(cohort) => {
-                // Lift the cohort's submits on the pool: profile
-                // construction is O(m) per job and hashing O(m) again —
-                // the daemon's per-event hot path.
-                type Lifted = Option<Result<(MoldableTask, u64), String>>;
+                // Lift the cohort's submits on the pool: building a
+                // moldable profile is O(m) per job — the daemon's
+                // per-event hot path.
+                type Lifted = Option<Result<MoldableTask, String>>;
                 let lifted: Vec<Lifted> = pool.par_map(&cohort, |_, (_, ev)| {
-                    if !ev.is_submit() {
-                        return None;
-                    }
-                    Some(ev.to_task(cfg.procs).map(|task| {
-                        let hash = DeltaFingerprint::task_hash(&task);
-                        (task, hash)
-                    }))
+                    ev.is_submit().then(|| ev.to_task(cfg.procs))
                 });
                 for ((line, ev), lift) in cohort.into_iter().zip(lifted) {
                     match lift {
-                        Some(Ok((task, hash))) => {
+                        Some(Ok(task)) => {
                             if let Some(o) = oracle.as_mut() {
                                 o.feed.push(OnlineJob {
                                     task: task.clone(),
                                     release: ev.release,
                                 });
                             }
-                            bl.submit_hashed(task, ev.release, hash)?;
+                            bl.submit(task, ev.release)?;
                         }
                         Some(Err(message)) => return Err(ServeError::Event { line, message }),
                         None => {

@@ -16,11 +16,11 @@
 //!        │  JobEvent
 //!        ▼
 //!  cohort admission + lift     demt-online::Admission, driven by
-//!        │  MoldableTask + hash         run_events (daemon.rs); cohorts
+//!        │  MoldableTask                run_events (daemon.rs); cohorts
 //!        │                              lifted on demt-exec's pool
 //!        ▼
-//!  incremental re-planning     demt-online::BatchLoop (persistent
-//!        │  PlannedBatch               skyline + primed dual cache)
+//!  incremental re-planning     demt-online::BatchLoop (pending set
+//!        │  PlannedBatch               + per-batch dual cache)
 //!        ▼
 //!  JSON placement line         stdout / socket   (stats → stderr/file)
 //! ```

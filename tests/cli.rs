@@ -433,6 +433,29 @@ fn bound_output_matches_the_checked_in_goldens() {
 }
 
 #[test]
+fn serve_demt_output_matches_the_checked_in_golden() {
+    // The moldable DEMT path of the daemon calls the dual once per
+    // batch; this pins its placement bytes on a cirne trace.
+    let trace = demt()
+        .args([
+            "serve",
+            "--gen-trace",
+            "n=300,m=64,seed=5,kind=cirne,gap=0.05",
+        ])
+        .output()
+        .expect("gen-trace");
+    assert!(trace.status.success());
+    let mut cmd = demt();
+    cmd.args(["serve", "--procs", "64", "--algorithm", "demt"]);
+    let (stdout, err, ok) = run_with_stdin(cmd, &trace.stdout);
+    assert!(ok, "serve: {err}");
+    let golden = "serve_demt_cirne_300x64_s5.jsonl";
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let want = std::fs::read_to_string(path.join(golden)).expect("golden");
+    assert!(stdout == want, "serve output differs from {golden}");
+}
+
+#[test]
 fn every_algorithm_round_trips_and_respects_bounds() {
     // generate → schedule (each algorithm) → validate → bound, all via
     // JSON stdin/stdout, asserting every schedule beats neither bound.
