@@ -19,8 +19,8 @@
 
 use demt_model::Instance;
 
-/// Why a λ was rejected (diagnostics; `None` from [`check_lambda`] means
-/// accepted).
+/// Why a λ was rejected (diagnostics; `None` from
+/// [`crate::CanonicalAllotments::check_lambda`] means accepted).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Rejection {
     /// Some task cannot run within λ at all.
@@ -44,8 +44,12 @@ pub enum Rejection {
     },
 }
 
-/// Tests the three necessary conditions at target makespan λ.
-pub fn check_lambda(inst: &Instance, lambda: f64) -> Option<Rejection> {
+/// Tests the three necessary conditions at target makespan λ by scanning
+/// every task's whole processing-time vector, `O(n·m)`: the reference
+/// the memoized [`crate::CanonicalAllotments::check_lambda`] is
+/// compared against.
+#[cfg(test)]
+pub(crate) fn check_lambda(inst: &Instance, lambda: f64) -> Option<Rejection> {
     let m = inst.procs();
     let mut total_area = 0.0;
     let mut midpoint_procs = 0usize;
@@ -81,7 +85,8 @@ pub fn check_lambda(inst: &Instance, lambda: f64) -> Option<Rejection> {
 }
 
 /// Convenience wrapper: `true` when λ passes all conditions.
-pub fn lambda_feasible(inst: &Instance, lambda: f64) -> bool {
+#[cfg(test)]
+pub(crate) fn lambda_feasible(inst: &Instance, lambda: f64) -> bool {
     check_lambda(inst, lambda).is_none()
 }
 

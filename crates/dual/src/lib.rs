@@ -9,13 +9,17 @@
 //! 2. **Makespan lower bound** for the experimental ratios (§3.3:
 //!    "for Cmax a good lower bound may easily be obtained by dual
 //!    approximation") — the largest λ *rejected* by the necessary-
-//!    condition predicate of [`check_lambda`];
+//!    condition predicate [`CanonicalAllotments::check_lambda`];
 //! 3. **Allotment selection** for the three "List Graham" baselines
 //!    (§4.1: "every task is alloted using the number of processors
 //!    selected by \[7\]"), together with the canonical shelf order.
 //!
 //! The entry point is [`dual_approx`]; [`cmax_lower_bound`] is the
-//! bound-only shortcut.
+//! bound-only shortcut. Both evaluate the predicate on one
+//! [`CanonicalAllotments`] memo per instance, and the shelf
+//! construction re-checks the accepted λ on that same memo. The naive
+//! `O(n·m)` predicate the memo replicates is kept only as the test
+//! reference it is compared against.
 
 #![warn(missing_docs)]
 
@@ -23,11 +27,11 @@ mod feasibility;
 mod memo;
 mod shelves;
 
-pub use feasibility::{
-    check_lambda, lambda_feasible, trivial_lower_bound, trivially_feasible_lambda, Rejection,
-};
+pub use feasibility::{trivial_lower_bound, trivially_feasible_lambda, Rejection};
 pub use memo::CanonicalAllotments;
-pub use shelves::{build_shelves, ShelfBuild, ShelfClass};
+pub use shelves::ShelfClass;
+
+use shelves::build_shelves;
 
 use demt_kernels::bisect_threshold;
 use demt_model::{Instance, TaskId};
@@ -89,7 +93,7 @@ pub fn dual_approx(inst: &Instance, cfg: &DualConfig) -> DualResult {
     let lo = trivial_lower_bound(inst);
     let hi = trivially_feasible_lambda(inst).max(lo);
     let th = bisect_threshold(lo, hi, cfg.rel_eps, |lambda| memo.lambda_feasible(lambda));
-    let build = build_shelves(inst, th.accepted);
+    let build = build_shelves(inst, &memo, th.accepted);
     let cmax_estimate = build.schedule.makespan();
     DualResult {
         lower_bound: th.rejected.max(lo),
@@ -116,6 +120,7 @@ pub fn cmax_lower_bound(inst: &Instance, rel_eps: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feasibility::lambda_feasible;
     use demt_model::InstanceBuilder;
     use demt_platform::validate;
     use demt_workload::{generate, WorkloadKind};

@@ -148,9 +148,11 @@ impl CanonicalAllotments {
         self.tasks[task].min_time
     }
 
-    /// Memoized replica of [`crate::check_lambda`]: same conditions,
-    /// same task order (so the area sum is the identical float fold),
-    /// same tolerances — only the per-task queries are `O(log m)`.
+    /// Tests the three necessary conditions of the feasibility module
+    /// at target makespan λ. A memoized replica of the naive per-task
+    /// scan: same conditions, same task order (so the area sum is the
+    /// identical float fold), same tolerances — only the per-task
+    /// queries are `O(log m)`.
     pub fn check_lambda(&self, lambda: f64) -> Option<Rejection> {
         let m = self.procs;
         let mut total_area = 0.0;

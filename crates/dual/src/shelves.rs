@@ -10,7 +10,7 @@
 //! the first "List Graham" ordering of §4.1. The actual schedule is
 //! produced by the Graham list engine, which compacts the shelves.
 
-use crate::feasibility::check_lambda;
+use crate::CanonicalAllotments;
 use demt_kernels::{min_area_partition, ShelfChoice, ShelfItem};
 use demt_model::{Instance, TaskId};
 use demt_platform::{list_schedule, ListPolicy, ListTask, Schedule};
@@ -28,27 +28,32 @@ pub enum ShelfClass {
 
 /// Output of the shelf construction.
 #[derive(Debug, Clone)]
-pub struct ShelfBuild {
+pub(crate) struct ShelfBuild {
     /// Per-task allotment (indexed by task id).
-    pub allotment: Vec<usize>,
+    pub(crate) allotment: Vec<usize>,
     /// Per-task class (indexed by task id).
-    pub class: Vec<ShelfClass>,
+    pub(crate) class: Vec<ShelfClass>,
     /// Canonical \[7\] list order: long shelf (decreasing duration), short
     /// shelf (decreasing duration), small tasks (decreasing duration).
-    pub order: Vec<TaskId>,
+    pub(crate) order: Vec<TaskId>,
     /// Compacted schedule built by the Graham list engine.
-    pub schedule: Schedule,
+    pub(crate) schedule: Schedule,
 }
 
 /// Builds the two-shelf structure and its compacted schedule at λ.
 ///
-/// Panics if λ is rejected by the feasibility predicate — callers obtain
-/// accepted values from the bisection. The midpoint condition guarantees
-/// the forced long-shelf tasks fit `m` processors, so the partition
-/// always succeeds.
-pub fn build_shelves(inst: &Instance, lambda: f64) -> ShelfBuild {
+/// Panics if λ is rejected by the feasibility predicate, evaluated on
+/// `memo` (the instance's memo the bisection already built) — callers
+/// obtain accepted values from that bisection. The midpoint condition
+/// guarantees the forced long-shelf tasks fit `m` processors, so the
+/// partition always succeeds.
+pub(crate) fn build_shelves(
+    inst: &Instance,
+    memo: &CanonicalAllotments,
+    lambda: f64,
+) -> ShelfBuild {
     assert!(
-        check_lambda(inst, lambda).is_none(),
+        memo.check_lambda(lambda).is_none(),
         "build_shelves requires an accepted λ (got a rejected one)"
     );
     let half = lambda / 2.0;
@@ -162,7 +167,7 @@ mod tests {
     fn classes_partition_and_allotments_fit() {
         let inst = mixed_instance();
         let lambda = trivially_feasible_lambda(&inst);
-        let build = build_shelves(&inst, lambda);
+        let build = build_shelves(&inst, &CanonicalAllotments::new(&inst), lambda);
         for id in inst.ids() {
             let k = build.allotment[id.index()];
             assert!(k >= 1 && k <= inst.procs());
@@ -179,7 +184,11 @@ mod tests {
     #[test]
     fn order_lists_long_then_short_then_small() {
         let inst = mixed_instance();
-        let build = build_shelves(&inst, trivially_feasible_lambda(&inst));
+        let build = build_shelves(
+            &inst,
+            &CanonicalAllotments::new(&inst),
+            trivially_feasible_lambda(&inst),
+        );
         let rank = |c: ShelfClass| match c {
             ShelfClass::Long => 0,
             ShelfClass::Short => 1,
@@ -200,7 +209,7 @@ mod tests {
         for seed in 0..8 {
             let inst = demt_workload::generate(demt_workload::WorkloadKind::Mixed, 40, 16, seed);
             let lambda = trivially_feasible_lambda(&inst);
-            let build = build_shelves(&inst, lambda);
+            let build = build_shelves(&inst, &CanonicalAllotments::new(&inst), lambda);
             validate(&inst, &build.schedule).unwrap();
             // The list engine over shelf allotments stays within the
             // theoretical 3λ envelope with a wide margin in practice.
@@ -216,6 +225,6 @@ mod tests {
     #[should_panic(expected = "accepted λ")]
     fn rejected_lambda_is_refused() {
         let inst = mixed_instance();
-        let _ = build_shelves(&inst, 0.1);
+        let _ = build_shelves(&inst, &CanonicalAllotments::new(&inst), 0.1);
     }
 }

@@ -18,12 +18,17 @@ pub struct Instance {
 /// processors, a task vector of the wrong length or non-dense ids is
 /// rejected as a decode error instead of building an invalid instance.
 impl Deserialize for Instance {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        let serde::Value::Object(obj) = v else {
+    fn deserialize(d: &mut serde::de::Deserializer<'_>) -> Result<Self, serde::de::Error> {
+        /// The wire form, field for field.
+        #[derive(Deserialize)]
+        struct Wire {
+            procs: usize,
+            tasks: Vec<MoldableTask>,
+        }
+        if d.peek() != Some(b'{') {
             return Err(serde::de::Error::custom("expected an instance object"));
-        };
-        let procs: usize = serde::__field(obj, "procs")?;
-        let tasks: Vec<MoldableTask> = serde::__field(obj, "tasks")?;
+        }
+        let Wire { procs, tasks } = Wire::deserialize(d)?;
         Instance::new(procs, tasks).map_err(serde::de::Error::custom)
     }
 }

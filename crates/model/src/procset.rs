@@ -397,13 +397,10 @@ impl serde::Serialize for ProcSet {
 }
 
 impl serde::Deserialize for ProcSet {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        let serde::Value::Array(items) = v else {
-            return Err(serde::de::Error::custom("expected a processor id array"));
-        };
+    fn deserialize(d: &mut serde::de::Deserializer<'_>) -> Result<Self, serde::de::Error> {
         let mut ranges: Vec<(u32, u32)> = Vec::new();
-        for item in items {
-            let q = u32::deserialize(item)?;
+        d.seq("expected a processor id array", |d| {
+            let q = u32::deserialize(d)?;
             match ranges.last_mut() {
                 Some((_, hi)) if *hi + 1 == q => *hi = q,
                 Some((_, hi)) if *hi >= q => {
@@ -413,7 +410,8 @@ impl serde::Deserialize for ProcSet {
                 }
                 _ => ranges.push((q, q)),
             }
-        }
+            Ok(())
+        })?;
         Ok(Self { ranges })
     }
 }
@@ -544,8 +542,7 @@ mod tests {
     #[test]
     fn serde_round_trips_the_id_array() {
         let s = ProcSet::from_ids([0, 1, 2, 9]);
-        let v = serde::Serialize::serialize(&s);
-        let back = <ProcSet as serde::Deserialize>::deserialize(&v).unwrap();
+        let back: ProcSet = serde_json::from_str("[0,1,2,9]").unwrap();
         assert_eq!(back, s);
         let json = serde_json::to_string(&s).unwrap();
         assert_eq!(json, serde_json::to_string(&vec![0u32, 1, 2, 9]).unwrap());
@@ -554,9 +551,7 @@ mod tests {
 
     #[test]
     fn serde_rejects_unsorted_ids() {
-        let v = serde::Value::Array(vec![serde::Value::Int(1), serde::Value::Int(0)]);
-        assert!(<ProcSet as serde::Deserialize>::deserialize(&v).is_err());
-        let dup = serde::Value::Array(vec![serde::Value::Int(3), serde::Value::Int(3)]);
-        assert!(<ProcSet as serde::Deserialize>::deserialize(&dup).is_err());
+        assert!(serde_json::from_str::<ProcSet>("[1,0]").is_err());
+        assert!(serde_json::from_str::<ProcSet>("[3,3]").is_err());
     }
 }

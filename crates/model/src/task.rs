@@ -148,13 +148,18 @@ impl Serialize for MoldableTask {
 }
 
 impl Deserialize for MoldableTask {
-    fn deserialize(v: &serde::Value) -> Result<Self, serde::de::Error> {
-        let serde::Value::Object(obj) = v else {
+    fn deserialize(d: &mut serde::de::Deserializer<'_>) -> Result<Self, serde::de::Error> {
+        /// The wire form, field for field.
+        #[derive(Deserialize)]
+        struct Wire {
+            id: TaskId,
+            weight: f64,
+            times: Vec<f64>,
+        }
+        if d.peek() != Some(b'{') {
             return Err(serde::de::Error::custom("expected a task object"));
-        };
-        let id: TaskId = serde::__field(obj, "id")?;
-        let weight: f64 = serde::__field(obj, "weight")?;
-        let times: Vec<f64> = serde::__field(obj, "times")?;
+        }
+        let Wire { id, weight, times } = Wire::deserialize(d)?;
         MoldableTask::new(id, weight, times).map_err(serde::de::Error::custom)
     }
 }

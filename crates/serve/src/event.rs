@@ -93,104 +93,6 @@ impl JobEvent {
         self.kind == "submit"
     }
 
-    /// Parses one canonical JSONL event line without building a JSON
-    /// tree — the exact field order and spacing [`serde_json`] emits,
-    /// which is what every trace this workspace generates (and every
-    /// serde-writing client) sends. Returns `None` on *any* deviation
-    /// — reordered fields, whitespace, unusual number spellings — and
-    /// the caller falls back to the general parser, so the accepted
-    /// language and every error message are unchanged; the fast path
-    /// only skips the per-line `Value` allocations. Number semantics
-    /// match the tree parser: both route the same byte ranges through
-    /// `f64`/`usize` `FromStr`.
-    fn parse_fast(raw: &str) -> Option<JobEvent> {
-        let b = raw.as_bytes();
-        let mut p = 0usize;
-
-        fn lit(b: &[u8], p: &mut usize, s: &[u8]) -> bool {
-            if b[*p..].starts_with(s) {
-                *p += s.len();
-                true
-            } else {
-                false
-            }
-        }
-        fn uint(b: &[u8], p: &mut usize) -> Option<usize> {
-            let start = *p;
-            while b.get(*p).is_some_and(u8::is_ascii_digit) {
-                *p += 1;
-            }
-            std::str::from_utf8(&b[start..*p]).ok()?.parse().ok()
-        }
-        fn num(b: &[u8], p: &mut usize) -> Option<f64> {
-            let start = *p;
-            while b.get(*p).is_some_and(|c| {
-                c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E')
-            }) {
-                *p += 1;
-            }
-            std::str::from_utf8(&b[start..*p]).ok()?.parse().ok()
-        }
-
-        if !lit(b, &mut p, b"{\"kind\":\"") {
-            return None;
-        }
-        let kind = if lit(b, &mut p, b"submit\"") {
-            "submit"
-        } else if lit(b, &mut p, b"cancel\"") {
-            "cancel"
-        } else {
-            return None;
-        };
-        if !lit(b, &mut p, b",\"job\":") {
-            return None;
-        }
-        let job = uint(b, &mut p)?;
-        if !lit(b, &mut p, b",\"release\":") {
-            return None;
-        }
-        let release = num(b, &mut p)?;
-        if !lit(b, &mut p, b",\"weight\":") {
-            return None;
-        }
-        let weight = num(b, &mut p)?;
-        if !lit(b, &mut p, b",\"procs\":") {
-            return None;
-        }
-        let procs = uint(b, &mut p)?;
-        if !lit(b, &mut p, b",\"time\":") {
-            return None;
-        }
-        let time = num(b, &mut p)?;
-        if !lit(b, &mut p, b",\"times\":[") {
-            return None;
-        }
-        let mut times = Vec::new();
-        if !lit(b, &mut p, b"]") {
-            loop {
-                times.push(num(b, &mut p)?);
-                if lit(b, &mut p, b"]") {
-                    break;
-                }
-                if !lit(b, &mut p, b",") {
-                    return None;
-                }
-            }
-        }
-        if !lit(b, &mut p, b"}") || p != b.len() {
-            return None;
-        }
-        Some(JobEvent {
-            kind: kind.to_string(),
-            job,
-            release,
-            weight,
-            procs,
-            time,
-            times,
-        })
-    }
-
     /// Lifts a submit event onto an `m`-processor machine.
     pub fn to_task(&self, m: usize) -> Result<MoldableTask, String> {
         if self.times.is_empty() {
@@ -321,17 +223,14 @@ impl<R: BufRead> Iterator for EventReader<R> {
             if raw.is_empty() {
                 continue;
             }
-            let ev: JobEvent = match JobEvent::parse_fast(raw) {
-                Some(ev) => ev,
-                None => match serde_json::from_str(raw) {
-                    Ok(ev) => ev,
-                    Err(e) => {
-                        return Some(Err(ServeError::Parse {
-                            line: self.line,
-                            message: e.to_string(),
-                        }))
-                    }
-                },
+            let ev: JobEvent = match serde_json::from_str(raw) {
+                Ok(ev) => ev,
+                Err(e) => {
+                    return Some(Err(ServeError::Parse {
+                        line: self.line,
+                        message: e.to_string(),
+                    }))
+                }
             };
             if ev.kind != "submit" && ev.kind != "cancel" {
                 return Some(Err(ServeError::Event {
@@ -417,41 +316,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fast_and_tree_parsers_agree_line_by_line() {
-        // Canonical lines take the fast path; anything non-canonical
-        // must fall back, so the reader accepts exactly the tree
-        // parser's language either way.
-        let events = vec![
-            JobEvent::submit_rigid(0, 0.0, 1.0, 4, 2.5),
-            JobEvent::submit_rigid(12, 1.5e-3, 0.125, 1, 1e6),
-            JobEvent::submit_moldable(1, 0.5, 2.0, vec![4.0, 2.0, 1.0 / 3.0]),
-            JobEvent::cancel(0, 1.0),
-        ];
-        for ev in &events {
-            let line = serde_json::to_string(ev).expect("events serialize");
-            let fast = JobEvent::parse_fast(&line).expect("canonical lines take the fast path");
-            let tree: JobEvent = serde_json::from_str(&line).expect("tree parse");
-            assert_eq!(fast, tree);
-            assert_eq!(&fast, ev);
-        }
-        // Valid JSON the fast scanner refuses — spacing, field order —
-        // still parses through the fallback.
-        let spaced = "{\"kind\": \"submit\", \"job\": 3, \"release\": 1.0, \"weight\": 1.0, \
-                      \"procs\": 2, \"time\": 4.0, \"times\": []}";
-        assert_eq!(JobEvent::parse_fast(spaced), None);
-        let (_, ev) = EventReader::new(format!("{spaced}\n").as_bytes())
+    /// Reads one line through [`EventReader`].
+    fn read_one(line: &str) -> Result<JobEvent, ServeError> {
+        EventReader::new(format!("{line}\n").as_bytes())
             .next()
             .expect("one line")
-            .expect("valid JSON parses");
-        assert_eq!(ev, JobEvent::submit_rigid(3, 1.0, 1.0, 2, 4.0));
-        // Truncated or trailing garbage never panics the fast path.
-        for bad in [
-            "{\"kind\":\"submit\",\"job\":",
-            "{\"kind\":\"submit\"}x",
-            "{}",
-        ] {
-            assert_eq!(JobEvent::parse_fast(bad), None);
+            .map(|(_, ev)| ev)
+    }
+
+    #[test]
+    fn reader_accepts_the_json_language_and_nothing_else() {
+        let canonical = "{\"kind\":\"submit\",\"job\":3,\"release\":1.0,\"weight\":1.0,\
+                         \"procs\":2,\"time\":4.0,\"times\":[]}";
+        let want = JobEvent::submit_rigid(3, 1.0, 1.0, 2, 4.0);
+        let accepted = [
+            canonical.to_string(),
+            canonical.replace(':', ": ").replace(',', " , "),
+            "{\"times\":[],\"time\":4.0,\"procs\":2,\"weight\":1.0,\"release\":1.0,\
+             \"job\":3,\"kind\":\"submit\"}"
+                .to_string(),
+            canonical.replace("]}", "],\"job\":7}"),
+            canonical.replace("{", "{\"queue\":{\"name\":[\"batch\",null]},"),
+            canonical.replace("\"release\":1.0", "\"release\":1"),
+        ];
+        for line in &accepted {
+            assert_eq!(read_one(line), Ok(want.clone()), "{line}");
+        }
+        let rejected = [
+            canonical.replace(",\"times\":[]", ""),
+            canonical.replace("\"job\":3", "\"job\":1.0"),
+        ];
+        for line in &rejected {
+            assert!(
+                matches!(read_one(line), Err(ServeError::Parse { line: 1, .. })),
+                "{line}"
+            );
+        }
+        for number in ["+1.0", ".5"] {
+            let line = canonical.replace("\"release\":1.0", &format!("\"release\":{number}"));
+            let spaced = line.replace(':', ": ");
+            for line in [line, spaced] {
+                match read_one(&line) {
+                    Err(ServeError::Parse { line: 1, message }) => {
+                        assert!(message.starts_with("unexpected Some("), "{message}")
+                    }
+                    other => panic!("{line}: expected a parse error, got {other:?}"),
+                }
+            }
         }
     }
 
