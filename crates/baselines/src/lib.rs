@@ -35,52 +35,9 @@ pub use registry::{
     SequentialScheduler,
 };
 
-use demt_dual::{dual_approx, DualConfig, DualResult};
+use demt_dual::DualResult;
 use demt_model::{Instance, TaskId};
 use demt_platform::{list_schedule, ListPolicy, ListTask, Placement, Schedule};
-
-/// Identifier of a baseline algorithm (harness/CLI naming).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BaselineKind {
-    /// Gang scheduling on the full machine.
-    Gang,
-    /// One processor per task, LPTF order.
-    Sequential,
-    /// Graham list, dual-approximation shelf order.
-    ListShelf,
-    /// Graham list, weighted-LPTF order.
-    ListWlptf,
-    /// Graham list, smallest-area-first order.
-    ListSaf,
-}
-
-impl BaselineKind {
-    /// All baselines in the paper's legend order.
-    pub const ALL: [BaselineKind; 5] = [
-        BaselineKind::Gang,
-        BaselineKind::Sequential,
-        BaselineKind::ListShelf,
-        BaselineKind::ListWlptf,
-        BaselineKind::ListSaf,
-    ];
-
-    /// Short name used in CSV headers (matches the paper's legends).
-    pub fn name(self) -> &'static str {
-        match self {
-            BaselineKind::Gang => "gang",
-            BaselineKind::Sequential => "sequential",
-            BaselineKind::ListShelf => "list",
-            BaselineKind::ListWlptf => "lptf",
-            BaselineKind::ListSaf => "saf",
-        }
-    }
-}
-
-impl std::fmt::Display for BaselineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Gang scheduling: each task uses all `m` processors; tasks run one
 /// after another in decreasing `wᵢ/pᵢ(m)` (Smith ratio). Optimal for
@@ -173,49 +130,13 @@ pub fn list_saf(inst: &Instance, dual: &DualResult) -> Schedule {
     list_with_order(inst, dual, order)
 }
 
-/// Runs any baseline, computing the dual approximation when the caller
-/// did not supply one (the three list variants share it).
-pub fn run_baseline(inst: &Instance, kind: BaselineKind, dual: Option<&DualResult>) -> Schedule {
-    match kind {
-        BaselineKind::Gang => gang(inst),
-        BaselineKind::Sequential => sequential_lptf(inst),
-        _ => {
-            let owned;
-            let d = match dual {
-                Some(d) => d,
-                None => {
-                    owned = dual_approx(inst, &DualConfig::default());
-                    &owned
-                }
-            };
-            match kind {
-                BaselineKind::ListShelf => list_shelf(inst, d),
-                BaselineKind::ListWlptf => list_wlptf(inst, d),
-                BaselineKind::ListSaf => list_saf(inst, d),
-                _ => unreachable!(),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use demt_dual::{dual_approx, DualConfig};
     use demt_model::InstanceBuilder;
     use demt_platform::{validate, Criteria};
     use demt_workload::{generate, WorkloadKind};
-
-    #[test]
-    fn all_baselines_produce_valid_schedules() {
-        for kind in WorkloadKind::ALL {
-            let inst = generate(kind, 35, 12, 5);
-            let dual = dual_approx(&inst, &DualConfig::default());
-            for b in BaselineKind::ALL {
-                let s = run_baseline(&inst, b, Some(&dual));
-                validate(&inst, &s).unwrap_or_else(|e| panic!("{kind}/{b}: {e}"));
-            }
-        }
-    }
 
     #[test]
     fn gang_is_smith_optimal_on_linear_tasks() {

@@ -457,36 +457,21 @@ fn sweep_chunk(inst: &Instance, horizons: &[f64], cfg: &BoundConfig) -> Vec<Mins
 }
 
 /// Evaluates the minsum bound at every horizon in `horizons`,
-/// sequentially, **warm-starting** each solve from its left neighbour.
+/// **warm-starting** each solve from its left neighbour, on a
+/// `demt-exec` pool.
 ///
 /// The horizon estimate `C*max` steers where the doubling intervals
 /// fall, and a shifted horizon sometimes tightens the LP optimum; this
-/// sweep is the sensitivity probe behind the ROADMAP's warm-starting
-/// item. Horizons are processed in fixed-size chains of `WARM_CHUNK`:
-/// the first solve of a chain starts from the greedy structural basis
-/// ([`MinsumLp::greedy_basis`]), every later one from the previous
-/// optimal basis (repaired by the solver's dual-simplex phase when the shifted
-/// right-hand sides left it infeasible, or replaced by the structural
-/// seed when the interval grid changed shape). The chunking is
-/// independent of any worker count, so this path and
-/// [`minsum_bounds_for_horizons_on`] produce **byte-identical** results.
-pub fn minsum_bounds_for_horizons(
-    inst: &Instance,
-    horizons: &[f64],
-    cfg: &BoundConfig,
-) -> Vec<MinsumBound> {
-    horizons
-        .chunks(WARM_CHUNK)
-        .flat_map(|chunk| sweep_chunk(inst, chunk, cfg))
-        .collect()
-}
-
-/// Opt-in parallel path of [`minsum_bounds_for_horizons`]: the same
-/// fixed-size warm-start chains, fanned out over a `demt-exec` pool
-/// (one chain per cell). Because the chains are cut at `WARM_CHUNK`
-/// regardless of pool size and the reduction is index-ordered, the
-/// result is byte-identical to the sequential path for any worker
-/// count.
+/// sweep is the sensitivity probe behind `demt bound --sweep`. Horizons
+/// are processed in fixed-size chains of `WARM_CHUNK`, one chain per
+/// pool cell: the first solve of a chain starts from the greedy
+/// structural basis ([`MinsumLp::greedy_basis`]), every later one from
+/// the previous optimal basis (repaired by the solver's dual-simplex
+/// phase when the shifted right-hand sides left it infeasible, or
+/// replaced by the structural seed when the interval grid changed
+/// shape). The chains are cut regardless of pool size and the reduction
+/// is index-ordered, so the result is **byte-identical** for any worker
+/// count; `Pool::new(1)` is the sequential path.
 pub fn minsum_bounds_for_horizons_on(
     pool: &demt_exec::Pool,
     inst: &Instance,
@@ -568,6 +553,7 @@ pub fn instance_bounds_detailed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use demt_exec::Pool;
     use demt_model::{InstanceBuilder, MoldableTask, TaskId, REL_EPS};
     use demt_platform::{list_schedule, Criteria, ListPolicy, ListTask};
     use demt_workload::{generate, WorkloadKind};
@@ -850,9 +836,8 @@ mod tests {
             .map(|i| dual.lower_bound * (1.0 + 0.25 * i as f64))
             .collect();
         let cfg = BoundConfig::default();
-        let seq = minsum_bounds_for_horizons(&inst, &horizons, &cfg);
-        let pool = demt_exec::Pool::new(3);
-        let par = minsum_bounds_for_horizons_on(&pool, &inst, &horizons, &cfg);
+        let seq = minsum_bounds_for_horizons_on(&Pool::new(1), &inst, &horizons, &cfg);
+        let par = minsum_bounds_for_horizons_on(&Pool::new(4), &inst, &horizons, &cfg);
         assert_eq!(seq, par);
         assert_eq!(seq.len(), horizons.len());
         // Soundness: every swept bound stays a lower bound of the one
@@ -918,7 +903,7 @@ mod tests {
             .map(|i| dual.lower_bound * (1.0 + 0.15 * i as f64))
             .collect();
         let cfg = BoundConfig::default();
-        let warm = minsum_bounds_for_horizons(&inst, &horizons, &cfg);
+        let warm = minsum_bounds_for_horizons_on(&Pool::new(1), &inst, &horizons, &cfg);
         // The occasional link may fail its dual-simplex repair and fall
         // back to a cold start (correct, just slower) — but the chain
         // must warm start in the main.
@@ -951,7 +936,7 @@ mod tests {
             .map(|i| dual.cmax_estimate * (1.0 + 0.02 * i as f64))
             .collect();
         let cfg = BoundConfig::default();
-        let chained = minsum_bounds_for_horizons(&inst, &horizons, &cfg);
+        let chained = minsum_bounds_for_horizons_on(&Pool::new(1), &inst, &horizons, &cfg);
         let solo: usize = horizons
             .iter()
             .map(|&h| minsum_lower_bound_with_horizon(&inst, h, &cfg).lp_iterations)

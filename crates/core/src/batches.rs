@@ -43,11 +43,6 @@ impl Batch {
     pub fn procs_used(&self) -> usize {
         self.entries.iter().map(|e| e.alloc).sum()
     }
-
-    /// Number of tasks (chain members counted individually).
-    pub fn task_count(&self) -> usize {
-        self.entries.iter().map(|e| e.tasks.len()).sum()
-    }
 }
 
 /// The batch plan: geometry plus contents.
@@ -286,7 +281,12 @@ mod tests {
         let plan = build_batches(&inst, &cfg(), 4.0);
         // K = 0 here (cmax/tmin = 1): batches 0, 1, 2, … until all six
         // tasks (two per batch at alloc 1… or one at alloc 2) are gone.
-        let total: usize = plan.batches.iter().map(Batch::task_count).sum();
+        let total: usize = plan
+            .batches
+            .iter()
+            .flat_map(|b| &b.entries)
+            .map(|e| e.tasks.len())
+            .sum();
         assert_eq!(total, 6);
         assert!(plan.batches.last().unwrap().index >= 1);
     }

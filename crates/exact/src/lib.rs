@@ -63,6 +63,23 @@ pub struct ExactResult {
 /// oracle duty, not production use.
 pub const MAX_TASKS: usize = 7;
 
+/// Search nodes one exact search may expand (a few tenths of a second
+/// in a release build; the oracle tests need a few thousand). Seven
+/// tasks on a wide machine branch far past it.
+pub const MAX_NODES: u64 = 1 << 21;
+
+/// The search expanded [`MAX_NODES`] nodes without proving an optimum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NodeBudgetExceeded;
+
+impl std::fmt::Display for NodeBudgetExceeded {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "exact search gave up after {MAX_NODES} nodes")
+    }
+}
+
+impl std::error::Error for NodeBudgetExceeded {}
+
 struct Searcher<'a> {
     inst: &'a Instance,
     objective: Objective,
@@ -70,8 +87,8 @@ struct Searcher<'a> {
     best_placements: Vec<(TaskId, usize, f64)>, // (task, alloc, start)
     current: Vec<(TaskId, usize, f64)>,
     nodes: u64,
-    /// Per-task optimistic completion contribution: w·min_time (minsum)
-    /// or 0 (makespan handles the bound differently).
+    /// Per-task lower bounds for the remainder: shortest time, least
+    /// work, and weight.
     min_time: Vec<f64>,
     min_work: Vec<f64>,
     weights: Vec<f64>,
@@ -116,29 +133,24 @@ impl<'a> Searcher<'a> {
         remaining_count: usize,
         avail: &mut Vec<f64>,
         frontier: f64,
-        partial: f64,
-        partial_cmax: f64,
+        cost: f64,
     ) {
         self.nodes += 1;
+        if self.nodes > MAX_NODES {
+            return;
+        }
         if remaining_count == 0 {
-            let value = match self.objective {
-                Objective::Makespan => partial_cmax,
-                Objective::WeightedCompletion => partial,
-            };
-            if value < self.best - 1e-12 {
-                self.best = value;
+            if cost < self.best - 1e-12 {
+                self.best = cost;
                 self.best_placements = self.current.clone();
             }
             return;
         }
         // Prune.
+        let rest = self.remainder_bound(remaining, avail, frontier);
         let optimistic = match self.objective {
-            Objective::Makespan => {
-                partial_cmax.max(self.remainder_bound(remaining, avail, frontier))
-            }
-            Objective::WeightedCompletion => {
-                partial + self.remainder_bound(remaining, avail, frontier)
-            }
+            Objective::Makespan => cost.max(rest),
+            Objective::WeightedCompletion => cost + rest,
         };
         if optimistic >= self.best - 1e-12 {
             return;
@@ -151,67 +163,54 @@ impl<'a> Searcher<'a> {
         starts.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
         starts.retain(|&s| s >= frontier - 1e-12);
 
-        let n = remaining.len();
-        for i in 0..n {
+        for i in 0..remaining.len() {
             if !remaining[i] {
                 continue;
             }
             let task = self.inst.task(TaskId(i));
             for &s in &starts {
                 let free = avail.iter().filter(|&&a| a <= s + 1e-12).count();
-                if free == 0 {
-                    continue;
-                }
                 for k in 1..=free {
                     let p = task.time(k);
                     // Apply: the k smallest availabilities ≤ s get bumped.
                     let mut bumped = Vec::with_capacity(k);
-                    let mut taken = 0;
-                    for slot in avail.iter_mut() {
-                        if taken < k && *slot <= s + 1e-12 {
-                            bumped.push(*slot);
+                    for (q, slot) in avail.iter_mut().enumerate() {
+                        if bumped.len() < k && *slot <= s + 1e-12 {
+                            bumped.push((q, *slot));
                             *slot = s + p;
-                            taken += 1;
                         }
                     }
-                    debug_assert_eq!(taken, k);
+                    debug_assert_eq!(bumped.len(), k);
                     remaining[i] = false;
                     self.current.push((TaskId(i), k, s));
                     let c = s + p;
-                    let add = match self.objective {
-                        Objective::Makespan => 0.0,
-                        Objective::WeightedCompletion => self.weights[i] * c,
+                    let next = match self.objective {
+                        Objective::Makespan => cost.max(c),
+                        Objective::WeightedCompletion => cost + self.weights[i] * c,
                     };
-                    self.search(
-                        remaining,
-                        remaining_count - 1,
-                        avail,
-                        s,
-                        partial + add,
-                        partial_cmax.max(c),
-                    );
+                    self.search(remaining, remaining_count - 1, avail, s, next);
                     // Undo.
                     self.current.pop();
                     remaining[i] = true;
-                    let mut restored = 0;
-                    for slot in avail.iter_mut() {
-                        if restored < k && (*slot - (s + p)).abs() < 1e-12 {
-                            *slot = bumped[restored];
-                            restored += 1;
-                        }
+                    for (q, old) in bumped {
+                        avail[q] = old;
                     }
-                    debug_assert_eq!(restored, k);
                 }
             }
         }
     }
 }
 
-/// Computes the exact optimum of `objective` on a tiny instance.
+/// Computes the exact optimum of `objective` on a tiny instance, or
+/// [`NodeBudgetExceeded`] when the search needs more than
+/// [`MAX_NODES`] nodes.
 ///
 /// Panics if the instance has more than [`MAX_TASKS`] tasks (the search
 /// would not terminate in reasonable time).
-pub fn exact_optimum(inst: &Instance, objective: Objective) -> ExactResult {
+pub fn exact_optimum(
+    inst: &Instance,
+    objective: Objective,
+) -> Result<ExactResult, NodeBudgetExceeded> {
     assert!(!inst.is_empty(), "exact optimum of an empty instance");
     assert!(
         inst.len() <= MAX_TASKS,
@@ -232,7 +231,10 @@ pub fn exact_optimum(inst: &Instance, objective: Objective) -> ExactResult {
     let mut remaining = vec![true; inst.len()];
     let mut avail = vec![0.0; inst.procs()];
     let count = inst.len();
-    s.search(&mut remaining, count, &mut avail, 0.0, 0.0, 0.0);
+    s.search(&mut remaining, count, &mut avail, 0.0, 0.0);
+    if s.nodes > MAX_NODES {
+        return Err(NodeBudgetExceeded);
+    }
     assert!(s.best.is_finite(), "search must find some schedule");
 
     // Materialize the witness with explicit processor indices: replay
@@ -257,20 +259,20 @@ pub fn exact_optimum(inst: &Instance, objective: Objective) -> ExactResult {
             procs: procs.into(),
         });
     }
-    ExactResult {
+    Ok(ExactResult {
         value: s.best,
         schedule,
         nodes: s.nodes,
-    }
+    })
 }
 
 /// Exact optimal makespan.
-pub fn exact_cmax(inst: &Instance) -> ExactResult {
+pub fn exact_cmax(inst: &Instance) -> Result<ExactResult, NodeBudgetExceeded> {
     exact_optimum(inst, Objective::Makespan)
 }
 
 /// Exact optimal weighted sum of completion times.
-pub fn exact_minsum(inst: &Instance) -> ExactResult {
+pub fn exact_minsum(inst: &Instance) -> Result<ExactResult, NodeBudgetExceeded> {
     exact_optimum(inst, Objective::WeightedCompletion)
 }
 
@@ -287,7 +289,7 @@ mod tests {
             b.push_sequential(1.0, 1.0).unwrap();
         }
         let inst = b.build().unwrap();
-        let r = exact_cmax(&inst);
+        let r = exact_cmax(&inst).unwrap();
         assert!(
             (r.value - 2.0).abs() < 1e-9,
             "optimal Cmax is 2, got {}",
@@ -297,7 +299,7 @@ mod tests {
         assert!((r.schedule.makespan() - r.value).abs() < 1e-9);
 
         // Minsum: two tasks at C=1, one at C=2 → 4.
-        let s = exact_minsum(&inst);
+        let s = exact_minsum(&inst).unwrap();
         assert!(
             (s.value - 4.0).abs() < 1e-9,
             "optimal minsum is 4, got {}",
@@ -315,13 +317,13 @@ mod tests {
             b.push_linear(1.0, w).unwrap();
         }
         let inst = b.build().unwrap();
-        let cm = exact_cmax(&inst);
+        let cm = exact_cmax(&inst).unwrap();
         assert!(
             (cm.value - 6.0).abs() < 1e-9,
             "Cmax* = 18/3, got {}",
             cm.value
         );
-        let ms = exact_minsum(&inst);
+        let ms = exact_minsum(&inst).unwrap();
         // Gang ascending: C = 1, 3, 6 → 10.
         assert!(
             (ms.value - 10.0).abs() < 1e-9,
@@ -340,7 +342,7 @@ mod tests {
         b.push_sequential(1.0, 1.0).unwrap();
         b.push_sequential(1.0, 1.0).unwrap();
         let inst = b.build().unwrap();
-        let ms = exact_minsum(&inst);
+        let ms = exact_minsum(&inst).unwrap();
         // Lights first in parallel (C=1 each), then the wide on 2 procs
         // (C=3): 1 + 1 + 30 = 32. Wide first: 20 + 3 + 3 = 26. Optimal 26.
         assert!((ms.value - 26.0).abs() < 1e-9, "got {}", ms.value);
@@ -352,7 +354,7 @@ mod tests {
         for seed in 0..6 {
             let inst = demt_workload::generate(demt_workload::WorkloadKind::Mixed, 4, 3, seed);
             for obj in [Objective::Makespan, Objective::WeightedCompletion] {
-                let r = exact_optimum(&inst, obj);
+                let r = exact_optimum(&inst, obj).unwrap();
                 validate(&inst, &r.schedule).unwrap();
                 let c = Criteria::evaluate(&inst, &r.schedule);
                 let achieved = match obj {
@@ -384,9 +386,9 @@ mod tests {
         let mut b = InstanceBuilder::new(3);
         b.push_times(2.0, vec![9.0, 5.0, 4.0]).unwrap();
         let inst = b.build().unwrap();
-        let cm = exact_cmax(&inst);
+        let cm = exact_cmax(&inst).unwrap();
         assert!((cm.value - 4.0).abs() < 1e-9);
-        let ms = exact_minsum(&inst);
+        let ms = exact_minsum(&inst).unwrap();
         assert!((ms.value - 8.0).abs() < 1e-9);
     }
 }

@@ -34,8 +34,8 @@ proptest! {
 
     #[test]
     fn optimum_sandwich(inst in tiny_instance()) {
-        let opt_cmax = exact_cmax(&inst);
-        let opt_minsum = exact_minsum(&inst);
+        let opt_cmax = exact_cmax(&inst).unwrap();
+        let opt_minsum = exact_minsum(&inst).unwrap();
 
         // 1. Certified bounds sit below the true optima.
         let bounds = instance_bounds(&inst, &BoundConfig::default());
@@ -69,11 +69,11 @@ proptest! {
         // Against the *true* optimum (not the LP bound) DEMT stays within
         // a small constant on toy instances — evidence that the ≈2 ratios
         // of the figures are largely bound slack, not algorithm slack.
-        let opt = exact_minsum(&inst);
+        let opt = exact_minsum(&inst).unwrap();
         let r = demt_schedule(&inst, &DemtConfig::default());
         prop_assert!(r.criteria.weighted_completion <= 3.0 * opt.value + 1e-9,
             "DEMT {} vs optimum {}", r.criteria.weighted_completion, opt.value);
-        let opt_c = exact_cmax(&inst);
+        let opt_c = exact_cmax(&inst).unwrap();
         prop_assert!(r.criteria.makespan <= 3.0 * opt_c.value + 1e-9,
             "DEMT Cmax {} vs optimum {}", r.criteria.makespan, opt_c.value);
     }
@@ -94,7 +94,7 @@ fn dual_lower_bound_tightness_on_exhaustive_grid() {
                     builder.push_sequential(1.0, d).unwrap();
                 }
                 let inst = builder.build().unwrap();
-                let opt = exact_cmax(&inst);
+                let opt = exact_cmax(&inst).unwrap();
                 let lb = demt_dual::cmax_lower_bound(&inst, 1e-4);
                 assert!(
                     lb <= opt.value * (1.0 + 1e-6),

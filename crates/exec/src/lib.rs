@@ -24,12 +24,12 @@
 //! * A **global injector** queue: [`Scope::spawn`] pushes there, idle
 //!   workers pull *batches* into their own deque (the batch is what
 //!   makes stealing meaningful), and whatever remains is up for grabs.
-//! * A **deterministic reduction** layer: [`Pool::par_map`] writes each
-//!   result into its item's slot and returns them in item order, and
-//!   [`Pool::par_map_reduce`] folds those results *in item order*, so
-//!   the output is byte-identical regardless of the worker count or the
-//!   interleaving of the workers. This is what lets `repro --workers 8`
-//!   emit the same JSON as `--workers 1`.
+//! * A **deterministic** data-parallel layer: [`Pool::par_map`] writes
+//!   each result into its item's slot and returns them in item order,
+//!   so a caller that folds them sequentially gets output that is
+//!   byte-identical regardless of the worker count or the interleaving
+//!   of the workers. This is what lets `repro --workers 8` emit the
+//!   same JSON as `--workers 1`.
 //!
 //! Panics inside jobs are caught, the remaining jobs are drained, and
 //! the first payload is re-raised on the caller once the scope ends —
@@ -43,15 +43,10 @@
 //! let pool = Pool::new(4);
 //! let squares = pool.par_map(&[1u64, 2, 3, 4], |_, &x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
-//!
-//! // Index-ordered reduction: the fold sees results in item order, so
-//! // float accumulation is independent of scheduling.
-//! let sum = pool.par_map_reduce(&[0.1f64, 0.2, 0.3], 0.0, |_, &x| x * 2.0, |a, r| a + r);
-//! assert_eq!(sum, 0.1f64 * 2.0 + 0.2 * 2.0 + 0.3 * 2.0);
 //! ```
 
 #![warn(missing_docs)]
 
 mod pool;
 
-pub use pool::{global, Pool, Scope};
+pub use pool::{Pool, Scope};

@@ -5,7 +5,7 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// A unit of work queued inside one scope. Jobs may borrow from the
@@ -249,15 +249,6 @@ impl Pool {
         }
     }
 
-    /// A pool sized to the host (`available_parallelism`).
-    pub fn with_available_parallelism() -> Self {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
-        )
-    }
-
     /// Number of execution slots (including the submitting thread).
     pub fn workers(&self) -> usize {
         self.workers
@@ -327,40 +318,6 @@ impl Pool {
             })
             .collect()
     }
-
-    /// Applies `f` to every item in parallel, for its side effects
-    /// (inline on the caller with at most one item, like
-    /// [`Pool::par_map`]).
-    pub fn par_for_each<T, F>(&self, items: &[T], f: F)
-    where
-        T: Sync,
-        F: Fn(usize, &T) + Sync,
-    {
-        if items.len() <= 1 {
-            items.iter().enumerate().for_each(|(i, t)| f(i, t));
-            return;
-        }
-        let f = &f;
-        self.scope(|s| {
-            for (i, item) in items.iter().enumerate() {
-                s.spawn(move || f(i, item));
-            }
-        });
-    }
-
-    /// Parallel map with an **index-ordered** reduction: `fold` sees the
-    /// results in item order (0, 1, 2, …), never in completion order, so
-    /// non-associative reductions (float sums, min/max chains, appends)
-    /// produce byte-identical output regardless of the worker count.
-    pub fn par_map_reduce<T, R, A, F, G>(&self, items: &[T], init: A, map: F, fold: G) -> A
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(usize, &T) -> R + Sync,
-        G: FnMut(A, R) -> A,
-    {
-        self.par_map(items, map).into_iter().fold(init, fold)
-    }
 }
 
 impl std::fmt::Debug for Pool {
@@ -370,14 +327,6 @@ impl std::fmt::Debug for Pool {
             .field("steals", &self.steal_count())
             .finish()
     }
-}
-
-/// The process-wide shared pool, sized to the host on first use. The
-/// CLI paths that take an explicit `--workers` build their own [`Pool`];
-/// library callers that just want "use the machine" take this one.
-pub fn global() -> &'static Pool {
-    static GLOBAL: OnceLock<Pool> = OnceLock::new();
-    GLOBAL.get_or_init(Pool::with_available_parallelism)
 }
 
 #[cfg(test)]
@@ -402,9 +351,6 @@ mod tests {
         let pool = Pool::new(4);
         let out: Vec<u32> = pool.par_map(&[] as &[u32], |_, &x| x);
         assert!(out.is_empty());
-        pool.par_for_each(&[] as &[u32], |_, _| panic!("never called"));
-        let folded = pool.par_map_reduce(&[] as &[u32], 7u32, |_, &x| x, |a, r| a + r);
-        assert_eq!(folded, 7);
     }
 
     #[test]
@@ -413,9 +359,6 @@ mod tests {
         let caller = std::thread::current().id();
         let ids = pool.par_map(&[7u32], |_, _| std::thread::current().id());
         assert_eq!(ids, vec![caller]);
-        pool.par_for_each(&[7u32], |_, _| {
-            assert_eq!(std::thread::current().id(), caller);
-        });
     }
 
     #[test]
@@ -474,25 +417,13 @@ mod tests {
     }
 
     #[test]
-    fn par_map_reduce_folds_in_item_order() {
-        let pool = Pool::new(5);
-        // A deliberately non-commutative fold: string concatenation.
-        let items: Vec<usize> = (0..40).collect();
-        let s = pool.par_map_reduce(
-            &items,
-            String::new(),
-            |_, &x| format!("{x},"),
-            |acc, piece| acc + &piece,
-        );
-        let expected: String = (0..40).map(|x| format!("{x},")).collect();
-        assert_eq!(s, expected);
-    }
-
-    #[test]
     fn float_reduction_is_identical_across_worker_counts() {
         let items: Vec<f64> = (0..200).map(|i| 0.1 + i as f64 * 0.317).collect();
+        // `par_map` returns results in item order, so a sequential fold
+        // over them adds the floats in the same order for any pool size.
         let reduce = |workers: usize| {
-            Pool::new(workers).par_map_reduce(&items, 0.0f64, |_, &x| x.sin(), |a, r| a + r)
+            let mapped = Pool::new(workers).par_map(&items, |_, &x| x.sin());
+            mapped.iter().fold(0.0f64, |a, r| a + r)
         };
         let reference = reduce(1);
         for workers in [2, 3, 8] {
@@ -516,7 +447,7 @@ mod tests {
                 let totals = &totals;
                 s.spawn(move || {
                     let xs: Vec<u64> = (base..base + 10).collect();
-                    let sum = inner.par_map_reduce(&xs, 0u64, |_, &x| x, |a, r| a + r);
+                    let sum: u64 = inner.par_map(&xs, |_, &x| x).iter().sum();
                     lock(totals).push(sum);
                 });
             }
@@ -531,11 +462,11 @@ mod tests {
     fn panic_in_a_job_propagates_and_pool_survives() {
         let pool = Pool::new(3);
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.par_for_each(&[0u32, 1, 2, 3, 4, 5, 6, 7], |i, _| {
+            pool.par_map(&[0u32, 1, 2, 3, 4, 5, 6, 7], |i, _| {
                 if i == 3 {
                     panic!("job three exploded");
                 }
-            });
+            })
         }));
         let payload = result.expect_err("panic must propagate to the caller");
         let msg = payload
@@ -558,14 +489,5 @@ mod tests {
         assert!(result.is_err());
         // No deadlock and the pool still works.
         assert_eq!(pool.par_map(&[9u32, 10], |_, &x| x), vec![9, 10]);
-    }
-
-    #[test]
-    fn global_pool_is_shared_and_sized() {
-        let a = global();
-        let b = global();
-        assert!(std::ptr::eq(a, b));
-        assert!(a.workers() >= 1);
-        assert_eq!(a.par_map(&[5u64, 6], |_, &x| x + 1), vec![6, 7]);
     }
 }

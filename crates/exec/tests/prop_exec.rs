@@ -1,4 +1,4 @@
-//! Property tests: the data-parallel layer agrees with the sequential
+//! Property test: the data-parallel layer agrees with the sequential
 //! reference for arbitrary inputs and worker counts, bitwise.
 
 use demt_exec::Pool;
@@ -14,36 +14,5 @@ proptest! {
         let par = pool.par_map(&items, |i, &x| x * 1.5 + i as f64);
         let seq: Vec<f64> = items.iter().enumerate().map(|(i, &x)| x * 1.5 + i as f64).collect();
         prop_assert_eq!(par, seq);
-    }
-
-    #[test]
-    fn par_map_reduce_matches_sequential_fold(
-        items in prop::collection::vec(-1e3f64..1e3, 0..120),
-        workers in 1usize..6,
-    ) {
-        // Float sums are non-associative: only the index-ordered
-        // reduction makes this hold bit-for-bit.
-        let pool = Pool::new(workers);
-        let par = pool.par_map_reduce(&items, 0.0f64, |_, &x| x.cos(), |a, r| a + r);
-        let seq = items.iter().fold(0.0f64, |a, &x| a + x.cos());
-        prop_assert_eq!(par.to_bits(), seq.to_bits());
-    }
-
-    #[test]
-    fn par_for_each_visits_every_item_once(
-        n in 0usize..150,
-        workers in 1usize..6,
-    ) {
-        let pool = Pool::new(workers);
-        let visits: Vec<std::sync::atomic::AtomicUsize> =
-            (0..n).map(|_| std::sync::atomic::AtomicUsize::new(0)).collect();
-        let items: Vec<usize> = (0..n).collect();
-        pool.par_for_each(&items, |i, &x| {
-            assert_eq!(i, x, "index/item pairing");
-            visits[i].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        });
-        for (i, v) in visits.iter().enumerate() {
-            prop_assert_eq!(v.load(std::sync::atomic::Ordering::Relaxed), 1, "item {} visit count", i);
-        }
     }
 }

@@ -80,10 +80,6 @@ pub struct Config {
     /// `[p2] index_edges`: when true, indexing/slicing expressions
     /// count as panic sites for the reachability analysis.
     pub p2_index_edges: bool,
-    /// `[d2] ordered_sources`: call names that count as
-    /// provably-ordered iteration sources in accumulation chains
-    /// (the `demt-exec` ordered-reduction entry points).
-    pub d2_ordered_sources: Vec<String>,
 }
 
 impl Default for Config {
@@ -98,7 +94,6 @@ impl Default for Config {
             timing: Vec::new(),
             p2_baseline: "panic_reach.toml".to_string(),
             p2_index_edges: false,
-            d2_ordered_sources: vec!["par_map_reduce".to_string()],
         }
     }
 }
@@ -205,14 +200,6 @@ impl Config {
                         };
                     }
                     other => return Err(format!("lint.toml:{lineno}: unknown p2 key {other}")),
-                },
-                "d2" => match key {
-                    "ordered_sources" => {
-                        cfg.d2_ordered_sources = parse_string_array(&value).ok_or_else(|| {
-                            format!("lint.toml:{lineno}: ordered_sources must be a string array")
-                        })?;
-                    }
-                    other => return Err(format!("lint.toml:{lineno}: unknown d2 key {other}")),
                 },
                 other => {
                     return Err(format!("lint.toml:{lineno}: unknown section [{other}]"));
@@ -356,31 +343,24 @@ timing = [
     }
 
     #[test]
-    fn parses_p2_and_d2_sections() {
+    fn parses_p2_section() {
         let cfg = Config::parse(
             r#"
 [p2]
 baseline = "audits/panic_reach.toml"
 index_edges = true
-
-[d2]
-ordered_sources = ["par_map_reduce", "ordered_scan"]
 "#,
         )
         .expect("parses");
         assert_eq!(cfg.p2_baseline, "audits/panic_reach.toml");
         assert!(cfg.p2_index_edges);
-        assert_eq!(
-            cfg.d2_ordered_sources,
-            vec!["par_map_reduce", "ordered_scan"]
-        );
         assert!(Config::parse("[p2]\nindex_edges = \"maybe\"\n").is_err());
-        assert!(Config::parse("[d2]\nnope = []\n").is_err());
-        // Defaults when the sections are absent.
+        // D2 evidence is built into the parser; there is no [d2] section.
+        assert!(Config::parse("[d2]\nordered_sources = []\n").is_err());
+        // Defaults when the section is absent.
         let cfg = Config::parse("[levels]\nD1 = \"deny\"\n").expect("parses");
         assert_eq!(cfg.p2_baseline, "panic_reach.toml");
         assert!(!cfg.p2_index_edges);
-        assert_eq!(cfg.d2_ordered_sources, vec!["par_map_reduce"]);
     }
 
     #[test]

@@ -126,7 +126,6 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
         "demt-exact",
         &["demt-model", "demt-platform", "demt-workload"],
     ),
-    ("demt-divisible", &["demt-model"]),
     // tooling (standalone: no scheduling-crate deps, nothing depends
     // on it except the facade)
     ("demt-lint", &[]),
@@ -154,7 +153,6 @@ pub const ALLOWED_DEPS: &[(&str, &[&str])] = &[
             "demt-bounds",
             "demt-core",
             "demt-distr",
-            "demt-divisible",
             "demt-dual",
             "demt-exact",
             "demt-exec",

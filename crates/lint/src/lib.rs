@@ -118,7 +118,7 @@ impl Report {
 /// accumulation sites); no baseline applies here.
 pub fn lint_source(path: &str, source: &str, kind: FileKind, cfg: &Config) -> Vec<Diagnostic> {
     let lexed = lexer::lex(source);
-    let parsed = parser::parse_with_extra_ordered(&lexed, &cfg.d2_ordered_sources);
+    let parsed = parser::parse(&lexed);
     let sem = semantic::analyze(
         vec![symbols::FileInput {
             rel: path.to_string(),
@@ -179,7 +179,7 @@ pub fn run_workspace_inner(
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
         let rel = rel_path(root, path);
         let lexed = lexer::lex(&text);
-        let parsed = parser::parse_with_extra_ordered(&lexed, &cfg.d2_ordered_sources);
+        let parsed = parser::parse(&lexed);
         lexed_files.push((rel.clone(), lexed));
         parsed_files.push((rel, parsed));
     }
@@ -614,7 +614,7 @@ RULES (levels from lint.toml [levels]; all deny by default)
       adds indexing); allow(P2) or the panic_reach.toml baseline accept it
   A2  stale allow(...) directive that no longer suppresses anything
   D2  fold/sum over possibly-float items without a provably-ordered
-      iteration source ([d2] ordered_sources whitelists reductions)
+      iteration source (.iter() on a slice/BTree collection, a range)
 
 Per-line escape hatch (same line or line above, reason required):
   // demt-lint: allow(P1, invariant: xs is non-empty here)

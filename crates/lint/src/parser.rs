@@ -224,17 +224,10 @@ const ORDERED_SOURCES: &[&str] = &[
 
 /// Parses one lexed file. Total: never fails, never panics.
 pub fn parse(lexed: &Lexed) -> ParsedFile {
-    parse_with_extra_ordered(lexed, &[])
-}
-
-/// [`parse`], with extra chain idents (the `lint.toml [d2]`
-/// `ordered_sources` whitelist) counting as ordered evidence.
-pub fn parse_with_extra_ordered(lexed: &Lexed, extra_ordered: &[String]) -> ParsedFile {
     let mut p = Parser {
         t: &lexed.tokens,
         out: ParsedFile::default(),
         module: Vec::new(),
-        extra_ordered,
     };
     let end = p.t.len();
     p.items(0, end, None, false);
@@ -245,7 +238,6 @@ struct Parser<'a> {
     t: &'a [Token],
     out: ParsedFile,
     module: Vec<String>,
-    extra_ordered: &'a [String],
 }
 
 fn text(t: &[Token], i: usize) -> Option<&str> {
@@ -902,7 +894,7 @@ impl<'a> Parser<'a> {
 
     /// Walks the receiver chain backwards from the `.` before the
     /// accumulator and checks the covered token range for ordered-source
-    /// evidence: an [`ORDERED_SOURCES`] (or whitelist) adapter call, or
+    /// evidence: an [`ORDERED_SOURCES`] adapter call, or
     /// a range expression.
     fn chain_is_ordered(&self, name_at: usize, body_start: usize) -> bool {
         // name_at-1 is the `.`; scan backwards for the chain start.
@@ -962,10 +954,7 @@ impl<'a> Parser<'a> {
                 (Some(TokenKind::Ident), Some(word)) => {
                     let call_like =
                         text(self.t, k + 1) == Some("(") || text(self.t, k + 1) == Some("::");
-                    if call_like
-                        && (ORDERED_SOURCES.contains(&word)
-                            || self.extra_ordered.iter().any(|w| w == word))
-                    {
+                    if call_like && ORDERED_SOURCES.contains(&word) {
                         return true;
                     }
                 }
@@ -1159,16 +1148,6 @@ fn f(xs: &[f64], it: impl Iterator<Item = f64>) -> f64 {
                 ("sum", false, Floatness::Int),    // integral: exempt later
             ]
         );
-    }
-
-    #[test]
-    fn whitelisted_sources_count_as_ordered() {
-        let lexed = lex("fn f(p: &Pool) -> f64 { p.par_map_reduce(xs, m, 0.0, r).fold(0.0, add) }");
-        let extra = vec!["par_map_reduce".to_string()];
-        let p = parse_with_extra_ordered(&lexed, &extra);
-        let f = p.fns.first().expect("one fn");
-        let acc = f.body.accums.first().expect("one accum");
-        assert!(acc.ordered, "whitelisted entry point is ordered evidence");
     }
 
     #[test]

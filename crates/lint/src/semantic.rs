@@ -111,9 +111,8 @@ pub fn d2_diagnostics(sem: &Semantic, cfg: &Config) -> Vec<Diagnostic> {
                 message: format!(
                     "`.{}` over a possibly-float iterator with no provably-ordered \
                      source: float accumulation is order-sensitive; iterate an \
-                     ordered source (`.iter()` on a slice/BTree collection, a \
-                     range, or a `[d2] ordered_sources` whitelisted reduction) or \
-                     justify with `// demt-lint: allow(D2, reason)`",
+                     ordered source (`.iter()` on a slice/BTree collection or a \
+                     range) or justify with `// demt-lint: allow(D2, reason)`",
                     acc.what
                 ),
             });

@@ -6,7 +6,7 @@
 //! twice" is the whole contract here.
 
 use demt_lint::lexer::lex;
-use demt_lint::parser::{parse, parse_with_extra_ordered};
+use demt_lint::parser::parse;
 use demt_lint::{lint_source, Config, FileKind};
 use proptest::prelude::*;
 
@@ -87,7 +87,6 @@ proptest! {
     fn parser_never_panics_on_byte_soup(src in byte_soup()) {
         let lexed = lex(&src);
         let _ = parse(&lexed);
-        let _ = parse_with_extra_ordered(&lexed, &["par_map_reduce".to_string()]);
     }
 
     /// Rust-shaped soup reaches the deep item/body/chain paths.

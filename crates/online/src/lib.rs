@@ -628,12 +628,6 @@ where
     Ok(outcome)
 }
 
-/// Release-date vector of a job list, for
-/// [`demt_platform::validate_with_releases`].
-pub fn release_vector(jobs: &[OnlineJob]) -> Vec<f64> {
-    jobs.iter().map(|j| j.release).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,7 +686,7 @@ mod tests {
     #[test]
     fn respects_release_dates_and_validates() {
         let jobs = online_jobs(WorkloadKind::Cirne, 30, 8, 7, 20.0);
-        let releases = release_vector(&jobs);
+        let releases: Vec<f64> = jobs.iter().map(|j| j.release).collect();
         let inst = Instance::new(8, jobs.iter().map(|j| j.task.clone()).collect()).unwrap();
         let on = online_batch_schedule(8, &jobs, &demt());
         validate_with_releases(&inst, &on.schedule, Some(&releases)).unwrap();

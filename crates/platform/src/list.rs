@@ -381,11 +381,6 @@ impl FreeSet {
     pub fn release(&mut self, procs: &ProcSet) {
         self.set.union_with(procs);
     }
-
-    /// The free ids as an interval set.
-    pub fn as_procset(&self) -> &ProcSet {
-        &self.set
-    }
 }
 
 /// Graham greedy on event-ordered structures: a ready-time heap feeds a

@@ -206,13 +206,6 @@ impl Schedule {
     pub fn total_area(&self) -> f64 {
         self.placements.iter().map(Placement::area).sum()
     }
-
-    /// Sorts placements by start time (stable), normalizing the order
-    /// for comparisons and rendering.
-    pub fn sort_by_start(&mut self) {
-        self.placements
-            .sort_by(|a, b| a.start.total_cmp(&b.start).then(a.task.cmp(&b.task)));
-    }
 }
 
 #[cfg(test)]
@@ -261,15 +254,6 @@ mod tests {
         s.push(placement(7, 1.0, 1.0, &[1]));
         assert!(s.placement_of(TaskId(7)).is_some());
         assert!(s.placement_of(TaskId(0)).is_none());
-    }
-
-    #[test]
-    fn sort_by_start_normalizes() {
-        let mut s = Schedule::new(2);
-        s.push(placement(1, 5.0, 1.0, &[0]));
-        s.push(placement(0, 0.0, 1.0, &[1]));
-        s.sort_by_start();
-        assert_eq!(s.placements()[0].task, TaskId(0));
     }
 
     #[test]

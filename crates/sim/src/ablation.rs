@@ -137,11 +137,6 @@ pub fn run_ablation_on(pool: &Pool, cfg: &ExperimentConfig) -> Vec<AblationRow> 
     rows
 }
 
-/// Runs the ablation on a private pool of `cfg.workers` workers.
-pub fn run_ablation(cfg: &ExperimentConfig) -> Vec<AblationRow> {
-    run_ablation_on(&Pool::new(cfg.workers), cfg)
-}
-
 /// CSV rendering of the ablation rows.
 pub fn ablation_csv(rows: &[AblationRow]) -> String {
     let mut s = String::from("workload,variant,wici_ratio,cmax_ratio\n");
@@ -163,7 +158,7 @@ mod tests {
         let mut cfg = ExperimentConfig::quick();
         cfg.task_counts = vec![16];
         cfg.runs = 2;
-        let rows = run_ablation(&cfg);
+        let rows = run_ablation_on(&Pool::new(1), &cfg);
         assert_eq!(rows.len(), 4 * ablation_variants().len());
         for r in &rows {
             assert!(r.wici_ratio >= 1.0 - 1e-6, "{r:?}");

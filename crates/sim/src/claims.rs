@@ -219,7 +219,8 @@ pub fn render_claims(claims: &[Claim]) -> (String, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_figure, ExperimentConfig};
+    use crate::experiment::{run_figures_on, ExperimentConfig};
+    use demt_exec::Pool;
 
     /// Mid-scale deterministic sweep: big enough for every directional
     /// claim to hold, small enough for CI.
@@ -228,8 +229,8 @@ mod tests {
         cfg.procs = 100;
         cfg.task_counts = vec![25, 100, 220];
         cfg.runs = 2;
-        cfg.workers = 1;
-        run_figure(&cfg, kind, |_| {})
+        let mut figs = run_figures_on(&Pool::new(1), &cfg, &[kind], &|_msg| {});
+        figs.pop().expect("one kind in, one figure out")
     }
 
     #[test]

@@ -32,6 +32,7 @@ pub fn repro_cli(args: &[String]) -> i32 {
     }
     let mut cfg = ExperimentConfig::paper();
     cfg.runs = 8; // default budget; --paper restores 40
+    let mut workers = std::thread::available_parallelism().map_or(1, |p| p.get());
     let mut out = PathBuf::from("results");
     let mut json_out: Option<String> = None;
     let mut figures: BTreeSet<String> = BTreeSet::new();
@@ -56,7 +57,7 @@ pub fn repro_cli(args: &[String]) -> i32 {
             }
             "--runs" => cfg.runs = req_usize(&mut it, "--runs"),
             "--procs" => cfg.procs = req_usize(&mut it, "--procs"),
-            "--workers" => cfg.workers = req_usize(&mut it, "--workers"),
+            "--workers" => workers = req_usize(&mut it, "--workers"),
             "--no-timing" => cfg.record_wall = false,
             "--tasks" => {
                 let v = it.next().unwrap_or_else(|| die("--tasks needs a list"));
@@ -80,7 +81,7 @@ pub fn repro_cli(args: &[String]) -> i32 {
             other => die(&format!("unknown argument {other} (try --help)")),
         }
     }
-    if cfg.workers == 0 {
+    if workers == 0 {
         die("--workers must be at least 1");
     }
     if figures.is_empty() {
@@ -96,13 +97,13 @@ pub fn repro_cli(args: &[String]) -> i32 {
         cfg.procs,
         cfg.task_counts,
         cfg.runs,
-        cfg.workers,
+        workers,
         out.display()
     );
 
     // One pool serves every sweep of this invocation: the quality
     // figures (as a single flattened cell list) and the ablation.
-    let pool = Pool::new(cfg.workers);
+    let pool = Pool::new(workers);
     let verify = figures.contains("verify");
     let wanted: Vec<WorkloadKind> = WorkloadKind::ALL
         .into_iter()

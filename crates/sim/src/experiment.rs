@@ -41,10 +41,6 @@ pub struct ExperimentConfig {
     pub demt: DemtConfig,
     /// Lower-bound configuration.
     pub bound: BoundConfig,
-    /// Worker threads (1 = sequential). Used by the convenience entry
-    /// points that build their own pool; the `*_on` variants take the
-    /// pool explicitly and ignore this field.
-    pub workers: usize,
     /// Re-validate every schedule against the instance (cheap insurance;
     /// on by default).
     pub validate_schedules: bool,
@@ -64,9 +60,6 @@ impl ExperimentConfig {
             seed_base: 20040627, // SPAA'04 opening day
             demt: DemtConfig::default(),
             bound: BoundConfig::default(),
-            workers: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1),
             validate_schedules: true,
             record_wall: true,
         }
@@ -215,13 +208,6 @@ struct SweepCell {
     point: usize,
 }
 
-/// Merges per-run series into the point accumulator, in run order.
-fn fold_runs(merged: &mut [AlgSeries], per_run: &[AlgSeries]) {
-    for (m, s) in merged.iter_mut().zip(per_run) {
-        m.merge(s);
-    }
-}
-
 /// Runs the full sweep of every requested figure as **one** cell list
 /// on the given pool — figure- and point-level sharding, not run-level:
 /// all `kinds × task_counts × runs` cells compete for the same workers,
@@ -287,7 +273,10 @@ pub fn run_figures_on<P: Fn(&str) + Sync>(
             let mut merged = vec![AlgSeries::default(); Algorithm::ALL.len()];
             for _ in 0..cfg.runs {
                 // demt-lint: allow(P1, the pool returned exactly one result per submitted cell in submission order)
-                fold_runs(&mut merged, it.next().expect("one result per cell"));
+                let per_run = it.next().expect("one result per cell");
+                for (m, s) in merged.iter_mut().zip(per_run) {
+                    m.merge(s);
+                }
             }
             points.push(PointResult {
                 tasks: n,
@@ -302,61 +291,6 @@ pub fn run_figures_on<P: Fn(&str) + Sync>(
         });
     }
     figures
-}
-
-/// Runs one sweep point on the given pool, parallelizing over runs.
-pub fn run_point_on(
-    pool: &Pool,
-    cfg: &ExperimentConfig,
-    kind: WorkloadKind,
-    n: usize,
-) -> PointResult {
-    let runs: Vec<usize> = (0..cfg.runs).collect();
-    let merged = pool.par_map_reduce(
-        &runs,
-        vec![AlgSeries::default(); Algorithm::ALL.len()],
-        |_, &run| one_run(cfg, kind, n, run),
-        |mut acc, per_run| {
-            fold_runs(&mut acc, &per_run);
-            acc
-        },
-    );
-    PointResult {
-        tasks: n,
-        series: Algorithm::ALL.iter().copied().zip(merged).collect(),
-    }
-}
-
-/// Runs one sweep point on a private pool of `cfg.workers` workers.
-pub fn run_point(cfg: &ExperimentConfig, kind: WorkloadKind, n: usize) -> PointResult {
-    run_point_on(&Pool::new(cfg.workers), cfg, kind, n)
-}
-
-/// Runs a full figure sweep on the given pool, reporting progress
-/// through `progress` (serialized through a mutex, so a plain `FnMut`
-/// suffices).
-pub fn run_figure_on(
-    pool: &Pool,
-    cfg: &ExperimentConfig,
-    kind: WorkloadKind,
-    progress: impl FnMut(&str) + Send,
-) -> FigureResult {
-    let progress = std::sync::Mutex::new(progress);
-    let mut figs = run_figures_on(pool, cfg, &[kind], &|msg: &str| {
-        let mut p = progress.lock().unwrap_or_else(|e| e.into_inner());
-        (*p)(msg);
-    });
-    // demt-lint: allow(P1, run_figures_on returns one FigureResult per requested kind and one kind was passed)
-    figs.pop().expect("one kind in, one figure out")
-}
-
-/// Runs a full figure sweep on a private pool of `cfg.workers` workers.
-pub fn run_figure(
-    cfg: &ExperimentConfig,
-    kind: WorkloadKind,
-    progress: impl FnMut(&str) + Send,
-) -> FigureResult {
-    run_figure_on(&Pool::new(cfg.workers), cfg, kind, progress)
 }
 
 /// DEMT-only timing sweep for Figure 7 (no bounds, no baselines — just
@@ -392,11 +326,16 @@ pub fn run_timing(
 mod tests {
     use super::*;
 
+    /// One figure on a pool of `workers` workers.
+    fn figure(workers: usize, cfg: &ExperimentConfig, kind: WorkloadKind) -> FigureResult {
+        let mut figs = run_figures_on(&Pool::new(workers), cfg, &[kind], &|_msg| {});
+        figs.pop().expect("one kind in, one figure out")
+    }
+
     #[test]
     fn quick_sweep_produces_sane_ratios() {
-        let mut cfg = ExperimentConfig::quick();
-        cfg.workers = 1;
-        let fig = run_figure(&cfg, WorkloadKind::HighlyParallel, |_| {});
+        let cfg = ExperimentConfig::quick();
+        let fig = figure(1, &cfg, WorkloadKind::HighlyParallel);
         assert_eq!(fig.points.len(), cfg.task_counts.len());
         for p in &fig.points {
             for (alg, s) in &p.series {
@@ -419,36 +358,17 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_agree() {
-        // The reduction folds results in run order regardless of which
-        // worker computed them, so the parallel point is not merely
-        // close to the sequential one — it is the *same JSON bytes*.
-        let mut cfg = ExperimentConfig::quick();
-        cfg.task_counts = vec![12];
-        cfg.runs = 3;
-        cfg.record_wall = false; // timing is the one nondeterministic field
-        cfg.workers = 1;
-        let seq = run_point(&cfg, WorkloadKind::Mixed, 12);
-        cfg.workers = 3;
-        let par = run_point(&cfg, WorkloadKind::Mixed, 12);
-        assert_eq!(
-            serde_json::to_string(&seq).unwrap(),
-            serde_json::to_string(&par).unwrap()
-        );
-    }
-
-    #[test]
-    fn run_point_is_byte_identical_across_worker_counts() {
+    fn figure_sweep_is_byte_identical_across_worker_counts() {
         // Acceptance gate: workers ∈ {1, 3, 8} must serialize to the
         // same bytes (index-ordered reduction, wall recording off).
         let mut cfg = ExperimentConfig::quick();
-        cfg.task_counts = vec![14];
+        cfg.task_counts = vec![12, 14];
         cfg.runs = 5;
-        cfg.record_wall = false;
+        cfg.record_wall = false; // timing is the one nondeterministic field
+        let kinds = [WorkloadKind::Mixed, WorkloadKind::Cirne];
         let json_for = |workers: usize| {
-            let mut c = cfg.clone();
-            c.workers = workers;
-            serde_json::to_string(&run_point(&c, WorkloadKind::Cirne, 14)).unwrap()
+            let figs = run_figures_on(&Pool::new(workers), &cfg, &kinds, &|_msg| {});
+            serde_json::to_string(&figs).unwrap()
         };
         let reference = json_for(1);
         for workers in [3, 8] {
@@ -469,7 +389,7 @@ mod tests {
         let both = run_figures_on(&pool, &cfg, &kinds, &|_msg| {});
         assert_eq!(both.len(), 2);
         for (fig, &kind) in both.iter().zip(&kinds) {
-            let single = run_figure_on(&pool, &cfg, kind, |_msg: &str| {});
+            let single = figure(4, &cfg, kind);
             assert_eq!(
                 serde_json::to_string(fig).unwrap(),
                 serde_json::to_string(&single).unwrap()
@@ -482,9 +402,8 @@ mod tests {
         let mut cfg = ExperimentConfig::quick();
         cfg.task_counts = vec![8, 12];
         cfg.runs = 2;
-        cfg.workers = 2;
         let count = std::sync::atomic::AtomicUsize::new(0);
-        let pool = Pool::new(cfg.workers);
+        let pool = Pool::new(2);
         let _ = run_figures_on(&pool, &cfg, &[WorkloadKind::Mixed], &|msg| {
             assert!(msg.contains("runs done"), "{msg}");
             count.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -510,13 +429,16 @@ mod tests {
         let mut cfg = ExperimentConfig::quick();
         cfg.task_counts = vec![30];
         cfg.runs = 2;
-        cfg.workers = 1;
-        let default_pt = run_point(&cfg, WorkloadKind::Mixed, 30);
+        let point = |cfg: &ExperimentConfig| {
+            let mut fig = figure(1, cfg, WorkloadKind::Mixed);
+            fig.points.pop().expect("one task count in, one point out")
+        };
+        let default_pt = point(&cfg);
         cfg.demt = demt_core::DemtConfig {
             compaction: demt_core::Compaction::None,
             ..demt_core::DemtConfig::default()
         };
-        let raw_pt = run_point(&cfg, WorkloadKind::Mixed, 30);
+        let raw_pt = point(&cfg);
         let demt_minsum = |p: &PointResult| {
             p.series_of(Algorithm::Demt)
                 .expect("demt series")

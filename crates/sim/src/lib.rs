@@ -20,13 +20,12 @@ mod experiment;
 mod report;
 mod stats;
 
-pub use ablation::{ablation_csv, ablation_variants, run_ablation, run_ablation_on, AblationRow};
+pub use ablation::{ablation_csv, ablation_variants, run_ablation_on, AblationRow};
 pub use algorithms::Algorithm;
 pub use claims::{check_figure, render_claims, Claim};
 pub use cli::repro_cli;
 pub use experiment::{
-    run_figure, run_figure_on, run_figures_on, run_point, run_point_on, run_timing, AlgSeries,
-    ExperimentConfig, FigureResult, PointResult,
+    run_figures_on, run_timing, AlgSeries, ExperimentConfig, FigureResult, PointResult,
 };
 pub use report::{ascii_plot, figure_csv, ratio_table, timing_csv};
 pub use stats::RatioAccum;

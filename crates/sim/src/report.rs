@@ -144,15 +144,16 @@ pub fn ascii_plot(fig: &FigureResult, criterion: &str, y_max: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_figure, ExperimentConfig};
+    use crate::experiment::{run_figures_on, ExperimentConfig};
+    use demt_exec::Pool;
     use demt_workload::WorkloadKind;
 
     fn tiny_fig() -> FigureResult {
         let mut cfg = ExperimentConfig::quick();
         cfg.task_counts = vec![8, 16];
         cfg.runs = 1;
-        cfg.workers = 1;
-        run_figure(&cfg, WorkloadKind::Mixed, |_| {})
+        let mut figs = run_figures_on(&Pool::new(1), &cfg, &[WorkloadKind::Mixed], &|_msg| {});
+        figs.pop().expect("one kind in, one figure out")
     }
 
     #[test]

@@ -1,18 +1,13 @@
-//! All three §5 job types in one instance: **moldable** jobs (Cirne
-//! model), **rigid** jobs (user-fixed sizes), and **divisible-load**
-//! jobs (pure splittable work), co-scheduled by DEMT through the
-//! moldable bridge — exactly "the mix of different types of jobs" the
-//! paper leaves as future work.
-//!
-//! Also shows the divisible jobs' two analytic optima (McNaughton
-//! preemptive makespan, Smith-gang minsum) as calibration anchors for
-//! how little DEMT loses on them.
+//! Two job types in one instance: **moldable** jobs (Cirne model) and
+//! **rigid** jobs (user-fixed sizes), co-scheduled by DEMT — a rigid
+//! job is a moldable task whose only finite allotment is its size, so
+//! "the mix of different types of jobs" the paper leaves as future work
+//! needs no special case.
 //!
 //! ```text
 //! cargo run --release --example job_type_mix
 //! ```
 
-use demt::divisible::{mcnaughton_optimum, smith_gang, to_moldable, WorkJob};
 use demt::model::MoldableTask;
 use demt::prelude::*;
 
@@ -37,24 +32,8 @@ fn main() {
         b.push_task(MoldableTask::rigid(id, w, procs, time, m).unwrap())
             .unwrap();
     }
-    // 4 divisible-load jobs, bridged as linear tasks.
-    let divisible: Vec<WorkJob> = [(18.0, 2.0), (36.0, 1.0), (9.0, 4.0), (24.0, 1.2)]
-        .iter()
-        .enumerate()
-        .map(|(i, &(work, weight))| WorkJob {
-            id: TaskId(14 + i),
-            work,
-            weight,
-        })
-        .collect();
-    for j in &divisible {
-        b.push_task(to_moldable(j, m)).unwrap();
-    }
     let inst = b.build().unwrap();
-    println!(
-        "{} jobs on {m} nodes: 10 moldable + 4 rigid + 4 divisible\n",
-        inst.len()
-    );
+    println!("{} jobs on {m} nodes: 10 moldable + 4 rigid\n", inst.len());
 
     let r = demt_schedule(&inst, &DemtConfig::default());
     assert_valid(&inst, &r.schedule);
@@ -67,26 +46,6 @@ fn main() {
         r.criteria.weighted_completion / bounds.minsum
     );
 
-    // Divisible-only anchors.
-    let pre_cmax = mcnaughton_optimum(&divisible, m);
-    let smith = smith_gang(&divisible, m);
-    println!(
-        "\ndivisible jobs alone: preemptive Cmax* = {:.3}, Smith-gang ΣwᵢCᵢ* = {:.3}",
-        pre_cmax,
-        smith.weighted_completion(&divisible)
-    );
-    let div_completions: Vec<f64> = divisible
-        .iter()
-        .map(|j| r.schedule.placement_of(j.id).unwrap().completion())
-        .collect();
-    println!(
-        "inside the DEMT mix they finish at {:?}",
-        div_completions
-            .iter()
-            .map(|c| (c * 100.0).round() / 100.0)
-            .collect::<Vec<_>>()
-    );
-
-    println!("\nGantt (rigid jobs are E-H, divisible are I-L):");
+    println!("\nGantt (moldable jobs are 0-9, rigid jobs are A-D):");
     print!("{}", render_gantt(&r.schedule, 76));
 }

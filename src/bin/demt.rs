@@ -352,8 +352,9 @@ fn exact_cmd(_opts: &Opts) {
             inst.len()
         ));
     }
-    let cm = demt::exact::exact_cmax(&inst);
-    let ms = demt::exact::exact_minsum(&inst);
+    let gave_up = |e: demt::exact::NodeBudgetExceeded| die(&e.to_string());
+    let cm = demt::exact::exact_cmax(&inst).unwrap_or_else(gave_up);
+    let ms = demt::exact::exact_minsum(&inst).unwrap_or_else(gave_up);
     println!(
         "{}",
         serde_json::json!({
@@ -515,7 +516,8 @@ COMMANDS
   gantt     --instance FILE [--width W]
             read a schedule from stdin, print an ASCII Gantt chart
   exact     read a tiny instance (≤ 7 tasks) from stdin, print the true
-            optima of both criteria (branch-and-bound oracle)
+            optima of both criteria (branch-and-bound oracle); exits 2
+            when a search exceeds its fixed node budget
   frontend  --kind K --jobs N --procs M --gap MEAN --seed S
             [--arrivals poisson|pareto --shape ALPHA]
             simulate a submission stream under FCFS / EASY / DEMT and

@@ -24,11 +24,10 @@
 //! | [`baselines`] | `demt-baselines` | Gang, Sequential, three Graham lists |
 //! | [`online`] | `demt-online` | on-line batch framework over release dates, incremental `BatchLoop` core |
 //! | [`serve`] | `demt-serve` | event-driven scheduling daemon: JSONL job events in, placements + rolling stats out (`demt serve`) |
-//! | [`exec`] | `demt-exec` | work-stealing executor: scoped pool, deterministic `par_map`/`par_map_reduce` |
+//! | [`exec`] | `demt-exec` | work-stealing executor: scoped pool, deterministic `par_map` |
 //! | [`sim`] | `demt-sim` | experiment harness regenerating Figures 3–7 (cell-parallel on the `exec` pool) |
 //! | [`exact`] | `demt-exact` | exact branch-and-bound oracle for tiny instances |
 //! | [`frontend`] | `demt-frontend` | cluster front-end simulation: job streams, FCFS/EASY queues, SWF traces, response metrics |
-//! | [`divisible`] | `demt-divisible` | divisible-load & preemptive scheduling: McNaughton, Smith gangs, moldable bridging |
 //! | [`lint`] | `demt-lint` | workspace static analyzer: parser + symbol table + call graph; determinism, panic-freedom and transitive panic reachability, float equality, crate layering, unsafe, stale suppressions (`demt lint`) |
 //! | [`bench`](mod@bench) | `demt-bench` | archive-scale replay benchmark harness (`demt replaybench`) |
 //!
@@ -72,7 +71,6 @@ pub use demt_bench as bench;
 pub use demt_bounds as bounds;
 pub use demt_core as core;
 pub use demt_distr as distr;
-pub use demt_divisible as divisible;
 pub use demt_dual as dual;
 pub use demt_exact as exact;
 pub use demt_exec as exec;
@@ -95,13 +93,12 @@ pub mod prelude {
         SchedulerContext, SchedulerRegistry,
     };
     pub use demt_baselines::{
-        gang, list_saf, list_shelf, list_wlptf, registry, run_baseline, sequential_lptf,
-        BaselineKind, GangScheduler, ListSafScheduler, ListShelfScheduler, ListWlptfScheduler,
-        SequentialScheduler,
+        gang, list_saf, list_shelf, list_wlptf, registry, sequential_lptf, GangScheduler,
+        ListSafScheduler, ListShelfScheduler, ListWlptfScheduler, SequentialScheduler,
     };
     pub use demt_bounds::{
-        assemble_minsum_lp, instance_bounds, minsum_bounds_for_horizons,
-        minsum_bounds_for_horizons_on, minsum_lower_bound, BoundConfig, InstanceBounds, MinsumLp,
+        assemble_minsum_lp, instance_bounds, minsum_bounds_for_horizons_on, minsum_lower_bound,
+        BoundConfig, InstanceBounds, MinsumLp,
     };
     pub use demt_core::{
         demt_schedule, demt_schedule_with_dual, Compaction, DemtConfig, DemtResult, DemtScheduler,

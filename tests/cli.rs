@@ -113,6 +113,40 @@ fn bound_and_exact_agree_on_ordering() {
 }
 
 #[test]
+fn exact_gives_up_on_a_wide_machine_with_exit_2() {
+    // Seven tasks on 32 processors: within the task cap, but the
+    // allotment choices put the search far past its node budget (it
+    // ran for minutes before the budget existed).
+    let out = demt()
+        .args([
+            "generate", "--kind", "cirne", "--tasks", "7", "--procs", "32", "--seed", "1",
+        ])
+        .output()
+        .expect("generate");
+    let mut exact = demt();
+    exact
+        .arg("exact")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped());
+    let clock = std::time::Instant::now();
+    let mut child = exact.spawn().expect("spawn demt");
+    child
+        .stdin
+        .as_mut()
+        .expect("stdin")
+        .write_all(&out.stdout)
+        .expect("write stdin");
+    let out = child.wait_with_output().expect("wait");
+    let elapsed = clock.elapsed().as_secs_f64();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("exact search gave up after"), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(elapsed < 60.0, "the budgeted search took {elapsed:.1} s");
+}
+
+#[test]
 fn corrupted_schedule_is_rejected_with_nonzero_exit() {
     let out = demt()
         .args([
