@@ -100,41 +100,27 @@ impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
 /// transparently recomputes.
 #[derive(Debug, Clone, Default)]
 pub struct SchedulerContext {
-    dual_cfg: DualConfig,
     cache: Option<(u64, DualResult)>,
     dual_runs: usize,
 }
 
 impl SchedulerContext {
-    /// Context with the default [`DualConfig`].
+    /// An empty context.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Context with an explicit dual-approximation configuration.
-    pub fn with_dual_config(dual_cfg: DualConfig) -> Self {
-        Self {
-            dual_cfg,
-            ..Self::default()
-        }
-    }
-
-    /// The dual configuration governing [`SchedulerContext::dual`].
-    pub fn dual_config(&self) -> &DualConfig {
-        &self.dual_cfg
-    }
-
-    /// The shared dual-approximation result for `inst`, computed on
-    /// first use and cached for subsequent calls with the same
-    /// instance. Panics if `inst` is empty (the dual approximation is
-    /// undefined there — schedulers must special-case empty instances
-    /// before asking for it).
+    /// The shared dual-approximation result for `inst` under the
+    /// default [`DualConfig`], computed on first use and cached for
+    /// subsequent calls with the same instance. Panics if `inst` is
+    /// empty (the dual approximation is undefined there — schedulers
+    /// must special-case empty instances before asking for it).
     pub fn dual(&mut self, inst: &Instance) -> &DualResult {
         let fp = fingerprint(inst);
         let hit = matches!(&self.cache, Some((key, _)) if *key == fp);
         if !hit {
             self.dual_runs += 1;
-            self.cache = Some((fp, dual_approx(inst, &self.dual_cfg)));
+            self.cache = Some((fp, dual_approx(inst, &DualConfig::default())));
         }
         // demt-lint: allow(P1, the branch above fills the cache whenever it is empty or stale)
         &self.cache.as_ref().expect("cache filled above").1

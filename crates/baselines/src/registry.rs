@@ -25,7 +25,7 @@ pub fn registry() -> &'static SchedulerRegistry {
     static REGISTRY: OnceLock<SchedulerRegistry> = OnceLock::new();
     REGISTRY.get_or_init(|| {
         let mut reg = SchedulerRegistry::new();
-        reg.register(Box::new(DemtScheduler::default()));
+        reg.register(Box::new(DemtScheduler));
         reg.register(Box::new(GangScheduler));
         reg.register(Box::new(SequentialScheduler));
         reg.register(Box::new(ListShelfScheduler));

@@ -53,25 +53,17 @@ use demt_model::{approx_le, Instance};
 /// whether the sweep runs sequentially or on any pool size.
 const WARM_CHUNK: usize = 8;
 
+/// Hard cap on the number of doubling intervals (the paper's `K` is
+/// `⌊log₂(C*max/tmin)⌋`; extreme `tmin` values would explode the LP
+/// otherwise). 24 covers a 10⁷ dynamic range.
+const MAX_INTERVALS: usize = 24;
+
 /// Configuration of the minsum bound.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BoundConfig {
     /// Bisection tolerance forwarded to the dual approximation that
     /// provides the horizon estimate `C*max`.
     pub dual: DualConfig,
-    /// Hard cap on the number of doubling intervals (the paper's `K`
-    /// is `⌊log₂(C*max/tmin)⌋`; extreme `tmin` values would explode the
-    /// LP otherwise). 24 covers a 10⁷ dynamic range.
-    pub max_intervals: usize,
-}
-
-impl Default for BoundConfig {
-    fn default() -> Self {
-        Self {
-            dual: DualConfig::default(),
-            max_intervals: 24,
-        }
-    }
 }
 
 /// Result of the minsum lower bound.
@@ -95,8 +87,8 @@ pub struct MinsumBound {
 }
 
 /// Builds the interval boundaries: `0, t_0, …, t_{K+1}` with
-/// `t_j = cmax / 2^(K-j)` and `K = ⌊log₂(cmax/tmin)⌋` (clamped).
-pub fn interval_boundaries(cmax: f64, tmin: f64, max_intervals: usize) -> Vec<f64> {
+/// `t_j = cmax / 2^(K-j)` and `K = ⌊log₂(cmax/tmin)⌋`, clamped to 24.
+pub fn interval_boundaries(cmax: f64, tmin: f64) -> Vec<f64> {
     assert!(
         cmax > 0.0 && tmin > 0.0,
         "horizon and tmin must be positive"
@@ -104,7 +96,7 @@ pub fn interval_boundaries(cmax: f64, tmin: f64, max_intervals: usize) -> Vec<f6
     let k = if cmax <= tmin {
         0
     } else {
-        ((cmax / tmin).log2().floor() as usize).min(max_intervals)
+        ((cmax / tmin).log2().floor() as usize).min(MAX_INTERVALS)
     };
     let mut b = Vec::with_capacity(k + 3);
     b.push(0.0);
@@ -136,13 +128,14 @@ pub fn minsum_lower_bound(inst: &Instance, cfg: &BoundConfig) -> MinsumBound {
 
 /// Same as [`minsum_lower_bound`] but with the horizon estimate
 /// supplied by the caller (the harness reuses one dual-approximation run
-/// across algorithms).
+/// across algorithms). No dual runs here, so the config is unused; the
+/// parameter keeps the signature of [`minsum_lower_bound`].
 pub fn minsum_lower_bound_with_horizon(
     inst: &Instance,
     cmax_estimate: f64,
-    cfg: &BoundConfig,
+    _cfg: &BoundConfig,
 ) -> MinsumBound {
-    let ml = assemble_minsum_lp(inst, cmax_estimate, cfg);
+    let ml = assemble_minsum_lp(inst, cmax_estimate);
     solve_assembled(inst, ml, None).0
 }
 
@@ -239,11 +232,11 @@ impl MinsumLp {
 }
 
 /// Assembles the interval-indexed LP relaxation for one horizon.
-pub fn assemble_minsum_lp(inst: &Instance, cmax_estimate: f64, cfg: &BoundConfig) -> MinsumLp {
+pub fn assemble_minsum_lp(inst: &Instance, cmax_estimate: f64) -> MinsumLp {
     let n = inst.len();
     let m = inst.procs() as f64;
     let tmin = inst.min_min_time();
-    let boundaries = interval_boundaries(cmax_estimate, tmin, cfg.max_intervals);
+    let boundaries = interval_boundaries(cmax_estimate, tmin);
     // Intervals ℓ = 0 .. boundaries.len()-2; interval ℓ = (τ_ℓ, τ_{ℓ+1}],
     // the last one treated as (τ_last-1, ∞).
     let n_intervals = boundaries.len() - 1;
@@ -441,12 +434,12 @@ fn solve_assembled(inst: &Instance, ml: MinsumLp, seed: Option<&Basis>) -> (Mins
 /// Evaluates one warm-start chain: consecutive horizons seed each other
 /// with the previous optimal basis, falling back to the structural seed
 /// when the interval grid changed shape.
-fn sweep_chunk(inst: &Instance, horizons: &[f64], cfg: &BoundConfig) -> Vec<MinsumBound> {
+fn sweep_chunk(inst: &Instance, horizons: &[f64]) -> Vec<MinsumBound> {
     let mut prev: Option<(Basis, SeedMap)> = None;
     horizons
         .iter()
         .map(|&h| {
-            let ml = assemble_minsum_lp(inst, h, cfg);
+            let ml = assemble_minsum_lp(inst, h);
             let seed = prev.take().and_then(|(b, map)| remap_seed(&b, &map, &ml));
             let map = SeedMap::of(&ml);
             let (bound, basis) = solve_assembled(inst, ml, seed.as_ref());
@@ -476,10 +469,9 @@ pub fn minsum_bounds_for_horizons_on(
     pool: &demt_exec::Pool,
     inst: &Instance,
     horizons: &[f64],
-    cfg: &BoundConfig,
 ) -> Vec<MinsumBound> {
     let chunks: Vec<&[f64]> = horizons.chunks(WARM_CHUNK).collect();
-    pool.par_map(&chunks, |_, chunk| sweep_chunk(inst, chunk, cfg))
+    pool.par_map(&chunks, |_, chunk| sweep_chunk(inst, chunk))
         .into_iter()
         .flatten()
         .collect()
@@ -594,7 +586,7 @@ mod tests {
     }
 
     fn assert_surfaces_match_scans(inst: &Instance, cmax: f64) {
-        let ml = assemble_minsum_lp(inst, cmax, &BoundConfig::default());
+        let ml = assemble_minsum_lp(inst, cmax);
         assert_eq!(
             assembled_surfaces(&ml),
             scanned_surfaces(inst, &ml.boundaries),
@@ -675,18 +667,18 @@ mod tests {
 
     #[test]
     fn boundaries_are_doubling_and_anchored() {
-        let b = interval_boundaries(16.0, 1.0, 24);
+        let b = interval_boundaries(16.0, 1.0);
         // K = 4: 0, 1, 2, 4, 8, 16, 32.
         assert_eq!(b, vec![0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]);
-        let b = interval_boundaries(10.0, 3.0, 24);
+        let b = interval_boundaries(10.0, 3.0);
         // K = 1: 0, 5, 10, 20.
         assert_eq!(b, vec![0.0, 5.0, 10.0, 20.0]);
     }
 
     #[test]
     fn boundaries_respect_interval_cap() {
-        let b = interval_boundaries(1e9, 1e-9, 10);
-        assert_eq!(b.len(), 13);
+        let b = interval_boundaries(1e9, 1e-9);
+        assert_eq!(b.len(), MAX_INTERVALS + 3);
     }
 
     #[test]
@@ -835,9 +827,8 @@ mod tests {
         let horizons: Vec<f64> = (0..6)
             .map(|i| dual.lower_bound * (1.0 + 0.25 * i as f64))
             .collect();
-        let cfg = BoundConfig::default();
-        let seq = minsum_bounds_for_horizons_on(&Pool::new(1), &inst, &horizons, &cfg);
-        let par = minsum_bounds_for_horizons_on(&Pool::new(4), &inst, &horizons, &cfg);
+        let seq = minsum_bounds_for_horizons_on(&Pool::new(1), &inst, &horizons);
+        let par = minsum_bounds_for_horizons_on(&Pool::new(4), &inst, &horizons);
         assert_eq!(seq, par);
         assert_eq!(seq.len(), horizons.len());
         // Soundness: every swept bound stays a lower bound of the one
@@ -873,7 +864,7 @@ mod tests {
         // more than the trivial all-last-interval vertex.
         let inst = generate(WorkloadKind::Cirne, 50, 20, 7);
         let dual = demt_dual::dual_approx(&inst, &demt_dual::DualConfig::default());
-        let ml = assemble_minsum_lp(&inst, dual.cmax_estimate, &BoundConfig::default());
+        let ml = assemble_minsum_lp(&inst, dual.cmax_estimate);
         let (from_last, _) = ml.lp.solve_from(&ml.seed_basis()).expect("feasible");
         let (from_greedy, _) = ml.lp.solve_from(&ml.greedy_basis()).expect("feasible");
         assert!(from_last.warm_started && from_greedy.warm_started);
@@ -902,8 +893,7 @@ mod tests {
         let horizons: Vec<f64> = (0..10)
             .map(|i| dual.lower_bound * (1.0 + 0.15 * i as f64))
             .collect();
-        let cfg = BoundConfig::default();
-        let warm = minsum_bounds_for_horizons_on(&Pool::new(1), &inst, &horizons, &cfg);
+        let warm = minsum_bounds_for_horizons_on(&Pool::new(1), &inst, &horizons);
         // The occasional link may fail its dual-simplex repair and fall
         // back to a cold start (correct, just slower) — but the chain
         // must warm start in the main.
@@ -914,7 +904,7 @@ mod tests {
             warm.len()
         );
         for (h, w) in horizons.iter().zip(&warm) {
-            let ml = assemble_minsum_lp(&inst, *h, &cfg);
+            let ml = assemble_minsum_lp(&inst, *h);
             let cold = ml.lp.solve().expect("feasible by construction");
             assert!(
                 (w.lp_value - cold.objective).abs() <= 1e-9 * cold.objective.abs().max(1.0),
@@ -936,7 +926,7 @@ mod tests {
             .map(|i| dual.cmax_estimate * (1.0 + 0.02 * i as f64))
             .collect();
         let cfg = BoundConfig::default();
-        let chained = minsum_bounds_for_horizons_on(&Pool::new(1), &inst, &horizons, &cfg);
+        let chained = minsum_bounds_for_horizons_on(&Pool::new(1), &inst, &horizons);
         let solo: usize = horizons
             .iter()
             .map(|&h| minsum_lower_bound_with_horizon(&inst, h, &cfg).lp_iterations)

@@ -21,21 +21,11 @@ pub enum Compaction {
     ListShuffle,
 }
 
-/// Ordering of tasks *inside* a batch when feeding the list engine
-/// (the paper's "local ordering within the batches", left unspecified).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LocalOrder {
-    /// Decreasing weight / area — densest weight first (default).
-    WeightOverArea,
-    /// Decreasing weight.
-    Weight,
-    /// Increasing area (SAF flavour).
-    Area,
-    /// Keep the knapsack selection order.
-    AsSelected,
-}
-
-/// Full DEMT configuration. `Default` reproduces the paper's algorithm.
+/// DEMT configuration: the dual-approximation tolerance and the three
+/// ablation switches of `repro ablation`. `Default` reproduces the
+/// paper's algorithm. The rest of the pipeline is fixed: entries inside
+/// a batch go by decreasing weight / area, and the shuffle permutations
+/// use one constant seed, so every run is deterministic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DemtConfig {
     /// Dual-approximation settings for the `C*max` estimate.
@@ -45,13 +35,9 @@ pub struct DemtConfig {
     pub merge_small: bool,
     /// Compaction pipeline depth.
     pub compaction: Compaction,
-    /// Local ordering within batches.
-    pub local_order: LocalOrder,
     /// Number of random batch-order shuffles tried in
     /// [`Compaction::ListShuffle`] ("shuffled several times").
     pub shuffles: usize,
-    /// Seed for the shuffle permutations (deterministic runs).
-    pub shuffle_seed: u64,
 }
 
 impl Default for DemtConfig {
@@ -60,9 +46,7 @@ impl Default for DemtConfig {
             dual: DualConfig::default(),
             merge_small: true,
             compaction: Compaction::ListShuffle,
-            local_order: LocalOrder::WeightOverArea,
             shuffles: 8,
-            shuffle_seed: 0xDE47, // "DEMT"
         }
     }
 }

@@ -40,5 +40,5 @@ mod scheduler;
 
 pub use algorithm::{demt_schedule, demt_schedule_with_dual, DemtResult};
 pub use batches::{build_batches, Batch, BatchEntry, BatchPlan};
-pub use config::{Compaction, DemtConfig, LocalOrder};
+pub use config::{Compaction, DemtConfig};
 pub use scheduler::DemtScheduler;

@@ -8,33 +8,15 @@ use demt_api::{ReportTimer, ScheduleReport, Scheduler, SchedulerContext};
 use demt_model::Instance;
 use demt_platform::Schedule;
 
-/// The paper's algorithm as a registry entry (name `"demt"`).
+/// The paper's algorithm as a registry entry (name `"demt"`): DEMT with
+/// [`DemtConfig::default`].
 ///
 /// The dual-approximation step is drawn from the [`SchedulerContext`]
-/// (shared with the Graham-list baselines), configured by the context's
-/// dual config rather than `DemtConfig::dual`.
-#[derive(Debug, Clone, Default)]
-pub struct DemtScheduler {
-    cfg: DemtConfig,
-}
-
-impl DemtScheduler {
-    /// DEMT with a non-default configuration (ablation variants).
-    ///
-    /// `cfg.dual` is **not** used by this adapter: the dual
-    /// approximation comes from the shared [`SchedulerContext`], whose
-    /// own config governs it (build the context with
-    /// `SchedulerContext::with_dual_config` to tighten it). Only the
-    /// direct `demt_schedule` free function honors `cfg.dual`.
-    pub fn new(cfg: DemtConfig) -> Self {
-        Self { cfg }
-    }
-
-    /// The configuration this adapter schedules with.
-    pub fn config(&self) -> &DemtConfig {
-        &self.cfg
-    }
-}
+/// (shared with the Graham-list baselines) with the default
+/// `DualConfig`. Ablation variants call
+/// [`demt_schedule`](crate::demt_schedule) with their own config.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DemtScheduler;
 
 impl Scheduler for DemtScheduler {
     fn name(&self) -> &str {
@@ -53,7 +35,7 @@ impl Scheduler for DemtScheduler {
         }
         let dual = timer.phase("dual", || ctx.dual(inst));
         let result = timer.phase("batch+compact", || {
-            demt_schedule_with_dual(inst, &self.cfg, dual)
+            demt_schedule_with_dual(inst, &DemtConfig::default(), dual)
         });
         timer.finish_with(self.name(), result.schedule, result.criteria)
     }
@@ -72,7 +54,7 @@ mod tests {
         let inst = generate(WorkloadKind::Mixed, 30, 8, 5);
         let direct = demt_schedule(&inst, &DemtConfig::default());
         let mut ctx = SchedulerContext::new();
-        let report = DemtScheduler::default().schedule(&inst, &mut ctx);
+        let report = DemtScheduler.schedule(&inst, &mut ctx);
         assert_eq!(report.schedule, direct.schedule);
         assert_eq!(report.criteria, direct.criteria);
         assert_eq!(report.algorithm, "demt");
@@ -83,7 +65,7 @@ mod tests {
     fn adapter_reuses_the_context_dual() {
         let inst = generate(WorkloadKind::Cirne, 25, 8, 2);
         let mut ctx = SchedulerContext::new();
-        let s = DemtScheduler::default();
+        let s = DemtScheduler;
         s.schedule(&inst, &mut ctx);
         s.schedule(&inst, &mut ctx);
         assert_eq!(ctx.dual_runs(), 1, "second run must hit the dual cache");
@@ -92,7 +74,7 @@ mod tests {
     #[test]
     fn empty_instance_reports_empty_schedule() {
         let inst = InstanceBuilder::new(3).build().unwrap();
-        let report = DemtScheduler::default().schedule(&inst, &mut SchedulerContext::new());
+        let report = DemtScheduler.schedule(&inst, &mut SchedulerContext::new());
         assert!(report.schedule.is_empty());
         assert_eq!(report.criteria.makespan, 0.0);
         validate(&inst, &report.schedule).unwrap();
@@ -101,7 +83,7 @@ mod tests {
     #[test]
     fn report_criteria_match_reevaluation() {
         let inst = generate(WorkloadKind::HighlyParallel, 20, 8, 4);
-        let report = DemtScheduler::default().schedule(&inst, &mut SchedulerContext::new());
+        let report = DemtScheduler.schedule(&inst, &mut SchedulerContext::new());
         assert_eq!(report.criteria, Criteria::evaluate(&inst, &report.schedule));
     }
 }

@@ -101,11 +101,6 @@ impl Normal {
         self.mean
     }
 
-    /// Standard deviation of the law.
-    pub fn sd(&self) -> f64 {
-        self.sd
-    }
-
     /// One standard-normal draw (Box–Muller, cosine branch).
     fn standard<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // Box–Muller: u ∈ (0,1] to keep ln(u) finite.

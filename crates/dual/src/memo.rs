@@ -106,6 +106,7 @@ impl CanonicalAllotments {
     /// Allotment entries examined so far across all queries — the
     /// work counter the bisection tests compare against the `O(n·m)`
     /// naive scan.
+    #[cfg(test)]
     pub fn probes(&self) -> u64 {
         self.probes.load(Ordering::Relaxed)
     }

@@ -141,7 +141,7 @@ mod tests {
     fn moldable_path_validates_and_beats_fcfs_on_waits() {
         let jobs = submit_stream(&spec());
         let (inst, releases) = moldable_instance(16, &jobs);
-        let demt = moldable_schedule(16, &jobs, &DemtScheduler::default()).expect("valid stream");
+        let demt = moldable_schedule(16, &jobs, &DemtScheduler).expect("valid stream");
         validate_with_releases(&inst, &demt, Some(&releases)).unwrap();
 
         let fcfs = queue_schedule(16, &jobs, QueuePolicy::Fcfs);

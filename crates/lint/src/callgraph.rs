@@ -25,8 +25,7 @@ use std::collections::BTreeSet;
 pub struct CallGraph {
     /// `edges[caller] = sorted, deduplicated callee ids`.
     pub edges: Vec<Vec<usize>>,
-    /// Per-node direct panic sites, rendered (`"unwrap" at line 42`,
-    /// including `[p2] index_edges` sites when enabled).
+    /// Per-node direct panic sites, rendered (`"unwrap" at line 42`).
     pub own_sites: Vec<Vec<String>>,
 }
 
@@ -43,9 +42,7 @@ pub struct Reachability {
 
 impl CallGraph {
     /// Builds the graph over the table, resolving every call site.
-    /// `index_edges` counts indexing/slicing expressions as panic
-    /// sites (`lint.toml [p2] index_edges`).
-    pub fn build(table: &SymbolTable, index_edges: bool) -> CallGraph {
+    pub fn build(table: &SymbolTable) -> CallGraph {
         let all_crates: BTreeSet<&str> = table.fns.iter().map(|f| f.crate_name.as_str()).collect();
         let mut graph = CallGraph {
             edges: Vec::with_capacity(table.fns.len()),
@@ -70,11 +67,6 @@ impl CallGraph {
                 if sym.kind == FileKind::Library && !sym.cfg_test {
                     for p in &def.body.panics {
                         sites.push(format!("`{}` at line {}", p.what, p.line));
-                    }
-                    if index_edges {
-                        for ix in &def.body.indexes {
-                            sites.push(format!("indexing at line {}", ix.line));
-                        }
                     }
                 }
             }
@@ -439,7 +431,7 @@ fn helper() {}
                 "pub fn deep() {}\npub struct X;\nimpl X { pub fn frob(&self) {} }",
             ),
         ]);
-        let g = CallGraph::build(&t, false);
+        let g = CallGraph::build(&t);
         let entry = id_of(&t, "a::entry");
         let callees: Vec<&str> = g.edges[entry]
             .iter()
@@ -460,7 +452,7 @@ fn bottom() { inner.unwrap() }
 pub fn clean() -> u32 { 1 }
 "#,
         )]);
-        let g = CallGraph::build(&t, false);
+        let g = CallGraph::build(&t);
         let r = g.reach();
         assert_eq!(r.dist[id_of(&t, "a::top")], Some(2));
         assert_eq!(r.dist[id_of(&t, "a::mid")], Some(1));
@@ -471,20 +463,6 @@ pub fn clean() -> u32 { 1 }
             ev,
             "a::top -> a::mid -> a::bottom, which hits `unwrap` at line 4"
         );
-    }
-
-    #[test]
-    fn index_edges_are_gated() {
-        let src = (
-            "crates/a/src/lib.rs",
-            "a",
-            "pub fn top(v: &[u32]) -> u32 { pick(v) }\nfn pick(v: &[u32]) -> u32 { v[0] }",
-        );
-        let t = table(&[src]);
-        let off = CallGraph::build(&t, false);
-        assert_eq!(off.reach().dist[id_of(&t, "a::top")], None);
-        let on = CallGraph::build(&t, true);
-        assert_eq!(on.reach().dist[id_of(&t, "a::top")], Some(1));
     }
 
     #[test]
@@ -503,7 +481,7 @@ pub fn clean() -> u32 { 1 }
                 "pub struct Y;\nimpl Y { pub fn frob(&self) { None::<u32>.unwrap() } }",
             ),
         ]);
-        let g = CallGraph::build(&t, false);
+        let g = CallGraph::build(&t);
         assert!(g.edges[id_of(&t, "demt-model::entry")].is_empty());
     }
 
@@ -515,10 +493,10 @@ pub fn clean() -> u32 { 1 }
             "pub fn top() { mid() }\nfn mid() { x.unwrap() }",
         )];
         let t1 = table(&files);
-        let g1 = CallGraph::build(&t1, false);
+        let g1 = CallGraph::build(&t1);
         let j1 = g1.render_json(&t1, &g1.reach());
         let t2 = table(&files);
-        let g2 = CallGraph::build(&t2, false);
+        let g2 = CallGraph::build(&t2);
         let j2 = g2.render_json(&t2, &g2.reach());
         assert_eq!(j1, j2);
         assert!(j1.contains("\"panic_reachable_pub_fns\": 1"));

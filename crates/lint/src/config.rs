@@ -77,9 +77,6 @@ pub struct Config {
     /// `[p2] baseline`: workspace-relative path of the P2
     /// panic-reachability baseline file.
     pub p2_baseline: String,
-    /// `[p2] index_edges`: when true, indexing/slicing expressions
-    /// count as panic sites for the reachability analysis.
-    pub p2_index_edges: bool,
 }
 
 impl Default for Config {
@@ -93,7 +90,6 @@ impl Default for Config {
             ],
             timing: Vec::new(),
             p2_baseline: "panic_reach.toml".to_string(),
-            p2_index_edges: false,
         }
     }
 }
@@ -187,17 +183,6 @@ impl Config {
                         cfg.p2_baseline = parse_string(&value).ok_or_else(|| {
                             format!("lint.toml:{lineno}: baseline must be a string path")
                         })?;
-                    }
-                    "index_edges" => {
-                        cfg.p2_index_edges = match value.as_str() {
-                            "true" => true,
-                            "false" => false,
-                            _ => {
-                                return Err(format!(
-                                    "lint.toml:{lineno}: index_edges must be true or false"
-                                ))
-                            }
-                        };
                     }
                     other => return Err(format!("lint.toml:{lineno}: unknown p2 key {other}")),
                 },
@@ -348,19 +333,18 @@ timing = [
             r#"
 [p2]
 baseline = "audits/panic_reach.toml"
-index_edges = true
 "#,
         )
         .expect("parses");
         assert_eq!(cfg.p2_baseline, "audits/panic_reach.toml");
-        assert!(cfg.p2_index_edges);
-        assert!(Config::parse("[p2]\nindex_edges = \"maybe\"\n").is_err());
+        // Indexing is never a P2 edge, so `index_edges` is no key.
+        let err = Config::parse("[p2]\nindex_edges = false\n").unwrap_err();
+        assert!(err.contains("unknown p2 key index_edges"), "{err}");
         // D2 evidence is built into the parser; there is no [d2] section.
         assert!(Config::parse("[d2]\nordered_sources = []\n").is_err());
         // Defaults when the section is absent.
         let cfg = Config::parse("[levels]\nD1 = \"deny\"\n").expect("parses");
         assert_eq!(cfg.p2_baseline, "panic_reach.toml");
-        assert!(!cfg.p2_index_edges);
     }
 
     #[test]

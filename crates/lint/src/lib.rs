@@ -119,15 +119,12 @@ impl Report {
 pub fn lint_source(path: &str, source: &str, kind: FileKind, cfg: &Config) -> Vec<Diagnostic> {
     let lexed = lexer::lex(source);
     let parsed = parser::parse(&lexed);
-    let sem = semantic::analyze(
-        vec![symbols::FileInput {
-            rel: path.to_string(),
-            crate_name: "fixture".to_string(),
-            kind,
-            parsed,
-        }],
-        cfg,
-    );
+    let sem = semantic::analyze(vec![symbols::FileInput {
+        rel: path.to_string(),
+        crate_name: "fixture".to_string(),
+        kind,
+        parsed,
+    }]);
     let mut raw = rules::scan_tokens(path, &lexed, kind, cfg);
     raw.extend(
         semantic::p2_diagnostics(&sem, cfg)
@@ -204,7 +201,7 @@ pub fn run_workspace_inner(
             parsed,
         });
     }
-    let sem = semantic::analyze(inputs, cfg);
+    let sem = semantic::analyze(inputs);
 
     // Raw diagnostics per file: token rules + semantic rules.
     let mut by_file: BTreeMap<String, Vec<Diagnostic>> = BTreeMap::new();
@@ -610,8 +607,8 @@ RULES (levels from lint.toml [levels]; all deny by default)
   U1  unsafe code (not suppressible)
   A1  malformed // demt-lint: allow(RULE, reason) directive
   P2  pub library fn that transitively reaches a panic site over the
-      workspace call graph (annotated P1 sites included; [p2] index_edges
-      adds indexing); allow(P2) or the panic_reach.toml baseline accept it
+      workspace call graph (annotated P1 sites included); allow(P2) or
+      the panic_reach.toml baseline accept it
   A2  stale allow(...) directive that no longer suppresses anything
   D2  fold/sum over possibly-float items without a provably-ordered
       iteration source (.iter() on a slice/BTree collection, a range)

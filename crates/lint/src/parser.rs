@@ -69,16 +69,6 @@ pub struct PanicSite {
     pub col: u32,
 }
 
-/// An indexing or slicing expression (`x[i]`, `x[a..b]`) — an optional
-/// panic edge for P2 (`lint.toml [p2] index_edges`).
-#[derive(Debug, Clone)]
-pub struct IndexSite {
-    /// 1-based source line.
-    pub line: u32,
-    /// 1-based source column.
-    pub col: u32,
-}
-
 /// Element-type evidence for a `fold`/`sum`/`product` chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Floatness {
@@ -114,8 +104,6 @@ pub struct BodyScan {
     pub calls: Vec<CallSite>,
     /// Direct panic sites.
     pub panics: Vec<PanicSite>,
-    /// Indexing/slicing expressions.
-    pub indexes: Vec<IndexSite>,
     /// Float-accumulation chains (D2 candidates).
     pub accums: Vec<AccumSite>,
 }
@@ -776,24 +764,6 @@ impl<'a> Parser<'a> {
                     }
                     i += 1;
                 }
-                TokenKind::Open if tok.text == "[" => {
-                    // Indexing: `[` directly after an ident or a closing
-                    // `)`/`]` is a subscript, not an array literal/type.
-                    let is_index = i > start
-                        && match (kind(self.t, i - 1), text(self.t, i - 1)) {
-                            (Some(TokenKind::Ident), Some(prev)) => !is_keyword(prev),
-                            (Some(TokenKind::Close), Some(")")) => true,
-                            (Some(TokenKind::Close), Some("]")) => true,
-                            _ => false,
-                        };
-                    if is_index {
-                        out.indexes.push(IndexSite {
-                            line: tok.line,
-                            col: tok.col,
-                        });
-                    }
-                    i += 1;
-                }
                 _ => {
                     i += 1;
                 }
@@ -1058,7 +1028,7 @@ trait T {
     }
 
     #[test]
-    fn body_scan_finds_calls_panics_indexes() {
+    fn body_scan_finds_calls_and_panics() {
         let p = parse_src(
             r#"
 pub fn f(xs: &[f64]) -> f64 {
@@ -1078,7 +1048,6 @@ pub fn f(xs: &[f64]) -> f64 {
         assert!(paths.contains(&vec!["Instance".to_string(), "restrict".to_string()]));
         let panics: Vec<&str> = f.body.panics.iter().map(|p| p.what.as_str()).collect();
         assert_eq!(panics, vec!["unwrap", "panic!"]);
-        assert_eq!(f.body.indexes.len(), 1);
     }
 
     #[test]

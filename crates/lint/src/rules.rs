@@ -8,7 +8,7 @@
 //! flag that either opens a skip region at the item's `{` or cancels at
 //! its `;`. D1/P1/F1 apply to library code only; U1 applies everywhere.
 
-use crate::config::{known_rule, Config, Level};
+use crate::config::{known_rule, Config};
 use crate::lexer::{Lexed, Token, TokenKind};
 use crate::Diagnostic;
 
@@ -23,39 +23,6 @@ pub enum FileKind {
     /// Tests, benches, examples and `#[cfg(test)]`-only modules:
     /// D1/P1/F1 exempt.
     Test,
-}
-
-/// Scans for `#[cfg(test)] mod NAME;` declarations — the files those
-/// pull in (sibling `NAME.rs` / `NAME/mod.rs`) are test-only even
-/// though nothing inside them says so. The driver runs this pass over
-/// every file first, then classifies.
-pub fn test_module_decls(lexed: &Lexed) -> Vec<String> {
-    let toks = &lexed.tokens;
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if let Some((is_test, _inner, end)) = parse_attr(toks, i) {
-            if is_test {
-                // Skip any further attributes between the cfg and the item.
-                let mut j = end;
-                while let Some((_, _, e2)) = parse_attr(toks, j) {
-                    j = e2;
-                }
-                if text(toks, j) == Some("pub") {
-                    j += 1;
-                }
-                if text(toks, j) == Some("mod") {
-                    if let (Some(name), Some(";")) = (text(toks, j + 1), text(toks, j + 2)) {
-                        out.push(name.to_string());
-                    }
-                }
-            }
-            i = end;
-            continue;
-        }
-        i += 1;
-    }
-    out
 }
 
 fn text(toks: &[Token], i: usize) -> Option<&str> {
@@ -121,6 +88,7 @@ pub(crate) fn parse_attr(toks: &[Token], i: usize) -> Option<(bool, bool, usize)
 /// The workspace driver instead uses [`scan_tokens`] +
 /// [`apply_directives`] so semantic diagnostics (P2/D2) participate in
 /// suppression and stale-directive (A2) accounting.
+#[cfg(test)]
 pub fn lint_tokens(
     path: &str,
     lexed: &Lexed,
@@ -130,7 +98,7 @@ pub fn lint_tokens(
     let raw = scan_tokens(path, lexed, file_kind, cfg);
     let (mut kept, a2) = apply_directives(path, lexed, raw, cfg);
     kept.extend(a2);
-    kept.retain(|d| d.level != Level::Allow);
+    kept.retain(|d| d.level != crate::config::Level::Allow);
     kept
 }
 
@@ -433,6 +401,7 @@ pub fn apply_directives(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Level;
     use crate::lexer::lex;
 
     fn run(src: &str, kind: FileKind) -> Vec<Diagnostic> {
@@ -480,8 +449,6 @@ pub fn live() { None::<u32>.unwrap(); }
     fn cfg_test_mod_semicolon_cancels_pending() {
         let src = "#[cfg(test)]\nmod tests;\npub fn f() { None::<u32>.unwrap(); }";
         assert_eq!(rules_of(&run(src, FileKind::Library)), vec!["P1"]);
-        let decls = test_module_decls(&lex(src));
-        assert_eq!(decls, vec!["tests".to_string()]);
     }
 
     #[test]

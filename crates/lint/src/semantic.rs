@@ -31,9 +31,9 @@ pub struct Semantic {
 }
 
 /// Builds table, graph and reachability in one shot.
-pub fn analyze(files: Vec<FileInput>, cfg: &Config) -> Semantic {
+pub fn analyze(files: Vec<FileInput>) -> Semantic {
     let table = SymbolTable::build(files);
-    let graph = CallGraph::build(&table, cfg.p2_index_edges);
+    let graph = CallGraph::build(&table);
     let reach = graph.reach();
     Semantic {
         table,

@@ -319,12 +319,12 @@ fn rebuild(lp: &demt_bounds::MinsumLp) -> LinearProgram {
 #[test]
 fn sparse_lu_matches_dense_on_minsum_bases() {
     use demt_workload::{generate, WorkloadKind};
-    let cfg = demt_bounds::BoundConfig::default();
     for kind in WorkloadKind::ALL {
         for n in [25, 100, 400] {
             let inst = generate(kind, n, 200, 3);
-            let cmax = demt_dual::dual_approx(&inst, &cfg.dual).cmax_estimate;
-            let ml = demt_bounds::assemble_minsum_lp(&inst, cmax, &cfg);
+            let cmax =
+                demt_dual::dual_approx(&inst, &demt_dual::DualConfig::default()).cmax_estimate;
+            let ml = demt_bounds::assemble_minsum_lp(&inst, cmax);
             let lp = rebuild(&ml);
             let greedy = ml.greedy_basis();
             let (_, optimal) = solve_from(&lp, &Basis::new(greedy.columns().to_vec()))

@@ -130,6 +130,7 @@ impl LinearProgram {
     /// The constraint matrix as a [`CscMatrix`] over the structural
     /// columns (rows exactly as stated — no sign normalization, no
     /// slacks; duplicate coefficients are summed).
+    #[cfg(test)]
     pub fn csc(&self) -> CscMatrix {
         let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.num_vars()];
         for (i, c) in self.constraints.iter().enumerate() {

@@ -21,7 +21,7 @@
 //!     OnlineJob { task: MoldableTask::linear(TaskId(0), 1.0, 4.0, 2).unwrap(), release: 0.0 },
 //!     OnlineJob { task: MoldableTask::linear(TaskId(1), 1.0, 4.0, 2).unwrap(), release: 1.0 },
 //! ];
-//! let result = online_batch_schedule(2, &jobs, &DemtScheduler::default());
+//! let result = online_batch_schedule(2, &jobs, &DemtScheduler);
 //! assert_eq!(result.schedule.len(), 2);
 //! ```
 
@@ -252,7 +252,7 @@ struct PendingJob {
 /// use demt_core::DemtScheduler;
 /// use demt_model::{MoldableTask, TaskId};
 /// use demt_online::BatchLoop;
-/// let demt = DemtScheduler::default();
+/// let demt = DemtScheduler;
 /// let mut bl = BatchLoop::new(2);
 /// bl.submit(MoldableTask::linear(TaskId(0), 1.0, 4.0, 2).unwrap(), 0.0).unwrap();
 /// let first = bl.run_batch(&demt).unwrap().unwrap();
@@ -638,7 +638,7 @@ mod tests {
     use rand::Rng;
 
     fn demt() -> DemtScheduler {
-        DemtScheduler::default()
+        DemtScheduler
     }
 
     /// [`Admission::step`]'s view of a job feed: every event submits.
@@ -957,7 +957,7 @@ mod tests {
             let (head, _) = inst.restrict(&[TaskId(0)]).unwrap();
             ctx.dual(&head);
             let got = format!("{:?}", ctx.dual(inst));
-            let want = format!("{:?}", dual_approx(inst, ctx.dual_config()));
+            let want = format!("{:?}", dual_approx(inst, &demt_dual::DualConfig::default()));
             assert_eq!(got, want, "the batch got another instance's dual");
             demt().schedule(inst, ctx).schedule
         });

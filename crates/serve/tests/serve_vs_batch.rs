@@ -126,7 +126,7 @@ fn the_paper_algorithm_also_replays_byte_identically() {
     // And the registry resolution really is the paper scheduler.
     assert_eq!(
         demt_serve::resolve_scheduler("demt").map(|s| s.name()),
-        Ok(DemtScheduler::default().name())
+        Ok(DemtScheduler.name())
     );
 }
 

@@ -3,7 +3,7 @@
 //! design ingredient of §3.2 measured in isolation against the same
 //! lower bounds as the main figures.
 
-use crate::experiment::ExperimentConfig;
+use crate::experiment::{ExperimentConfig, SEED_BASE};
 use demt_bounds::{instance_bounds, BoundConfig};
 use demt_core::{demt_schedule, Compaction, DemtConfig};
 use demt_exec::Pool;
@@ -94,7 +94,7 @@ pub fn run_ablation_on(pool: &Pool, cfg: &ExperimentConfig) -> Vec<AblationRow> 
         }
     }
     let outs: Vec<AblationCell> = pool.par_map(&cells, |_, &(kind, run)| {
-        let seed = cfg.seed_base ^ ((run as u64) << 8) ^ kind.figure() as u64;
+        let seed = SEED_BASE ^ ((run as u64) << 8) ^ kind.figure() as u64;
         let inst = generate(kind, n, cfg.procs, seed);
         let bounds = instance_bounds(&inst, &BoundConfig::default());
         let per_variant = variants

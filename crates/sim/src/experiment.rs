@@ -12,7 +12,7 @@
 
 use crate::algorithms::Algorithm;
 use crate::stats::RatioAccum;
-use demt_api::{clock::Stopwatch, Scheduler, SchedulerContext};
+use demt_api::{clock::Stopwatch, SchedulerContext};
 use demt_bounds::{minsum_lower_bound_with_horizon, squashed_minsum_bound, BoundConfig};
 use demt_core::DemtConfig;
 use demt_exec::Pool;
@@ -21,9 +21,17 @@ use demt_workload::{generate, WorkloadKind};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+/// Base seed of every sweep; run `r` of point `n` of figure `f` uses a
+/// seed derived from it and all three (SPAA'04 opening day).
+pub(crate) const SEED_BASE: u64 = 20040627;
+
 /// Sweep configuration. [`ExperimentConfig::paper`] reproduces the
 /// SPAA'04 setting (200 processors, 25–400 tasks, 40 runs per point);
 /// [`ExperimentConfig::quick`] is a CI-sized smoke sweep.
+///
+/// The algorithms are always the registry's (DEMT with
+/// `DemtConfig::default()`), the bounds use `BoundConfig::default()`,
+/// and every schedule is validated.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Cluster size `m` (200 in the paper).
@@ -32,18 +40,6 @@ pub struct ExperimentConfig {
     pub task_counts: Vec<usize>,
     /// Independent runs per point (40 in the paper).
     pub runs: usize,
-    /// Base seed; run `r` of point `n` uses a seed derived from both.
-    pub seed_base: u64,
-    /// DEMT configuration. The figure sweeps dispatch through the
-    /// workspace registry; a non-default value here substitutes a
-    /// correspondingly-configured `DemtScheduler` for the registry's
-    /// default entry.
-    pub demt: DemtConfig,
-    /// Lower-bound configuration.
-    pub bound: BoundConfig,
-    /// Re-validate every schedule against the instance (cheap insurance;
-    /// on by default).
-    pub validate_schedules: bool,
     /// Record per-run scheduling wall-clock in the series (on by
     /// default). Switch off for byte-exact reproducibility checks —
     /// timing is the one measurement that can never be deterministic.
@@ -57,10 +53,6 @@ impl ExperimentConfig {
             procs: 200,
             task_counts: vec![25, 50, 100, 150, 200, 250, 300, 350, 400],
             runs: 40,
-            seed_base: 20040627, // SPAA'04 opening day
-            demt: DemtConfig::default(),
-            bound: BoundConfig::default(),
-            validate_schedules: true,
             record_wall: true,
         }
     }
@@ -137,10 +129,10 @@ pub struct FigureResult {
     pub points: Vec<PointResult>,
 }
 
-fn run_seed(cfg: &ExperimentConfig, kind: WorkloadKind, n: usize, run: usize) -> u64 {
+fn run_seed(kind: WorkloadKind, n: usize, run: usize) -> u64 {
     // Stable mixing so every (figure, point, run) triple is independent
     // of sweep order and of the other points.
-    let mut h = cfg.seed_base ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(n as u64 + 1);
+    let mut h = SEED_BASE ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(n as u64 + 1);
     h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9) ^ (kind.figure() as u64) << 17;
     h ^ (run as u64).wrapping_mul(0x94D0_49BB_1331_11EB)
 }
@@ -156,25 +148,16 @@ fn run_seed(cfg: &ExperimentConfig, kind: WorkloadKind, n: usize, run: usize) ->
 /// Fig. 7 accounting), then the list baselines and the bounds reuse the
 /// cached result.
 fn one_run(cfg: &ExperimentConfig, kind: WorkloadKind, n: usize, run: usize) -> Vec<AlgSeries> {
-    let seed = run_seed(cfg, kind, n, run);
+    let seed = run_seed(kind, n, run);
     let inst = generate(kind, n, cfg.procs, seed);
-    let mut ctx = SchedulerContext::with_dual_config(cfg.bound.dual);
-    // The static registry carries a default-configured DEMT; honor a
-    // customized `cfg.demt` by substituting a configured adapter.
-    let custom_demt =
-        (cfg.demt != DemtConfig::default()).then(|| demt_core::DemtScheduler::new(cfg.demt));
+    let mut ctx = SchedulerContext::new();
 
     let mut cells = Vec::with_capacity(Algorithm::ALL.len());
     for alg in Algorithm::ALL {
-        let report = match (&custom_demt, alg) {
-            (Some(demt), Algorithm::Demt) => demt.schedule(&inst, &mut ctx),
-            _ => alg.run(&inst, &mut ctx),
-        };
-        if cfg.validate_schedules {
-            validate(&inst, &report.schedule)
-                // demt-lint: allow(P1, release-assert under cfg.validate_schedules: an invalid schedule must abort the experiment)
-                .unwrap_or_else(|e| panic!("{alg} produced an invalid schedule: {e}"));
-        }
+        let report = alg.run(&inst, &mut ctx);
+        validate(&inst, &report.schedule)
+            // demt-lint: allow(P1, release-assert: an invalid schedule must abort the experiment)
+            .unwrap_or_else(|e| panic!("{alg} produced an invalid schedule: {e}"));
         cells.push((report.criteria, report.wall_seconds));
     }
 
@@ -183,9 +166,10 @@ fn one_run(cfg: &ExperimentConfig, kind: WorkloadKind, n: usize, run: usize) -> 
         let dual = ctx.dual(&inst);
         (dual.cmax_estimate, dual.lower_bound)
     };
-    let minsum_bound = minsum_lower_bound_with_horizon(&inst, cmax_estimate, &cfg.bound)
-        .value
-        .max(squashed_minsum_bound(&inst));
+    let minsum_bound =
+        minsum_lower_bound_with_horizon(&inst, cmax_estimate, &BoundConfig::default())
+            .value
+            .max(squashed_minsum_bound(&inst));
     debug_assert_eq!(ctx.dual_runs(), 1, "dual must run once per instance");
 
     let mut out = vec![AlgSeries::default(); Algorithm::ALL.len()];
@@ -304,10 +288,10 @@ pub fn run_timing(
     for &n in &cfg.task_counts {
         let mut total = 0.0;
         for run in 0..cfg.runs {
-            let seed = run_seed(cfg, kind, n, run);
+            let seed = run_seed(kind, n, run);
             let inst = generate(kind, n, cfg.procs, seed);
             let clock = Stopwatch::start();
-            let r = demt_core::demt_schedule(&inst, &cfg.demt);
+            let r = demt_core::demt_schedule(&inst, &DemtConfig::default());
             total += clock.seconds();
             std::hint::black_box(&r.schedule);
         }
@@ -422,52 +406,11 @@ mod tests {
     }
 
     #[test]
-    fn custom_demt_config_is_honored_by_sweeps() {
-        // A crippled DEMT (no compaction) must score worse on minsum
-        // than the default pipeline — guards against the sweep silently
-        // falling back to the registry's default-configured entry.
-        let mut cfg = ExperimentConfig::quick();
-        cfg.task_counts = vec![30];
-        cfg.runs = 2;
-        let point = |cfg: &ExperimentConfig| {
-            let mut fig = figure(1, cfg, WorkloadKind::Mixed);
-            fig.points.pop().expect("one task count in, one point out")
-        };
-        let default_pt = point(&cfg);
-        cfg.demt = demt_core::DemtConfig {
-            compaction: demt_core::Compaction::None,
-            ..demt_core::DemtConfig::default()
-        };
-        let raw_pt = point(&cfg);
-        let demt_minsum = |p: &PointResult| {
-            p.series_of(Algorithm::Demt)
-                .expect("demt series")
-                .minsum
-                .sum_value
-        };
-        assert!(
-            demt_minsum(&raw_pt) > demt_minsum(&default_pt),
-            "raw batches {} should be worse than compacted {}",
-            demt_minsum(&raw_pt),
-            demt_minsum(&default_pt)
-        );
-        // The baselines are untouched by the DEMT override.
-        let gang = |p: &PointResult| {
-            p.series_of(Algorithm::Gang)
-                .expect("gang series")
-                .minsum
-                .sum_value
-        };
-        assert_eq!(gang(&raw_pt), gang(&default_pt));
-    }
-
-    #[test]
     fn seeds_differ_across_cells() {
-        let cfg = ExperimentConfig::quick();
-        let a = run_seed(&cfg, WorkloadKind::Mixed, 10, 0);
-        let b = run_seed(&cfg, WorkloadKind::Mixed, 10, 1);
-        let c = run_seed(&cfg, WorkloadKind::Mixed, 20, 0);
-        let d = run_seed(&cfg, WorkloadKind::Cirne, 10, 0);
+        let a = run_seed(WorkloadKind::Mixed, 10, 0);
+        let b = run_seed(WorkloadKind::Mixed, 10, 1);
+        let c = run_seed(WorkloadKind::Mixed, 20, 0);
+        let d = run_seed(WorkloadKind::Cirne, 10, 0);
         assert!(a != b && a != c && a != d && b != c);
     }
 }

@@ -24,6 +24,6 @@ mod spec;
 mod tracegen;
 
 pub use downey::{downey_speedup, downey_times};
-pub use recursive::{recursive_times, recursive_times_const, DegreeDraw};
-pub use spec::{generate, RecursiveDraw, WorkloadKind, WorkloadSpec, MIN_SEQ_TIME};
+pub use recursive::{recursive_times, recursive_times_const};
+pub use spec::{generate, WorkloadKind, WorkloadSpec, MIN_SEQ_TIME};
 pub use tracegen::{TraceGen, TraceJob, TraceSpec};

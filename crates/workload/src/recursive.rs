@@ -23,26 +23,15 @@
 use demt_distr::{TruncatedNormal, Variate};
 use rand::Rng;
 
-/// How the parallelism degree is drawn along the recursion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DegreeDraw {
-    /// A fresh degree at every recursion step `j` (literal reading of
-    /// "X is a random variable" applied to each successive computation).
-    PerStep,
-    /// One degree per task, reused at every step — gives each task a
-    /// consistent parallelism personality and a wider spread between
-    /// tasks.
-    PerTask,
-}
-
 /// Generates the processing-time vector `p(1..=m)` of one task with the
 /// recursive model, given its sequential time and a parallelism-degree
-/// law (`α`-law; the recursion uses `X = 1 - α`).
+/// law (`α`-law; the recursion uses `X = 1 - α`). A fresh degree is
+/// drawn at every recursion step `j` (the literal reading of "X is a
+/// random variable" applied to each successive computation).
 pub fn recursive_times<R: Rng + ?Sized>(
     seq: f64,
     m: usize,
     degree_law: &TruncatedNormal,
-    draw: DegreeDraw,
     rng: &mut R,
 ) -> Vec<f64> {
     assert!(
@@ -52,12 +41,8 @@ pub fn recursive_times<R: Rng + ?Sized>(
     assert!(m >= 1);
     let mut times = Vec::with_capacity(m);
     times.push(seq);
-    let fixed = match draw {
-        DegreeDraw::PerTask => Some(degree_law.sample(rng)),
-        DegreeDraw::PerStep => None,
-    };
     for j in 2..=m {
-        let alpha = fixed.unwrap_or_else(|| degree_law.sample(rng));
+        let alpha = degree_law.sample(rng);
         let x = 1.0 - alpha;
         let prev = times[j - 2];
         times.push(prev * (x + j as f64) / (1.0 + j as f64));
@@ -118,16 +103,14 @@ mod tests {
     #[test]
     fn random_draws_stay_monotonic() {
         let mut rng = seeded_rng(11);
-        for draw in [DegreeDraw::PerStep, DegreeDraw::PerTask] {
-            for law in [
-                TruncatedNormal::highly_parallel_x(),
-                TruncatedNormal::weakly_parallel_x(),
-            ] {
-                for _ in 0..50 {
-                    let times = recursive_times(5.0, 64, &law, draw, &mut rng);
-                    let t = MoldableTask::new(TaskId(0), 1.0, times).unwrap();
-                    assert!(t.is_monotonic(), "{:?}", t.monotony_violation());
-                }
+        for law in [
+            TruncatedNormal::highly_parallel_x(),
+            TruncatedNormal::weakly_parallel_x(),
+        ] {
+            for _ in 0..50 {
+                let times = recursive_times(5.0, 64, &law, &mut rng);
+                let t = MoldableTask::new(TaskId(0), 1.0, times).unwrap();
+                assert!(t.is_monotonic(), "{:?}", t.monotony_violation());
             }
         }
     }
@@ -139,7 +122,7 @@ mod tests {
         let avg_speedup = |law: &TruncatedNormal, rng: &mut rand::rngs::StdRng| {
             let mut acc = 0.0;
             for _ in 0..40 {
-                let t = recursive_times(10.0, m, law, DegreeDraw::PerStep, rng);
+                let t = recursive_times(10.0, m, law, rng);
                 acc += t[0] / t[m - 1];
             }
             acc / 40.0
@@ -156,8 +139,8 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let law = TruncatedNormal::highly_parallel_x();
-        let a = recursive_times(3.0, 32, &law, DegreeDraw::PerStep, &mut seeded_rng(5));
-        let b = recursive_times(3.0, 32, &law, DegreeDraw::PerStep, &mut seeded_rng(5));
+        let a = recursive_times(3.0, 32, &law, &mut seeded_rng(5));
+        let b = recursive_times(3.0, 32, &law, &mut seeded_rng(5));
         assert_eq!(a, b);
     }
 }

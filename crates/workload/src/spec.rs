@@ -16,7 +16,7 @@
 //! durations; rejection below a small floor is the least intrusive fix.
 
 use crate::downey::downey_times;
-use crate::recursive::{recursive_times, DegreeDraw};
+use crate::recursive::recursive_times;
 use demt_distr::{seeded_rng, LogUniform, TruncatedNormal, Uniform, Variate};
 use demt_model::{Instance, InstanceBuilder};
 use rand::Rng;
@@ -89,7 +89,9 @@ impl std::fmt::Display for WorkloadKind {
     }
 }
 
-/// Full description of a generated workload.
+/// Full description of a generated workload: family, size and seed.
+/// The recursive families draw a fresh parallelism degree at every
+/// step ([`crate::recursive_times`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadSpec {
     /// Which family.
@@ -100,37 +102,16 @@ pub struct WorkloadSpec {
     pub procs: usize,
     /// RNG seed; the same spec+seed always yields the same instance.
     pub seed: u64,
-    /// Per-step vs per-task degree draw in the recursive model.
-    pub degree_draw: RecursiveDraw,
-}
-
-/// Serializable mirror of [`crate::recursive::DegreeDraw`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RecursiveDraw {
-    /// Fresh degree each recursion step.
-    PerStep,
-    /// One degree per task.
-    PerTask,
-}
-
-impl From<RecursiveDraw> for DegreeDraw {
-    fn from(d: RecursiveDraw) -> Self {
-        match d {
-            RecursiveDraw::PerStep => DegreeDraw::PerStep,
-            RecursiveDraw::PerTask => DegreeDraw::PerTask,
-        }
-    }
 }
 
 impl WorkloadSpec {
-    /// Spec with the paper defaults (per-step degree draws).
+    /// Spec of `tasks` tasks of family `kind` on `procs` processors.
     pub fn new(kind: WorkloadKind, tasks: usize, procs: usize, seed: u64) -> Self {
         Self {
             kind,
             tasks,
             procs,
             seed,
-            degree_draw: RecursiveDraw::PerStep,
         }
     }
 
@@ -186,18 +167,17 @@ impl FamilyLaws {
         &self,
         kind: WorkloadKind,
         m: usize,
-        draw: DegreeDraw,
         rng: &mut R,
     ) -> (f64, Vec<f64>) {
         let weight = self.weight.sample(rng);
         let times = match kind {
             WorkloadKind::WeaklyParallel => {
                 let seq = self.seq_uniform.sample(rng);
-                recursive_times(seq, m, &self.weakly, draw, rng)
+                recursive_times(seq, m, &self.weakly, rng)
             }
             WorkloadKind::HighlyParallel => {
                 let seq = self.seq_uniform.sample(rng);
-                recursive_times(seq, m, &self.highly, draw, rng)
+                recursive_times(seq, m, &self.highly, rng)
             }
             WorkloadKind::Mixed => {
                 // 70% small tasks N(1, 0.5) → weakly parallel;
@@ -206,11 +186,11 @@ impl FamilyLaws {
                 if small {
                     let law = demt_distr::Normal::new(1.0, 0.5);
                     let seq = draw_seq_floor(&law, rng);
-                    recursive_times(seq, m, &self.weakly, draw, rng)
+                    recursive_times(seq, m, &self.weakly, rng)
                 } else {
                     let law = demt_distr::Normal::new(10.0, 5.0);
                     let seq = draw_seq_floor(&law, rng);
-                    recursive_times(seq, m, &self.highly, draw, rng)
+                    recursive_times(seq, m, &self.highly, rng)
                 }
             }
             WorkloadKind::Cirne => {
@@ -227,11 +207,10 @@ impl FamilyLaws {
 fn generate_with<R: Rng + ?Sized>(spec: &WorkloadSpec, rng: &mut R) -> Instance {
     let m = spec.procs;
     let laws = FamilyLaws::new();
-    let draw: DegreeDraw = spec.degree_draw.into();
 
     let mut b = InstanceBuilder::new(m);
     for _ in 0..spec.tasks {
-        let (weight, times) = laws.draw_task(spec.kind, m, draw, rng);
+        let (weight, times) = laws.draw_task(spec.kind, m, rng);
         b.push_times(weight, times)
             // demt-lint: allow(P1, every generator arm yields positive monotone profiles accepted by push_times)
             .expect("generators produce valid vectors");
@@ -360,14 +339,5 @@ mod tests {
         assert_eq!(WorkloadKind::HighlyParallel.figure(), 4);
         assert_eq!(WorkloadKind::Mixed.figure(), 5);
         assert_eq!(WorkloadKind::Cirne.figure(), 6);
-    }
-
-    #[test]
-    fn per_task_draw_variant_works() {
-        let mut spec = WorkloadSpec::new(WorkloadKind::HighlyParallel, 30, 16, 4);
-        spec.degree_draw = RecursiveDraw::PerTask;
-        let inst = spec.generate();
-        inst.check_monotonic().unwrap();
-        assert_eq!(inst.len(), 30);
     }
 }

@@ -26,7 +26,6 @@
 //! assert!(jobs.windows(2).all(|w| w[0].release <= w[1].release));
 //! ```
 
-use crate::recursive::DegreeDraw;
 use crate::spec::FamilyLaws;
 use crate::{WorkloadKind, WorkloadSpec};
 use demt_distr::{seeded_rng, Pareto, Variate};
@@ -220,12 +219,9 @@ impl Iterator for TraceGen {
         let id = TaskId(self.next_index);
         self.next_index += 1;
         self.clock += self.gap.sample(&mut self.release_rng);
-        let (weight, times) = self.laws.draw_task(
-            self.spec.kind,
-            self.spec.procs,
-            DegreeDraw::PerStep,
-            &mut self.shape_rng,
-        );
+        let (weight, times) =
+            self.laws
+                .draw_task(self.spec.kind, self.spec.procs, &mut self.shape_rng);
         let task = MoldableTask::new(id, weight, times)
             // demt-lint: allow(P1, every generator arm yields positive monotone profiles accepted by the task constructor)
             .expect("generator profiles are valid");

@@ -293,7 +293,7 @@ fn bound_cmd(opts: &Opts) {
             .map(|i| dual.lower_bound * (1.0 + 0.25 * i as f64))
             .collect();
         let pool = Pool::new(workers);
-        let bounds = demt::bounds::minsum_bounds_for_horizons_on(&pool, &inst, &horizons, &cfg);
+        let bounds = demt::bounds::minsum_bounds_for_horizons_on(&pool, &inst, &horizons);
         let rows: Vec<serde_json::Value> = horizons
             .iter()
             .zip(&bounds)
@@ -345,6 +345,9 @@ fn gantt_cmd(opts: &Opts) {
 
 fn exact_cmd(_opts: &Opts) {
     let inst: Instance = read_stdin_json("instance");
+    if inst.is_empty() {
+        die("exact needs at least one task");
+    }
     if inst.len() > demt::exact::MAX_TASKS {
         die(&format!(
             "exact search is capped at {} tasks (instance has {})",
@@ -402,10 +405,6 @@ fn frontend_cmd(opts: &Opts) {
         seed: opts.u64("seed", 0),
     };
     let jobs = submit_stream(&spec);
-    println!(
-        "{:<26} {:>10} {:>10} {:>10} {:>8}",
-        "policy", "wait", "response", "slowdown", "util"
-    );
     let fcfs = queue_schedule(spec.procs, &jobs, QueuePolicy::Fcfs);
     let easy = queue_schedule(spec.procs, &jobs, QueuePolicy::EasyBackfill);
     let demt_s = moldable_schedule(
@@ -414,19 +413,37 @@ fn frontend_cmd(opts: &Opts) {
         registry().by_name("demt").expect("demt registered"),
     )
     .unwrap_or_else(|e| die(&e.to_string()));
-    for (name, s) in [
-        ("FCFS (rigid)", &fcfs),
-        ("EASY backfill (rigid)", &easy),
-        ("DEMT (moldable)", &demt_s),
-    ] {
-        let m = stream_metrics(&jobs, s, spec.procs);
+    print_metrics_table(
+        &jobs,
+        spec.procs,
+        &[
+            ("FCFS (rigid)", &fcfs),
+            ("EASY backfill (rigid)", &easy),
+            ("DEMT (moldable)", &demt_s),
+        ],
+    );
+}
+
+/// Prints the `frontend`/`swf` table: one row of stream metrics per
+/// named schedule of `jobs` on `m` processors.
+fn print_metrics_table(
+    jobs: &[demt::frontend::SubmittedJob],
+    m: usize,
+    rows: &[(&str, &Schedule)],
+) {
+    println!(
+        "{:<26} {:>10} {:>10} {:>10} {:>8}",
+        "policy", "wait", "response", "slowdown", "util"
+    );
+    for &(name, s) in rows {
+        let met = demt::frontend::stream_metrics(jobs, s, m);
         println!(
             "{:<26} {:>10.2} {:>10.2} {:>10.2} {:>7.0}%",
             name,
-            m.mean_wait,
-            m.mean_response,
-            m.mean_bounded_slowdown,
-            m.utilization * 100.0
+            met.mean_wait,
+            met.mean_response,
+            met.mean_bounded_slowdown,
+            met.utilization * 100.0
         );
     }
 }
@@ -436,7 +453,10 @@ fn swf_cmd(opts: &Opts) {
     let path = opts
         .get("file")
         .unwrap_or_else(|| die("swf needs --file TRACE.swf"));
-    let m = opts.usize("procs", 64);
+    let m = match opts.usize("procs", 64) {
+        0 => die("bad --procs 0 (the machine needs at least one processor)"),
+        m => m,
+    };
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
     let records = parse_swf(&text).unwrap_or_else(|e| die(&e.to_string()));
     let jobs = stream_from_swf(&records, m, opts.u64("seed", 0));
@@ -449,35 +469,18 @@ fn swf_cmd(opts: &Opts) {
     if jobs.is_empty() {
         die("no usable jobs in the trace");
     }
-    println!(
-        "{:<26} {:>10} {:>10} {:>10} {:>8}",
-        "policy", "wait", "response", "slowdown", "util"
-    );
-    for (name, policy) in [
-        ("FCFS (trace sizes)", QueuePolicy::Fcfs),
-        ("EASY (trace sizes)", QueuePolicy::EasyBackfill),
-    ] {
-        let s = queue_schedule(m, &jobs, policy);
-        let met = stream_metrics(&jobs, &s, m);
-        println!(
-            "{:<26} {:>10.2} {:>10.2} {:>10.2} {:>7.0}%",
-            name,
-            met.mean_wait,
-            met.mean_response,
-            met.mean_bounded_slowdown,
-            met.utilization * 100.0
-        );
-    }
+    let fcfs = queue_schedule(m, &jobs, QueuePolicy::Fcfs);
+    let easy = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill);
     let demt_s = moldable_schedule(m, &jobs, registry().by_name("demt").expect("registered"))
         .unwrap_or_else(|e| die(&e.to_string()));
-    let met = stream_metrics(&jobs, &demt_s, m);
-    println!(
-        "{:<26} {:>10.2} {:>10.2} {:>10.2} {:>7.0}%",
-        "DEMT (re-moldable)",
-        met.mean_wait,
-        met.mean_response,
-        met.mean_bounded_slowdown,
-        met.utilization * 100.0
+    print_metrics_table(
+        &jobs,
+        m,
+        &[
+            ("FCFS (trace sizes)", &fcfs),
+            ("EASY (trace sizes)", &easy),
+            ("DEMT (re-moldable)", &demt_s),
+        ],
     );
 }
 

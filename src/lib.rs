@@ -102,7 +102,6 @@ pub mod prelude {
     };
     pub use demt_core::{
         demt_schedule, demt_schedule_with_dual, Compaction, DemtConfig, DemtResult, DemtScheduler,
-        LocalOrder,
     };
     pub use demt_dual::{cmax_lower_bound, dual_approx, DualConfig, DualResult};
     pub use demt_exec::Pool;

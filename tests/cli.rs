@@ -372,8 +372,10 @@ fn listbench_rejects_an_empty_machine() {
 
 #[test]
 fn degenerate_generator_inputs_die_instead_of_panicking() {
-    let cases: [(&[&str], &str); 9] = [
+    let sample = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/sample.swf");
+    let cases: [(&[&str], &str); 10] = [
         (&["generate", "--procs", "0"], "bad --procs 0"),
+        (&["swf", "--file", sample, "--procs", "0"], "bad --procs 0"),
         (&["frontend", "--procs", "0"], "bad --procs 0"),
         (&["frontend", "--jobs", "0"], "bad --jobs 0"),
         (&["frontend", "--gap", "0"], "bad --gap"),
@@ -424,9 +426,10 @@ fn degenerate_generator_inputs_die_instead_of_panicking() {
         }
     }
 
-    // An instance without tasks has no bound; `schedule` accepts it.
+    // An instance without tasks has no bound and no optimum; `schedule`
+    // accepts it.
     std::fs::write(&inst_path, r#"{"procs":3,"tasks":[]}"#).unwrap();
-    for args in [&["bound"][..], &["bound", "--sweep", "3"]] {
+    for args in [&["bound"][..], &["bound", "--sweep", "3"], &["exact"]] {
         let stdin = std::fs::File::open(&inst_path).unwrap();
         let out = demt().args(args).stdin(stdin).output().expect("demt");
         let err = String::from_utf8_lossy(&out.stderr);
@@ -487,6 +490,70 @@ fn serve_demt_output_matches_the_checked_in_golden() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
     let want = std::fs::read_to_string(path.join(golden)).expect("golden");
     assert!(stdout == want, "serve output differs from {golden}");
+}
+
+#[test]
+fn repro_and_table_outputs_match_the_checked_in_goldens() {
+    // Byte goldens of the §4 figure sweep, the ablation CSV and the two
+    // metrics tables: a refactor of the DEMT pipeline, the sweep runner
+    // or the table printer must leave all four unchanged.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let data = root.join("tests/data");
+    let dir = std::env::temp_dir().join(format!("demt-cli-goldens-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |args: &[&str]| -> Vec<u8> {
+        let out = demt()
+            .args(args)
+            .current_dir(root)
+            .output()
+            .expect("run demt");
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        out.stdout
+    };
+    let golden = |name: &str| std::fs::read(data.join(name)).expect("golden");
+
+    let json = dir.join("figs.json");
+    let out = dir.to_str().unwrap();
+    run(&[
+        "repro",
+        "fig3",
+        "fig4",
+        "fig5",
+        "fig6",
+        "--quick",
+        "--no-timing",
+        "--workers",
+        "1",
+        "--json",
+        json.to_str().unwrap(),
+        "--out",
+        out,
+    ]);
+    let figs = std::fs::read(&json).expect("json written");
+    assert!(
+        figs == golden("repro_quick_fig3-6.json"),
+        "figure sweep differs"
+    );
+
+    run(&["repro", "ablation", "--quick", "--no-timing", "--out", out]);
+    let csv = std::fs::read(dir.join("ablation.csv")).expect("csv written");
+    assert!(
+        csv == golden("repro_ablation_quick.csv"),
+        "ablation differs"
+    );
+
+    let frontend = run(&["frontend"]);
+    assert!(
+        frontend == golden("frontend_default.txt"),
+        "frontend differs"
+    );
+    let swf = run(&["swf", "--file", "tests/data/sample.swf", "--procs", "64"]);
+    assert!(swf == golden("swf_sample_64.txt"), "swf table differs");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
