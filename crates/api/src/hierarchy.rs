@@ -60,7 +60,7 @@ impl<S: Scheduler> HierarchicalScheduler<S> {
 /// execution time on `k` nodes = original time on `k·c` cores.
 fn coarsen(inst: &Instance, hierarchy: Hierarchy) -> Option<Instance> {
     let c = hierarchy.cores_per_node() as usize;
-    let nodes = hierarchy.unit_count(demt_model::HierarchyLevel::Node) as usize;
+    let nodes = hierarchy.nodes() as usize;
     let mut tasks = Vec::with_capacity(inst.len());
     for t in inst.tasks() {
         let times: Vec<f64> = (1..=nodes).map(|k| t.time(k * c)).collect();
@@ -129,7 +129,6 @@ impl<S: Scheduler> Scheduler for HierarchicalScheduler<S> {
 mod tests {
     use super::*;
     use crate::FnScheduler;
-    use demt_model::{HierarchyLevel, HierarchyRequest};
 
     /// Greedy lowest-free chain: places every task on node 0 back to
     /// back — enough structure to watch the expansion.
@@ -195,18 +194,5 @@ mod tests {
         assert_eq!(report.schedule.procs(), 6);
         assert_eq!(report.algorithm, "chain", "inner report passes through");
         demt_platform::validate(&inst, &report.schedule).unwrap();
-    }
-
-    #[test]
-    fn claim_lowering_round_trip() {
-        // The model-level claim path the adapter's expansion mirrors:
-        // a nodes=2 request on 2x2x4 carves two aligned 4-core blocks.
-        let h = Hierarchy::parse("2x2x4").unwrap();
-        let mut free = ProcSet::full(h.total_cores());
-        let req = HierarchyRequest::parse("nodes=2").unwrap();
-        let got = h.claim(&mut free, req).unwrap();
-        assert_eq!(got, ProcSet::range(0, 7));
-        assert_eq!(h.lower(req).unwrap(), 8);
-        assert_eq!(h.unit_cores(HierarchyLevel::Node), 4);
     }
 }

@@ -37,7 +37,7 @@ pub use registry::{
 
 use demt_dual::DualResult;
 use demt_model::{Instance, TaskId};
-use demt_platform::{list_schedule, ListPolicy, ListTask, Placement, Schedule};
+use demt_platform::{list_schedule, ListTask, Placement, Schedule};
 
 /// Gang scheduling: each task uses all `m` processors; tasks run one
 /// after another in decreasing `wᵢ/pᵢ(m)` (Smith ratio). Optimal for
@@ -81,7 +81,7 @@ pub fn sequential_lptf(inst: &Instance) -> Schedule {
         .into_iter()
         .map(|id| ListTask::new(id, 1, inst.task(id).seq_time()))
         .collect();
-    list_schedule(inst.procs(), &tasks, ListPolicy::Greedy)
+    list_schedule(inst.procs(), &tasks)
 }
 
 fn list_with_order(inst: &Instance, dual: &DualResult, order: Vec<TaskId>) -> Schedule {
@@ -92,7 +92,7 @@ fn list_with_order(inst: &Instance, dual: &DualResult, order: Vec<TaskId>) -> Sc
             ListTask::new(id, k, inst.task(id).time(k))
         })
         .collect();
-    list_schedule(inst.procs(), &tasks, ListPolicy::Greedy)
+    list_schedule(inst.procs(), &tasks)
 }
 
 /// Graham list with the dual approximation's canonical shelf order

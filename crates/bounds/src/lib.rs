@@ -547,7 +547,7 @@ mod tests {
     use super::*;
     use demt_exec::Pool;
     use demt_model::{InstanceBuilder, MoldableTask, TaskId, REL_EPS};
-    use demt_platform::{list_schedule, Criteria, ListPolicy, ListTask};
+    use demt_platform::{list_schedule, Criteria, ListTask};
     use demt_workload::{generate, WorkloadKind};
     use proptest::prelude::*;
 
@@ -722,7 +722,7 @@ mod tests {
                     .ids()
                     .map(|id| ListTask::new(id, 1, inst.task(id).seq_time()))
                     .collect();
-                let s1 = list_schedule(inst.procs(), &seq, ListPolicy::Greedy);
+                let s1 = list_schedule(inst.procs(), &seq);
                 let c1 = Criteria::evaluate(&inst, &s1);
                 assert!(
                     bound.value <= c1.weighted_completion + 1e-6,
@@ -734,7 +734,7 @@ mod tests {
                     .ids()
                     .map(|id| ListTask::new(id, inst.procs(), inst.task(id).min_time()))
                     .collect();
-                let s2 = list_schedule(inst.procs(), &gang, ListPolicy::Greedy);
+                let s2 = list_schedule(inst.procs(), &gang);
                 let c2 = Criteria::evaluate(&inst, &s2);
                 assert!(
                     bound.value <= c2.weighted_completion + 1e-6,
@@ -808,7 +808,7 @@ mod tests {
                 .ids()
                 .map(|id| ListTask::new(id, 1, inst.task(id).seq_time()))
                 .collect();
-            let s = list_schedule(inst.procs(), &seq, ListPolicy::Greedy);
+            let s = list_schedule(inst.procs(), &seq);
             let c = Criteria::evaluate(&inst, &s);
             assert!(
                 sq <= c.weighted_completion + 1e-6,

@@ -4,9 +4,7 @@ use crate::batches::{build_batches, BatchEntry, BatchPlan};
 use crate::config::{Compaction, DemtConfig};
 use demt_dual::dual_approx;
 use demt_model::Instance;
-use demt_platform::{
-    list_schedule, pull_earlier, Criteria, ListPolicy, ListTask, Placement, Schedule,
-};
+use demt_platform::{list_schedule, pull_earlier, Criteria, ListTask, Placement, Schedule};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -99,18 +97,14 @@ pub fn demt_schedule_with_dual(
     if cfg.compaction != Compaction::None {
         consider(pull_earlier(&raw, None), &mut best_crit, &mut best);
     }
-    // The list compactions below run the shared skyline list engine
-    // (`demt_platform::list_schedule`): each shuffle costs
-    // O((n + Σkᵢ)·log(n·m)), not O(n·(n + m log m)), so ListShuffle
-    // stays affordable at large m.
+    // The list compactions below run the shared event-driven list
+    // engine (`demt_platform::list_schedule`): each shuffle costs
+    // O(n·(log n + s)) for s free-processor runs, not
+    // O(n·(n + m log m)), so ListShuffle stays affordable at large m.
     if matches!(cfg.compaction, Compaction::List | Compaction::ListShuffle) {
         let order: Vec<usize> = (0..plan.batches.len()).collect();
         let tasks = flatten(inst, &plan, &order);
-        consider(
-            list_schedule(m, &tasks, ListPolicy::Greedy),
-            &mut best_crit,
-            &mut best,
-        );
+        consider(list_schedule(m, &tasks), &mut best_crit, &mut best);
     }
     if cfg.compaction == Compaction::ListShuffle && plan.batches.len() > 1 {
         let mut rng = StdRng::seed_from_u64(SHUFFLE_SEED);
@@ -118,11 +112,7 @@ pub fn demt_schedule_with_dual(
         for _ in 0..cfg.shuffles {
             order.shuffle(&mut rng);
             let tasks = flatten(inst, &plan, &order);
-            consider(
-                list_schedule(m, &tasks, ListPolicy::Greedy),
-                &mut best_crit,
-                &mut best,
-            );
+            consider(list_schedule(m, &tasks), &mut best_crit, &mut best);
         }
     }
 

@@ -20,6 +20,7 @@
 
 use crate::feasibility::Rejection;
 use demt_model::{approx_le, Instance};
+#[cfg(test)]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One task's staircase: allotments sorted by processing time.
@@ -39,14 +40,15 @@ struct TaskMemo {
     min_time: f64,
 }
 
-/// Per-instance memo of every task's canonical allotments, plus a
-/// probe counter so tests can compare per-iteration work against the
-/// naive scan. The memo captures everything the feasibility predicate
-/// needs (including the machine size), so it cannot be mixed up with a
-/// different instance after construction.
+/// Per-instance memo of every task's canonical allotments, plus (in
+/// test builds only) a probe counter so tests can compare per-iteration
+/// work against the naive scan. The memo captures everything the
+/// feasibility predicate needs (including the machine size), so it
+/// cannot be mixed up with a different instance after construction.
 pub struct CanonicalAllotments {
     tasks: Vec<TaskMemo>,
     procs: usize,
+    #[cfg(test)]
     probes: AtomicU64,
 }
 
@@ -89,6 +91,7 @@ impl CanonicalAllotments {
         Self {
             tasks,
             procs: inst.procs(),
+            #[cfg(test)]
             probes: AtomicU64::new(0),
         }
     }
@@ -114,13 +117,11 @@ impl CanonicalAllotments {
     /// Size of the feasible prefix of `task`'s staircase at deadline
     /// `t` (number of allotments with `p(k) ≲ t`), via binary search.
     fn cut(&self, task: usize, t: f64) -> usize {
-        let mut examined = 0u64;
-        let cut = self.tasks[task].times.partition_point(|&p| {
-            examined += 1;
+        self.tasks[task].times.partition_point(|&p| {
+            #[cfg(test)]
+            self.probes.fetch_add(1, Ordering::Relaxed);
             approx_le(p, t)
-        });
-        self.probes.fetch_add(examined, Ordering::Relaxed);
-        cut
+        })
     }
 
     /// Memoized [`demt_model::MoldableTask::min_alloc_within`].

@@ -13,7 +13,7 @@
 use crate::CanonicalAllotments;
 use demt_kernels::{min_area_partition, ShelfChoice, ShelfItem};
 use demt_model::{Instance, TaskId};
-use demt_platform::{list_schedule, ListPolicy, ListTask, Schedule};
+use demt_platform::{list_schedule, ListTask, Schedule};
 
 /// Which structural class a task landed in at the accepted λ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +137,7 @@ pub(crate) fn build_shelves(
             ListTask::new(id, k, inst.task(id).time(k))
         })
         .collect();
-    let schedule = list_schedule(inst.procs(), &tasks, ListPolicy::Greedy);
+    let schedule = list_schedule(inst.procs(), &tasks);
 
     ShelfBuild {
         allotment,

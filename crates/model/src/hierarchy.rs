@@ -1,22 +1,19 @@
 //! Minimal resource hierarchy: cluster / node / core arities.
 //!
 //! Real platforms expose processors through a shallow tree — clusters
-//! of nodes of cores — and requests are phrased at a level of that tree
-//! (`nodes=2` means "two whole nodes", not "any 2·cores_per_node
-//! cores"). The [`Hierarchy`] type carries the three arities parsed
-//! from a `--hierarchy` spec like `2x4x8` (2 clusters × 4 nodes × 8
-//! cores = 64 processors), lowers level requests to core counts, and
-//! claims *aligned, contiguous* [`ProcSet`] blocks so a node request
-//! never straddles a node boundary.
+//! of nodes of cores. The [`Hierarchy`] type carries the three arities
+//! parsed from a `--hierarchy` spec like `2x4x8` (2 clusters × 4 nodes ×
+//! 8 cores = 64 processors); the node-granularity scheduling adapter of
+//! `demt-api` reads the node count and node width from it to coarsen an
+//! instance to whole nodes and expand the placements back to cores.
 //!
 //! Core ids are assigned depth-first: cluster `c`, node `n`, core `k`
 //! maps to id `(c · nodes_per_cluster + n) · cores_per_node + k`, so
 //! every node (and every cluster) is one contiguous id interval.
 
-use crate::ProcSet;
 use std::fmt;
 
-/// Errors raised while parsing hierarchy specs or lowering requests.
+/// Errors raised while parsing or building hierarchy specs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HierarchyError {
     /// The spec is not three positive integers joined by `x`.
@@ -28,23 +25,6 @@ pub enum HierarchyError {
     Overflow {
         /// The offending spec string.
         spec: String,
-    },
-    /// A request is not of the form `level=count`.
-    BadRequest {
-        /// The offending request string.
-        request: String,
-    },
-    /// A request names a level the hierarchy does not have.
-    UnknownLevel {
-        /// The offending level name.
-        level: String,
-    },
-    /// A request asks for more units than the hierarchy holds.
-    TooLarge {
-        /// The requested unit count.
-        count: u32,
-        /// The level's total unit count.
-        available: u32,
     },
 }
 
@@ -63,71 +43,11 @@ impl fmt::Display for HierarchyError {
                     "hierarchy spec `{spec}` overflows the processor id space"
                 )
             }
-            HierarchyError::BadRequest { request } => {
-                write!(f, "request `{request}` is not level=count (e.g. nodes=2)")
-            }
-            HierarchyError::UnknownLevel { level } => {
-                write!(
-                    f,
-                    "unknown hierarchy level `{level}` (use clusters, nodes or cores)"
-                )
-            }
-            HierarchyError::TooLarge { count, available } => {
-                write!(
-                    f,
-                    "request for {count} units exceeds the {available} available"
-                )
-            }
         }
     }
 }
 
 impl std::error::Error for HierarchyError {}
-
-/// A level of the [`Hierarchy`] tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HierarchyLevel {
-    /// Whole clusters (`nodes_per_cluster · cores_per_node` cores each).
-    Cluster,
-    /// Whole nodes (`cores_per_node` cores each).
-    Node,
-    /// Individual cores.
-    Core,
-}
-
-/// A parsed `level=count` request, e.g. `nodes=2`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HierarchyRequest {
-    /// The level the count applies to.
-    pub level: HierarchyLevel,
-    /// How many units of that level.
-    pub count: u32,
-}
-
-impl HierarchyRequest {
-    /// Parses `level=count` with level ∈ {cluster(s), node(s), core(s)}.
-    pub fn parse(request: &str) -> Result<Self, HierarchyError> {
-        let bad = || HierarchyError::BadRequest {
-            request: request.to_string(),
-        };
-        let (level, count) = request.split_once('=').ok_or_else(bad)?;
-        let count: u32 = count.trim().parse().map_err(|_| bad())?;
-        if count == 0 {
-            return Err(bad());
-        }
-        let level = match level.trim() {
-            "cluster" | "clusters" => HierarchyLevel::Cluster,
-            "node" | "nodes" => HierarchyLevel::Node,
-            "core" | "cores" => HierarchyLevel::Core,
-            other => {
-                return Err(HierarchyError::UnknownLevel {
-                    level: other.to_string(),
-                })
-            }
-        };
-        Ok(Self { level, count })
-    }
-}
 
 /// A three-level cluster/node/core machine shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -194,80 +114,10 @@ impl Hierarchy {
         self.cores_per_node
     }
 
-    /// Cores per cluster.
-    #[must_use]
-    pub fn cores_per_cluster(&self) -> u32 {
-        self.nodes_per_cluster * self.cores_per_node
-    }
-
     /// Total processor count (the instance's `m`).
     #[must_use]
     pub fn total_cores(&self) -> usize {
         self.nodes() as usize * self.cores_per_node as usize
-    }
-
-    /// Cores per unit of `level`.
-    #[must_use]
-    pub fn unit_cores(&self, level: HierarchyLevel) -> u32 {
-        match level {
-            HierarchyLevel::Cluster => self.cores_per_cluster(),
-            HierarchyLevel::Node => self.cores_per_node,
-            HierarchyLevel::Core => 1,
-        }
-    }
-
-    /// Units of `level` in the whole machine.
-    #[must_use]
-    pub fn unit_count(&self, level: HierarchyLevel) -> u32 {
-        match level {
-            HierarchyLevel::Cluster => self.clusters,
-            HierarchyLevel::Node => self.nodes(),
-            HierarchyLevel::Core => self.total_cores() as u32,
-        }
-    }
-
-    /// Lowers a request to its core count (`nodes=2` on a `2x4x8`
-    /// machine → 16 cores).
-    pub fn lower(&self, req: HierarchyRequest) -> Result<usize, HierarchyError> {
-        let available = self.unit_count(req.level);
-        if req.count > available {
-            return Err(HierarchyError::TooLarge {
-                count: req.count,
-                available,
-            });
-        }
-        Ok(req.count as usize * self.unit_cores(req.level) as usize)
-    }
-
-    /// Claims `req` from `free` as *aligned* contiguous blocks: each
-    /// claimed unit is one whole, fully-free unit of the requested
-    /// level (the lowest such units). Returns `None` — leaving `free`
-    /// untouched — when not enough aligned units are free.
-    ///
-    /// Core requests take the lowest contiguous run instead, falling
-    /// back to the lowest scattered ids when no run is wide enough.
-    pub fn claim(&self, free: &mut ProcSet, req: HierarchyRequest) -> Option<ProcSet> {
-        if req.level == HierarchyLevel::Core {
-            let k = req.count as usize;
-            return free.take_k_contiguous(k).or_else(|| free.take_k_lowest(k));
-        }
-        let unit = self.unit_cores(req.level);
-        let units = self.unit_count(req.level);
-        let mut claimed = ProcSet::new();
-        let mut found = 0u32;
-        for u in 0..units {
-            let lo = u * unit;
-            let block = ProcSet::range(lo, lo + unit - 1);
-            if free.intersect(&block) == block {
-                claimed.union_with(&block);
-                found += 1;
-                if found == req.count {
-                    *free = free.subtract(&claimed);
-                    return Some(claimed);
-                }
-            }
-        }
-        None
     }
 }
 
@@ -307,71 +157,5 @@ mod tests {
             Hierarchy::new(70000, 70000, 1),
             Err(HierarchyError::Overflow { .. })
         ));
-    }
-
-    #[test]
-    fn parses_and_lowers_requests() {
-        let h = Hierarchy::parse("2x4x8").unwrap();
-        let req = HierarchyRequest::parse("nodes=2").unwrap();
-        assert_eq!(h.lower(req).unwrap(), 16);
-        assert_eq!(
-            h.lower(HierarchyRequest::parse("cluster=1").unwrap())
-                .unwrap(),
-            32
-        );
-        assert_eq!(
-            h.lower(HierarchyRequest::parse("cores=5").unwrap())
-                .unwrap(),
-            5
-        );
-        assert!(matches!(
-            h.lower(HierarchyRequest::parse("nodes=9").unwrap()),
-            Err(HierarchyError::TooLarge {
-                count: 9,
-                available: 8
-            })
-        ));
-        assert!(HierarchyRequest::parse("nodes").is_err());
-        assert!(HierarchyRequest::parse("nodes=0").is_err());
-        assert!(matches!(
-            HierarchyRequest::parse("gpus=1"),
-            Err(HierarchyError::UnknownLevel { .. })
-        ));
-    }
-
-    #[test]
-    fn node_claims_are_aligned_blocks() {
-        let h = Hierarchy::parse("1x4x4").unwrap();
-        let mut free = ProcSet::full(16);
-        // Occupy half of node 1 so it is not claimable whole.
-        free = free.subtract(&ProcSet::range(5, 6));
-        let got = h
-            .claim(&mut free, HierarchyRequest::parse("nodes=2").unwrap())
-            .unwrap();
-        assert_eq!(got.ranges(), &[(0, 3), (8, 11)], "skips the half-busy node");
-        assert!(!free.contains(0) && !free.contains(11));
-        assert!(free.contains(4) && free.contains(12));
-        // Only one fully-free node left: a 2-node claim must fail whole.
-        let before = free.clone();
-        assert!(h
-            .claim(&mut free, HierarchyRequest::parse("nodes=2").unwrap())
-            .is_none());
-        assert_eq!(free, before, "failed claim leaves the free set intact");
-    }
-
-    #[test]
-    fn core_claims_prefer_contiguous_runs() {
-        let h = Hierarchy::parse("1x2x4").unwrap();
-        let mut free = ProcSet::from_ids([0, 2, 3, 4, 7]);
-        let got = h
-            .claim(&mut free, HierarchyRequest::parse("cores=3").unwrap())
-            .unwrap();
-        assert_eq!(got.ranges(), &[(2, 4)]);
-        // No contiguous run of 2 remains; fall back to scattered ids.
-        let got = h
-            .claim(&mut free, HierarchyRequest::parse("cores=2").unwrap())
-            .unwrap();
-        assert_eq!(got.ranges(), &[(0, 0), (7, 7)]);
-        assert!(free.is_empty());
     }
 }

@@ -35,7 +35,7 @@ mod procset;
 mod task;
 
 pub use error::ModelError;
-pub use hierarchy::{Hierarchy, HierarchyError, HierarchyLevel, HierarchyRequest};
+pub use hierarchy::{Hierarchy, HierarchyError};
 pub use instance::{Instance, InstanceBuilder, InstanceStats};
 pub use procset::{ProcSet, ProcSetIter};
 pub use task::{MoldableTask, TaskId};

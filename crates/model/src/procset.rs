@@ -6,7 +6,7 @@
 //! as sorted, disjoint, inclusive intervals `(lo, hi)` — the slot-set
 //! representation of OAR's `procset` — shrinks a `k`-processor
 //! placement from `k` ids to `O(segments)` ranges and makes
-//! take-`k`-contiguous a linear scan over segments.
+//! take-`k`-lowest a linear scan over segments.
 //!
 //! The representation is canonical: intervals are sorted, pairwise
 //! disjoint and never adjacent (`(0,1),(2,3)` is always stored as
@@ -190,40 +190,6 @@ impl ProcSet {
         *self = self.union(other);
     }
 
-    /// Set difference `self ∖ other`.
-    #[must_use]
-    pub fn subtract(&self, other: &Self) -> Self {
-        let mut out: Vec<(u32, u32)> = Vec::with_capacity(self.ranges.len());
-        let mut j = 0usize;
-        for &(lo, hi) in &self.ranges {
-            let mut lo = lo;
-            // Skip cuts entirely below this interval; a cut may still
-            // overlap several of self's intervals, so scan from `j`
-            // without consuming the boundary cut.
-            while j < other.ranges.len() && other.ranges[j].1 < lo {
-                j += 1;
-            }
-            let mut k = j;
-            while lo <= hi {
-                if k < other.ranges.len() && other.ranges[k].0 <= hi {
-                    let (clo, chi) = other.ranges[k];
-                    if clo > lo {
-                        out.push((lo, clo - 1));
-                    }
-                    if chi >= hi {
-                        break; // tail covered by this cut
-                    }
-                    lo = chi + 1;
-                    k += 1;
-                } else {
-                    out.push((lo, hi));
-                    break;
-                }
-            }
-        }
-        Self { ranges: out }
-    }
-
     /// Set intersection.
     #[must_use]
     pub fn intersect(&self, other: &Self) -> Self {
@@ -244,14 +210,6 @@ impl ProcSet {
             }
         }
         Self { ranges: out }
-    }
-
-    /// Inserts one id (no-op when already present).
-    pub fn insert(&mut self, q: u32) {
-        if self.contains(q) {
-            return;
-        }
-        self.union_with(&Self::range(q, q));
     }
 
     /// Removes and returns the `k` lowest ids, or `None` (leaving the
@@ -284,26 +242,6 @@ impl ProcSet {
         }
         self.ranges.drain(..whole);
         Some(Self { ranges: taken })
-    }
-
-    /// Removes and returns the lowest run of `k` *contiguous* ids, or
-    /// `None` (leaving the set untouched) when no segment is that wide.
-    pub fn take_k_contiguous(&mut self, k: usize) -> Option<Self> {
-        if k == 0 {
-            return Some(Self::new());
-        }
-        let i = self
-            .ranges
-            .iter()
-            .position(|&(lo, hi)| (hi - lo) as usize + 1 >= k)?;
-        let (lo, hi) = self.ranges[i];
-        let cut = lo + (k as u32) - 1;
-        if cut == hi {
-            self.ranges.remove(i);
-        } else {
-            self.ranges[i].0 = cut + 1;
-        }
-        Some(Self::range(lo, cut))
     }
 }
 
@@ -453,18 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn subtract_cuts_through_intervals() {
-        let a = ProcSet::range(0, 9);
-        let b = ProcSet::from_ids([2, 3, 7]);
-        assert_eq!(a.subtract(&b).ranges(), &[(0, 1), (4, 6), (8, 9)]);
-        assert_eq!(b.subtract(&a), ProcSet::new());
-        assert_eq!(a.subtract(&ProcSet::new()), a);
-        // Cut spanning several of self's intervals.
-        let c = ProcSet::from_ids([0, 1, 4, 5, 8]);
-        assert_eq!(c.subtract(&ProcSet::range(1, 8)).ranges(), &[(0, 0)]);
-    }
-
-    #[test]
     fn intersect_is_symmetric() {
         let a = ProcSet::from_ids([0, 1, 2, 6, 7]);
         let b = ProcSet::from_ids([1, 2, 3, 7, 9]);
@@ -485,30 +411,6 @@ mod tests {
             "failed take leaves the set intact"
         );
         assert_eq!(s.take_k_lowest(0), Some(ProcSet::new()));
-    }
-
-    #[test]
-    fn take_k_contiguous_finds_the_lowest_wide_segment() {
-        let mut s = ProcSet::from_ids([0, 3, 4, 8, 9, 10]);
-        let t = s.take_k_contiguous(2).unwrap();
-        assert_eq!(t.ranges(), &[(3, 4)]);
-        assert_eq!(s.ranges(), &[(0, 0), (8, 10)]);
-        assert!(s.take_k_contiguous(4).is_none());
-        let u = s.take_k_contiguous(3).unwrap();
-        assert_eq!(u.ranges(), &[(8, 10)]);
-        assert_eq!(s.ranges(), &[(0, 0)]);
-    }
-
-    #[test]
-    fn insert_and_contains() {
-        let mut s = ProcSet::new();
-        s.insert(4);
-        s.insert(2);
-        s.insert(3);
-        s.insert(3);
-        assert_eq!(s.ranges(), &[(2, 4)]);
-        assert!(s.contains(2) && s.contains(4));
-        assert!(!s.contains(1) && !s.contains(5));
     }
 
     #[test]

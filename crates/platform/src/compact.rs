@@ -9,8 +9,8 @@
 //!
 //! The stronger compaction (re-running the list engine with the batch
 //! ordering, which may *reassign* processor sets) is
-//! [`crate::list_schedule`] on its skyline engine; DEMT wires the two
-//! together in `demt-core`. `pull_earlier` itself needs no skyline: it
+//! [`crate::list_schedule`]; DEMT wires the two together in
+//! `demt-core`. `pull_earlier` itself needs no event structure: it
 //! keeps processor sets, so one availability slot per processor
 //! (`O(Σkᵢ + n log n)` total) is already optimal.
 

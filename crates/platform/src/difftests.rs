@@ -1,9 +1,9 @@
-//! Differential suite: the skyline engines against the retained
+//! Differential suite: the event-ordered engines against the retained
 //! references, compared **byte for byte** on tie-heavy grids (equal
 //! durations, ready times and completion events put all the weight on
 //! tie-breaking):
 //!
-//! * both list policies against the pre-skyline scan
+//! * the list engine against the pre-skyline scan
 //!   (`list_schedule_scan`), on random lists, on fixed corner cases and
 //!   on the `demt listbench` grids;
 //! * conservative backfilling against a pure-`Vec` reimplementation
@@ -11,13 +11,11 @@
 
 use crate::list::list_schedule_scan;
 use crate::{
-    backfill_schedule, bench_grid, list_schedule, try_list_schedule, validate_no_overlap,
-    ListPolicy, ListTask, Placement, Reservation, Schedule,
+    backfill_schedule, bench_grid, list_schedule, try_list_schedule, validate_no_overlap, ListTask,
+    Placement, Reservation, Schedule,
 };
 use demt_model::{ProcSet, TaskId};
 use proptest::prelude::*;
-
-const POLICIES: [ListPolicy; 2] = [ListPolicy::Greedy, ListPolicy::Ordered];
 
 fn json(s: &Schedule) -> String {
     serde_json::to_string(s).unwrap()
@@ -28,12 +26,12 @@ fn lt(id: usize, alloc: usize, duration: f64) -> ListTask {
 }
 
 /// Raw `ListTask` lists: durations and ready times drawn from small
-/// discrete grids so exact f64 **ties** (equal completion events, equal
-/// frontier groups, simultaneous releases) occur constantly — the
-/// territory where an engine's tie handling shows. The machine range
-/// crosses the 64-bit word boundary so the greedy engine's
-/// free-processor set exercises multi-word take/insert paths, not just
-/// word 0.
+/// discrete grids so exact f64 **ties** (equal completion events,
+/// simultaneous releases) occur constantly — the territory where an
+/// engine's tie handling shows. Mixed widths on machines up to 149
+/// processors fragment the engine's free-processor interval set into
+/// many runs, so takes and releases split and merge segments, not just
+/// one prefix.
 fn arb_raw_list() -> impl Strategy<Value = (usize, Vec<ListTask>)> {
     (1usize..150, 0usize..40)
         .prop_flat_map(|(m, n)| {
@@ -140,15 +138,13 @@ proptest! {
 
     #[test]
     fn skyline_engine_matches_scan_reference_byte_for_byte((m, tasks) in arb_raw_list()) {
-        for policy in POLICIES {
-            let sky = list_schedule(m, &tasks, policy);
-            let scan = list_schedule_scan(m, &tasks, policy);
-            prop_assert_eq!(&sky, &scan, "{:?}: schedules diverge", policy);
-            // Byte-identical serialization, the form `demt listbench` emits.
-            prop_assert_eq!(json(&sky), json(&scan), "{:?}: JSON bytes diverge", policy);
-            // And no skyline placement ever overlaps on a processor.
-            prop_assert!(validate_no_overlap(&sky).is_ok(), "{:?}: {:?}", policy, validate_no_overlap(&sky));
-        }
+        let sky = list_schedule(m, &tasks);
+        let scan = list_schedule_scan(m, &tasks);
+        prop_assert_eq!(&sky, &scan, "schedules diverge");
+        // Byte-identical serialization, the form `demt listbench` emits.
+        prop_assert_eq!(json(&sky), json(&scan), "JSON bytes diverge");
+        // And no engine placement ever overlaps on a processor.
+        prop_assert!(validate_no_overlap(&sky).is_ok(), "{:?}", validate_no_overlap(&sky));
     }
 
     #[test]
@@ -198,12 +194,10 @@ proptest! {
 
     #[test]
     fn list_engines_agree_byte_for_byte((m, tasks) in arb_tie_grid()) {
-        for policy in POLICIES {
-            let skyline = try_list_schedule(m, &tasks, policy).unwrap();
-            let scan = list_schedule_scan(m, &tasks, policy);
-            prop_assert_eq!(json(&skyline), json(&scan), "{:?} diverged", policy);
-            prop_assert!(validate_no_overlap(&skyline).is_ok());
-        }
+        let engine = try_list_schedule(m, &tasks).unwrap();
+        let scan = list_schedule_scan(m, &tasks);
+        prop_assert_eq!(json(&engine), json(&scan));
+        prop_assert!(validate_no_overlap(&engine).is_ok());
     }
 
     #[test]
@@ -256,11 +250,9 @@ fn skyline_and_scan_agree_on_fixed_corner_cases() {
         (64, (0..1000).map(|i| lt(i, 1, 1.0)).collect()),
     ];
     for (m, tasks) in cases {
-        for policy in POLICIES {
-            let sky = list_schedule(m, &tasks, policy);
-            let scan = list_schedule_scan(m, &tasks, policy);
-            assert_eq!(sky, scan, "m={m}, {policy:?}");
-        }
+        let sky = list_schedule(m, &tasks);
+        let scan = list_schedule_scan(m, &tasks);
+        assert_eq!(sky, scan, "m={m}");
     }
 }
 
@@ -270,15 +262,10 @@ fn engines_agree_on_the_listbench_grids() {
     // every machine size the engine's perf guard runs.
     for m in [200, 1000, 10_000] {
         let grid = bench_grid(3000, m, 11);
-        for policy in POLICIES {
-            let sky = list_schedule(m, &grid, policy);
-            let scan = list_schedule_scan(m, &grid, policy);
-            assert_eq!(sky.len(), grid.len(), "m={m}, {policy:?}");
-            // Not assert_eq!: a 3000-placement Debug dump helps no one.
-            assert!(
-                json(&sky) == json(&scan),
-                "m={m}, {policy:?}: bytes diverge"
-            );
-        }
+        let sky = list_schedule(m, &grid);
+        let scan = list_schedule_scan(m, &grid);
+        assert_eq!(sky.len(), grid.len(), "m={m}");
+        // Not assert_eq!: a 3000-placement Debug dump helps no one.
+        assert!(json(&sky) == json(&scan), "m={m}: bytes diverge");
     }
 }

@@ -10,13 +10,12 @@
 //! * [`validate`] — a full feasibility audit run on every algorithm
 //!   output in tests and the harness;
 //! * [`list_schedule`] / [`try_list_schedule`] — the Graham-style
-//!   event-driven list engine used by the baselines and by DEMT's
-//!   compaction, running on the skyline structures below;
-//! * [`Skyline`] / [`Frontier`] — event-ordered free-processor profiles
-//!   keyed by time: the count skyline (earliest-fit queries, backfill
-//!   pre-filtering) and the availability frontier (strict-order
-//!   placement), see [`mod@skyline`]'s module docs for the complexity
-//!   table;
+//!   event-driven list engine behind every placement (baselines, DEMT's
+//!   compaction, the dual's shelves, the on-line batches), running on a
+//!   leftmost-fit tree and a [`FreeSet`] of free processor intervals;
+//! * [`Skyline`] — the free-processor count as an event-ordered profile
+//!   keyed by time (earliest-fit queries, backfill pre-filtering, the
+//!   EASY queue's head reservation), see [`mod@skyline`]'s module docs;
 //! * [`pull_earlier`] — the "slide left on idle processors" compaction
 //!   pass;
 //! * [`backfill_schedule`] — conservative backfilling around node
@@ -40,12 +39,10 @@ mod validate;
 pub use compact::pull_earlier;
 pub use criteria::Criteria;
 pub use gantt::render_gantt;
-pub use list::{
-    bench_grid, list_schedule, try_list_schedule, FreeSet, ListError, ListPolicy, ListTask,
-};
+pub use list::{bench_grid, list_schedule, try_list_schedule, FreeSet, ListError, ListTask};
 pub use reserve::{backfill_schedule, Reservation};
 pub use schedule::{Placement, Schedule};
-pub use skyline::{Frontier, Skyline};
+pub use skyline::Skyline;
 pub use validate::{
     assert_valid, validate, validate_no_overlap, validate_with_releases, ValidationError,
 };

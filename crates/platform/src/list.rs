@@ -3,59 +3,50 @@
 //! This is the Graham-style multiprocessor list scheduling of Garey &
 //! Graham [11 of the paper], generalized to tasks requiring `k`
 //! processors: whenever processors free up, the first task in list order
-//! that *fits* the available count starts immediately. It is the engine
-//! behind the three "List" baselines (§4.1), behind DEMT's compaction
-//! step (§3.2), which runs it with the batch ordering, and behind the
-//! on-line batch framework — every placement in the workspace funnels
-//! through here.
+//! that *fits* the available count starts immediately, so a fitting task
+//! may jump ahead of a non-fitting earlier one (work-conserving). It is
+//! the engine behind the three "List" baselines (§4.1), behind DEMT's
+//! compaction step (§3.2), which runs it with the batch ordering, behind
+//! the dual's shelf schedule and behind the on-line batch framework —
+//! every placement in the workspace funnels through here, under this one
+//! policy.
 //!
-//! Two policies are provided:
+//! ## Engine and complexity
 //!
-//! * [`ListPolicy::Greedy`] — classic Graham: any fitting task may jump
-//!   ahead of a non-fitting earlier task (work-conserving);
-//! * [`ListPolicy::Ordered`] — each task, taken strictly in list order,
-//!   starts at the earliest instant where its allotment is available on
-//!   the processor-availability *frontier* (no hole-filling: once a wide
-//!   task pushes the frontier, earlier idle intervals are gone — the
-//!   conservative, FCFS-like discipline). Used for ablations.
-//!
-//! ## Engines and complexity
-//!
-//! The placement loop used to rescan all `m` processors (and re-sort
-//! the free list) at every state change — `O(n·(n + m log m))` per
+//! The placement loop used to rescan the whole task list and re-sort
+//! the free list at every state change — `O(n·(n + m log m))` per
 //! schedule, the dominant cost at cluster scale. The engine now runs on
-//! event-ordered structures from [`crate::skyline`]; the old scan
-//! survives only under `#[cfg(test)]`, as the reference the crate's
-//! differential tests pin the engine against byte for byte (the same
-//! pattern as `demt-lp`'s dense solver).
+//! event-ordered structures: a leftmost-fit tree over the list and a
+//! [`FreeSet`] of free processor intervals. The old scan survives only
+//! under `#[cfg(test)]`, as the reference the crate's differential tests
+//! pin the engine against byte for byte (the same pattern as `demt-lp`'s
+//! dense solver).
 //!
-//! | step | scan reference | skyline engine |
+//! | step | scan reference | event engine |
 //! |---|---|---|
-//! | "first fitting task" (Greedy) | `O(n)` rescan per event | `O(log n)` leftmost-fit tree descent |
-//! | free-processor release (Greedy) | `O(m log m)` re-sort per event | `O(k)` bitset inserts |
-//! | take `k` lowest free indices | `O(m)` prefix drain | `O(k + m/64)` bitset bit-walk |
-//! | earliest `k`-wide start (Ordered) | `O(m log m)` sort per task | `O(log E + k)` amortized frontier claim |
+//! | "first fitting task" | `O(n)` rescan per event | `O(log n)` leftmost-fit tree descent |
+//! | free-processor release | `O(m log m)` re-sort per event | `O(s)` interval union |
+//! | take `k` lowest free indices | `O(m)` prefix drain | `O(s)` interval prefix split |
 //!
-//! `E` is the number of availability groups (≤ placements), `k` the
-//! allotment. Total: `O((n + Σkᵢ) log(n·m))` instead of
+//! `s` is the number of free runs in the [`FreeSet`] (a handful in
+//! practice, at most `⌈m/2⌉`). Total: `O(n·(log n + s))` instead of
 //! `O(n·(n + m log m))`. `demt listbench --procs 10000` times the engine
 //! on the [`bench_grid`] shape.
 //!
 //! The m = 10⁴ scale is cheap enough to run in a doctest now:
 //!
 //! ```
-//! use demt_platform::{list_schedule, ListPolicy, ListTask};
+//! use demt_platform::{list_schedule, ListTask};
 //! use demt_model::{ProcSet, TaskId};
 //! // 10⁴ processors, 100 tasks of width 100: a perfect 1-unit packing.
 //! let tasks: Vec<ListTask> = (0..100)
 //!     .map(|i| ListTask::new(TaskId(i), 100, 1.0))
 //!     .collect();
-//! let s = list_schedule(10_000, &tasks, ListPolicy::Greedy);
+//! let s = list_schedule(10_000, &tasks);
 //! assert_eq!(s.makespan(), 1.0);
 //! assert_eq!(s.placements()[99].procs.len(), 100);
 //! ```
 
-use crate::skyline::Frontier;
 use crate::{Placement, Schedule};
 use demt_model::{ProcSet, TaskId};
 use std::cmp::Reverse;
@@ -85,17 +76,6 @@ impl ListTask {
             ready: 0.0,
         }
     }
-}
-
-/// Dispatch discipline of the list engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ListPolicy {
-    /// Graham list scheduling: on every state change start *every*
-    /// fitting task, scanning the list in priority order.
-    Greedy,
-    /// Strict order: task `i` is placed (at its earliest feasible start)
-    /// before task `i+1` is considered.
-    Ordered,
 }
 
 /// Rejected [`ListTask`] input, reported by [`try_list_schedule`].
@@ -152,7 +132,7 @@ impl fmt::Display for ListError {
 
 impl std::error::Error for ListError {}
 
-/// Checks the preconditions shared by every engine.
+/// Checks the preconditions of the engine and its scan reference.
 fn check_tasks(m: usize, tasks: &[ListTask]) -> Result<(), ListError> {
     if m == 0 {
         return Err(ListError::NoProcessors);
@@ -186,22 +166,15 @@ fn check_tasks(m: usize, tasks: &[ListTask]) -> Result<(), ListError> {
 /// (CLI flags, on-line job feeds).
 ///
 /// ```
-/// use demt_platform::{try_list_schedule, ListError, ListPolicy, ListTask};
+/// use demt_platform::{try_list_schedule, ListError, ListTask};
 /// use demt_model::TaskId;
 /// let bad = [ListTask::new(TaskId(0), 3, 1.0)];
-/// let err = try_list_schedule(2, &bad, ListPolicy::Greedy).unwrap_err();
+/// let err = try_list_schedule(2, &bad).unwrap_err();
 /// assert!(matches!(err, ListError::BadAllotment { alloc: 3, procs: 2, .. }));
 /// ```
-pub fn try_list_schedule(
-    m: usize,
-    tasks: &[ListTask],
-    policy: ListPolicy,
-) -> Result<Schedule, ListError> {
+pub fn try_list_schedule(m: usize, tasks: &[ListTask]) -> Result<Schedule, ListError> {
     check_tasks(m, tasks)?;
-    Ok(match policy {
-        ListPolicy::Greedy => greedy(m, tasks),
-        ListPolicy::Ordered => ordered(m, tasks),
-    })
+    Ok(greedy(m, tasks))
 }
 
 /// Runs the list engine on `m` processors. Panics if any allotment
@@ -210,16 +183,16 @@ pub fn try_list_schedule(
 /// invariant.
 ///
 /// ```
-/// use demt_platform::{list_schedule, ListPolicy, ListTask};
+/// use demt_platform::{list_schedule, ListTask};
 /// use demt_model::TaskId;
 /// // Two 2-processor tasks side by side on 4 processors.
 /// let tasks = [ListTask::new(TaskId(0), 2, 3.0), ListTask::new(TaskId(1), 2, 3.0)];
-/// let s = list_schedule(4, &tasks, ListPolicy::Greedy);
+/// let s = list_schedule(4, &tasks);
 /// assert_eq!(s.makespan(), 3.0);
 /// ```
-pub fn list_schedule(m: usize, tasks: &[ListTask], policy: ListPolicy) -> Schedule {
+pub fn list_schedule(m: usize, tasks: &[ListTask]) -> Schedule {
     // demt-lint: allow(P1, documented panicking wrapper; fallible callers use try_list_schedule)
-    try_list_schedule(m, tasks, policy).unwrap_or_else(|e| panic!("{e}"))
+    try_list_schedule(m, tasks).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Deterministic pseudo-random benchmark grid (splitmix64 — no rng
@@ -255,17 +228,14 @@ pub fn bench_grid(n: usize, m: usize, seed: u64) -> Vec<ListTask> {
 }
 
 /// The retained `O(n·(n + m log m))` scan engine, kept as the
-/// differential reference for the skyline engine. Identical output,
+/// differential reference for the event engine. Identical output,
 /// same panics.
 #[cfg(test)]
-pub(crate) fn list_schedule_scan(m: usize, tasks: &[ListTask], policy: ListPolicy) -> Schedule {
+pub(crate) fn list_schedule_scan(m: usize, tasks: &[ListTask]) -> Schedule {
     if let Err(e) = check_tasks(m, tasks) {
         panic!("{e}");
     }
-    match policy {
-        ListPolicy::Greedy => scan::greedy(m, tasks),
-        ListPolicy::Ordered => scan::ordered(m, tasks),
-    }
+    scan::greedy(m, tasks)
 }
 
 /// Wrapper ordering f64 event times inside a `BinaryHeap`.
@@ -287,7 +257,7 @@ impl Ord for EventTime {
 /// leaves hold the allotment of each released, unplaced task
 /// (`usize::MAX` otherwise); [`FitTree::first_fitting`] descends to the
 /// leftmost leaf with value ≤ the free count in `O(log n)` — the
-/// skyline engine's replacement for rescanning the whole list at every
+/// event engine's replacement for rescanning the whole list at every
 /// event.
 struct FitTree {
     base: usize,
@@ -372,11 +342,6 @@ impl FreeSet {
         self.set.take_k_lowest(k).unwrap_or_default()
     }
 
-    /// Marks processor `q` free again.
-    pub fn insert(&mut self, q: u32) {
-        self.set.insert(q);
-    }
-
     /// Marks a whole claimed set free again (interval union).
     pub fn release(&mut self, procs: &ProcSet) {
         self.set.union_with(procs);
@@ -385,7 +350,7 @@ impl FreeSet {
 
 /// Graham greedy on event-ordered structures: a ready-time heap feeds a
 /// [`FitTree`] of released tasks, the free processors live in a
-/// [`FreeSet`] bitset, and completion events release processor
+/// [`FreeSet`] of intervals, and completion events release processor
 /// identities back. Placements are identical to the scan reference:
 /// within one instant the free count only shrinks, so repeatedly taking
 /// the leftmost fitting task enumerates exactly the tasks a full list
@@ -470,26 +435,7 @@ fn greedy(m: usize, tasks: &[ListTask]) -> Schedule {
     schedule
 }
 
-/// Strict-order placement on the availability [`Frontier`]: each task
-/// claims its `alloc` earliest-available processors (ties by lowest
-/// index) in amortized `O(log E + alloc)` — the skyline replacement for
-/// sorting all `m` availability times per task.
-fn ordered(m: usize, tasks: &[ListTask]) -> Schedule {
-    let mut schedule = Schedule::new(m);
-    let mut frontier = Frontier::new(m);
-    for t in tasks {
-        let (start, procs) = frontier.claim(t.alloc, t.ready, t.duration);
-        schedule.push(Placement {
-            task: t.id,
-            start,
-            duration: t.duration,
-            procs,
-        });
-    }
-    schedule
-}
-
-/// The pre-skyline engines, verbatim: full task-list rescans and free
+/// The pre-skyline engine, verbatim: full task-list rescans and free
 /// list re-sorts. Reference semantics for the differential tests.
 #[cfg(test)]
 mod scan {
@@ -578,29 +524,6 @@ mod scan {
         }
         schedule
     }
-
-    pub(super) fn ordered(m: usize, tasks: &[ListTask]) -> Schedule {
-        let mut schedule = Schedule::new(m);
-        // Per-processor availability time.
-        let mut avail: Vec<(f64, u32)> = (0..m as u32).map(|q| (0.0, q)).collect();
-        for t in tasks {
-            // The k processors that free earliest give the earliest start.
-            avail.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let start = avail[t.alloc - 1].0.max(t.ready);
-            let mut procs: Vec<u32> = avail[..t.alloc].iter().map(|&(_, q)| q).collect();
-            procs.sort_unstable();
-            for slot in avail[..t.alloc].iter_mut() {
-                slot.0 = start + t.duration;
-            }
-            schedule.push(Placement {
-                task: t.id,
-                start,
-                duration: t.duration,
-                procs: ProcSet::from_ids(procs),
-            });
-        }
-        schedule
-    }
 }
 
 #[cfg(test)]
@@ -614,7 +537,7 @@ mod tests {
     #[test]
     fn greedy_packs_parallel_work() {
         // Two 2-proc tasks fit side by side on 4 processors.
-        let s = list_schedule(4, &[lt(0, 2, 3.0), lt(1, 2, 3.0)], ListPolicy::Greedy);
+        let s = list_schedule(4, &[lt(0, 2, 3.0), lt(1, 2, 3.0)]);
         assert_eq!(s.makespan(), 3.0);
         assert_eq!(s.placements()[0].start, 0.0);
         assert_eq!(s.placements()[1].start, 0.0);
@@ -625,7 +548,7 @@ mod tests {
         // Head task needs 3 procs (blocked until t=2); the 1-proc task
         // behind it starts immediately.
         let tasks = [lt(0, 2, 2.0), lt(1, 3, 1.0), lt(2, 1, 1.0)];
-        let s = list_schedule(3, &tasks, ListPolicy::Greedy);
+        let s = list_schedule(3, &tasks);
         let p2 = s.placement_of(TaskId(2)).unwrap();
         assert_eq!(p2.start, 0.0, "Graham fills the idle processor");
         let p1 = s.placement_of(TaskId(1)).unwrap();
@@ -634,27 +557,11 @@ mod tests {
     }
 
     #[test]
-    fn ordered_respects_strict_order() {
-        let tasks = [lt(0, 2, 2.0), lt(1, 3, 1.0), lt(2, 1, 1.0)];
-        let s = list_schedule(3, &tasks, ListPolicy::Ordered);
-        let p1 = s.placement_of(TaskId(1)).unwrap();
-        assert_eq!(p1.start, 2.0);
-        // No hole-filling: the wide task 1 pushed the frontier of every
-        // processor to t=3, so task 2 waits even though processor 2 was
-        // idle during [0, 2) (contrast with the Greedy test above).
-        let p2 = s.placement_of(TaskId(2)).unwrap();
-        assert_eq!(p2.start, 3.0);
-        assert_eq!(s.makespan(), 4.0);
-    }
-
-    #[test]
     fn ready_times_delay_starts() {
         let mut t = lt(0, 1, 1.0);
         t.ready = 5.0;
-        for policy in [ListPolicy::Greedy, ListPolicy::Ordered] {
-            let s = list_schedule(2, &[t], policy);
-            assert_eq!(s.placements()[0].start, 5.0, "{policy:?}");
-        }
+        let s = list_schedule(2, &[t]);
+        assert_eq!(s.placements()[0].start, 5.0);
     }
 
     #[test]
@@ -662,64 +569,49 @@ mod tests {
         // 7 unit tasks, 3 procs: optimal 3 units; Graham ≤ 2-1/m times
         // optimal, and here it is exactly ceil(7/3) = 3.
         let tasks: Vec<ListTask> = (0..7).map(|i| lt(i, 1, 1.0)).collect();
-        let s = list_schedule(3, &tasks, ListPolicy::Greedy);
+        let s = list_schedule(3, &tasks);
         assert_eq!(s.makespan(), 3.0);
     }
 
     #[test]
     fn full_machine_tasks_serialize() {
         let tasks = [lt(0, 4, 1.0), lt(1, 4, 2.0)];
-        let s = list_schedule(4, &tasks, ListPolicy::Greedy);
+        let s = list_schedule(4, &tasks);
         assert_eq!(s.makespan(), 3.0);
         let p1 = s.placement_of(TaskId(1)).unwrap();
         assert_eq!(p1.start, 1.0);
     }
 
     #[test]
-    fn both_policies_agree_on_independent_unit_tasks() {
-        let tasks: Vec<ListTask> = (0..6).map(|i| lt(i, 1, 2.0)).collect();
-        let g = list_schedule(6, &tasks, ListPolicy::Greedy);
-        let o = list_schedule(6, &tasks, ListPolicy::Ordered);
-        assert_eq!(g.makespan(), 2.0);
-        assert_eq!(o.makespan(), 2.0);
-    }
-
-    #[test]
     #[should_panic(expected = "allotment")]
     fn oversized_allotment_rejected() {
-        let _ = list_schedule(2, &[lt(0, 3, 1.0)], ListPolicy::Greedy);
+        let _ = list_schedule(2, &[lt(0, 3, 1.0)]);
     }
 
     #[test]
     fn try_list_schedule_reports_typed_errors() {
-        assert_eq!(
-            try_list_schedule(0, &[], ListPolicy::Greedy),
-            Err(ListError::NoProcessors)
-        );
+        assert_eq!(try_list_schedule(0, &[]), Err(ListError::NoProcessors));
         assert!(matches!(
-            try_list_schedule(2, &[lt(0, 0, 1.0)], ListPolicy::Greedy),
+            try_list_schedule(2, &[lt(0, 0, 1.0)]),
             Err(ListError::BadAllotment { alloc: 0, .. })
         ));
         assert!(matches!(
-            try_list_schedule(2, &[lt(0, 1, f64::NAN)], ListPolicy::Ordered),
+            try_list_schedule(2, &[lt(0, 1, f64::NAN)]),
             Err(ListError::BadDuration { .. })
         ));
         let mut t = lt(0, 1, 1.0);
         t.ready = -2.0;
         assert!(matches!(
-            try_list_schedule(2, &[t], ListPolicy::Greedy),
+            try_list_schedule(2, &[t]),
             Err(ListError::BadReady { .. })
         ));
         // The panicking wrapper carries the same message.
-        let err = try_list_schedule(2, &[lt(7, 5, 1.0)], ListPolicy::Greedy).unwrap_err();
+        let err = try_list_schedule(2, &[lt(7, 5, 1.0)]).unwrap_err();
         assert_eq!(err.to_string(), "T7: allotment 5 outside 1..=2");
     }
 
     #[test]
     fn empty_task_list_yields_empty_schedule() {
-        for policy in [ListPolicy::Greedy, ListPolicy::Ordered] {
-            let s = list_schedule(3, &[], policy);
-            assert!(s.is_empty());
-        }
+        assert!(list_schedule(3, &[]).is_empty());
     }
 }

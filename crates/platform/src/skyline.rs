@@ -1,37 +1,25 @@
-//! Skyline structures over free-processor availability.
+//! The skyline: free-processor availability as an event-ordered profile.
 //!
-//! Two event-ordered profiles keyed by time back the list engine and
-//! the backfilling scheduler, replacing their former full scans of all
-//! `m` processors per placement:
+//! [`Skyline`] keeps the **free-processor count** as a piecewise-constant
+//! step function of time (a sorted segment list), replacing the former
+//! full scans of all `m` processors per placement in the backfilling
+//! scheduler and the EASY queue. It answers "earliest `t ≥ ready` where
+//! at least `k` processors stay free for `duration`"
+//! ([`Skyline::earliest_fit`]) and commits a placement by splitting the
+//! window's edge segments in `O(log E)` and then decrementing the
+//! segments the window spans ([`Skyline::commit`]), where `E` is the
+//! number of committed windows — `O(log E)` for the typical
+//! placement-sized window, linear only when one window spans most of the
+//! profile. Counts cannot name *which* processors are free, so
+//! [`crate::backfill_schedule`] uses the skyline as a sound pre-filter
+//! in front of its exact per-processor check — a candidate start the
+//! skyline rejects can never pass the identity check.
 //!
-//! * [`Skyline`] — the **free-processor count** as a piecewise-constant
-//!   step function of time (a sorted segment list). It answers
-//!   "earliest `t ≥ ready` where at least `k` processors stay free for
-//!   `duration`" ([`Skyline::earliest_fit`]) and commits a placement by
-//!   splitting the window's edge segments in `O(log E)` and then
-//!   decrementing the segments the window spans ([`Skyline::commit`]),
-//!   where `E` is the number of committed windows — `O(log E)` for the
-//!   typical placement-sized window, linear only when one window spans
-//!   most of the profile. Counts cannot name *which*
-//!   processors are free, so [`crate::backfill_schedule`] uses the
-//!   skyline as a sound pre-filter in front of its exact per-processor
-//!   check — a candidate start the skyline rejects can never pass the
-//!   identity check.
-//! * [`Frontier`] — processor **identities grouped by availability
-//!   time** (the non-decreasing frontier left behind by strict-order
-//!   placement, where past idle intervals are gone). It claims the `k`
-//!   earliest-available processors — ties broken by lowest index,
-//!   exactly like sorting all `m` availability times — in
-//!   `O(g log E + k)` for `g` consumed groups, which amortizes to
-//!   `O(log E + k)` per claim because each claim creates at most one
-//!   new group. This is the engine behind [`crate::ListPolicy::Ordered`].
-//!
-//! Both structures key segments by **bitwise** time equality (no
-//! epsilon): they reproduce the arithmetic of the retained scan
-//! reference exactly, which is what lets the differential proptest
-//! suite pin byte-identical schedules.
+//! Segments are keyed by **bitwise** time equality (no epsilon): the
+//! profile reproduces the arithmetic of the per-processor scan exactly,
+//! which is what lets the differential proptest suite pin byte-identical
+//! schedules.
 
-use demt_model::ProcSet;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -300,117 +288,6 @@ impl Skyline {
     }
 }
 
-/// Processor identities grouped by **availability time**: the frontier
-/// left behind by strict-order placement. Each group's index list is
-/// sorted; groups with bitwise-equal times are merged, so iterating
-/// groups in time order and each group in index order enumerates the
-/// processors exactly as sorting all `m` `(time, index)` pairs would —
-/// which is how [`Frontier::claim`] reproduces the scan engine's
-/// placements without ever materializing that sort.
-#[derive(Debug, Clone)]
-pub struct Frontier {
-    procs: usize,
-    /// Availability time → interval set of processor indices.
-    groups: BTreeMap<TimeKey, ProcSet>,
-}
-
-impl Frontier {
-    /// All `procs` processors available at time `0`.
-    pub fn new(procs: usize) -> Self {
-        let mut groups = BTreeMap::new();
-        if procs > 0 {
-            groups.insert(TimeKey(0.0), ProcSet::full(procs));
-        }
-        Self { procs, groups }
-    }
-
-    /// Total processor count `m`.
-    pub fn procs(&self) -> usize {
-        self.procs
-    }
-
-    /// Number of availability groups currently on the frontier.
-    pub fn groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Claims the `k` earliest-available processors (ties broken by
-    /// lowest index) for a task ready at `ready` running `duration`:
-    /// returns its start time `max(ready, t_k)` — `t_k` being the
-    /// availability of the `k`-th processor — and the sorted processor
-    /// set, whose availability is advanced to `start + duration`.
-    ///
-    /// Panics if `k` is zero or exceeds the machine.
-    pub fn claim(&mut self, k: usize, ready: f64, duration: f64) -> (f64, ProcSet) {
-        assert!(
-            k >= 1 && k <= self.procs,
-            "claim of {k} of {} processors",
-            self.procs
-        );
-        assert!(
-            ready >= 0.0 && ready.is_finite() && duration > 0.0 && duration.is_finite(),
-            "bad claim window at {ready} for {duration}"
-        );
-        // Locate the boundary group holding the k-th processor.
-        let mut need = k;
-        let mut boundary = None;
-        for (key, group) in self.groups.iter() {
-            if group.len() >= need {
-                boundary = Some(*key);
-                break;
-            }
-            need -= group.len();
-        }
-        // Release-assert: the groups always partition all m processors
-        // and k ≤ m was asserted, so the scan above found a boundary.
-        assert!(boundary.is_some(), "frontier always holds all m processors");
-        let boundary = boundary.unwrap_or(TimeKey(0.0));
-        let start = boundary.0.max(ready);
-
-        // Take every group strictly before the boundary whole, then the
-        // lowest `need` indices of the boundary group.
-        let mut procs = ProcSet::new();
-        while self
-            .groups
-            .first_key_value()
-            .is_some_and(|(&key, _)| key < boundary)
-        {
-            // The while condition just observed a first entry under the
-            // same borrow, so the else arm never runs.
-            let Some((_, group)) = self.groups.pop_first() else {
-                break;
-            };
-            procs.union_with(&group);
-        }
-        // Boundary was found among the group keys and only earlier
-        // groups were drained, so the lookup succeeds.
-        if let Some(group) = self.groups.get_mut(&boundary) {
-            let want = need.min(group.len());
-            if let Some(taken) = group.take_k_lowest(want) {
-                procs.union_with(&taken);
-            }
-            if group.is_empty() {
-                self.groups.remove(&boundary);
-            }
-        }
-        // Release-assert: a shortfall here means the frontier lost
-        // processors — a scheduler bug that must not place the task on
-        // a partial set.
-        assert_eq!(procs.len(), k, "frontier claim came up short");
-
-        // The claimed processors free up together at start + duration;
-        // merge into an existing group on bitwise-equal times.
-        let released = TimeKey(start + duration);
-        match self.groups.get_mut(&released) {
-            Some(existing) => existing.union_with(&procs),
-            None => {
-                self.groups.insert(released, procs.clone());
-            }
-        }
-        (start, procs)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,45 +440,5 @@ mod tests {
         let mut sky = Skyline::new(2);
         sky.commit(0.0, 1.0, 2);
         sky.commit(0.5, 1.0, 1);
-    }
-
-    #[test]
-    fn frontier_claims_earliest_lowest_indices() {
-        let mut f = Frontier::new(4);
-        let (s0, p0) = f.claim(2, 0.0, 5.0);
-        assert_eq!((s0, p0), (0.0, ProcSet::range(0, 1)));
-        let (s1, p1) = f.claim(2, 0.0, 1.0);
-        assert_eq!((s1, p1), (0.0, ProcSet::range(2, 3)));
-        // 2 and 3 free at 1, 0 and 1 at 5: a 3-wide claim starts at 5
-        // and takes the earliest-available processors — 2 and 3 first,
-        // then the index tiebreak picks 0 over 1.
-        let (s2, p2) = f.claim(3, 0.0, 1.0);
-        assert_eq!(s2, 5.0);
-        assert_eq!(p2, ProcSet::from_ids([0, 2, 3]));
-        assert_eq!(p2.ranges(), &[(0, 0), (2, 3)]);
-    }
-
-    #[test]
-    fn frontier_ready_time_delays_without_reordering() {
-        let mut f = Frontier::new(3);
-        let (s, p) = f.claim(1, 7.0, 1.0);
-        assert_eq!((s, p), (7.0, ProcSet::range(0, 0)));
-        // Processor 0 frees at 8, later than 1 and 2 (still at 0).
-        let (s, p) = f.claim(3, 0.0, 1.0);
-        assert_eq!(s, 8.0);
-        assert_eq!(p, ProcSet::full(3));
-    }
-
-    #[test]
-    fn frontier_merges_bitwise_equal_release_times() {
-        let mut f = Frontier::new(4);
-        f.claim(1, 0.0, 2.0);
-        f.claim(1, 0.0, 2.0);
-        // Both releases land at exactly 2.0: one merged group plus the
-        // untouched t=0 group.
-        assert_eq!(f.groups(), 2);
-        let (s, p) = f.claim(4, 0.0, 1.0);
-        assert_eq!(s, 2.0);
-        assert_eq!(p, ProcSet::full(4));
     }
 }

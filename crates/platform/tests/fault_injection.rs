@@ -5,7 +5,7 @@
 //! workspace's test suite.
 
 use demt_model::{Instance, InstanceBuilder, ProcSet, TaskId};
-use demt_platform::{list_schedule, validate, ListPolicy, ListTask, Schedule, ValidationError};
+use demt_platform::{list_schedule, validate, ListTask, Schedule, ValidationError};
 use proptest::prelude::*;
 
 fn instance_and_schedule() -> impl Strategy<Value = (Instance, Schedule)> {
@@ -24,7 +24,7 @@ fn instance_and_schedule() -> impl Strategy<Value = (Instance, Schedule)> {
                 .into_iter()
                 .map(|(i, k)| ListTask::new(TaskId(i), k, inst.task(TaskId(i)).time(k)))
                 .collect();
-            let s = list_schedule(m, &tasks, ListPolicy::Greedy);
+            let s = list_schedule(m, &tasks);
             (inst, s)
         })
     })

@@ -4,7 +4,7 @@
 //! retained references live in the crate's `difftests` module.
 
 use demt_model::{Instance, InstanceBuilder, TaskId};
-use demt_platform::{list_schedule, pull_earlier, validate, Criteria, ListPolicy, ListTask};
+use demt_platform::{list_schedule, pull_earlier, validate, Criteria, ListTask};
 use proptest::prelude::*;
 
 /// Random monotonic instance plus a per-task allotment choice.
@@ -32,17 +32,15 @@ proptest! {
 
     #[test]
     fn list_engine_output_is_always_valid((inst, allocs) in arb_instance_with_allocs()) {
-        for policy in [ListPolicy::Greedy, ListPolicy::Ordered] {
-            let tasks: Vec<ListTask> = inst
-                .ids()
-                .map(|id| {
-                    let k = allocs[id.index()].min(inst.procs()).max(1);
-                    ListTask::new(id, k, inst.task(id).time(k))
-                })
-                .collect();
-            let s = list_schedule(inst.procs(), &tasks, policy);
-            prop_assert!(validate(&inst, &s).is_ok(), "{policy:?}: {:?}", validate(&inst, &s));
-        }
+        let tasks: Vec<ListTask> = inst
+            .ids()
+            .map(|id| {
+                let k = allocs[id.index()].min(inst.procs()).max(1);
+                ListTask::new(id, k, inst.task(id).time(k))
+            })
+            .collect();
+        let s = list_schedule(inst.procs(), &tasks);
+        prop_assert!(validate(&inst, &s).is_ok(), "{:?}", validate(&inst, &s));
     }
 
     #[test]
@@ -54,7 +52,7 @@ proptest! {
                 ListTask::new(id, k, inst.task(id).time(k))
             })
             .collect();
-        let s = list_schedule(inst.procs(), &tasks, ListPolicy::Greedy);
+        let s = list_schedule(inst.procs(), &tasks);
         // Makespan is at least total-area / m and at least the longest task.
         let area: f64 = tasks.iter().map(|t| t.alloc as f64 * t.duration).sum();
         let longest = tasks.iter().map(|t| t.duration).fold(0.0, f64::max);
@@ -97,7 +95,7 @@ proptest! {
 }
 
 #[test]
-fn ordered_and_greedy_handle_a_thousand_tasks() {
+fn greedy_handles_a_thousand_tasks() {
     // Smoke test at realistic scale: n = 1000 unit tasks on 64 procs.
     let mut b = InstanceBuilder::new(64);
     for _ in 0..1000 {
@@ -105,10 +103,8 @@ fn ordered_and_greedy_handle_a_thousand_tasks() {
     }
     let inst = b.build().unwrap();
     let tasks: Vec<ListTask> = inst.ids().map(|id| ListTask::new(id, 1, 1.0)).collect();
-    for policy in [ListPolicy::Greedy, ListPolicy::Ordered] {
-        let s = list_schedule(64, &tasks, policy);
-        validate(&inst, &s).unwrap();
-        assert_eq!(s.makespan(), (1000f64 / 64.0).ceil());
-        assert_eq!(s.placement_of(TaskId(999)).map(|p| p.alloc()), Some(1));
-    }
+    let s = list_schedule(64, &tasks);
+    validate(&inst, &s).unwrap();
+    assert_eq!(s.makespan(), (1000f64 / 64.0).ceil());
+    assert_eq!(s.placement_of(TaskId(999)).map(|p| p.alloc()), Some(1));
 }

@@ -1,5 +1,5 @@
 //! ProcSet algebra against a `BTreeSet` reference on random id sets:
-//! union/subtract/intersect agree element-wise, `take_k_*` splits are
+//! union/intersect agree element-wise, `take_k_lowest` splits are
 //! exact partitions, iteration is sorted, the canonical form (sorted,
 //! disjoint, non-adjacent) survives every operation, and serde
 //! round-trips through the plain id-array wire form byte-for-byte.
@@ -41,7 +41,6 @@ proptest! {
         let (ra, rb): (BTreeSet<u32>, BTreeSet<u32>) = (a.into_iter().collect(), b.into_iter().collect());
         for (got, want) in [
             (sa.union(&sb), ra.union(&rb).copied().collect::<Vec<u32>>()),
-            (sa.subtract(&sb), ra.difference(&rb).copied().collect()),
             (sa.intersect(&sb), ra.intersection(&rb).copied().collect()),
         ] {
             assert_canonical(&got);
@@ -77,27 +76,6 @@ proptest! {
                 // Exactly the k lowest ids.
                 let lowest: Vec<u32> = full.iter().take(k).collect();
                 prop_assert_eq!(taken.to_ids(), lowest);
-            }
-        }
-    }
-
-    #[test]
-    fn take_k_contiguous_is_one_run(ids in arb_ids(), k in 1usize..12) {
-        let full = ProcSet::from_ids(ids.iter().copied());
-        let mut rest = full.clone();
-        match rest.take_k_contiguous(k) {
-            None => {
-                prop_assert!(
-                    full.ranges().iter().all(|&(lo, hi)| (hi - lo + 1) < k as u32),
-                    "refused although a wide-enough run exists"
-                );
-                prop_assert_eq!(rest, full);
-            }
-            Some(taken) => {
-                prop_assert_eq!(taken.ranges().len(), 1, "not contiguous: {:?}", taken);
-                prop_assert_eq!(taken.len(), k);
-                prop_assert!(taken.intersect(&rest).is_empty());
-                prop_assert_eq!(taken.union(&rest), full);
             }
         }
     }

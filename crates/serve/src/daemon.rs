@@ -9,7 +9,7 @@ use demt_baselines::registry;
 use demt_exec::Pool;
 use demt_model::{Instance, MoldableTask, TaskId};
 use demt_online::{try_online_batch_schedule, Admission, Admitted, BatchLoop, OnlineJob};
-use demt_platform::{list_schedule, ListPolicy, ListTask, Placement, Schedule};
+use demt_platform::{list_schedule, ListTask, Placement, Schedule};
 use std::io::Write;
 use std::sync::OnceLock;
 
@@ -97,7 +97,7 @@ fn greedy_batch(inst: &Instance, _ctx: &mut SchedulerContext) -> Schedule {
             ListTask::new(t.id(), best_k, best_t)
         })
         .collect();
-    list_schedule(inst.procs(), &tasks, ListPolicy::Greedy)
+    list_schedule(inst.procs(), &tasks)
 }
 
 /// Resolves a [`ServeConfig::algorithm`] name: the built-in `"greedy"`

@@ -35,21 +35,26 @@ fn main() {
     if cmd == "replaybench" {
         std::process::exit(demt::bench::replaybench_cli(&args[1..]));
     }
-    let opts = parse_opts(&args[1..]);
-    match cmd.as_str() {
-        "generate" => generate_cmd(&opts),
-        "schedule" => schedule_cmd(&opts),
-        "listbench" => listbench_cmd(&opts),
-        "algorithms" => algorithms_cmd(),
-        "validate" => validate_cmd(&opts),
-        "bound" => bound_cmd(&opts),
-        "gantt" => gantt_cmd(&opts),
-        "exact" => exact_cmd(&opts),
-        "frontend" => frontend_cmd(&opts),
-        "swf" => swf_cmd(&opts),
-        "--help" | "-h" | "help" => print!("{USAGE}"),
+    // Every other command takes `--flag value` pairs from the keys it
+    // names here; anything else dies before the command runs.
+    let (keys, run): (&[&str], fn(&Opts)) = match cmd.as_str() {
+        "generate" => (&["kind", "tasks", "procs", "seed"], generate_cmd),
+        "schedule" => (&["algorithm", "metrics", "hierarchy"], schedule_cmd),
+        "listbench" => (&["procs", "tasks", "seed"], listbench_cmd),
+        "algorithms" => (&[], |_| algorithms_cmd()),
+        "validate" => (&["instance"], validate_cmd),
+        "bound" => (&["sweep", "workers"], bound_cmd),
+        "gantt" => (&["instance", "width"], gantt_cmd),
+        "exact" => (&[], |_| exact_cmd()),
+        "frontend" => (
+            &["kind", "jobs", "procs", "gap", "arrivals", "shape", "seed"],
+            frontend_cmd,
+        ),
+        "swf" => (&["file", "procs", "seed"], swf_cmd),
+        "--help" | "-h" | "help" => (&[], |_| print!("{USAGE}")),
         other => die(&format!("unknown command {other}\n{USAGE}")),
-    }
+    };
+    run(&parse_opts(cmd, keys, &args[1..]));
 }
 
 struct Opts(Vec<(String, String)>);
@@ -78,13 +83,21 @@ impl Opts {
     }
 }
 
-fn parse_opts(args: &[String]) -> Opts {
-    let mut out = Vec::new();
+/// Parses `--flag value` pairs for `cmd`, which reads only `keys`: an
+/// unknown or repeated flag dies (exit 2) instead of being ignored.
+fn parse_opts(cmd: &str, keys: &[&str], args: &[String]) -> Opts {
+    let mut out: Vec<(String, String)> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
             die(&format!("expected --flag, got {a}"))
         };
+        if !keys.contains(&key) {
+            die(&format!("unknown flag --{key} for {cmd}"));
+        }
+        if out.iter().any(|(k, _)| k == key) {
+            die(&format!("--{key} given twice"));
+        }
         let val = it
             .next()
             .unwrap_or_else(|| die(&format!("--{key} needs a value")));
@@ -199,27 +212,22 @@ fn algorithms_cmd() {
 }
 
 /// `demt listbench` — the CI determinism + perf guard for the list
-/// engine: schedule the shared `demt_platform::bench_grid` with the
-/// skyline engine, print the schedule JSON on stdout (byte-identical
-/// run to run; the crate's difftests pin it to the scan reference on
-/// the CI grids) and timing metrics on stderr (where the engine's
-/// jobs/sec lands in the CI logs).
+/// engine: schedule the shared `demt_platform::bench_grid`, print the
+/// schedule JSON on stdout (byte-identical run to run; the crate's
+/// difftests pin it to the scan reference on the CI grids, and
+/// `tests/data/listbench_300x200_s11.json` pins its bytes) and timing
+/// metrics on stderr (where the engine's jobs/sec lands in the CI logs).
 fn listbench_cmd(opts: &Opts) {
-    use demt::platform::{bench_grid, try_list_schedule, ListPolicy};
+    use demt::platform::{bench_grid, try_list_schedule};
     let m = opts.usize("procs", 1000);
     if m == 0 {
         die("bad --procs 0 (the grid needs at least one processor)");
     }
     let n = opts.usize("tasks", 2000);
     let seed = opts.u64("seed", 0);
-    let policy = match opts.get("policy").unwrap_or("greedy") {
-        "greedy" => ListPolicy::Greedy,
-        "ordered" => ListPolicy::Ordered,
-        other => die(&format!("bad --policy {other} (greedy|ordered)")),
-    };
     let tasks = bench_grid(n, m, seed);
     let clock = demt::api::clock::Stopwatch::start();
-    let schedule = try_list_schedule(m, &tasks, policy).unwrap_or_else(|e| die(&e.to_string()));
+    let schedule = try_list_schedule(m, &tasks).unwrap_or_else(|e| die(&e.to_string()));
     let wall = clock.seconds();
     demt::platform::validate_no_overlap(&schedule)
         .unwrap_or_else(|e| die(&format!("internal: overlapping schedule: {e}")));
@@ -235,7 +243,6 @@ fn listbench_cmd(opts: &Opts) {
             "jobs_per_sec": n as f64 / wall.max(f64::MIN_POSITIVE),
             "makespan": schedule.makespan(),
             "placements": schedule.len(),
-            "policy": if policy == ListPolicy::Greedy { "greedy" } else { "ordered" },
             "procs": m,
             "wall_seconds": wall,
         })
@@ -343,7 +350,7 @@ fn gantt_cmd(opts: &Opts) {
     print!("{}", render_gantt(&schedule, opts.usize("width", 80)));
 }
 
-fn exact_cmd(_opts: &Opts) {
+fn exact_cmd() {
     let inst: Instance = read_stdin_json("instance");
     if inst.is_empty() {
         die("exact needs at least one task");
@@ -505,8 +512,8 @@ COMMANDS
             granularity and expands placements to whole-node core blocks
   algorithms
             list the scheduler registry (name and figure legend)
-  listbench --procs M --tasks N [--seed S] [--policy greedy|ordered]
-            schedule a deterministic grid with the skyline list engine;
+  listbench --procs M --tasks N [--seed S]
+            schedule a deterministic grid with the greedy list engine;
             schedule JSON on stdout, timing metrics on stderr — the CI
             determinism + perf guard
   validate  --instance FILE

@@ -15,7 +15,7 @@
 //! | [`model`] | `demt-model` | moldable tasks, instances, canonical queries |
 //! | [`distr`] | `demt-distr` | seeded random variates (Box–Muller, log-uniform) |
 //! | [`workload`] | `demt-workload` | the four SPAA'04 workload families |
-//! | [`platform`] | `demt-platform` | schedules, criteria, validation, skyline list engine, backfilling, Gantt |
+//! | [`platform`] | `demt-platform` | schedules, criteria, validation, greedy list engine, skyline backfilling, Gantt |
 //! | [`kernels`] | `demt-kernels` | knapsack DPs, chain packing, bisection |
 //! | [`lp`] | `demt-lp` | revised simplex with warm-start API (LU + eta-file basis) |
 //! | [`dual`] | `demt-dual` | dual-approximation makespan substrate & bound |
@@ -106,8 +106,7 @@ pub mod prelude {
     pub use demt_dual::{cmax_lower_bound, dual_approx, DualConfig, DualResult};
     pub use demt_exec::Pool;
     pub use demt_model::{
-        Hierarchy, HierarchyError, HierarchyLevel, HierarchyRequest, Instance, InstanceBuilder,
-        MoldableTask, ProcSet, TaskId,
+        Hierarchy, HierarchyError, Instance, InstanceBuilder, MoldableTask, ProcSet, TaskId,
     };
     pub use demt_online::{
         online_batch_schedule, try_online_batch_schedule, BatchLoop, OnlineError, OnlineJob,
@@ -115,8 +114,8 @@ pub mod prelude {
     };
     pub use demt_platform::{
         assert_valid, backfill_schedule, list_schedule, render_gantt, try_list_schedule, validate,
-        validate_no_overlap, validate_with_releases, Criteria, Frontier, ListError, ListPolicy,
-        ListTask, Placement, Reservation, Schedule, Skyline,
+        validate_no_overlap, validate_with_releases, Criteria, ListError, ListTask, Placement,
+        Reservation, Schedule, Skyline,
     };
     pub use demt_serve::{run_events, JobEvent, ServeConfig, ServeError, ServeStats};
     pub use demt_workload::{generate, WorkloadKind, WorkloadSpec};

@@ -373,8 +373,18 @@ fn listbench_rejects_an_empty_machine() {
 #[test]
 fn degenerate_generator_inputs_die_instead_of_panicking() {
     let sample = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/sample.swf");
-    let cases: [(&[&str], &str); 10] = [
+    let cases: [(&[&str], &str); 13] = [
         (&["generate", "--procs", "0"], "bad --procs 0"),
+        // Unknown and repeated flags die instead of being ignored.
+        (&["generate", "--taks", "3"], "unknown flag --taks"),
+        (
+            &["generate", "--procs", "4", "--procs", "8"],
+            "--procs given twice",
+        ),
+        (
+            &["listbench", "--policy", "ordered"],
+            "unknown flag --policy",
+        ),
         (&["swf", "--file", sample, "--procs", "0"], "bad --procs 0"),
         (&["frontend", "--procs", "0"], "bad --procs 0"),
         (&["frontend", "--jobs", "0"], "bad --jobs 0"),
@@ -553,6 +563,19 @@ fn repro_and_table_outputs_match_the_checked_in_goldens() {
     );
     let swf = run(&["swf", "--file", "tests/data/sample.swf", "--procs", "64"]);
     assert!(swf == golden("swf_sample_64.txt"), "swf table differs");
+    let listbench = run(&[
+        "listbench",
+        "--procs",
+        "200",
+        "--tasks",
+        "300",
+        "--seed",
+        "11",
+    ]);
+    assert!(
+        listbench == golden("listbench_300x200_s11.json"),
+        "list engine schedule differs"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
