@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+pub mod flags;
 mod hierarchy;
 
 pub use hierarchy::HierarchicalScheduler;

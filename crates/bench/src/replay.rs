@@ -30,6 +30,7 @@
 //! jobs/sec below the checked-in floor exits non-zero.
 
 use demt_api::clock::DecisionLatency;
+use demt_api::flags::{FlagError, Flags};
 use demt_exec::Pool;
 use demt_frontend::{
     replay_queue, rigid_request, MetricsError, QueueOrder, QueuePolicy, ReplayMetrics,
@@ -89,7 +90,9 @@ impl Source {
     }
 }
 
-struct Opts {
+/// One `demt replaybench` run as its flags ask for it, checked before
+/// any leg starts.
+struct Replay {
     source: Source,
     queue_leg: bool,
     serve_leg: bool,
@@ -98,98 +101,68 @@ struct Opts {
     order: QueueOrder,
     workers: usize,
     seed: u64,
-    floors: Option<String>,
-    tier: Option<String>,
+    /// `--floors FILE --tier NAME`, which only go together.
+    floors: Option<(String, String)>,
     bench_out: Option<String>,
     label: String,
 }
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut gen_trace: Option<String> = None;
-    let mut swf: Option<String> = None;
-    let mut procs = 0usize;
-    let mut o = Opts {
-        source: Source::Gen(TraceSpec::new(1, 1, 0)),
-        queue_leg: true,
-        serve_leg: true,
-        algorithm: "greedy".to_string(),
-        policy: QueuePolicy::EasyBackfill,
-        order: QueueOrder::Arrival,
-        workers: 1,
-        seed: 0,
-        floors: None,
-        tier: None,
-        bench_out: None,
-        label: String::new(),
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--gen-trace" => gen_trace = Some(value(&mut it, "gen-trace")?.clone()),
-            "--swf" => swf = Some(value(&mut it, "swf")?.clone()),
-            "--procs" => procs = parse_num(value(&mut it, "procs")?, "procs")?,
-            "--engine" => match value(&mut it, "engine")?.as_str() {
-                "queue" => {
-                    o.queue_leg = true;
-                    o.serve_leg = false;
-                }
-                "serve" => {
-                    o.queue_leg = false;
-                    o.serve_leg = true;
-                }
-                "both" => {
-                    o.queue_leg = true;
-                    o.serve_leg = true;
-                }
-                other => return Err(format!("bad --engine {other:?} (queue|serve|both)")),
-            },
-            "--algorithm" => o.algorithm = value(&mut it, "algorithm")?.clone(),
-            "--policy" => match value(&mut it, "policy")?.as_str() {
-                "easy" => o.policy = QueuePolicy::EasyBackfill,
-                "fcfs" => o.policy = QueuePolicy::Fcfs,
-                other => return Err(format!("bad --policy {other:?} (easy|fcfs)")),
-            },
-            "--order" => match value(&mut it, "order")?.as_str() {
-                "arrival" => o.order = QueueOrder::Arrival,
-                "priority" => o.order = QueueOrder::Priority,
-                other => return Err(format!("bad --order {other:?} (arrival|priority)")),
-            },
-            "--workers" => o.workers = parse_num(value(&mut it, "workers")?, "workers")?,
-            "--seed" => o.seed = parse_num(value(&mut it, "seed")?, "seed")?,
-            "--floors" => o.floors = Some(value(&mut it, "floors")?.clone()),
-            "--tier" => o.tier = Some(value(&mut it, "tier")?.clone()),
-            "--bench-out" => o.bench_out = Some(value(&mut it, "bench-out")?.clone()),
-            "--label" => o.label = value(&mut it, "label")?.clone(),
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    o.source = match (gen_trace, swf) {
-        (Some(spec), None) => Source::Gen(spec.parse()?),
+fn setup(args: &[String]) -> Result<Replay, FlagError> {
+    let f = Flags::parse(
+        args,
+        "gen-trace swf procs engine algorithm policy order workers seed floors tier bench-out label",
+        "",
+        false,
+    )?;
+    let source = match (f.str("gen-trace"), f.str("swf")) {
+        (Some(spec), None) => Source::Gen(
+            spec.parse()
+                .map_err(|e| FlagError::bad("gen-trace", spec, e))?,
+        ),
         (None, Some(path)) => {
-            if procs == 0 {
-                return Err("--swf needs --procs".to_string());
+            if f.str("procs").is_none() {
+                return Err(FlagError::Usage("--swf needs --procs"));
             }
-            Source::Swf { path, procs }
+            Source::Swf {
+                path: path.to_string(),
+                procs: f.count("procs", 1)?,
+            }
         }
-        (Some(_), Some(_)) => return Err("--gen-trace and --swf are exclusive".to_string()),
-        (None, None) => return Err("need --gen-trace or --swf".to_string()),
+        (Some(_), Some(_)) => return Err(FlagError::Usage("--gen-trace and --swf are exclusive")),
+        (None, None) => return Err(FlagError::Usage("need --gen-trace or --swf")),
     };
-    if o.floors.is_some() != o.tier.is_some() {
-        return Err("--floors and --tier go together".to_string());
-    }
-    if o.workers == 0 {
-        return Err("--workers must be at least 1".to_string());
-    }
-    Ok(o)
-}
-
-fn value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a String, String> {
-    it.next().ok_or_else(|| format!("--{flag} needs a value"))
-}
-
-fn parse_num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
-    v.parse().map_err(|_| format!("bad --{flag} value {v:?}"))
+    let floors = match (f.str("floors"), f.str("tier")) {
+        (Some(path), Some(tier)) => Some((path.to_string(), tier.to_string())),
+        (None, None) => None,
+        _ => return Err(FlagError::Usage("--floors and --tier go together")),
+    };
+    let engines = [
+        ("queue", (true, false)),
+        ("serve", (false, true)),
+        ("both", (true, true)),
+    ];
+    let (queue_leg, serve_leg) = f.pick("engine", (true, true), &engines)?;
+    let policies = [
+        ("easy", QueuePolicy::EasyBackfill),
+        ("fcfs", QueuePolicy::Fcfs),
+    ];
+    let orders = [
+        ("arrival", QueueOrder::Arrival),
+        ("priority", QueueOrder::Priority),
+    ];
+    Ok(Replay {
+        source,
+        queue_leg,
+        serve_leg,
+        algorithm: f.str("algorithm").unwrap_or("greedy").to_string(),
+        policy: f.pick("policy", QueuePolicy::EasyBackfill, &policies)?,
+        order: f.pick("order", QueueOrder::Arrival, &orders)?,
+        workers: f.count("workers", 1)?,
+        seed: f.num("seed", 0)?,
+        floors,
+        bench_out: f.str("bench-out").map(str::to_string),
+        label: f.str("label").unwrap_or("").to_string(),
+    })
 }
 
 /// FNV-1a 64 over the placements' compact JSON, in decision order — the
@@ -239,7 +212,7 @@ where
 /// Opens the configured source as a fallible [`SubmittedJob`] stream.
 /// Each call re-opens it from the start — legs must not share cursors.
 fn open_source(
-    opts: &Opts,
+    opts: &Replay,
 ) -> Result<Box<dyn Iterator<Item = Result<SubmittedJob, String>>>, String> {
     match &opts.source {
         Source::Gen(spec) => {
@@ -307,7 +280,7 @@ impl LegState {
     /// builds the stdout record from the summary and placement hash.
     fn finish(
         self,
-        opts: &Opts,
+        opts: &Replay,
         engine: &'static str,
         decisions: usize,
         source_err: &ErrSlot,
@@ -348,7 +321,7 @@ impl LegState {
     }
 }
 
-fn queue_leg(opts: &Opts) -> Result<LegReport, String> {
+fn queue_leg(opts: &Replay) -> Result<LegReport, String> {
     let m = opts.source.procs();
     let (feed, err) = fuse(open_source(opts)?);
     let mut st = LegState::new();
@@ -385,7 +358,7 @@ fn queue_leg(opts: &Opts) -> Result<LegReport, String> {
     })
 }
 
-fn serve_leg(opts: &Opts) -> Result<LegReport, String> {
+fn serve_leg(opts: &Replay) -> Result<LegReport, String> {
     let m = opts.source.procs();
     let scheduler = resolve_scheduler(&opts.algorithm).map_err(|e| format!("--algorithm: {e}"))?;
     let pool = Pool::new(opts.workers);
@@ -493,7 +466,7 @@ fn check_floors(floors: &[(String, f64)], legs: &[LegReport]) -> Result<Vec<Stri
     Ok(failures)
 }
 
-fn run(opts: &Opts) -> Result<(String, i32), String> {
+fn run(opts: &Replay) -> Result<(String, i32), String> {
     let mut legs = Vec::new();
     if opts.queue_leg {
         legs.push(queue_leg(opts)?);
@@ -543,7 +516,7 @@ fn run(opts: &Opts) -> Result<(String, i32), String> {
     }
 
     // The perf gate.
-    if let (Some(path), Some(tier)) = (&opts.floors, &opts.tier) {
+    if let Some((path, tier)) = &opts.floors {
         let text = std::fs::read_to_string(path).map_err(|e| format!("--floors {path}: {e}"))?;
         let floors = parse_floors(&text, tier)?;
         let failures = check_floors(&floors, &legs)?;
@@ -567,7 +540,7 @@ fn run(opts: &Opts) -> Result<(String, i32), String> {
 /// Usage and runtime failures both surface as the error message.
 // demt-lint: allow(P2, drives the baselined engine entry points (BatchLoop::run_batch, Pool::par_map) whose contract assertions are annotated at their sites)
 pub fn replaybench_report(args: &[String]) -> Result<String, String> {
-    let opts = parse_opts(args)?;
+    let opts = setup(args).map_err(|e| e.to_string())?;
     run(&opts).map(|(doc, _)| doc)
 }
 
@@ -575,16 +548,9 @@ pub fn replaybench_report(args: &[String]) -> Result<String, String> {
 /// (0 success, 1 runtime failure or floor violation, 2 usage error).
 // demt-lint: allow(P2, drives the baselined engine entry points (BatchLoop::run_batch, Pool::par_map) whose contract assertions are annotated at their sites)
 pub fn replaybench_cli(args: &[String]) -> i32 {
-    let opts = match parse_opts(args) {
-        Ok(o) => o,
-        Err(msg) => {
-            if msg.is_empty() {
-                print!("{USAGE}");
-                return 0;
-            }
-            eprintln!("demt replaybench: {msg}\n{USAGE}");
-            return 2;
-        }
+    let opts = match setup(args) {
+        Ok(r) => r,
+        Err(e) => return e.report("demt replaybench", USAGE),
     };
     match run(&opts) {
         Ok((doc, code)) => {

@@ -460,8 +460,22 @@ pub fn lint_cli(args: &[String]) -> i32 {
     let mut format = "human".to_string();
     let mut callgraph_out: Option<PathBuf> = None;
     let mut update_baseline = false;
+    let flags = [
+        "--root",
+        "--config",
+        "--format",
+        "--callgraph",
+        "--update-baseline",
+    ];
+    let mut seen: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if flags.contains(&a.as_str()) {
+            if seen.contains(&a.as_str()) {
+                return usage(&format!("{a} given twice"));
+            }
+            seen.push(a);
+        }
         match a.as_str() {
             "--root" => match it.next() {
                 Some(v) => root = Some(PathBuf::from(v)),

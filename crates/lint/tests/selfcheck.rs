@@ -104,6 +104,30 @@ fn cli_fails_on_the_seeded_workspace() {
         stdout.contains("demt-sim"),
         "the illegal demt-model → demt-sim edge must be named:\n{stdout}"
     );
+
+    // A repeated flag is a usage error (exit 2) naming the flag, not
+    // "the last one wins".
+    let twice: [&[&str]; 5] = [
+        &["--root", "a", "--root", "b"],
+        &["--config", "a", "--config", "b"],
+        &["--format", "json", "--format", "human"],
+        &["--callgraph", "a", "--callgraph", "b"],
+        &["--update-baseline", "--update-baseline"],
+    ];
+    for args in twice {
+        let out = Command::new(env!("CARGO_BIN_EXE_demt-lint"))
+            .args(["--root"])
+            .arg(&seeded)
+            .args(args)
+            .output()
+            .expect("spawn demt-lint");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{} given twice", args[0])),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 /// The CLI on the real workspace: exit 0 and the clean summary.

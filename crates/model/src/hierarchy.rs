@@ -96,12 +96,6 @@ impl Hierarchy {
         Self::new(c, n, k)
     }
 
-    /// Number of clusters.
-    #[must_use]
-    pub fn clusters(&self) -> u32 {
-        self.clusters
-    }
-
     /// Total number of nodes across all clusters.
     #[must_use]
     pub fn nodes(&self) -> u32 {
@@ -138,7 +132,6 @@ mod tests {
     #[test]
     fn parses_the_canonical_spec() {
         let h = Hierarchy::parse("2x4x8").unwrap();
-        assert_eq!(h.clusters(), 2);
         assert_eq!(h.nodes(), 8);
         assert_eq!(h.cores_per_node(), 8);
         assert_eq!(h.total_cores(), 64);

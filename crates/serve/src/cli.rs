@@ -1,11 +1,12 @@
-//! The `demt serve` command-line: flag parsing, event-source selection
-//! (stdin, Unix socket, SWF replay, built-in grid generator), and exit
-//! codes. Kept in the library so the facade and the `demt` binary share
-//! one implementation.
+//! The `demt serve` command-line: flags (read through
+//! `demt_api::flags`), event-source selection (stdin, Unix socket, SWF
+//! replay, built-in grid generator), and exit codes. Kept in the library
+//! so the facade and the `demt` binary share one implementation.
 
 use crate::daemon::{run_events, ServeConfig, ServeSummary};
 use crate::event::{grid_events, EventReader, JobEvent, ServeError};
 use crate::stats::ServeStats;
+use demt_api::flags::{FlagError, Flags};
 use demt_frontend::SwfJobStream;
 use demt_workload::{TraceGen, TraceSpec};
 use std::io::{BufRead, BufReader, Write};
@@ -34,123 +35,62 @@ options:
   --once             with --socket: serve one connection, then exit
 ";
 
-/// Parsed flag set (every flag at most once; unknown flags are errors).
-struct ServeOpts {
-    gen_grid: bool,
-    oracle: bool,
-    once: bool,
-    tasks: usize,
-    procs: usize,
-    seed: u64,
-    workers: usize,
-    tick: usize,
-    algorithm: String,
-    stats: Option<String>,
-    replay: Option<String>,
-    socket: Option<String>,
-    gen_trace: Option<String>,
-}
-
-fn parse_opts(args: &[String]) -> Result<ServeOpts, String> {
-    let mut o = ServeOpts {
-        gen_grid: false,
-        oracle: false,
-        once: false,
-        tasks: 1000,
-        procs: 0,
-        seed: 0,
-        workers: 1,
-        tick: 0,
-        algorithm: "greedy".to_string(),
-        stats: None,
-        replay: None,
-        socket: None,
-        gen_trace: None,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--gen-grid" => o.gen_grid = true,
-            "--oracle" => o.oracle = true,
-            "--once" => o.once = true,
-            "--tasks" => o.tasks = parse_num(value(&mut it, "tasks")?, "tasks")?,
-            "--procs" => o.procs = parse_num(value(&mut it, "procs")?, "procs")?,
-            "--seed" => o.seed = parse_num(value(&mut it, "seed")?, "seed")?,
-            "--workers" => o.workers = parse_num(value(&mut it, "workers")?, "workers")?,
-            "--tick" => o.tick = parse_num(value(&mut it, "tick")?, "tick")?,
-            "--algorithm" => o.algorithm = value(&mut it, "algorithm")?.clone(),
-            "--stats" => o.stats = Some(value(&mut it, "stats")?.clone()),
-            "--replay" => o.replay = Some(value(&mut it, "replay")?.clone()),
-            "--socket" => o.socket = Some(value(&mut it, "socket")?.clone()),
-            "--gen-trace" => o.gen_trace = Some(value(&mut it, "gen-trace")?.clone()),
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    if o.workers == 0 {
-        return Err("--workers must be at least 1".to_string());
-    }
-    Ok(o)
-}
-
-fn value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a String, String> {
-    it.next().ok_or_else(|| format!("--{flag} needs a value"))
-}
-
-fn parse_num<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
-    v.parse().map_err(|_| format!("bad --{flag} value {v:?}"))
-}
-
-impl ServeOpts {
-    fn config(&self) -> ServeConfig {
-        let mut cfg = ServeConfig::new(self.procs);
-        cfg.algorithm = self.algorithm.clone();
-        cfg.workers = self.workers;
-        cfg.tick = self.tick;
-        cfg.oracle = self.oracle;
-        cfg
-    }
-}
-
 /// Entry point behind `demt serve`; returns the process exit code
 /// (0 success, 1 runtime failure, 2 usage error).
 // demt-lint: allow(P2, reaches lift_swf_record's expect via --swf streaming, whose Downey profiles are valid by construction)
 pub fn serve_cli(args: &[String]) -> i32 {
-    let opts = match parse_opts(args) {
-        Ok(o) => o,
-        Err(msg) => {
-            if msg.is_empty() {
-                print!("{USAGE}");
-                return 0;
-            }
-            eprintln!("demt serve: {msg}\n{USAGE}");
-            return 2;
-        }
-    };
-    if opts.gen_grid {
-        let procs = if opts.procs == 0 { 64 } else { opts.procs };
-        return emit_grid(opts.tasks, procs, opts.seed);
+    serve(args).unwrap_or_else(|e| e.report("demt serve", USAGE))
+}
+
+fn serve(args: &[String]) -> Result<i32, FlagError> {
+    let f = Flags::parse(
+        args,
+        "tasks procs seed workers tick algorithm stats replay socket gen-trace",
+        "gen-grid oracle once",
+        false,
+    )?;
+    let mut cfg = ServeConfig::new(f.num("procs", 0)?);
+    cfg.algorithm = f.str("algorithm").unwrap_or("greedy").to_string();
+    cfg.workers = f.count("workers", 1)?;
+    cfg.tick = f.num("tick", 0)?;
+    cfg.oracle = f.switch("oracle");
+    let seed = f.num("seed", 0)?;
+    if f.switch("gen-grid") {
+        let procs = if cfg.procs == 0 { 64 } else { cfg.procs };
+        return Ok(emit(grid_events(f.num("tasks", 1000)?, procs, seed)));
     }
-    if let Some(spec) = &opts.gen_trace {
-        return emit_trace(spec);
+    if let Some(text) = f.str("gen-trace") {
+        // The streaming twin of `--gen-grid`: the exact job stream
+        // `demt replaybench --gen-trace` schedules, as submit events.
+        let spec: TraceSpec = text
+            .parse()
+            .map_err(|e| FlagError::bad("gen-trace", text, e))?;
+        return Ok(emit(TraceGen::new(&spec).map(|tj| {
+            JobEvent::submit_moldable(
+                tj.task.id().index(),
+                tj.release,
+                tj.task.weight(),
+                tj.task.times().to_vec(),
+            )
+        })));
     }
-    if opts.procs == 0 {
-        eprintln!("demt serve: --procs is required\n{USAGE}");
-        return 2;
+    if cfg.procs == 0 {
+        return Err(FlagError::Usage("--procs is required"));
     }
-    match run(&opts) {
-        Ok(()) => 0,
+    match run(&f, &cfg, seed) {
+        Ok(()) => Ok(0),
         Err(e) => {
             eprintln!("demt serve: {e}");
-            1
+            Ok(1)
         }
     }
 }
 
-fn emit_grid(tasks: usize, procs: usize, seed: u64) -> i32 {
+/// Prints a generated trace as JSONL events on stdout.
+fn emit(events: impl IntoIterator<Item = JobEvent>) -> i32 {
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-    for ev in grid_events(tasks, procs, seed) {
+    for ev in events {
         let line = match serde_json::to_string(&ev) {
             Ok(l) => l,
             Err(e) => {
@@ -166,47 +106,11 @@ fn emit_grid(tasks: usize, procs: usize, seed: u64) -> i32 {
     0
 }
 
-/// Prints the synthetic trace of a [`TraceSpec`] one-liner as JSONL
-/// submit events — the streaming twin of `--gen-grid`, sharing the
-/// exact job stream `demt replaybench --gen-trace` schedules.
-fn emit_trace(spec: &str) -> i32 {
-    let spec: TraceSpec = match spec.parse() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("demt serve: --gen-trace: {e}\n{USAGE}");
-            return 2;
-        }
-    };
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    for tj in TraceGen::new(&spec) {
-        let ev = JobEvent::submit_moldable(
-            tj.task.id().index(),
-            tj.release,
-            tj.task.weight(),
-            tj.task.times().to_vec(),
-        );
-        let line = match serde_json::to_string(&ev) {
-            Ok(l) => l,
-            Err(e) => {
-                eprintln!("demt serve: serializing trace: {e}");
-                return 1;
-            }
-        };
-        if let Err(e) = writeln!(out, "{line}") {
-            eprintln!("demt serve: stdout: {e}");
-            return 1;
-        }
-    }
-    0
-}
-
-fn run(opts: &ServeOpts) -> Result<(), ServeError> {
-    let cfg = opts.config();
+fn run(f: &Flags, cfg: &ServeConfig, seed: u64) -> Result<(), ServeError> {
     // The stats sink: a file when requested, stderr otherwise.
     let mut stats_file;
     let mut stats_err;
-    let stats_sink: &mut dyn Write = match &opts.stats {
+    let stats_sink: &mut dyn Write = match f.str("stats") {
         Some(path) => {
             stats_file = std::fs::File::create(path)
                 .map_err(|e| ServeError::Config(format!("--stats {path}: {e}")))?;
@@ -218,22 +122,22 @@ fn run(opts: &ServeOpts) -> Result<(), ServeError> {
         }
     };
 
-    if let Some(path) = &opts.socket {
-        return serve_socket(&cfg, path, opts.once, stats_sink);
+    if let Some(path) = f.str("socket") {
+        return serve_socket(cfg, path, f.switch("once"), stats_sink);
     }
 
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let mut stats = ServeStats::new(cfg.procs);
-    let summary = if let Some(path) = &opts.replay {
+    let summary = if let Some(path) = f.str("replay") {
         let file = std::fs::File::open(path)
             .map_err(|e| ServeError::Config(format!("--replay {path}: {e}")))?;
-        let events = swf_events(BufReader::new(file), cfg.procs, opts.seed);
-        run_events(&cfg, events, &mut out, &mut stats, Some(stats_sink))?
+        let events = swf_events(BufReader::new(file), cfg.procs, seed);
+        run_events(cfg, events, &mut out, &mut stats, Some(stats_sink))?
     } else {
         let stdin = std::io::stdin();
         let events = EventReader::new(stdin.lock());
-        run_events(&cfg, events, &mut out, &mut stats, Some(stats_sink))?
+        run_events(cfg, events, &mut out, &mut stats, Some(stats_sink))?
     };
     log_summary(&summary);
     Ok(())

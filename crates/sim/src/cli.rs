@@ -1,10 +1,10 @@
-//! The `repro` command-line driver, shared by the standalone `repro`
-//! binary and the `demt repro` subcommand.
+//! The `demt repro` command-line driver; its flags go through
+//! [`demt_api::flags`] like every other `demt` command.
 //!
 //! ```text
-//! repro [fig3] [fig4] [fig5] [fig6] [fig7] [ablation] [verify] [all]
-//!       [--runs N] [--procs M] [--tasks 25,50,...] [--out DIR]
-//!       [--workers W] [--paper] [--quick] [--json PATH] [--no-timing]
+//! demt repro [fig3] [fig4] [fig5] [fig6] [fig7] [ablation] [verify] [all]
+//!            [--runs N] [--procs M] [--tasks 25,50,...] [--out DIR]
+//!            [--workers W] [--paper] [--quick] [--json PATH] [--no-timing]
 //! ```
 //!
 //! All requested figures run as **one flattened cell list on a single
@@ -16,100 +16,111 @@
 
 use crate::experiment::{run_figures_on, run_timing, ExperimentConfig};
 use crate::{ascii_plot, figure_csv, ratio_table, timing_csv, FigureResult};
+use demt_api::flags::{FlagError, Flags};
 use demt_exec::Pool;
 use demt_workload::WorkloadKind;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+/// The figures `all` (and an empty figure list) stands for.
+const ALL: [&str; 6] = ["fig3", "fig4", "fig5", "fig6", "fig7", "ablation"];
 
 /// Runs the repro driver on pre-split arguments (program name already
 /// stripped). Returns the process exit code: 0 on success, 1 when
-/// `verify` finds a failed claim. Argument errors terminate the process
-/// with exit code 2, as the other `demt` subcommands do.
+/// `verify` finds a failed claim, 2 on a usage error or when an output
+/// cannot be written.
 pub fn repro_cli(args: &[String]) -> i32 {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{HELP}");
-        return 0;
+    match sweep(args) {
+        Ok(sweep) => run(&sweep).unwrap_or_else(|msg| {
+            eprintln!("demt repro: {msg}");
+            2
+        }),
+        Err(e) => e.report("demt repro", HELP),
     }
-    let mut cfg = ExperimentConfig::paper();
-    cfg.runs = 8; // default budget; --paper restores 40
-    let mut workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let mut out = PathBuf::from("results");
-    let mut json_out: Option<String> = None;
-    let mut figures: BTreeSet<String> = BTreeSet::new();
+}
 
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "fig3" | "fig4" | "fig5" | "fig6" | "fig7" | "ablation" | "verify" => {
-                figures.insert(a.clone());
-            }
-            "all" => {
-                for f in ["fig3", "fig4", "fig5", "fig6", "fig7", "ablation"] {
-                    figures.insert(f.to_string());
-                }
-            }
-            "--paper" => cfg.runs = 40,
-            "--quick" => {
-                let q = ExperimentConfig::quick();
-                cfg.procs = q.procs;
-                cfg.task_counts = q.task_counts;
-                cfg.runs = q.runs;
-            }
-            "--runs" => cfg.runs = req_usize(&mut it, "--runs"),
-            "--procs" => cfg.procs = req_usize(&mut it, "--procs"),
-            "--workers" => workers = req_usize(&mut it, "--workers"),
-            "--no-timing" => cfg.record_wall = false,
-            "--tasks" => {
-                let v = it.next().unwrap_or_else(|| die("--tasks needs a list"));
-                cfg.task_counts = v
-                    .split(',')
-                    .map(|x| {
-                        x.trim()
-                            .parse()
-                            .unwrap_or_else(|_| die("bad --tasks entry"))
-                    })
-                    .collect();
-            }
-            "--out" => out = PathBuf::from(it.next().unwrap_or_else(|| die("--out needs a dir"))),
-            "--json" => {
-                json_out = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--json needs a path (or -)"))
-                        .clone(),
-                );
-            }
-            other => die(&format!("unknown argument {other} (try --help)")),
-        }
+/// The sweep a command line asks for.
+struct Sweep {
+    cfg: ExperimentConfig,
+    workers: usize,
+    figures: BTreeSet<String>,
+    out: PathBuf,
+    json: Option<String>,
+}
+
+/// Reads the flags. An explicit `--runs`/`--procs`/`--tasks` overrides
+/// the `--quick`/`--paper` preset, whatever the order.
+fn sweep(args: &[String]) -> Result<Sweep, FlagError> {
+    let f = Flags::parse(
+        args,
+        "runs procs tasks workers out json",
+        "paper quick no-timing",
+        true,
+    )?;
+    let mut cfg = match (f.switch("quick"), f.switch("paper")) {
+        (true, true) => return Err(FlagError::Usage("--paper and --quick are exclusive")),
+        (true, false) => ExperimentConfig::quick(),
+        (false, true) => ExperimentConfig::paper(),
+        // The default budget; --paper restores 40 runs.
+        (false, false) => ExperimentConfig {
+            runs: 8,
+            ..ExperimentConfig::paper()
+        },
+    };
+    cfg.runs = f.count("runs", cfg.runs)?;
+    cfg.procs = f.count("procs", cfg.procs)?;
+    if let Some(list) = f.str("tasks") {
+        let bad = || FlagError::bad("tasks", list, "expected counts ≥ 1, comma-separated");
+        cfg.task_counts = list
+            .split(',')
+            .map(|x| x.trim().parse().ok().filter(|&n| n > 0).ok_or_else(bad))
+            .collect::<Result<_, _>>()?;
     }
-    if workers == 0 {
-        die("--workers must be at least 1");
+    cfg.record_wall = !f.switch("no-timing");
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let mut figures = BTreeSet::new();
+    for &word in f.positionals() {
+        match word {
+            "all" => figures.extend(ALL.map(String::from)),
+            w if w == "verify" || ALL.contains(&w) => {
+                figures.insert(w.to_string());
+            }
+            w => return Err(FlagError::Unknown(w.to_string())),
+        }
     }
     if figures.is_empty() {
-        for f in ["fig3", "fig4", "fig5", "fig6", "fig7", "ablation"] {
-            figures.insert(f.to_string());
-        }
+        figures.extend(ALL.map(String::from));
     }
-    if let Err(e) = std::fs::create_dir_all(&out) {
-        die(&format!("cannot create {}: {e}", out.display()));
-    }
+    Ok(Sweep {
+        cfg,
+        workers: f.count("workers", cores)?,
+        figures,
+        out: PathBuf::from(f.str("out").unwrap_or("results")),
+        json: f.str("json").map(str::to_string),
+    })
+}
+
+fn run(sweep: &Sweep) -> Result<i32, String> {
+    let (cfg, figures, out) = (&sweep.cfg, &sweep.figures, &sweep.out);
+    std::fs::create_dir_all(out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
     eprintln!(
         "repro: m={}, n={:?}, {} runs/point, {} workers → {}",
         cfg.procs,
         cfg.task_counts,
         cfg.runs,
-        workers,
+        sweep.workers,
         out.display()
     );
 
     // One pool serves every sweep of this invocation: the quality
     // figures (as a single flattened cell list) and the ablation.
-    let pool = Pool::new(workers);
+    let pool = Pool::new(sweep.workers);
     let verify = figures.contains("verify");
     let wanted: Vec<WorkloadKind> = WorkloadKind::ALL
         .into_iter()
         .filter(|kind| figures.contains(&format!("fig{}", kind.figure())) || verify)
         .collect();
-    let figs: Vec<FigureResult> = run_figures_on(&pool, &cfg, &wanted, &|msg: &str| {
+    let figs: Vec<FigureResult> = run_figures_on(&pool, cfg, &wanted, &|msg: &str| {
         eprintln!("  {msg}");
     });
 
@@ -119,7 +130,7 @@ pub fn repro_cli(args: &[String]) -> i32 {
         if figures.contains(&figname) {
             let csv = figure_csv(fig);
             let path = out.join(format!("{figname}_{}.csv", fig.kind.name()));
-            write_file(&path, &csv);
+            write_file(&path, &csv)?;
             println!("{}", ratio_table(fig, "wici"));
             println!("{}", ascii_plot(fig, "wici", 8.0));
             println!("{}", ratio_table(fig, "cmax"));
@@ -137,13 +148,13 @@ pub fn repro_cli(args: &[String]) -> i32 {
             all_claims_pass &= ok;
         }
     }
-    if let Some(path) = &json_out {
-        let doc = serde_json::to_string(&figs)
-            .unwrap_or_else(|e| die(&format!("cannot serialize figures: {e}")));
+    if let Some(path) = &sweep.json {
+        let doc =
+            serde_json::to_string(&figs).map_err(|e| format!("cannot serialize figures: {e}"))?;
         if path == "-" {
             println!("{doc}");
         } else {
-            write_file(std::path::Path::new(path), &doc);
+            write_file(Path::new(path), &doc)?;
             println!("wrote {path}\n");
         }
     }
@@ -152,7 +163,7 @@ pub fn repro_cli(args: &[String]) -> i32 {
             println!("VERIFY: all paper claims reproduced ✔");
         } else {
             println!("VERIFY: some claims FAILED ✘");
-            return 1;
+            return Ok(1);
         }
     }
 
@@ -163,12 +174,12 @@ pub fn repro_cli(args: &[String]) -> i32 {
             WorkloadKind::Cirne,
             WorkloadKind::HighlyParallel,
         ] {
-            let t = run_timing(&cfg, kind, |msg| eprintln!("  {msg}"));
+            let t = run_timing(cfg, kind, |msg| eprintln!("  {msg}"));
             series.push((kind.name().to_string(), t));
         }
         let csv = timing_csv(&series);
         let path = out.join("fig7_timing.csv");
-        write_file(&path, &csv);
+        write_file(&path, &csv)?;
         println!("Figure 7 — DEMT scheduling time (seconds per schedule)");
         println!(
             "{:>6} {:>12} {:>12} {:>12}",
@@ -184,15 +195,15 @@ pub fn repro_cli(args: &[String]) -> i32 {
     }
 
     if figures.contains("ablation") {
-        run_ablation_report(&pool, &cfg, &out);
+        run_ablation_report(&pool, cfg, out)?;
     }
-    0
+    Ok(0)
 }
 
 /// Ablation of DEMT's design choices (DESIGN.md experiment index):
 /// merging on/off × compaction depth × shuffle count, on a mid-size
 /// point of each workload family, sharing the invocation's pool.
-fn run_ablation_report(pool: &Pool, cfg: &ExperimentConfig, out: &std::path::Path) {
+fn run_ablation_report(pool: &Pool, cfg: &ExperimentConfig, out: &Path) -> Result<(), String> {
     let n = *cfg
         .task_counts
         .get(cfg.task_counts.len() / 2)
@@ -210,26 +221,13 @@ fn run_ablation_report(pool: &Pool, cfg: &ExperimentConfig, out: &std::path::Pat
         );
     }
     let path = out.join("ablation.csv");
-    write_file(&path, &crate::ablation_csv(&rows));
+    write_file(&path, &crate::ablation_csv(&rows))?;
     println!("wrote {}\n", path.display());
+    Ok(())
 }
 
-fn req_usize(it: &mut std::iter::Peekable<std::slice::Iter<String>>, flag: &str) -> usize {
-    it.next()
-        .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-        .parse()
-        .unwrap_or_else(|_| die(&format!("{flag} needs an integer")))
-}
-
-fn write_file(path: &std::path::Path, data: &str) {
-    if let Err(e) = std::fs::write(path, data) {
-        die(&format!("cannot write {}: {e}", path.display()));
-    }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("repro: {msg}");
-    std::process::exit(2)
+fn write_file(path: &Path, data: &str) -> Result<(), String> {
+    std::fs::write(path, data).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 const HELP: &str = "\

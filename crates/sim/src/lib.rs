@@ -7,8 +7,8 @@
 //!   aggregated as ratio-of-sums with per-run min/max;
 //! * Figure 7 — DEMT scheduling wall-clock vs task count.
 //!
-//! The `repro` binary drives the sweeps and writes CSV series plus
-//! terminal tables/plots; see `repro --help`.
+//! `demt repro` ([`repro_cli`]) drives the sweeps and writes CSV series
+//! plus terminal tables/plots; see `demt repro --help`.
 
 #![warn(missing_docs)]
 

@@ -12,98 +12,47 @@
 //! Instances and schedules are exchanged as JSON (serde; exact float
 //! round-trip enabled workspace-wide).
 
+use demt::api::flags::{FlagError, Flags};
 use demt::prelude::*;
 use std::io::Read;
+
+/// A command's body: runs on its parsed flags and hands a flag error
+/// back to `main`, which reports it.
+type Command = fn(&Flags) -> Result<(), FlagError>;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { die(USAGE) };
-    // `repro` has its own flag grammar (positional figure names); hand
-    // it the raw arguments before the --flag/value parse below.
-    if cmd == "repro" {
-        std::process::exit(demt::sim::repro_cli(&args[1..]));
-    }
-    // So does `lint` (its own --root/--config/--format grammar).
-    if cmd == "lint" {
-        std::process::exit(demt::lint::lint_cli(&args[1..]));
-    }
-    // And `serve` (event-source selection plus boolean flags).
-    if cmd == "serve" {
-        std::process::exit(demt::serve::serve_cli(&args[1..]));
-    }
-    // And `replaybench` (source selection plus the floors gate).
-    if cmd == "replaybench" {
-        std::process::exit(demt::bench::replaybench_cli(&args[1..]));
-    }
-    // Every other command takes `--flag value` pairs from the keys it
-    // names here; anything else dies before the command runs.
-    let (keys, run): (&[&str], fn(&Opts)) = match cmd.as_str() {
-        "generate" => (&["kind", "tasks", "procs", "seed"], generate_cmd),
-        "schedule" => (&["algorithm", "metrics", "hierarchy"], schedule_cmd),
-        "listbench" => (&["procs", "tasks", "seed"], listbench_cmd),
-        "algorithms" => (&[], |_| algorithms_cmd()),
-        "validate" => (&["instance"], validate_cmd),
-        "bound" => (&["sweep", "workers"], bound_cmd),
-        "gantt" => (&["instance", "width"], gantt_cmd),
-        "exact" => (&[], |_| exact_cmd()),
-        "frontend" => (
-            &["kind", "jobs", "procs", "gap", "arrivals", "shape", "seed"],
-            frontend_cmd,
-        ),
-        "swf" => (&["file", "procs", "seed"], swf_cmd),
-        "--help" | "-h" | "help" => (&[], |_| print!("{USAGE}")),
+    let rest = &args[1..];
+    // Each command names the `--flag value` keys it reads; the library
+    // commands at the top parse theirs through the same `Flags` grammar
+    // (`lint` keeps its own) and hand back the exit code.
+    let (keys, run): (&str, Command) = match cmd.as_str() {
+        "repro" => std::process::exit(demt::sim::repro_cli(rest)),
+        "lint" => std::process::exit(demt::lint::lint_cli(rest)),
+        "serve" => std::process::exit(demt::serve::serve_cli(rest)),
+        "replaybench" => std::process::exit(demt::bench::replaybench_cli(rest)),
+        "generate" => ("kind tasks procs seed", generate_cmd),
+        "schedule" => ("algorithm metrics hierarchy", schedule_cmd),
+        "listbench" => ("procs tasks seed", listbench_cmd),
+        "algorithms" => ("", algorithms_cmd),
+        "validate" => ("instance", validate_cmd),
+        "bound" => ("sweep workers", bound_cmd),
+        "gantt" => ("instance width", gantt_cmd),
+        "exact" => ("", exact_cmd),
+        "frontend" => ("kind jobs procs gap arrivals shape seed", frontend_cmd),
+        "swf" => ("file procs seed", swf_cmd),
+        "--help" | "-h" | "help" => ("", |_| Err(FlagError::Help)),
         other => die(&format!("unknown command {other}\n{USAGE}")),
     };
-    run(&parse_opts(cmd, keys, &args[1..]));
-}
-
-struct Opts(Vec<(String, String)>);
-
-impl Opts {
-    fn get(&self, key: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-    }
-    fn usize(&self, key: &str, default: usize) -> usize {
-        self.get(key)
-            .map(|v| v.parse().unwrap_or_else(|_| die(&format!("bad --{key}"))))
-            .unwrap_or(default)
-    }
-    fn u64(&self, key: &str, default: u64) -> u64 {
-        self.get(key)
-            .map(|v| v.parse().unwrap_or_else(|_| die(&format!("bad --{key}"))))
-            .unwrap_or(default)
-    }
-    fn f64(&self, key: &str, default: f64) -> f64 {
-        self.get(key)
-            .map(|v| v.parse().unwrap_or_else(|_| die(&format!("bad --{key}"))))
-            .unwrap_or(default)
+    if let Err(e) = Flags::parse(rest, keys, "", false).and_then(|f| run(&f)) {
+        std::process::exit(e.report("demt", USAGE));
     }
 }
 
-/// Parses `--flag value` pairs for `cmd`, which reads only `keys`: an
-/// unknown or repeated flag dies (exit 2) instead of being ignored.
-fn parse_opts(cmd: &str, keys: &[&str], args: &[String]) -> Opts {
-    let mut out: Vec<(String, String)> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let Some(key) = a.strip_prefix("--") else {
-            die(&format!("expected --flag, got {a}"))
-        };
-        if !keys.contains(&key) {
-            die(&format!("unknown flag --{key} for {cmd}"));
-        }
-        if out.iter().any(|(k, _)| k == key) {
-            die(&format!("--{key} given twice"));
-        }
-        let val = it
-            .next()
-            .unwrap_or_else(|| die(&format!("--{key} needs a value")));
-        out.push((key.to_string(), val.clone()));
-    }
-    Opts(out)
+/// `--kind` names, in the paper's figure order.
+fn workload_kinds() -> [(&'static str, WorkloadKind); 4] {
+    WorkloadKind::ALL.map(|k| (k.name(), k))
 }
 
 fn read_stdin_json<T: serde::de::DeserializeOwned>(what: &str) -> T {
@@ -119,23 +68,15 @@ fn read_file_json<T: serde::de::DeserializeOwned>(path: &str, what: &str) -> T {
     serde_json::from_str(&s).unwrap_or_else(|e| die(&format!("parsing {what} from {path}: {e}")))
 }
 
-fn generate_cmd(opts: &Opts) {
-    let kind = opts
-        .get("kind")
-        .map(|k| {
-            WorkloadKind::from_name(k)
-                .unwrap_or_else(|| die("bad --kind (weakly|highly|mixed|cirne)"))
-        })
-        .unwrap_or(WorkloadKind::Cirne);
-    let procs = opts.usize("procs", 64);
-    if procs == 0 {
-        die("bad --procs 0 (the machine needs at least one processor)");
-    }
-    let inst = generate(kind, opts.usize("tasks", 50), procs, opts.u64("seed", 0));
+fn generate_cmd(f: &Flags) -> Result<(), FlagError> {
+    let kind = f.pick("kind", WorkloadKind::Cirne, &workload_kinds())?;
+    let procs = f.count("procs", 64)?;
+    let inst = generate(kind, f.num("tasks", 50)?, procs, f.num("seed", 0)?);
     println!(
         "{}",
         serde_json::to_string_pretty(&inst).expect("serializable")
     );
+    Ok(())
 }
 
 /// `ScheduleReport` minus the schedule itself (that goes to stdout as
@@ -148,9 +89,9 @@ struct MetricsOut {
     phases: Vec<PhaseTiming>,
 }
 
-fn schedule_cmd(opts: &Opts) {
+fn schedule_cmd(f: &Flags) -> Result<(), FlagError> {
     let inst: Instance = read_stdin_json("instance");
-    let name = opts.get("algorithm").unwrap_or("demt");
+    let name = f.str("algorithm").unwrap_or("demt");
     let reg = registry();
     let Some(alg) = reg.by_name(name) else {
         die(&format!(
@@ -159,10 +100,9 @@ fn schedule_cmd(opts: &Opts) {
         ))
     };
     let mut ctx = SchedulerContext::new();
-    let report = match opts.get("hierarchy") {
+    let report = match f.str("hierarchy") {
         Some(spec) => {
-            let h =
-                Hierarchy::parse(spec).unwrap_or_else(|e| die(&format!("bad --hierarchy: {e}")));
+            let h = Hierarchy::parse(spec).map_err(|e| FlagError::bad("hierarchy", spec, e))?;
             if h.total_cores() != inst.procs() {
                 die(&format!(
                     "--hierarchy {h} has {} cores but the instance has {} processors",
@@ -178,37 +118,35 @@ fn schedule_cmd(opts: &Opts) {
         .unwrap_or_else(|e| die(&format!("internal: invalid schedule: {e}")));
     // The report already carries the evaluated criteria; nothing is
     // evaluated a second time here.
-    match opts.get("metrics").unwrap_or("text") {
-        "text" => {
-            let c = &report.criteria;
-            eprintln!(
-                "{name}: Cmax = {:.4}, ΣwᵢCᵢ = {:.4}, utilization = {:.1}%",
-                c.makespan,
-                c.weighted_completion,
-                c.utilization * 100.0
-            );
-        }
-        "json" => {
-            let out = MetricsOut {
-                algorithm: report.algorithm.clone(),
-                criteria: report.criteria,
-                wall_seconds: report.wall_seconds,
-                phases: report.phases.clone(),
-            };
-            eprintln!("{}", serde_json::to_string(&out).expect("serializable"));
-        }
-        other => die(&format!("bad --metrics {other} (text|json)")),
+    if f.pick("metrics", false, &[("text", false), ("json", true)])? {
+        let out = MetricsOut {
+            algorithm: report.algorithm.clone(),
+            criteria: report.criteria,
+            wall_seconds: report.wall_seconds,
+            phases: report.phases.clone(),
+        };
+        eprintln!("{}", serde_json::to_string(&out).expect("serializable"));
+    } else {
+        let c = &report.criteria;
+        eprintln!(
+            "{name}: Cmax = {:.4}, ΣwᵢCᵢ = {:.4}, utilization = {:.1}%",
+            c.makespan,
+            c.weighted_completion,
+            c.utilization * 100.0
+        );
     }
     println!(
         "{}",
         serde_json::to_string_pretty(&report.schedule).expect("serializable")
     );
+    Ok(())
 }
 
-fn algorithms_cmd() {
+fn algorithms_cmd(_: &Flags) -> Result<(), FlagError> {
     for s in registry().all() {
         println!("{:<12} {}", s.name(), s.legend());
     }
+    Ok(())
 }
 
 /// `demt listbench` — the CI determinism + perf guard for the list
@@ -217,14 +155,11 @@ fn algorithms_cmd() {
 /// difftests pin it to the scan reference on the CI grids, and
 /// `tests/data/listbench_300x200_s11.json` pins its bytes) and timing
 /// metrics on stderr (where the engine's jobs/sec lands in the CI logs).
-fn listbench_cmd(opts: &Opts) {
+fn listbench_cmd(f: &Flags) -> Result<(), FlagError> {
     use demt::platform::{bench_grid, try_list_schedule};
-    let m = opts.usize("procs", 1000);
-    if m == 0 {
-        die("bad --procs 0 (the grid needs at least one processor)");
-    }
-    let n = opts.usize("tasks", 2000);
-    let seed = opts.u64("seed", 0);
+    let m = f.count("procs", 1000)?;
+    let n = f.num("tasks", 2000)?;
+    let seed = f.num("seed", 0)?;
     let tasks = bench_grid(n, m, seed);
     let clock = demt::api::clock::Stopwatch::start();
     let schedule = try_list_schedule(m, &tasks).unwrap_or_else(|e| die(&e.to_string()));
@@ -238,7 +173,6 @@ fn listbench_cmd(opts: &Opts) {
         "{}",
         serde_json::json!({
             "bench": "listbench",
-            "engine": "skyline",
             "jobs": n,
             "jobs_per_sec": n as f64 / wall.max(f64::MIN_POSITIVE),
             "makespan": schedule.makespan(),
@@ -251,12 +185,13 @@ fn listbench_cmd(opts: &Opts) {
         "{}",
         serde_json::to_string(&schedule).expect("serializable")
     );
+    Ok(())
 }
 
-fn validate_cmd(opts: &Opts) {
-    let path = opts
-        .get("instance")
-        .unwrap_or_else(|| die("validate needs --instance FILE"));
+fn validate_cmd(f: &Flags) -> Result<(), FlagError> {
+    let path = f
+        .str("instance")
+        .ok_or(FlagError::Usage("validate needs --instance FILE"))?;
     let inst: Instance = read_file_json(path, "instance");
     let schedule: Schedule = read_stdin_json("schedule");
     match validate(&inst, &schedule) {
@@ -274,27 +209,22 @@ fn validate_cmd(opts: &Opts) {
             std::process::exit(1);
         }
     }
+    Ok(())
 }
 
-fn bound_cmd(opts: &Opts) {
-    let workers = opts.usize("workers", 1);
-    if workers == 0 {
-        die("--workers must be at least 1");
-    }
+fn bound_cmd(f: &Flags) -> Result<(), FlagError> {
+    let workers = f.count("workers", 1)?;
     let inst: Instance = read_stdin_json("instance");
     if inst.is_empty() {
         die("bound needs at least one task");
     }
     let cfg = BoundConfig::default();
-    if let Some(k) = opts.get("sweep") {
+    if f.str("sweep").is_some() {
         // Warm-started horizon sweep: `k` horizons fanned out around
         // the dual estimate on a pool of `--workers` workers. The
         // chunked warm chains are worker-count independent, so the JSON
         // is byte-identical for any `--workers` value (CI diffs 1 vs 4).
-        let k: usize = k.parse().unwrap_or_else(|_| die("bad --sweep"));
-        if k == 0 {
-            die("--sweep needs at least one horizon");
-        }
+        let k = f.count("sweep", 1)?;
         let dual = dual_approx(&inst, &cfg.dual);
         let horizons: Vec<f64> = (0..k)
             .map(|i| dual.lower_bound * (1.0 + 0.25 * i as f64))
@@ -320,7 +250,7 @@ fn bound_cmd(opts: &Opts) {
             })
             .collect();
         println!("{}", serde_json::json!(rows));
-        return;
+        return Ok(());
     }
     // The detailed variant also hands back the LP's phase cost
     // (iterations, refactorizations) so the report is not an opaque
@@ -338,19 +268,21 @@ fn bound_cmd(opts: &Opts) {
             "procs": inst.procs(),
         })
     );
+    Ok(())
 }
 
-fn gantt_cmd(opts: &Opts) {
-    let path = opts
-        .get("instance")
-        .unwrap_or_else(|| die("gantt needs --instance FILE"));
+fn gantt_cmd(f: &Flags) -> Result<(), FlagError> {
+    let path = f
+        .str("instance")
+        .ok_or(FlagError::Usage("gantt needs --instance FILE"))?;
     let inst: Instance = read_file_json(path, "instance");
     let schedule: Schedule = read_stdin_json("schedule");
     validate(&inst, &schedule).unwrap_or_else(|e| die(&format!("invalid schedule: {e}")));
-    print!("{}", render_gantt(&schedule, opts.usize("width", 80)));
+    print!("{}", render_gantt(&schedule, f.num("width", 80)?));
+    Ok(())
 }
 
-fn exact_cmd() {
+fn exact_cmd(_: &Flags) -> Result<(), FlagError> {
     let inst: Instance = read_stdin_json("instance");
     if inst.is_empty() {
         die("exact needs at least one task");
@@ -373,43 +305,34 @@ fn exact_cmd() {
             "nodes_explored": cm.nodes + ms.nodes,
         })
     );
+    Ok(())
 }
 
-fn frontend_cmd(opts: &Opts) {
+fn frontend_cmd(f: &Flags) -> Result<(), FlagError> {
     use demt::frontend::*;
+    let gap: f64 = f.num("gap", 0.5)?;
+    if !(gap > 0.0 && gap.is_finite()) {
+        let why = "the mean inter-arrival time must be positive and finite";
+        return Err(FlagError::bad("gap", &gap.to_string(), why));
+    }
+    let shape: f64 = f.num("shape", 2.5)?;
+    if !(shape > 1.0 && shape.is_finite()) {
+        let why = "the Pareto tail shape must be > 1 for a finite mean";
+        return Err(FlagError::bad("shape", &shape.to_string(), why));
+    }
+    let arrivals = [
+        ("poisson", ArrivalModel::Poisson),
+        ("exponential", ArrivalModel::Poisson),
+        ("pareto", ArrivalModel::Pareto),
+    ];
     let spec = StreamSpec {
-        kind: opts
-            .get("kind")
-            .map(|k| WorkloadKind::from_name(k).unwrap_or_else(|| die("bad --kind")))
-            .unwrap_or(WorkloadKind::Cirne),
-        jobs: match opts.usize("jobs", 60) {
-            0 => die("bad --jobs 0 (the stream needs at least one job)"),
-            n => n,
-        },
-        procs: match opts.usize("procs", 32) {
-            0 => die("bad --procs 0 (the machine needs at least one processor)"),
-            m => m,
-        },
-        mean_interarrival: {
-            let gap = opts.f64("gap", 0.5);
-            if !(gap > 0.0 && gap.is_finite()) {
-                die("bad --gap (the mean inter-arrival time must be positive and finite)")
-            }
-            gap
-        },
-        arrivals: match opts.get("arrivals").unwrap_or("poisson") {
-            "poisson" | "exponential" => ArrivalModel::Poisson,
-            "pareto" => ArrivalModel::Pareto,
-            _ => die("bad --arrivals (poisson|pareto)"),
-        },
-        pareto_shape: {
-            let shape = opts.f64("shape", 2.5);
-            if !(shape > 1.0 && shape.is_finite()) {
-                die("bad --shape (Pareto tail shape must be > 1 for a finite mean)")
-            }
-            shape
-        },
-        seed: opts.u64("seed", 0),
+        kind: f.pick("kind", WorkloadKind::Cirne, &workload_kinds())?,
+        jobs: f.count("jobs", 60)?,
+        procs: f.count("procs", 32)?,
+        mean_interarrival: gap,
+        arrivals: f.pick("arrivals", ArrivalModel::Poisson, &arrivals)?,
+        pareto_shape: shape,
+        seed: f.num("seed", 0)?,
     };
     let jobs = submit_stream(&spec);
     let fcfs = queue_schedule(spec.procs, &jobs, QueuePolicy::Fcfs);
@@ -429,6 +352,7 @@ fn frontend_cmd(opts: &Opts) {
             ("DEMT (moldable)", &demt_s),
         ],
     );
+    Ok(())
 }
 
 /// Prints the `frontend`/`swf` table: one row of stream metrics per
@@ -455,18 +379,15 @@ fn print_metrics_table(
     }
 }
 
-fn swf_cmd(opts: &Opts) {
+fn swf_cmd(f: &Flags) -> Result<(), FlagError> {
     use demt::frontend::*;
-    let path = opts
-        .get("file")
-        .unwrap_or_else(|| die("swf needs --file TRACE.swf"));
-    let m = match opts.usize("procs", 64) {
-        0 => die("bad --procs 0 (the machine needs at least one processor)"),
-        m => m,
-    };
+    let path = f
+        .str("file")
+        .ok_or(FlagError::Usage("swf needs --file TRACE.swf"))?;
+    let m = f.count("procs", 64)?;
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
     let records = parse_swf(&text).unwrap_or_else(|e| die(&e.to_string()));
-    let jobs = stream_from_swf(&records, m, opts.u64("seed", 0));
+    let jobs = stream_from_swf(&records, m, f.num("seed", 0)?);
     eprintln!(
         "{}: {} records, {} usable jobs on m={m}",
         path,
@@ -489,6 +410,7 @@ fn swf_cmd(opts: &Opts) {
             ("DEMT (re-moldable)", &demt_s),
         ],
     );
+    Ok(())
 }
 
 fn die(msg: &str) -> ! {

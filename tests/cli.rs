@@ -238,9 +238,71 @@ fn repro_subcommand_is_deterministic_across_worker_counts() {
     let w3 = json_for("3");
     assert!(!w1.is_empty());
     assert_eq!(w1, w3, "worker count changed the output bytes");
-    // The CSV series land next to the JSON, same as the repro binary.
+    // The CSV series land next to the JSON.
     assert!(dir.join("fig6_cirne.csv").exists());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn repro_quick_fig4_sweep_writes_csv() {
+    let dir = std::env::temp_dir().join(format!("demt-repro-smoke-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = demt()
+        .args(["repro", "fig4", "--quick", "--out", dir.to_str().unwrap()])
+        .output()
+        .expect("run demt repro");
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("Figure 4"), "{stdout}");
+    assert!(stdout.contains("demt"), "{stdout}");
+
+    let csv = std::fs::read_to_string(dir.join("fig4_highly.csv")).expect("csv written");
+    let mut lines = csv.lines();
+    let header = lines.next().expect("header");
+    assert!(header.starts_with("n,demt_wici_avg"));
+    let cols = header.split(',').count();
+    for line in lines {
+        assert_eq!(line.split(',').count(), cols, "ragged CSV row: {line}");
+        // Every ratio field parses as a finite positive number.
+        for field in line.split(',').skip(1) {
+            let v: f64 = field.parse().expect("numeric field");
+            assert!(v.is_finite() && v > 0.0);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn repro_help_prints_usage_and_exits_zero() {
+    let out = demt()
+        .args(["repro", "--help"])
+        .output()
+        .expect("run demt repro --help");
+    assert!(out.status.success());
+    let text = String::from_utf8_lossy(&out.stdout);
+    for fig in ["fig3", "fig4", "fig5", "fig6", "fig7", "ablation"] {
+        assert!(text.contains(fig), "usage missing {fig}");
+    }
+}
+
+#[test]
+fn repro_unknown_argument_fails_cleanly() {
+    for (arg, needle) in [
+        ("--bogus", "unknown flag --bogus"),
+        ("fig9", "unknown argument fig9"),
+    ] {
+        let out = demt()
+            .args(["repro", arg])
+            .output()
+            .expect("run demt repro");
+        assert_eq!(out.status.code(), Some(2), "{arg}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "{arg}: {err}");
+    }
 }
 
 #[test]
@@ -373,7 +435,7 @@ fn listbench_rejects_an_empty_machine() {
 #[test]
 fn degenerate_generator_inputs_die_instead_of_panicking() {
     let sample = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/sample.swf");
-    let cases: [(&[&str], &str); 13] = [
+    let cases: [(&[&str], &str); 22] = [
         (&["generate", "--procs", "0"], "bad --procs 0"),
         // Unknown and repeated flags die instead of being ignored.
         (&["generate", "--taks", "3"], "unknown flag --taks"),
@@ -394,6 +456,36 @@ fn degenerate_generator_inputs_die_instead_of_panicking() {
         (&["serve", "--procs", "4", "--workers", "0"], "--workers"),
         (&["bound", "--sweep", "2", "--workers", "0"], "--workers"),
         (&["repro", "fig6", "--workers", "0"], "--workers"),
+        // One flag grammar: every command rejects a repeated, unknown or
+        // valueless flag, and names it.
+        (
+            &["serve", "--procs", "4", "--procs", "8"],
+            "--procs given twice",
+        ),
+        (
+            &[
+                "replaybench",
+                "--gen-trace",
+                "n=10,m=4,seed=1",
+                "--gen-trace",
+                "n=20,m=4,seed=1",
+            ],
+            "--gen-trace given twice",
+        ),
+        (
+            &["repro", "fig6", "--runs", "1", "--runs", "2"],
+            "--runs given twice",
+        ),
+        (
+            &["repro", "fig6", "--paper", "--quick"],
+            "--paper and --quick",
+        ),
+        (&["serve", "--procs"], "--procs needs a value"),
+        (&["replaybench", "--bogus"], "unknown flag --bogus"),
+        // Empty sweeps die before the pool starts.
+        (&["repro", "fig6", "--procs", "0"], "bad --procs 0"),
+        (&["repro", "fig6", "--runs", "0"], "bad --runs 0"),
+        (&["repro", "fig6", "--tasks", "10,0"], "bad --tasks 10,0"),
     ];
     for (args, needle) in cases {
         let out = demt().args(args).output().expect("demt");
