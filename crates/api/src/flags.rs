@@ -6,7 +6,9 @@
 //! whether it takes positional words. An unknown flag, a flag given
 //! twice, a flag without its value and a value that does not parse are
 //! each a [`FlagError`] naming the flag; `--help`/`-h` comes back as
-//! [`FlagError::Help`] so the caller prints its own usage.
+//! [`FlagError::Help`] so the caller prints its own usage. A flag that
+//! the mode chosen by another flag never reads is rejected through
+//! [`Flags::unread`].
 
 use std::fmt;
 use std::str::FromStr;
@@ -27,6 +29,9 @@ pub enum FlagError {
     /// A rule of the command itself, such as two flags that exclude
     /// each other.
     Usage(&'static str),
+    /// `--flag is not read <mode>`: the command takes the flag, but not
+    /// in the mode another flag chose (say `with --gen-grid`).
+    Unread(String, &'static str),
 }
 
 impl FlagError {
@@ -58,6 +63,7 @@ impl fmt::Display for FlagError {
             FlagError::NoValue(flag) => write!(f, "--{flag} needs a value"),
             FlagError::Bad(msg) => write!(f, "{msg}"),
             FlagError::Usage(msg) => write!(f, "{msg}"),
+            FlagError::Unread(flag, mode) => write!(f, "--{flag} is not read {mode}"),
         }
     }
 }
@@ -159,6 +165,16 @@ impl<'a> Flags<'a> {
         }
     }
 
+    /// Rejects the first given flag among `keys`: the `mode` the
+    /// command runs in (say `with --gen-grid`) never reads it.
+    pub fn unread(&self, keys: &str, mode: &'static str) -> Result<(), FlagError> {
+        let listed = |key: &str| keys.split_whitespace().any(|k| k == key);
+        match self.given.iter().find(|&&(k, _)| listed(k)) {
+            Some(&(k, _)) => Err(FlagError::Unread(k.to_string(), mode)),
+            None => Ok(()),
+        }
+    }
+
     /// `--key` looked up by name in `choices`, or `default` when absent.
     pub fn pick<T: Copy>(
         &self,
@@ -249,6 +265,13 @@ mod tests {
             "bad --workers 0: must be at least 1"
         );
         assert_eq!(f.count("jobs", 60), Ok(60));
+        assert_eq!(f.unread("jobs", "with --x"), Ok(()));
+        assert_eq!(
+            f.unread("jobs policy engine", "with --x")
+                .unwrap_err()
+                .to_string(),
+            "--engine is not read with --x"
+        );
         let engines = [("queue", 1), ("serve", 2), ("both", 3)];
         assert_eq!(f.pick("engine", 3, &engines), Ok(3));
         assert_eq!(

@@ -115,10 +115,14 @@ fn setup(args: &[String]) -> Result<Replay, FlagError> {
         false,
     )?;
     let source = match (f.str("gen-trace"), f.str("swf")) {
-        (Some(spec), None) => Source::Gen(
-            spec.parse()
-                .map_err(|e| FlagError::bad("gen-trace", spec, e))?,
-        ),
+        (Some(spec), None) => {
+            // The spec carries the machine and the seed.
+            f.unread("procs seed", "with --gen-trace")?;
+            Source::Gen(
+                spec.parse()
+                    .map_err(|e| FlagError::bad("gen-trace", spec, e))?,
+            )
+        }
         (None, Some(path)) => {
             if f.str("procs").is_none() {
                 return Err(FlagError::Usage("--swf needs --procs"));
@@ -142,6 +146,12 @@ fn setup(args: &[String]) -> Result<Replay, FlagError> {
         ("both", (true, true)),
     ];
     let (queue_leg, serve_leg) = f.pick("engine", (true, true), &engines)?;
+    if !serve_leg {
+        f.unread("algorithm", "with --engine queue")?;
+    }
+    if !queue_leg {
+        f.unread("policy order", "with --engine serve")?;
+    }
     let policies = [
         ("easy", QueuePolicy::EasyBackfill),
         ("fcfs", QueuePolicy::Fcfs),
@@ -538,7 +548,7 @@ fn run(opts: &Replay) -> Result<(String, i32), String> {
 /// deterministic stdout document — what the byte-identity tests compare
 /// across `--workers` counts without capturing a process's stdout.
 /// Usage and runtime failures both surface as the error message.
-// demt-lint: allow(P2, drives the baselined engine entry points (BatchLoop::run_batch, Pool::par_map) whose contract assertions are annotated at their sites)
+// demt-lint: allow(P2, reaches TraceGen::next's valid-profile expect (reported via run -> parse_floors) and BatchLoop::run_batch's "indexed job" expect; both are annotated invariants)
 pub fn replaybench_report(args: &[String]) -> Result<String, String> {
     let opts = setup(args).map_err(|e| e.to_string())?;
     run(&opts).map(|(doc, _)| doc)
@@ -546,7 +556,7 @@ pub fn replaybench_report(args: &[String]) -> Result<String, String> {
 
 /// Entry point behind `demt replaybench`; returns the process exit code
 /// (0 success, 1 runtime failure or floor violation, 2 usage error).
-// demt-lint: allow(P2, drives the baselined engine entry points (BatchLoop::run_batch, Pool::par_map) whose contract assertions are annotated at their sites)
+// demt-lint: allow(P2, reaches TraceGen::next's valid-profile expect (reported via run -> parse_floors) and BatchLoop::run_batch's "indexed job" expect; both are annotated invariants)
 pub fn replaybench_cli(args: &[String]) -> i32 {
     let opts = match setup(args) {
         Ok(r) => r,

@@ -49,6 +49,26 @@ fn serve(args: &[String]) -> Result<i32, FlagError> {
         "gen-grid oracle once",
         false,
     )?;
+    // Each mode reads only its own flags; any other given flag is an
+    // error, never silently ignored.
+    let (mode, unread) = if f.switch("gen-grid") {
+        (
+            "with --gen-grid",
+            "gen-trace replay socket once workers tick algorithm stats oracle",
+        )
+    } else if f.str("gen-trace").is_some() {
+        (
+            "with --gen-trace",
+            "tasks procs seed replay socket once workers tick algorithm stats oracle",
+        )
+    } else if f.str("socket").is_some() {
+        ("with --socket", "tasks seed replay")
+    } else if f.str("replay").is_some() {
+        ("with --replay", "tasks once")
+    } else {
+        ("with events on stdin", "tasks seed once")
+    };
+    f.unread(unread, mode)?;
     let mut cfg = ServeConfig::new(f.num("procs", 0)?);
     cfg.algorithm = f.str("algorithm").unwrap_or("greedy").to_string();
     cfg.workers = f.count("workers", 1)?;

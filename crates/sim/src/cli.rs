@@ -7,9 +7,9 @@
 //!            [--workers W] [--paper] [--quick] [--json PATH] [--no-timing]
 //! ```
 //!
-//! All requested figures run as **one flattened cell list on a single
-//! work-stealing pool** (`demt-exec`), so the tail of one figure's
-//! large-`n` points overlaps the next figure's cells. `--json` writes
+//! All requested figures run as **one flattened cell list on one
+//! shared pool** (`demt-exec`), so the tail of one figure's large-`n`
+//! points overlaps the next figure's cells. `--json` writes
 //! the aggregated [`FigureResult`]s as one JSON document (`-` for
 //! stdout); combined with `--no-timing` the bytes are identical for
 //! every `--workers` value — CI diffs them to enforce determinism.
@@ -233,7 +233,7 @@ fn write_file(path: &Path, data: &str) -> Result<(), String> {
 const HELP: &str = "\
 repro — regenerate the SPAA'04 figures (Dutot et al., bi-criteria scheduling)
 
-USAGE: repro [FIGURES] [OPTIONS]
+USAGE: demt repro [FIGURES] [OPTIONS]
 
 FIGURES (default: all)
   fig3       weakly parallel workload, both ratio panels
@@ -252,7 +252,7 @@ OPTIONS
   --quick         tiny smoke sweep (m=32, n∈{10,20,40}, 2 runs)
   --procs M       cluster size (default 200)
   --tasks LIST    comma-separated task counts (default 25,...,400)
-  --workers W     worker threads sharing one work-stealing pool
+  --workers W     worker threads on one shared pool
                   (default: available cores)
   --out DIR       output directory for CSV series (default results/)
   --json PATH     also write the aggregated figure results as one JSON
@@ -261,5 +261,5 @@ OPTIONS
                   byte-identical for every --workers value
 
 All requested figures run as one flattened (figure, point, run) cell
-list on a single work-stealing pool.
+list on one shared pool.
 ";

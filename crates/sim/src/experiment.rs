@@ -3,7 +3,7 @@
 //!
 //! Every `(figure, point, run)` triple is an independent **cell**. The
 //! runner flattens the whole requested sweep — all figures, all points
-//! — into one cell list and executes it on a `demt-exec` work-stealing
+//! — into one cell list and executes it on the shared `demt-exec`
 //! pool, so large-`n` cells from one figure overlap with another
 //! figure's tail instead of leaving cores idle between points. Results
 //! are reduced **in cell order** (figure-major, then point, then run),
@@ -195,8 +195,8 @@ struct SweepCell {
 /// Runs the full sweep of every requested figure as **one** cell list
 /// on the given pool — figure- and point-level sharding, not run-level:
 /// all `kinds × task_counts × runs` cells compete for the same workers,
-/// so skewed cell costs (large `n`) are balanced by stealing instead of
-/// serializing at every point boundary.
+/// so skewed cell costs (large `n`) even out as idle workers claim the
+/// next cell, instead of serializing at every point boundary.
 ///
 /// `progress` is called from worker threads (hence `Sync`) once per
 /// completed point. The returned figures are in `kinds` order and the

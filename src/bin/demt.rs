@@ -476,8 +476,8 @@ COMMANDS
             optional jobs/sec floor gate (`demt replaybench --help`)
   repro     [fig3..fig7|ablation|verify|all] [--quick|--paper]
             [--workers W] [--json PATH] [--no-timing] ...
-            regenerate the paper's figures on one shared work-stealing
-            pool (same driver as the repro binary; `demt repro --help`)
+            regenerate the paper's figures on one shared pool
+            (`demt repro --help`)
   lint      [--root DIR] [--config FILE] [--format human|json|sarif]
             [--callgraph PATH] [--update-baseline]
             static analysis of the workspace source: determinism (D1,

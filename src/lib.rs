@@ -24,7 +24,7 @@
 //! | [`baselines`] | `demt-baselines` | Gang, Sequential, three Graham lists |
 //! | [`online`] | `demt-online` | on-line batch framework over release dates, incremental `BatchLoop` core |
 //! | [`serve`] | `demt-serve` | event-driven scheduling daemon: JSONL job events in, placements + rolling stats out (`demt serve`) |
-//! | [`exec`] | `demt-exec` | work-stealing executor: scoped pool, deterministic `par_map` |
+//! | [`exec`] | `demt-exec` | one shared pool: ordered, deterministic `par_map` |
 //! | [`sim`] | `demt-sim` | experiment harness regenerating Figures 3–7 (cell-parallel on the `exec` pool) |
 //! | [`exact`] | `demt-exact` | exact branch-and-bound oracle for tiny instances |
 //! | [`frontend`] | `demt-frontend` | cluster front-end simulation: job streams, FCFS/EASY queues, SWF traces, response metrics |

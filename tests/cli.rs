@@ -287,6 +287,16 @@ fn repro_help_prints_usage_and_exits_zero() {
     for fig in ["fig3", "fig4", "fig5", "fig6", "fig7", "ablation"] {
         assert!(text.contains(fig), "usage missing {fig}");
     }
+    // The help names the tool that exists and the pool as it is, and so
+    // does the top-level help.
+    assert!(text.contains("USAGE: demt repro"), "{text}");
+    let top = demt().arg("--help").output().expect("run demt --help");
+    assert!(top.status.success());
+    let top = String::from_utf8_lossy(&top.stdout);
+    for stale in ["repro binary", "work-stealing"] {
+        assert!(!text.contains(stale), "repro help still says {stale:?}");
+        assert!(!top.contains(stale), "demt help still says {stale:?}");
+    }
 }
 
 #[test]
@@ -435,7 +445,8 @@ fn listbench_rejects_an_empty_machine() {
 #[test]
 fn degenerate_generator_inputs_die_instead_of_panicking() {
     let sample = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/sample.swf");
-    let cases: [(&[&str], &str); 22] = [
+    let trace = "n=10,m=4,seed=1";
+    let cases: [(&[&str], &str); 34] = [
         (&["generate", "--procs", "0"], "bad --procs 0"),
         // Unknown and repeated flags die instead of being ignored.
         (&["generate", "--taks", "3"], "unknown flag --taks"),
@@ -482,6 +493,72 @@ fn degenerate_generator_inputs_die_instead_of_panicking() {
         ),
         (&["serve", "--procs"], "--procs needs a value"),
         (&["replaybench", "--bogus"], "unknown flag --bogus"),
+        // A flag the chosen source never reads dies, naming the flag.
+        (
+            &["replaybench", "--gen-trace", trace, "--procs", "999"],
+            "demt replaybench: --procs is not read with --gen-trace \
+             (see demt replaybench --help)",
+        ),
+        (
+            &["replaybench", "--gen-trace", trace, "--seed", "5"],
+            "--seed is not read with --gen-trace",
+        ),
+        (
+            &[
+                "replaybench",
+                "--gen-trace",
+                trace,
+                "--engine",
+                "queue",
+                "--algorithm",
+                "demt",
+            ],
+            "--algorithm is not read with --engine queue",
+        ),
+        (
+            &[
+                "replaybench",
+                "--gen-trace",
+                trace,
+                "--engine",
+                "serve",
+                "--order",
+                "priority",
+            ],
+            "--order is not read with --engine serve",
+        ),
+        (
+            &["serve", "--gen-grid", "--tasks", "2", "--tick", "7"],
+            "demt serve: --tick is not read with --gen-grid (see demt serve --help)",
+        ),
+        (
+            &["serve", "--gen-grid", "--oracle"],
+            "--oracle is not read with --gen-grid",
+        ),
+        (
+            &["serve", "--gen-grid", "--stats", "/nonexistent/x"],
+            "--stats is not read with --gen-grid",
+        ),
+        (
+            &["serve", "--gen-trace", trace, "--algorithm", "demt"],
+            "--algorithm is not read with --gen-trace",
+        ),
+        (
+            &["serve", "--gen-trace", trace, "--workers", "2"],
+            "--workers is not read with --gen-trace",
+        ),
+        (
+            &["serve", "--gen-trace", trace, "--procs", "4"],
+            "--procs is not read with --gen-trace",
+        ),
+        (
+            &["serve", "--procs", "4", "--tasks", "5"],
+            "--tasks is not read with events on stdin",
+        ),
+        (
+            &["serve", "--procs", "4", "--replay", sample, "--once"],
+            "--once is not read with --replay",
+        ),
         // Empty sweeps die before the pool starts.
         (&["repro", "fig6", "--procs", "0"], "bad --procs 0"),
         (&["repro", "fig6", "--runs", "0"], "bad --runs 0"),
