@@ -200,6 +200,16 @@ impl Fnv {
 /// infallible iterator the engines consume.
 type ErrSlot = Rc<RefCell<Option<String>>>;
 
+/// Why a run stopped, with its exit code: 2 for a trace record that
+/// cannot be replayed (as for a bad flag), 1 for any other failure.
+struct Failure(String, i32);
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Failure(e, 1)
+    }
+}
+
 /// Fuses a fallible job stream into an infallible one: the first error
 /// is parked in the slot and the stream ends there, so the engine
 /// finishes what it already admitted and the driver reports the error.
@@ -240,7 +250,7 @@ fn open_source(
             let file = std::fs::File::open(path).map_err(|e| format!("--swf {path}: {e}"))?;
             Ok(Box::new(
                 SwfJobStream::new(BufReader::new(file), *procs, opts.seed)
-                    .map(|r| r.map_err(|e| format!("swf line {}: {}", e.line, e.message))),
+                    .map(|r| r.map_err(|e| e.to_string())),
             ))
         }
     }
@@ -295,12 +305,12 @@ impl LegState {
         decisions: usize,
         source_err: &ErrSlot,
         record: impl FnOnce(&ReplaySummary, String) -> Value,
-    ) -> Result<LegReport, String> {
+    ) -> Result<LegReport, Failure> {
         if let Some(e) = source_err.borrow_mut().take() {
-            return Err(e);
+            return Err(Failure(e, 2));
         }
         if let Some(e) = self.metrics_err {
-            return Err(format!("metrics: {e}"));
+            return Err(format!("metrics: {e}").into());
         }
         let summary = self
             .metrics
@@ -331,7 +341,7 @@ impl LegState {
     }
 }
 
-fn queue_leg(opts: &Replay) -> Result<LegReport, String> {
+fn queue_leg(opts: &Replay) -> Result<LegReport, Failure> {
     let m = opts.source.procs();
     let (feed, err) = fuse(open_source(opts)?);
     let mut st = LegState::new();
@@ -368,7 +378,7 @@ fn queue_leg(opts: &Replay) -> Result<LegReport, String> {
     })
 }
 
-fn serve_leg(opts: &Replay) -> Result<LegReport, String> {
+fn serve_leg(opts: &Replay) -> Result<LegReport, Failure> {
     let m = opts.source.procs();
     let scheduler = resolve_scheduler(&opts.algorithm).map_err(|e| format!("--algorithm: {e}"))?;
     let pool = Pool::new(opts.workers);
@@ -476,7 +486,7 @@ fn check_floors(floors: &[(String, f64)], legs: &[LegReport]) -> Result<Vec<Stri
     Ok(failures)
 }
 
-fn run(opts: &Replay) -> Result<(String, i32), String> {
+fn run(opts: &Replay) -> Result<(String, i32), Failure> {
     let mut legs = Vec::new();
     if opts.queue_leg {
         legs.push(queue_leg(opts)?);
@@ -491,7 +501,8 @@ fn run(opts: &Replay) -> Result<(String, i32), String> {
             legs.iter()
                 .map(|l| (l.engine, l.decisions))
                 .collect::<Vec<_>>()
-        ));
+        )
+        .into());
     }
 
     // Deterministic result document: legs sorted by engine name, keys
@@ -551,11 +562,12 @@ fn run(opts: &Replay) -> Result<(String, i32), String> {
 // demt-lint: allow(P2, reaches TraceGen::next's valid-profile expect (reported via run -> parse_floors) and BatchLoop::run_batch's "indexed job" expect; both are annotated invariants)
 pub fn replaybench_report(args: &[String]) -> Result<String, String> {
     let opts = setup(args).map_err(|e| e.to_string())?;
-    run(&opts).map(|(doc, _)| doc)
+    run(&opts).map(|(doc, _)| doc).map_err(|Failure(e, _)| e)
 }
 
 /// Entry point behind `demt replaybench`; returns the process exit code
-/// (0 success, 1 runtime failure or floor violation, 2 usage error).
+/// (0 success, 1 runtime failure or floor violation, 2 usage error or
+/// a trace record that cannot be replayed).
 // demt-lint: allow(P2, reaches TraceGen::next's valid-profile expect (reported via run -> parse_floors) and BatchLoop::run_batch's "indexed job" expect; both are annotated invariants)
 pub fn replaybench_cli(args: &[String]) -> i32 {
     let opts = match setup(args) {
@@ -567,9 +579,9 @@ pub fn replaybench_cli(args: &[String]) -> i32 {
             println!("{doc}");
             code
         }
-        Err(e) => {
-            eprintln!("demt replaybench: {e}");
-            1
+        Err(Failure(message, code)) => {
+            eprintln!("demt replaybench: {message}");
+            code
         }
     }
 }

@@ -27,7 +27,7 @@
 //! use demt_workload::{generate, WorkloadKind};
 //! let inst = generate(WorkloadKind::Cirne, 30, 16, 7);
 //! let result = demt_schedule(&inst, &DemtConfig::default());
-//! demt_platform::assert_valid(&inst, &result.schedule);
+//! demt_platform::validate(&inst, &result.schedule).unwrap();
 //! assert!(result.criteria.makespan >= result.cmax_lower_bound);
 //! ```
 

@@ -309,43 +309,6 @@ impl Variate for Pareto {
     }
 }
 
-/// Mixture of two variates: draws from `a` with probability `p_a`,
-/// otherwise from `b`. Implements the paper's mixed workload (70% small
-/// tasks / 30% large tasks).
-#[derive(Debug, Clone)]
-pub struct Mixture<A, B> {
-    a: A,
-    b: B,
-    p_a: f64,
-}
-
-impl<A: Variate, B: Variate> Mixture<A, B> {
-    /// Mixture drawing from `a` with probability `p_a ∈ [0, 1]`.
-    pub fn new(a: A, b: B, p_a: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p_a),
-            "mixture probability out of range"
-        );
-        Self { a, b, p_a }
-    }
-
-    /// Draws a sample along with which component produced it
-    /// (`true` = first component).
-    pub fn sample_tagged<R: Rng + ?Sized>(&self, rng: &mut R) -> (f64, bool) {
-        if rng.random::<f64>() < self.p_a {
-            (self.a.sample(rng), true)
-        } else {
-            (self.b.sample(rng), false)
-        }
-    }
-}
-
-impl<A: Variate, B: Variate> Variate for Mixture<A, B> {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.sample_tagged(rng).0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,22 +395,6 @@ mod tests {
             (mean_ln - 200.0_f64.ln() / 2.0).abs() < 0.05,
             "mean ln {mean_ln}"
         );
-    }
-
-    #[test]
-    fn mixture_hits_both_components() {
-        let mix = Mixture::new(Normal::new(1.0, 0.5), Normal::new(10.0, 5.0), 0.7);
-        let mut rng = seeded_rng(7);
-        let mut small = 0usize;
-        let n = 20_000;
-        for _ in 0..n {
-            let (_, from_a) = mix.sample_tagged(&mut rng);
-            if from_a {
-                small += 1;
-            }
-        }
-        let frac = small as f64 / n as f64;
-        assert!((frac - 0.7).abs() < 0.02, "mixture fraction {frac}");
     }
 
     #[test]

@@ -81,7 +81,7 @@ pub struct DualResult {
 /// let r = dual_approx(&inst, &DualConfig::default());
 /// assert!(r.lower_bound <= r.cmax_estimate);           // certified sandwich
 /// assert_eq!(r.allotment.len(), inst.len());           // one allotment per task
-/// demt_platform::assert_valid(&inst, &r.schedule);     // constructive witness
+/// demt_platform::validate(&inst, &r.schedule).unwrap(); // constructive witness
 /// ```
 pub fn dual_approx(inst: &Instance, cfg: &DualConfig) -> DualResult {
     assert!(!inst.is_empty(), "dual approximation of an empty instance");

@@ -1,14 +1,16 @@
 //! Differential suite for the queue engine: on random rigid job
-//! streams, [`queue_schedule_ordered`](crate::queue_schedule_ordered)
-//! and the streamed [`replay_queue`](crate::replay_queue) must
-//! reproduce the independent rescan loop `queue_schedule_scan` **bit
+//! streams, the slice engine ([`queue_schedule`](crate::queue_schedule),
+//! and the same feed under [`QueueOrder::Priority`]) and the streamed
+//! [`replay_queue`](crate::replay_queue) must reproduce the
+//! independent rescan loop `queue_schedule_scan` **bit
 //! for bit** — compared as serialized JSON, so every start instant,
 //! duration and processor identity list participates in the equality.
 //! This is the contract that makes replaybench's EASY leg independent
 //! of streaming versus materialization.
 
 use crate::easy::queue_schedule_scan;
-use crate::{queue_schedule, queue_schedule_ordered, replay_queue};
+use crate::replay::run_queue;
+use crate::{queue_schedule, replay_queue};
 use crate::{QueueOrder, QueuePolicy, SubmittedJob};
 use demt_model::{MoldableTask, TaskId};
 use demt_platform::{validate_no_overlap, Schedule};
@@ -99,11 +101,31 @@ fn arb_job_stream() -> impl Strategy<Value = (usize, Vec<SubmittedJob>)> {
         })
 }
 
+/// The queue engine over an unsorted slice in `order`: arrival order is
+/// [`queue_schedule`] itself, priority order is the same
+/// `(release, index)` feed collected from [`run_queue`].
+fn slice_engine(
+    m: usize,
+    jobs: &[SubmittedJob],
+    policy: QueuePolicy,
+    order: QueueOrder,
+) -> Schedule {
+    if order == QueueOrder::Arrival {
+        return queue_schedule(m, jobs, policy).expect("valid feeds queue cleanly");
+    }
+    let mut by_release: Vec<usize> = (0..jobs.len()).collect();
+    by_release.sort_by(|&a, &b| jobs[a].release.total_cmp(&jobs[b].release).then(a.cmp(&b)));
+    let mut s = Schedule::new(m);
+    let feed = by_release.iter().map(|&i| (i, &jobs[i]));
+    run_queue(m, feed, policy, order, |_, p| s.push(p)).expect("valid feeds queue cleanly");
+    s
+}
+
 /// The slice engine against the oracle, every policy and order.
 fn assert_engines_agree(m: usize, jobs: &[SubmittedJob]) -> Result<(), TestCaseError> {
     for policy in POLICIES {
         for order in ORDERS {
-            let fast = queue_schedule_ordered(m, jobs, policy, order);
+            let fast = slice_engine(m, jobs, policy, order);
             let scan = queue_schedule_scan(m, jobs, policy, order);
             prop_assert_eq!(
                 json(&fast),
@@ -175,7 +197,7 @@ proptest! {
     #[test]
     fn easy_queue_engines_agree_byte_for_byte((m, jobs) in arb_job_stream()) {
         for policy in POLICIES {
-            let skyline = queue_schedule(m, &jobs, policy);
+            let skyline = queue_schedule(m, &jobs, policy).unwrap();
             let scan = queue_schedule_scan(m, &jobs, policy, QueueOrder::Arrival);
             prop_assert_eq!(json(&skyline), json(&scan), "{:?} diverged", policy);
             prop_assert!(validate_no_overlap(&skyline).is_ok());

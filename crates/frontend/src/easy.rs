@@ -15,12 +15,12 @@
 //!   fit in the processors it leaves spare).
 //!
 //! One engine implements both, streamed over a feed:
-//! [`replay_queue`](crate::replay_queue). [`queue_schedule_ordered`] and
-//! [`queue_schedule`] collect it over a slice. A separate quadratic
+//! [`replay_queue`](crate::replay_queue). [`queue_schedule`] collects
+//! it over a slice in arrival order. A separate quadratic
 //! rescan loop, `queue_schedule_scan`, is compiled only under
 //! `#[cfg(test)]`, as the oracle the engine is tested against.
 
-use crate::replay::run_queue;
+use crate::replay::{run_queue, ReplayError};
 use crate::stream::SubmittedJob;
 use demt_platform::Schedule;
 use serde::{Deserialize, Serialize};
@@ -48,42 +48,36 @@ pub enum QueueOrder {
     Priority,
 }
 
-/// [`queue_schedule_ordered`] with the classic arrival ordering.
-// demt-lint: allow(P2, reaches queue_schedule_ordered's documented panic on a request wider than the machine, and by name resolution of `.next()` the generator-invariant expects behind replay_queue's allow)
-pub fn queue_schedule(m: usize, jobs: &[SubmittedJob], policy: QueuePolicy) -> Schedule {
-    queue_schedule_ordered(m, jobs, policy, QueueOrder::Arrival)
-}
-
 /// Simulates the front-end on `m` processors and returns the resulting
 /// schedule (placements carry explicit processor indices so the
 /// workspace validator can audit it against the rigid instance).
 ///
-/// Jobs are queued per `order` among those already released, ties
-/// broken by slice index; panics if a request exceeds the machine.
+/// Jobs queue in arrival order among those already released, ties
+/// broken by slice index. A request that does not fit the machine is
+/// a typed [`ReplayError::BadRequest`].
 ///
 /// This collects the streaming engine behind
 /// [`replay_queue`](crate::replay_queue), fed in `(release, index)`
 /// order with each job's slice index as its sequence key, so the
 /// stream need not be sorted. Placements are bitwise identical to the
 /// test-only rescan oracle.
-pub fn queue_schedule_ordered(
+pub fn queue_schedule(
     m: usize,
     jobs: &[SubmittedJob],
     policy: QueuePolicy,
-    order: QueueOrder,
-) -> Schedule {
+) -> Result<Schedule, ReplayError> {
     let mut by_release: Vec<usize> = (0..jobs.len()).collect();
     by_release.sort_by(|&a, &b| jobs[a].release.total_cmp(&jobs[b].release).then(a.cmp(&b)));
     let mut schedule = Schedule::new(m);
     let feed = by_release.iter().map(|&i| (i, &jobs[i]));
-    run_queue(m, feed, policy, order, |_, p| schedule.push(p))
-        // demt-lint: allow(P1, documented panicking wrapper: the feed is sorted above, so only an oversized request fails)
-        .unwrap_or_else(|e| panic!("{e}"));
-    schedule
+    run_queue(m, feed, policy, QueueOrder::Arrival, |_, p| {
+        schedule.push(p)
+    })?;
+    Ok(schedule)
 }
 
 /// The per-round rescan engine, an independent differential oracle for
-/// the queue engine: [`queue_schedule_ordered`] and
+/// the queue engine: [`queue_schedule`] and
 /// [`replay_queue`](crate::replay_queue) must agree with it bit for bit
 /// on every stream (the crate's `difftests`). Quadratic in the stream
 /// length.
@@ -249,6 +243,16 @@ mod tests {
         }
     }
 
+    /// The FCFS engine streamed over a release-sorted slice in `order`.
+    fn fcfs_in(m: usize, jobs: &[SubmittedJob], order: QueueOrder) -> Schedule {
+        let mut s = Schedule::new(m);
+        crate::replay_queue(m, jobs.iter().cloned(), QueuePolicy::Fcfs, order, |_, p| {
+            s.push(p.clone())
+        })
+        .unwrap();
+        s
+    }
+
     #[test]
     fn fcfs_blocks_behind_a_wide_head() {
         // Head needs the full machine; a later 1-proc job must wait
@@ -259,7 +263,7 @@ mod tests {
             job(1, 0.1, 2, 1.0, m), // head of queue at t=0.1, blocked until 4
             job(2, 0.2, 1, 1.0, m),
         ];
-        let s = queue_schedule(m, &jobs, QueuePolicy::Fcfs);
+        let s = queue_schedule(m, &jobs, QueuePolicy::Fcfs).unwrap();
         assert_eq!(s.placement_of(TaskId(1)).unwrap().start, 4.0);
         assert_eq!(
             s.placement_of(TaskId(2)).unwrap().start,
@@ -276,7 +280,7 @@ mod tests {
             job(1, 0.1, 2, 1.0, m),
             job(2, 0.2, 1, 1.0, m), // finishes at 1.2 ≤ head reservation 4
         ];
-        let s = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill);
+        let s = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill).unwrap();
         assert_eq!(
             s.placement_of(TaskId(2)).unwrap().start,
             0.2,
@@ -294,7 +298,7 @@ mod tests {
             job(1, 0.1, 2, 1.0, m),
             job(2, 0.2, 1, 10.0, m), // would run past the reservation and use its procs
         ];
-        let s = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill);
+        let s = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill).unwrap();
         assert_eq!(
             s.placement_of(TaskId(1)).unwrap().start,
             4.0,
@@ -313,7 +317,7 @@ mod tests {
             .map(|i| job(i, i as f64 * 0.3, 1 + i % 3, 0.5 + (i % 5) as f64 * 0.4, m))
             .collect();
         for policy in [QueuePolicy::Fcfs, QueuePolicy::EasyBackfill] {
-            let s = queue_schedule(m, &jobs, policy);
+            let s = queue_schedule(m, &jobs, policy).unwrap();
             assert_eq!(s.len(), 20, "{policy:?}");
             // Starts respect releases.
             for p in s.placements() {
@@ -330,9 +334,9 @@ mod tests {
         let mut heavy = job(1, 0.0, 2, 2.0, m);
         heavy.task.set_weight(9.0);
         let jobs = vec![light, heavy];
-        let fifo = queue_schedule_ordered(m, &jobs, QueuePolicy::Fcfs, QueueOrder::Arrival);
+        let fifo = fcfs_in(m, &jobs, QueueOrder::Arrival);
         assert_eq!(fifo.placement_of(TaskId(0)).unwrap().start, 0.0);
-        let prio = queue_schedule_ordered(m, &jobs, QueuePolicy::Fcfs, QueueOrder::Priority);
+        let prio = fcfs_in(m, &jobs, QueueOrder::Priority);
         assert_eq!(
             prio.placement_of(TaskId(1)).unwrap().start,
             0.0,
@@ -349,7 +353,7 @@ mod tests {
         let mut late_heavy = job(1, 1.0, 2, 1.0, m);
         late_heavy.task.set_weight(9.0);
         let jobs = vec![early_light, late_heavy];
-        let s = queue_schedule_ordered(m, &jobs, QueuePolicy::Fcfs, QueueOrder::Priority);
+        let s = fcfs_in(m, &jobs, QueueOrder::Priority);
         // The heavy job was not there at t=0: the light one runs first.
         assert_eq!(s.placement_of(TaskId(0)).unwrap().start, 0.0);
         assert_eq!(s.placement_of(TaskId(1)).unwrap().start, 3.0);
@@ -371,8 +375,12 @@ mod tests {
                 )
             })
             .collect();
-        let f = queue_schedule(m, &jobs, QueuePolicy::Fcfs).makespan();
-        let e = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill).makespan();
+        let f = queue_schedule(m, &jobs, QueuePolicy::Fcfs)
+            .unwrap()
+            .makespan();
+        let e = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill)
+            .unwrap()
+            .makespan();
         assert!(e <= f + 1e-9, "EASY {e} vs FCFS {f}");
     }
 }

@@ -12,11 +12,11 @@
 //! * [`queue_schedule`] — FCFS and EASY-backfilling engines over those
 //!   rigid requests;
 //! * the moldable side reuses `demt-online` (SWW batches over DEMT);
-//! * [`stream_metrics`] — waiting time, response time, bounded
+//! * [`try_stream_metrics`] — waiting time, response time, bounded
 //!   slowdown, utilization.
 //!
 //! ```
-//! use demt_frontend::{submit_stream, queue_schedule, stream_metrics,
+//! use demt_frontend::{submit_stream, queue_schedule, try_stream_metrics,
 //!                     QueuePolicy, StreamSpec};
 //! use demt_workload::WorkloadKind;
 //! let spec = StreamSpec {
@@ -25,8 +25,8 @@
 //!     ..StreamSpec::default()
 //! };
 //! let jobs = submit_stream(&spec);
-//! let schedule = queue_schedule(16, &jobs, QueuePolicy::EasyBackfill);
-//! let metrics = stream_metrics(&jobs, &schedule, 16);
+//! let schedule = queue_schedule(16, &jobs, QueuePolicy::EasyBackfill).unwrap();
+//! let metrics = try_stream_metrics(&jobs, &schedule, 16).unwrap();
 //! assert!(metrics.mean_response > 0.0);
 //! ```
 
@@ -40,52 +40,37 @@ mod replay;
 mod stream;
 mod swf;
 
-pub use easy::{queue_schedule, queue_schedule_ordered, QueueOrder, QueuePolicy};
+pub use easy::{queue_schedule, QueueOrder, QueuePolicy};
 pub use metrics::{
-    job_metrics, stream_metrics, try_job_metrics, try_stream_metrics, JobMetrics, MetricsError,
-    ReplayMetrics, ReplaySummary, StreamMetrics, SLOWDOWN_TAU,
+    try_job_metrics, try_stream_metrics, JobMetrics, MetricsError, ReplayMetrics, ReplaySummary,
+    StreamMetrics, SLOWDOWN_TAU,
 };
 pub use replay::{replay_queue, ReplayError, ReplayOutcome};
 pub use stream::{rigid_request, submit_stream, ArrivalModel, StreamSpec, SubmittedJob};
 pub use swf::{
-    lift_swf_record, parse_swf, stream_from_swf, write_swf, SwfError, SwfJobStream, SwfReader,
+    lift_swf_record, stream_from_swf, write_swf, SwfError, SwfJobStream, SwfLiftError, SwfReader,
     SwfRecord,
 };
 
 use demt_api::Scheduler;
-use demt_model::Instance;
+use demt_model::{Instance, ModelError, MoldableTask};
 use demt_online::OnlineJob;
 use demt_platform::Schedule;
 
 /// Builds the *rigid* instance a queue scheduler effectively runs (each
 /// job pinned at its request) — used to validate queue schedules with
-/// the workspace validator.
-pub fn rigid_instance(m: usize, jobs: &[SubmittedJob]) -> Instance {
+/// the workspace validator. Rejects a request that does not fit `m`
+/// processors, or ids that are not dense `0..n`, with the model's
+/// [`ModelError`].
+pub fn rigid_instance(m: usize, jobs: &[SubmittedJob]) -> Result<Instance, ModelError> {
     let tasks = jobs
         .iter()
         .map(|j| {
-            demt_model::MoldableTask::rigid(
-                j.task.id(),
-                j.task.weight(),
-                j.rigid_procs,
-                j.rigid_time(),
-                m,
-            )
-            // demt-lint: allow(P1, rigid() only re-checks the positivity SubmittedJob already guarantees)
-            .expect("rigid emulation is valid")
+            let (id, weight) = (j.task.id(), j.task.weight());
+            MoldableTask::rigid(id, weight, j.rigid_procs, j.rigid_time(), m)
         })
-        .collect();
-    // demt-lint: allow(P1, SubmittedJob streams carry dense 0..n ids assigned at parse time)
-    Instance::new(m, tasks).expect("ids are dense by construction")
-}
-
-/// Builds the *moldable* instance and release vector for the on-line
-/// DEMT path.
-pub fn moldable_instance(m: usize, jobs: &[SubmittedJob]) -> (Instance, Vec<f64>) {
-    let inst = Instance::new(m, jobs.iter().map(|j| j.task.clone()).collect())
-        // demt-lint: allow(P1, SubmittedJob streams carry dense 0..n ids assigned at parse time)
-        .expect("ids are dense by construction");
-    (inst, jobs.iter().map(|j| j.release).collect())
+        .collect::<Result<_, _>>()?;
+    Instance::new(m, tasks)
 }
 
 /// Runs the moldable path: SWW batches (`demt-online`) over any
@@ -128,10 +113,10 @@ mod tests {
     #[test]
     fn queue_schedules_validate_against_the_rigid_instance() {
         let jobs = submit_stream(&spec());
-        let inst = rigid_instance(16, &jobs);
+        let inst = rigid_instance(16, &jobs).unwrap();
         let releases: Vec<f64> = jobs.iter().map(|j| j.release).collect();
         for policy in [QueuePolicy::Fcfs, QueuePolicy::EasyBackfill] {
-            let s = queue_schedule(16, &jobs, policy);
+            let s = queue_schedule(16, &jobs, policy).unwrap();
             validate_with_releases(&inst, &s, Some(&releases))
                 .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
         }
@@ -140,13 +125,14 @@ mod tests {
     #[test]
     fn moldable_path_validates_and_beats_fcfs_on_waits() {
         let jobs = submit_stream(&spec());
-        let (inst, releases) = moldable_instance(16, &jobs);
+        let inst = Instance::new(16, jobs.iter().map(|j| j.task.clone()).collect()).unwrap();
+        let releases: Vec<f64> = jobs.iter().map(|j| j.release).collect();
         let demt = moldable_schedule(16, &jobs, &DemtScheduler).expect("valid stream");
         validate_with_releases(&inst, &demt, Some(&releases)).unwrap();
 
-        let fcfs = queue_schedule(16, &jobs, QueuePolicy::Fcfs);
-        let m_demt = stream_metrics(&jobs, &demt, 16);
-        let m_fcfs = stream_metrics(&jobs, &fcfs, 16);
+        let fcfs = queue_schedule(16, &jobs, QueuePolicy::Fcfs).unwrap();
+        let m_demt = try_stream_metrics(&jobs, &demt, 16).unwrap();
+        let m_fcfs = try_stream_metrics(&jobs, &fcfs, 16).unwrap();
         // The headline of the paper's pitch: moldability + DEMT lowers
         // the average response time versus rigid FCFS.
         assert!(
@@ -162,11 +148,13 @@ mod tests {
         let mut s = spec();
         s.mean_interarrival = 0.15; // heavy congestion
         let jobs = submit_stream(&s);
-        let fcfs = stream_metrics(&jobs, &queue_schedule(16, &jobs, QueuePolicy::Fcfs), 16);
-        let easy = stream_metrics(
-            &jobs,
-            &queue_schedule(16, &jobs, QueuePolicy::EasyBackfill),
-            16,
+        let metrics = |policy| {
+            let s = queue_schedule(16, &jobs, policy).unwrap();
+            try_stream_metrics(&jobs, &s, 16).unwrap()
+        };
+        let (fcfs, easy) = (
+            metrics(QueuePolicy::Fcfs),
+            metrics(QueuePolicy::EasyBackfill),
         );
         assert!(
             easy.mean_wait <= fcfs.mean_wait + 1e-9,

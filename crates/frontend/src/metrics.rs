@@ -5,8 +5,8 @@
 //! Two shapes of the same arithmetic live here:
 //!
 //! * the **materialized** path ([`try_job_metrics`] /
-//!   [`try_stream_metrics`] and their panicking wrappers) walks a
-//!   finished [`Schedule`] against the submitted stream;
+//!   [`try_stream_metrics`]) walks a finished [`Schedule`] against the
+//!   submitted stream;
 //! * the **streaming** path ([`ReplayMetrics`]) folds placements one at
 //!   a time as an engine emits them, so archive-scale replays aggregate
 //!   in constant memory — it computes the same sums, minus the
@@ -124,13 +124,6 @@ pub fn try_job_metrics(
         .collect()
 }
 
-/// Panicking wrapper around [`try_job_metrics`] for schedules whose
-/// coverage of the stream is an internal invariant.
-pub fn job_metrics(jobs: &[SubmittedJob], schedule: &Schedule) -> Vec<JobMetrics> {
-    // demt-lint: allow(P1, documented panicking wrapper; fallible callers use try_job_metrics)
-    try_job_metrics(jobs, schedule).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Aggregates a stream's metrics, rejecting uncovered or acausal
 /// schedules (and the empty stream) with a typed [`MetricsError`].
 pub fn try_stream_metrics(
@@ -159,13 +152,6 @@ pub fn try_stream_metrics(
         makespan,
         utilization: schedule.total_area() / (m as f64 * span),
     })
-}
-
-/// Panicking wrapper around [`try_stream_metrics`] for schedules whose
-/// coverage of the stream is an internal invariant.
-pub fn stream_metrics(jobs: &[SubmittedJob], schedule: &Schedule, m: usize) -> StreamMetrics {
-    // demt-lint: allow(P1, documented panicking wrapper; fallible callers use try_stream_metrics)
-    try_stream_metrics(jobs, schedule, m).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Aggregates of a streamed replay, produced by
@@ -303,7 +289,7 @@ mod tests {
     #[test]
     fn per_job_arithmetic() {
         let (jobs, s) = one_job_stream();
-        let m = job_metrics(&jobs, &s);
+        let m = try_job_metrics(&jobs, &s).unwrap();
         assert_eq!(m.len(), 1);
         assert!((m[0].wait - 2.0).abs() < 1e-12);
         assert!((m[0].response - 4.0).abs() < 1e-12);
@@ -326,7 +312,7 @@ mod tests {
             duration: 0.01,
             procs: vec![0].into(),
         });
-        let m = job_metrics(&jobs, &s);
+        let m = try_job_metrics(&jobs, &s).unwrap();
         // Unbounded slowdown would be 51; bounded uses τ = 0.5 → 1.02.
         assert!(m[0].bounded_slowdown < 1.1, "{}", m[0].bounded_slowdown);
     }
@@ -334,7 +320,7 @@ mod tests {
     #[test]
     fn aggregates_are_consistent() {
         let (jobs, s) = one_job_stream();
-        let agg = stream_metrics(&jobs, &s, 2);
+        let agg = try_stream_metrics(&jobs, &s, 2).unwrap();
         assert_eq!(agg.jobs, 1);
         assert!((agg.mean_wait - 2.0).abs() < 1e-12);
         assert!((agg.p95_response - 4.0).abs() < 1e-12);
@@ -350,14 +336,6 @@ mod tests {
             try_job_metrics(&jobs, &empty),
             Err(MetricsError::MissingPlacement(TaskId(0)))
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "missing from schedule")]
-    fn missing_job_is_detected() {
-        let (jobs, _) = one_job_stream();
-        let empty = Schedule::new(2);
-        let _ = job_metrics(&jobs, &empty);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! running. That is what lets `demt replaybench` push archive-scale
 //! traces (10⁶+ jobs) through the queue disciplines in constant memory.
 //!
-//! [`queue_schedule_ordered`](crate::queue_schedule_ordered) collects
-//! the same engine over a slice. Both are tested against an independent
+//! [`queue_schedule`](crate::queue_schedule) collects the same engine
+//! over a slice. Both are tested against an independent
 //! quadratic rescan loop, compiled only under `#[cfg(test)]` (the
 //! crate's `difftests`).
 
@@ -101,7 +101,6 @@ pub struct ReplayOutcome {
 /// ([`ReplayError::OutOfOrder`]) and every request must fit the machine
 /// ([`ReplayError::BadRequest`]). Jobs of equal priority queue in feed
 /// order.
-// demt-lint: allow(P2, the engine has no panic site of its own; the call graph resolves the feed's `.next()` by name to TraceGen::next and SwfJobStream::next, whose expects hold because their generators only build valid profiles)
 pub fn replay_queue<I, F>(
     m: usize,
     jobs: I,
@@ -153,11 +152,7 @@ where
     };
     loop {
         // Admit every job released by `now`, validating on the way in.
-        while let Some((_, j)) = feed.peek() {
-            if j.borrow().release > now + 1e-12 {
-                break;
-            }
-            let Some((seq, j)) = feed.next() else { break };
+        while let Some((seq, j)) = feed.next_if(|(_, j)| j.borrow().release <= now + 1e-12) {
             let job = j.borrow();
             if job.release < prev {
                 return Err(ReplayError::OutOfOrder {

@@ -11,7 +11,7 @@
 
 use crate::stream::SubmittedJob;
 use demt_distr::{seeded_rng, Uniform, Variate};
-use demt_model::{MoldableTask, TaskId};
+use demt_model::{ModelError, MoldableTask, TaskId};
 use demt_workload::{downey_speedup, downey_times};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -53,6 +53,29 @@ impl fmt::Display for SwfError {
 
 impl std::error::Error for SwfError {}
 
+/// A usable SWF record whose traced point lifts to no valid moldable
+/// profile: `run_time·S(q)` overflows to infinity, or
+/// [`MoldableTask::new`] rejects the lifted profile.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SwfLiftError {
+    /// Field 1 of the record — the trace's job number.
+    pub job: u64,
+    /// Why the lifted profile is invalid.
+    pub error: ModelError,
+}
+
+impl fmt::Display for SwfLiftError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "job {} lifts to no valid moldable profile ({})",
+            self.job, self.error
+        )
+    }
+}
+
+impl std::error::Error for SwfLiftError {}
+
 /// Parses one SWF data line (1-based `line` for error reporting);
 /// `None` for comment and blank lines.
 fn parse_record_line(line: usize, raw: &str) -> Result<Option<SwfRecord>, SwfError> {
@@ -68,10 +91,12 @@ fn parse_record_line(line: usize, raw: &str) -> Result<Option<SwfRecord>, SwfErr
         });
     }
     let f = |i: usize| -> Result<f64, SwfError> {
-        fields[i].parse().map_err(|_| SwfError {
+        let bad = |what| SwfError {
             line,
-            message: format!("field {} is not a number: {:?}", i + 1, fields[i]),
-        })
+            message: format!("field {} is {what}: {:?}", i + 1, fields[i]),
+        };
+        let x: f64 = fields[i].parse().map_err(|_| bad("not a number"))?;
+        x.is_finite().then_some(x).ok_or_else(|| bad("not finite"))
     };
     let mut record = SwfRecord {
         job: f(0)? as u64,
@@ -90,10 +115,11 @@ fn parse_record_line(line: usize, raw: &str) -> Result<Option<SwfRecord>, SwfErr
 
 /// Streaming SWF reader: an iterator of records over any
 /// [`io::BufRead`](std::io::BufRead) source, holding one line in memory
-/// at a time — archive traces run to millions of jobs, and the batch
-/// [`parse_swf`] entry point (now a thin wrapper over this) would
-/// materialize them all. Comment and blank lines are skipped; parse and
-/// I/O errors surface as [`SwfError`]s with 1-based line numbers.
+/// at a time — archive traces run to millions of jobs; collect it when
+/// the whole trace is needed at once. Comment and blank lines are
+/// skipped; each data line must have ≥ 11 fields (the archive's files
+/// always carry all 18), each read field a finite number. Parse and I/O
+/// errors surface as [`SwfError`]s with 1-based line numbers.
 ///
 /// ```
 /// use demt_frontend::SwfReader;
@@ -151,14 +177,6 @@ impl<R: BufRead> Iterator for SwfReader<R> {
     }
 }
 
-/// Parses SWF text all at once. Comment lines (starting with `;`) and
-/// blank lines are skipped; each data line must have ≥ 11 fields (the
-/// archive's files always carry all 18). Constant-memory callers
-/// iterate [`SwfReader`] instead.
-pub fn parse_swf(text: &str) -> Result<Vec<SwfRecord>, SwfError> {
-    SwfReader::new(text.as_bytes()).collect()
-}
-
 /// Writes records back to SWF (unknown fields as `-1`).
 pub fn write_swf(records: &[SwfRecord]) -> String {
     let mut s = String::from("; SWF written by demt-frontend\n");
@@ -180,13 +198,19 @@ pub fn write_swf(records: &[SwfRecord]) -> String {
 /// `A = q` and a seeded `σ ~ U(0, 2)` is built whose sequential time is
 /// `T·S(q)`, so `p(q) = T`. Requests larger than `m` are clamped (the
 /// rigid request becomes `m`; the profile keeps its shape). Weights are
-/// drawn `U[1, 10)` as in the paper's experiments.
-// demt-lint: allow(P2, reaches lift_swf_record's expect, whose Downey profiles are valid by construction)
-pub fn stream_from_swf(records: &[SwfRecord], m: usize, seed: u64) -> Vec<SubmittedJob> {
+/// drawn `U[1, 10)` as in the paper's experiments. A record whose
+/// profile cannot be lifted is an [`SwfLiftError`] naming its job.
+///
+/// Unlike [`SwfJobStream`], this accepts a trace in any submit order.
+pub fn stream_from_swf(
+    records: &[SwfRecord],
+    m: usize,
+    seed: u64,
+) -> Result<Vec<SubmittedJob>, SwfLiftError> {
     let mut rng = seeded_rng(seed);
     let mut jobs = Vec::new();
     for r in records {
-        if let Some(job) = lift_swf_record(r, m, TaskId(jobs.len()), &mut rng) {
+        if let Some(job) = lift_swf_record(r, m, TaskId(jobs.len()), &mut rng)? {
             jobs.push(job);
         }
     }
@@ -197,7 +221,7 @@ pub fn stream_from_swf(records: &[SwfRecord], m: usize, seed: u64) -> Vec<Submit
         j.task.set_id(TaskId(i));
         out.push(j);
     }
-    out
+    Ok(out)
 }
 
 /// Lifts one SWF record into a moldable [`SubmittedJob`] under `id`, or
@@ -206,28 +230,38 @@ pub fn stream_from_swf(records: &[SwfRecord], m: usize, seed: u64) -> Vec<Submit
 /// two variates from `rng` per *usable* record (σ then weight), so
 /// streaming callers reproduce [`stream_from_swf`]'s profiles
 /// bit-for-bit when they feed records in the same order.
+///
+/// A usable record whose sequential time `run_time·S(q)` is not finite
+/// (say `1e308` seconds on 64 processors) is an [`SwfLiftError`].
 pub fn lift_swf_record<R: Rng>(
     r: &SwfRecord,
     m: usize,
     id: TaskId,
     rng: &mut R,
-) -> Option<SubmittedJob> {
+) -> Result<Option<SubmittedJob>, SwfLiftError> {
     if r.run_time <= 0.0 || r.procs == 0 {
-        return None;
+        return Ok(None);
     }
     let q = r.procs.min(m);
     let a = (q as f64).max(1.0);
     let sigma = rng.random_range(0.0..2.0);
     let seq = r.run_time * downey_speedup(q, a, sigma);
+    let lift_error = |error| SwfLiftError { job: r.job, error };
+    if !seq.is_finite() {
+        return Err(lift_error(ModelError::NonPositiveTime {
+            task: id.index(),
+            procs: 1,
+            value: seq,
+        }));
+    }
     let times = downey_times(seq, m, a, sigma);
-    let task = MoldableTask::new(id, Uniform::new(1.0, 10.0).sample(rng), times)
-        // demt-lint: allow(P1, downey_times always yields positive non-increasing profiles MoldableTask::new accepts)
-        .expect("Downey profiles are valid");
-    Some(SubmittedJob {
+    let task =
+        MoldableTask::new(id, Uniform::new(1.0, 10.0).sample(rng), times).map_err(lift_error)?;
+    Ok(Some(SubmittedJob {
         task,
         release: r.submit.max(0.0),
         rigid_procs: q,
-    })
+    }))
 }
 
 /// Constant-memory submission stream over a raw SWF byte source: each
@@ -235,8 +269,10 @@ pub fn lift_swf_record<R: Rng>(
 /// on demand, with ids assigned densely in trace order. Because nothing
 /// is buffered, the trace must already be sorted by submit time — the
 /// archive publishes traces that way — and a regression is reported as
-/// an [`SwfError`] naming the offending line. On a sorted trace the
-/// yielded jobs equal `stream_from_swf(&records, m, seed)` bit for bit.
+/// an [`SwfError`] naming the offending line, as is a record that
+/// [`lift_swf_record`] rejects. On a sorted trace the yielded jobs are
+/// bit for bit those [`stream_from_swf`] lifts from the collected
+/// [`SwfReader`] records.
 #[derive(Debug)]
 pub struct SwfJobStream<R> {
     reader: SwfReader<R>,
@@ -281,9 +317,18 @@ impl<R: BufRead> Iterator for SwfJobStream<R> {
             }
             self.last_submit = record.submit;
             let id = TaskId(self.next_id);
-            if let Some(job) = lift_swf_record(&record, self.m, id, &mut self.rng) {
-                self.next_id += 1;
-                return Some(Ok(job));
+            match lift_swf_record(&record, self.m, id, &mut self.rng) {
+                Ok(None) => {}
+                Ok(Some(job)) => {
+                    self.next_id += 1;
+                    return Some(Ok(job));
+                }
+                Err(e) => {
+                    return Some(Err(SwfError {
+                        line: self.reader.line(),
+                        message: e.to_string(),
+                    }))
+                }
             }
         }
     }
@@ -302,6 +347,10 @@ mod tests {
 4  60.0  1.0  200.0 -1 -1 -1 -1 240 -1 1 4 1 1 1 -1 -1 -1
 5  90.5  0.0  10.0  16 -1 -1 16  30 -1 1 5 1 1 1 -1 -1 -1
 ";
+
+    fn parse_swf(text: &str) -> Result<Vec<SwfRecord>, SwfError> {
+        SwfReader::new(text.as_bytes()).collect()
+    }
 
     #[test]
     fn parses_the_sample() {
@@ -323,6 +372,38 @@ mod tests {
 
         let err = parse_swf("1 x 3 4 5 6 7 8 9 10 11\n").unwrap_err();
         assert!(err.message.contains("field 2"));
+
+        // Numbers that parse to a non-finite value name line and field.
+        for (text, field) in [
+            ("1 1e999 0 10 4 -1 -1 4 -1 -1 1\n", "field 2 is not finite"),
+            ("1 0 inf 10 4 -1 -1 4 -1 -1 1\n", "field 3 is not finite"),
+            (
+                "; c\n1 0 0 1e999 4 -1 -1 4 -1 -1 1\n",
+                "field 4 is not finite",
+            ),
+            ("1 0 0 NaN 4 -1 -1 4 -1 -1 1\n", "field 4 is not finite"),
+        ] {
+            let err = parse_swf(text).unwrap_err();
+            assert_eq!(err.line, text.lines().count(), "{text}");
+            assert!(err.message.contains(field), "{text}: {}", err.message);
+        }
+    }
+
+    #[test]
+    fn an_overflowing_profile_is_a_typed_error() {
+        let trace = "; c\n1 0 0 1e308 64 -1 -1 64 -1 -1 1\n";
+        let recs = parse_swf(trace).unwrap();
+        let err = stream_from_swf(&recs, 64, 0).unwrap_err();
+        assert_eq!(err.job, 1);
+        assert!(matches!(
+            err.error,
+            ModelError::NonPositiveTime { procs: 1, .. }
+        ));
+        let err = SwfJobStream::new(trace.as_bytes(), 64, 0)
+            .collect::<Result<Vec<_>, _>>()
+            .unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("job 1"), "{}", err.message);
     }
 
     #[test]
@@ -337,7 +418,7 @@ mod tests {
     fn stream_drops_unknowns_and_honours_the_trace_point() {
         let recs = parse_swf(SAMPLE).unwrap();
         let m = 8;
-        let jobs = stream_from_swf(&recs, m, 7);
+        let jobs = stream_from_swf(&recs, m, 7).unwrap();
         // Jobs 3 (no runtime) and 4 (no procs) are dropped.
         assert_eq!(jobs.len(), 3);
         for j in &jobs {
@@ -365,7 +446,7 @@ mod tests {
     #[test]
     fn stream_is_sorted_and_densely_identified() {
         let recs = parse_swf(SAMPLE).unwrap();
-        let jobs = stream_from_swf(&recs, 16, 1);
+        let jobs = stream_from_swf(&recs, 16, 1).unwrap();
         for (i, j) in jobs.iter().enumerate() {
             assert_eq!(j.task.id().index(), i);
         }
@@ -377,7 +458,7 @@ mod tests {
     #[test]
     fn streaming_lift_matches_the_batch_lift_bit_for_bit() {
         let recs = parse_swf(SAMPLE).unwrap();
-        let batch = stream_from_swf(&recs, 8, 11);
+        let batch = stream_from_swf(&recs, 8, 11).unwrap();
         let streamed: Vec<SubmittedJob> = SwfJobStream::new(SAMPLE.as_bytes(), 8, 11)
             .collect::<Result<_, _>>()
             .unwrap();
@@ -412,11 +493,11 @@ mod tests {
         use demt_platform::validate_with_releases;
         let recs = parse_swf(SAMPLE).unwrap();
         let m = 8;
-        let jobs = stream_from_swf(&recs, m, 3);
-        let inst = rigid_instance(m, &jobs);
+        let jobs = stream_from_swf(&recs, m, 3).unwrap();
+        let inst = rigid_instance(m, &jobs).unwrap();
         let releases: Vec<f64> = jobs.iter().map(|j| j.release).collect();
         for policy in [QueuePolicy::Fcfs, QueuePolicy::EasyBackfill] {
-            let s = queue_schedule(m, &jobs, policy);
+            let s = queue_schedule(m, &jobs, policy).unwrap();
             validate_with_releases(&inst, &s, Some(&releases)).unwrap();
         }
     }

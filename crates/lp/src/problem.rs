@@ -222,11 +222,6 @@ impl CscMatrix {
         self.col_ptr.len() - 1
     }
 
-    /// Number of stored (structurally nonzero) entries.
-    pub fn nnz(&self) -> usize {
-        self.row_idx.len()
-    }
-
     /// Column `j` as parallel `(row indices, values)` slices.
     pub fn col(&self, j: usize) -> (&[usize], &[f64]) {
         let (lo, hi) = (self.col_ptr[j], self.col_ptr[j + 1]);
@@ -282,7 +277,7 @@ mod tests {
                 vec![(1, 5.0), (1, -5.0)],
             ],
         );
-        assert_eq!((m.rows(), m.cols(), m.nnz()), (3, 3, 2));
+        assert_eq!((m.rows(), m.cols(), m.row_idx.len()), (3, 3, 2));
         assert_eq!(m.col(0), (&[0usize, 2][..], &[2.0, 4.0][..]));
         assert_eq!(m.col(1), (&[][..], &[][..]));
         // The exactly-cancelling duplicate is dropped.

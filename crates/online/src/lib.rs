@@ -10,10 +10,10 @@
 //!
 //! The wrapper is scheduler-agnostic: any [`Scheduler`] — DEMT, a
 //! baseline from the registry, or an ad-hoc `demt_api::FnScheduler` —
-//! can be lifted with [`online_batch_schedule`].
+//! can be lifted with [`try_online_batch_schedule`].
 //!
 //! ```
-//! use demt_online::{online_batch_schedule, OnlineJob};
+//! use demt_online::{try_online_batch_schedule, OnlineJob};
 //! use demt_core::DemtScheduler;
 //! use demt_model::MoldableTask;
 //! # use demt_model::TaskId;
@@ -21,7 +21,7 @@
 //!     OnlineJob { task: MoldableTask::linear(TaskId(0), 1.0, 4.0, 2).unwrap(), release: 0.0 },
 //!     OnlineJob { task: MoldableTask::linear(TaskId(1), 1.0, 4.0, 2).unwrap(), release: 1.0 },
 //! ];
-//! let result = online_batch_schedule(2, &jobs, &DemtScheduler);
+//! let result = try_online_batch_schedule(2, &jobs, &DemtScheduler).unwrap();
 //! assert_eq!(result.schedule.len(), 2);
 //! ```
 
@@ -67,8 +67,7 @@ pub struct OnlineResult {
 ///
 /// The on-line feed is a public boundary — job sizes and release dates
 /// arrive from outside (traces, CLI front-ends) — so malformed input
-/// surfaces as a typed error; the [`online_batch_schedule`] wrapper
-/// keeps the panicking contract for internally-generated feeds.
+/// surfaces as a typed error.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OnlineError {
     /// Job ids must be dense `0..n` in feed order.
@@ -207,17 +206,6 @@ pub fn try_online_batch_schedule(
         }
     }
     Ok(OnlineResult { schedule, batches })
-}
-
-/// Panicking wrapper around [`try_online_batch_schedule`] for feeds
-/// whose shape is an internal invariant.
-pub fn online_batch_schedule(
-    m: usize,
-    jobs: &[OnlineJob],
-    scheduler: &dyn Scheduler,
-) -> OnlineResult {
-    // demt-lint: allow(P1, documented panicking wrapper; fallible callers use try_online_batch_schedule)
-    try_online_batch_schedule(m, jobs, scheduler).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A job waiting for its batch.
@@ -675,7 +663,7 @@ mod tests {
                 release: 0.0,
             })
             .collect();
-        let on = online_batch_schedule(8, &jobs, &demt());
+        let on = try_online_batch_schedule(8, &jobs, &demt()).unwrap();
         let off = demt()
             .schedule(&inst, &mut SchedulerContext::new())
             .schedule;
@@ -688,14 +676,14 @@ mod tests {
         let jobs = online_jobs(WorkloadKind::Cirne, 30, 8, 7, 20.0);
         let releases: Vec<f64> = jobs.iter().map(|j| j.release).collect();
         let inst = Instance::new(8, jobs.iter().map(|j| j.task.clone()).collect()).unwrap();
-        let on = online_batch_schedule(8, &jobs, &demt());
+        let on = try_online_batch_schedule(8, &jobs, &demt()).unwrap();
         validate_with_releases(&inst, &on.schedule, Some(&releases)).unwrap();
     }
 
     #[test]
     fn batches_are_contiguous_and_causal() {
         let jobs = online_jobs(WorkloadKind::HighlyParallel, 40, 8, 3, 15.0);
-        let on = online_batch_schedule(8, &jobs, &demt());
+        let on = try_online_batch_schedule(8, &jobs, &demt()).unwrap();
         for w in on.batches.windows(2) {
             assert!(
                 w[1].start >= w[0].start + w[0].length - 1e-9,
@@ -718,7 +706,7 @@ mod tests {
         for seed in 0..3 {
             let jobs = online_jobs(WorkloadKind::Mixed, 30, 8, seed, 10.0);
             let inst = Instance::new(8, jobs.iter().map(|j| j.task.clone()).collect()).unwrap();
-            let on = online_batch_schedule(8, &jobs, &demt());
+            let on = try_online_batch_schedule(8, &jobs, &demt()).unwrap();
             let lb = demt_dual::cmax_lower_bound(&inst, 1e-3)
                 .max(jobs.iter().map(|j| j.release).fold(0.0, f64::max));
             assert!(
@@ -743,7 +731,7 @@ mod tests {
                 release: 0.5,
             },
         ];
-        let on = online_batch_schedule(2, &jobs, &demt());
+        let on = try_online_batch_schedule(2, &jobs, &demt()).unwrap();
         assert_eq!(on.batches.len(), 2);
         let p1 = on.schedule.placement_of(TaskId(1)).unwrap();
         assert!(p1.start >= 4.0 - 1e-9, "late job started at {}", p1.start);
@@ -761,7 +749,7 @@ mod tests {
                 release: 10.0,
             },
         ];
-        let on = online_batch_schedule(2, &jobs, &demt());
+        let on = try_online_batch_schedule(2, &jobs, &demt()).unwrap();
         assert_eq!(on.batches.len(), 2);
         assert!((on.batches[1].start - 10.0).abs() < 1e-9);
     }
@@ -1093,7 +1081,7 @@ mod tests {
     fn minsum_is_reported_consistently() {
         let jobs = online_jobs(WorkloadKind::WeaklyParallel, 20, 8, 11, 5.0);
         let inst = Instance::new(8, jobs.iter().map(|j| j.task.clone()).collect()).unwrap();
-        let on = online_batch_schedule(8, &jobs, &demt());
+        let on = try_online_batch_schedule(8, &jobs, &demt()).unwrap();
         let c = Criteria::evaluate(&inst, &on.schedule);
         assert!(c.weighted_completion > 0.0);
         assert!(c.makespan >= jobs.iter().map(|j| j.release).fold(0.0, f64::max));

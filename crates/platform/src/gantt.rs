@@ -2,14 +2,19 @@
 
 use crate::Schedule;
 
+/// The widest chart [`render_gantt`] draws, in columns. The chart holds
+/// `m × width` cells, so an unbounded width is an unbounded allocation.
+pub const MAX_GANTT_WIDTH: usize = 1000;
+
 /// Renders a schedule as an ASCII Gantt chart: one row per processor,
-/// time flowing left to right over `width` columns, each cell showing
-/// the task occupying the processor at that instant (`.` for idle).
-/// Tasks are labelled by id modulo an alphanumeric alphabet, so charts
-/// are only unambiguous for small demos — which is their purpose.
+/// time flowing left to right over `width` columns (clamped to
+/// `10..=`[`MAX_GANTT_WIDTH`]), each cell showing the task occupying
+/// the processor at that instant (`.` for idle). Tasks are labelled by
+/// id modulo an alphanumeric alphabet, so charts are only unambiguous
+/// for small demos — which is their purpose.
 pub fn render_gantt(schedule: &Schedule, width: usize) -> String {
     const ALPHABET: &[u8] = b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz";
-    let width = width.max(10);
+    let width = width.clamp(10, MAX_GANTT_WIDTH);
     let horizon = schedule.makespan();
     let m = schedule.procs();
     if horizon <= 0.0 || schedule.is_empty() {
@@ -31,8 +36,7 @@ pub fn render_gantt(schedule: &Schedule, width: usize) -> String {
     out.push_str(&format!("t = 0 {:>w$.2}\n", horizon, w = width));
     for (q, row) in grid.iter().enumerate() {
         out.push_str(&format!("p{q:<3} |"));
-        // demt-lint: allow(P1, grid cells are only ever written ascii label bytes)
-        out.push_str(std::str::from_utf8(row).expect("ascii"));
+        out.extend(row.iter().map(|&cell| char::from(cell)));
         out.push_str("|\n");
     }
     out
@@ -84,5 +88,19 @@ mod tests {
         let g = render_gantt(&s, 12);
         assert_eq!(g.lines().count(), 6);
         assert!(g.lines().last().unwrap().contains('0'));
+    }
+
+    #[test]
+    fn width_is_clamped_to_the_cap() {
+        let mut s = Schedule::new(1);
+        s.push(Placement {
+            task: TaskId(0),
+            start: 0.0,
+            duration: 1.0,
+            procs: vec![0].into(),
+        });
+        let row = |w| render_gantt(&s, w).lines().nth(1).unwrap().len();
+        assert_eq!(row(MAX_GANTT_WIDTH + 1), row(MAX_GANTT_WIDTH));
+        assert_eq!(row(MAX_GANTT_WIDTH), "p0   ||".len() + MAX_GANTT_WIDTH);
     }
 }

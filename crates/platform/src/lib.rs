@@ -38,11 +38,9 @@ mod validate;
 
 pub use compact::pull_earlier;
 pub use criteria::Criteria;
-pub use gantt::render_gantt;
+pub use gantt::{render_gantt, MAX_GANTT_WIDTH};
 pub use list::{bench_grid, list_schedule, try_list_schedule, FreeSet, ListError, ListTask};
 pub use reserve::{backfill_schedule, Reservation};
 pub use schedule::{Placement, Schedule};
 pub use skyline::Skyline;
-pub use validate::{
-    assert_valid, validate, validate_no_overlap, validate_with_releases, ValidationError,
-};
+pub use validate::{validate, validate_no_overlap, validate_with_releases, ValidationError};

@@ -204,14 +204,6 @@ pub fn validate_no_overlap(schedule: &Schedule) -> Result<(), ValidationError> {
     sweep_overlaps(schedule.placements())
 }
 
-/// Panicking wrapper for tests and examples.
-pub fn assert_valid(instance: &Instance, schedule: &Schedule) {
-    if let Err(e) = validate(instance, schedule) {
-        // demt-lint: allow(P1, documented panicking wrapper for tests and examples; validate is the fallible path)
-        panic!("invalid schedule: {e}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,8 +36,9 @@ options:
 ";
 
 /// Entry point behind `demt serve`; returns the process exit code
-/// (0 success, 1 runtime failure, 2 usage error).
-// demt-lint: allow(P2, reaches lift_swf_record's expect via --swf streaming, whose Downey profiles are valid by construction)
+/// (0 success, 1 runtime failure, 2 usage error or a bad `--replay`
+/// trace).
+// demt-lint: allow(P2, reaches run_events' paths to BatchLoop::run_batch's "indexed job" expect and, through the dyn Scheduler call, Criteria::evaluate; both guard invariants the loop keeps)
 pub fn serve_cli(args: &[String]) -> i32 {
     serve(args).unwrap_or_else(|e| e.report("demt serve", USAGE))
 }
@@ -101,7 +102,11 @@ fn serve(args: &[String]) -> Result<i32, FlagError> {
         Ok(()) => Ok(0),
         Err(e) => {
             eprintln!("demt serve: {e}");
-            Ok(1)
+            Ok(if matches!(e, ServeError::Trace(_)) {
+                2
+            } else {
+                1
+            })
         }
     }
 }
@@ -183,10 +188,7 @@ fn swf_events<R: BufRead>(
                 );
                 Ok((i + 1, ev))
             }
-            Err(e) => Err(ServeError::Parse {
-                line: e.line,
-                message: e.message,
-            }),
+            Err(e) => Err(ServeError::Trace(e)),
         })
 }
 

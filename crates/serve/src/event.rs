@@ -2,6 +2,7 @@
 //! typed error surface, and the deterministic trace generator the CI
 //! smoke job replays.
 
+use demt_frontend::SwfError;
 use demt_model::{MoldableTask, TaskId};
 use demt_online::OnlineError;
 use demt_platform::bench_grid;
@@ -142,6 +143,9 @@ pub enum ServeError {
     Oracle(String),
     /// Bad daemon configuration.
     Config(String),
+    /// A record of the `--replay` SWF trace is malformed or lifts to
+    /// no valid profile.
+    Trace(SwfError),
 }
 
 impl fmt::Display for ServeError {
@@ -166,6 +170,7 @@ impl fmt::Display for ServeError {
             ServeError::Online(e) => write!(f, "scheduling core: {e}"),
             ServeError::Oracle(e) => write!(f, "oracle divergence: {e}"),
             ServeError::Config(e) => write!(f, "configuration: {e}"),
+            ServeError::Trace(e) => write!(f, "{e}"),
         }
     }
 }

@@ -4,9 +4,8 @@
 //! [`SchedulerRegistry`](demt_api::SchedulerRegistry)
 //! (`demt_baselines::registry`).
 
-use demt_api::{ScheduleReport, Scheduler, SchedulerContext};
+use demt_api::Scheduler;
 use demt_baselines::registry;
-use demt_model::Instance;
 use serde::{Deserialize, Serialize};
 
 /// Algorithms plotted in Figures 3–6.
@@ -61,20 +60,13 @@ impl Algorithm {
         }
     }
 
-    /// The registry entry backing this algorithm.
-    pub fn scheduler(self) -> &'static dyn Scheduler {
-        registry()
-            .by_name(self.name())
-            // demt-lint: allow(P1, Algorithm::name values are exactly the registry's built-in entries)
-            .expect("every figure algorithm is registered")
-    }
-
-    /// Runs the algorithm through the registry. DEMT and the three list
-    /// baselines share the context's dual-approximation result, so the
-    /// dual runs at most once per instance across a whole sweep cell.
-    // demt-lint: allow(P2, scheduler's registry lookup is a built-in-coverage invariant checked by tests, not an input failure)
-    pub fn run(self, inst: &Instance, ctx: &mut SchedulerContext) -> ScheduleReport {
-        self.scheduler().schedule(inst, ctx)
+    /// The registry entry backing this algorithm; `None` only if the
+    /// registry lost the entry of this name (the tests pin all six).
+    /// DEMT and the three list baselines share a context's
+    /// dual-approximation result, so the dual runs at most once per
+    /// instance across a whole sweep cell.
+    pub fn scheduler(self) -> Option<&'static dyn Scheduler> {
+        registry().by_name(self.name())
     }
 }
 
@@ -87,6 +79,7 @@ impl std::fmt::Display for Algorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use demt_api::SchedulerContext;
     use demt_platform::validate;
     use demt_workload::{generate, WorkloadKind};
 
@@ -95,7 +88,7 @@ mod tests {
         let inst = generate(WorkloadKind::Mixed, 30, 8, 2);
         let mut ctx = SchedulerContext::new();
         for alg in Algorithm::ALL {
-            let report = alg.run(&inst, &mut ctx);
+            let report = alg.scheduler().unwrap().schedule(&inst, &mut ctx);
             validate(&inst, &report.schedule).unwrap_or_else(|e| panic!("{alg}: {e}"));
         }
         assert_eq!(ctx.dual_runs(), 1, "one dual per instance across all six");
@@ -112,7 +105,7 @@ mod tests {
     #[test]
     fn enum_matches_its_registry_entry() {
         for alg in Algorithm::ALL {
-            let s = alg.scheduler();
+            let s = alg.scheduler().unwrap();
             assert_eq!(s.name(), alg.name());
             assert_eq!(s.legend(), alg.legend());
         }

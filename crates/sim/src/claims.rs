@@ -1,7 +1,6 @@
 //! Executable reproduction claims.
 //!
-//! EXPERIMENTS.md records the paper-vs-measured comparison as prose;
-//! this module encodes every §4.2 claim as a predicate over
+//! This module encodes every §4.2 claim as a predicate over
 //! [`FigureResult`]s so the reproduction verdict is *checked*, not just
 //! narrated: `repro verify` runs the sweeps and fails loudly if any
 //! directional claim of the paper stops holding.

@@ -154,7 +154,11 @@ fn one_run(cfg: &ExperimentConfig, kind: WorkloadKind, n: usize, run: usize) -> 
 
     let mut cells = Vec::with_capacity(Algorithm::ALL.len());
     for alg in Algorithm::ALL {
-        let report = alg.run(&inst, &mut ctx);
+        let scheduler = alg
+            .scheduler()
+            // demt-lint: allow(P1, release-assert: the registry's built-in entries cover every figure algorithm)
+            .unwrap_or_else(|| panic!("{alg} is not in the registry"));
+        let report = scheduler.schedule(&inst, &mut ctx);
         validate(&inst, &report.schedule)
             // demt-lint: allow(P1, release-assert: an invalid schedule must abort the experiment)
             .unwrap_or_else(|e| panic!("{alg} produced an invalid schedule: {e}"));

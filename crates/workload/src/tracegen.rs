@@ -202,11 +202,6 @@ impl TraceGen {
             next_index: 0,
         }
     }
-
-    /// The spec this generator streams.
-    pub fn spec(&self) -> &TraceSpec {
-        &self.spec
-    }
 }
 
 impl Iterator for TraceGen {

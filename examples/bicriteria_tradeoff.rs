@@ -29,7 +29,7 @@ fn main() {
             "algorithm", "Cmax ratio", "ΣwᵢCᵢ ratio"
         );
         let show = |name: &str, s: &Schedule| {
-            assert_valid(&inst, s);
+            validate(&inst, s).unwrap();
             let c = Criteria::evaluate(&inst, s);
             println!(
                 "{:<26} {:>11.2} {:>11.2}",

@@ -45,7 +45,9 @@ fn main() {
     // On-line: batches of everything released so far, each scheduled by
     // the registry's DEMT entry ("an arriving job is scheduled in the
     // next starting batch").
-    let online = online_batch_schedule(m, &jobs, registry().by_name("demt").expect("registered"));
+    let online =
+        try_online_batch_schedule(m, &jobs, registry().by_name("demt").expect("registered"))
+            .expect("a valid feed");
     validate_with_releases(&inst, &online.schedule, Some(&releases)).expect("feasible");
 
     println!("\non-line batches:");

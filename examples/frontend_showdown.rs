@@ -14,8 +14,8 @@
 //! ```
 
 use demt::frontend::{
-    moldable_instance, moldable_schedule, queue_schedule, rigid_instance, stream_metrics,
-    submit_stream, ArrivalModel, QueuePolicy, StreamSpec,
+    moldable_schedule, queue_schedule, rigid_instance, submit_stream, try_stream_metrics,
+    ArrivalModel, QueuePolicy, StreamSpec,
 };
 use demt::prelude::*;
 
@@ -43,15 +43,16 @@ fn main() {
         );
 
         // Rigid paths.
-        let rigid_inst = rigid_instance(m, &jobs);
+        let rigid_inst = rigid_instance(m, &jobs).expect("requests fit the machine");
         let releases: Vec<f64> = jobs.iter().map(|j| j.release).collect();
-        let fcfs = queue_schedule(m, &jobs, QueuePolicy::Fcfs);
+        let fcfs = queue_schedule(m, &jobs, QueuePolicy::Fcfs).expect("requests fit");
         validate_with_releases(&rigid_inst, &fcfs, Some(&releases)).expect("fcfs feasible");
-        let easy = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill);
+        let easy = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill).expect("requests fit");
         validate_with_releases(&rigid_inst, &easy, Some(&releases)).expect("easy feasible");
 
         // Moldable path: on-line DEMT, resolved from the registry.
-        let (mold_inst, _) = moldable_instance(m, &jobs);
+        let tasks = jobs.iter().map(|j| j.task.clone()).collect();
+        let mold_inst = Instance::new(m, tasks).expect("dense job ids");
         let demt = moldable_schedule(m, &jobs, registry().by_name("demt").expect("registered"))
             .expect("generated stream is well-formed");
         validate_with_releases(&mold_inst, &demt, Some(&releases)).expect("demt feasible");
@@ -65,7 +66,7 @@ fn main() {
             ("EASY backfill (rigid)", &easy),
             ("DEMT batches (moldable)", &demt),
         ] {
-            let s = stream_metrics(&jobs, schedule, m);
+            let s = try_stream_metrics(&jobs, schedule, m).expect("every job placed");
             println!(
                 "{:<26} {:>10.2} {:>10.2} {:>10.2} {:>10.2} {:>7.0}%",
                 name,

@@ -36,7 +36,7 @@ fn main() {
     println!("{} jobs on {m} nodes: 10 moldable + 4 rigid\n", inst.len());
 
     let r = demt_schedule(&inst, &DemtConfig::default());
-    assert_valid(&inst, &r.schedule);
+    validate(&inst, &r.schedule).unwrap();
     let bounds = instance_bounds(&inst, &BoundConfig::default());
     println!(
         "DEMT on the mix: Cmax {:.2} (ratio {:.2}), ΣwᵢCᵢ {:.1} (ratio {:.2})",

@@ -74,7 +74,7 @@ fn main() {
         },
     ];
     let schedule = backfill_schedule(m, &order, &reservations);
-    assert_valid(&inst, &schedule);
+    validate(&inst, &schedule).unwrap();
     let with_res = Criteria::evaluate(&inst, &schedule);
     let without = &plan.criteria;
 

@@ -38,9 +38,9 @@ fn main() {
     let rigid = b.build().unwrap();
 
     let rigid_result = demt_schedule(&rigid, &DemtConfig::default());
-    assert_valid(&rigid, &rigid_result.schedule);
+    validate(&rigid, &rigid_result.schedule).unwrap();
     let moldable_result = demt_schedule(&moldable, &DemtConfig::default());
-    assert_valid(&moldable, &moldable_result.schedule);
+    validate(&moldable, &moldable_result.schedule).unwrap();
 
     // Both instances have identical work semantics at the rigid size, so
     // criteria are directly comparable.

@@ -37,7 +37,7 @@ fn main() {
     );
     for alg in registry().all() {
         let r = alg.schedule(&inst, &mut ctx);
-        assert_valid(&inst, &r.schedule);
+        validate(&inst, &r.schedule).unwrap();
         println!(
             "{:<16} {:>10.2} {:>8.2} {:>12.1} {:>8.2}",
             alg.legend(),

@@ -275,10 +275,15 @@ fn gantt_cmd(f: &Flags) -> Result<(), FlagError> {
     let path = f
         .str("instance")
         .ok_or(FlagError::Usage("gantt needs --instance FILE"))?;
+    let width: usize = f.num("width", 80)?;
+    if width > demt::platform::MAX_GANTT_WIDTH {
+        let why = format!("at most {} columns", demt::platform::MAX_GANTT_WIDTH);
+        return Err(FlagError::bad("width", &width.to_string(), why));
+    }
     let inst: Instance = read_file_json(path, "instance");
     let schedule: Schedule = read_stdin_json("schedule");
     validate(&inst, &schedule).unwrap_or_else(|e| die(&format!("invalid schedule: {e}")));
-    print!("{}", render_gantt(&schedule, f.num("width", 80)?));
+    print!("{}", render_gantt(&schedule, width));
     Ok(())
 }
 
@@ -335,8 +340,9 @@ fn frontend_cmd(f: &Flags) -> Result<(), FlagError> {
         seed: f.num("seed", 0)?,
     };
     let jobs = submit_stream(&spec);
-    let fcfs = queue_schedule(spec.procs, &jobs, QueuePolicy::Fcfs);
-    let easy = queue_schedule(spec.procs, &jobs, QueuePolicy::EasyBackfill);
+    let queue =
+        |policy| queue_schedule(spec.procs, &jobs, policy).unwrap_or_else(|e| die(&e.to_string()));
+    let (fcfs, easy) = (queue(QueuePolicy::Fcfs), queue(QueuePolicy::EasyBackfill));
     let demt_s = moldable_schedule(
         spec.procs,
         &jobs,
@@ -367,7 +373,8 @@ fn print_metrics_table(
         "policy", "wait", "response", "slowdown", "util"
     );
     for &(name, s) in rows {
-        let met = demt::frontend::stream_metrics(jobs, s, m);
+        let met = demt::frontend::try_stream_metrics(jobs, s, m)
+            .unwrap_or_else(|e| die(&format!("{name}: {e}")));
         println!(
             "{:<26} {:>10.2} {:>10.2} {:>10.2} {:>7.0}%",
             name,
@@ -385,9 +392,12 @@ fn swf_cmd(f: &Flags) -> Result<(), FlagError> {
         .str("file")
         .ok_or(FlagError::Usage("swf needs --file TRACE.swf"))?;
     let m = f.count("procs", 64)?;
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-    let records = parse_swf(&text).unwrap_or_else(|e| die(&e.to_string()));
-    let jobs = stream_from_swf(&records, m, f.num("seed", 0)?);
+    let file = std::fs::File::open(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+    let records: Vec<SwfRecord> = SwfReader::new(std::io::BufReader::new(file))
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| die(&e.to_string()));
+    let jobs = stream_from_swf(&records, m, f.num("seed", 0)?)
+        .unwrap_or_else(|e| die(&format!("SWF {e}")));
     eprintln!(
         "{}: {} records, {} usable jobs on m={m}",
         path,
@@ -397,8 +407,8 @@ fn swf_cmd(f: &Flags) -> Result<(), FlagError> {
     if jobs.is_empty() {
         die("no usable jobs in the trace");
     }
-    let fcfs = queue_schedule(m, &jobs, QueuePolicy::Fcfs);
-    let easy = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill);
+    let queue = |policy| queue_schedule(m, &jobs, policy).unwrap_or_else(|e| die(&e.to_string()));
+    let (fcfs, easy) = (queue(QueuePolicy::Fcfs), queue(QueuePolicy::EasyBackfill));
     let demt_s = moldable_schedule(m, &jobs, registry().by_name("demt").expect("registered"))
         .unwrap_or_else(|e| die(&e.to_string()));
     print_metrics_table(

@@ -51,7 +51,7 @@
 //! let mut ctx = SchedulerContext::new();
 //! let demt = registry().by_name("demt").expect("registered");
 //! let report = demt.schedule(&inst, &mut ctx);
-//! assert_valid(&inst, &report.schedule);
+//! validate(&inst, &report.schedule).expect("a feasible schedule");
 //!
 //! // …and check both criteria against certified lower bounds.
 //! let bounds = instance_bounds(&inst, &BoundConfig::default());
@@ -109,11 +109,10 @@ pub mod prelude {
         Hierarchy, HierarchyError, Instance, InstanceBuilder, MoldableTask, ProcSet, TaskId,
     };
     pub use demt_online::{
-        online_batch_schedule, try_online_batch_schedule, BatchLoop, OnlineError, OnlineJob,
-        OnlineResult,
+        try_online_batch_schedule, BatchLoop, OnlineError, OnlineJob, OnlineResult,
     };
     pub use demt_platform::{
-        assert_valid, backfill_schedule, list_schedule, render_gantt, try_list_schedule, validate,
+        backfill_schedule, list_schedule, render_gantt, try_list_schedule, validate,
         validate_no_overlap, validate_with_releases, Criteria, ListError, ListTask, Placement,
         Reservation, Schedule, Skyline,
     };

@@ -446,7 +446,7 @@ fn listbench_rejects_an_empty_machine() {
 fn degenerate_generator_inputs_die_instead_of_panicking() {
     let sample = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/sample.swf");
     let trace = "n=10,m=4,seed=1";
-    let cases: [(&[&str], &str); 34] = [
+    let cases: [(&[&str], &str); 35] = [
         (&["generate", "--procs", "0"], "bad --procs 0"),
         // Unknown and repeated flags die instead of being ignored.
         (&["generate", "--taks", "3"], "unknown flag --taks"),
@@ -464,6 +464,11 @@ fn degenerate_generator_inputs_die_instead_of_panicking() {
         (&["frontend", "--gap", "0"], "bad --gap"),
         (&["frontend", "--gap", "-1"], "bad --gap"),
         (&["frontend", "--gap", "nan"], "bad --gap"),
+        // One column over the chart cap dies before any file is read.
+        (
+            &["gantt", "--instance", "unread.json", "--width", "1001"],
+            "bad --width 1001: at most 1000 columns",
+        ),
         (&["serve", "--procs", "4", "--workers", "0"], "--workers"),
         (&["bound", "--sweep", "2", "--workers", "0"], "--workers"),
         (&["repro", "fig6", "--workers", "0"], "--workers"),
@@ -571,10 +576,39 @@ fn degenerate_generator_inputs_die_instead_of_panicking() {
         assert!(err.contains(needle), "{args:?}: {err}");
     }
 
-    // Instance documents that `Instance::new` rejects: a sparse task id,
-    // no processors, and a times vector shorter than the machine.
     let dir = std::env::temp_dir().join(format!("demt-cli-bad-inst-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+
+    // Hostile SWF runtimes: `1e999` parses to infinity, and `1e308`
+    // overflows `run_time·S(q)` on 64 processors. Every SWF command
+    // rejects the record and exits 2. The streaming commands name its
+    // line; `swf`, which sorts the whole trace before lifting, names
+    // its job.
+    for (runtime, needle) in [
+        ("1e999", "SWF line 1: field 4 is not finite: \"1e999\""),
+        ("1e308", "job 1 lifts to no valid moldable profile"),
+    ] {
+        let path = dir.join(format!("{runtime}.swf"));
+        let record = format!("1 0 0 {runtime} 64 -1 -1 64 -1 -1 1 1 1 1 1 -1 -1 -1\n");
+        std::fs::write(&path, record).unwrap();
+        let swf = path.to_str().unwrap();
+        for args in [
+            &["swf", "--file", swf, "--procs", "64"][..],
+            &["serve", "--procs", "64", "--replay", swf],
+            &["replaybench", "--swf", swf, "--procs", "64"],
+        ] {
+            let out = demt().args(args).output().expect("demt");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+            assert!(err.contains(needle), "{args:?}: {err}");
+            if args[0] != "swf" {
+                assert!(err.contains("SWF line 1: "), "{args:?}: {err}");
+            }
+        }
+    }
+
+    // Instance documents that `Instance::new` rejects: a sparse task id,
+    // no processors, and a times vector shorter than the machine.
     let inst_path = dir.join("inst.json");
     let docs: [(&str, &str); 3] = [
         (

@@ -24,7 +24,7 @@ fn online_over_every_registry_entry() {
     let inst = Instance::new(m, jobs.iter().map(|j| j.task.clone()).collect()).unwrap();
 
     for scheduler in registry().all() {
-        let result = online_batch_schedule(m, &jobs, scheduler);
+        let result = try_online_batch_schedule(m, &jobs, scheduler).unwrap();
         let name = scheduler.name();
         validate_with_releases(&inst, &result.schedule, Some(&releases))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -47,8 +47,8 @@ fn online_wrapper_distinguishes_two_registry_entries() {
     let releases: Vec<f64> = jobs.iter().map(|j| j.release).collect();
     let inst = Instance::new(m, jobs.iter().map(|j| j.task.clone()).collect()).unwrap();
 
-    let demt = online_batch_schedule(m, &jobs, registry().by_name("demt").unwrap());
-    let gang = online_batch_schedule(m, &jobs, registry().by_name("gang").unwrap());
+    let demt = try_online_batch_schedule(m, &jobs, registry().by_name("demt").unwrap()).unwrap();
+    let gang = try_online_batch_schedule(m, &jobs, registry().by_name("gang").unwrap()).unwrap();
     for (name, r) in [("demt", &demt), ("gang", &gang)] {
         validate_with_releases(&inst, &r.schedule, Some(&releases))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -71,7 +71,8 @@ fn online_makespan_respects_doubling_bound_for_demt() {
         let m = 16;
         let jobs = jobs_with_releases(WorkloadKind::Cirne, 50, m, seed);
         let inst = Instance::new(m, jobs.iter().map(|j| j.task.clone()).collect()).unwrap();
-        let result = online_batch_schedule(m, &jobs, registry().by_name("demt").unwrap());
+        let result =
+            try_online_batch_schedule(m, &jobs, registry().by_name("demt").unwrap()).unwrap();
         let proxy_opt =
             cmax_lower_bound(&inst, 1e-3).max(jobs.iter().map(|j| j.release).fold(0.0, f64::max));
         let ratio = result.schedule.makespan() / proxy_opt;
@@ -92,7 +93,7 @@ fn staggered_releases_produce_multiple_batches() {
             release: i as f64 * 0.8,
         })
         .collect();
-    let result = online_batch_schedule(m, &jobs, registry().by_name("demt").unwrap());
+    let result = try_online_batch_schedule(m, &jobs, registry().by_name("demt").unwrap()).unwrap();
     assert!(
         result.batches.len() >= 3,
         "expected several batches, got {}",

@@ -113,7 +113,7 @@ fn gang_dominates_nothing_but_linear_speedup() {
 fn facade_prelude_compiles_the_quickstart_flow() {
     let inst = generate(WorkloadKind::Mixed, 20, 8, 3);
     let r = demt_schedule(&inst, &DemtConfig::default());
-    assert_valid(&inst, &r.schedule);
+    validate(&inst, &r.schedule).unwrap();
     let chart = render_gantt(&r.schedule, 40);
     assert!(chart.lines().count() == 9);
 }

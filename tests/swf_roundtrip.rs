@@ -2,8 +2,12 @@
 //! parse → write → reparse equality, stream lifting invariants, and an
 //! end-to-end `demt swf` CLI replay.
 
-use demt::frontend::{parse_swf, stream_from_swf, write_swf};
+use demt::frontend::{stream_from_swf, write_swf, SwfError, SwfReader, SwfRecord};
 use std::process::Command;
+
+fn parse_swf(text: &str) -> Result<Vec<SwfRecord>, SwfError> {
+    SwfReader::new(text.as_bytes()).collect()
+}
 
 fn sample_path() -> String {
     format!("{}/tests/data/sample.swf", env!("CARGO_MANIFEST_DIR"))
@@ -21,7 +25,7 @@ fn sample_trace_parses_and_round_trips() {
     assert_eq!(records, back);
 
     // The drop rules: job 5 has no runtime, job 7 no processor count.
-    let jobs = stream_from_swf(&records, 64, 42);
+    let jobs = stream_from_swf(&records, 64, 42).expect("sample profiles lift");
     assert_eq!(jobs.len(), 13, "two unusable records dropped");
     for j in &jobs {
         assert!(j.rigid_procs >= 1 && j.rigid_procs <= 64);
