@@ -200,8 +200,9 @@ impl Fnv {
 /// infallible iterator the engines consume.
 type ErrSlot = Rc<RefCell<Option<String>>>;
 
-/// Why a run stopped, with its exit code: 2 for a trace record that
-/// cannot be replayed (as for a bad flag), 1 for any other failure.
+/// Why a run stopped, with its exit code: 2 for a trace that cannot be
+/// opened or a record that cannot be replayed (as for a bad flag), 1
+/// for any other failure.
 struct Failure(String, i32);
 
 impl From<String> for Failure {
@@ -233,7 +234,7 @@ where
 /// Each call re-opens it from the start — legs must not share cursors.
 fn open_source(
     opts: &Replay,
-) -> Result<Box<dyn Iterator<Item = Result<SubmittedJob, String>>>, String> {
+) -> Result<Box<dyn Iterator<Item = Result<SubmittedJob, String>>>, Failure> {
     match &opts.source {
         Source::Gen(spec) => {
             let m = spec.procs;
@@ -247,7 +248,8 @@ fn open_source(
             })))
         }
         Source::Swf { path, procs } => {
-            let file = std::fs::File::open(path).map_err(|e| format!("--swf {path}: {e}"))?;
+            let file =
+                std::fs::File::open(path).map_err(|e| Failure(format!("--swf {path}: {e}"), 2))?;
             Ok(Box::new(
                 SwfJobStream::new(BufReader::new(file), *procs, opts.seed)
                     .map(|r| r.map_err(|e| e.to_string())),
@@ -566,8 +568,9 @@ pub fn replaybench_report(args: &[String]) -> Result<String, String> {
 }
 
 /// Entry point behind `demt replaybench`; returns the process exit code
-/// (0 success, 1 runtime failure or floor violation, 2 usage error or
-/// a trace record that cannot be replayed).
+/// (0 success, 1 runtime failure or floor violation, 2 usage error, an
+/// `--swf` trace that cannot be opened, or a trace record that cannot
+/// be replayed).
 // demt-lint: allow(P2, reaches TraceGen::next's valid-profile expect (reported via run -> parse_floors) and BatchLoop::run_batch's "indexed job" expect; both are annotated invariants)
 pub fn replaybench_cli(args: &[String]) -> i32 {
     let opts = match setup(args) {

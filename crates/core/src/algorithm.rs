@@ -102,17 +102,17 @@ pub fn demt_schedule_with_dual(
     // O(n·(log n + s)) for s free-processor runs, not
     // O(n·(n + m log m)), so ListShuffle stays affordable at large m.
     if matches!(cfg.compaction, Compaction::List | Compaction::ListShuffle) {
-        let order: Vec<usize> = (0..plan.batches.len()).collect();
-        let tasks = flatten(inst, &plan, &order);
-        consider(list_schedule(m, &tasks), &mut best_crit, &mut best);
-    }
-    if cfg.compaction == Compaction::ListShuffle && plan.batches.len() > 1 {
-        let mut rng = StdRng::seed_from_u64(SHUFFLE_SEED);
+        let lists = batch_lists(inst, &plan);
         let mut order: Vec<usize> = (0..plan.batches.len()).collect();
-        for _ in 0..cfg.shuffles {
-            order.shuffle(&mut rng);
-            let tasks = flatten(inst, &plan, &order);
-            consider(list_schedule(m, &tasks), &mut best_crit, &mut best);
+        let tasks = flatten(&lists, &order);
+        consider(list_schedule(m, &tasks), &mut best_crit, &mut best);
+        if cfg.compaction == Compaction::ListShuffle && plan.batches.len() > 1 {
+            let mut rng = StdRng::seed_from_u64(SHUFFLE_SEED);
+            for _ in 0..cfg.shuffles {
+                order.shuffle(&mut rng);
+                let tasks = flatten(&lists, &order);
+                consider(list_schedule(m, &tasks), &mut best_crit, &mut best);
+            }
         }
     }
 
@@ -162,38 +162,52 @@ fn place_raw(inst: &Instance, plan: &BatchPlan) -> Schedule {
     s
 }
 
-/// Flattens batches (in the given batch order) into a priority list for
-/// the Graham engine. Inside a batch (the paper's "local ordering within
-/// the batches", left unspecified) entries go by decreasing weight /
-/// area: densest weight first.
-fn flatten(inst: &Instance, plan: &BatchPlan, batch_order: &[usize]) -> Vec<ListTask> {
-    let mut out = Vec::new();
-    for &bi in batch_order {
-        let b = &plan.batches[bi];
-        let mut entries: Vec<&BatchEntry> = b.entries.iter().collect();
-        let area = |e: &BatchEntry| -> f64 {
-            e.tasks
+/// Each batch's priority list for the Graham engine, in plan order.
+/// Inside a batch (the paper's "local ordering within the batches",
+/// left unspecified) entries go by decreasing weight / area: densest
+/// weight first, ties in plan order. Each entry's ratio is computed
+/// once and each batch sorted once per schedule; every batch order
+/// the compaction tries is then a [`flatten`] of these lists.
+fn batch_lists(inst: &Instance, plan: &BatchPlan) -> Vec<Vec<ListTask>> {
+    plan.batches
+        .iter()
+        .map(|b| {
+            let mut entries: Vec<(f64, &BatchEntry)> = b
+                .entries
                 .iter()
-                .map(|&id| inst.task(id).time(e.alloc) * e.alloc as f64)
-                .sum()
-        };
-        entries.sort_by(|a, b| {
-            let ra = a.weight / area(a).max(f64::MIN_POSITIVE);
-            let rb = b.weight / area(b).max(f64::MIN_POSITIVE);
-            rb.total_cmp(&ra)
-        });
-        for e in entries {
-            if e.tasks.len() == 1 {
-                let id = e.tasks[0];
-                out.push(ListTask::new(id, e.alloc, inst.task(id).time(e.alloc)));
-            } else {
-                for &id in &e.tasks {
-                    out.push(ListTask::new(id, 1, inst.task(id).seq_time()));
+                .map(|e| {
+                    let area: f64 = e
+                        .tasks
+                        .iter()
+                        .map(|&id| inst.task(id).time(e.alloc) * e.alloc as f64)
+                        .sum();
+                    (e.weight / area.max(f64::MIN_POSITIVE), e)
+                })
+                .collect();
+            entries.sort_by(|a, b| b.0.total_cmp(&a.0));
+            let mut out = Vec::new();
+            for (_, e) in entries {
+                if e.tasks.len() == 1 {
+                    let id = e.tasks[0];
+                    out.push(ListTask::new(id, e.alloc, inst.task(id).time(e.alloc)));
+                } else {
+                    for &id in &e.tasks {
+                        out.push(ListTask::new(id, 1, inst.task(id).seq_time()));
+                    }
                 }
             }
-        }
-    }
-    out
+            out
+        })
+        .collect()
+}
+
+/// The priority list of the batches taken in `batch_order`: their
+/// [`batch_lists`] concatenated, `O(n)`.
+fn flatten(lists: &[Vec<ListTask>], batch_order: &[usize]) -> Vec<ListTask> {
+    batch_order
+        .iter()
+        .flat_map(|&bi| lists[bi].iter().copied())
+        .collect()
 }
 
 #[cfg(test)]

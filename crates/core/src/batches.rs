@@ -13,7 +13,7 @@
 
 use crate::config::DemtConfig;
 use demt_kernels::{max_weight_knapsack, pack_chains, StackItem, WeightItem};
-use demt_model::{Instance, TaskId};
+use demt_model::{approx_le, Instance, TaskId};
 
 /// One scheduled batch (diagnostic view).
 #[derive(Debug, Clone)]
@@ -73,6 +73,8 @@ pub fn build_batches(inst: &Instance, cfg: &DemtConfig, cmax_estimate: f64) -> B
     };
 
     let mut remaining: Vec<TaskId> = inst.ids().collect();
+    // Tasks some batch already holds, by id.
+    let mut taken = vec![false; inst.len()];
     let mut batches = Vec::new();
     let mut j = 0usize;
     // Hard stop: K + n + 8 rounds (each non-empty selection removes ≥ 1
@@ -82,11 +84,13 @@ pub fn build_batches(inst: &Instance, cfg: &DemtConfig, cmax_estimate: f64) -> B
     while !remaining.is_empty() {
         assert!(j <= max_rounds, "batch loop failed to converge");
         let t_j = cmax_estimate * 2f64.powi(j as i32 - k as i32);
-        // S = tasks that fit the batch length.
+        // S = tasks that fit the batch length: some allotment fits t_j
+        // exactly when the fastest one does (`approx_le(·, t_j)` is
+        // monotone in its first argument), an O(1) test per task.
         let eligible: Vec<TaskId> = remaining
             .iter()
             .copied()
-            .filter(|&id| inst.task(id).min_alloc_within(t_j).is_some())
+            .filter(|&id| approx_le(inst.task(id).min_time(), t_j))
             .collect();
         if eligible.is_empty() {
             j += 1;
@@ -155,11 +159,12 @@ pub fn build_batches(inst: &Instance, cfg: &DemtConfig, cmax_estimate: f64) -> B
             .collect();
 
         if !selected.is_empty() {
-            let mut taken: Vec<TaskId> = Vec::new();
             for e in &selected {
-                taken.extend(&e.tasks);
+                for id in &e.tasks {
+                    taken[id.index()] = true;
+                }
             }
-            remaining.retain(|id| !taken.contains(id));
+            remaining.retain(|id| !taken[id.index()]);
             batches.push(Batch {
                 index: j,
                 start: t_j,

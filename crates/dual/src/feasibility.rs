@@ -17,7 +17,7 @@
 //! Each condition is monotone in λ, so the conjunction is a monotone
 //! predicate and bisection applies.
 
-use demt_model::Instance;
+use demt_model::{Instance, MoldableTask};
 
 /// Why a λ was rejected (diagnostics; `None` from
 /// [`crate::CanonicalAllotments::check_lambda`] means accepted).
@@ -95,7 +95,11 @@ pub(crate) fn lambda_feasible(inst: &Instance, lambda: f64) -> bool {
 pub fn trivially_feasible_lambda(inst: &Instance) -> f64 {
     let m = inst.procs() as f64;
     let by_surface = inst.total_min_work() / m;
-    let by_fit = inst.stats().max_seq_time;
+    let by_fit = inst
+        .tasks()
+        .iter()
+        .map(MoldableTask::seq_time)
+        .fold(0.0, f64::max);
     let by_midpoint = 2.0 * inst.max_min_time();
     by_surface
         .max(by_fit)

@@ -25,16 +25,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One task's staircase: allotments sorted by processing time.
 struct TaskMemo {
-    /// Processing times in ascending order (ties: smaller allotment
-    /// first). `approx_le(p, λ)` is monotone in `p`, so the feasible
-    /// set at any λ is a prefix of this order.
+    /// Processing times in ascending order (ties: larger allotment
+    /// first, the order that makes a nonincreasing vector one sorted
+    /// run). `approx_le(p, λ)` is monotone in `p`, so the feasible set
+    /// at any λ is a prefix of this order, and equal times all fall on
+    /// one side of the cut: the order among them cannot change an
+    /// answer.
     times: Vec<f64>,
     /// `prefix_alloc[j]` — smallest allotment among the first `j + 1`
     /// entries (= `min_alloc_within` when the cut is `j + 1`).
     prefix_alloc: Vec<usize>,
     /// `prefix_area[j]` — minimal area among the first `j + 1` entries
     /// and the allotment achieving it, smallest allotment on area ties
-    /// (matching the scan order of `MoldableTask::min_area_alloc_within`).
+    /// whatever the entry order (matching the scan order of
+    /// `MoldableTask::min_area_alloc_within`).
     prefix_area: Vec<(f64, usize)>,
     /// `min_k p(k)`, precomputed for the midpoint condition.
     min_time: f64,
@@ -53,20 +57,26 @@ pub struct CanonicalAllotments {
 }
 
 impl CanonicalAllotments {
-    /// Builds the staircases: `O(n·m log m)` once, amortized over the
+    /// Builds the staircases: `O(n·m)` for instances whose vectors are
+    /// nonincreasing (every SPAA'04 generator's), `O(n·m log m)` at
+    /// worst, once per instance and amortized over the
     /// ~`log(hi/lo)/log(1+ε)` feasibility checks of the bisection.
     pub fn new(inst: &Instance) -> Self {
         let tasks = inst
             .tasks()
             .iter()
             .map(|t| {
+                // Entries go in by descending allotment, so a
+                // nonincreasing vector is already one ascending run,
+                // which the stable sort finishes in a single pass.
                 let mut entries: Vec<(f64, usize)> = t
                     .times()
                     .iter()
                     .enumerate()
+                    .rev()
                     .map(|(i, &p)| (p, i + 1))
                     .collect();
-                entries.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                entries.sort_by(|a, b| a.0.total_cmp(&b.0));
                 let mut prefix_alloc = Vec::with_capacity(entries.len());
                 let mut prefix_area = Vec::with_capacity(entries.len());
                 let mut best_alloc = usize::MAX;
@@ -204,7 +214,7 @@ mod tests {
         check_lambda, lambda_feasible, trivial_lower_bound, trivially_feasible_lambda,
     };
     use demt_kernels::bisect_threshold;
-    use demt_model::{InstanceBuilder, MoldableTask, TaskId};
+    use demt_model::{InstanceBuilder, MoldableTask, TaskId, REL_EPS};
     use demt_workload::{generate, WorkloadKind};
 
     #[test]
@@ -247,6 +257,67 @@ mod tests {
                 task.min_area_alloc_within(t)
             );
             assert_eq!(memo.min_alloc_within(0, t), task.min_alloc_within(t));
+        }
+    }
+
+    #[test]
+    fn memo_matches_the_scans_around_every_distinct_time() {
+        let shapes: Vec<Vec<f64>> = vec![
+            // Plateaus, as in Cirne-shaped profiles.
+            vec![9.7, 5.1, 3.3, 3.3, 3.3, 2.9, 2.9, 2.9],
+            // Strictly decreasing.
+            (1..=9).map(|k| 10.0 / k as f64 + 0.5).collect(),
+            // Non-monotone: times rise again and work dips.
+            vec![12.0, 11.0, 2.0, 2.0, 5.0, 1.9, 2.1, 1.9],
+            // All equal: every allotment ties.
+            vec![0.1 + 0.2; 7],
+            // Sub-unit times, where the tolerance floor of 1 applies.
+            vec![0.9, 0.45, 0.3, 0.3 - 1e-10, 0.2],
+            // m = 1.
+            vec![4.5],
+        ];
+        for times in shapes {
+            let mut b = InstanceBuilder::new(times.len());
+            b.push_times(1.0, times.clone()).unwrap();
+            let inst = b.build().unwrap();
+            let memo = CanonicalAllotments::new(&inst);
+            let task = &inst.tasks()[0];
+            for &p in &times {
+                // The cut of `approx_le(·, t)` sits near t = p − d.
+                let d = REL_EPS * p.max(1.0);
+                let edge = p - d;
+                let probes = [
+                    p,
+                    p.next_up(),
+                    p.next_down(),
+                    edge,
+                    edge.next_up(),
+                    edge.next_down(),
+                    p - 2.0 * d,
+                    p - 0.5 * d,
+                    p + d,
+                ];
+                for t in probes {
+                    let ctx = format!("{times:?} at t = {t:e}");
+                    assert_eq!(
+                        memo.min_alloc_within(0, t),
+                        task.min_alloc_within(t),
+                        "{ctx}"
+                    );
+                    assert_eq!(memo.min_area_within(0, t), task.min_area_within(t), "{ctx}");
+                    assert_eq!(
+                        memo.min_area_alloc_within(0, t),
+                        task.min_area_alloc_within(t),
+                        "{ctx}"
+                    );
+                    // The batch loop's O(1) eligibility test.
+                    assert_eq!(
+                        approx_le(task.min_time(), t),
+                        task.min_alloc_within(t).is_some(),
+                        "{ctx}"
+                    );
+                }
+            }
         }
     }
 

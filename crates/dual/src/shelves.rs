@@ -66,49 +66,33 @@ pub(crate) fn build_shelves(
     // min-area shelf partition.
     let mut big_ids: Vec<TaskId> = Vec::new();
     let mut items: Vec<ShelfItem> = Vec::new();
-    for t in inst.tasks() {
+    for (i, t) in inst.tasks().iter().enumerate() {
         if t.seq_time() <= half {
-            allotment[t.id().index()] = 1;
-            class[t.id().index()] = ShelfClass::Small;
+            allotment[i] = 1;
+            class[i] = ShelfClass::Small;
             continue;
         }
-        let (k1, a1) = t
-            .min_area_alloc_within(lambda)
+        let (k1, a1) = memo
+            .min_area_alloc_within(i, lambda)
             // demt-lint: allow(P1, caller only invokes build at a λ the feasibility oracle accepted)
             .expect("fit condition holds at an accepted λ");
-        let shelf2 = t.min_area_alloc_within(half);
         big_ids.push(t.id());
         items.push(ShelfItem {
             procs_shelf1: k1,
             area_shelf1: a1,
-            shelf2,
+            shelf2: memo.min_area_alloc_within(i, half),
         });
     }
 
     let partition = min_area_partition(&items, inst.procs())
         // demt-lint: allow(P1, the accepted λ satisfies the midpoint processor condition so forced shelf-1 tasks fit)
         .expect("midpoint condition guarantees forced tasks fit");
-    for (pos, &id) in big_ids.iter().enumerate() {
-        match partition.choice[pos] {
-            ShelfChoice::Shelf1 => {
-                let (k1, _) = inst
-                    .task(id)
-                    .min_area_alloc_within(lambda)
-                    // demt-lint: allow(P1, shelf-1 membership re-queries the same fit that succeeded when items was built)
-                    .expect("checked");
-                allotment[id.index()] = k1;
-                class[id.index()] = ShelfClass::Long;
-            }
-            ShelfChoice::Shelf2 => {
-                let (k2, _) = inst
-                    .task(id)
-                    .min_area_alloc_within(half)
-                    // demt-lint: allow(P1, Shelf2 is only chosen for tasks whose shelf2 fit was Some when items was built)
-                    .expect("choice implies fit");
-                allotment[id.index()] = k2;
-                class[id.index()] = ShelfClass::Short;
-            }
-        }
+    for ((&id, item), choice) in big_ids.iter().zip(&items).zip(&partition.choice) {
+        // An item without a shelf-2 option is always on shelf 1.
+        (allotment[id.index()], class[id.index()]) = match (choice, item.shelf2) {
+            (ShelfChoice::Shelf2, Some((k2, _))) => (k2, ShelfClass::Short),
+            _ => (item.procs_shelf1, ShelfClass::Long),
+        };
     }
 
     // Canonical [7] order: long shelf first, then short shelf, then the

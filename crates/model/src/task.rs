@@ -40,7 +40,15 @@ impl std::fmt::Display for TaskId {
 #[derive(Debug, Clone)]
 enum Times {
     /// Full vector: `v[k-1]` is the execution time on `k` processors.
-    Explicit(Box<[f64]>),
+    /// The two minima are folded once, when the vector is built, so
+    /// [`MoldableTask::min_time`]/[`MoldableTask::min_work`] are `O(1)`.
+    Explicit {
+        v: Box<[f64]>,
+        /// `min_k p(k)`.
+        min_time: f64,
+        /// `min_k k·p(k)`.
+        min_work: f64,
+    },
     /// Rigid emulation over `len` processors: `seq = time·width` below
     /// `width` (so no scheduler ever prefers a smaller allotment),
     /// `time` at and above. Bitwise identical to the vector
@@ -55,11 +63,69 @@ enum Times {
     },
 }
 
+/// `t > 0` and finite, as one integer compare: the positive finite
+/// doubles are exactly the bit patterns `1..INFINITY.to_bits()` (a sign
+/// bit, a NaN or an infinity lands at or above the bound, and `+0`
+/// wraps to `u64::MAX`).
+#[inline]
+fn positive_finite(t: f64) -> bool {
+    t.to_bits().wrapping_sub(1) < f64::INFINITY.to_bits() - 1
+}
+
 impl Times {
+    /// The explicit form of `v`. `min_time` and `min_work` are folded in
+    /// the same pass that checks each entry is positive and finite; the
+    /// 0-based index of the first entry that is not comes back beside it
+    /// (the minima are then meaningless).
+    fn explicit(v: Vec<f64>) -> (Self, Option<usize>) {
+        // Lane `l` folds the entries `i ≡ l (mod LANES)` and validity is
+        // tallied without a branch, so the pass runs as independent
+        // chains, not one serial chain of compares and exits (it costs
+        // less than an early-exit validation loop alone). The minimum
+        // of positive finite values is exact and order-free, so the
+        // result is the in-order `f64::min` scan's to the bit.
+        const LANES: usize = 4;
+        let mut min_time = [f64::INFINITY; LANES];
+        let mut min_work = [f64::INFINITY; LANES];
+        let mut k: [f64; LANES] = std::array::from_fn(|l| (l + 1) as f64);
+        let mut valid = true;
+        let mut step = |l: usize, t: f64| {
+            valid &= positive_finite(t);
+            if t < min_time[l] {
+                min_time[l] = t;
+            }
+            let w = k[l] * t;
+            if w < min_work[l] {
+                min_work[l] = w;
+            }
+            k[l] += LANES as f64;
+        };
+        let mut chunks = v.chunks_exact(LANES);
+        for chunk in &mut chunks {
+            for (l, &t) in chunk.iter().enumerate() {
+                step(l, t);
+            }
+        }
+        for (l, &t) in chunks.remainder().iter().enumerate() {
+            step(l, t);
+        }
+        let bad = if valid {
+            None
+        } else {
+            v.iter().position(|&t| !positive_finite(t))
+        };
+        let times = Times::Explicit {
+            v: v.into_boxed_slice(),
+            min_time: min_time.into_iter().fold(f64::INFINITY, f64::min),
+            min_work: min_work.into_iter().fold(f64::INFINITY, f64::min),
+        };
+        (times, bad)
+    }
+
     #[inline]
     fn len(&self) -> usize {
         match self {
-            Times::Explicit(v) => v.len(),
+            Times::Explicit { v, .. } => v.len(),
             Times::Rigid { len, .. } => *len,
         }
     }
@@ -68,7 +134,7 @@ impl Times {
     #[inline]
     fn at(&self, k: usize) -> f64 {
         match self {
-            Times::Explicit(v) => v[k - 1],
+            Times::Explicit { v, .. } => v[k - 1],
             Times::Rigid {
                 width, time, seq, ..
             } => {
@@ -84,7 +150,7 @@ impl Times {
     /// The vector as a slice, materializing the rigid form once.
     fn as_slice(&self) -> &[f64] {
         match self {
-            Times::Explicit(v) => v,
+            Times::Explicit { v, .. } => v,
             Times::Rigid {
                 width,
                 time,
@@ -173,14 +239,13 @@ impl MoldableTask {
         if times.is_empty() {
             return Err(ModelError::EmptyTimes { task: id.0 });
         }
-        for (i, &t) in times.iter().enumerate() {
-            if !(t.is_finite() && t > 0.0) {
-                return Err(ModelError::NonPositiveTime {
-                    task: id.0,
-                    procs: i + 1,
-                    value: t,
-                });
-            }
+        let (times, bad) = Times::explicit(times);
+        if let Some(i) = bad {
+            return Err(ModelError::NonPositiveTime {
+                task: id.0,
+                procs: i + 1,
+                value: times.at(i + 1),
+            });
         }
         if !(weight.is_finite() && weight > 0.0) {
             return Err(ModelError::NonPositiveWeight {
@@ -188,11 +253,7 @@ impl MoldableTask {
                 value: weight,
             });
         }
-        Ok(Self {
-            id,
-            weight,
-            times: Times::Explicit(times.into_boxed_slice()),
-        })
+        Ok(Self { id, weight, times })
     }
 
     /// Builds a *rigid* task: runnable only on exactly `procs` processors
@@ -324,7 +385,7 @@ impl MoldableTask {
     pub fn rigid_shape(&self) -> Option<(usize, f64)> {
         match self.times {
             Times::Rigid { width, time, .. } => Some((width, time)),
-            Times::Explicit(_) => None,
+            Times::Explicit { .. } => None,
         }
     }
 
@@ -336,9 +397,13 @@ impl MoldableTask {
         match self.times {
             // width > 1 ⇒ seq = time·width > time, so the first minimum
             // of the virtual vector [seq.., time..] sits exactly at the
-            // width; width == 1 ⇒ the vector is flat at `time`.
+            // width; width == 1 ⇒ the vector is flat at `time`. A vector
+            // truncated below the width is flat at `seq`.
+            Times::Rigid {
+                width, len, seq, ..
+            } if len < width => (1, seq),
             Times::Rigid { width, time, .. } => (width, time),
-            Times::Explicit(ref v) => {
+            Times::Explicit { ref v, .. } => {
                 let mut best_k = 1;
                 let mut best_t = v[0];
                 for (i, &t) in v.iter().enumerate().skip(1) {
@@ -359,30 +424,41 @@ impl MoldableTask {
     }
 
     /// Fastest achievable processing time, `min_k p(k)` (equals `p(m)`
-    /// for monotonic tasks; computed without assuming monotony).
+    /// for monotonic tasks; computed without assuming monotony). `O(1)`:
+    /// an explicit vector folds it once when it is built, bit-identical
+    /// to an in-order scan with `f64::min`.
     pub fn min_time(&self) -> f64 {
         match self.times {
-            // seq = time·width ≥ time for positive times.
-            Times::Rigid { time, .. } => time,
-            Times::Explicit(ref v) => v.iter().copied().fold(f64::INFINITY, f64::min),
+            // The virtual vector [seq.., time..] is nonincreasing
+            // (seq = time·width ≥ time), so its last entry is the minimum.
+            Times::Rigid { len, .. } => self.times.at(len),
+            Times::Explicit { min_time, .. } => min_time,
         }
     }
 
     /// Smallest work over all allotments, `min_k k·p(k)` (equals `p(1)`
-    /// for monotonic tasks; computed without assuming monotony).
+    /// for monotonic tasks; computed without assuming monotony). `O(1)`,
+    /// folded like [`Self::min_time`].
     pub fn min_work(&self) -> f64 {
-        self.times
-            .as_slice()
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (i + 1) as f64 * t)
-            .fold(f64::INFINITY, f64::min)
+        match self.times {
+            // Work is k·seq ≥ seq below the width and k·time ≥
+            // width·time = seq from it on, so the minimum is `seq` at
+            // k = 1 (bit-equal: the scan's `1·seq` and `width·time` are
+            // both the product `seq` was built from).
+            Times::Rigid { seq, .. } => seq,
+            Times::Explicit { min_work, .. } => min_work,
+        }
     }
 
     /// The paper's `allotᵢ`: smallest allotment `k` with `p(k) ≤ t`
     /// (up to the workspace tolerance), or `None` when even `min_time`
     /// exceeds `t`. Linear scan so the query is correct for arbitrary
     /// vectors; `O(m)` worst case but returns early on monotonic tasks.
+    /// `approx_le(·, t)` is monotone in its first argument, so the
+    /// answer is `Some` exactly when `approx_le(self.min_time(), t)`: a
+    /// caller that only asks whether the task fits `t` should test that
+    /// instead. Repeated queries on one instance belong in the dual's
+    /// `CanonicalAllotments` memo, `O(log m)` each.
     pub fn min_alloc_within(&self, t: f64) -> Option<usize> {
         self.times
             .as_slice()
@@ -469,10 +545,11 @@ impl MoldableTask {
                 t[k] = floor;
             }
         }
+        // The minima are folded through the same pass `new` uses.
         Self {
             id: self.id,
             weight: self.weight,
-            times: Times::Explicit(t.into_boxed_slice()),
+            times: Times::explicit(t).0,
         }
     }
 
@@ -506,7 +583,7 @@ impl MoldableTask {
         Self {
             id: self.id,
             weight: self.weight,
-            times: Times::Explicit(t.into_boxed_slice()),
+            times: Times::explicit(t).0,
         }
     }
 
@@ -555,6 +632,21 @@ mod tests {
             MoldableTask::new(TaskId(4), -2.0, vec![1.0]),
             Err(ModelError::NonPositiveWeight { task: 4, .. })
         ));
+        // The one-compare validity test, entry by entry, at the first
+        // bad entry past a full lane chunk.
+        for bad in [-0.0, -1.0, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN] {
+            let times = vec![1.0, 2.0, 3.0, 4.0, 5.0, bad, 7.0];
+            assert!(
+                matches!(
+                    MoldableTask::new(TaskId(5), 1.0, times),
+                    Err(ModelError::NonPositiveTime { procs: 6, .. })
+                ),
+                "{bad}"
+            );
+        }
+        for good in [f64::MIN_POSITIVE / 4.0, f64::MIN_POSITIVE, f64::MAX] {
+            assert!(MoldableTask::new(TaskId(6), 1.0, vec![good; 5]).is_ok());
+        }
     }
 
     #[test]
@@ -660,6 +752,66 @@ mod tests {
         let shrunk = t.resized(1);
         assert_eq!(shrunk.max_procs(), 1);
         assert_eq!(shrunk.time(1), 10.0);
+    }
+
+    /// The scans the cached minima replace, in the same fold order.
+    fn scanned_minima(t: &MoldableTask) -> (u64, u64) {
+        let v = t.times();
+        let min_time = v.iter().copied().fold(f64::INFINITY, f64::min);
+        let min_work = v
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (i + 1) as f64 * p)
+            .fold(f64::INFINITY, f64::min);
+        (min_time.to_bits(), min_work.to_bits())
+    }
+
+    #[test]
+    fn cached_minima_equal_the_scans_bit_for_bit() {
+        let cirne_like = [9.7, 5.1, 3.3, 3.3, 3.3, 2.9, 2.9, 2.9];
+        let non_monotone = [12.0, 11.0, 2.0, 2.0, 0.3 * 7.0, 1.9];
+        let mut tasks = vec![
+            task(&cirne_like),
+            task(&non_monotone),
+            task(&[0.1 + 0.2; 5]),
+            task(&[7.25]),
+            MoldableTask::linear(TaskId(1), 1.0, 1.0 / 3.0, 37).unwrap(),
+            MoldableTask::sequential(TaskId(2), 2.0, 0.7, 9).unwrap(),
+            MoldableTask::rigid(TaskId(3), 1.0, 1, 0.3, 6).unwrap(),
+            MoldableTask::rigid(TaskId(4), 1.0, 4, 0.3, 6).unwrap(),
+            MoldableTask::rigid(TaskId(5), 1.0, 6, 1.1, 6).unwrap(),
+        ];
+        let derived: Vec<MoldableTask> = tasks
+            .iter()
+            .flat_map(|t| {
+                let json = serde_json::to_string(t).unwrap();
+                let back: MoldableTask = serde_json::from_str(&json).unwrap();
+                [
+                    t.monotonized(),
+                    t.resized(t.max_procs() + 3),
+                    t.resized(2),
+                    t.resized(1),
+                    back,
+                ]
+            })
+            .collect();
+        tasks.extend(derived);
+        for t in &tasks {
+            assert_eq!(
+                (t.min_time().to_bits(), t.min_work().to_bits()),
+                scanned_minima(t),
+                "{:?}",
+                t.times()
+            );
+            assert_eq!(t.fastest_alloc().1.to_bits(), t.min_time().to_bits());
+        }
+    }
+
+    #[test]
+    fn task_size_stays_put() {
+        // The explicit form's two cached minima fit beside the larger
+        // rigid variant.
+        assert_eq!(std::mem::size_of::<MoldableTask>(), 80);
     }
 
     #[test]

@@ -36,8 +36,8 @@ options:
 ";
 
 /// Entry point behind `demt serve`; returns the process exit code
-/// (0 success, 1 runtime failure, 2 usage error or a bad `--replay`
-/// trace).
+/// (0 success, 1 runtime failure, 2 usage error or a `--replay` trace
+/// that cannot be opened or holds a bad record).
 // demt-lint: allow(P2, reaches run_events' paths to BatchLoop::run_batch's "indexed job" expect and, through the dyn Scheduler call, Criteria::evaluate; both guard invariants the loop keeps)
 pub fn serve_cli(args: &[String]) -> i32 {
     serve(args).unwrap_or_else(|e| e.report("demt serve", USAGE))
@@ -102,11 +102,8 @@ fn serve(args: &[String]) -> Result<i32, FlagError> {
         Ok(()) => Ok(0),
         Err(e) => {
             eprintln!("demt serve: {e}");
-            Ok(if matches!(e, ServeError::Trace(_)) {
-                2
-            } else {
-                1
-            })
+            let bad_trace = matches!(e, ServeError::Trace(_) | ServeError::TraceOpen(_));
+            Ok(if bad_trace { 2 } else { 1 })
         }
     }
 }
@@ -155,8 +152,8 @@ fn run(f: &Flags, cfg: &ServeConfig, seed: u64) -> Result<(), ServeError> {
     let mut out = stdout.lock();
     let mut stats = ServeStats::new(cfg.procs);
     let summary = if let Some(path) = f.str("replay") {
-        let file = std::fs::File::open(path)
-            .map_err(|e| ServeError::Config(format!("--replay {path}: {e}")))?;
+        let file =
+            std::fs::File::open(path).map_err(|e| ServeError::TraceOpen(format!("{path}: {e}")))?;
         let events = swf_events(BufReader::new(file), cfg.procs, seed);
         run_events(cfg, events, &mut out, &mut stats, Some(stats_sink))?
     } else {

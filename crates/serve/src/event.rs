@@ -146,6 +146,8 @@ pub enum ServeError {
     /// A record of the `--replay` SWF trace is malformed or lifts to
     /// no valid profile.
     Trace(SwfError),
+    /// The `--replay` SWF trace cannot be opened (path and reason).
+    TraceOpen(String),
 }
 
 impl fmt::Display for ServeError {
@@ -171,6 +173,7 @@ impl fmt::Display for ServeError {
             ServeError::Oracle(e) => write!(f, "oracle divergence: {e}"),
             ServeError::Config(e) => write!(f, "configuration: {e}"),
             ServeError::Trace(e) => write!(f, "{e}"),
+            ServeError::TraceOpen(e) => write!(f, "--replay {e}"),
         }
     }
 }

@@ -446,7 +446,8 @@ fn listbench_rejects_an_empty_machine() {
 fn degenerate_generator_inputs_die_instead_of_panicking() {
     let sample = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/data/sample.swf");
     let trace = "n=10,m=4,seed=1";
-    let cases: [(&[&str], &str); 35] = [
+    let missing = "/nonexistent/trace.swf";
+    let cases: [(&[&str], &str); 38] = [
         (&["generate", "--procs", "0"], "bad --procs 0"),
         // Unknown and repeated flags die instead of being ignored.
         (&["generate", "--taks", "3"], "unknown flag --taks"),
@@ -563,6 +564,17 @@ fn degenerate_generator_inputs_die_instead_of_panicking() {
         (
             &["serve", "--procs", "4", "--replay", sample, "--once"],
             "--once is not read with --replay",
+        ),
+        // A trace file that cannot be opened dies like a bad record,
+        // in all three SWF commands.
+        (&["swf", "--file", missing, "--procs", "4"], missing),
+        (
+            &["serve", "--procs", "4", "--replay", missing],
+            "demt serve: --replay /nonexistent/trace.swf: ",
+        ),
+        (
+            &["replaybench", "--swf", missing, "--procs", "4"],
+            "demt replaybench: --swf /nonexistent/trace.swf: ",
         ),
         // Empty sweeps die before the pool starts.
         (&["repro", "fig6", "--procs", "0"], "bad --procs 0"),
