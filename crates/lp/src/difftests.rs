@@ -6,10 +6,11 @@
 //!
 //! The sparse LU factorization is pinned bit for bit against its dense
 //! accumulator reference on random sparse bases and on the seed and
-//! optimal bases of real §3.3 minsum programs.
+//! optimal bases of real §3.3 minsum programs, and the counting-sort
+//! CSC constructor against the per-column build it replaced.
 
-use crate::problem::{LinearProgram, Relation};
-use crate::simplex::{factor_both, solve, solve_from, solve_with_basis, LpError};
+use crate::problem::{CscMatrix, LinearProgram, Relation};
+use crate::simplex::{factor_both, form_matrices, solve, solve_from, solve_with_basis, LpError};
 use crate::{dense, Basis};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -338,5 +339,74 @@ fn sparse_lu_matches_dense_on_minsum_bases() {
                 assert!(assert_same_factors(&lp, basis, &what), "{what} is singular");
             }
         }
+    }
+}
+
+/// Sparse rows over `cols` columns, in row order: values from a set
+/// whose duplicates can cancel exactly (or a zero, or any value), with
+/// repeated `(row, column)` pairs common because the columns are few.
+/// `cols` runs past the columns entries can reach, so the trailing
+/// columns are always empty.
+fn arb_sparse_rows() -> impl Strategy<Value = (usize, Vec<Vec<(usize, f64)>>)> {
+    (1usize..=6, 0usize..=12).prop_flat_map(|(reach, rows)| {
+        const SET: [f64; 5] = [1.0, -1.0, 0.5, -0.5, 0.0];
+        let value =
+            (0usize..7, -3.0f64..3.0).prop_map(|(pick, any)| SET.get(pick).copied().unwrap_or(any));
+        let row = prop::collection::vec((0..reach, value), 0..=8);
+        (Just(reach + 2), prop::collection::vec(row, rows..=rows))
+    })
+}
+
+/// The per-column lists the old build gathered from row-ordered rows.
+fn columns_of(cols: usize, rows: &[Vec<(usize, f64)>]) -> Vec<Vec<(usize, f64)>> {
+    let mut columns = vec![Vec::new(); cols];
+    for (i, row) in rows.iter().enumerate() {
+        for &(j, v) in row {
+            columns[j].push((i, v));
+        }
+    }
+    columns
+}
+
+fn assert_same_csc(a: &CscMatrix, b: &CscMatrix) {
+    assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
+    assert_eq!(a.entry_bits(), b.entry_bits());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn counting_sort_csc_matches_the_per_column_build(
+        (cols, rows) in arb_sparse_rows(),
+        cancel in prop::collection::vec((0usize..12, 0usize..6, 0.25f64..4.0), 0..=4),
+    ) {
+        // Exactly cancelling pairs on top of the random entries.
+        let mut rows = rows;
+        for (i, j, v) in cancel {
+            if let Some(row) = rows.get_mut(i) {
+                row.push((j % cols, v));
+                row.push((j % cols, -v));
+            }
+        }
+        let counted = CscMatrix::from_rows(rows.len(), cols, |i| rows[i].iter().copied());
+        let reference = CscMatrix::from_columns(rows.len(), columns_of(cols, &rows));
+        assert_same_csc(&counted, &reference);
+    }
+
+    #[test]
+    fn standard_form_matrix_matches_the_per_column_build(
+        (cols, rows) in arb_sparse_rows(),
+        shape in prop::collection::vec((0usize..3, -3.0f64..6.0), 12..=12),
+    ) {
+        // Negative right-hand sides flip their row's signs and turn `≤`
+        // into `≥` (and back), so slack and surplus columns both occur.
+        let mut lp = LinearProgram::minimize(vec![1.0; cols]);
+        for (row, &(rel, rhs)) in rows.iter().zip(&shape) {
+            let relation = [Relation::Le, Relation::Ge, Relation::Eq][rel];
+            lp.constrain(row.clone(), relation, rhs);
+        }
+        let (counted, reference) = form_matrices(&lp);
+        assert_same_csc(&counted, &reference);
     }
 }

@@ -132,13 +132,9 @@ impl LinearProgram {
     /// slacks; duplicate coefficients are summed).
     #[cfg(test)]
     pub fn csc(&self) -> CscMatrix {
-        let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); self.num_vars()];
-        for (i, c) in self.constraints.iter().enumerate() {
-            for &(j, a) in &c.coeffs {
-                columns[j].push((i, a));
-            }
-        }
-        CscMatrix::from_columns(self.num_constraints(), columns)
+        CscMatrix::from_rows(self.num_constraints(), self.num_vars(), |i| {
+            self.constraints[i].coeffs.iter().copied()
+        })
     }
 
     /// Checks primal feasibility of a candidate point to tolerance
@@ -178,9 +174,77 @@ pub struct CscMatrix {
 }
 
 impl CscMatrix {
-    /// Builds the matrix from per-column `(row, value)` triplet lists.
-    /// Duplicate rows within a column are summed; exact zeros dropped.
-    pub fn from_columns(rows: usize, columns: Vec<Vec<(usize, f64)>>) -> Self {
+    /// Builds the matrix row by row: `row(i)` yields the `(column,
+    /// value)` entries of row `i` and is called twice per row.
+    ///
+    /// A counting sort places the entries: the first pass counts them
+    /// per column, the second writes them in row order, so every column
+    /// comes out sorted by row without a sort. Duplicate `(row, column)`
+    /// entries land next to each other and are summed in the order the
+    /// row yields them; exact zeros are dropped.
+    pub fn from_rows<I>(rows: usize, cols: usize, row: impl Fn(usize) -> I) -> Self
+    where
+        I: IntoIterator<Item = (usize, f64)>,
+    {
+        let mut col_ptr = vec![0usize; cols + 1];
+        for i in 0..rows {
+            for (j, _) in row(i) {
+                col_ptr[j + 1] += 1;
+            }
+        }
+        for j in 0..cols {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let mut next = col_ptr[..cols].to_vec();
+        let mut row_idx = vec![0usize; col_ptr[cols]];
+        let mut values = vec![0.0f64; col_ptr[cols]];
+        for i in 0..rows {
+            for (j, v) in row(i) {
+                row_idx[next[j]] = i;
+                values[next[j]] = v;
+                next[j] += 1;
+            }
+        }
+        // Sum each run of equal rows and compact in place; the write
+        // position never passes the read position.
+        let mut out = 0;
+        let mut lo = 0;
+        for j in 0..cols {
+            let hi = col_ptr[j + 1];
+            let mut k = lo;
+            while k < hi {
+                let (r, mut v) = (row_idx[k], values[k]);
+                k += 1;
+                while k < hi && row_idx[k] == r {
+                    v += values[k];
+                    k += 1;
+                }
+                // demt-lint: allow(F1, exact zero after summing duplicates means the entry is structurally absent)
+                if v != 0.0 {
+                    row_idx[out] = r;
+                    values[out] = v;
+                    out += 1;
+                }
+            }
+            col_ptr[j + 1] = out;
+            lo = hi;
+        }
+        row_idx.truncate(out);
+        values.truncate(out);
+        Self {
+            rows,
+            col_ptr,
+            row_idx,
+            values,
+        }
+    }
+
+    /// The per-column build [`CscMatrix::from_rows`] replaced: each
+    /// column's `(row, value)` list is sorted by row, then duplicates
+    /// are summed and exact zeros dropped. Kept as the reference the
+    /// tests pin `from_rows` against bit for bit.
+    #[cfg(test)]
+    pub(crate) fn from_columns(rows: usize, columns: Vec<Vec<(usize, f64)>>) -> Self {
         let mut col_ptr = Vec::with_capacity(columns.len() + 1);
         let mut row_idx = Vec::new();
         let mut values = Vec::new();
@@ -196,7 +260,6 @@ impl CscMatrix {
                     v += col[k].1;
                     k += 1;
                 }
-                // demt-lint: allow(F1, exact zero after summing duplicates means the entry is structurally absent)
                 if v != 0.0 {
                     row_idx.push(r);
                     values.push(v);
@@ -210,6 +273,20 @@ impl CscMatrix {
             row_idx,
             values,
         }
+    }
+
+    /// Every stored entry as `(column, row, value bits)`, in storage
+    /// order, so two matrices compare bit for bit.
+    #[cfg(test)]
+    pub(crate) fn entry_bits(&self) -> Vec<(usize, usize, u64)> {
+        (0..self.cols())
+            .flat_map(|j| {
+                let (rows, vals) = self.col(j);
+                rows.iter()
+                    .zip(vals)
+                    .map(move |(&r, v)| (j, r, v.to_bits()))
+            })
+            .collect()
     }
 
     /// Number of rows.
@@ -269,14 +346,12 @@ mod tests {
 
     #[test]
     fn csc_sums_duplicates_and_sorts_rows() {
-        let m = CscMatrix::from_columns(
-            3,
-            vec![
-                vec![(2, 1.0), (0, 2.0), (2, 3.0)],
-                vec![],
-                vec![(1, 5.0), (1, -5.0)],
-            ],
-        );
+        let rows = [
+            vec![(0, 2.0)],
+            vec![(2, 5.0), (2, -5.0)],
+            vec![(0, 1.0), (0, 3.0)],
+        ];
+        let m = CscMatrix::from_rows(3, 3, |i| rows[i].iter().copied());
         assert_eq!((m.rows(), m.cols(), m.row_idx.len()), (3, 3, 2));
         assert_eq!(m.col(0), (&[0usize, 2][..], &[2.0, 4.0][..]));
         assert_eq!(m.col(1), (&[][..], &[][..]));

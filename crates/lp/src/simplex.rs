@@ -157,50 +157,76 @@ struct Form {
     slack_of_row: Vec<Option<usize>>,
 }
 
+/// `-1` for a row whose right-hand side is negated into `b ≥ 0`.
+fn row_sign(rhs: f64) -> f64 {
+    if rhs < 0.0 {
+        -1.0
+    } else {
+        1.0
+    }
+}
+
 fn build_form(lp: &LinearProgram) -> Form {
     let n = lp.num_vars();
     let m = lp.num_constraints();
     let n_real = n + lp.num_slacks();
-    let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_real];
     let mut b = vec![0.0; m];
     let mut needs_artificial = vec![false; m];
     let mut slack_of_row = vec![None; m];
     let mut next_slack = n;
     for (i, c) in lp.constraints().iter().enumerate() {
-        let sign = if c.rhs < 0.0 { -1.0 } else { 1.0 };
-        b[i] = c.rhs * sign;
-        for &(j, a) in &c.coeffs {
-            columns[j].push((i, a * sign));
-        }
+        b[i] = c.rhs * row_sign(c.rhs);
         let relation = match (c.relation, c.rhs < 0.0) {
             (Relation::Le, true) => Relation::Ge,
             (Relation::Ge, true) => Relation::Le,
             (r, _) => r,
         };
-        match relation {
-            Relation::Le => {
-                columns[next_slack].push((i, 1.0));
-                slack_of_row[i] = Some(next_slack);
-                next_slack += 1;
-            }
-            Relation::Ge => {
-                columns[next_slack].push((i, -1.0));
-                slack_of_row[i] = Some(next_slack);
-                next_slack += 1;
-                needs_artificial[i] = true;
-            }
-            Relation::Eq => needs_artificial[i] = true,
+        if relation != Relation::Le {
+            needs_artificial[i] = true;
+        }
+        if relation != Relation::Eq {
+            slack_of_row[i] = Some(next_slack);
+            next_slack += 1;
         }
     }
+    // Each normalized row, then its slack (`+1`) or surplus (`-1`).
+    let a = CscMatrix::from_rows(m, n_real, |i| {
+        let c = &lp.constraints()[i];
+        let sign = row_sign(c.rhs);
+        let slack = slack_of_row[i].map(|s| (s, if needs_artificial[i] { -1.0 } else { 1.0 }));
+        c.coeffs
+            .iter()
+            .map(move |&(j, a)| (j, a * sign))
+            .chain(slack)
+    });
     Form {
         m,
         n_struct: n,
         n_real,
-        a: CscMatrix::from_columns(m, columns),
+        a,
         b,
         needs_artificial,
         slack_of_row,
     }
+}
+
+/// The standard-form matrix as the per-column build that
+/// [`CscMatrix::from_rows`] replaced assembles it, for the tests that
+/// pin [`build_form`] to it bit for bit.
+#[cfg(test)]
+pub(crate) fn form_matrices(lp: &LinearProgram) -> (CscMatrix, CscMatrix) {
+    let form = build_form(lp);
+    let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); form.n_real];
+    for (i, c) in lp.constraints().iter().enumerate() {
+        let sign = row_sign(c.rhs);
+        for &(j, a) in &c.coeffs {
+            columns[j].push((i, a * sign));
+        }
+        if let Some(s) = form.slack_of_row[i] {
+            columns[s].push((i, if form.needs_artificial[i] { -1.0 } else { 1.0 }));
+        }
+    }
+    (form.a, CscMatrix::from_columns(form.m, columns))
 }
 
 /// Standard-form column `j` as parallel `(rows, values)` slices.
@@ -241,30 +267,75 @@ fn column_dot(form: &Form, art_row: &[usize], j: usize, y: &[f64]) -> f64 {
 struct Eta {
     r: usize,
     pivot: f64,
-    /// Nonzero entries of `w` excluding position `r`.
-    col: Vec<(usize, f64)>,
+    /// The nonzero entries of `w` other than position `r`, as a range of
+    /// [`Etas::entries`].
+    lo: usize,
+    hi: usize,
 }
 
-impl Eta {
-    /// Applies `E` in place (FTRAN direction).
-    fn apply(&self, x: &mut [f64]) {
-        let t = x[self.r] / self.pivot;
-        // demt-lint: allow(F1, exact zero skips a structurally absent sparse entry; no tolerance is intended)
-        if t != 0.0 {
-            for &(i, v) in &self.col {
-                x[i] -= v * t;
-            }
-        }
-        x[self.r] = t;
+/// The eta file: the updates since the last refactorization, with all
+/// their entries in one buffer that a refactorization empties but does
+/// not free.
+#[derive(Default)]
+struct Etas {
+    etas: Vec<Eta>,
+    entries: Vec<(usize, f64)>,
+}
+
+impl Etas {
+    fn len(&self) -> usize {
+        self.etas.len()
     }
 
-    /// Applies `Eᵀ` in place (BTRAN direction).
-    fn apply_transposed(&self, y: &mut [f64]) {
-        let mut acc = y[self.r];
-        for &(i, v) in &self.col {
-            acc -= v * y[i];
+    fn is_empty(&self) -> bool {
+        self.etas.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.etas.clear();
+        self.entries.clear();
+    }
+
+    /// Appends the update of a pivot at position `r` on FTRAN'd `w`.
+    fn push(&mut self, r: usize, w: &[f64]) {
+        let lo = self.entries.len();
+        self.entries.extend(
+            w.iter()
+                .enumerate()
+                .filter(|&(i, &v)| i != r && v.abs() > 1e-13)
+                .map(|(i, &v)| (i, v)),
+        );
+        self.etas.push(Eta {
+            r,
+            pivot: w[r],
+            lo,
+            hi: self.entries.len(),
+        });
+    }
+
+    /// Applies every `E` in order, in place (FTRAN direction).
+    fn apply(&self, x: &mut [f64]) {
+        for e in &self.etas {
+            let t = x[e.r] / e.pivot;
+            // demt-lint: allow(F1, exact zero skips a structurally absent sparse entry; no tolerance is intended)
+            if t != 0.0 {
+                for &(i, v) in &self.entries[e.lo..e.hi] {
+                    x[i] -= v * t;
+                }
+            }
+            x[e.r] = t;
         }
-        y[self.r] = acc / self.pivot;
+    }
+
+    /// Applies every `Eᵀ` in reverse order, in place (BTRAN direction).
+    fn apply_transposed(&self, y: &mut [f64]) {
+        for e in self.etas.iter().rev() {
+            let mut acc = y[e.r];
+            for &(i, v) in &self.entries[e.lo..e.hi] {
+                acc -= v * y[i];
+            }
+            y[e.r] = acc / e.pivot;
+        }
     }
 }
 
@@ -457,11 +528,12 @@ impl Factor {
     }
 
     /// FTRAN: overwrites a dense row-indexed right-hand side with
-    /// `B⁻¹·rhs`, indexed by basis position.
-    fn ftran(&self, etas: &[Eta], w: &mut Vec<f64>) {
+    /// `B⁻¹·rhs`, indexed by basis position. `spare` is a scratch
+    /// buffer of the same length; the two are swapped on return.
+    fn ftran(&self, etas: &Etas, w: &mut Vec<f64>, spare: &mut Vec<f64>) {
         let m = self.rperm.len();
-        let mut y = vec![0.0; m];
-        // L-solve in pivot order.
+        let y = spare;
+        // L-solve in pivot order; it writes every position of `y`.
         for (k, &row) in self.rperm.iter().enumerate() {
             let t = w[row];
             y[k] = t;
@@ -483,20 +555,15 @@ impl Factor {
                 }
             }
         }
-        for e in etas {
-            e.apply(&mut y);
-        }
-        *w = y;
+        etas.apply(y);
+        std::mem::swap(w, y);
     }
 
-    /// BTRAN: returns `B⁻ᵀ·c` (input indexed by basis position, output
-    /// by original row).
-    fn btran(&self, etas: &[Eta], c: &[f64]) -> Vec<f64> {
+    /// BTRAN: writes `B⁻ᵀ·c` into `y` (indexed by original row) from `c`
+    /// in `z` (indexed by basis position), which it overwrites.
+    fn btran(&self, etas: &Etas, z: &mut [f64], y: &mut [f64]) {
         let m = self.rperm.len();
-        let mut z = c.to_vec();
-        for e in etas.iter().rev() {
-            e.apply_transposed(&mut z);
-        }
+        etas.apply_transposed(z);
         // Uᵀ forward solve.
         for j in 0..m {
             let mut acc = z[j];
@@ -513,11 +580,9 @@ impl Factor {
             }
             z[k] = acc;
         }
-        let mut y = vec![0.0; m];
         for (k, &row) in self.rperm.iter().enumerate() {
             y[row] = z[k];
         }
-        y
     }
 }
 
@@ -578,14 +643,62 @@ struct Rev<'a> {
     cb: Vec<f64>,
     x_b: Vec<f64>,
     factor: Factor,
-    etas: Vec<Eta>,
+    etas: Etas,
+    /// Row-length buffers every iteration reuses: the duals `y`, the
+    /// dual-simplex pivot row `rho`, BTRAN's input `z`, the FTRAN'd
+    /// entering column `w` and FTRAN's `spare`.
+    y: Vec<f64>,
+    rho: Vec<f64>,
+    z: Vec<f64>,
+    w: Vec<f64>,
+    spare: Vec<f64>,
     iterations: usize,
     phase1_iterations: usize,
     refactorizations: usize,
     max_iters: usize,
 }
 
-impl Rev<'_> {
+impl<'a> Rev<'a> {
+    /// A driver on `basis` with `x_B = b`, before any phase's costs
+    /// reach `cb`. `cost` has one entry per standard-form column.
+    fn new(
+        lp: &'a LinearProgram,
+        form: Form,
+        art_row: Vec<usize>,
+        basis: Vec<usize>,
+        factor: Factor,
+        cost: Vec<f64>,
+    ) -> Self {
+        let m = form.m;
+        let total = cost.len();
+        let mut in_basis = vec![false; total];
+        for &b in &basis {
+            in_basis[b] = true;
+        }
+        Rev {
+            lp,
+            x_b: form.b.clone(),
+            form,
+            art_row,
+            cost,
+            enterable: vec![true; total],
+            in_basis,
+            basis,
+            cb: vec![0.0; m],
+            factor,
+            etas: Etas::default(),
+            y: vec![0.0; m],
+            rho: vec![0.0; m],
+            z: vec![0.0; m],
+            w: vec![0.0; m],
+            spare: vec![0.0; m],
+            iterations: 0,
+            phase1_iterations: 0,
+            refactorizations: 0,
+            max_iters: max_iters_for(m, total),
+        }
+    }
+
     fn total_cols(&self) -> usize {
         self.form.n_real + self.art_row.len()
     }
@@ -605,36 +718,48 @@ impl Rev<'_> {
         let (form, art_row) = (&self.form, &self.art_row);
         self.factor = Factor::new(form.m, &self.basis, |j| column(form, art_row, j))
             .ok_or(LpError::SingularBasis)?;
-        let mut xb = self.form.b.clone();
-        self.factor.ftran(&[], &mut xb);
-        for v in &mut xb {
+        self.x_b.copy_from_slice(&self.form.b);
+        self.factor
+            .ftran(&self.etas, &mut self.x_b, &mut self.spare);
+        for v in &mut self.x_b {
             if *v < 0.0 && *v > -PIVOT_TOL {
                 *v = 0.0; // roundoff clamp
             }
         }
-        self.x_b = xb;
         self.refactorizations += 1;
         Ok(())
     }
 
+    /// `y = B⁻ᵀ·c_B`, the duals of the current basis.
+    fn price(&mut self) {
+        self.z.copy_from_slice(&self.cb);
+        self.factor.btran(&self.etas, &mut self.z, &mut self.y);
+    }
+
+    /// `rho = B⁻ᵀ·e_r`, row `r` of the basis inverse.
+    fn inverse_row(&mut self, r: usize) {
+        self.z.fill(0.0);
+        self.z[r] = 1.0;
+        self.factor.btran(&self.etas, &mut self.z, &mut self.rho);
+    }
+
+    /// `w = B⁻¹·A_q`, the entering column `q` in basis coordinates.
+    fn entering_column(&mut self, q: usize) {
+        self.w.fill(0.0);
+        scatter_column(&self.form, &self.art_row, q, &mut self.w);
+        self.factor.ftran(&self.etas, &mut self.w, &mut self.spare);
+    }
+
     /// Replaces the basic column at position `r` with column `q`, given
-    /// the FTRAN'd entering column `w` and the step `theta`.
-    fn pivot(&mut self, r: usize, q: usize, mut w: Vec<f64>, theta: f64) {
-        for (i, v) in w.iter().enumerate() {
+    /// the FTRAN'd entering column in `w` and the step `theta`.
+    fn pivot(&mut self, r: usize, q: usize, theta: f64) {
+        for (i, v) in self.w.iter().enumerate() {
             if i != r {
                 self.x_b[i] -= theta * v;
             }
         }
         self.x_b[r] = theta;
-        let pivot = w[r];
-        w[r] = 0.0;
-        let col: Vec<(usize, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v.abs() > 1e-13)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        self.etas.push(Eta { r, pivot, col });
+        self.etas.push(r, &self.w);
         self.in_basis[self.basis[r]] = false;
         self.in_basis[q] = true;
         self.basis[r] = q;
@@ -645,7 +770,6 @@ impl Rev<'_> {
     /// Runs the simplex loop on the current cost vector to optimality.
     fn optimize(&mut self) -> Result<(), LpError> {
         const POOL: usize = 32;
-        let m = self.form.m;
         let mut stall = 0usize;
         let mut last_obj = self.objective_now();
         // Multiple pricing: a full Dantzig pass refills a small pool of
@@ -654,14 +778,18 @@ impl Rev<'_> {
         // are exact — only the membership ages). Optimality is only
         // ever declared by a full pass; Bland's first-index rule (full
         // pass) takes over when the objective stalls.
-        let mut pool: Vec<(usize, f64)> = Vec::new();
+        // Once the pool is full, `worst` is the slot a new candidate
+        // would replace; it is recomputed only after a replacement.
+        let mut pool: Vec<(usize, f64)> = Vec::with_capacity(POOL);
+        let mut worst = 0;
         loop {
             if self.iterations > self.max_iters {
                 return Err(LpError::IterationLimit {
                     limit: self.max_iters,
                 });
             }
-            let y = self.factor.btran(&self.etas, &self.cb);
+            self.price();
+            let y = &self.y;
             let bland = stall > 64;
             let mut enter: Option<usize> = None;
             let mut best = -EPS;
@@ -670,7 +798,7 @@ impl Rev<'_> {
                     if self.in_basis[j] || !self.enterable[j] {
                         continue;
                     }
-                    if self.cost[j] - column_dot(&self.form, &self.art_row, j, &y) < -EPS {
+                    if self.cost[j] - column_dot(&self.form, &self.art_row, j, y) < -EPS {
                         enter = Some(j);
                         break;
                     }
@@ -678,7 +806,7 @@ impl Rev<'_> {
             } else {
                 pool.retain(|&(j, _)| !self.in_basis[j]);
                 for &(j, _) in &pool {
-                    let d = self.cost[j] - column_dot(&self.form, &self.art_row, j, &y);
+                    let d = self.cost[j] - column_dot(&self.form, &self.art_row, j, y);
                     if d < best {
                         best = d;
                         enter = Some(j);
@@ -690,7 +818,7 @@ impl Rev<'_> {
                         if self.in_basis[j] || !self.enterable[j] {
                             continue;
                         }
-                        let d = self.cost[j] - column_dot(&self.form, &self.art_row, j, &y);
+                        let d = self.cost[j] - column_dot(&self.form, &self.art_row, j, y);
                         if d < best {
                             best = d;
                             enter = Some(j);
@@ -698,30 +826,23 @@ impl Rev<'_> {
                         if d < -EPS {
                             if pool.len() < POOL {
                                 pool.push((j, d));
-                            } else {
-                                let (slot, worst) = pool
-                                    .iter()
-                                    .enumerate()
-                                    .max_by(|a, b| a.1 .1.total_cmp(&b.1 .1))
-                                    .map(|(s, &(_, d))| (s, d))
-                                    // demt-lint: allow(P1, the else branch runs only when pool.len() reached POOL which is nonzero)
-                                    .expect("pool is non-empty");
-                                if d < worst {
-                                    pool[slot] = (j, d);
+                                if pool.len() == POOL {
+                                    worst = worst_slot(&pool);
                                 }
+                            } else if d < pool[worst].1 {
+                                pool[worst] = (j, d);
+                                worst = worst_slot(&pool);
                             }
                         }
                     }
                 }
             }
             let Some(q) = enter else { return Ok(()) };
-            let mut w = vec![0.0; m];
-            scatter_column(&self.form, &self.art_row, q, &mut w);
-            self.factor.ftran(&self.etas, &mut w);
+            self.entering_column(q);
             // Ratio test; Bland tie-break on the leaving basis index.
             let mut leave: Option<usize> = None;
             let mut best_ratio = f64::INFINITY;
-            for (i, &wi) in w.iter().enumerate() {
+            for (i, &wi) in self.w.iter().enumerate() {
                 if wi > EPS {
                     let ratio = self.x_b[i] / wi;
                     let better = ratio < best_ratio - EPS
@@ -738,11 +859,11 @@ impl Rev<'_> {
             };
             // A tiny pivot on a long eta file is the classic instability:
             // refactorize and re-derive the iteration from clean factors.
-            if w[r].abs() < PIVOT_TOL && !self.etas.is_empty() {
+            if self.w[r].abs() < PIVOT_TOL && !self.etas.is_empty() {
                 self.refactorize()?;
                 continue;
             }
-            self.pivot(r, q, w, best_ratio.max(0.0));
+            self.pivot(r, q, best_ratio.max(0.0));
             if self.etas.len() >= REFACTOR_EVERY {
                 self.refactorize()?;
             }
@@ -786,10 +907,9 @@ impl Rev<'_> {
                 }
             }
             let Some(r) = leave else { return Ok(true) };
-            let y = self.factor.btran(&self.etas, &self.cb);
-            let mut e = vec![0.0; m];
-            e[r] = 1.0;
-            let rho = self.factor.btran(&self.etas, &e);
+            self.price();
+            self.inverse_row(r);
+            let (y, rho) = (&self.y, &self.rho);
             // Dual ratio test: among columns that would increase the
             // infeasible basic value (row entry < 0), the one whose
             // reduced cost degrades least per unit; clamping mildly
@@ -801,9 +921,9 @@ impl Rev<'_> {
                 if self.in_basis[j] || !self.enterable[j] {
                     continue;
                 }
-                let alpha = column_dot(&self.form, &self.art_row, j, &rho);
+                let alpha = column_dot(&self.form, &self.art_row, j, rho);
                 if alpha < -EPS {
-                    let d = (self.cost[j] - column_dot(&self.form, &self.art_row, j, &y)).max(0.0);
+                    let d = (self.cost[j] - column_dot(&self.form, &self.art_row, j, y)).max(0.0);
                     let ratio = d / -alpha;
                     if ratio < best_ratio - EPS
                         || (ratio < best_ratio + EPS && enter.is_none_or(|q| j < q))
@@ -819,21 +939,19 @@ impl Rev<'_> {
                 // phase-1 start certify that from clean factors.
                 return Ok(false);
             };
-            let mut w = vec![0.0; m];
-            scatter_column(&self.form, &self.art_row, q, &mut w);
-            self.factor.ftran(&self.etas, &mut w);
-            if w[r].abs() < EPS {
+            self.entering_column(q);
+            if self.w[r].abs() < EPS {
                 if !self.etas.is_empty() {
                     self.refactorize()?;
                     continue;
                 }
                 return Ok(false); // FTRAN disagrees with BTRAN: bail
             }
-            let theta = self.x_b[r] / w[r];
+            let theta = self.x_b[r] / self.w[r];
             if !theta.is_finite() || theta < -feas_tol {
                 return Ok(false);
             }
-            self.pivot(r, q, w, theta.max(0.0));
+            self.pivot(r, q, theta.max(0.0));
             if self.etas.len() >= REFACTOR_EVERY {
                 self.refactorize()?;
             }
@@ -850,19 +968,16 @@ impl Rev<'_> {
             if self.basis[p] < self.form.n_real {
                 continue;
             }
-            let mut e = vec![0.0; m];
-            e[p] = 1.0;
-            let rho = self.factor.btran(&self.etas, &e);
+            self.inverse_row(p);
             let candidate = (0..self.form.n_real).find(|&j| {
-                !self.in_basis[j] && column_dot(&self.form, &self.art_row, j, &rho).abs() > 1e-7
+                !self.in_basis[j]
+                    && column_dot(&self.form, &self.art_row, j, &self.rho).abs() > 1e-7
             });
             if let Some(j) = candidate {
-                let mut w = vec![0.0; m];
-                scatter_column(&self.form, &self.art_row, j, &mut w);
-                self.factor.ftran(&self.etas, &mut w);
-                if w[p].abs() > 1e-9 {
-                    let theta = (self.x_b[p] / w[p]).max(0.0);
-                    self.pivot(p, j, w, theta);
+                self.entering_column(j);
+                if self.w[p].abs() > 1e-9 {
+                    let theta = (self.x_b[p] / self.w[p]).max(0.0);
+                    self.pivot(p, j, theta);
                 }
             }
         }
@@ -901,6 +1016,17 @@ impl Rev<'_> {
     }
 }
 
+/// The pool slot `max_by` on reduced cost picks: the last of equal maxima.
+fn worst_slot(pool: &[(usize, f64)]) -> usize {
+    let mut worst = 0;
+    for (s, &(_, d)) in pool.iter().enumerate().skip(1) {
+        if d.total_cmp(&pool[worst].1).is_ge() {
+            worst = s;
+        }
+    }
+    worst
+}
+
 fn max_iters_for(m: usize, total_cols: usize) -> usize {
     200 * (m + total_cols + 1).max(64)
 }
@@ -934,30 +1060,8 @@ pub fn solve_with_basis(lp: &LinearProgram) -> Result<(Solution, Basis), LpError
     let factor = Factor::new(m, &basis, |j| column(&form, &art_row, j))
         // demt-lint: allow(P1, the start basis is slack/artificial unit columns forming an identity)
         .expect("the unit start basis is nonsingular");
-    let x_b = form.b.clone();
-    let mut rev = Rev {
-        lp,
-        cost: vec![0.0; total],
-        enterable: vec![true; total],
-        in_basis: {
-            let mut v = vec![false; total];
-            for &b in &basis {
-                v[b] = true;
-            }
-            v
-        },
-        cb: vec![0.0; m],
-        x_b,
-        basis,
-        factor,
-        etas: Vec::new(),
-        iterations: 0,
-        phase1_iterations: 0,
-        refactorizations: 0,
-        max_iters: max_iters_for(m, total),
-        art_row,
-        form,
-    };
+    // The unit start basis is its own inverse: `x_B = b`.
+    let mut rev = Rev::new(lp, form, art_row, basis, factor, vec![0.0; total]);
 
     // Phase 1: minimize the artificial sum.
     if !rev.art_row.is_empty() {
@@ -1030,11 +1134,13 @@ pub fn solve_from(lp: &LinearProgram, seed: &Basis) -> Result<(Solution, Basis),
     let Some(factor) = Factor::new(m, &basis, |j| column(&form, &[], j)) else {
         return solve_with_basis(lp);
     };
-    let mut x_b = form.b.clone();
-    factor.ftran(&[], &mut x_b);
-    let scale = 1.0 + form.b.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
+    let mut cost = vec![0.0; form.n_real];
+    cost[..form.n_struct].copy_from_slice(lp.objective());
+    let mut rev = Rev::new(lp, form, Vec::new(), basis, factor, cost);
+    rev.factor.ftran(&rev.etas, &mut rev.x_b, &mut rev.spare);
+    let scale = 1.0 + rev.form.b.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
     let mut needs_repair = false;
-    for v in &mut x_b {
+    for v in &mut rev.x_b {
         if *v < 0.0 {
             if *v < -1e-7 * scale {
                 needs_repair = true; // genuinely infeasible seed
@@ -1043,34 +1149,6 @@ pub fn solve_from(lp: &LinearProgram, seed: &Basis) -> Result<(Solution, Basis),
             }
         }
     }
-    let total = form.n_real;
-    let mut rev = Rev {
-        lp,
-        cost: {
-            let mut c = vec![0.0; total];
-            c[..form.n_struct].copy_from_slice(lp.objective());
-            c
-        },
-        enterable: vec![true; total],
-        in_basis: {
-            let mut v = vec![false; total];
-            for &b in &basis {
-                v[b] = true;
-            }
-            v
-        },
-        cb: vec![0.0; m],
-        x_b,
-        basis,
-        factor,
-        etas: Vec::new(),
-        iterations: 0,
-        phase1_iterations: 0,
-        refactorizations: 0,
-        max_iters: max_iters_for(m, total),
-        art_row: Vec::new(),
-        form,
-    };
     rev.reset_cb();
     if needs_repair {
         // Dual-simplex repair: the usual state after a right-hand-side
