@@ -9,6 +9,13 @@
 //! *surface* constraints cap the minimal areas of everything finishing
 //! by each boundary at the machine capacity.
 //!
+//! The prefix caps are nested — an interval-`ℓ` variable counts against
+//! every cap from `ℓ` on — so they are stated telescoped: one
+//! cumulative slack `s_ℓ` per bounded interval carries the room left
+//! under cap `ℓ` into row `ℓ+1`, and each variable sits in one surface
+//! row ([`MinsumLp`] has the row layout). The program is the nested one
+//! after row operations, so the solver takes the same pivots on it.
+//!
 //! ## Soundness fixes over the paper's sketch
 //!
 //! The printed formulation leaves two small gaps that would break the
@@ -142,22 +149,37 @@ pub fn minsum_lower_bound_with_horizon(
 /// The assembled §3.3 interval-indexed LP for one horizon, plus the
 /// variable layout needed to craft warm-start bases against it.
 ///
+/// Column layout: the interval variables `x_{i,ℓ}` (see
+/// [`MinsumLp::owner`]), then one cumulative slack `s_ℓ ≥ 0` per
+/// bounded interval `ℓ = 0..K` (cost 0), then the solver's surplus
+/// column of each coverage row.
+///
 /// Row layout: one coverage row (`Σ_ℓ x_{i,ℓ} ≥ 1`) per task, in task
-/// order, followed by one prefix surface row (`≤ m·τ_{ℓ+1}`) per
-/// bounded prefix. The structural seeds exploit it: assigning every
-/// task one interval and making each surface row's slack basic is
-/// always a vertex basis (each structural column holds the single
-/// coverage-row entry of its task), so a "cold" horizon solve skips
-/// phase 1 entirely — [`MinsumLp::greedy_basis`] picks near-optimal
-/// intervals, [`MinsumLp::seed_basis`] the trivially feasible last
-/// interval.
+/// order, followed by one surface row per bounded interval. The prefix
+/// cap `Σ_{l≤ℓ} Σ_i S_{i,l}·x_{i,l} ≤ m·τ_{ℓ+1}` is stated telescoped:
+/// row `ℓ` is `Σ_i S_{i,ℓ}·x_{i,ℓ} + s_ℓ − s_{ℓ−1} = m·τ_{ℓ+1} − m·τ_ℓ`,
+/// the nested row `ℓ` minus row `ℓ−1`, so `s_ℓ` is the room left under
+/// cap `ℓ`. Every `x` has two entries (one for the last interval) and
+/// every `s` at most two, where the nested rows put an interval-`ℓ`
+/// variable in every cap from `ℓ` on. The row operations leave `B⁻¹A`
+/// and `B⁻¹b` as they were, so the simplex takes the same pivots; and
+/// the right-hand sides are exact, because `τ_{ℓ+1} = 2·τ_ℓ`.
+///
+/// The structural seeds exploit the layout: assigning every task one
+/// interval and making every `s_ℓ` basic is always a vertex basis (each
+/// `x` column holds the single coverage-row entry of its task, and the
+/// `s` columns are unit lower bidiagonal on the surface rows), so a
+/// "cold" horizon solve skips phase 1 entirely —
+/// [`MinsumLp::greedy_basis`] picks near-optimal intervals,
+/// [`MinsumLp::seed_basis`] the trivially feasible last interval.
 #[derive(Debug, Clone)]
 pub struct MinsumLp {
     /// The relaxation itself.
     pub lp: LinearProgram,
     /// Interval boundaries `0, t_0, …, t_{K+1}`.
     pub boundaries: Vec<f64>,
-    /// Variable → `(task, interval)`.
+    /// Interval variable → `(task, interval)`; its length is the column
+    /// of `s_0`.
     pub owner: Vec<(usize, usize)>,
     /// Per task, the column of its unbounded last-interval variable.
     last_var_of_task: Vec<usize>,
@@ -165,25 +187,26 @@ pub struct MinsumLp {
     var_of: Vec<Vec<usize>>,
     /// Per variable, its surface coefficient `S_{i,ℓ}`.
     surfaces: Vec<f64>,
+    /// Per bounded interval `ℓ`, the cumulative cap `m·τ_{ℓ+1}`.
+    caps: Vec<f64>,
     /// Per task, its weight (for the greedy seed's Smith ratio).
     weights: Vec<f64>,
 }
 
 impl MinsumLp {
+    /// The columns of the cumulative slacks `s_0, …, s_{K−1}`.
+    fn slack_columns(&self) -> std::ops::Range<usize> {
+        self.owner.len()..self.owner.len() + self.caps.len()
+    }
+
     /// The structural warm-start basis of the all-last-interval vertex
     /// — the simplest guaranteed-feasible seed (phase 1 never runs).
     /// The solve path prefers [`MinsumLp::greedy_basis`], which is
     /// equally feasible-by-construction but lands far closer to the
     /// optimum; this one is the reference the tests pin it against.
     pub fn seed_basis(&self) -> Basis {
-        let n = self.last_var_of_task.len();
-        let m = self.lp.num_constraints();
-        let mut cols = Vec::with_capacity(m);
-        cols.extend_from_slice(&self.last_var_of_task);
-        for row in n..m {
-            // demt-lint: allow(P1, rows n..m are the ≤ surface constraints and every ≤ row carries a slack column)
-            cols.push(self.lp.slack_column(row).expect("surface rows are ≤"));
-        }
+        let mut cols = self.last_var_of_task.clone();
+        cols.extend(self.slack_columns());
         Basis::new(cols)
     }
 
@@ -195,25 +218,28 @@ impl MinsumLp {
     /// of the LP optimum, against several hundred from the
     /// all-last-interval vertex of [`MinsumLp::seed_basis`].
     pub fn greedy_basis(&self) -> Basis {
+        let mut cols = self.greedy_assignment();
+        cols.extend(self.slack_columns());
+        Basis::new(cols)
+    }
+
+    /// The interval variable [`MinsumLp::greedy_basis`] makes basic for
+    /// each task.
+    fn greedy_assignment(&self) -> Vec<usize> {
         let n = self.last_var_of_task.len();
-        let m = self.lp.num_constraints();
-        let n_intervals = self.boundaries.len() - 1;
-        let last = n_intervals - 1;
         let mut assigned: Vec<usize> = self.last_var_of_task.clone();
         let mut placed = vec![false; n];
         let mut used = 0.0f64;
-        let mut cand: Vec<usize> = Vec::new();
-        for l in 0..last {
-            let cap = self.lp.constraints()[n + l].rhs;
+        let mut cand: Vec<(f64, usize)> = Vec::new();
+        for (l, &cap) in self.caps.iter().enumerate() {
             cand.clear();
-            cand.extend((0..n).filter(|&i| !placed[i] && self.var_of[i][l] != usize::MAX));
-            // Descending w/S; ties by task index for determinism.
-            cand.sort_by(|&a, &b| {
-                let ra = self.weights[a] / self.surfaces[self.var_of[a][l]];
-                let rb = self.weights[b] / self.surfaces[self.var_of[b][l]];
-                rb.total_cmp(&ra).then(a.cmp(&b))
-            });
-            for &i in &cand {
+            cand.extend((0..n).filter_map(|i| {
+                let v = self.var_of[i][l];
+                (!placed[i] && v != usize::MAX).then(|| (self.weights[i] / self.surfaces[v], i))
+            }));
+            // Descending w/S; ties by task index, so the order is total.
+            cand.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            for &(_, i) in &cand {
                 let v = self.var_of[i][l];
                 if used + self.surfaces[v] <= cap {
                     used += self.surfaces[v];
@@ -222,12 +248,7 @@ impl MinsumLp {
                 }
             }
         }
-        let mut cols = assigned;
-        for row in n..m {
-            // demt-lint: allow(P1, rows n..m are the ≤ surface constraints and every ≤ row carries a slack column)
-            cols.push(self.lp.slack_column(row).expect("surface rows are ≤"));
-        }
-        Basis::new(cols)
+        assigned
     }
 }
 
@@ -270,6 +291,9 @@ pub fn assemble_minsum_lp(inst: &Instance, cmax_estimate: f64) -> MinsumLp {
         }
     }
 
+    // The cumulative slacks s_ℓ follow the interval variables.
+    let n_x = objective.len();
+    objective.resize(n_x + last, 0.0);
     let mut lp = LinearProgram::minimize(objective);
     // Coverage: every task finishes somewhere.
     for vars in var_of.iter().take(n) {
@@ -284,16 +308,24 @@ pub fn assemble_minsum_lp(inst: &Instance, cmax_estimate: f64) -> MinsumLp {
         );
         lp.constrain(coeffs, Relation::Ge, 1.0);
     }
-    // Prefix surface constraints for bounded prefixes ℓ = 0..last-1:
-    // Σ_{l ≤ ℓ} Σ_i S_{i,l} x_{i,l} ≤ m τ_{ℓ+1}.
-    for l_cap in 0..last {
-        let mut coeffs = Vec::new();
-        for (v, &(_, l)) in owner.iter().enumerate() {
-            if l <= l_cap {
-                coeffs.push((v, surfaces[v]));
-            }
+    // Telescoped surface rows for the bounded intervals ℓ = 0..last-1:
+    // Σ_i S_{i,ℓ} x_{i,ℓ} + s_ℓ − s_{ℓ−1} = m τ_{ℓ+1} − m τ_ℓ, built in
+    // one pass over the variables.
+    let caps: Vec<f64> = boundaries[1..=last].iter().map(|&t| m * t).collect();
+    let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); last];
+    for (v, &(_, l)) in owner.iter().enumerate() {
+        if l < last {
+            rows[l].push((v, surfaces[v]));
         }
-        lp.constrain(coeffs, Relation::Le, m * boundaries[l_cap + 1]);
+    }
+    for (l, mut coeffs) in rows.into_iter().enumerate() {
+        coeffs.push((n_x + l, 1.0));
+        let mut rhs = caps[l];
+        if l > 0 {
+            coeffs.push((n_x + l - 1, -1.0));
+            rhs -= caps[l - 1];
+        }
+        lp.constrain(coeffs, Relation::Eq, rhs);
     }
     MinsumLp {
         lp,
@@ -302,6 +334,7 @@ pub fn assemble_minsum_lp(inst: &Instance, cmax_estimate: f64) -> MinsumLp {
         last_var_of_task,
         var_of,
         surfaces,
+        caps,
         weights: inst.tasks().iter().map(|t| t.weight()).collect(),
     }
 }
@@ -370,19 +403,20 @@ impl SeedMap {
 }
 
 /// Translates a neighbouring horizon's optimal basis into this LP's
-/// column indices: structural columns by `(task, interval)` identity,
-/// slack columns by row. `None` when the grids are incompatible (row
-/// count changed, or a basic variable has no counterpart here) — the
-/// chain then restarts from the structural seed instead of paying for
-/// a cold two-phase solve.
+/// column indices: interval variables by `(task, interval)` identity,
+/// cumulative slacks by interval, coverage surpluses by task. `None`
+/// when the grids are incompatible (row count changed, or a basic
+/// variable has no counterpart here) — the chain then restarts from the
+/// structural seed instead of paying for a cold two-phase solve.
 fn remap_seed(basis: &Basis, prev: &SeedMap, ml: &MinsumLp) -> Option<Basis> {
     if prev.n_rows != ml.lp.num_constraints() || !basis.is_complete() {
         return None;
     }
     let n_intervals = ml.boundaries.len() - 1;
+    let slack0 = ml.owner.len();
     let mut cols = Vec::with_capacity(basis.len());
     for &c in basis.columns() {
-        if c < prev.n_vars {
+        if c < prev.owner.len() {
             let (i, l) = prev.owner[c];
             if l >= n_intervals {
                 return None;
@@ -392,8 +426,13 @@ fn remap_seed(basis: &Basis, prev: &SeedMap, ml: &MinsumLp) -> Option<Basis> {
                 return None;
             }
             cols.push(v);
+        } else if c < prev.n_vars {
+            // Equal row counts mean equally many bounded intervals.
+            cols.push(slack0 + (c - prev.owner.len()));
         } else {
-            cols.push(ml.lp.slack_column(c - prev.n_vars)?);
+            // Coverage rows come first, so task i's surplus is column
+            // `num_vars + i`.
+            cols.push(ml.lp.num_vars() + (c - prev.n_vars));
         }
     }
     Some(Basis::new(cols))
@@ -608,8 +647,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn surfaces_match_per_interval_scans_on_rigid_tasks() {
+    /// Five rigid tasks of widths 1 to 12 on 12 processors, and the
+    /// horizons the tests probe it at.
+    fn rigid_instance() -> (Instance, [f64; 5]) {
         let m = 12;
         let mut b = InstanceBuilder::new(m);
         for (i, &(width, time)) in [(1, 3.0), (4, 0.75), (12, 5.0), (7, 1.5), (2, 0.25)]
@@ -620,9 +660,95 @@ mod tests {
             b.push_task(MoldableTask::rigid(id, 1.0 + i as f64, width, time, m).unwrap())
                 .unwrap();
         }
-        let inst = b.build().unwrap();
-        for cmax in [0.3, 1.0, 5.0, 6.0, 40.0] {
+        (b.build().unwrap(), [0.3, 1.0, 5.0, 6.0, 40.0])
+    }
+
+    #[test]
+    fn surfaces_match_per_interval_scans_on_rigid_tasks() {
+        let (inst, horizons) = rigid_instance();
+        for cmax in horizons {
             assert_surfaces_match_scans(&inst, cmax);
+        }
+    }
+
+    /// The nested program the telescoped rows replaced, with the greedy
+    /// seed in its layout: the same interval variables and coverage
+    /// rows, then prefix row `ℓ` as `Σ_{l≤ℓ} Σ_i S_{i,l}·x_{i,l} ≤
+    /// m·τ_{ℓ+1}`, whose solver slack stands where `s_ℓ` stands now.
+    fn nested(ml: &MinsumLp) -> (LinearProgram, Basis) {
+        let (n, n_x) = (ml.last_var_of_task.len(), ml.owner.len());
+        let mut lp = LinearProgram::minimize(ml.lp.objective()[..n_x].to_vec());
+        for c in &ml.lp.constraints()[..n] {
+            lp.constrain(c.coeffs.clone(), c.relation, c.rhs);
+        }
+        for (l_cap, &cap) in ml.caps.iter().enumerate() {
+            let coeffs = (0..n_x)
+                .filter(|&v| ml.owner[v].1 <= l_cap)
+                .map(|v| (v, ml.surfaces[v]))
+                .collect();
+            lp.constrain(coeffs, Relation::Le, cap);
+        }
+        let mut cols = ml.greedy_assignment();
+        cols.extend((0..ml.caps.len()).map(|l| n_x + n + l));
+        (lp, Basis::new(cols))
+    }
+
+    /// The point of the greedy basis: its interval variables at 1 and
+    /// each `s_ℓ` at the room left under cap `ℓ`.
+    fn greedy_point(ml: &MinsumLp) -> Vec<f64> {
+        let mut x = vec![0.0; ml.lp.num_vars()];
+        let mut used = vec![0.0; ml.caps.len()];
+        for v in ml.greedy_assignment() {
+            x[v] = 1.0;
+            if let Some(u) = used.get_mut(ml.owner[v].1) {
+                *u += ml.surfaces[v];
+            }
+        }
+        let mut cumulative = 0.0;
+        for (l, s) in ml.slack_columns().enumerate() {
+            cumulative += used[l];
+            x[s] = ml.caps[l] - cumulative;
+        }
+        x
+    }
+
+    #[test]
+    fn telescoped_rows_take_the_nested_pivot_path() {
+        let mut cases: Vec<(String, Instance, f64)> = Vec::new();
+        for kind in WorkloadKind::ALL {
+            for n in [25, 100, 400] {
+                let inst = generate(kind, n, 200, 3);
+                let cmax = dual_approx(&inst, &DualConfig::default()).cmax_estimate;
+                cases.push((format!("{kind} n={n}"), inst, cmax));
+            }
+        }
+        let (rigid, horizons) = rigid_instance();
+        for cmax in horizons {
+            cases.push((format!("rigid cmax={cmax}"), rigid.clone(), cmax));
+        }
+        for (what, inst, cmax) in &cases {
+            let ml = assemble_minsum_lp(inst, *cmax);
+            let scale = ml.caps.last().copied().unwrap_or(1.0).max(1.0);
+            assert!(
+                ml.lp.is_feasible(&greedy_point(&ml), 1e-9 * scale),
+                "{what}: the greedy point is infeasible"
+            );
+            let (tele, _) = ml.lp.solve_from(&ml.greedy_basis()).expect("feasible");
+            let (lp, seed) = nested(&ml);
+            let (nest, _) = lp.solve_from(&seed).expect("feasible");
+            assert!(tele.warm_started && nest.warm_started, "{what}");
+            assert_eq!(
+                (tele.iterations, tele.refactorizations),
+                (nest.iterations, nest.refactorizations),
+                "{what}: iterations and refactorizations"
+            );
+            let rel = (tele.objective - nest.objective).abs() / nest.objective.abs().max(1e-300);
+            assert!(
+                rel <= 1e-12,
+                "{what}: telescoped {} vs nested {}",
+                tele.objective,
+                nest.objective
+            );
         }
     }
 
