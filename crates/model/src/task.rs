@@ -539,8 +539,10 @@ impl MoldableTask {
                 t[k] = t[k - 1];
             }
             // Non-decreasing work: k+1 procs must do at least k procs' work,
-            // i.e. (k+1)·t[k] ≥ k·t[k-1] (1-based: k = index+1).
-            let floor = (k as f64) * t[k - 1] / (k as f64 + 1.0);
+            // i.e. (k+1)·t[k] ≥ k·t[k-1] (1-based: k = index+1). The
+            // ratio k/(k+1) < 1 comes first, so a huge finite time never
+            // overflows the way the product k·t[k-1] would.
+            let floor = t[k - 1] * (k as f64 / (k as f64 + 1.0));
             if t[k] < floor {
                 t[k] = floor;
             }
@@ -712,6 +714,19 @@ mod tests {
         let fixed = bad.monotonized();
         assert!(fixed.is_monotonic(), "{:?}", fixed.monotony_violation());
         assert_eq!(fixed.seq_time(), 8.0, "sequential time preserved");
+    }
+
+    #[test]
+    fn monotonized_stays_finite_on_huge_times() {
+        // `k·t[k-1]` overflows here; the floor must not.
+        for times in [vec![1e308; 3], vec![1e308, 1e308, 1e300]] {
+            let fixed = MoldableTask::new(TaskId(0), 1.0, times.clone())
+                .unwrap()
+                .monotonized();
+            let again = MoldableTask::new(TaskId(0), 1.0, fixed.times().to_vec());
+            assert!(again.is_ok(), "{times:?} → {:?}", fixed.times());
+            assert!(fixed.is_monotonic(), "{:?}", fixed.monotony_violation());
+        }
     }
 
     #[test]
