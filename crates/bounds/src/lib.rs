@@ -413,7 +413,7 @@ fn remap_seed(basis: &Basis, prev: &SeedMap, ml: &MinsumLp) -> Option<Basis> {
         return None;
     }
     let n_intervals = ml.boundaries.len() - 1;
-    let slack0 = ml.owner.len();
+    let slack0 = ml.slack_columns().start;
     let mut cols = Vec::with_capacity(basis.len());
     for &c in basis.columns() {
         if c < prev.owner.len() {
