@@ -118,13 +118,14 @@ impl SchedulerContext {
     /// must special-case empty instances before asking for it).
     pub fn dual(&mut self, inst: &Instance) -> &DualResult {
         let fp = fingerprint(inst);
-        let hit = matches!(&self.cache, Some((key, _)) if *key == fp);
-        if !hit {
+        if !matches!(&self.cache, Some((key, _)) if *key == fp) {
             self.dual_runs += 1;
-            self.cache = Some((fp, dual_approx(inst, &DualConfig::default())));
+            self.cache = None;
         }
-        // demt-lint: allow(P1, the branch above fills the cache whenever it is empty or stale)
-        &self.cache.as_ref().expect("cache filled above").1
+        &self
+            .cache
+            .get_or_insert_with(|| (fp, dual_approx(inst, &DualConfig::default())))
+            .1
     }
 
     /// How many times [`SchedulerContext::dual`] actually ran the dual

@@ -561,7 +561,7 @@ fn run(opts: &Replay) -> Result<(String, i32), Failure> {
 /// deterministic stdout document — what the byte-identity tests compare
 /// across `--workers` counts without capturing a process's stdout.
 /// Usage and runtime failures both surface as the error message.
-// demt-lint: allow(P2, reaches TraceGen::next's valid-profile expect (reported via run -> parse_floors) and BatchLoop::run_batch's "indexed job" expect; both are annotated invariants)
+// demt-lint: allow(P2, reaches TraceGen::next's valid-profile expect (reported via run -> parse_floors) and, through BatchLoop::run_batch's dyn Scheduler call, Criteria::evaluate; both are annotated invariants)
 pub fn replaybench_report(args: &[String]) -> Result<String, String> {
     let opts = setup(args).map_err(|e| e.to_string())?;
     run(&opts).map(|(doc, _)| doc).map_err(|Failure(e, _)| e)
@@ -571,7 +571,7 @@ pub fn replaybench_report(args: &[String]) -> Result<String, String> {
 /// (0 success, 1 runtime failure or floor violation, 2 usage error, an
 /// `--swf` trace that cannot be opened, or a trace record that cannot
 /// be replayed).
-// demt-lint: allow(P2, reaches TraceGen::next's valid-profile expect (reported via run -> parse_floors) and BatchLoop::run_batch's "indexed job" expect; both are annotated invariants)
+// demt-lint: allow(P2, reaches TraceGen::next's valid-profile expect (reported via run -> parse_floors) and, through BatchLoop::run_batch's dyn Scheduler call, Criteria::evaluate; both are annotated invariants)
 pub fn replaybench_cli(args: &[String]) -> i32 {
     let opts = match setup(args) {
         Ok(r) => r,

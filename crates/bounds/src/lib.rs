@@ -1031,7 +1031,7 @@ mod tests {
         );
         for (h, w) in horizons.iter().zip(&warm) {
             let ml = assemble_minsum_lp(&inst, *h);
-            let cold = ml.lp.solve().expect("feasible by construction");
+            let (cold, _) = ml.lp.solve().expect("feasible by construction");
             assert!(
                 (w.lp_value - cold.objective).abs() <= 1e-9 * cold.objective.abs().max(1.0),
                 "horizon {h}: warm {} vs cold {}",

@@ -98,41 +98,19 @@ pub fn build_batches(inst: &Instance, cfg: &DemtConfig, cmax_estimate: f64) -> B
         }
 
         // Partition into small sequential tasks (mergeable) and the rest.
+        // An eligible task has an allotment within t_j: its fastest one.
         let half = t_j / 2.0;
-        let mut chains: Vec<BatchEntry> = Vec::new();
+        let mut small_items: Vec<StackItem<TaskId>> = Vec::new();
         let mut singles: Vec<BatchEntry> = Vec::new();
-        if cfg.merge_small {
-            let mut small_items: Vec<StackItem<TaskId>> = Vec::new();
-            for &id in &eligible {
-                let t = inst.task(id);
-                if t.seq_time() <= half {
-                    small_items.push(StackItem {
-                        handle: id,
-                        len: t.seq_time(),
-                        weight: t.weight(),
-                    });
-                } else {
-                    // demt-lint: allow(P1, eligibility above means min_time ≤ t_j so an allotment within t_j exists)
-                    let alloc = t.min_alloc_within(t_j).expect("eligible");
-                    singles.push(BatchEntry {
-                        tasks: vec![id],
-                        alloc,
-                        weight: t.weight(),
-                    });
-                }
-            }
-            for c in pack_chains(&small_items, t_j) {
-                chains.push(BatchEntry {
-                    tasks: c.members.iter().map(|mem| mem.handle).collect(),
-                    alloc: 1,
-                    weight: c.total_weight,
+        for &id in &eligible {
+            let t = inst.task(id);
+            if cfg.merge_small && t.seq_time() <= half {
+                small_items.push(StackItem {
+                    handle: id,
+                    len: t.seq_time(),
+                    weight: t.weight(),
                 });
-            }
-        } else {
-            for &id in &eligible {
-                let t = inst.task(id);
-                // demt-lint: allow(P1, eligibility above means min_time ≤ t_j so an allotment within t_j exists)
-                let alloc = t.min_alloc_within(t_j).expect("eligible");
+            } else if let Some(alloc) = t.min_alloc_within(t_j) {
                 singles.push(BatchEntry {
                     tasks: vec![id],
                     alloc,
@@ -140,9 +118,16 @@ pub fn build_batches(inst: &Instance, cfg: &DemtConfig, cmax_estimate: f64) -> B
                 });
             }
         }
+        let chains = pack_chains(&small_items, t_j)
+            .into_iter()
+            .map(|c| BatchEntry {
+                tasks: c.members.iter().map(|mem| mem.handle).collect(),
+                alloc: 1,
+                weight: c.total_weight,
+            });
 
         // Knapsack over the merged entries.
-        let entries: Vec<BatchEntry> = chains.into_iter().chain(singles).collect();
+        let entries: Vec<BatchEntry> = chains.chain(singles).collect();
         let items: Vec<WeightItem> = entries
             .iter()
             .map(|e| WeightItem {

@@ -163,10 +163,10 @@ pub fn min_area_partition(items: &[ShelfItem], capacity: usize) -> Option<ShelfP
     // DP over optional items only: value[j] = min extra area with j
     // shelf-1 processors spent on optional items; baseline is everyone
     // on shelf 2.
-    let optional: Vec<(usize, &ShelfItem)> = items
+    let optional: Vec<(usize, &ShelfItem, f64)> = items
         .iter()
         .enumerate()
-        .filter(|(_, it)| it.shelf2.is_some())
+        .filter_map(|(i, it)| it.shelf2.map(|(_, a2)| (i, it, a2)))
         .collect();
     let mut value = vec![0.0_f64; width];
     let mut take = vec![false; optional.len() * width];
@@ -174,9 +174,7 @@ pub fn min_area_partition(items: &[ShelfItem], capacity: usize) -> Option<ShelfP
         .iter()
         .map(|it| it.shelf2.map(|(_, a)| a).unwrap_or(it.area_shelf1))
         .sum();
-    for (oi, &(_, it)) in optional.iter().enumerate() {
-        // demt-lint: allow(P1, optional was filtered to items with shelf2.is_some())
-        let (_, a2) = it.shelf2.expect("optional items have a shelf-2 option");
+    for (oi, &(_, it, a2)) in optional.iter().enumerate() {
         let delta = it.area_shelf1 - a2; // extra area if moved to shelf 1
         if it.procs_shelf1 > free_cap {
             continue;
@@ -206,7 +204,7 @@ pub fn min_area_partition(items: &[ShelfItem], capacity: usize) -> Option<ShelfP
     let mut j = best_j;
     for oi in (0..optional.len()).rev() {
         if take[oi * width + j] {
-            let (orig, it) = optional[oi];
+            let (orig, it, _) = optional[oi];
             choice[orig] = ShelfChoice::Shelf1;
             j -= it.procs_shelf1;
         }
@@ -214,11 +212,11 @@ pub fn min_area_partition(items: &[ShelfItem], capacity: usize) -> Option<ShelfP
     base_area += value[best_j];
     let mut procs_shelf1 = 0usize;
     let mut procs_shelf2 = 0usize;
-    for (i, it) in items.iter().enumerate() {
-        match choice[i] {
-            ShelfChoice::Shelf1 => procs_shelf1 += it.procs_shelf1,
-            // demt-lint: allow(P1, Shelf2 is only ever chosen for items carrying a shelf-2 option)
-            ShelfChoice::Shelf2 => procs_shelf2 += it.shelf2.expect("choice implies option").0,
+    for (it, c) in items.iter().zip(&choice) {
+        // Shelf 2 is only ever chosen for an item with a shelf-2 option.
+        match (c, it.shelf2) {
+            (ShelfChoice::Shelf2, Some((k2, _))) => procs_shelf2 += k2,
+            _ => procs_shelf1 += it.procs_shelf1,
         }
     }
     debug_assert!(procs_shelf1 <= capacity);

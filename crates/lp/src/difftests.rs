@@ -6,11 +6,13 @@
 //!
 //! The sparse LU factorization is pinned bit for bit against its dense
 //! accumulator reference on random sparse bases and on the seed and
-//! optimal bases of real §3.3 minsum programs, and the counting-sort
-//! CSC constructor against the per-column build it replaced.
+//! optimal bases of real §3.3 minsum programs, the cold start's
+//! identity factors against the factorization of its unit basis, and
+//! the counting-sort CSC constructor against the per-column build it
+//! replaced.
 
 use crate::problem::{CscMatrix, LinearProgram, Relation};
-use crate::simplex::{factor_both, form_matrices, solve, solve_from, solve_with_basis, LpError};
+use crate::simplex::{cold_factors, factor_both, form_matrices, LpError};
 use crate::{dense, Basis};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -93,13 +95,13 @@ proptest! {
     #[test]
     fn revised_matches_dense_on_random_lps(raw in arb_lp()) {
         let lp = build(&raw);
-        assert_agree(&solve(&lp), dense::solve(&lp), &lp);
+        assert_agree(&lp.solve().map(|(s, _)| s), dense::solve(&lp), &lp);
     }
 
     #[test]
     fn revised_matches_dense_on_degenerate_lps(raw in arb_degenerate_lp()) {
         let lp = build(&raw);
-        assert_agree(&solve(&lp), dense::solve(&lp), &lp);
+        assert_agree(&lp.solve().map(|(s, _)| s), dense::solve(&lp), &lp);
     }
 
     #[test]
@@ -108,7 +110,7 @@ proptest! {
         scale in 0.5f64..1.5,
     ) {
         let lp1 = build(&raw);
-        let Ok((_, basis)) = solve_with_basis(&lp1) else { return Ok(()); };
+        let Ok((_, basis)) = lp1.solve() else { return Ok(()); };
         if !basis.is_complete() {
             return Ok(());
         }
@@ -123,8 +125,8 @@ proptest! {
                 .collect(),
         );
         let lp2 = build(&shifted);
-        let warm = solve_from(&lp2, &basis).map(|(s, _)| s);
-        let cold = solve(&lp2);
+        let warm = lp2.solve_from(&basis).map(|(s, _)| s);
+        let cold = lp2.solve().map(|(s, _)| s);
         match (&warm, &cold) {
             (Ok(w), Ok(c)) => prop_assert!(
                 (w.objective - c.objective).abs()
@@ -139,11 +141,11 @@ proptest! {
     #[test]
     fn returned_basis_reproduces_the_optimum(raw in arb_lp()) {
         let lp = build(&raw);
-        let Ok((s1, basis)) = solve_with_basis(&lp) else { return Ok(()); };
+        let Ok((s1, basis)) = lp.solve() else { return Ok(()); };
         if !basis.is_complete() {
             return Ok(());
         }
-        let (s2, _) = solve_from(&lp, &basis).expect("optimal basis re-solves");
+        let (s2, _) = lp.solve_from(&basis).expect("optimal basis re-solves");
         prop_assert!(s2.warm_started);
         prop_assert_eq!(s2.iterations, 0, "optimal seed must price out immediately");
         prop_assert!(
@@ -160,13 +162,13 @@ fn stale_dimension_seed_matches_dense_result() {
     let mut small = LinearProgram::minimize(vec![1.0, 1.0]);
     small.constrain(vec![(0, 1.0)], Relation::Ge, 1.0);
     small.constrain(vec![(1, 1.0)], Relation::Ge, 1.0);
-    let (_, stale) = solve_with_basis(&small).unwrap();
+    let (_, stale) = small.solve().unwrap();
 
     let mut big = LinearProgram::minimize(vec![1.0, 1.0]);
     big.constrain(vec![(0, 1.0)], Relation::Ge, 1.0);
     big.constrain(vec![(1, 1.0)], Relation::Ge, 2.0);
     big.constrain(vec![(0, 1.0), (1, 1.0)], Relation::Le, 10.0);
-    let (warm, _) = solve_from(&big, &stale).unwrap();
+    let (warm, _) = big.solve_from(&stale).unwrap();
     assert!(!warm.warm_started);
     let (obj, _, _) = dense::solve(&big).unwrap();
     assert!((warm.objective - obj).abs() <= 1e-9 * obj.abs().max(1.0));
@@ -208,8 +210,8 @@ fn minsum_shaped_chain_warm_starts_match_dense() {
     for step in 0..6 {
         let lp = build(6.0 + step as f64);
         let (sol, basis) = match &seed {
-            Some(b) => solve_from(&lp, b).unwrap(),
-            None => solve_with_basis(&lp).unwrap(),
+            Some(b) => lp.solve_from(b).unwrap(),
+            None => lp.solve().unwrap(),
         };
         warm_hits += usize::from(sol.warm_started);
         let (obj, _, _) = dense::solve(&lp).unwrap();
@@ -301,6 +303,31 @@ fn random_bases_reach_both_singular_and_nonsingular_factorizations() {
     );
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn cold_start_identity_matches_its_factorization(raw in arb_lp()) {
+        // Random relations and right-hand-side signs mix slack and
+        // artificial columns in the unit start basis.
+        let lp = build(&raw);
+        let (identity, factored) = cold_factors(&lp);
+        prop_assert_eq!(Some(identity), factored);
+    }
+}
+
+#[test]
+fn cold_start_identity_matches_its_factorization_on_minsum_programs() {
+    use demt_workload::{generate, WorkloadKind};
+    for kind in WorkloadKind::ALL {
+        let inst = generate(kind, 100, 200, 3);
+        let cmax = demt_dual::dual_approx(&inst, &demt_dual::DualConfig::default()).cmax_estimate;
+        let lp = rebuild(&demt_bounds::assemble_minsum_lp(&inst, cmax));
+        let (identity, factored) = cold_factors(&lp);
+        assert_eq!(Some(identity), factored, "{kind}");
+    }
+}
+
 /// Rebuilds a `demt-lp` program handed over by `demt-bounds`, whose
 /// types come from this crate's non-test build.
 fn rebuild(lp: &demt_bounds::MinsumLp) -> LinearProgram {
@@ -328,7 +355,8 @@ fn sparse_lu_matches_dense_on_minsum_bases() {
             let ml = demt_bounds::assemble_minsum_lp(&inst, cmax);
             let lp = rebuild(&ml);
             let greedy = ml.greedy_basis();
-            let (_, optimal) = solve_from(&lp, &Basis::new(greedy.columns().to_vec()))
+            let (_, optimal) = lp
+                .solve_from(&Basis::new(greedy.columns().to_vec()))
                 .expect("the greedy seed is feasible");
             for (name, basis) in [
                 ("greedy", greedy.columns()),

@@ -13,7 +13,9 @@
 //!   a suspicious pivot);
 //! * Dantzig pricing with the Bland first-index fallback for
 //!   anti-cycling, and explicit infeasible/unbounded detection;
-//! * a **warm-start API** — [`solve_from`] seeds the solve with a
+//! * one solve method per start: [`LinearProgram::solve`] runs the
+//!   cold two-phase start, and the **warm start**
+//!   [`LinearProgram::solve_from`] seeds the solve with a
 //!   caller-supplied basis and returns the optimal basis alongside the
 //!   [`Solution`], so a sweep of nearby programs pays for phase 1 once.
 //!
@@ -24,14 +26,14 @@
 //! ## Cold and warm solves
 //!
 //! ```
-//! use demt_lp::{solve_from, LinearProgram, Relation};
+//! use demt_lp::{LinearProgram, Relation};
 //! // min x + 2y  s.t.  x + y ≥ 1, y ≤ 3
 //! let mut lp = LinearProgram::minimize(vec![1.0, 2.0]);
 //! lp.constrain(vec![(0, 1.0), (1, 1.0)], Relation::Ge, 1.0);
 //! lp.constrain(vec![(1, 1.0)], Relation::Le, 3.0);
 //!
 //! // Cold: two-phase solve, optimal basis returned for reuse.
-//! let (sol, basis) = lp.solve_with_basis().unwrap();
+//! let (sol, basis) = lp.solve().unwrap();
 //! assert!((sol.objective - 1.0).abs() < 1e-9); // x = 1, y = 0
 //! assert!(!sol.warm_started);
 //!
@@ -40,14 +42,15 @@
 //! let mut shifted = LinearProgram::minimize(vec![1.0, 2.0]);
 //! shifted.constrain(vec![(0, 1.0), (1, 1.0)], Relation::Ge, 2.0);
 //! shifted.constrain(vec![(1, 1.0)], Relation::Le, 3.0);
-//! let (warm, _basis2) = solve_from(&shifted, &basis).unwrap();
+//! let (warm, _basis2) = shifted.solve_from(&basis).unwrap();
 //! assert!(warm.warm_started);
 //! assert!((warm.objective - 2.0).abs() < 1e-9); // x = 2
 //! ```
 //!
 //! ## Warm-start semantics
 //!
-//! A seed basis is *validated, never trusted*: [`solve_from`] rejects a
+//! A seed basis is *validated, never trusted*:
+//! [`solve_from`](LinearProgram::solve_from) rejects a
 //! stale basis — wrong row count, out-of-range or duplicate columns,
 //! an [`Basis::ARTIFICIAL`] slot, a singular basis matrix — and
 //! silently falls back to the cold two-phase start. A valid basis
@@ -74,23 +77,4 @@ mod problem;
 mod simplex;
 
 pub use problem::{Constraint, CscMatrix, LinearProgram, Relation};
-pub use simplex::{solve, solve_from, solve_with_basis, Basis, LpError, Solution};
-
-impl LinearProgram {
-    /// Solves the program from a cold two-phase start ([`solve`]).
-    pub fn solve(&self) -> Result<Solution, LpError> {
-        solve(self)
-    }
-
-    /// Solves from a cold start and returns the optimal basis too
-    /// ([`solve_with_basis`]).
-    pub fn solve_with_basis(&self) -> Result<(Solution, Basis), LpError> {
-        solve_with_basis(self)
-    }
-
-    /// Solves starting from `seed`, falling back to a cold start when
-    /// the seed is stale ([`solve_from`]).
-    pub fn solve_from(&self, seed: &Basis) -> Result<(Solution, Basis), LpError> {
-        solve_from(self, seed)
-    }
-}
+pub use simplex::{Basis, LpError, Solution};

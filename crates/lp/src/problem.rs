@@ -33,7 +33,7 @@ pub struct Constraint {
 /// let mut lp = LinearProgram::minimize(vec![1.0, 2.0]);
 /// lp.constrain(vec![(0, 1.0), (1, 1.0)], Relation::Ge, 1.0);
 /// lp.constrain(vec![(1, 1.0)], Relation::Le, 3.0);
-/// let sol = lp.solve().unwrap();
+/// let (sol, _) = lp.solve().unwrap();
 /// assert!((sol.objective - 1.0).abs() < 1e-9); // x = 1, y = 0
 /// ```
 #[derive(Debug, Clone, PartialEq)]

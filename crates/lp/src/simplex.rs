@@ -16,9 +16,10 @@
 //! of artificial variables introduced for `≥`/`=` rows (and `≤` rows
 //! with negative right-hand sides, which are normalized first); a
 //! positive phase-1 optimum certifies infeasibility, and artificials
-//! are barred from re-entering in phase 2. [`solve_from`] skips phase 1
-//! entirely when the caller supplies a starting [`Basis`] that is still
-//! valid for this program — the warm-start path that makes repeated
+//! are barred from re-entering in phase 2.
+//! [`solve_from`](LinearProgram::solve_from) skips phase 1 entirely
+//! when the caller supplies a starting [`Basis`] that is still valid
+//! for this program — the warm-start path that makes repeated
 //! solves over nearby right-hand sides (the `demt-bounds` horizon
 //! sweep) cheap.
 
@@ -40,8 +41,9 @@ pub struct Solution {
     /// Basis refactorizations performed (excluding the initial one).
     pub refactorizations: usize,
     /// Whether a caller-supplied basis was accepted and used. `false`
-    /// for [`solve`] and for [`solve_from`] calls whose seed was stale
-    /// or infeasible and fell back to the cold two-phase start.
+    /// for [`solve`](LinearProgram::solve) and for
+    /// [`solve_from`](LinearProgram::solve_from) calls whose seed was
+    /// stale or infeasible and fell back to the cold two-phase start.
     pub warm_started: bool,
 }
 
@@ -87,14 +89,15 @@ impl std::error::Error for LpError {}
 /// [`LinearProgram::slack_column`]: `0..num_vars()` are the structural
 /// variables, followed by one slack/surplus column per inequality row
 /// in row order. A basis returned by the solver can be fed back to
-/// [`solve_from`] on the *same or a structurally similar* program; the
-/// solver validates it first and silently falls back to a cold start
-/// when it is stale (see [`solve_from`] for the exact rules).
+/// [`solve_from`](LinearProgram::solve_from) on the *same or a
+/// structurally similar* program; the solver validates it first and
+/// silently falls back to a cold start when it is stale (see
+/// [`solve_from`](LinearProgram::solve_from) for the exact rules).
 ///
 /// Positions where the optimal basis still held an artificial variable
 /// (possible only for redundant constraint rows) are recorded as
 /// [`Basis::ARTIFICIAL`]; such a basis is not reusable and is rejected
-/// by [`solve_from`].
+/// by [`solve_from`](LinearProgram::solve_from).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Basis {
     cols: Vec<usize>,
@@ -125,7 +128,8 @@ impl Basis {
     }
 
     /// `true` when no slot is [`Basis::ARTIFICIAL`] — the precondition
-    /// for the basis to be a valid [`solve_from`] seed.
+    /// for the basis to be a valid
+    /// [`solve_from`](LinearProgram::solve_from) seed.
     pub fn is_complete(&self) -> bool {
         self.cols.iter().all(|&c| c != Self::ARTIFICIAL)
     }
@@ -370,6 +374,19 @@ impl Factor {
         }
     }
 
+    /// The factors of the `m × m` identity, with every position
+    /// pivoted on its own row: what [`Factor::new`] makes of a basis of
+    /// unit columns in row order, such as the cold start's.
+    fn identity(m: usize) -> Factor {
+        Factor {
+            l_cols: vec![Vec::new(); m],
+            u_cols: vec![Vec::new(); m],
+            u_diag: vec![1.0; m],
+            rperm: (0..m).collect(),
+            pinv: (0..m).collect(),
+        }
+    }
+
     /// Records the pivot of the column at the next position.
     fn push(&mut self, piv: usize, d: f64, ucol: Vec<(usize, f64)>, lcol: Vec<(usize, f64)>) {
         self.pinv[piv] = self.rperm.len();
@@ -596,6 +613,22 @@ pub(crate) type FactorBits = (
     Vec<usize>,
 );
 
+/// `f`'s factors as [`FactorBits`].
+#[cfg(test)]
+fn factor_bits(f: Factor) -> FactorBits {
+    let cols = |c: &[Vec<(usize, f64)>]| -> Vec<Vec<(usize, u64)>> {
+        c.iter()
+            .map(|v| v.iter().map(|&(i, x)| (i, x.to_bits())).collect())
+            .collect()
+    };
+    (
+        cols(&f.l_cols),
+        cols(&f.u_cols),
+        f.u_diag.iter().map(|x| x.to_bits()).collect(),
+        f.rperm,
+    )
+}
+
 /// Factorizes `basis` (standard-form columns of `lp`, structural or
 /// slack) with [`Factor::new`] and with the dense reference
 /// [`Factor::new_dense`], in that order.
@@ -606,22 +639,21 @@ pub(crate) fn factor_both(
 ) -> (Option<FactorBits>, Option<FactorBits>) {
     let form = build_form(lp);
     let col = |j| column(&form, &[], j);
-    let cols = |c: &[Vec<(usize, f64)>]| -> Vec<Vec<(usize, u64)>> {
-        c.iter()
-            .map(|v| v.iter().map(|&(i, x)| (i, x.to_bits())).collect())
-            .collect()
-    };
-    let bits = |f: Factor| -> FactorBits {
-        (
-            cols(&f.l_cols),
-            cols(&f.u_cols),
-            f.u_diag.iter().map(|x| x.to_bits()).collect(),
-            f.rperm,
-        )
-    };
     (
-        Factor::new(form.m, basis, col).map(bits),
-        Factor::new_dense(form.m, basis, col).map(bits),
+        Factor::new(form.m, basis, col).map(factor_bits),
+        Factor::new_dense(form.m, basis, col).map(factor_bits),
+    )
+}
+
+/// The cold start of `lp` factorized as the solve builds it,
+/// [`Factor::identity`], and by [`Factor::new`], in that order.
+#[cfg(test)]
+pub(crate) fn cold_factors(lp: &LinearProgram) -> (FactorBits, Option<FactorBits>) {
+    let form = build_form(lp);
+    let (basis, art_row) = cold_start(&form);
+    (
+        factor_bits(Factor::identity(form.m)),
+        Factor::new(form.m, &basis, |j| column(&form, &art_row, j)).map(factor_bits),
     )
 }
 
@@ -1035,132 +1067,134 @@ fn max_iters_for(m: usize, total_cols: usize) -> usize {
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Solves the LP from a cold two-phase start.
-pub fn solve(lp: &LinearProgram) -> Result<Solution, LpError> {
-    solve_with_basis(lp).map(|(s, _)| s)
-}
-
-/// Solves the LP from a cold two-phase start and also returns the
-/// optimal [`Basis`], ready to seed [`solve_from`] on a nearby program.
-pub fn solve_with_basis(lp: &LinearProgram) -> Result<(Solution, Basis), LpError> {
-    let form = build_form(lp);
-    let m = form.m;
+/// The cold start basis, each row's slack or else a new artificial (the
+/// unit vectors of the rows in order), and the row of each artificial.
+fn cold_start(form: &Form) -> (Vec<usize>, Vec<usize>) {
     let mut art_row = Vec::new();
-    let mut basis = Vec::with_capacity(m);
-    for i in 0..m {
-        if form.needs_artificial[i] {
-            basis.push(form.n_real + art_row.len());
-            art_row.push(i);
-        } else {
-            // demt-lint: allow(P1, standard-form construction gives every row without an artificial a slack)
-            basis.push(form.slack_of_row[i].expect("a row without artificial has a slack"));
+    let mut basis = Vec::with_capacity(form.m);
+    for i in 0..form.m {
+        match (form.needs_artificial[i], form.slack_of_row[i]) {
+            (false, Some(slack)) => basis.push(slack),
+            _ => {
+                basis.push(form.n_real + art_row.len());
+                art_row.push(i);
+            }
         }
     }
-    let total = form.n_real + art_row.len();
-    let factor = Factor::new(m, &basis, |j| column(&form, &art_row, j))
-        // demt-lint: allow(P1, the start basis is slack/artificial unit columns forming an identity)
-        .expect("the unit start basis is nonsingular");
-    // The unit start basis is its own inverse: `x_B = b`.
-    let mut rev = Rev::new(lp, form, art_row, basis, factor, vec![0.0; total]);
+    (basis, art_row)
+}
 
-    // Phase 1: minimize the artificial sum.
-    if !rev.art_row.is_empty() {
-        for j in rev.form.n_real..total {
-            rev.cost[j] = 1.0;
+impl LinearProgram {
+    /// Solves the program from a cold two-phase start and returns the
+    /// optimal [`Basis`] too, ready to seed
+    /// [`solve_from`](LinearProgram::solve_from) on a nearby program.
+    pub fn solve(&self) -> Result<(Solution, Basis), LpError> {
+        let form = build_form(self);
+        let (basis, art_row) = cold_start(&form);
+        let total = form.n_real + art_row.len();
+        // The unit start basis is its own inverse: `x_B = b`.
+        let factor = Factor::identity(form.m);
+        let mut rev = Rev::new(self, form, art_row, basis, factor, vec![0.0; total]);
+
+        // Phase 1: minimize the artificial sum.
+        if !rev.art_row.is_empty() {
+            for j in rev.form.n_real..total {
+                rev.cost[j] = 1.0;
+            }
+            rev.reset_cb();
+            rev.optimize()?;
+            let scale = 1.0 + rev.form.b.iter().map(|v| v.abs()).sum::<f64>();
+            if rev.objective_now() > 1e-7 * scale {
+                return Err(LpError::Infeasible);
+            }
+            rev.phase1_iterations = rev.iterations;
+            rev.drive_out_artificials();
+            for j in rev.form.n_real..total {
+                rev.enterable[j] = false;
+                rev.cost[j] = 0.0;
+            }
         }
+
+        // Phase 2: the real objective.
+        rev.cost[..rev.form.n_struct].copy_from_slice(self.objective());
         rev.reset_cb();
         rev.optimize()?;
-        let scale = 1.0 + rev.form.b.iter().map(|v| v.abs()).sum::<f64>();
-        if rev.objective_now() > 1e-7 * scale {
-            return Err(LpError::Infeasible);
-        }
-        rev.phase1_iterations = rev.iterations;
-        rev.drive_out_artificials();
-        for j in rev.form.n_real..total {
-            rev.enterable[j] = false;
-            rev.cost[j] = 0.0;
-        }
+        Ok(rev.finish(false))
     }
 
-    // Phase 2: the real objective.
-    rev.cost[..rev.form.n_struct].copy_from_slice(lp.objective());
-    rev.reset_cb();
-    rev.optimize()?;
-    Ok(rev.finish(false))
-}
-
-/// Solves the LP starting from a caller-supplied basis (warm start),
-/// returning the optimal basis alongside the solution.
-///
-/// The seed is **validated, not trusted**. It is rejected — and the
-/// solve silently falls back to the cold two-phase start of
-/// [`solve_with_basis`], reported via
-/// [`warm_started`](Solution::warm_started)` == false` — when it is
-/// stale for this program:
-///
-/// * wrong length (the LP has a different number of rows),
-/// * any column index out of range for this LP's `[structural | slack]`
-///   layout, an [`Basis::ARTIFICIAL`] marker, or a duplicate, or
-/// * the basis matrix is numerically singular.
-///
-/// A structurally valid seed whose basic point `B⁻¹b` is **infeasible**
-/// (the usual state after a right-hand-side change) is first repaired
-/// with a **dual simplex** phase — the seed stays dual-feasible, so a
-/// few dual pivots restore primal feasibility far cheaper than phase 1.
-/// Only when that repair stalls (or the program is infeasible) does the
-/// solve fall back to the cold phase-1 start.
-///
-/// An accepted seed skips phase 1 entirely: the solver prices the real
-/// objective immediately, so a near-optimal seed (e.g. the optimal
-/// basis of the same LP with a nearby right-hand side) finishes in a
-/// handful of iterations.
-pub fn solve_from(lp: &LinearProgram, seed: &Basis) -> Result<(Solution, Basis), LpError> {
-    let form = build_form(lp);
-    let m = form.m;
-    let acceptable = seed.cols.len() == m && {
-        let mut seen = vec![false; form.n_real];
-        seed.cols.iter().all(|&c| {
-            let ok = c < form.n_real && !seen[c];
-            if ok {
-                seen[c] = true;
-            }
-            ok
-        })
-    };
-    if !acceptable {
-        return solve_with_basis(lp);
-    }
-    let basis = seed.cols.clone();
-    let Some(factor) = Factor::new(m, &basis, |j| column(&form, &[], j)) else {
-        return solve_with_basis(lp);
-    };
-    let mut cost = vec![0.0; form.n_real];
-    cost[..form.n_struct].copy_from_slice(lp.objective());
-    let mut rev = Rev::new(lp, form, Vec::new(), basis, factor, cost);
-    rev.factor.ftran(&rev.etas, &mut rev.x_b, &mut rev.spare);
-    let scale = 1.0 + rev.form.b.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
-    let mut needs_repair = false;
-    for v in &mut rev.x_b {
-        if *v < 0.0 {
-            if *v < -1e-7 * scale {
-                needs_repair = true; // genuinely infeasible seed
-            } else {
-                *v = 0.0; // roundoff clamp
+    /// Solves the LP starting from a caller-supplied basis (warm start),
+    /// returning the optimal basis alongside the solution.
+    ///
+    /// The seed is **validated, not trusted**. It is rejected — and the
+    /// solve silently falls back to the cold two-phase start of
+    /// [`solve`](LinearProgram::solve), reported via
+    /// [`warm_started`](Solution::warm_started)` == false` — when it is
+    /// stale for this program:
+    ///
+    /// * wrong length (the LP has a different number of rows),
+    /// * any column index out of range for this LP's `[structural | slack]`
+    ///   layout, an [`Basis::ARTIFICIAL`] marker, or a duplicate, or
+    /// * the basis matrix is numerically singular.
+    ///
+    /// A structurally valid seed whose basic point `B⁻¹b` is **infeasible**
+    /// (the usual state after a right-hand-side change) is first repaired
+    /// with a **dual simplex** phase — the seed stays dual-feasible, so a
+    /// few dual pivots restore primal feasibility far cheaper than phase 1.
+    /// Only when that repair stalls (or the program is infeasible) does the
+    /// solve fall back to the cold phase-1 start.
+    ///
+    /// An accepted seed skips phase 1 entirely: the solver prices the real
+    /// objective immediately, so a near-optimal seed (e.g. the optimal
+    /// basis of the same LP with a nearby right-hand side) finishes in a
+    /// handful of iterations.
+    pub fn solve_from(&self, seed: &Basis) -> Result<(Solution, Basis), LpError> {
+        let form = build_form(self);
+        let m = form.m;
+        let acceptable = seed.cols.len() == m && {
+            let mut seen = vec![false; form.n_real];
+            seed.cols.iter().all(|&c| {
+                let ok = c < form.n_real && !seen[c];
+                if ok {
+                    seen[c] = true;
+                }
+                ok
+            })
+        };
+        if !acceptable {
+            return self.solve();
+        }
+        let basis = seed.cols.clone();
+        let Some(factor) = Factor::new(m, &basis, |j| column(&form, &[], j)) else {
+            return self.solve();
+        };
+        let mut cost = vec![0.0; form.n_real];
+        cost[..form.n_struct].copy_from_slice(self.objective());
+        let mut rev = Rev::new(self, form, Vec::new(), basis, factor, cost);
+        rev.factor.ftran(&rev.etas, &mut rev.x_b, &mut rev.spare);
+        let scale = 1.0 + rev.form.b.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
+        let mut needs_repair = false;
+        for v in &mut rev.x_b {
+            if *v < 0.0 {
+                if *v < -1e-7 * scale {
+                    needs_repair = true; // genuinely infeasible seed
+                } else {
+                    *v = 0.0; // roundoff clamp
+                }
             }
         }
-    }
-    rev.reset_cb();
-    if needs_repair {
-        // Dual-simplex repair: the usual state after a right-hand-side
-        // change. If it cannot restore feasibility, fall back cold.
-        match rev.dual_optimize() {
-            Ok(true) => {}
-            Ok(false) | Err(LpError::SingularBasis) => return solve_with_basis(lp),
-            Err(e) => return Err(e),
+        rev.reset_cb();
+        if needs_repair {
+            // Dual-simplex repair: the usual state after a right-hand-side
+            // change. If it cannot restore feasibility, fall back cold.
+            match rev.dual_optimize() {
+                Ok(true) => {}
+                Ok(false) | Err(LpError::SingularBasis) => return self.solve(),
+                Err(e) => return Err(e),
+            }
         }
+        rev.optimize()?;
+        Ok(rev.finish(true))
     }
-    rev.optimize()?;
-    Ok(rev.finish(true))
 }
 
 #[cfg(test)]
@@ -1179,7 +1213,7 @@ mod tests {
     fn unconstrained_minimum_is_zero() {
         // min x + y with x, y ≥ 0 → 0 at the origin.
         let lp = LinearProgram::minimize(vec![1.0, 1.0]);
-        let s = solve(&lp).unwrap();
+        let (s, _) = lp.solve().unwrap();
         assert_close(s.objective, 0.0);
     }
 
@@ -1188,7 +1222,7 @@ mod tests {
         // min x + 2y s.t. x + y ≥ 1 → x = 1.
         let mut lp = LinearProgram::minimize(vec![1.0, 2.0]);
         lp.constrain(vec![(0, 1.0), (1, 1.0)], Relation::Ge, 1.0);
-        let s = solve(&lp).unwrap();
+        let (s, _) = lp.solve().unwrap();
         assert_close(s.objective, 1.0);
         assert_close(s.x[0], 1.0);
         assert_close(s.x[1], 0.0);
@@ -1202,7 +1236,7 @@ mod tests {
         lp.constrain(vec![(0, 1.0), (1, 1.0)], Relation::Eq, 4.0);
         lp.constrain(vec![(0, 1.0)], Relation::Ge, 1.0);
         lp.constrain(vec![(1, 1.0)], Relation::Le, 5.0);
-        let s = solve(&lp).unwrap();
+        let (s, _) = lp.solve().unwrap();
         assert_close(s.objective, 8.0);
         assert_close(s.x[0], 4.0);
     }
@@ -1212,14 +1246,14 @@ mod tests {
         let mut lp = LinearProgram::minimize(vec![1.0]);
         lp.constrain(vec![(0, 1.0)], Relation::Ge, 5.0);
         lp.constrain(vec![(0, 1.0)], Relation::Le, 3.0);
-        assert_eq!(solve(&lp), Err(LpError::Infeasible));
+        assert_eq!(lp.solve(), Err(LpError::Infeasible));
     }
 
     #[test]
     fn detects_unboundedness() {
         // min -x, x ≥ 0 free to grow.
         let lp = LinearProgram::minimize(vec![-1.0]);
-        assert_eq!(solve(&lp), Err(LpError::Unbounded));
+        assert_eq!(lp.solve(), Err(LpError::Unbounded));
     }
 
     #[test]
@@ -1229,7 +1263,7 @@ mod tests {
         let mut lp = LinearProgram::minimize(vec![-1.0, -1.0]);
         lp.constrain(vec![(0, 1.0), (1, 2.0)], Relation::Le, 4.0);
         lp.constrain(vec![(0, 3.0), (1, 1.0)], Relation::Le, 6.0);
-        let s = solve(&lp).unwrap();
+        let (s, _) = lp.solve().unwrap();
         assert_close(-s.objective, 14.0 / 5.0);
         assert_close(s.x[0], 8.0 / 5.0);
         assert_close(s.x[1], 6.0 / 5.0);
@@ -1240,7 +1274,7 @@ mod tests {
         // -x ≤ -2  ⇔  x ≥ 2.
         let mut lp = LinearProgram::minimize(vec![1.0]);
         lp.constrain(vec![(0, -1.0)], Relation::Le, -2.0);
-        let s = solve(&lp).unwrap();
+        let (s, _) = lp.solve().unwrap();
         assert_close(s.objective, 2.0);
     }
 
@@ -1250,7 +1284,7 @@ mod tests {
         let mut lp = LinearProgram::minimize(vec![1.0, 1.0]);
         lp.constrain(vec![(0, 1.0), (1, 1.0)], Relation::Eq, 2.0);
         lp.constrain(vec![(0, 1.0), (1, 1.0)], Relation::Eq, 2.0);
-        let s = solve(&lp).unwrap();
+        let (s, _) = lp.solve().unwrap();
         assert_close(s.objective, 2.0);
     }
 
@@ -1259,7 +1293,7 @@ mod tests {
         // (x + x) ≥ 4 ⇒ x ≥ 2.
         let mut lp = LinearProgram::minimize(vec![1.0]);
         lp.constrain(vec![(0, 1.0), (0, 1.0)], Relation::Ge, 4.0);
-        let s = solve(&lp).unwrap();
+        let (s, _) = lp.solve().unwrap();
         assert_close(s.objective, 2.0);
     }
 
@@ -1279,7 +1313,7 @@ mod tests {
             0.0,
         );
         lp.constrain(vec![(2, 1.0)], Relation::Le, 1.0);
-        let s = solve(&lp).unwrap();
+        let (s, _) = lp.solve().unwrap();
         assert_close(s.objective, -0.05);
     }
 
@@ -1287,7 +1321,7 @@ mod tests {
     fn reports_iteration_counts() {
         let mut lp = LinearProgram::minimize(vec![1.0, 1.0]);
         lp.constrain(vec![(0, 1.0), (1, 1.0)], Relation::Ge, 1.0);
-        let s = solve(&lp).unwrap();
+        let (s, _) = lp.solve().unwrap();
         assert!(s.iterations >= 1);
         assert!(s.phase1_iterations <= s.iterations);
         assert!(!s.warm_started);
@@ -1299,9 +1333,9 @@ mod tests {
         lp.constrain(vec![(0, 1.0), (1, 1.0)], Relation::Ge, 2.0);
         lp.constrain(vec![(1, 1.0), (2, 1.0)], Relation::Ge, 1.0);
         lp.constrain(vec![(0, 1.0), (2, 2.0)], Relation::Le, 8.0);
-        let (s1, basis) = solve_with_basis(&lp).unwrap();
+        let (s1, basis) = lp.solve().unwrap();
         assert!(basis.is_complete());
-        let (s2, _) = solve_from(&lp, &basis).unwrap();
+        let (s2, _) = lp.solve_from(&basis).unwrap();
         assert!(s2.warm_started);
         assert_eq!(s2.iterations, 0);
         assert_close(s1.objective, s2.objective);
@@ -1316,10 +1350,10 @@ mod tests {
             lp.constrain(vec![(0, 1.0), (1, 1.0), (2, 1.0)], Relation::Le, 10.0);
             lp
         };
-        let (_, basis) = solve_with_basis(&build(2.0)).unwrap();
+        let (_, basis) = build(2.0).solve().unwrap();
         let shifted = build(2.5);
-        let (warm, _) = solve_from(&shifted, &basis).unwrap();
-        let cold = solve(&shifted).unwrap();
+        let (warm, _) = shifted.solve_from(&basis).unwrap();
+        let (cold, _) = shifted.solve().unwrap();
         assert!(warm.warm_started);
         assert_close(warm.objective, cold.objective);
     }
@@ -1329,14 +1363,14 @@ mod tests {
         let mut lp = LinearProgram::minimize(vec![1.0, 2.0]);
         lp.constrain(vec![(0, 1.0), (1, 1.0)], Relation::Ge, 1.0);
         // Wrong length → rejected.
-        let (s, _) = solve_from(&lp, &Basis::new(vec![0, 1, 2])).unwrap();
+        let (s, _) = lp.solve_from(&Basis::new(vec![0, 1, 2])).unwrap();
         assert!(!s.warm_started);
         assert_close(s.objective, 1.0);
         // Out-of-range column → rejected.
-        let (s, _) = solve_from(&lp, &Basis::new(vec![99])).unwrap();
+        let (s, _) = lp.solve_from(&Basis::new(vec![99])).unwrap();
         assert!(!s.warm_started);
         // Artificial marker → rejected.
-        let (s, _) = solve_from(&lp, &Basis::new(vec![Basis::ARTIFICIAL])).unwrap();
+        let (s, _) = lp.solve_from(&Basis::new(vec![Basis::ARTIFICIAL])).unwrap();
         assert!(!s.warm_started);
     }
 
@@ -1348,7 +1382,7 @@ mod tests {
         let mut lp = LinearProgram::minimize(vec![1.0]);
         lp.constrain(vec![(0, 1.0)], Relation::Ge, 1.0);
         let slack = lp.slack_column(0).unwrap();
-        let (s, basis) = solve_from(&lp, &Basis::new(vec![slack])).unwrap();
+        let (s, basis) = lp.solve_from(&Basis::new(vec![slack])).unwrap();
         assert!(s.warm_started);
         assert_eq!(s.iterations, 1);
         assert_close(s.objective, 1.0);
@@ -1363,7 +1397,7 @@ mod tests {
         lp.constrain(vec![(0, 1.0)], Relation::Ge, 5.0);
         lp.constrain(vec![(0, 1.0)], Relation::Le, 3.0);
         let seed = Basis::new(vec![0, lp.slack_column(1).unwrap()]);
-        assert_eq!(solve_from(&lp, &seed), Err(LpError::Infeasible));
+        assert_eq!(lp.solve_from(&seed), Err(LpError::Infeasible));
     }
 
     #[test]
@@ -1372,7 +1406,7 @@ mod tests {
         // and optimal; the warm solve accepts it and stops immediately.
         let mut lp = LinearProgram::minimize(vec![1.0, 2.0]);
         lp.constrain(vec![(0, 1.0), (1, 1.0)], Relation::Ge, 1.0);
-        let (s, basis) = solve_from(&lp, &Basis::new(vec![0])).unwrap();
+        let (s, basis) = lp.solve_from(&Basis::new(vec![0])).unwrap();
         assert!(s.warm_started);
         assert_eq!(s.iterations, 0);
         assert_close(s.objective, 1.0);
@@ -1386,7 +1420,7 @@ mod tests {
         // integration suite exercises real refactorizations.
         let mut lp = LinearProgram::minimize(vec![1.0, 1.0]);
         lp.constrain(vec![(0, 1.0), (1, 1.0)], Relation::Ge, 1.0);
-        let s = solve(&lp).unwrap();
+        let (s, _) = lp.solve().unwrap();
         assert_eq!(s.refactorizations, 0);
     }
 

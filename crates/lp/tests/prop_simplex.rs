@@ -117,7 +117,7 @@ proptest! {
         }
         let bf = brute_force_covering(&c, &rows);
         match lp.solve() {
-            Ok(sol) => {
+            Ok((sol, _)) => {
                 let bf = bf.expect("simplex found a solution, brute force must too");
                 prop_assert!((sol.objective - bf).abs() <= 1e-6 * bf.abs().max(1.0),
                     "simplex {} vs brute force {bf}", sol.objective);
@@ -142,7 +142,7 @@ proptest! {
         }
         let probe = &probe[..n];
         if lp.is_feasible(probe, 1e-9) {
-            let sol = lp.solve().expect("a feasible point exists");
+            let (sol, _) = lp.solve().expect("a feasible point exists");
             prop_assert!(sol.objective <= lp.objective_value(probe) + 1e-6);
         }
     }
@@ -174,7 +174,7 @@ fn moderately_sized_structured_lp() {
         }
         lp.constrain(coeffs, Relation::Le, 40.0 * (1 << j) as f64);
     }
-    let sol = lp.solve().expect("structured LP is feasible");
+    let (sol, _) = lp.solve().expect("structured LP is feasible");
     assert!(sol.objective > 0.0);
     assert!(lp.is_feasible(&sol.x, 1e-6));
 }

@@ -31,7 +31,6 @@ use demt_api::{Scheduler, SchedulerContext};
 use demt_model::{Instance, ModelError, MoldableTask, TaskId};
 use demt_platform::{Placement, Schedule};
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
 /// One on-line job: a moldable task plus its release date. Job ids must
 /// be dense `0..n` like off-line instances.
@@ -208,22 +207,18 @@ pub fn try_online_batch_schedule(
     Ok(OnlineResult { schedule, batches })
 }
 
-/// A job waiting for its batch.
-#[derive(Debug, Clone)]
-struct PendingJob {
-    task: MoldableTask,
-    release: f64,
-}
-
 /// The incremental Shmoys–Wein–Williamson core: a persistent event
 /// loop that accepts submits and cancels between batches and re-plans
 /// one batch at a time, instead of requiring the whole feed up front.
 ///
-/// The pending set (keyed by original job id) and its release-sorted
-/// index persist across batches and are *patched*, never rebuilt, per
-/// event, so admitting the next batch is `O(batch + log n)`, not a
-/// rescan of every job. One [`SchedulerContext`] serves every batch;
-/// its dual cache keys on each batch instance itself.
+/// The pending jobs live in one map keyed by release date, then
+/// original job id. It persists across batches and is *patched*, never
+/// rebuilt, per event, and a batch is gathered by splitting the map at
+/// its start, so admitting the next batch is `O(batch · log n)`, not a
+/// rescan of every job. A release of `-0.0` is stored as `+0.0`, so a
+/// job released at time zero sorts before every later one. One
+/// [`SchedulerContext`] serves every batch; its dual cache keys on each
+/// batch instance itself.
 ///
 /// The loop keeps no history: [`BatchLoop::run_batch`] hands each
 /// planned batch out by value, so its memory is the pending set plus
@@ -259,11 +254,12 @@ pub struct BatchLoop {
     now: f64,
     /// Next id the feed must submit (ids are dense in submit order).
     next_id: usize,
-    /// Original job id → pending job.
-    pending: BTreeMap<usize, PendingJob>,
-    /// (release bits, original id): release dates are validated finite
-    /// and non-negative, so the IEEE bit pattern orders like the value.
-    by_release: BTreeSet<(u64, usize)>,
+    /// (release bits, original id) → pending job. Release dates are
+    /// validated finite and non-negative and stored with `-0.0` as
+    /// `+0.0`, so the IEEE bit pattern orders like the value.
+    pending: BTreeMap<(u64, usize), MoldableTask>,
+    /// Original id → release bits of a pending job, for [`BatchLoop::cancel`].
+    release_of: BTreeMap<usize, u64>,
     ctx: SchedulerContext,
 }
 
@@ -290,7 +286,7 @@ impl BatchLoop {
             now: 0.0,
             next_id: 0,
             pending: BTreeMap::new(),
-            by_release: BTreeSet::new(),
+            release_of: BTreeMap::new(),
             ctx: SchedulerContext::new(),
         }
     }
@@ -313,9 +309,9 @@ impl BatchLoop {
 
     /// Earliest release date among pending jobs.
     pub fn next_release(&self) -> Option<f64> {
-        self.by_release
-            .first()
-            .map(|&(bits, _)| f64::from_bits(bits))
+        self.pending
+            .first_key_value()
+            .map(|(&(bits, _), _)| f64::from_bits(bits))
     }
 
     /// The instant the next batch would start if no further event
@@ -357,9 +353,11 @@ impl BatchLoop {
             });
         }
         let id = task.id().index();
+        // `-0.0 + 0.0` is `+0.0`: the bits of a zero release sort first.
+        let bits = (release + 0.0).to_bits();
         self.next_id += 1;
-        self.by_release.insert((release.to_bits(), id));
-        self.pending.insert(id, PendingJob { task, release });
+        self.release_of.insert(id, bits);
+        self.pending.insert((bits, id), task);
         Ok(())
     }
 
@@ -367,11 +365,8 @@ impl BatchLoop {
     /// jobs already placed in a batch are running and stay placed (the
     /// id remains consumed either way).
     pub fn cancel(&mut self, id: TaskId) -> bool {
-        match self.pending.remove(&id.index()) {
-            Some(job) => {
-                self.by_release.remove(&(job.release.to_bits(), id.index()));
-                true
-            }
+        match self.release_of.remove(&id.index()) {
+            Some(bits) => self.pending.remove(&(bits, id.index())).is_some(),
             None => false,
         }
     }
@@ -395,26 +390,25 @@ impl BatchLoop {
         };
         self.now = start;
 
-        // Gather the batch: every pending job released by `now`, in id
-        // order (`BTreeMap` iteration), re-id'd densely.
-        let ready: Vec<usize> = self
-            .by_release
-            .iter()
-            .take_while(|&&(bits, _)| f64::from_bits(bits) <= self.now + 1e-12)
-            .map(|&(_, id)| id)
-            .collect();
-        let mut mapping: Vec<TaskId> = ready.iter().map(|&id| TaskId(id)).collect();
-        mapping.sort();
-        let mut tasks = Vec::with_capacity(mapping.len());
-        let mut releases = Vec::with_capacity(mapping.len());
-        for (new_id, original) in mapping.iter().enumerate() {
-            // demt-lint: allow(P1, every id in `mapping` was just drawn from the pending index)
-            let mut job = self.pending.remove(&original.index()).expect("indexed job");
-            self.by_release
-                .remove(&(job.release.to_bits(), original.index()));
-            job.task.set_id(TaskId(new_id));
-            tasks.push(job.task);
-            releases.push(job.release);
+        // Gather the batch: every pending job released by `now` (the keys
+        // below the first release bits past `now + 1e-12`), in id order,
+        // re-id'd densely.
+        let past = ((self.now + 1e-12).to_bits() + 1, 0);
+        let later = self.pending.split_off(&past);
+        let mut ready: Vec<((u64, usize), MoldableTask)> =
+            std::mem::replace(&mut self.pending, later)
+                .into_iter()
+                .collect();
+        ready.sort_unstable_by_key(|&((_, id), _)| id);
+        let mut mapping = Vec::with_capacity(ready.len());
+        let mut tasks = Vec::with_capacity(ready.len());
+        let mut releases = Vec::with_capacity(ready.len());
+        for (new_id, ((bits, id), mut task)) in ready.into_iter().enumerate() {
+            self.release_of.remove(&id);
+            task.set_id(TaskId(new_id));
+            mapping.push(TaskId(id));
+            tasks.push(task);
+            releases.push(f64::from_bits(bits));
         }
         let sub = Instance::new(self.m, tasks).map_err(OnlineError::InvalidInstance)?;
         let inner = scheduler.schedule(&sub, &mut self.ctx).schedule;
@@ -1075,6 +1069,112 @@ mod tests {
             serde_json::to_string(&wrapper.schedule).unwrap(),
             "returned batches must serialize like the wrapper"
         );
+    }
+
+    #[test]
+    fn a_negative_zero_release_joins_the_first_batch() {
+        // Unsorted releases 5, 100 and -0: the -0 job is released at time
+        // zero and runs alone in the first batch, not with the job at 100.
+        let mut bl = BatchLoop::new(2);
+        for (id, release) in [5.0, 100.0, -0.0].into_iter().enumerate() {
+            let task = MoldableTask::sequential(TaskId(id), 1.0, 1.0, 2).unwrap();
+            bl.submit(task, release).unwrap();
+        }
+        let batches: Vec<(f64, Vec<TaskId>)> =
+            std::iter::from_fn(|| bl.run_batch(&demt()).unwrap())
+                .take(4)
+                .map(|b| (b.start, b.placements.iter().map(|p| p.task).collect()))
+                .collect();
+        assert_eq!(
+            batches,
+            [
+                (0.0, vec![TaskId(2)]),
+                (5.0, vec![TaskId(0)]),
+                (100.0, vec![TaskId(1)])
+            ]
+        );
+    }
+
+    /// The gather as a scan over the pending `(id, release)` pairs at
+    /// time `now`: the batch start and the ids it takes, in id order.
+    fn scan_gather(pending: &[(usize, f64)], now: f64) -> Option<(f64, Vec<usize>)> {
+        let first = pending.iter().map(|&(_, r)| r).reduce(f64::min)?;
+        let start = if first <= now + 1e-12 { now } else { first };
+        let mut ids: Vec<usize> = pending
+            .iter()
+            .filter(|&&(_, r)| r <= start + 1e-12)
+            .map(|&(id, _)| id)
+            .collect();
+        ids.sort();
+        Some((start, ids))
+    }
+
+    /// Release dates with ties, both zeros and near-ties inside the
+    /// gather's `1e-12` slack.
+    const RELEASES: [f64; 8] = [0.0, -0.0, 0.5, 1.0, 1.0 + 1e-13, 2.0, 3.5, 7.0];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn gather_matches_a_scan_of_the_pending_jobs(
+            ops in proptest::collection::vec(
+                (0usize..6, 0usize..RELEASES.len(), 1usize..4, proptest::prelude::any::<proptest::sample::Index>()),
+                0..40,
+            )
+        ) {
+            // Op 0–2 submits, 3 cancels a submitted id, 4–5 runs a batch;
+            // the loop drains what is left at the end.
+            let mut bl = BatchLoop::new(2);
+            let mut pending: Vec<(usize, f64)> = Vec::new();
+            let mut now = 0.0;
+            let mut next = 0;
+            let mut run = |bl: &mut BatchLoop, pending: &mut Vec<(usize, f64)>| {
+                let (start, ids, batch) = match (scan_gather(pending, now), bl.run_batch(&demt()).unwrap()) {
+                    (Some((start, ids)), Some(batch)) => (start, ids, batch),
+                    (None, None) => return false,
+                    (want, got) => panic!("scan {want:?}, loop {got:?}"),
+                };
+                let mut placed: Vec<usize> = batch.placements.iter().map(|p| p.task.index()).collect();
+                placed.sort();
+                assert_eq!((batch.start, &placed), (start, &ids));
+                for (p, &r) in batch.placements.iter().zip(&batch.releases) {
+                    let (_, want_r) = pending.iter().find(|&&(id, _)| id == p.task.index()).unwrap();
+                    assert_eq!(r, *want_r);
+                }
+                pending.retain(|(id, _)| !ids.contains(id));
+                now = start + batch.length.max(f64::MIN_POSITIVE);
+                assert_eq!(bl.now(), now);
+                true
+            };
+            for (op, r, len, pick) in ops {
+                match op {
+                    0..=2 => {
+                        let task = MoldableTask::sequential(TaskId(next), 1.0, len as f64, 2).unwrap();
+                        bl.submit(task, RELEASES[r]).unwrap();
+                        pending.push((next, RELEASES[r]));
+                        next += 1;
+                    }
+                    3 if next > 0 => {
+                        let id = pick.index(next);
+                        let was = pending.iter().any(|&(p, _)| p == id);
+                        pending.retain(|&(p, _)| p != id);
+                        assert_eq!(bl.cancel(TaskId(id)), was);
+                    }
+                    _ => {
+                        run(&mut bl, &mut pending);
+                    }
+                }
+                assert_eq!(bl.pending(), pending.len());
+            }
+            // Every batch takes a job, so the drain ends within this bound.
+            for _ in 0..=pending.len() {
+                if !run(&mut bl, &mut pending) {
+                    break;
+                }
+            }
+            assert!(pending.is_empty() && bl.pending() == 0);
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ options:
 /// Entry point behind `demt serve`; returns the process exit code
 /// (0 success, 1 runtime failure, 2 usage error or a `--replay` trace
 /// that cannot be opened or holds a bad record).
-// demt-lint: allow(P2, reaches run_events' paths to BatchLoop::run_batch's "indexed job" expect and, through the dyn Scheduler call, Criteria::evaluate; both guard invariants the loop keeps)
+// demt-lint: allow(P2, reaches run_events' path through BatchLoop::run_batch's dyn Scheduler call to Criteria::evaluate; the loop checks every batch for a dropped job first)
 pub fn serve_cli(args: &[String]) -> i32 {
     serve(args).unwrap_or_else(|e| e.report("demt serve", USAGE))
 }

@@ -138,7 +138,7 @@ pub fn resolve_scheduler(name: &str) -> Result<&'static dyn Scheduler, ServeErro
 /// Stats snapshots go to `stats_out` every [`ServeConfig::tick`]
 /// decisions (plus one final snapshot); pass [`ServeStats::new`], whose
 /// recorder keeps wall-clock readings out of this loop.
-// demt-lint: allow(P2, reaches BatchLoop::run_batch's "indexed job" expect and, through the dyn Scheduler call, Criteria::evaluate's missing-task panic; both guard invariants the loop keeps)
+// demt-lint: allow(P2, reaches Criteria::evaluate's missing-task panic through BatchLoop::run_batch's dyn Scheduler call; the loop checks every batch for a dropped job first)
 pub fn run_events<I, W>(
     cfg: &ServeConfig,
     events: I,

@@ -252,16 +252,16 @@ pub fn run_figures_on<P: Fn(&str) + Sync>(
     });
 
     // Index-ordered reduction: cells (and thus `results`) are ordered
-    // figure-major → point → run, exactly the sequential fold order.
+    // figure-major → point → run, exactly the sequential fold order, so
+    // each point takes the next chunk of `cfg.runs` results (none at all
+    // with zero runs).
     let mut figures = Vec::with_capacity(kinds.len());
-    let mut it = results.iter();
+    let mut chunks = results.chunks(cfg.runs.max(1));
     for &kind in kinds {
         let mut points = Vec::with_capacity(points_per_fig);
         for &n in &cfg.task_counts {
             let mut merged = vec![AlgSeries::default(); Algorithm::ALL.len()];
-            for _ in 0..cfg.runs {
-                // demt-lint: allow(P1, the pool returned exactly one result per submitted cell in submission order)
-                let per_run = it.next().expect("one result per cell");
+            for per_run in chunks.next().into_iter().flatten() {
                 for (m, s) in merged.iter_mut().zip(per_run) {
                     m.merge(s);
                 }
