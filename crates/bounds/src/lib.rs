@@ -50,7 +50,7 @@
 
 #![warn(missing_docs)]
 
-use demt_dual::{cmax_lower_bound, dual_approx, DualConfig};
+use demt_dual::{dual_approx, DualConfig};
 use demt_lp::{Basis, LinearProgram, Relation};
 use demt_model::{approx_le, Instance};
 
@@ -570,12 +570,9 @@ pub fn instance_bounds_detailed(
 ) -> (InstanceBounds, MinsumBound) {
     let dual = dual_approx(inst, &cfg.dual);
     let minsum = minsum_lower_bound_with_horizon(inst, dual.cmax_estimate, cfg);
-    // The dual result's own lower bound is the certified one.
-    let cmax = dual
-        .lower_bound
-        .max(cmax_lower_bound(inst, cfg.dual.rel_eps));
     let bounds = InstanceBounds {
-        cmax,
+        // The dual result's own lower bound is the certified one.
+        cmax: dual.lower_bound,
         minsum: minsum.value.max(squashed_minsum_bound(inst)),
     };
     (bounds, minsum)

@@ -14,12 +14,13 @@
 //!    (§4.1: "every task is alloted using the number of processors
 //!    selected by \[7\]"), together with the canonical shelf order.
 //!
-//! The entry point is [`dual_approx`]; [`cmax_lower_bound`] is the
-//! bound-only shortcut. Both evaluate the predicate on one
-//! [`CanonicalAllotments`] memo per instance, and the shelf
-//! construction re-checks the accepted λ on that same memo. The naive
-//! `O(n·m)` predicate the memo replicates is kept only as the test
-//! reference it is compared against.
+//! The one entry point is [`dual_approx`]: one bisection per instance,
+//! evaluating the predicate on one [`CanonicalAllotments`] memo, then
+//! the shelf construction at the accepted λ, reading its allotments from
+//! that same memo. The construction is total in λ, so it does not
+//! re-check the bisection's answer. The naive `O(n·m)` predicate the
+//! memo replicates is kept only as the test reference it is compared
+//! against.
 
 #![warn(missing_docs)]
 
@@ -104,17 +105,6 @@ pub fn dual_approx(inst: &Instance, cfg: &DualConfig) -> DualResult {
         schedule: build.schedule,
         cmax_estimate,
     }
-}
-
-/// Certified lower bound on the optimal makespan (bisection only, no
-/// schedule construction).
-pub fn cmax_lower_bound(inst: &Instance, rel_eps: f64) -> f64 {
-    assert!(!inst.is_empty());
-    let memo = CanonicalAllotments::new(inst);
-    let lo = trivial_lower_bound(inst);
-    let hi = trivially_feasible_lambda(inst).max(lo);
-    let th = bisect_threshold(lo, hi, rel_eps, |lambda| memo.lambda_feasible(lambda));
-    th.rejected.max(lo)
 }
 
 #[cfg(test)]
@@ -217,14 +207,6 @@ mod tests {
             assert_eq!(full.lower_bound.to_bits(), th.rejected.max(lo).to_bits());
             assert_eq!(full.lambda.to_bits(), th.accepted.to_bits());
         }
-    }
-
-    #[test]
-    fn lower_bound_shortcut_matches_full_run() {
-        let inst = generate(WorkloadKind::Cirne, 40, 8, 3);
-        let full = dual_approx(&inst, &DualConfig::default());
-        let lb = cmax_lower_bound(&inst, 1e-3);
-        assert!((lb - full.lower_bound).abs() < 1e-9 * lb.max(1.0));
     }
 
     #[test]

@@ -155,6 +155,14 @@ impl CanonicalAllotments {
         })
     }
 
+    /// [`Self::min_area_alloc_within`], or when none meets `t` the first
+    /// staircase entry: the fastest allotment (the widest on time ties).
+    pub(crate) fn shelf1_alloc(&self, task: usize, t: f64) -> (usize, f64) {
+        let cut = self.cut(task, t);
+        let (area, alloc) = self.tasks[task].prefix_area[cut.max(1) - 1];
+        (alloc, area)
+    }
+
     /// Precomputed `min_k p(k)` of `task`.
     pub fn min_time(&self, task: usize) -> f64 {
         self.tasks[task].min_time

@@ -1,14 +1,20 @@
-//! Two-shelf construction at an accepted λ.
+//! Two-shelf construction at a target λ.
 //!
 //! Following the structure of [17]/[7]: tasks are split into *small*
 //! tasks (sequential time ≤ λ/2, kept aside and later list-scheduled on
 //! single processors), and *big* tasks assigned by a min-area knapsack
-//! to the long shelf (length λ, minimal allotment fitting λ) or the
-//! short shelf (length λ/2, minimal allotment fitting λ/2). The shelf
-//! assignment fixes every task's allotment and a canonical list order —
-//! long shelf, then short shelf, then small tasks — which is exactly
-//! the first "List Graham" ordering of §4.1. The actual schedule is
-//! produced by the Graham list engine, which compacts the shelves.
+//! to the long shelf (length λ, minimal-area allotment fitting λ) or the
+//! short shelf (length λ/2, minimal-area allotment fitting λ/2). The
+//! shelf assignment fixes every task's allotment and a canonical list
+//! order — long shelf, then short shelf, then small tasks — which is
+//! exactly the first "List Graham" ordering of §4.1. The actual schedule
+//! is produced by the Graham list engine, which compacts the shelves.
+//!
+//! The construction is total in λ > 0 and never re-runs the oracle. A
+//! task that fits no allotment within λ takes its fastest one on the long
+//! shelf, and long-shelf tasks that overflow `m` (possible off the
+//! monotone model, where the least-area allotment is wider than the
+//! oracle's fewest processors) are serialized by the list engine.
 
 use crate::CanonicalAllotments;
 use demt_kernels::{min_area_partition, ShelfChoice, ShelfItem};
@@ -18,7 +24,8 @@ use demt_platform::{list_schedule, ListTask, Schedule};
 /// Which structural class a task landed in at the accepted λ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShelfClass {
-    /// Long shelf (duration in (λ/2, λ] at its allotment).
+    /// Long shelf (duration in (λ/2, λ] at its allotment, or the task's
+    /// fastest duration when none fits λ).
     Long,
     /// Short shelf (duration ≤ λ/2 at its allotment).
     Short,
@@ -40,22 +47,14 @@ pub(crate) struct ShelfBuild {
     pub(crate) schedule: Schedule,
 }
 
-/// Builds the two-shelf structure and its compacted schedule at λ.
-///
-/// Panics if λ is rejected by the feasibility predicate, evaluated on
-/// `memo` (the instance's memo the bisection already built) — callers
-/// obtain accepted values from that bisection. The midpoint condition
-/// guarantees the forced long-shelf tasks fit `m` processors, so the
-/// partition always succeeds.
+/// Builds the two-shelf structure and its compacted schedule at any
+/// λ > 0, reading every allotment from `memo` (the instance's memo the
+/// bisection already built).
 pub(crate) fn build_shelves(
     inst: &Instance,
     memo: &CanonicalAllotments,
     lambda: f64,
 ) -> ShelfBuild {
-    assert!(
-        memo.check_lambda(lambda).is_none(),
-        "build_shelves requires an accepted λ (got a rejected one)"
-    );
     let half = lambda / 2.0;
     let n = inst.len();
 
@@ -72,10 +71,7 @@ pub(crate) fn build_shelves(
             class[i] = ShelfClass::Small;
             continue;
         }
-        let (k1, a1) = memo
-            .min_area_alloc_within(i, lambda)
-            // demt-lint: allow(P1, caller only invokes build at a λ the feasibility oracle accepted)
-            .expect("fit condition holds at an accepted λ");
+        let (k1, a1) = memo.shelf1_alloc(i, lambda);
         big_ids.push(t.id());
         items.push(ShelfItem {
             procs_shelf1: k1,
@@ -84,9 +80,7 @@ pub(crate) fn build_shelves(
         });
     }
 
-    let partition = min_area_partition(&items, inst.procs())
-        // demt-lint: allow(P1, the accepted λ satisfies the midpoint processor condition so forced shelf-1 tasks fit)
-        .expect("midpoint condition guarantees forced tasks fit");
+    let partition = min_area_partition(&items, inst.procs());
     for ((&id, item), choice) in big_ids.iter().zip(&items).zip(&partition.choice) {
         // An item without a shelf-2 option is always on shelf 1.
         (allotment[id.index()], class[id.index()]) = match (choice, item.shelf2) {
@@ -137,6 +131,7 @@ mod tests {
     use crate::feasibility::trivially_feasible_lambda;
     use demt_model::InstanceBuilder;
     use demt_platform::validate;
+    use proptest::prelude::*;
 
     fn mixed_instance() -> Instance {
         let mut b = InstanceBuilder::new(4);
@@ -205,10 +200,66 @@ mod tests {
         }
     }
 
+    /// Two tasks whose least-area allotment within λ ≈ 10 is 3 of the 5
+    /// processors while the oracle counts their fewest processors, 2:
+    /// the oracle accepts λ, yet the forced long-shelf tasks need 6.
+    fn wide_least_area_instance() -> Instance {
+        let mut b = InstanceBuilder::new(5);
+        for _ in 0..2 {
+            b.push_times(1.0, vec![100.0, 10.0, 6.0, 6.0, 6.0]).unwrap();
+        }
+        b.build().unwrap()
+    }
+
     #[test]
-    #[should_panic(expected = "accepted λ")]
-    fn rejected_lambda_is_refused() {
+    fn forced_long_shelf_tasks_past_m_are_serialized() {
+        let inst = wide_least_area_instance();
+        let memo = CanonicalAllotments::new(&inst);
+        assert!(memo.lambda_feasible(10.0));
+        let build = build_shelves(&inst, &memo, 10.0);
+        assert_eq!(build.allotment, vec![3, 3]);
+        assert_eq!(build.class, vec![ShelfClass::Long; 2]);
+        validate(&inst, &build.schedule).unwrap();
+        assert_eq!(build.schedule.makespan(), 12.0);
+    }
+
+    #[test]
+    fn a_lambda_below_every_time_takes_the_fastest_allotments() {
         let inst = mixed_instance();
-        let _ = build_shelves(&inst, &CanonicalAllotments::new(&inst), 0.1);
+        // No task fits 0.1, so all four are long-shelf tasks at their
+        // shortest time; the flat sequential profiles tie on every
+        // allotment and take the first staircase entry, the widest.
+        let build = build_shelves(&inst, &CanonicalAllotments::new(&inst), 0.1);
+        assert_eq!(build.allotment, vec![4, 4, 4, 4]);
+        assert_eq!(build.class, vec![ShelfClass::Long; 4]);
+        validate(&inst, &build.schedule).unwrap();
+    }
+
+    fn any_instance() -> impl Strategy<Value = Instance> {
+        (1usize..7).prop_flat_map(|m| {
+            prop::collection::vec(prop::collection::vec(0.05f64..50.0, m), 1..9).prop_map(
+                move |tasks| {
+                    let mut b = InstanceBuilder::new(m);
+                    for times in tasks {
+                        b.push_times(1.0, times).unwrap();
+                    }
+                    b.build().unwrap()
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn any_lambda_yields_a_valid_schedule(
+            inst in any_instance(),
+            lambda in 0.01f64..120.0,
+        ) {
+            let build = build_shelves(&inst, &CanonicalAllotments::new(&inst), lambda);
+            prop_assert!(validate(&inst, &build.schedule).is_ok());
+            let mut ids = build.order.clone();
+            ids.sort_unstable();
+            prop_assert_eq!(ids, inst.ids().collect::<Vec<_>>());
+        }
     }
 }

@@ -95,7 +95,8 @@ fn dual_lower_bound_tightness_on_exhaustive_grid() {
                 }
                 let inst = builder.build().unwrap();
                 let opt = exact_cmax(&inst).unwrap();
-                let lb = demt_dual::cmax_lower_bound(&inst, 1e-4);
+                let lb = demt_dual::dual_approx(&inst, &demt_dual::DualConfig { rel_eps: 1e-4 })
+                    .lower_bound;
                 assert!(
                     lb <= opt.value * (1.0 + 1e-6),
                     "({a},{b},{c}): bound {lb} exceeds optimum {}",

@@ -4,7 +4,9 @@
 //! makespan λ accepted by a feasibility predicate. The predicate is
 //! monotone (feasible at λ ⇒ feasible at any λ' ≥ λ), so bisection to a
 //! relative tolerance yields both the smallest accepted value (an upper
-//! anchor) and the largest rejected one (a certified lower bound).
+//! anchor) and the largest rejected one (a certified lower bound). The
+//! upper anchor is never probed: the lower bound only ever comes from a
+//! value the predicate rejected.
 
 /// Outcome of [`bisect_threshold`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -12,16 +14,16 @@ pub struct Threshold {
     /// Largest probed value the predicate rejected — for the dual
     /// approximation this certifies a lower bound on the optimum.
     pub rejected: f64,
-    /// Smallest probed value the predicate accepted.
+    /// Smallest probed value the predicate accepted, or `hi` if none was.
     pub accepted: f64,
 }
 
 /// Finds the transition point of a monotone predicate on `[lo, hi]` to
 /// relative precision `rel_eps`.
 ///
-/// Preconditions (checked): `0 < lo ≤ hi`, the predicate accepts `hi`.
-/// If it already accepts `lo`, the result is `{rejected: lo·(1-ε),
-/// accepted: lo}` — the caller's initial lower anchor was tight.
+/// Preconditions (checked): `0 < lo ≤ hi`; `hi` is never probed. If the
+/// predicate accepts `lo`, the result is `{rejected: lo·(1-ε), accepted:
+/// lo}` after one probe — the caller's initial lower anchor was tight.
 pub fn bisect_threshold(
     lo: f64,
     hi: f64,
@@ -33,7 +35,6 @@ pub fn bisect_threshold(
         "invalid bracket"
     );
     assert!(rel_eps > 0.0 && rel_eps < 1.0, "invalid tolerance");
-    assert!(feasible(hi), "upper anchor must be feasible");
     if feasible(lo) {
         return Threshold {
             rejected: lo * (1.0 - rel_eps),
@@ -77,7 +78,7 @@ mod tests {
         });
         assert_eq!(t.accepted, 5.0);
         assert!(t.rejected < 5.0);
-        assert_eq!(calls, 2, "only the two anchors are probed");
+        assert_eq!(calls, 1, "only the lower anchor is probed");
     }
 
     #[test]
@@ -88,9 +89,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "upper anchor must be feasible")]
-    fn rejects_infeasible_bracket() {
-        let _ = bisect_threshold(1.0, 2.0, 1e-6, |_| false);
+    fn an_unaccepted_upper_anchor_is_returned_unprobed() {
+        let mut probes = Vec::new();
+        let t = bisect_threshold(1.0, 2.0, 1e-6, |x| {
+            probes.push(x);
+            false
+        });
+        assert_eq!(t.accepted, 2.0);
+        assert!(t.rejected < 2.0 && t.accepted - t.rejected <= 1e-6 * t.rejected);
+        assert!(probes.iter().all(|&x| x < 2.0), "hi is never probed");
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //!   `O(mn)` exactly as the paper states;
 //! * [`min_area_partition`] — the shelf-partition step of the
 //!   dual-approximation substrate [7]/[17]: every item must go to shelf 1
-//!   or shelf 2 (when it has a shelf-2 option), shelf 1 has a processor
-//!   budget, and the total *area* is minimized.
+//!   or shelf 2 (when it has a shelf-2 option), the optional items share
+//!   the shelf-1 budget the forced ones leave, and the total *area* is
+//!   minimized.
 
 /// One candidate item for [`max_weight_knapsack`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,14 +141,13 @@ pub struct ShelfPartition {
 
 /// Assigns every item to shelf 1 or shelf 2, minimizing total area
 /// subject to the shelf-1 processor budget. Items without a shelf-2
-/// option are forced onto shelf 1; if their combined cost already
-/// exceeds the budget the partition is infeasible and `None` is
-/// returned. Shelf 2 is *not* capacity-constrained here — the caller
-/// (dual approximation) repairs or rejects overflow separately, as in
-/// the original algorithm's transformation phase.
+/// option always go on shelf 1, even past the budget; the optional ones
+/// share what the forced ones leave (`capacity.saturating_sub(forced)`).
+/// Shelf 2 is *not* capacity-constrained here — the list engine that
+/// places the shelves compacts what does not fit side by side.
 ///
 /// `O(n·capacity)` time and space.
-pub fn min_area_partition(items: &[ShelfItem], capacity: usize) -> Option<ShelfPartition> {
+pub fn min_area_partition(items: &[ShelfItem], capacity: usize) -> ShelfPartition {
     let n = items.len();
     // Pre-commit forced items.
     let forced: usize = items
@@ -155,10 +155,7 @@ pub fn min_area_partition(items: &[ShelfItem], capacity: usize) -> Option<ShelfP
         .filter(|it| it.shelf2.is_none())
         .map(|it| it.procs_shelf1)
         .sum();
-    if forced > capacity {
-        return None;
-    }
-    let free_cap = capacity - forced;
+    let free_cap = capacity.saturating_sub(forced);
     let width = free_cap + 1;
     // DP over optional items only: value[j] = min extra area with j
     // shelf-1 processors spent on optional items; baseline is everyone
@@ -219,13 +216,12 @@ pub fn min_area_partition(items: &[ShelfItem], capacity: usize) -> Option<ShelfP
             _ => procs_shelf1 += it.procs_shelf1,
         }
     }
-    debug_assert!(procs_shelf1 <= capacity);
-    Some(ShelfPartition {
+    ShelfPartition {
         total_area: base_area,
         procs_shelf1,
         procs_shelf2,
         choice,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -356,7 +352,7 @@ mod tests {
                 shelf2: Some((4, 8.0)),
             },
         ];
-        let p = min_area_partition(&items, 5).expect("feasible");
+        let p = min_area_partition(&items, 5);
         assert_eq!(p.choice[0], ShelfChoice::Shelf1);
         // Moving item 1 to shelf 1 costs area 6 < 8 but capacity only
         // leaves 1 processor — must stay on shelf 2.
@@ -380,14 +376,14 @@ mod tests {
                 shelf2: Some((3, 6.0)),
             },
         ];
-        let p = min_area_partition(&items, 4).expect("feasible");
+        let p = min_area_partition(&items, 4);
         assert_eq!(p.choice[0], ShelfChoice::Shelf1, "saves 6 area units");
         assert_eq!(p.choice[1], ShelfChoice::Shelf2, "shelf 1 would waste 3");
         assert!((p.total_area - 10.0).abs() < 1e-9);
     }
 
     #[test]
-    fn partition_infeasible_when_forced_items_overflow() {
+    fn forced_items_overflowing_the_budget_leave_optional_items_on_shelf2() {
         let items = [
             ShelfItem {
                 procs_shelf1: 4,
@@ -399,13 +395,32 @@ mod tests {
                 area_shelf1: 1.0,
                 shelf2: None,
             },
+            ShelfItem {
+                procs_shelf1: 1,
+                area_shelf1: 1.0,
+                shelf2: Some((2, 5.0)),
+            },
         ];
-        assert_eq!(min_area_partition(&items, 6), None);
+        let p = min_area_partition(&items, 6);
+        assert_eq!(
+            p.choice,
+            vec![
+                ShelfChoice::Shelf1,
+                ShelfChoice::Shelf1,
+                ShelfChoice::Shelf2
+            ]
+        );
+        assert_eq!(
+            p.procs_shelf1, 7,
+            "forced items stay on shelf 1 past the budget"
+        );
+        assert_eq!(p.procs_shelf2, 2);
+        assert!((p.total_area - 7.0).abs() < 1e-9);
     }
 
     #[test]
     fn partition_of_empty_input() {
-        let p = min_area_partition(&[], 8).unwrap();
+        let p = min_area_partition(&[], 8);
         assert_eq!(p.total_area, 0.0);
         assert_eq!(p.procs_shelf1 + p.procs_shelf2, 0);
     }

@@ -68,9 +68,18 @@ fn shelf_items() -> impl Strategy<Value = Vec<ShelfItem>> {
     )
 }
 
-fn brute_force_partition(items: &[ShelfItem], cap: usize) -> Option<f64> {
+/// Smallest area over every assignment of the total contract: items
+/// without a shelf-2 option on shelf 1, and the optional items on shelf 1
+/// within what the forced ones leave of the budget. That set always holds
+/// the all-optional-on-shelf-2 assignment, so the minimum exists.
+fn brute_force_partition(items: &[ShelfItem], cap: usize) -> f64 {
     let n = items.len();
-    let mut best: Option<f64> = None;
+    let forced: usize = items
+        .iter()
+        .filter(|it| it.shelf2.is_none())
+        .map(|it| it.procs_shelf1)
+        .sum();
+    let mut best = f64::INFINITY;
     'mask: for mask in 0u32..(1 << n) {
         // bit set = shelf 1.
         let mut procs1 = 0;
@@ -86,8 +95,8 @@ fn brute_force_partition(items: &[ShelfItem], cap: usize) -> Option<f64> {
                 }
             }
         }
-        if procs1 <= cap && best.is_none_or(|b| area < b) {
-            best = Some(area);
+        if procs1 - forced <= cap.saturating_sub(forced) && area < best {
+            best = area;
         }
     }
     best
@@ -96,29 +105,27 @@ fn brute_force_partition(items: &[ShelfItem], cap: usize) -> Option<f64> {
 proptest! {
     #[test]
     fn shelf_partition_is_optimal(items in shelf_items(), cap in 0usize..16) {
-        let dp = min_area_partition(&items, cap);
+        let p = min_area_partition(&items, cap);
         let bf = brute_force_partition(&items, cap);
-        match (dp, bf) {
-            (None, None) => {}
-            (Some(p), Some(b)) => prop_assert!((p.total_area - b).abs() < 1e-9,
-                "dp {} vs brute force {b}", p.total_area),
-            (dp, bf) => prop_assert!(false, "feasibility mismatch: dp {dp:?} bf {bf:?}"),
-        }
+        prop_assert!((p.total_area - bf).abs() < 1e-9,
+            "dp {} vs brute force {bf}", p.total_area);
     }
 
     #[test]
     fn shelf_partition_respects_capacity_and_choices(items in shelf_items(), cap in 0usize..16) {
-        if let Some(p) = min_area_partition(&items, cap) {
-            let mut procs1 = 0;
-            for (it, &c) in items.iter().zip(&p.choice) {
-                match c {
-                    ShelfChoice::Shelf1 => procs1 += it.procs_shelf1,
-                    ShelfChoice::Shelf2 => prop_assert!(it.shelf2.is_some()),
-                }
+        let p = min_area_partition(&items, cap);
+        let (mut forced, mut optional1, mut procs2) = (0, 0, 0);
+        for (it, &c) in items.iter().zip(&p.choice) {
+            match (c, it.shelf2) {
+                (ShelfChoice::Shelf1, None) => forced += it.procs_shelf1,
+                (ShelfChoice::Shelf1, Some(_)) => optional1 += it.procs_shelf1,
+                (ShelfChoice::Shelf2, Some((k2, _))) => procs2 += k2,
+                (ShelfChoice::Shelf2, None) => prop_assert!(false, "forced item on shelf 2"),
             }
-            prop_assert!(procs1 <= cap);
-            prop_assert_eq!(procs1, p.procs_shelf1);
         }
+        prop_assert!(optional1 <= cap.saturating_sub(forced));
+        prop_assert_eq!(forced + optional1, p.procs_shelf1);
+        prop_assert_eq!(procs2, p.procs_shelf2);
     }
 }
 

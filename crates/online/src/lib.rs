@@ -701,7 +701,8 @@ mod tests {
             let jobs = online_jobs(WorkloadKind::Mixed, 30, 8, seed, 10.0);
             let inst = Instance::new(8, jobs.iter().map(|j| j.task.clone()).collect()).unwrap();
             let on = try_online_batch_schedule(8, &jobs, &demt()).unwrap();
-            let lb = demt_dual::cmax_lower_bound(&inst, 1e-3)
+            let lb = demt_dual::dual_approx(&inst, &demt_dual::DualConfig { rel_eps: 1e-3 })
+                .lower_bound
                 .max(jobs.iter().map(|j| j.release).fold(0.0, f64::max));
             assert!(
                 on.schedule.makespan() <= 5.0 * lb,

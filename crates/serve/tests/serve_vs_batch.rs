@@ -131,6 +131,27 @@ fn the_paper_algorithm_also_replays_byte_identically() {
 }
 
 #[test]
+fn demt_places_tasks_whose_least_area_allotments_overflow_the_machine() {
+    // Outside the monotone model: within λ ≈ 10 each job's least-area
+    // allotment is 3 of the 5 processors, though the dual's oracle
+    // counts 2, so the forced long-shelf jobs overflow the machine.
+    let m = 5;
+    let events: Vec<JobEvent> = (0..2)
+        .map(|i| JobEvent::submit_moldable(i, 0.0, 1.0, vec![100.0, 10.0, 6.0, 6.0, 6.0]))
+        .collect();
+    let mut cfg = ServeConfig::new(m);
+    cfg.algorithm = "demt".to_string();
+    let out = String::from_utf8(daemon_output(&cfg, &events)).expect("utf-8");
+    let placements: Vec<demt_platform::Placement> = out
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("placement"))
+        .collect();
+    assert_eq!(placements.len(), 2, "{out}");
+    let schedule = demt_platform::Schedule::from_placements(m, placements);
+    demt_platform::validate_no_overlap(&schedule).expect("overlap-free schedule");
+}
+
+#[test]
 fn cancels_divert_the_plan_but_keep_it_valid() {
     let m = 8;
     let events = vec![

@@ -103,7 +103,7 @@ pub mod prelude {
     pub use demt_core::{
         demt_schedule, demt_schedule_with_dual, Compaction, DemtConfig, DemtResult, DemtScheduler,
     };
-    pub use demt_dual::{cmax_lower_bound, dual_approx, DualConfig, DualResult};
+    pub use demt_dual::{dual_approx, DualConfig, DualResult};
     pub use demt_exec::Pool;
     pub use demt_model::{
         Hierarchy, HierarchyError, Instance, InstanceBuilder, MoldableTask, ProcSet, TaskId,

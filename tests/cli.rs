@@ -669,6 +669,36 @@ fn degenerate_generator_inputs_die_instead_of_panicking() {
 }
 
 #[test]
+fn least_area_allotments_past_the_machine_still_schedule_and_bound() {
+    // m = 5 outside the monotone model: within λ ≈ 10 each task's
+    // least-area allotment is 3 processors, though the dual's oracle
+    // counts 2, so the forced long-shelf tasks overflow the machine.
+    // Every command that runs the dual must still exit 0.
+    let inst = r#"{"procs":5,"tasks":[{"id":0,"weight":1.0,"times":[100.0,10.0,6.0,6.0,6.0]},{"id":1,"weight":1.0,"times":[100.0,10.0,6.0,6.0,6.0]}]}"#;
+    let dir = std::env::temp_dir().join(format!("demt-cli-wide-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let inst_path = dir.join("inst.json");
+    std::fs::write(&inst_path, inst).unwrap();
+    for algorithm in ["demt", "list", "lptf", "saf"] {
+        let mut cmd = demt();
+        cmd.args(["schedule", "--algorithm", algorithm]);
+        let (sched, err, ok) = run_with_stdin(cmd, inst.as_bytes());
+        assert!(ok, "schedule --algorithm {algorithm}: {err}");
+        let mut validate = demt();
+        validate.args(["validate", "--instance", inst_path.to_str().unwrap()]);
+        let (vout, err, ok) = run_with_stdin(validate, sched.as_bytes());
+        assert!(ok && vout.contains("VALID"), "{algorithm}: {vout}{err}");
+    }
+    let mut bound = demt();
+    bound.arg("bound");
+    let (bout, err, ok) = run_with_stdin(bound, inst.as_bytes());
+    assert!(ok, "bound: {err}");
+    let bounds: serde_json::Value = serde_json::from_str(&bout).unwrap();
+    assert!(bounds["cmax_lower_bound"].as_f64().unwrap() <= 10.0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn bound_output_matches_the_checked_in_goldens() {
     let out = demt()
         .args([

@@ -73,8 +73,9 @@ fn online_makespan_respects_doubling_bound_for_demt() {
         let inst = Instance::new(m, jobs.iter().map(|j| j.task.clone()).collect()).unwrap();
         let result =
             try_online_batch_schedule(m, &jobs, registry().by_name("demt").unwrap()).unwrap();
-        let proxy_opt =
-            cmax_lower_bound(&inst, 1e-3).max(jobs.iter().map(|j| j.release).fold(0.0, f64::max));
+        let proxy_opt = dual_approx(&inst, &DualConfig { rel_eps: 1e-3 })
+            .lower_bound
+            .max(jobs.iter().map(|j| j.release).fold(0.0, f64::max));
         let ratio = result.schedule.makespan() / proxy_opt;
         assert!(ratio < 5.0, "seed {seed}: online ratio {ratio}");
     }
