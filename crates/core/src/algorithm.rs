@@ -4,7 +4,10 @@ use crate::batches::{build_batches, BatchEntry, BatchPlan};
 use crate::config::{Compaction, DemtConfig};
 use demt_dual::dual_approx;
 use demt_model::Instance;
-use demt_platform::{list_schedule, pull_earlier, Criteria, ListTask, Placement, Schedule};
+use demt_platform::{
+    list_completions, list_schedule, pull_earlier, weighted_completion, Criteria, ListTask,
+    Placement, Schedule,
+};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -30,6 +33,13 @@ pub struct DemtResult {
     /// Certified makespan lower bound (free by-product of the dual
     /// approximation's bisection).
     pub cmax_lower_bound: f64,
+    /// Batch orders the list compaction scored: 1 plus the shuffles
+    /// under [`Compaction::ListShuffle`] on a multi-batch plan, 1 under
+    /// [`Compaction::List`], 0 otherwise.
+    pub orders_scored: usize,
+    /// List schedules the compaction built: at most one, the winning
+    /// order's, and none when the raw or pulled-earlier schedule wins.
+    pub schedules_built: usize,
 }
 
 /// Runs DEMT with the given configuration (use
@@ -62,6 +72,8 @@ fn empty_result(inst: &Instance) -> DemtResult {
         },
         cmax_estimate: 0.0,
         cmax_lower_bound: 0.0,
+        orders_scored: 0,
+        schedules_built: 0,
     }
 }
 
@@ -83,46 +95,118 @@ pub fn demt_schedule_with_dual(
     let raw = place_raw(inst, &plan);
     let raw_criteria = Criteria::evaluate(inst, &raw);
 
-    // Step 3: compaction pipeline; keep the best schedule seen.
-    let mut best = raw.clone();
-    let mut best_crit = raw_criteria;
-    let consider = |s: Schedule, crit: &mut Criteria, best: &mut Schedule| {
-        let c = Criteria::evaluate(inst, &s);
-        if c.better_minsum_then_makespan(crit) {
-            *crit = c;
-            *best = s;
-        }
-    };
-
+    // Step 3: compaction pipeline; keep the best candidate seen. The
+    // choice reads only (Σ wᵢCᵢ, Cmax), and list start times depend
+    // only on free-processor counts, so every batch order is scored on
+    // `list_completions` and only the winning order is built.
+    let mut best = Score::of(&raw_criteria);
+    let mut winner = Winner::Raw;
     if cfg.compaction != Compaction::None {
-        consider(pull_earlier(&raw, None), &mut best_crit, &mut best);
+        let pulled = pull_earlier(&raw, None);
+        let c = Criteria::evaluate(inst, &pulled);
+        if Score::of(&c).better(&best) {
+            best = Score::of(&c);
+            winner = Winner::Pulled(pulled, c);
+        }
     }
-    // The list compactions below run the shared event-driven list
-    // engine (`demt_platform::list_schedule`): each shuffle costs
-    // O(n·(log n + s)) for s free-processor runs, not
-    // O(n·(n + m log m)), so ListShuffle stays affordable at large m.
+    let mut orders_scored = 0;
     if matches!(cfg.compaction, Compaction::List | Compaction::ListShuffle) {
         let lists = batch_lists(inst, &plan);
+        let shuffles = match cfg.compaction {
+            Compaction::ListShuffle if plan.batches.len() > 1 => cfg.shuffles,
+            _ => 0,
+        };
         let mut order: Vec<usize> = (0..plan.batches.len()).collect();
-        let tasks = flatten(&lists, &order);
-        consider(list_schedule(m, &tasks), &mut best_crit, &mut best);
-        if cfg.compaction == Compaction::ListShuffle && plan.batches.len() > 1 {
-            let mut rng = StdRng::seed_from_u64(SHUFFLE_SEED);
-            for _ in 0..cfg.shuffles {
+        let mut rng = StdRng::seed_from_u64(SHUFFLE_SEED);
+        let mut by_id = vec![0.0; inst.len()];
+        for round in 0..=shuffles {
+            if round > 0 {
                 order.shuffle(&mut rng);
-                let tasks = flatten(&lists, &order);
-                consider(list_schedule(m, &tasks), &mut best_crit, &mut best);
+            }
+            let tasks = flatten(&lists, &order);
+            orders_scored += 1;
+            // The lists come from a valid plan, so the engine accepts
+            // them; an order it rejected could not win anyway.
+            let Ok(done) = list_completions(m, &tasks) else {
+                continue;
+            };
+            let score = Score::of_list(inst, &tasks, &done, &mut by_id);
+            if score.better(&best) {
+                best = score;
+                winner = Winner::List(tasks);
             }
         }
     }
+    let (schedule, criteria, schedules_built) = match winner {
+        Winner::Raw => (raw, raw_criteria, 0),
+        Winner::Pulled(s, c) => (s, c, 0),
+        Winner::List(tasks) => {
+            let s = list_schedule(m, &tasks);
+            let c = Criteria::evaluate(inst, &s);
+            (s, c, 1)
+        }
+    };
 
     DemtResult {
-        schedule: best,
-        criteria: best_crit,
+        schedule,
+        criteria,
         raw_criteria,
         plan,
         cmax_estimate: dual.cmax_estimate,
         cmax_lower_bound: dual.lower_bound,
+        orders_scored,
+        schedules_built,
+    }
+}
+
+/// The compaction's best candidate so far: the raw schedule, its
+/// pulled-earlier compaction, or a batch order's priority list, built
+/// only once it has won.
+enum Winner {
+    Raw,
+    Pulled(Schedule, Criteria),
+    List(Vec<ListTask>),
+}
+
+/// What the compaction compares, "the best resulting compact schedule"
+/// of §3.2: Σ wᵢCᵢ first (equal within 1e-12), then Cmax.
+#[derive(Debug, Clone, Copy)]
+struct Score {
+    weighted_completion: f64,
+    makespan: f64,
+}
+
+impl Score {
+    fn of(c: &Criteria) -> Self {
+        Self {
+            weighted_completion: c.weighted_completion,
+            makespan: c.makespan,
+        }
+    }
+
+    /// The score of the list schedule of `tasks` from its per-position
+    /// completions `done`: the same bits [`Criteria::evaluate`] gives
+    /// that schedule, through the same task-id-order fold. `by_id` is a
+    /// scratch buffer of one slot per task.
+    fn of_list(inst: &Instance, tasks: &[ListTask], done: &[f64], by_id: &mut [f64]) -> Self {
+        for (t, &c) in tasks.iter().zip(done) {
+            by_id[t.id.index()] = c;
+        }
+        Self {
+            weighted_completion: weighted_completion(inst, by_id.iter().copied()),
+            makespan: done.iter().copied().fold(0.0, f64::max),
+        }
+    }
+
+    /// Lexicographic `(weighted_completion, makespan)` preference.
+    fn better(&self, other: &Score) -> bool {
+        if self.weighted_completion < other.weighted_completion - 1e-12 {
+            return true;
+        }
+        if other.weighted_completion < self.weighted_completion - 1e-12 {
+            return false;
+        }
+        self.makespan < other.makespan
     }
 }
 
@@ -208,6 +292,47 @@ fn flatten(lists: &[Vec<ListTask>], batch_order: &[usize]) -> Vec<ListTask> {
         .iter()
         .flat_map(|&bi| lists[bi].iter().copied())
         .collect()
+}
+
+/// The compaction as it ran before orders were scored on counts:
+/// every batch order's list schedule is built and evaluated, and the
+/// best schedule is kept. The reference [`demt_schedule_with_dual`]
+/// must match byte for byte.
+#[cfg(test)]
+fn compact_building_every_order(
+    inst: &Instance,
+    cfg: &DemtConfig,
+    plan: &BatchPlan,
+) -> (Schedule, Criteria) {
+    let m = inst.procs();
+    let raw = place_raw(inst, plan);
+    let mut best = raw.clone();
+    let mut best_crit = Criteria::evaluate(inst, &raw);
+    let consider = |s: Schedule, crit: &mut Criteria, best: &mut Schedule| {
+        let c = Criteria::evaluate(inst, &s);
+        if Score::of(&c).better(&Score::of(crit)) {
+            *crit = c;
+            *best = s;
+        }
+    };
+    if cfg.compaction != Compaction::None {
+        consider(pull_earlier(&raw, None), &mut best_crit, &mut best);
+    }
+    if matches!(cfg.compaction, Compaction::List | Compaction::ListShuffle) {
+        let lists = batch_lists(inst, plan);
+        let mut order: Vec<usize> = (0..plan.batches.len()).collect();
+        let tasks = flatten(&lists, &order);
+        consider(list_schedule(m, &tasks), &mut best_crit, &mut best);
+        if cfg.compaction == Compaction::ListShuffle && plan.batches.len() > 1 {
+            let mut rng = StdRng::seed_from_u64(SHUFFLE_SEED);
+            for _ in 0..cfg.shuffles {
+                order.shuffle(&mut rng);
+                let tasks = flatten(&lists, &order);
+                consider(list_schedule(m, &tasks), &mut best_crit, &mut best);
+            }
+        }
+    }
+    (best, best_crit)
 }
 
 #[cfg(test)]
@@ -321,5 +446,116 @@ mod tests {
             with.criteria.weighted_completion,
             without.criteria.weighted_completion
         );
+    }
+
+    /// Tie-heavy instances: sequential times from {1, 2, 4}, each
+    /// halving at every power-of-two allotment up to a per-task cap
+    /// (exact binary fractions, monotone), weights from {1, 2}. Equal
+    /// areas, weights and completions put the weight on tie-breaking.
+    fn tie_heavy(n: usize, m: usize, seed: u64) -> Instance {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = InstanceBuilder::new(m);
+        for _ in 0..n {
+            let seq = [1.0, 2.0, 4.0][rng.random_range(0..3usize)];
+            let cap = 1usize << rng.random_range(0..4u32);
+            let times = (1..=m)
+                .map(|k| seq / (1usize << k.min(cap).ilog2()) as f64)
+                .collect();
+            b.push_times([1.0, 2.0][rng.random_range(0..2usize)], times)
+                .unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn scoring_orders_matches_building_every_order_byte_for_byte() {
+        let mut cases: Vec<(String, Instance)> = Vec::new();
+        for kind in WorkloadKind::ALL {
+            for (n, m, seed) in [(30, 16, 1), (60, 32, 2), (120, 64, 3), (25, 5, 4)] {
+                cases.push((format!("{kind}/{n}x{m}/{seed}"), generate(kind, n, m, seed)));
+            }
+        }
+        // Down to one task: there the pulled-earlier schedule ties the
+        // list's and wins, so no list schedule is built.
+        for seed in 0..20 {
+            let n = [1, 2, 3, 5, 8, 13, 21, 34, 55, 89][seed as usize % 10];
+            let m = 1 + seed as usize % 8;
+            cases.push((format!("ties/{n}x{m}/{seed}"), tie_heavy(n, m, seed)));
+        }
+        // Cases whose winner was not built (0) and was built (1).
+        let mut built = [0; 2];
+        for (name, inst) in &cases {
+            for compaction in [Compaction::List, Compaction::ListShuffle] {
+                let cfg = DemtConfig {
+                    compaction,
+                    ..DemtConfig::default()
+                };
+                let r = demt_schedule(inst, &cfg);
+                let (s, c) = compact_building_every_order(inst, &cfg, &r.plan);
+                built[r.schedules_built] += 1;
+                // Each placement's JSON bytes, as `demt schedule` prints them.
+                let bytes = |s: &Schedule| {
+                    let mut out = Vec::new();
+                    for p in s.placements() {
+                        p.write_json(&mut out);
+                    }
+                    out
+                };
+                assert_eq!(r.schedule.procs(), s.procs(), "{name} {compaction:?}");
+                assert!(bytes(&r.schedule) == bytes(&s), "{name} {compaction:?}");
+                let bits = |c: &Criteria| {
+                    [
+                        c.makespan,
+                        c.weighted_completion,
+                        c.sum_completion,
+                        c.mean_completion,
+                        c.busy_area,
+                        c.idle_area,
+                        c.utilization,
+                    ]
+                    .map(f64::to_bits)
+                };
+                assert_eq!(bits(&r.criteria), bits(&c), "{name} {compaction:?}");
+            }
+        }
+        assert!(
+            built[0] > 0 && built[1] > 0,
+            "both outcomes covered: {built:?}"
+        );
+    }
+
+    #[test]
+    fn default_config_scores_every_order_and_builds_at_most_one() {
+        let inst = generate(WorkloadKind::Mixed, 60, 16, 9);
+        let cfg = DemtConfig::default();
+        let r = demt_schedule(&inst, &cfg);
+        assert!(r.plan.batches.len() > 1, "needs a multi-batch plan");
+        assert_eq!(r.orders_scored, 1 + cfg.shuffles);
+        assert!(r.schedules_built <= 1, "built {}", r.schedules_built);
+        let none = DemtConfig {
+            compaction: Compaction::PullEarlier,
+            ..cfg
+        };
+        let r = demt_schedule(&inst, &none);
+        assert_eq!((r.orders_scored, r.schedules_built), (0, 0));
+    }
+
+    #[test]
+    fn lexicographic_preference() {
+        let a = Score {
+            weighted_completion: 5.0,
+            makespan: 10.0,
+        };
+        let mut b = a;
+        b.weighted_completion = 6.0;
+        assert!(a.better(&b));
+        assert!(!b.better(&a));
+        let mut c = a;
+        c.makespan = 9.0;
+        assert!(c.better(&a));
+        // Σ wᵢCᵢ within 1e-12 counts as a tie; Cmax decides.
+        c.weighted_completion += 1e-13;
+        assert!(c.better(&a));
     }
 }

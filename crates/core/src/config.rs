@@ -14,10 +14,13 @@ pub enum Compaction {
     /// ("a straightforward improvement…").
     PullEarlier,
     /// Also re-run the Graham list engine with the batch ordering
-    /// ("a further improvement is to use a list algorithm…").
+    /// ("a further improvement is to use a list algorithm…"). The
+    /// order is scored on its completions; its schedule is built only
+    /// if it beats the pulled-earlier one.
     List,
     /// Also shuffle the batch order several times and keep the best
-    /// compact schedule ("an additional optimization step…").
+    /// compact schedule ("an additional optimization step…"). Every
+    /// order is scored on its completions and only the best is built.
     ListShuffle,
 }
 

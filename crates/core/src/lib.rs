@@ -17,10 +17,17 @@
 //!    under the `m`-processor budget;
 //! 4. **Compaction** — pull-earlier, then the Graham list engine with
 //!    the batch ordering, then several batch-order shuffles; the best
-//!    `(Σ wᵢ Cᵢ, Cmax)` schedule wins.
+//!    `(Σ wᵢ Cᵢ, Cmax)` schedule wins. The choice reads only those two
+//!    numbers, and a list's start times depend only on how many
+//!    processors are free, so each batch order is *scored* on
+//!    `demt_platform::list_completions` (a free count, no processor
+//!    sets) and only the winning order's schedule is built.
+//!    [`DemtResult::orders_scored`] and [`DemtResult::schedules_built`]
+//!    count both.
 //!
-//! The overall complexity is `O(mnK)` as the paper states (plus the
-//! compaction's `O(n² )` worst-case list scans, negligible in practice).
+//! The overall complexity is `O(mnK)` as the paper states, plus
+//! `O(n·log n)` per scored order and `O(n·(log n + s))` for the one
+//! built list schedule (`s` free-processor runs).
 //!
 //! ```
 //! use demt_core::{demt_schedule, DemtConfig};

@@ -57,6 +57,16 @@ pub enum ModelError {
         /// The duplicated id.
         task: usize,
     },
+    /// A rigid task's width lies outside `1..=m` (see
+    /// [`crate::MoldableTask::rigid`]).
+    RigidWidthOutOfRange {
+        /// Offending task id.
+        task: usize,
+        /// The requested width.
+        width: usize,
+        /// The machine's processor count `m`.
+        procs: usize,
+    },
     /// A task id referenced an instance of fewer tasks (e.g. in
     /// [`crate::Instance::restrict`]).
     TaskOutOfRange {
@@ -97,6 +107,9 @@ impl fmt::Display for ModelError {
             ),
             ModelError::DuplicateTaskId { task } => {
                 write!(f, "duplicate task id {task} in instance")
+            }
+            ModelError::RigidWidthOutOfRange { task, width, procs } => {
+                write!(f, "task {task}: rigid width {width} outside 1..={procs}")
             }
             ModelError::TaskOutOfRange { task, tasks } => {
                 write!(f, "task id {task} out of range for an instance of {tasks} tasks")

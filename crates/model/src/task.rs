@@ -261,7 +261,8 @@ impl MoldableTask {
     /// is prohibitively long below `procs` and flat (no speed-up, growing
     /// work) above. Used by the on-line extension crate. Stored compactly —
     /// `O(1)` time and space regardless of `m` — while every query answers
-    /// exactly as if the vector had been materialized.
+    /// exactly as if the vector had been materialized. A width outside
+    /// `1..=m` is a [`ModelError::RigidWidthOutOfRange`].
     pub fn rigid(
         id: TaskId,
         weight: f64,
@@ -269,10 +270,13 @@ impl MoldableTask {
         time: f64,
         m: usize,
     ) -> Result<Self, ModelError> {
-        assert!(
-            procs >= 1 && procs <= m,
-            "rigid allotment must be within 1..=m"
-        );
+        if procs < 1 || procs > m {
+            return Err(ModelError::RigidWidthOutOfRange {
+                task: id.0,
+                width: procs,
+                procs: m,
+            });
+        }
         // Below the rigid allotment the task "runs" sequentially with its
         // total work so that no scheduler ever prefers it; at and above it
         // runs in `time`. The historical materialized vector put `seq` at
@@ -756,6 +760,23 @@ mod tests {
         assert_eq!(r.time(1), 6.0);
         // Scheduling it on its rigid allotment is area-optimal.
         assert_eq!(r.min_area_alloc_within(2.0), Some((3, 6.0)));
+    }
+
+    #[test]
+    fn rigid_width_outside_the_machine_is_a_typed_error() {
+        for width in [0, 6, usize::MAX] {
+            let err = MoldableTask::rigid(TaskId(4), 1.0, width, 2.0, 5).unwrap_err();
+            assert_eq!(
+                err,
+                ModelError::RigidWidthOutOfRange {
+                    task: 4,
+                    width,
+                    procs: 5
+                }
+            );
+        }
+        let err = MoldableTask::rigid(TaskId(4), 1.0, 9, 1.0, 2).unwrap_err();
+        assert_eq!(err.to_string(), "task 4: rigid width 9 outside 1..=2");
     }
 
     #[test]

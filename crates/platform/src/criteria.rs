@@ -31,14 +31,16 @@ impl Criteria {
     pub fn evaluate(instance: &Instance, schedule: &Schedule) -> Self {
         let n = instance.len();
         let completions = schedule.completions(n);
-        let mut weighted = 0.0;
         let mut sum = 0.0;
-        for (i, c) in completions.iter().enumerate() {
-            // demt-lint: allow(P1, documented contract: evaluate requires a schedule covering the instance)
-            let c = c.unwrap_or_else(|| panic!("task {i} missing from schedule"));
-            weighted += instance.tasks()[i].weight() * c;
-            sum += c;
-        }
+        let weighted = weighted_completion(
+            instance,
+            completions.iter().enumerate().map(|(i, c)| {
+                // demt-lint: allow(P1, documented contract: evaluate requires a schedule covering the instance)
+                let c = c.unwrap_or_else(|| panic!("task {i} missing from schedule"));
+                sum += c;
+                c
+            }),
+        );
         let makespan = schedule.makespan();
         let busy = schedule.total_area();
         let cap = instance.procs() as f64 * makespan;
@@ -52,19 +54,19 @@ impl Criteria {
             utilization: if cap > 0.0 { busy / cap } else { 1.0 },
         }
     }
+}
 
-    /// Lexicographic comparison `(weighted_completion, makespan)` used
-    /// by DEMT's shuffle step to pick "the best resulting compact
-    /// schedule".
-    pub fn better_minsum_then_makespan(&self, other: &Criteria) -> bool {
-        if self.weighted_completion < other.weighted_completion - 1e-12 {
-            return true;
-        }
-        if other.weighted_completion < self.weighted_completion - 1e-12 {
-            return false;
-        }
-        self.makespan < other.makespan
+/// `Σ wᵢ Cᵢ` of `completions` given in task-id order, folded left to
+/// right from 0 — the one fold behind [`Criteria::evaluate`]'s
+/// `weighted_completion`, so a caller scoring completions without a
+/// schedule (DEMT's compaction, on [`crate::list_completions`]) gets
+/// the same bits.
+pub fn weighted_completion(instance: &Instance, completions: impl IntoIterator<Item = f64>) -> f64 {
+    let mut weighted = 0.0;
+    for (task, c) in instance.tasks().iter().zip(completions) {
+        weighted += task.weight() * c;
     }
+    weighted
 }
 
 #[cfg(test)]
@@ -115,25 +117,5 @@ mod tests {
         s.placements_mut().swap(0, 1);
         let truncated = Schedule::from_placements(3, vec![s.placements()[0].clone()]);
         let _ = Criteria::evaluate(&inst, &truncated);
-    }
-
-    #[test]
-    fn lexicographic_preference() {
-        let a = Criteria {
-            makespan: 10.0,
-            weighted_completion: 5.0,
-            sum_completion: 0.0,
-            mean_completion: 0.0,
-            busy_area: 0.0,
-            idle_area: 0.0,
-            utilization: 0.0,
-        };
-        let mut b = a;
-        b.weighted_completion = 6.0;
-        assert!(a.better_minsum_then_makespan(&b));
-        assert!(!b.better_minsum_then_makespan(&a));
-        let mut c = a;
-        c.makespan = 9.0;
-        assert!(c.better_minsum_then_makespan(&a));
     }
 }

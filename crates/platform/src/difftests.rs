@@ -6,13 +6,16 @@
 //! * the list engine against the pre-skyline scan
 //!   (`list_schedule_scan`), on random lists, on fixed corner cases and
 //!   on the `demt listbench` grids;
+//! * the engine's count ledger (`list_completions`) against the
+//!   completions of its `FreeSet` ledger (`list_schedule`), bit for bit,
+//!   on the same grids;
 //! * conservative backfilling against a pure-`Vec` reimplementation
 //!   without the skyline pre-filter, and its reservation invariants.
 
 use crate::list::list_schedule_scan;
 use crate::{
-    backfill_schedule, bench_grid, list_schedule, try_list_schedule, validate_no_overlap, ListTask,
-    Placement, Reservation, Schedule,
+    backfill_schedule, bench_grid, list_completions, list_schedule, try_list_schedule,
+    validate_no_overlap, ListTask, Placement, Reservation, Schedule,
 };
 use demt_model::{ProcSet, TaskId};
 use proptest::prelude::*;
@@ -23,6 +26,22 @@ fn json(s: &Schedule) -> String {
 
 fn lt(id: usize, alloc: usize, duration: f64) -> ListTask {
     ListTask::new(TaskId(id), alloc, duration)
+}
+
+/// Whether `list_completions` gives, for every list position, the bits
+/// of the completion of the placement `list_schedule` makes for it.
+/// Task ids equal list positions in every grid here.
+fn completions_match_placements(m: usize, tasks: &[ListTask], s: &Schedule) -> bool {
+    let mut placed = vec![f64::NAN; tasks.len()];
+    for p in s.placements() {
+        placed[p.task.index()] = p.completion();
+    }
+    let counted = list_completions(m, tasks).unwrap();
+    counted.len() == placed.len()
+        && counted
+            .iter()
+            .zip(&placed)
+            .all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
 /// Raw `ListTask` lists: durations and ready times drawn from small
@@ -145,6 +164,7 @@ proptest! {
         prop_assert_eq!(json(&sky), json(&scan), "JSON bytes diverge");
         // And no engine placement ever overlaps on a processor.
         prop_assert!(validate_no_overlap(&sky).is_ok(), "{:?}", validate_no_overlap(&sky));
+        prop_assert!(completions_match_placements(m, &tasks, &sky), "count ledger diverges");
     }
 
     #[test]
@@ -198,6 +218,7 @@ proptest! {
         let scan = list_schedule_scan(m, &tasks);
         prop_assert_eq!(json(&engine), json(&scan));
         prop_assert!(validate_no_overlap(&engine).is_ok());
+        prop_assert!(completions_match_placements(m, &tasks, &engine), "count ledger diverges");
     }
 
     #[test]
@@ -253,6 +274,7 @@ fn skyline_and_scan_agree_on_fixed_corner_cases() {
         let sky = list_schedule(m, &tasks);
         let scan = list_schedule_scan(m, &tasks);
         assert_eq!(sky, scan, "m={m}");
+        assert!(completions_match_placements(m, &tasks, &sky), "m={m}");
     }
 }
 
@@ -267,5 +289,9 @@ fn engines_agree_on_the_listbench_grids() {
         assert_eq!(sky.len(), grid.len(), "m={m}");
         // Not assert_eq!: a 3000-placement Debug dump helps no one.
         assert!(json(&sky) == json(&scan), "m={m}: bytes diverge");
+        assert!(
+            completions_match_placements(m, &grid, &sky),
+            "m={m}: count ledger diverges"
+        );
     }
 }

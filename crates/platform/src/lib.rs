@@ -6,13 +6,15 @@
 //! * [`Schedule`] / [`Placement`] — explicit start times and processor
 //!   sets (§2.2's `σ` and `nbproc` functions);
 //! * [`Criteria`] — the paper's two objectives (`Cmax`, `Σ wᵢ Cᵢ`) plus
-//!   auxiliary metrics;
+//!   auxiliary metrics; [`weighted_completion`] is its `Σ wᵢ Cᵢ` fold;
 //! * [`validate`] — a full feasibility audit run on every algorithm
 //!   output in tests and the harness;
 //! * [`list_schedule`] / [`try_list_schedule`] — the Graham-style
 //!   event-driven list engine behind every placement (baselines, DEMT's
 //!   compaction, the dual's shelves, the on-line batches), running on a
 //!   leftmost-fit tree and a [`FreeSet`] of free processor intervals;
+//!   [`list_completions`] runs the same loop on a bare free count and
+//!   returns only completion times (how DEMT scores a list order);
 //! * [`Skyline`] — the free-processor count as an event-ordered profile
 //!   keyed by time (earliest-fit queries, backfill pre-filtering, the
 //!   EASY queue's head reservation), see [`mod@skyline`]'s module docs;
@@ -37,9 +39,11 @@ pub mod skyline;
 mod validate;
 
 pub use compact::pull_earlier;
-pub use criteria::Criteria;
+pub use criteria::{weighted_completion, Criteria};
 pub use gantt::{render_gantt, MAX_GANTT_WIDTH};
-pub use list::{bench_grid, list_schedule, try_list_schedule, FreeSet, ListError, ListTask};
+pub use list::{
+    bench_grid, list_completions, list_schedule, try_list_schedule, FreeSet, ListError, ListTask,
+};
 pub use reserve::{backfill_schedule, Reservation};
 pub use schedule::{Placement, Schedule};
 pub use skyline::Skyline;

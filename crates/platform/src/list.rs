@@ -16,22 +16,36 @@
 //! The placement loop used to rescan the whole task list and re-sort
 //! the free list at every state change — `O(n·(n + m log m))` per
 //! schedule, the dominant cost at cluster scale. The engine now runs on
-//! event-ordered structures: a leftmost-fit tree over the list and a
-//! [`FreeSet`] of free processor intervals. The old scan survives only
-//! under `#[cfg(test)]`, as the reference the crate's differential tests
-//! pin the engine against byte for byte (the same pattern as `demt-lp`'s
-//! dense solver).
+//! event-ordered structures: a cursor over the tasks in ready order, a
+//! leftmost-fit tree over the list and a completion heap. The old scan
+//! survives only under `#[cfg(test)]`, as the reference the crate's
+//! differential tests pin the engine against byte for byte (the same
+//! pattern as `demt-lp`'s dense solver).
 //!
-//! | step | scan reference | event engine |
-//! |---|---|---|
-//! | "first fitting task" | `O(n)` rescan per event | `O(log n)` leftmost-fit tree descent |
-//! | free-processor release | `O(m log m)` re-sort per event | `O(s)` interval union |
-//! | take `k` lowest free indices | `O(m)` prefix drain | `O(s)` interval prefix split |
+//! There is **one event loop and two processor ledgers**. A greedy
+//! list's start times depend only on *how many* processors are free,
+//! never on *which*, so the loop reads nothing but the free count:
+//! [`list_schedule`] runs it on a [`FreeSet`] that hands out the `k`
+//! lowest free ids as a [`ProcSet`]; [`list_completions`] runs it on a
+//! bare count and returns each position's completion time, the same
+//! bits, with no processor-set work at all. Scoring a list order (what
+//! DEMT's compaction does for each batch shuffle) costs only the count
+//! pass.
+//!
+//! | step | scan reference | `FreeSet` ledger | count ledger |
+//! |---|---|---|---|
+//! | release ready tasks | `O(n)` rescan per event | `O(log n)` per task (cursor + tree leaf) | same |
+//! | "first fitting task" | `O(n)` rescan per event | `O(log n)` leftmost-fit tree descent | same |
+//! | free-processor release | `O(m log m)` re-sort per event | `O(s)` interval union | `O(1)` add |
+//! | take `k` lowest free indices | `O(m)` prefix drain | `O(s)` interval prefix split | `O(1)` subtract |
 //!
 //! `s` is the number of free runs in the [`FreeSet`] (a handful in
 //! practice, at most `⌈m/2⌉`). Total: `O(n·(log n + s))` instead of
-//! `O(n·(n + m log m))`. `demt listbench --procs 10000` times the engine
-//! on the [`bench_grid`] shape.
+//! `O(n·(n + m log m))`, and `O(n log n)` for a count pass. The ready
+//! cursor sorts only a list whose ready times are out of order; every
+//! off-line list (all ready at 0) is its own release order. `demt
+//! listbench --procs 10000` times the engine on the [`bench_grid`]
+//! shape.
 //!
 //! The m = 10⁴ scale is cheap enough to run in a doctest now:
 //!
@@ -174,7 +188,44 @@ fn check_tasks(m: usize, tasks: &[ListTask]) -> Result<(), ListError> {
 /// ```
 pub fn try_list_schedule(m: usize, tasks: &[ListTask]) -> Result<Schedule, ListError> {
     check_tasks(m, tasks)?;
-    Ok(greedy(m, tasks))
+    let mut schedule = Schedule::new(m);
+    greedy(FreeSet::full(m), tasks, |i, now, procs: &ProcSet| {
+        schedule.push(Placement {
+            task: tasks[i].id,
+            start: now,
+            duration: tasks[i].duration,
+            procs: procs.clone(),
+        });
+    });
+    Ok(schedule)
+}
+
+/// Completion time of each list position under the list engine on `m`
+/// processors — bit-equal to the [`Placement::completion`] of the
+/// placement [`list_schedule`] makes for that position — without
+/// building the schedule: the loop runs on a bare free count, so no
+/// processor set is taken, carried or released. Rejects the same input
+/// as [`try_list_schedule`].
+///
+/// Start times depend only on how many processors are free, never on
+/// which, so this is all a caller comparing orders by their
+/// completions needs (DEMT's compaction scores its batch orders here
+/// and builds only the winner).
+///
+/// ```
+/// use demt_platform::{list_completions, list_schedule, ListTask};
+/// use demt_model::TaskId;
+/// let tasks = [ListTask::new(TaskId(0), 2, 2.0), ListTask::new(TaskId(1), 3, 1.0)];
+/// assert_eq!(list_completions(4, &tasks).unwrap(), vec![2.0, 3.0]);
+/// assert_eq!(list_schedule(4, &tasks).makespan(), 3.0);
+/// ```
+pub fn list_completions(m: usize, tasks: &[ListTask]) -> Result<Vec<f64>, ListError> {
+    check_tasks(m, tasks)?;
+    let mut done = vec![0.0; tasks.len()];
+    greedy(m, tasks, |i, now, _: &usize| {
+        done[i] = now + tasks[i].duration
+    });
+    Ok(done)
 }
 
 /// Runs the list engine on `m` processors. Panics if any allotment
@@ -348,55 +399,97 @@ impl FreeSet {
     }
 }
 
-/// Graham greedy on event-ordered structures: a ready-time heap feeds a
-/// [`FitTree`] of released tasks, the free processors live in a
-/// [`FreeSet`] of intervals, and completion events release processor
-/// identities back. Placements are identical to the scan reference:
-/// within one instant the free count only shrinks, so repeatedly taking
-/// the leftmost fitting task enumerates exactly the tasks a full list
-/// scan would start, in the same order.
-fn greedy(m: usize, tasks: &[ListTask]) -> Schedule {
-    let mut schedule = Schedule::new(m);
-    let n = tasks.len();
-    let mut remaining = n;
+/// The processor bookkeeping the greedy loop runs on. Decisions read
+/// only [`Ledger::free`]; the claim a start takes rides the completion
+/// heap until its event gives it back. [`FreeSet`] claims the `k`
+/// lowest free ids as a [`ProcSet`] (the placements of
+/// [`list_schedule`]); a bare `usize` count claims just `k` (the
+/// completions of [`list_completions`]). Both run the one loop, so the
+/// two cannot disagree on a start time.
+trait Ledger {
+    /// What a started task holds until its completion.
+    type Claim: Ord;
+    /// Number of free processors.
+    fn free(&self) -> usize;
+    /// Claims `k` free processors; `k` never exceeds [`Ledger::free`].
+    fn take(&mut self, k: usize) -> Self::Claim;
+    /// Frees a claim again.
+    fn give_back(&mut self, claim: Self::Claim);
+}
 
-    let mut free = FreeSet::full(m);
-    // Completion events: (time, processors to release). The proc set
-    // rides the heap as a few interval ranges — the PR 5 profile's
-    // per-event Σk id clone is gone.
-    let mut events: BinaryHeap<(Reverse<EventTime>, ProcSet)> = BinaryHeap::new();
-    // Tasks whose ready time has not arrived yet, earliest first.
-    let mut unreleased: BinaryHeap<Reverse<(EventTime, usize)>> = tasks
+impl Ledger for FreeSet {
+    type Claim = ProcSet;
+    fn free(&self) -> usize {
+        self.len()
+    }
+    fn take(&mut self, k: usize) -> ProcSet {
+        self.take_lowest(k)
+    }
+    fn give_back(&mut self, claim: ProcSet) {
+        self.release(&claim);
+    }
+}
+
+impl Ledger for usize {
+    type Claim = usize;
+    fn free(&self) -> usize {
+        *self
+    }
+    fn take(&mut self, k: usize) -> usize {
+        *self -= k;
+        k
+    }
+    fn give_back(&mut self, claim: usize) {
+        *self += claim;
+    }
+}
+
+/// Graham greedy on event-ordered structures: a cursor over the list
+/// positions in release order feeds a [`FitTree`] of released tasks, the free processors live in a
+/// [`Ledger`], and completion events give claims back. `start(i, now,
+/// claim)` reports each start of list position `i`. Starts are
+/// identical to the scan reference: within one instant the free count
+/// only shrinks, so repeatedly taking the leftmost fitting task
+/// enumerates exactly the tasks a full list scan would start, in the
+/// same order.
+fn greedy<L: Ledger>(
+    mut free: L,
+    tasks: &[ListTask],
+    mut start: impl FnMut(usize, f64, &L::Claim),
+) {
+    let mut remaining = tasks.len();
+    // Completion events: (time, claim to give back). A `ProcSet` claim
+    // rides the heap as a few interval ranges, not `k` ids.
+    let mut events: BinaryHeap<(Reverse<EventTime>, L::Claim)> = BinaryHeap::new();
+    // List positions in release order, (ready time, position) — the
+    // order a ready-time heap would pop them in. A list already
+    // nondecreasing in ready time (every off-line list) is its own
+    // release order, so the sort is skipped there.
+    let mut release_order: Vec<usize> = (0..tasks.len()).collect();
+    let ready_cmp = |a: &ListTask, b: &ListTask| a.ready.total_cmp(&b.ready);
+    if !tasks.is_sorted_by(|a, b| ready_cmp(a, b).is_le()) {
+        // Stable: equal ready times keep list order.
+        release_order.sort_by(|&a, &b| ready_cmp(&tasks[a], &tasks[b]));
+    }
+    let mut unreleased = release_order
         .iter()
-        .enumerate()
-        .map(|(i, t)| Reverse((EventTime(t.ready), i)))
-        .collect();
-    let mut fit = FitTree::new(n);
+        .map(|&i| (tasks[i].ready, i))
+        .peekable();
+    let mut fit = FitTree::new(tasks.len());
     let mut now = 0.0_f64;
 
     loop {
         // Release every task whose ready time has arrived (same 1e-15
         // slack as the scan reference).
-        while let Some(&Reverse((EventTime(r), i))) = unreleased.peek() {
-            if r <= now + 1e-15 {
-                unreleased.pop();
-                fit.set(i, tasks[i].alloc);
-            } else {
-                break;
-            }
+        while let Some((_, i)) = unreleased.next_if(|&(r, _)| r <= now + 1e-15) {
+            fit.set(i, tasks[i].alloc);
         }
         // Start every fitting released task, in list order.
-        while let Some(i) = fit.first_fitting(free.len()) {
+        while let Some(i) = fit.first_fitting(free.free()) {
             let t = &tasks[i];
-            // Take the `alloc` lowest-indexed free processors.
-            let procs = free.take_lowest(t.alloc);
-            schedule.push(Placement {
-                task: t.id,
-                start: now,
-                duration: t.duration,
-                procs: procs.clone(),
-            });
-            events.push((Reverse(EventTime(now + t.duration)), procs));
+            let claim = free.take(t.alloc);
+            start(i, now, &claim);
+            events.push((Reverse(EventTime(now + t.duration)), claim));
             fit.set(i, usize::MAX);
             remaining -= 1;
         }
@@ -405,10 +498,7 @@ fn greedy(m: usize, tasks: &[ListTask]) -> Schedule {
         }
         // Advance time: to the next completion, or to the next release
         // if it comes sooner (or if no event is pending).
-        let next_release = unreleased
-            .peek()
-            .map(|&Reverse((EventTime(r), _))| r)
-            .unwrap_or(f64::INFINITY);
+        let next_release = unreleased.peek().map_or(f64::INFINITY, |&(r, _)| r);
         let next_event = events
             .peek()
             .map(|(Reverse(EventTime(t)), _)| *t)
@@ -419,20 +509,19 @@ fn greedy(m: usize, tasks: &[ListTask]) -> Schedule {
             "list engine stalled: no event and no release"
         );
         now = next;
-        // Release all processors freed at (or before) `now`.
+        // Give back every claim freed at (or before) `now`.
         while let Some((Reverse(EventTime(t)), _)) = events.peek() {
             if *t <= now + 1e-15 {
                 // Peek just returned Some under the same borrow, so
                 // pop yields that event; the if-let keeps this panic-free.
-                if let Some((_, procs)) = events.pop() {
-                    free.release(&procs);
+                if let Some((_, claim)) = events.pop() {
+                    free.give_back(claim);
                 }
             } else {
                 break;
             }
         }
     }
-    schedule
 }
 
 /// The pre-skyline engine, verbatim: full task-list rescans and free

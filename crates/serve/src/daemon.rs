@@ -461,6 +461,29 @@ mod tests {
     }
 
     #[test]
+    fn rigid_widths_outside_the_machine_end_the_run_with_a_line_error() {
+        let m = 2;
+        for width in [9, 0] {
+            let mut out = Vec::new();
+            let mut stats = ServeStats::new(m);
+            let err = run_events(
+                &ServeConfig::new(m),
+                std::iter::once(Ok((1, JobEvent::submit_rigid(0, 0.0, 1.0, width, 1.0)))),
+                &mut out,
+                &mut stats,
+                None,
+            )
+            .unwrap_err();
+            let want = format!("task 0: rigid width {width} outside 1..=2");
+            assert!(
+                matches!(&err, ServeError::Event { line: 1, message } if *message == want),
+                "{err:?}"
+            );
+            assert!(out.is_empty());
+        }
+    }
+
+    #[test]
     fn unknown_algorithms_are_rejected_and_registry_names_resolve() {
         assert!(matches!(
             resolve_scheduler("nope"),

@@ -195,6 +195,11 @@ impl FamilyLaws {
             }
             WorkloadKind::Cirne => {
                 let seq = self.seq_uniform.sample(rng);
+                if m == 1 {
+                    // The log-uniform parallelism law over [1, m] is
+                    // empty on one processor: the task is sequential.
+                    return (weight, vec![seq]);
+                }
                 let a = LogUniform::new(1.0, m as f64).sample(rng).max(1.0);
                 let sigma = rng.random_range(0.0..2.0);
                 downey_times(seq, m, a, sigma)

@@ -669,6 +669,65 @@ fn degenerate_generator_inputs_die_instead_of_panicking() {
 }
 
 #[test]
+fn cirne_on_one_processor_yields_sequential_tasks_instead_of_panicking() {
+    // The Cirne parallelism law is log-uniform over [1, m]: empty at
+    // m = 1. Every generator entry point skips the draw there.
+    let out = demt()
+        .args([
+            "generate", "--kind", "cirne", "--tasks", "5", "--procs", "1",
+        ])
+        .output()
+        .expect("demt");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "generate: {err}");
+    let inst: serde_json::Value =
+        serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    let tasks = inst["tasks"].as_array().unwrap();
+    assert_eq!(tasks.len(), 5);
+    assert!(tasks
+        .iter()
+        .all(|t| t["times"].as_array().unwrap().len() == 1));
+    for args in [
+        &["frontend", "--kind", "cirne", "--procs", "1", "--jobs", "6"][..],
+        &["replaybench", "--gen-trace", "n=50,m=1,seed=1"],
+    ] {
+        let out = demt().args(args).output().expect("demt");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn rigid_widths_outside_the_machine_end_serve_with_a_line_error() {
+    for width in [9, 0] {
+        let line = format!(
+            "{{\"kind\":\"submit\",\"job\":0,\"release\":0,\"weight\":1,\"procs\":{width},\"time\":1,\"times\":[]}}\n"
+        );
+        let mut cmd = demt();
+        cmd.args(["serve", "--procs", "2"])
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped());
+        let mut child = cmd.spawn().expect("spawn demt");
+        child
+            .stdin
+            .take()
+            .expect("stdin")
+            .write_all(line.as_bytes())
+            .expect("write stdin");
+        let out = child.wait_with_output().expect("wait");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "procs {width}: {err}");
+        assert!(err.contains("line 1:"), "procs {width}: {err}");
+        assert!(
+            err.contains(&format!("rigid width {width} outside 1..=2")),
+            "procs {width}: {err}"
+        );
+        assert!(out.stdout.is_empty());
+    }
+}
+
+#[test]
 fn least_area_allotments_past_the_machine_still_schedule_and_bound() {
     // m = 5 outside the monotone model: within λ ≈ 10 each task's
     // least-area allotment is 3 processors, though the dual's oracle
