@@ -52,7 +52,7 @@
 
 use demt_dual::{dual_approx, DualConfig};
 use demt_lp::{Basis, LinearProgram, Relation};
-use demt_model::{approx_le, Instance};
+use demt_model::{approx_le, Instance, MoldableTask};
 
 /// Horizons per warm-start chain in the sweep APIs. Chunks are cut at
 /// this fixed size — *independent of the worker count* — so the warm
@@ -270,12 +270,18 @@ pub fn assemble_minsum_lp(inst: &Instance, cmax_estimate: f64) -> MinsumLp {
     let mut surfaces: Vec<f64> = Vec::new(); // per variable, S_{i,ℓ}
     let mut owner: Vec<(usize, usize)> = Vec::new(); // var → (task, interval)
     let mut last_var_of_task = vec![usize::MAX; n];
+    let deadlines = &boundaries[1..n_intervals];
     let mut surf = vec![f64::INFINITY; last];
     for (i, t) in inst.tasks().iter().enumerate() {
-        let (first, min_work) = surfaces_within(t.times(), &boundaries[1..n_intervals], &mut surf);
+        let first = if t.is_exactly_monotone() {
+            monotone_surfaces(t, deadlines, &mut surf)
+        } else {
+            surfaces_within(t.times(), deadlines, &mut surf)
+        };
         for l in 0..n_intervals {
             let surface = if l == last {
-                Some(min_work)
+                // The unbounded interval meets every allotment.
+                Some(t.min_work())
             } else {
                 (l >= first).then_some(surf[l])
             };
@@ -339,11 +345,31 @@ pub fn assemble_minsum_lp(inst: &Instance, cmax_estimate: f64) -> MinsumLp {
     }
 }
 
-/// Every surface coefficient of one task in a single walk over its
-/// times. On return `surf[ℓ]` equals `min_area_within(deadlines[ℓ])`
-/// for every `ℓ ≥ first`, and no allotment meets `deadlines[ℓ]` for
-/// `ℓ < first` (`first == deadlines.len()` when none meets any). The
-/// second value is `min_work()`, the unbounded interval's coefficient.
+/// Every bounded surface coefficient of an exactly monotone task
+/// ([`demt_model::MoldableTask::is_exactly_monotone`]), one binary
+/// search per deadline. On return `surf[ℓ]` equals
+/// `min_area_within(deadlines[ℓ])` for every `ℓ ≥ first`, the returned
+/// index, and no allotment meets `deadlines[ℓ]` for `ℓ < first`. The
+/// deadlines go from the last down and stop at the first that no
+/// allotment meets: `deadlines` is ascending, so none before it fits
+/// either.
+fn monotone_surfaces(task: &MoldableTask, deadlines: &[f64], surf: &mut [f64]) -> usize {
+    let mut first = deadlines.len();
+    for (l, &d) in deadlines.iter().enumerate().rev() {
+        let Some(area) = task.min_area_within(d) else {
+            break;
+        };
+        surf[l] = area;
+        first = l;
+    }
+    first
+}
+
+/// Every bounded surface coefficient of any task in a single walk over
+/// its times, with [`monotone_surfaces`]'s contract: on return
+/// `surf[ℓ]` equals `min_area_within(deadlines[ℓ])` for every
+/// `ℓ ≥ first`, and no allotment meets `deadlines[ℓ]` for `ℓ < first`
+/// (`first == deadlines.len()` when none meets any).
 ///
 /// Each allotment `k` is charged to the first deadline it meets;
 /// `approx_le(p, ·)` is monotone in the deadline, so a prefix min over
@@ -352,15 +378,13 @@ pub fn assemble_minsum_lp(inst: &Instance, cmax_estimate: f64) -> MinsumLp {
 /// The search for the first deadline starts from the previous
 /// allotment's, so it is `O(1)` amortized on monotone vectors and
 /// correct on any. `deadlines` must be ascending.
-fn surfaces_within(times: &[f64], deadlines: &[f64], surf: &mut [f64]) -> (usize, f64) {
+fn surfaces_within(times: &[f64], deadlines: &[f64], surf: &mut [f64]) -> usize {
     let nb = deadlines.len();
     surf.fill(f64::INFINITY);
     let mut first = nb;
-    let mut min_work = f64::INFINITY;
     let mut l = nb;
     for (i, &p) in times.iter().enumerate() {
         let area = (i + 1) as f64 * p;
-        min_work = min_work.min(area);
         // `nb` stands for the unbounded interval, which every time meets.
         let meets = |l: usize| l == nb || approx_le(p, deadlines[l]);
         if meets(l) {
@@ -380,7 +404,7 @@ fn surfaces_within(times: &[f64], deadlines: &[f64], surf: &mut [f64]) -> (usize
     for l in first + 1..nb {
         surf[l] = surf[l].min(surf[l - 1]);
     }
-    (first, min_work)
+    first
 }
 
 /// What a basis column *meant* in its originating horizon LP, so it can
@@ -438,21 +462,15 @@ fn remap_seed(basis: &Basis, prev: &SeedMap, ml: &MinsumLp) -> Option<Basis> {
     Some(Basis::new(cols))
 }
 
-/// Solves an assembled horizon LP, seeded by `seed` when given (else by
-/// the structural basis), and returns the bound plus the optimal basis
-/// for the next horizon in a warm-start chain.
+/// Solves an assembled horizon LP, seeded by `seed` when given, and
+/// returns the bound plus the optimal basis for the next horizon in a
+/// warm-start chain. A missing seed, or one whose dual-simplex repair
+/// fails, gives way to the structural basis, never to a cold two-phase
+/// start.
 fn solve_assembled(inst: &Instance, ml: MinsumLp, seed: Option<&Basis>) -> (MinsumBound, Basis) {
-    let structural;
-    let seed = match seed {
-        Some(b) => b,
-        None => {
-            structural = ml.greedy_basis();
-            &structural
-        }
-    };
-    let (sol, basis) = ml
-        .lp
-        .solve_from(seed)
+    let (sol, basis) = seed
+        .and_then(|b| ml.lp.try_solve_from(b).transpose())
+        .unwrap_or_else(|| ml.lp.solve_from(&ml.greedy_basis()))
         // demt-lint: allow(P1, seed_basis/greedy_basis build feasible vertices by construction)
         .expect("a structural seed basis is always feasible");
     let trivial: f64 = inst.tasks().iter().map(|t| t.weight() * t.min_time()).sum();
@@ -472,7 +490,8 @@ fn solve_assembled(inst: &Instance, ml: MinsumLp, seed: Option<&Basis>) -> (Mins
 
 /// Evaluates one warm-start chain: consecutive horizons seed each other
 /// with the previous optimal basis, falling back to the structural seed
-/// when the interval grid changed shape.
+/// when the interval grid changed shape or the dual-simplex repair of
+/// the remapped basis fails.
 fn sweep_chunk(inst: &Instance, horizons: &[f64]) -> Vec<MinsumBound> {
     let mut prev: Option<(Basis, SeedMap)> = None;
     horizons
@@ -501,7 +520,7 @@ fn sweep_chunk(inst: &Instance, horizons: &[f64]) -> Vec<MinsumBound> {
 /// the previous optimal basis (repaired by the solver's dual-simplex
 /// phase when the shifted right-hand sides left it infeasible, or
 /// replaced by the structural seed when the interval grid changed
-/// shape). The chains are cut regardless of pool size and the reduction
+/// shape or that repair fails). The chains are cut regardless of pool size and the reduction
 /// is index-ordered, so the result is **byte-identical** for any worker
 /// count; `Pool::new(1)` is the sequential path.
 pub fn minsum_bounds_for_horizons_on(
@@ -600,8 +619,19 @@ mod tests {
             .collect()
     }
 
-    /// The same table from one `min_area_within` scan per bounded
-    /// interval and `min_work` for the unbounded last one.
+    /// `S_i(t)` by scanning the whole vector: the least area `k·p(k)`
+    /// over the allotments meeting `t`.
+    fn scanned_min_area(t: &MoldableTask, deadline: f64) -> Option<f64> {
+        t.times()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| approx_le(p, deadline))
+            .map(|(i, &p)| (i + 1) as f64 * p)
+            .reduce(f64::min)
+    }
+
+    /// The same table from one scan per bounded interval and the
+    /// scanned least work for the unbounded last one.
     fn scanned_surfaces(inst: &Instance, boundaries: &[f64]) -> Vec<Vec<Option<u64>>> {
         let last = boundaries.len() - 2;
         inst.tasks()
@@ -610,9 +640,9 @@ mod tests {
                 (0..=last)
                     .map(|l| {
                         let s = if l == last {
-                            Some(t.min_work())
+                            scanned_min_area(t, f64::INFINITY)
                         } else {
-                            t.min_area_within(boundaries[l + 1])
+                            scanned_min_area(t, boundaries[l + 1])
                         };
                         s.map(f64::to_bits)
                     })
@@ -621,6 +651,8 @@ mod tests {
             .collect()
     }
 
+    /// Both surface paths, the binary searches of exactly monotone tasks
+    /// and the walk, against the scans.
     fn assert_surfaces_match_scans(inst: &Instance, cmax: f64) {
         let ml = assemble_minsum_lp(inst, cmax);
         assert_eq!(
@@ -636,6 +668,7 @@ mod tests {
         for kind in WorkloadKind::ALL {
             for (n, m) in [(25, 200), (60, 16), (12, 3)] {
                 let inst = generate(kind, n, m, 5);
+                assert!(inst.tasks().iter().all(MoldableTask::is_exactly_monotone));
                 let cmax = dual_approx(&inst, &DualConfig::default()).cmax_estimate;
                 for scale in [0.5, 1.0, 1.7, 4.0] {
                     assert_surfaces_match_scans(&inst, cmax * scale);
@@ -663,6 +696,13 @@ mod tests {
     #[test]
     fn surfaces_match_per_interval_scans_on_rigid_tasks() {
         let (inst, horizons) = rigid_instance();
+        // Widths 1 and 2 are exactly monotone, the wider ones are not.
+        let flags: Vec<bool> = inst
+            .tasks()
+            .iter()
+            .map(|t| t.is_exactly_monotone())
+            .collect();
+        assert_eq!(flags, [true, false, false, false, true]);
         for cmax in horizons {
             assert_surfaces_match_scans(&inst, cmax);
         }
@@ -779,10 +819,14 @@ mod tests {
                 (Just(cmax), prop::collection::vec(task, 1..=6))
             }),
         ) {
+            // The raw vectors mostly take the walk; their monotonized
+            // twins mostly take the binary searches.
             let m = tasks[0].1.len();
             let mut b = InstanceBuilder::new(m);
             for (w, times) in tasks {
-                b.push_times(w, times).unwrap();
+                let t = MoldableTask::new(TaskId(0), w, times).unwrap();
+                b.push_times(w, t.times().to_vec()).unwrap();
+                b.push_times(w, t.monotonized().times().to_vec()).unwrap();
             }
             assert_surfaces_match_scans(&b.build().unwrap(), cmax);
         }
@@ -1017,12 +1061,12 @@ mod tests {
             .map(|i| dual.lower_bound * (1.0 + 0.15 * i as f64))
             .collect();
         let warm = minsum_bounds_for_horizons_on(&Pool::new(1), &inst, &horizons);
-        // The occasional link may fail its dual-simplex repair and fall
-        // back to a cold start (correct, just slower) — but the chain
-        // must warm start in the main.
+        // A link whose dual-simplex repair fails restarts from the
+        // structural seed, itself a warm start, so every link is one.
         let hits = warm.iter().filter(|b| b.lp_warm_started).count();
-        assert!(
-            hits * 2 > warm.len(),
+        assert_eq!(
+            hits,
+            warm.len(),
             "only {hits}/{} links warm started",
             warm.len()
         );
@@ -1036,6 +1080,37 @@ mod tests {
                 cold.objective
             );
         }
+    }
+
+    #[test]
+    fn failed_repairs_restart_from_the_structural_seed() {
+        // `demt bound --sweep 12` on this instance has three links whose
+        // remapped neighbour basis the dual simplex cannot repair.
+        let inst = generate(WorkloadKind::Mixed, 100, 64, 1);
+        let dual = demt_dual::dual_approx(&inst, &demt_dual::DualConfig::default());
+        let horizons: Vec<f64> = (0..12)
+            .map(|i| dual.lower_bound * (1.0 + 0.25 * i as f64))
+            .collect();
+        let swept = minsum_bounds_for_horizons_on(&Pool::new(1), &inst, &horizons);
+        let mut failed = 0;
+        for (chunk, bounds) in horizons.chunks(WARM_CHUNK).zip(swept.chunks(WARM_CHUNK)) {
+            let mut prev: Option<(Basis, SeedMap)> = None;
+            for (&h, swept) in chunk.iter().zip(bounds) {
+                let ml = assemble_minsum_lp(&inst, h);
+                let seed = prev.take().and_then(|(b, map)| remap_seed(&b, &map, &ml));
+                let repaired = seed.as_ref().map(|b| ml.lp.try_solve_from(b).unwrap());
+                if let Some(None) = repaired {
+                    failed += 1;
+                    let (greedy, _) = ml.lp.solve_from(&ml.greedy_basis()).unwrap();
+                    assert_eq!(swept.lp_iterations, greedy.iterations, "horizon {h}");
+                    assert_eq!(swept.lp_value.to_bits(), greedy.objective.to_bits());
+                }
+                assert!(swept.lp_warm_started, "horizon {h}");
+                let map = SeedMap::of(&ml);
+                prev = Some((solve_assembled(&inst, ml, seed.as_ref()).1, map));
+            }
+        }
+        assert_eq!(failed, 3);
     }
 
     #[test]

@@ -44,6 +44,41 @@ pub enum Rejection {
     },
 }
 
+/// The canonical-allotment queries as whole-vector scans, for any
+/// vector: the test reference both the memo's staircases and the
+/// monotone tasks' binary searches are compared against.
+#[cfg(test)]
+pub(crate) mod scan {
+    use demt_model::{approx_le, MoldableTask};
+
+    /// `MoldableTask::min_alloc_within` by scanning: the first
+    /// allotment whose time meets `t`.
+    pub(crate) fn min_alloc_within(task: &MoldableTask, t: f64) -> Option<usize> {
+        task.times()
+            .iter()
+            .position(|&p| approx_le(p, t))
+            .map(|i| i + 1)
+    }
+
+    /// `MoldableTask::min_area_alloc_within` by scanning: the least
+    /// area meeting `t`, smallest allotment on ties.
+    pub(crate) fn min_area_alloc_within(task: &MoldableTask, t: f64) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, &p) in task.times().iter().enumerate() {
+            let area = (i + 1) as f64 * p;
+            if approx_le(p, t) && best.is_none_or(|(_, b)| area < b) {
+                best = Some((i + 1, area));
+            }
+        }
+        best
+    }
+
+    /// `MoldableTask::min_area_within` by scanning.
+    pub(crate) fn min_area_within(task: &MoldableTask, t: f64) -> Option<f64> {
+        min_area_alloc_within(task, t).map(|(_, area)| area)
+    }
+}
+
 /// Tests the three necessary conditions at target makespan λ by scanning
 /// every task's whole processing-time vector, `O(n·m)`: the reference
 /// the memoized [`crate::CanonicalAllotments::check_lambda`] is
@@ -54,7 +89,7 @@ pub(crate) fn check_lambda(inst: &Instance, lambda: f64) -> Option<Rejection> {
     let mut total_area = 0.0;
     let mut midpoint_procs = 0usize;
     for (i, t) in inst.tasks().iter().enumerate() {
-        match t.min_area_within(lambda) {
+        match scan::min_area_within(t, lambda) {
             None => return Some(Rejection::TaskDoesNotFit { task: i }),
             Some(a) => total_area += a,
         }
@@ -62,7 +97,7 @@ pub(crate) fn check_lambda(inst: &Instance, lambda: f64) -> Option<Rejection> {
             // `min_area_within` returned `Some` above, so an allotment
             // within lambda exists; treat a disagreement between the
             // two queries as a rejection rather than panicking.
-            match t.min_alloc_within(lambda) {
+            match scan::min_alloc_within(t, lambda) {
                 Some(p) => midpoint_procs += p,
                 None => return Some(Rejection::TaskDoesNotFit { task: i }),
             }

@@ -71,6 +71,13 @@ pub struct DualResult {
     pub schedule: Schedule,
     /// Makespan of that schedule — the `C*max` estimate handed to DEMT.
     pub cmax_estimate: f64,
+    /// Feasibility predicate evaluations the bisection made.
+    pub lambda_checks: usize,
+    /// Tasks that needed a sorted allotment staircase, those that are
+    /// not exactly monotone
+    /// ([`demt_model::MoldableTask::is_exactly_monotone`]); zero on
+    /// the four SPAA'04 generator families.
+    pub staircases_built: usize,
 }
 
 /// Runs the full dual approximation: bisection on λ, then the two-shelf
@@ -86,14 +93,18 @@ pub struct DualResult {
 /// ```
 pub fn dual_approx(inst: &Instance, cfg: &DualConfig) -> DualResult {
     assert!(!inst.is_empty(), "dual approximation of an empty instance");
-    // The canonical allotments are memoized once and shared by every
+    // The canonical allotments are indexed once and shared by every
     // bisection iteration: the predicate then costs O(n log m) per λ
     // guess instead of the naive O(n·m) re-scan, with bit-identical
     // accept/reject decisions (see `memo` tests).
     let memo = CanonicalAllotments::new(inst);
     let lo = trivial_lower_bound(inst);
     let hi = trivially_feasible_lambda(inst).max(lo);
-    let th = bisect_threshold(lo, hi, cfg.rel_eps, |lambda| memo.lambda_feasible(lambda));
+    let mut lambda_checks = 0;
+    let th = bisect_threshold(lo, hi, cfg.rel_eps, |lambda| {
+        lambda_checks += 1;
+        memo.lambda_feasible(lambda)
+    });
     let build = build_shelves(inst, &memo, th.accepted);
     let cmax_estimate = build.schedule.makespan();
     DualResult {
@@ -104,6 +115,8 @@ pub fn dual_approx(inst: &Instance, cfg: &DualConfig) -> DualResult {
         order: build.order,
         schedule: build.schedule,
         cmax_estimate,
+        lambda_checks,
+        staircases_built: memo.staircases_built(),
     }
 }
 
@@ -207,6 +220,36 @@ mod tests {
             assert_eq!(full.lower_bound.to_bits(), th.rejected.max(lo).to_bits());
             assert_eq!(full.lambda.to_bits(), th.accepted.to_bits());
         }
+    }
+
+    #[test]
+    fn monotone_families_build_no_staircase() {
+        for kind in WorkloadKind::ALL {
+            for m in [1, 16, 200] {
+                let inst = generate(kind, 30, m, 3);
+                let r = dual_approx(&inst, &DualConfig::default());
+                assert_eq!(r.staircases_built, 0, "{kind} m = {m}");
+                // The replayed bisection counts its own predicate calls.
+                let lo = trivial_lower_bound(&inst);
+                let hi = trivially_feasible_lambda(&inst).max(lo);
+                let mut calls = 0;
+                let _ = bisect_threshold(lo, hi, DualConfig::default().rel_eps, |l| {
+                    calls += 1;
+                    lambda_feasible(&inst, l)
+                });
+                assert_eq!(r.lambda_checks, calls, "{kind} m = {m}");
+            }
+        }
+        // Least-area allotments wider than the fewest processors: both
+        // tasks are non-monotone, so both need a staircase.
+        let mut b = InstanceBuilder::new(5);
+        for _ in 0..2 {
+            b.push_times(1.0, vec![100.0, 10.0, 6.0, 6.0, 6.0]).unwrap();
+        }
+        let inst = b.build().unwrap();
+        let r = dual_approx(&inst, &DualConfig::default());
+        assert_eq!(r.staircases_built, inst.len());
+        assert!(r.lambda_checks > 0);
     }
 
     #[test]

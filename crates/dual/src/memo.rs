@@ -1,30 +1,39 @@
-//! Memoized canonical-allotment queries for the bisection.
+//! Canonical-allotment queries for the bisection.
 //!
 //! Every bisection iteration re-evaluates the feasibility predicate,
-//! and the naive predicate re-derives each task's canonical allotment
-//! — `min_area_within` / `min_alloc_within` — by scanning the whole
-//! processing-time vector: `O(n·m)` *per λ guess*, the "re-runs the
-//! full knapsack per iteration" cost called out in the ROADMAP.
+//! which asks each task's canonical allotment at λ — `min_area_within`
+//! and `min_alloc_within` — `O(n)` queries *per λ guess*.
 //!
-//! The quantities the predicate needs are step functions of λ with at
-//! most `m` breakpoints (one per distinct processing time). This module
-//! builds that staircase **once per instance**: allotments sorted by
-//! processing time with prefix minima of the allocation and of the
-//! area. Each query then binary-searches the λ cut, `O(log m)` instead
-//! of `O(m)`, and a probe counter makes the saving testable.
+//! On the paper's model a task's time does not grow and its work does
+//! not shrink with more processors. A task whose vector is so *exactly*
+//! ([`MoldableTask::is_exactly_monotone`], a flag folded when the task
+//! is built) is its own allotment staircase: the allotments meeting λ
+//! are a suffix of `1..=m`, the first of them is both the fewest
+//! processors and the least area, and the task answers each query with
+//! one binary search over its own vector. The four SPAA'04 generator
+//! families produce such tasks, so this memo builds nothing for them.
 //!
-//! The memoized queries replicate the naive task methods *exactly*
-//! (same `approx_le` tolerance, same tie-breaks), so the bisection
-//! takes identical accept/reject decisions and [`crate::dual_approx`]
-//! is bit-for-bit unchanged — asserted by the tests below.
+//! The quantities the predicate needs are still step functions of λ
+//! with at most `m` breakpoints (one per distinct processing time) when
+//! a task is not monotone. For those tasks only, this module builds the
+//! staircase **once per instance**: allotments sorted by processing
+//! time with prefix minima of the allocation and of the area. Each query
+//! then binary-searches the λ cut, `O(log m)` instead of the `O(m)`
+//! scan, and a probe counter makes the saving testable.
+//!
+//! Both paths replicate the naive scans *exactly* (same `approx_le`
+//! tolerance, same tie-breaks), so the bisection takes identical
+//! accept/reject decisions and [`crate::dual_approx`] is bit-for-bit
+//! unchanged — asserted by the tests below against a scan reference.
 
 use crate::feasibility::Rejection;
-use demt_model::{approx_le, Instance};
+use demt_model::{approx_le, Instance, MoldableTask};
 #[cfg(test)]
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One task's staircase: allotments sorted by processing time.
-struct TaskMemo {
+/// One non-monotone task's staircase: allotments sorted by processing
+/// time.
+struct Staircase {
     /// Processing times in ascending order (ties: larger allotment
     /// first, the order that makes a nonincreasing vector one sorted
     /// run). `approx_le(p, λ)` is monotone in `p`, so the feasible set
@@ -40,67 +49,82 @@ struct TaskMemo {
     /// whatever the entry order (matching the scan order of
     /// `MoldableTask::min_area_alloc_within`).
     prefix_area: Vec<(f64, usize)>,
-    /// `min_k p(k)`, precomputed for the midpoint condition.
-    min_time: f64,
 }
 
-/// Per-instance memo of every task's canonical allotments, plus (in
-/// test builds only) a probe counter so tests can compare per-iteration
-/// work against the naive scan. The memo captures everything the
-/// feasibility predicate needs (including the machine size), so it
-/// cannot be mixed up with a different instance after construction.
-pub struct CanonicalAllotments {
-    tasks: Vec<TaskMemo>,
-    procs: usize,
+impl Staircase {
+    /// Sorts `task`'s allotments by time and folds the prefix minima:
+    /// `O(m)` when the vector is nonincreasing, `O(m log m)` at worst.
+    fn new(task: &MoldableTask) -> Self {
+        // Entries go in by descending allotment, so a nonincreasing
+        // vector is already one ascending run, which the stable sort
+        // finishes in a single pass.
+        let mut entries: Vec<(f64, usize)> = task
+            .times()
+            .iter()
+            .enumerate()
+            .rev()
+            .map(|(i, &p)| (p, i + 1))
+            .collect();
+        entries.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut prefix_alloc = Vec::with_capacity(entries.len());
+        let mut prefix_area = Vec::with_capacity(entries.len());
+        let mut best_alloc = usize::MAX;
+        let mut best_area = (f64::INFINITY, usize::MAX);
+        for &(p, k) in &entries {
+            best_alloc = best_alloc.min(k);
+            let area = k as f64 * p;
+            if area < best_area.0 || (area == best_area.0 && k < best_area.1) {
+                best_area = (area, k);
+            }
+            prefix_alloc.push(best_alloc);
+            prefix_area.push(best_area);
+        }
+        Self {
+            times: entries.iter().map(|&(p, _)| p).collect(),
+            prefix_alloc,
+            prefix_area,
+        }
+    }
+}
+
+/// Per-instance index of every task's canonical allotments: exactly
+/// monotone tasks answer from their own vector, the others from a
+/// staircase built here, plus (in test builds only) a probe counter so
+/// tests can compare per-iteration work against the naive scan. The
+/// memo borrows the instance it indexes, so it cannot be mixed up with
+/// a different one.
+pub struct CanonicalAllotments<'a> {
+    inst: &'a Instance,
+    /// Per task, its staircase; `None` for an exactly monotone task.
+    stairs: Vec<Option<Staircase>>,
     #[cfg(test)]
     probes: AtomicU64,
 }
 
-impl CanonicalAllotments {
-    /// Builds the staircases: `O(n·m)` for instances whose vectors are
-    /// nonincreasing (every SPAA'04 generator's), `O(n·m log m)` at
-    /// worst, once per instance and amortized over the
+impl<'a> CanonicalAllotments<'a> {
+    /// Builds a staircase for each task that is not exactly monotone,
+    /// once per instance and amortized over the
     /// ~`log(hi/lo)/log(1+ε)` feasibility checks of the bisection.
-    pub fn new(inst: &Instance) -> Self {
-        let tasks = inst
-            .tasks()
-            .iter()
-            .map(|t| {
-                // Entries go in by descending allotment, so a
-                // nonincreasing vector is already one ascending run,
-                // which the stable sort finishes in a single pass.
-                let mut entries: Vec<(f64, usize)> = t
-                    .times()
-                    .iter()
-                    .enumerate()
-                    .rev()
-                    .map(|(i, &p)| (p, i + 1))
-                    .collect();
-                entries.sort_by(|a, b| a.0.total_cmp(&b.0));
-                let mut prefix_alloc = Vec::with_capacity(entries.len());
-                let mut prefix_area = Vec::with_capacity(entries.len());
-                let mut best_alloc = usize::MAX;
-                let mut best_area = (f64::INFINITY, usize::MAX);
-                for &(p, k) in &entries {
-                    best_alloc = best_alloc.min(k);
-                    let area = k as f64 * p;
-                    if area < best_area.0 || (area == best_area.0 && k < best_area.1) {
-                        best_area = (area, k);
-                    }
-                    prefix_alloc.push(best_alloc);
-                    prefix_area.push(best_area);
-                }
-                TaskMemo {
-                    times: entries.iter().map(|&(p, _)| p).collect(),
-                    prefix_alloc,
-                    prefix_area,
-                    min_time: t.min_time(),
-                }
-            })
-            .collect();
+    /// `O(n)` when every task is exactly monotone.
+    pub fn new(inst: &'a Instance) -> Self {
+        Self::build(inst, |t| !t.is_exactly_monotone())
+    }
+
+    /// A memo whose every task goes through a staircase, so the tests
+    /// can run the staircase path on monotone instances too.
+    #[cfg(test)]
+    pub(crate) fn staircased(inst: &'a Instance) -> Self {
+        Self::build(inst, |_| true)
+    }
+
+    fn build(inst: &'a Instance, stair: impl Fn(&MoldableTask) -> bool) -> Self {
         Self {
-            tasks,
-            procs: inst.procs(),
+            inst,
+            stairs: inst
+                .tasks()
+                .iter()
+                .map(|t| stair(t).then(|| Staircase::new(t)))
+                .collect(),
             #[cfg(test)]
             probes: AtomicU64::new(0),
         }
@@ -108,81 +132,96 @@ impl CanonicalAllotments {
 
     /// Number of tasks covered.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.stairs.len()
     }
 
     /// True when the memo covers no tasks.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.stairs.is_empty()
     }
 
-    /// Allotment entries examined so far across all queries — the
+    /// Tasks that needed a sorted staircase: those that are not exactly
+    /// monotone. Zero on the four SPAA'04 generator families.
+    pub fn staircases_built(&self) -> usize {
+        self.stairs.iter().filter(|s| s.is_some()).count()
+    }
+
+    /// Staircase entries examined so far across all queries — the
     /// work counter the bisection tests compare against the `O(n·m)`
-    /// naive scan.
+    /// naive scan. Queries answered by a monotone task itself do not
+    /// count.
     #[cfg(test)]
     pub fn probes(&self) -> u64 {
         self.probes.load(Ordering::Relaxed)
     }
 
-    /// Size of the feasible prefix of `task`'s staircase at deadline
-    /// `t` (number of allotments with `p(k) ≲ t`), via binary search.
-    fn cut(&self, task: usize, t: f64) -> usize {
-        self.tasks[task].times.partition_point(|&p| {
+    /// Size of the feasible prefix of a staircase at deadline `t`
+    /// (number of allotments with `p(k) ≲ t`), via binary search.
+    fn cut(&self, stair: &Staircase, t: f64) -> usize {
+        stair.times.partition_point(|&p| {
             #[cfg(test)]
             self.probes.fetch_add(1, Ordering::Relaxed);
             approx_le(p, t)
         })
     }
 
-    /// Memoized [`demt_model::MoldableTask::min_alloc_within`].
+    /// [`demt_model::MoldableTask::min_alloc_within`], `O(log m)`.
     pub fn min_alloc_within(&self, task: usize, t: f64) -> Option<usize> {
-        let cut = self.cut(task, t);
-        (cut > 0).then(|| self.tasks[task].prefix_alloc[cut - 1])
+        let Some(stair) = &self.stairs[task] else {
+            return self.inst.tasks()[task].min_alloc_within(t);
+        };
+        let cut = self.cut(stair, t);
+        (cut > 0).then(|| stair.prefix_alloc[cut - 1])
     }
 
-    /// Memoized [`demt_model::MoldableTask::min_area_within`].
+    /// [`demt_model::MoldableTask::min_area_within`], `O(log m)`.
     pub fn min_area_within(&self, task: usize, t: f64) -> Option<f64> {
-        let cut = self.cut(task, t);
-        (cut > 0).then(|| self.tasks[task].prefix_area[cut - 1].0)
+        self.min_area_alloc_within(task, t).map(|(_, area)| area)
     }
 
-    /// Memoized [`demt_model::MoldableTask::min_area_alloc_within`].
+    /// [`demt_model::MoldableTask::min_area_alloc_within`], `O(log m)`.
     pub fn min_area_alloc_within(&self, task: usize, t: f64) -> Option<(usize, f64)> {
-        let cut = self.cut(task, t);
+        let Some(stair) = &self.stairs[task] else {
+            return self.inst.tasks()[task].min_area_alloc_within(t);
+        };
+        let cut = self.cut(stair, t);
         (cut > 0).then(|| {
-            let (area, alloc) = self.tasks[task].prefix_area[cut - 1];
+            let (area, alloc) = stair.prefix_area[cut - 1];
             (alloc, area)
         })
     }
 
-    /// [`Self::min_area_alloc_within`], or when none meets `t` the first
-    /// staircase entry: the fastest allotment (the widest on time ties).
+    /// [`Self::min_area_alloc_within`], or when none meets `t` the
+    /// fastest allotment, the widest on time ties: the first staircase
+    /// entry, which on a monotone task is `(m, m·p(m))`.
     pub(crate) fn shelf1_alloc(&self, task: usize, t: f64) -> (usize, f64) {
-        let cut = self.cut(task, t);
-        let (area, alloc) = self.tasks[task].prefix_area[cut.max(1) - 1];
+        let Some(stair) = &self.stairs[task] else {
+            let task = &self.inst.tasks()[task];
+            let m = task.max_procs();
+            return task
+                .min_area_alloc_within(t)
+                .unwrap_or((m, m as f64 * task.time(m)));
+        };
+        let cut = self.cut(stair, t);
+        let (area, alloc) = stair.prefix_area[cut.max(1) - 1];
         (alloc, area)
     }
 
-    /// Precomputed `min_k p(k)` of `task`.
-    pub fn min_time(&self, task: usize) -> f64 {
-        self.tasks[task].min_time
-    }
-
     /// Tests the three necessary conditions of the feasibility module
-    /// at target makespan λ. A memoized replica of the naive per-task
-    /// scan: same conditions, same task order (so the area sum is the
-    /// identical float fold), same tolerances — only the per-task
-    /// queries are `O(log m)`.
+    /// at target makespan λ. A replica of the naive per-task scan: same
+    /// conditions, same task order (so the area sum is the identical
+    /// float fold), same tolerances — only the per-task queries are
+    /// `O(log m)`.
     pub fn check_lambda(&self, lambda: f64) -> Option<Rejection> {
-        let m = self.procs;
+        let m = self.inst.procs();
         let mut total_area = 0.0;
         let mut midpoint_procs = 0usize;
-        for i in 0..self.tasks.len() {
+        for (i, task) in self.inst.tasks().iter().enumerate() {
             match self.min_area_within(i, lambda) {
                 None => return Some(Rejection::TaskDoesNotFit { task: i }),
                 Some(a) => total_area += a,
             }
-            if self.min_time(i) > lambda / 2.0 {
+            if task.min_time() > lambda / 2.0 {
                 // `min_area_within` returned `Some` above, so an
                 // allotment within lambda exists; treat a disagreement
                 // between the two queries as a rejection rather than
@@ -219,30 +258,54 @@ impl CanonicalAllotments {
 mod tests {
     use super::*;
     use crate::feasibility::{
-        check_lambda, lambda_feasible, trivial_lower_bound, trivially_feasible_lambda,
+        check_lambda, lambda_feasible, scan, trivial_lower_bound, trivially_feasible_lambda,
     };
     use demt_kernels::bisect_threshold;
-    use demt_model::{InstanceBuilder, MoldableTask, TaskId, REL_EPS};
+    use demt_model::{InstanceBuilder, TaskId, REL_EPS};
     use demt_workload::{generate, WorkloadKind};
 
+    /// The memo as built, and one that puts every task through a
+    /// staircase: each test runs both paths.
+    fn both_paths(inst: &Instance) -> [CanonicalAllotments<'_>; 2] {
+        [
+            CanonicalAllotments::new(inst),
+            CanonicalAllotments::staircased(inst),
+        ]
+    }
+
+    /// The three queries of task `i` at `t` against the scans.
+    fn assert_matches_the_scans(memo: &CanonicalAllotments, i: usize, t: f64, ctx: &str) {
+        let task = &memo.inst.tasks()[i];
+        assert_eq!(
+            memo.min_alloc_within(i, t),
+            scan::min_alloc_within(task, t),
+            "{ctx}"
+        );
+        assert_eq!(
+            memo.min_area_within(i, t),
+            scan::min_area_within(task, t),
+            "{ctx}"
+        );
+        assert_eq!(
+            memo.min_area_alloc_within(i, t),
+            scan::min_area_alloc_within(task, t),
+            "{ctx}"
+        );
+    }
+
     #[test]
-    fn memo_queries_match_the_naive_task_methods() {
+    fn memo_queries_match_the_naive_scans() {
         for kind in WorkloadKind::ALL {
             for seed in 0..3 {
                 let inst = generate(kind, 25, 16, seed);
-                let memo = CanonicalAllotments::new(&inst);
                 let lo = 0.5 * trivial_lower_bound(&inst);
                 let hi = 1.5 * trivially_feasible_lambda(&inst);
-                for step in 0..40 {
-                    let t = lo + (hi - lo) * step as f64 / 39.0;
-                    for (i, task) in inst.tasks().iter().enumerate() {
-                        assert_eq!(memo.min_alloc_within(i, t), task.min_alloc_within(t));
-                        assert_eq!(memo.min_area_within(i, t), task.min_area_within(t));
-                        assert_eq!(
-                            memo.min_area_alloc_within(i, t),
-                            task.min_area_alloc_within(t)
-                        );
-                        assert_eq!(memo.min_time(i), task.min_time());
+                for memo in both_paths(&inst) {
+                    for step in 0..40 {
+                        let t = lo + (hi - lo) * step as f64 / 39.0;
+                        for i in 0..inst.len() {
+                            assert_matches_the_scans(&memo, i, t, &format!("{kind}/{seed}"));
+                        }
                     }
                 }
             }
@@ -258,72 +321,64 @@ mod tests {
             .unwrap();
         let inst = b.build().unwrap();
         let memo = CanonicalAllotments::new(&inst);
-        let task = &inst.tasks()[0];
+        assert_eq!(memo.staircases_built(), 1);
         for t in [1.0, 2.0, 2.5, 11.0, 11.5, 12.0, 50.0] {
-            assert_eq!(
-                memo.min_area_alloc_within(0, t),
-                task.min_area_alloc_within(t)
-            );
-            assert_eq!(memo.min_alloc_within(0, t), task.min_alloc_within(t));
+            assert_matches_the_scans(&memo, 0, t, &format!("t = {t}"));
         }
     }
 
     #[test]
     fn memo_matches_the_scans_around_every_distinct_time() {
-        let shapes: Vec<Vec<f64>> = vec![
+        // Both sides of the exact-monotony flag, each shape with its flag.
+        let shapes: Vec<(Vec<f64>, bool)> = vec![
             // Plateaus, as in Cirne-shaped profiles.
-            vec![9.7, 5.1, 3.3, 3.3, 3.3, 2.9, 2.9, 2.9],
+            (vec![9.0, 5.0, 3.5, 3.5, 3.5, 3.0, 3.0, 3.0], true),
+            // Plateaus whose work dips at k = 3.
+            (vec![9.7, 5.1, 3.3, 3.3, 3.3, 2.9, 2.9, 2.9], false),
             // Strictly decreasing.
-            (1..=9).map(|k| 10.0 / k as f64 + 0.5).collect(),
+            ((1..=9).map(|k| 10.0 / k as f64 + 0.5).collect(), true),
             // Non-monotone: times rise again and work dips.
-            vec![12.0, 11.0, 2.0, 2.0, 5.0, 1.9, 2.1, 1.9],
+            (vec![12.0, 11.0, 2.0, 2.0, 5.0, 1.9, 2.1, 1.9], false),
             // All equal: every allotment ties.
-            vec![0.1 + 0.2; 7],
+            (vec![0.1 + 0.2; 7], true),
             // Sub-unit times, where the tolerance floor of 1 applies.
-            vec![0.9, 0.45, 0.3, 0.3 - 1e-10, 0.2],
+            (vec![0.9, 0.45, 0.3, 0.3 - 1e-10, 0.2], false),
+            (vec![0.75, 0.5, 0.375, 0.375 - 1e-10, 0.3125], true),
             // m = 1.
-            vec![4.5],
+            (vec![4.5], true),
         ];
-        for times in shapes {
+        for (times, flagged) in &shapes {
             let mut b = InstanceBuilder::new(times.len());
             b.push_times(1.0, times.clone()).unwrap();
             let inst = b.build().unwrap();
-            let memo = CanonicalAllotments::new(&inst);
             let task = &inst.tasks()[0];
-            for &p in &times {
-                // The cut of `approx_le(·, t)` sits near t = p − d.
-                let d = REL_EPS * p.max(1.0);
-                let edge = p - d;
-                let probes = [
-                    p,
-                    p.next_up(),
-                    p.next_down(),
-                    edge,
-                    edge.next_up(),
-                    edge.next_down(),
-                    p - 2.0 * d,
-                    p - 0.5 * d,
-                    p + d,
-                ];
-                for t in probes {
-                    let ctx = format!("{times:?} at t = {t:e}");
-                    assert_eq!(
-                        memo.min_alloc_within(0, t),
-                        task.min_alloc_within(t),
-                        "{ctx}"
-                    );
-                    assert_eq!(memo.min_area_within(0, t), task.min_area_within(t), "{ctx}");
-                    assert_eq!(
-                        memo.min_area_alloc_within(0, t),
-                        task.min_area_alloc_within(t),
-                        "{ctx}"
-                    );
-                    // The batch loop's O(1) eligibility test.
-                    assert_eq!(
-                        approx_le(task.min_time(), t),
-                        task.min_alloc_within(t).is_some(),
-                        "{ctx}"
-                    );
+            assert_eq!(task.is_exactly_monotone(), *flagged, "{times:?}");
+            for memo in both_paths(&inst) {
+                for &p in times {
+                    // The cut of `approx_le(·, t)` sits near t = p − d.
+                    let d = REL_EPS * p.max(1.0);
+                    let edge = p - d;
+                    let probes = [
+                        p,
+                        p.next_up(),
+                        p.next_down(),
+                        edge,
+                        edge.next_up(),
+                        edge.next_down(),
+                        p - 2.0 * d,
+                        p - 0.5 * d,
+                        p + d,
+                    ];
+                    for t in probes {
+                        let ctx = format!("{times:?} at t = {t:e}");
+                        assert_matches_the_scans(&memo, 0, t, &ctx);
+                        // The batch loop's O(1) eligibility test.
+                        assert_eq!(
+                            approx_le(task.min_time(), t),
+                            task.min_alloc_within(t).is_some(),
+                            "{ctx}"
+                        );
+                    }
                 }
             }
         }
@@ -333,16 +388,17 @@ mod tests {
     fn memoized_predicate_agrees_with_naive_on_a_lambda_grid() {
         for kind in WorkloadKind::ALL {
             let inst = generate(kind, 30, 12, 7);
-            let memo = CanonicalAllotments::new(&inst);
             let lo = 0.3 * trivial_lower_bound(&inst);
             let hi = 2.0 * trivially_feasible_lambda(&inst);
-            for step in 0..60 {
-                let lambda = lo + (hi - lo) * step as f64 / 59.0;
-                assert_eq!(
-                    memo.check_lambda(lambda),
-                    check_lambda(&inst, lambda),
-                    "{kind}: λ = {lambda}"
-                );
+            for memo in both_paths(&inst) {
+                for step in 0..60 {
+                    let lambda = lo + (hi - lo) * step as f64 / 59.0;
+                    assert_eq!(
+                        memo.check_lambda(lambda),
+                        check_lambda(&inst, lambda),
+                        "{kind}: λ = {lambda}"
+                    );
+                }
             }
         }
     }
@@ -351,12 +407,14 @@ mod tests {
     fn bisection_on_the_memo_reproduces_the_naive_threshold() {
         for kind in WorkloadKind::ALL {
             let inst = generate(kind, 40, 32, 2);
-            let memo = CanonicalAllotments::new(&inst);
             let lo = trivial_lower_bound(&inst);
             let hi = trivially_feasible_lambda(&inst).max(lo);
-            let memoized = bisect_threshold(lo, hi, 1e-3, |lambda| memo.lambda_feasible(lambda));
             let naive = bisect_threshold(lo, hi, 1e-3, |lambda| lambda_feasible(&inst, lambda));
-            assert_eq!(memoized, naive, "{kind}: thresholds must be identical");
+            for memo in both_paths(&inst) {
+                let memoized =
+                    bisect_threshold(lo, hi, 1e-3, |lambda| memo.lambda_feasible(lambda));
+                assert_eq!(memoized, naive, "{kind}: thresholds must be identical");
+            }
         }
     }
 
@@ -364,10 +422,20 @@ mod tests {
     fn per_step_work_drops_versus_the_naive_scan() {
         // The counter-backed ROADMAP claim: the naive predicate scans
         // every allotment of every task per bisection step (`n·m`
-        // entries); the memo examines `O(n log m)`.
+        // entries); the staircases examine `O(n log m)`. The counter
+        // sees staircase probes only, so every task here is made
+        // non-monotone: its last time is halved, a superlinear drop.
         let (n, m) = (60, 64);
-        let inst = generate(WorkloadKind::Mixed, n, m, 1);
+        let mixed = generate(WorkloadKind::Mixed, n, m, 1);
+        let mut b = InstanceBuilder::new(m);
+        for t in mixed.tasks() {
+            let mut times = t.times().to_vec();
+            times[m - 1] *= 0.5;
+            b.push_times(t.weight(), times).unwrap();
+        }
+        let inst = b.build().unwrap();
         let memo = CanonicalAllotments::new(&inst);
+        assert_eq!(memo.staircases_built(), n);
         let lo = trivial_lower_bound(&inst);
         let hi = trivially_feasible_lambda(&inst).max(lo);
         let mut steps = 0u64;
@@ -377,6 +445,7 @@ mod tests {
         });
         assert!(steps > 4, "bisection took {steps} steps only");
         let per_step = memo.probes() / steps;
+        assert!(per_step > 0, "no staircase was probed");
         let naive_per_step = (n * m) as u64;
         assert!(
             per_step * 4 <= naive_per_step,

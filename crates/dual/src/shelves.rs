@@ -229,10 +229,14 @@ mod tests {
         // No task fits 0.1, so all four are long-shelf tasks at their
         // shortest time; the flat sequential profiles tie on every
         // allotment and take the first staircase entry, the widest.
-        let build = build_shelves(&inst, &CanonicalAllotments::new(&inst), 0.1);
-        assert_eq!(build.allotment, vec![4, 4, 4, 4]);
-        assert_eq!(build.class, vec![ShelfClass::Long; 4]);
-        validate(&inst, &build.schedule).unwrap();
+        let memo = CanonicalAllotments::new(&inst);
+        assert_eq!(memo.staircases_built(), 0);
+        for memo in [memo, CanonicalAllotments::staircased(&inst)] {
+            let build = build_shelves(&inst, &memo, 0.1);
+            assert_eq!(build.allotment, vec![4, 4, 4, 4]);
+            assert_eq!(build.class, vec![ShelfClass::Long; 4]);
+            validate(&inst, &build.schedule).unwrap();
+        }
     }
 
     fn any_instance() -> impl Strategy<Value = Instance> {
@@ -249,17 +253,37 @@ mod tests {
         })
     }
 
+    /// `inst` with every task monotonized, most of them exactly.
+    fn monotonized(inst: &Instance) -> Instance {
+        let mut b = InstanceBuilder::new(inst.procs());
+        for t in inst.tasks() {
+            b.push_times(t.weight(), t.monotonized().times().to_vec())
+                .unwrap();
+        }
+        b.build().unwrap()
+    }
+
     proptest! {
         #[test]
         fn any_lambda_yields_a_valid_schedule(
-            inst in any_instance(),
+            raw in any_instance(),
             lambda in 0.01f64..120.0,
         ) {
-            let build = build_shelves(&inst, &CanonicalAllotments::new(&inst), lambda);
-            prop_assert!(validate(&inst, &build.schedule).is_ok());
-            let mut ids = build.order.clone();
-            ids.sort_unstable();
-            prop_assert_eq!(ids, inst.ids().collect::<Vec<_>>());
+            // Raw vectors mostly take staircases, monotonized ones mostly
+            // answer by binary search; every task staircased is the
+            // reference for both.
+            for inst in [monotonized(&raw), raw] {
+                let build = build_shelves(&inst, &CanonicalAllotments::new(&inst), lambda);
+                prop_assert!(validate(&inst, &build.schedule).is_ok());
+                let mut ids = build.order.clone();
+                ids.sort_unstable();
+                prop_assert_eq!(ids, inst.ids().collect::<Vec<_>>());
+                let reference =
+                    build_shelves(&inst, &CanonicalAllotments::staircased(&inst), lambda);
+                prop_assert_eq!(&build.allotment, &reference.allotment);
+                prop_assert_eq!(&build.class, &reference.class);
+                prop_assert_eq!(&build.order, &reference.order);
+            }
         }
     }
 }

@@ -17,7 +17,9 @@
 //!   cold two-phase start, and the **warm start**
 //!   [`LinearProgram::solve_from`] seeds the solve with a
 //!   caller-supplied basis and returns the optimal basis alongside the
-//!   [`Solution`], so a sweep of nearby programs pays for phase 1 once.
+//!   [`Solution`], so a sweep of nearby programs pays for phase 1 once;
+//!   [`LinearProgram::try_solve_from`] is the same warm start with no
+//!   cold fallback, for a caller that has a better second seed.
 //!
 //! The dense full-tableau predecessor survives as a test-only module;
 //! a differential property suite keeps the two solvers agreeing to
@@ -57,7 +59,9 @@
 //! whose basic point went infeasible (the normal state after a
 //! right-hand-side change) is repaired in place by a **dual simplex**
 //! phase before primal pricing resumes; only a failed repair falls
-//! back to phase 1. [`Solution::warm_started`] reports which path ran,
+//! back to phase 1 (or, under
+//! [`try_solve_from`](LinearProgram::try_solve_from), hands the choice
+//! back as `Ok(None)`). [`Solution::warm_started`] reports which path ran,
 //! and [`Solution::iterations`] / [`Solution::refactorizations`] make
 //! the cost of either path observable to callers (the `demt bound`
 //! CLI surfaces them as JSON).

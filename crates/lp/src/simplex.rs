@@ -1148,6 +1148,19 @@ impl LinearProgram {
     /// basis of the same LP with a nearby right-hand side) finishes in a
     /// handful of iterations.
     pub fn solve_from(&self, seed: &Basis) -> Result<(Solution, Basis), LpError> {
+        match self.try_solve_from(seed)? {
+            Some(solved) => Ok(solved),
+            None => self.solve(),
+        }
+    }
+
+    /// [`solve_from`](LinearProgram::solve_from) without its cold
+    /// fallback: `Ok(None)` where that would start phase 1, when the seed
+    /// is stale for this program or its dual-simplex repair fails. A
+    /// caller with a better second seed than the cold start (the
+    /// `demt-bounds` horizon sweep restarts from its structural basis)
+    /// tries that next.
+    pub fn try_solve_from(&self, seed: &Basis) -> Result<Option<(Solution, Basis)>, LpError> {
         let form = build_form(self);
         let m = form.m;
         let acceptable = seed.cols.len() == m && {
@@ -1161,11 +1174,11 @@ impl LinearProgram {
             })
         };
         if !acceptable {
-            return self.solve();
+            return Ok(None);
         }
         let basis = seed.cols.clone();
         let Some(factor) = Factor::new(m, &basis, |j| column(&form, &[], j)) else {
-            return self.solve();
+            return Ok(None);
         };
         let mut cost = vec![0.0; form.n_real];
         cost[..form.n_struct].copy_from_slice(self.objective());
@@ -1185,15 +1198,15 @@ impl LinearProgram {
         rev.reset_cb();
         if needs_repair {
             // Dual-simplex repair: the usual state after a right-hand-side
-            // change. If it cannot restore feasibility, fall back cold.
+            // change. If it cannot restore feasibility, give the seed up.
             match rev.dual_optimize() {
                 Ok(true) => {}
-                Ok(false) | Err(LpError::SingularBasis) => return self.solve(),
+                Ok(false) | Err(LpError::SingularBasis) => return Ok(None),
                 Err(e) => return Err(e),
             }
         }
         rev.optimize()?;
-        Ok(rev.finish(true))
+        Ok(Some(rev.finish(true)))
     }
 }
 
@@ -1372,6 +1385,10 @@ mod tests {
         // Artificial marker → rejected.
         let (s, _) = lp.solve_from(&Basis::new(vec![Basis::ARTIFICIAL])).unwrap();
         assert!(!s.warm_started);
+        // Without the fallback, each is handed back instead.
+        for cols in [vec![0, 1, 2], vec![99], vec![Basis::ARTIFICIAL]] {
+            assert_eq!(lp.try_solve_from(&Basis::new(cols)), Ok(None));
+        }
     }
 
     #[test]

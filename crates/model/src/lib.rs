@@ -25,6 +25,14 @@
 //!   smallest allotment whose processing time fits a deadline `t`;
 //! * [`MoldableTask::min_area_within`] — the paper's `S_{i,j}`: the
 //!   smallest *area* (processors × time) achievable under a deadline.
+//!
+//! Both are one binary search, `O(log m)`, on a task that is monotone
+//! *exactly*, compared as plain `f64` without the tolerance
+//! ([`MoldableTask::is_exactly_monotone`], folded when the task is
+//! built): its allotments meeting a deadline are a suffix of `1..=m`,
+//! and the first is both the fewest processors and the least area.
+//! The four SPAA'04 generator families produce such tasks. Any other
+//! vector is scanned, `O(m)`.
 
 #![warn(missing_docs)]
 

@@ -48,6 +48,9 @@ enum Times {
         min_time: f64,
         /// `min_k k·p(k)`.
         min_work: f64,
+        /// `p(k+1) ≤ p(k)` and `k·p(k) ≤ (k+1)·p(k+1)` for every `k`, as
+        /// plain `f64` compares on the products the queries compute.
+        monotone: bool,
     },
     /// Rigid emulation over `len` processors: `seq = time·width` below
     /// `width` (so no scheduler ever prefers a smaller allotment),
@@ -73,22 +76,25 @@ fn positive_finite(t: f64) -> bool {
 }
 
 impl Times {
-    /// The explicit form of `v`. `min_time` and `min_work` are folded in
-    /// the same pass that checks each entry is positive and finite; the
-    /// 0-based index of the first entry that is not comes back beside it
-    /// (the minima are then meaningless).
+    /// The explicit form of `v`. `min_time`, `min_work` and the exact
+    /// monotony flag are folded in the same pass that checks each entry
+    /// is positive and finite; the 0-based index of the first entry that
+    /// is not comes back beside it (the folds are then meaningless).
     fn explicit(v: Vec<f64>) -> (Self, Option<usize>) {
-        // Lane `l` folds the entries `i ≡ l (mod LANES)` and validity is
-        // tallied without a branch, so the pass runs as independent
-        // chains, not one serial chain of compares and exits (it costs
-        // less than an early-exit validation loop alone). The minimum
-        // of positive finite values is exact and order-free, so the
-        // result is the in-order `f64::min` scan's to the bit.
+        // Lane `l` folds the entries `i ≡ l (mod LANES)` and validity and
+        // monotony are tallied without a branch, so the pass runs as
+        // independent chains, not one serial chain of compares and exits
+        // (it costs less than an early-exit validation loop alone). The
+        // minimum of positive finite values is exact and order-free, so
+        // the result is the in-order `f64::min` scan's to the bit.
         const LANES: usize = 4;
         let mut min_time = [f64::INFINITY; LANES];
         let mut min_work = [f64::INFINITY; LANES];
         let mut k: [f64; LANES] = std::array::from_fn(|l| (l + 1) as f64);
         let mut valid = true;
+        let mut monotone = true;
+        // The previous entry's time and work; the first entry passes.
+        let (mut prev_t, mut prev_w) = (f64::INFINITY, 0.0);
         let mut step = |l: usize, t: f64| {
             valid &= positive_finite(t);
             if t < min_time[l] {
@@ -98,6 +104,8 @@ impl Times {
             if w < min_work[l] {
                 min_work[l] = w;
             }
+            monotone &= (t <= prev_t) & (prev_w <= w);
+            (prev_t, prev_w) = (t, w);
             k[l] += LANES as f64;
         };
         let mut chunks = v.chunks_exact(LANES);
@@ -118,6 +126,7 @@ impl Times {
             v: v.into_boxed_slice(),
             min_time: min_time.into_iter().fold(f64::INFINITY, f64::min),
             min_work: min_work.into_iter().fold(f64::INFINITY, f64::min),
+            monotone,
         };
         (times, bad)
     }
@@ -454,16 +463,52 @@ impl MoldableTask {
         }
     }
 
+    /// True when the vector is *exactly* monotone: `p(k+1) ≤ p(k)` and
+    /// `k·p(k) ≤ (k+1)·p(k+1)` for every `k`, compared as plain `f64`
+    /// on the very products `k as f64 · p(k)` the deadline queries
+    /// compute, with no tolerance. `O(1)`: an explicit vector records it
+    /// in the pass that builds it. It implies [`Self::is_monotonic`] (an
+    /// exact `≤` passes the tolerant one); the converse fails only on
+    /// vectors that are monotone up to the tolerance alone.
+    ///
+    /// On such a task the allotments meeting a deadline are a suffix of
+    /// `1..=m` and the least area among them sits at the first one, so
+    /// [`Self::min_alloc_within`], [`Self::min_area_within`] and
+    /// [`Self::min_area_alloc_within`] are one binary search each.
+    pub fn is_exactly_monotone(&self) -> bool {
+        match self.times {
+            Times::Explicit { monotone, .. } => monotone,
+            // `[seq.., time..]` with `seq = width·time`: times never rise,
+            // and the work `k·seq` rises below the width, then falls back
+            // to `width·time = seq` at it, from `(width−1)·seq`: a fall
+            // exactly when `width ≥ 3`. A vector truncated below the
+            // width is flat at `seq`.
+            Times::Rigid { width, len, .. } => width <= 2 || len < width,
+        }
+    }
+
+    /// On an exactly monotone task, the first allotment whose time
+    /// meets `t` and that time. `approx_le(·, t)` is monotone in its
+    /// first argument, so on a nonincreasing vector the allotments
+    /// meeting `t` are a suffix and one binary search finds its start.
+    fn first_within(&self, t: f64) -> Option<(usize, f64)> {
+        let v = self.times.as_slice();
+        let i = v.partition_point(|&p| !approx_le(p, t));
+        v.get(i).map(|&p| (i + 1, p))
+    }
+
     /// The paper's `allotᵢ`: smallest allotment `k` with `p(k) ≤ t`
     /// (up to the workspace tolerance), or `None` when even `min_time`
-    /// exceeds `t`. Linear scan so the query is correct for arbitrary
-    /// vectors; `O(m)` worst case but returns early on monotonic tasks.
-    /// `approx_le(·, t)` is monotone in its first argument, so the
-    /// answer is `Some` exactly when `approx_le(self.min_time(), t)`: a
-    /// caller that only asks whether the task fits `t` should test that
-    /// instead. Repeated queries on one instance belong in the dual's
-    /// `CanonicalAllotments` memo, `O(log m)` each.
+    /// exceeds `t`. `O(log m)` on an exactly monotone task
+    /// ([`Self::is_exactly_monotone`]); otherwise a linear scan, correct
+    /// for arbitrary vectors. `approx_le(·, t)` is monotone in its first
+    /// argument, so the answer is `Some` exactly when
+    /// `approx_le(self.min_time(), t)`: a caller that only asks whether
+    /// the task fits `t` should test that instead.
     pub fn min_alloc_within(&self, t: f64) -> Option<usize> {
+        if self.is_exactly_monotone() {
+            return self.first_within(t).map(|(k, _)| k);
+        }
         self.times
             .as_slice()
             .iter()
@@ -473,25 +518,22 @@ impl MoldableTask {
 
     /// The paper's `S_{i,j}`: the minimal area `k·p(k)` over allotments
     /// whose time fits the deadline `t`; `None` when no allotment fits
-    /// (the paper then uses `+∞`).
+    /// (the paper then uses `+∞`). The area of
+    /// [`Self::min_area_alloc_within`]: the least value is one value,
+    /// whichever allotment attains it.
     pub fn min_area_within(&self, t: f64) -> Option<f64> {
-        let mut best: Option<f64> = None;
-        for (i, &p) in self.times.as_slice().iter().enumerate() {
-            if approx_le(p, t) {
-                let area = (i + 1) as f64 * p;
-                best = Some(match best {
-                    Some(b) => b.min(area),
-                    None => area,
-                });
-            }
-        }
-        best
+        self.min_area_alloc_within(t).map(|(_, area)| area)
     }
 
     /// Allotment achieving [`Self::min_area_within`], together with the
-    /// area. For monotonic tasks this is exactly [`Self::min_alloc_within`]
-    /// since work is non-decreasing in `k`.
+    /// area; the smallest such allotment on area ties. On an exactly
+    /// monotone task the work never falls with `k`, so this is the first
+    /// allotment meeting `t`, [`Self::min_alloc_within`], in `O(log m)`;
+    /// otherwise a linear scan.
     pub fn min_area_alloc_within(&self, t: f64) -> Option<(usize, f64)> {
+        if self.is_exactly_monotone() {
+            return self.first_within(t).map(|(k, p)| (k, k as f64 * p));
+        }
         let mut best: Option<(usize, f64)> = None;
         for (i, &p) in self.times.as_slice().iter().enumerate() {
             if approx_le(p, t) {
