@@ -19,12 +19,11 @@
 //!     "almost the opposite of LPTF", aimed at the minsum criterion.
 //!
 //! All baselines return validated-shape [`Schedule`]s built by the
-//! shared Graham engine — since the skyline rework of
-//! `demt-platform::list` that engine places in `O(log)` per event
-//! instead of rescanning all `m` processors, which is what keeps the
-//! three list variants usable at the `m = 10⁴` grid the CI perf guard
-//! exercises — so the experiment harness treats them and DEMT
-//! uniformly.
+//! shared Graham engine of `demt-platform::list`. It places in
+//! `O(log)` per event instead of rescanning all `m` processors, which
+//! is what keeps the three list variants usable at the `m = 10⁴` grid
+//! the CI perf guard exercises, so the experiment harness treats them
+//! and DEMT uniformly.
 
 #![warn(missing_docs)]
 

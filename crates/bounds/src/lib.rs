@@ -820,7 +820,7 @@ mod tests {
             }),
         ) {
             // The raw vectors mostly take the walk; their monotonized
-            // twins mostly take the binary searches.
+            // twins take the binary searches.
             let m = tasks[0].1.len();
             let mut b = InstanceBuilder::new(m);
             for (w, times) in tasks {

@@ -253,7 +253,7 @@ mod tests {
         })
     }
 
-    /// `inst` with every task monotonized, most of them exactly.
+    /// `inst` with every task monotonized, so exactly monotone.
     fn monotonized(inst: &Instance) -> Instance {
         let mut b = InstanceBuilder::new(inst.procs());
         for t in inst.tasks() {
@@ -269,7 +269,7 @@ mod tests {
             raw in any_instance(),
             lambda in 0.01f64..120.0,
         ) {
-            // Raw vectors mostly take staircases, monotonized ones mostly
+            // Raw vectors mostly take staircases, monotonized ones
             // answer by binary search; every task staircased is the
             // reference for both.
             for inst in [monotonized(&raw), raw] {

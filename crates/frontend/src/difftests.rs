@@ -171,12 +171,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn skyline_engine_matches_the_scan_oracle_continuous((m, jobs) in continuous_stream(false)) {
+    fn queue_engine_matches_the_scan_oracle_continuous((m, jobs) in continuous_stream(false)) {
         assert_engines_agree(m, &jobs)?;
     }
 
     #[test]
-    fn skyline_engine_matches_the_scan_oracle_on_tie_heavy_grids((m, jobs) in grid_stream(false)) {
+    fn queue_engine_matches_the_scan_oracle_on_tie_heavy_grids((m, jobs) in grid_stream(false)) {
         assert_engines_agree(m, &jobs)?;
     }
 
@@ -197,10 +197,10 @@ proptest! {
     #[test]
     fn easy_queue_engines_agree_byte_for_byte((m, jobs) in arb_job_stream()) {
         for policy in POLICIES {
-            let skyline = queue_schedule(m, &jobs, policy).unwrap();
+            let engine = queue_schedule(m, &jobs, policy).unwrap();
             let scan = queue_schedule_scan(m, &jobs, policy, QueueOrder::Arrival);
-            prop_assert_eq!(json(&skyline), json(&scan), "{:?} diverged", policy);
-            prop_assert!(validate_no_overlap(&skyline).is_ok());
+            prop_assert_eq!(json(&engine), json(&scan), "{:?} diverged", policy);
+            prop_assert!(validate_no_overlap(&engine).is_ok());
         }
     }
 }

@@ -311,6 +311,42 @@ mod tests {
     }
 
     #[test]
+    fn a_completion_within_the_tolerance_of_the_reservation_counts_as_spare() {
+        // m = 5. At t = 0, job 0 takes 2 processors until 4, job 1 one
+        // until 4 + `late`, job 2 one until 100: one processor stays free.
+        // The head (job 3, 3 wide) reserves t_r = 4, where job 0's two
+        // processors join the free one. Job 4 runs past t_r on the one
+        // free processor, so it may start at once only if job 1's
+        // completion counts toward the reservation's spare processors.
+        let m = 5;
+        let stream = |late: f64| {
+            vec![
+                job(0, 0.0, 2, 4.0, m),
+                job(1, 0.0, 1, 4.0 + late, m),
+                job(2, 0.0, 1, 100.0, m),
+                job(3, 0.1, 3, 1.0, m),
+                job(4, 0.2, 1, 10.0, m),
+            ]
+        };
+        // Within 1e-12 of t_r: one spare processor, job 4 backfills, and
+        // the head still starts at 4 (job 1 is released with job 0).
+        let jobs = stream(5e-13);
+        let engine = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill).unwrap();
+        let scan = queue_schedule_scan(m, &jobs, QueuePolicy::EasyBackfill, QueueOrder::Arrival);
+        assert_eq!(engine, scan);
+        assert_eq!(engine.placement_of(TaskId(4)).unwrap().start, 0.2);
+        assert_eq!(engine.placement_of(TaskId(3)).unwrap().start, 4.0);
+        // Past the tolerance: no spare processor, so job 4 waits for
+        // job 1's completion, after the head has started.
+        let jobs = stream(1e-9);
+        let engine = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill).unwrap();
+        let scan = queue_schedule_scan(m, &jobs, QueuePolicy::EasyBackfill, QueueOrder::Arrival);
+        assert_eq!(engine, scan);
+        assert_eq!(engine.placement_of(TaskId(3)).unwrap().start, 4.0);
+        assert_eq!(engine.placement_of(TaskId(4)).unwrap().start, 4.0 + 1e-9);
+    }
+
+    #[test]
     fn both_policies_schedule_everything_exactly_once() {
         let m = 4;
         let jobs: Vec<SubmittedJob> = (0..20)

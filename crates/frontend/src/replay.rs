@@ -3,8 +3,8 @@
 //! [`replay_queue`] runs the front-end's one queue engine: an arrival
 //! cursor over the feed, a waiting queue ordered by [`QueueOrder`], a
 //! completion-ordered running set, [`FreeSet`] processor identities,
-//! and an EASY head reservation answered by a [`Skyline`] of the
-//! windows in flight. It never holds the stream or the schedule. Jobs
+//! and an EASY head reservation read off the running set in completion
+//! order. It never holds the stream or the schedule. Jobs
 //! are pulled from the feed as virtual time reaches their release,
 //! each placement is handed to a callback at decision time and
 //! dropped, and live state is bounded by the jobs currently queued or
@@ -19,7 +19,7 @@
 use crate::stream::SubmittedJob;
 use crate::{QueueOrder, QueuePolicy};
 use demt_model::{ProcSet, TaskId};
-use demt_platform::{FreeSet, Placement, Skyline};
+use demt_platform::{FreeSet, Placement};
 use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
@@ -117,6 +117,11 @@ where
     })
 }
 
+/// Running jobs by (completion, sequence key), with their processor
+/// identities and width. Completions are finite and non-negative, so
+/// the bit pattern orders like the value.
+type Running = BTreeMap<(u64, usize), (ProcSet, usize)>;
+
 /// The queue engine. Each job comes with a sequence key, unique per
 /// job: the waiting queue breaks priority ties by it (so it is the
 /// arrival order), and [`ReplayError::OutOfOrder`] reports it as the
@@ -139,12 +144,8 @@ where
     // `Priority` (`order_bits` makes the float key total-order safe),
     // a constant under `Arrival`.
     let mut waiting: BTreeMap<(Reverse<u64>, usize), J> = BTreeMap::new();
-    // Running windows by (completion, sequence key), with their start,
-    // identities and width. Completions are finite and non-negative, so
-    // the bit pattern orders like the value.
-    let mut running: BTreeMap<(u64, usize), (f64, ProcSet, usize)> = BTreeMap::new();
+    let mut running: Running = BTreeMap::new();
     let mut free = FreeSet::full(m);
-    let mut sky = Skyline::new(m);
     let mut now = 0.0_f64;
     let mut outcome = ReplayOutcome {
         decisions: 0,
@@ -176,17 +177,13 @@ where
             waiting.insert((priority, seq), j);
         }
         // Start jobs at `now` until none can.
-        while let Some(key) = next_start(&waiting, &free, &sky, now, policy) {
+        while let Some(key) = next_start(&waiting, &free, &running, now, policy) {
             let Some(j) = waiting.remove(&key) else { break };
             let job = j.borrow();
             let d = job.rigid_time();
             let end = now + d;
             let procs = free.take_lowest(job.rigid_procs);
-            sky.commit_until(now, end, job.rigid_procs);
-            running.insert(
-                (end.to_bits(), key.1),
-                (now, procs.clone(), job.rigid_procs),
-            );
+            running.insert((end.to_bits(), key.1), (procs.clone(), job.rigid_procs));
             outcome.decisions += 1;
             if end > outcome.makespan {
                 outcome.makespan = end;
@@ -216,16 +213,12 @@ where
             });
         }
         now = next;
-        // Release completed jobs: identities back to the pool, windows
-        // out of the skyline (keeping its segment count bounded).
+        // Release completed jobs: identities back to the pool.
         while let Some(done) = running.first_entry() {
-            let end = f64::from_bits(done.key().0);
-            if end > now + 1e-12 {
+            if f64::from_bits(done.key().0) > now + 1e-12 {
                 break;
             }
-            let (start, procs, k) = done.remove();
-            sky.release_until(start, end, k);
-            free.release(&procs);
+            free.release(&done.remove().0);
         }
     }
 }
@@ -236,7 +229,7 @@ where
 fn next_start<J: Borrow<SubmittedJob>>(
     waiting: &BTreeMap<(Reverse<u64>, usize), J>,
     free: &FreeSet,
-    sky: &Skyline,
+    running: &Running,
     now: f64,
     policy: QueuePolicy,
 ) -> Option<(Reverse<u64>, usize)> {
@@ -248,13 +241,27 @@ fn next_start<J: Borrow<SubmittedJob>>(
     if policy == QueuePolicy::Fcfs {
         return None;
     }
-    // Head reservation: only completions lie ahead of `now` in the
-    // skyline, so the free count never decreases and the earliest window
-    // start is the earliest instant the head's processors are free.
-    let t_r = sky.earliest_fit(now, head.rigid_time(), head.rigid_procs);
+    // Head reservation, read off the running jobs in completion order.
+    // Every one of them started by `now`, so at any t ≥ now the free
+    // count is `free.len()` plus the widths of those ending by t, and it
+    // never decreases: t_r is the first completion at which it covers
+    // the head (by the last completion at the latest: admission rejects
+    // requests wider than the machine).
+    let mut ends = running
+        .iter()
+        .map(|(&(end, _), &(_, k))| (f64::from_bits(end), k));
+    let mut count = free.len();
+    let t_r = ends.find_map(|(end, k)| {
+        count += k;
+        (count >= head.rigid_procs).then_some(end)
+    })?;
     // Processors free at t_r once the head starts, with a tolerance on
-    // completions landing at t_r.
-    let slack = sky.free_at(t_r + 1e-12) - head.rigid_procs;
+    // completions landing just after t_r.
+    count += ends
+        .take_while(|&(end, _)| end <= t_r + 1e-12)
+        .map(|(_, k)| k)
+        .sum::<usize>();
+    let slack = count - head.rigid_procs;
     // A later job may jump ahead iff it fits now and either finishes
     // before the reservation or fits in the processors it leaves spare.
     waiting

@@ -351,7 +351,7 @@ baseline = "audits/panic_reach.toml"
     fn baseline_round_trips() {
         let keys = vec![
             "demt-api::plan::solve".to_string(),
-            "demt-platform::Skyline::push".to_string(),
+            "demt-platform::FreeSet::release".to_string(),
         ];
         let text = render_baseline(&keys);
         let parsed = parse_baseline(&text).expect("round-trips");

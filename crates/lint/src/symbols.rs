@@ -161,7 +161,7 @@ impl SymbolTable {
 
 /// Module path from a workspace-relative file path: the components
 /// after `src/`, minus the file stem for `lib.rs`/`main.rs`/`mod.rs`.
-/// `crates/platform/src/skyline.rs` → `["skyline"]`.
+/// `crates/platform/src/list.rs` → `["list"]`.
 fn module_path_of(rel: &str) -> Vec<String> {
     let parts: Vec<&str> = rel.split('/').collect();
     let src_at = parts.iter().position(|p| *p == "src");
@@ -216,10 +216,10 @@ mod tests {
     fn keys_are_crate_module_owner_name() {
         let table = SymbolTable::build(vec![
             input(
-                "crates/platform/src/skyline.rs",
+                "crates/platform/src/list.rs",
                 "demt-platform",
                 FileKind::Library,
-                "pub struct Skyline;\nimpl Skyline { pub fn push(&mut self) {} }\npub fn helper() {}",
+                "pub struct FreeSet;\nimpl FreeSet { pub fn release(&mut self) {} }\npub fn helper() {}",
             ),
             input(
                 "crates/model/src/lib.rs",
@@ -232,14 +232,14 @@ mod tests {
         assert_eq!(
             keys,
             vec![
-                "demt-platform::skyline::Skyline::push",
-                "demt-platform::skyline::helper",
+                "demt-platform::list::FreeSet::release",
+                "demt-platform::list::helper",
                 "demt-model::helper",
             ]
         );
         assert!(table
             .by_owner
-            .contains_key(&("Skyline".to_string(), "push".to_string())));
+            .contains_key(&("FreeSet".to_string(), "release".to_string())));
         assert_eq!(
             table.crate_idents.get("demt_model").map(String::as_str),
             Some("demt-model")

@@ -576,7 +576,9 @@ impl MoldableTask {
     /// Returns a monotonized copy: times are first clamped to be
     /// non-increasing (running minimum) and then raised where needed so
     /// that work is non-decreasing. The sequential time is preserved and
-    /// the result always satisfies [`Self::is_monotonic`].
+    /// the result always satisfies [`Self::is_exactly_monotone`] (so
+    /// also [`Self::is_monotonic`]); an exactly monotone task comes back
+    /// unchanged.
     pub fn monotonized(&self) -> Self {
         let mut t = self.times.as_slice().to_vec();
         for k in 1..t.len() {
@@ -585,12 +587,18 @@ impl MoldableTask {
                 t[k] = t[k - 1];
             }
             // Non-decreasing work: k+1 procs must do at least k procs' work,
-            // i.e. (k+1)·t[k] ≥ k·t[k-1] (1-based: k = index+1). The
-            // ratio k/(k+1) < 1 comes first, so a huge finite time never
-            // overflows the way the product k·t[k-1] would.
-            let floor = t[k - 1] * (k as f64 / (k as f64 + 1.0));
-            if t[k] < floor {
-                t[k] = floor;
+            // i.e. (k+1)·t[k] ≥ k·t[k-1] (1-based: k = index+1), tested
+            // with the exact flag's own products. The floor takes the
+            // ratio k/(k+1) < 1 first, so a huge finite time never
+            // overflows; it can round an ulp or two low, so it is raised
+            // until the products agree. That ends by t[k] = t[k-1] at the
+            // latest, where (k+1)·t ≥ k·t.
+            let (lo, hi) = (k as f64, k as f64 + 1.0);
+            if hi * t[k] < lo * t[k - 1] {
+                t[k] = t[k - 1] * (lo / hi);
+                while hi * t[k] < lo * t[k - 1] {
+                    t[k] = t[k].next_up();
+                }
             }
         }
         // The minima are folded through the same pass `new` uses.
@@ -765,14 +773,24 @@ mod tests {
     #[test]
     fn monotonized_stays_finite_on_huge_times() {
         // `k·t[k-1]` overflows here; the floor must not.
-        for times in [vec![1e308; 3], vec![1e308, 1e308, 1e300]] {
+        let max_then_one = vec![f64::MAX, f64::MAX, f64::MAX, 1.0];
+        for times in [vec![1e308; 3], vec![1e308, 1e308, 1e300], max_then_one] {
             let fixed = MoldableTask::new(TaskId(0), 1.0, times.clone())
                 .unwrap()
                 .monotonized();
             let again = MoldableTask::new(TaskId(0), 1.0, fixed.times().to_vec());
             assert!(again.is_ok(), "{times:?} → {:?}", fixed.times());
-            assert!(fixed.is_monotonic(), "{:?}", fixed.monotony_violation());
+            assert!(fixed.is_exactly_monotone(), "{:?}", fixed.times());
         }
+    }
+
+    #[test]
+    fn monotonized_is_exactly_monotone_and_idempotent() {
+        // The work floor `t[k-1]·(k/(k+1))` rounds low here: the output
+        // passed the tolerant check but not the exact flag.
+        let fixed = task(&[28.481733547369505, 30.0, 10.0]).monotonized();
+        assert!(fixed.is_exactly_monotone(), "{:?}", fixed.times());
+        assert_eq!(fixed.monotonized().times(), fixed.times());
     }
 
     #[test]

@@ -119,6 +119,7 @@ proptest! {
         let t = task(v);
         prop_assert!(t.is_exactly_monotone());
         prop_assert!(t.is_monotonic());
+        prop_assert_eq!(t.monotonized().times(), t.times());
         assert_queries_match_the_scans(&t);
     }
 
@@ -157,6 +158,8 @@ proptest! {
     ) {
         let t = task(raw);
         let fixed = t.monotonized();
+        prop_assert!(fixed.is_exactly_monotone(), "{:?}", fixed.times());
+        prop_assert_eq!(fixed.monotonized().times(), fixed.times());
         let shrunk = t.max_procs().div_ceil(2);
         for derived in [
             t.clone(),

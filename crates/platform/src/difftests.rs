@@ -1,23 +1,21 @@
-//! Differential suite: the event-ordered engines against the retained
-//! references, compared **byte for byte** on tie-heavy grids (equal
+//! Differential suite: the event-ordered list engine against its
+//! retained reference, compared **byte for byte** on tie-heavy grids (equal
 //! durations, ready times and completion events put all the weight on
 //! tie-breaking):
 //!
-//! * the list engine against the pre-skyline scan
+//! * the list engine against its full-rescan reference
 //!   (`list_schedule_scan`), on random lists, on fixed corner cases and
 //!   on the `demt listbench` grids;
 //! * the engine's count ledger (`list_completions`) against the
 //!   completions of its `FreeSet` ledger (`list_schedule`), bit for bit,
-//!   on the same grids;
-//! * conservative backfilling against a pure-`Vec` reimplementation
-//!   without the skyline pre-filter, and its reservation invariants.
+//!   on the same grids.
 
 use crate::list::list_schedule_scan;
 use crate::{
-    backfill_schedule, bench_grid, list_completions, list_schedule, try_list_schedule,
-    validate_no_overlap, ListTask, Placement, Reservation, Schedule,
+    bench_grid, list_completions, list_schedule, try_list_schedule, validate_no_overlap, ListTask,
+    Schedule,
 };
-use demt_model::{ProcSet, TaskId};
+use demt_model::TaskId;
 use proptest::prelude::*;
 
 fn json(s: &Schedule) -> String {
@@ -100,117 +98,20 @@ fn arb_tie_grid() -> impl Strategy<Value = (usize, Vec<ListTask>)> {
         })
 }
 
-/// Pure-Vec conservative backfilling: the `backfill_schedule` algorithm
-/// with the skyline pre-filter removed and `Vec<u32>` bookkeeping —
-/// the documented "sound filter" claim means placements must match the
-/// engine exactly.
-fn backfill_reference(m: usize, tasks: &[ListTask], reservations: &[Reservation]) -> Schedule {
-    let mut busy: Vec<Vec<(f64, f64)>> = vec![Vec::new(); m];
-    let free_during = |busy: &[Vec<(f64, f64)>], q: usize, s: f64, e: f64| {
-        busy[q]
-            .iter()
-            .all(|&(bs, be)| e <= bs + 1e-12 || s >= be - 1e-12)
-    };
-    for r in reservations {
-        for &q in &r.procs {
-            busy[q as usize].push((r.start, r.end()));
-        }
-    }
-    let mut schedule = Schedule::new(m);
-    for t in tasks {
-        let mut candidates: Vec<f64> = vec![t.ready];
-        for p in &busy {
-            for &(_, be) in p {
-                if be > t.ready - 1e-12 {
-                    candidates.push(be);
-                }
-            }
-        }
-        candidates.sort_by(|a, b| a.total_cmp(b));
-        candidates.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-        for &s in &candidates {
-            let e = s + t.duration;
-            let free: Vec<u32> = (0..m as u32)
-                .filter(|&q| free_during(&busy, q as usize, s, e))
-                .collect();
-            if free.len() >= t.alloc {
-                let procs: Vec<u32> = free[..t.alloc].to_vec();
-                for &q in &procs {
-                    let pos = busy[q as usize].partition_point(|&(bs, _)| bs < s);
-                    busy[q as usize].insert(pos, (s, e));
-                }
-                schedule.push(Placement {
-                    task: t.id,
-                    start: s,
-                    duration: t.duration,
-                    procs: ProcSet::from_ids(procs),
-                });
-                break;
-            }
-        }
-    }
-    schedule
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn skyline_engine_matches_scan_reference_byte_for_byte((m, tasks) in arb_raw_list()) {
-        let sky = list_schedule(m, &tasks);
+    fn list_engine_matches_scan_reference_byte_for_byte((m, tasks) in arb_raw_list()) {
+        let engine = list_schedule(m, &tasks);
         let scan = list_schedule_scan(m, &tasks);
-        prop_assert_eq!(&sky, &scan, "schedules diverge");
+        prop_assert_eq!(&engine, &scan, "schedules diverge");
         // Byte-identical serialization, the form `demt listbench` emits.
-        prop_assert_eq!(json(&sky), json(&scan), "JSON bytes diverge");
+        prop_assert_eq!(json(&engine), json(&scan), "JSON bytes diverge");
         // And no engine placement ever overlaps on a processor.
-        prop_assert!(validate_no_overlap(&sky).is_ok(), "{:?}", validate_no_overlap(&sky));
-        prop_assert!(completions_match_placements(m, &tasks, &sky), "count ledger diverges");
+        prop_assert!(validate_no_overlap(&engine).is_ok(), "{:?}", validate_no_overlap(&engine));
+        prop_assert!(completions_match_placements(m, &tasks, &engine), "count ledger diverges");
     }
-
-    #[test]
-    fn backfill_prefilter_preserves_placements_and_never_overlaps(
-        (m, tasks) in arb_raw_list(),
-        rraw in prop::collection::vec((0usize..10, 1usize..4, 0usize..8), 0..3),
-    ) {
-        // Reservations derived from the drawn grid, staggered so they
-        // never overlap on a processor: reservation j uses a disjoint
-        // time window per proc stripe.
-        let reservations: Vec<Reservation> = rraw
-            .iter()
-            .enumerate()
-            .map(|(j, &(sraw, len, praw))| {
-                let procs: Vec<u32> = (0..m as u32).filter(|q| (*q as usize + praw).is_multiple_of(3)).collect();
-                Reservation {
-                    start: 20.0 * j as f64 + sraw as f64,
-                    duration: len as f64,
-                    procs,
-                }
-            })
-            .filter(|r| !r.procs.is_empty())
-            .collect();
-        let s = backfill_schedule(m, &tasks, &reservations);
-        prop_assert_eq!(s.len(), tasks.len());
-        prop_assert!(validate_no_overlap(&s).is_ok(), "{:?}", validate_no_overlap(&s));
-        // No placement intrudes into a reservation window.
-        for p in s.placements() {
-            for r in &reservations {
-                for &q in &r.procs {
-                    if p.procs.contains(q) {
-                        let disjoint = p.completion() <= r.start + 1e-9 || p.start >= r.end() - 1e-9;
-                        prop_assert!(disjoint, "{} collides with a reservation on {q}", p.task);
-                    }
-                }
-            }
-        }
-        // Ready times are honoured (up to the candidate dedup slack).
-        for p in s.placements() {
-            prop_assert!(p.start >= tasks[p.task.index()].ready - 1e-9);
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
     fn list_engines_agree_byte_for_byte((m, tasks) in arb_tie_grid()) {
@@ -220,32 +121,10 @@ proptest! {
         prop_assert!(validate_no_overlap(&engine).is_ok());
         prop_assert!(completions_match_placements(m, &tasks, &engine), "count ledger diverges");
     }
-
-    #[test]
-    fn backfill_engine_matches_the_vec_reference(
-        (m, tasks) in arb_tie_grid(),
-        window in (0usize..3, 1usize..3),
-    ) {
-        // One deterministic maintenance window derived from the grid,
-        // plus the reservation-free case when it would be degenerate.
-        let reservations = if m > 1 {
-            vec![Reservation {
-                start: window.0 as f64,
-                duration: window.1 as f64,
-                procs: vec![0, (m as u32) - 1],
-            }]
-        } else {
-            Vec::new()
-        };
-        let engine = backfill_schedule(m, &tasks, &reservations);
-        let reference = backfill_reference(m, &tasks, &reservations);
-        prop_assert_eq!(json(&engine), json(&reference));
-        prop_assert!(validate_no_overlap(&engine).is_ok());
-    }
 }
 
 #[test]
-fn skyline_and_scan_agree_on_fixed_corner_cases() {
+fn list_engine_and_scan_agree_on_fixed_corner_cases() {
     // Ties everywhere: equal durations, equal ready times, widths
     // that exactly exhaust the machine, a blocked head, no tasks, and
     // at scale 1000 unit tasks whose completions coincide 64 at a time.
@@ -271,10 +150,10 @@ fn skyline_and_scan_agree_on_fixed_corner_cases() {
         (64, (0..1000).map(|i| lt(i, 1, 1.0)).collect()),
     ];
     for (m, tasks) in cases {
-        let sky = list_schedule(m, &tasks);
+        let engine = list_schedule(m, &tasks);
         let scan = list_schedule_scan(m, &tasks);
-        assert_eq!(sky, scan, "m={m}");
-        assert!(completions_match_placements(m, &tasks, &sky), "m={m}");
+        assert_eq!(engine, scan, "m={m}");
+        assert!(completions_match_placements(m, &tasks, &engine), "m={m}");
     }
 }
 
@@ -284,13 +163,13 @@ fn engines_agree_on_the_listbench_grids() {
     // every machine size the engine's perf guard runs.
     for m in [200, 1000, 10_000] {
         let grid = bench_grid(3000, m, 11);
-        let sky = list_schedule(m, &grid);
+        let engine = list_schedule(m, &grid);
         let scan = list_schedule_scan(m, &grid);
-        assert_eq!(sky.len(), grid.len(), "m={m}");
+        assert_eq!(engine.len(), grid.len(), "m={m}");
         // Not assert_eq!: a 3000-placement Debug dump helps no one.
-        assert!(json(&sky) == json(&scan), "m={m}: bytes diverge");
+        assert!(json(&engine) == json(&scan), "m={m}: bytes diverge");
         assert!(
-            completions_match_placements(m, &grid, &sky),
+            completions_match_placements(m, &grid, &engine),
             "m={m}: count ledger diverges"
         );
     }

@@ -15,14 +15,8 @@
 //!   leftmost-fit tree and a [`FreeSet`] of free processor intervals;
 //!   [`list_completions`] runs the same loop on a bare free count and
 //!   returns only completion times (how DEMT scores a list order);
-//! * [`Skyline`] — the free-processor count as an event-ordered profile
-//!   keyed by time (earliest-fit queries, backfill pre-filtering, the
-//!   EASY queue's head reservation), see [`mod@skyline`]'s module docs;
 //! * [`pull_earlier`] — the "slide left on idle processors" compaction
 //!   pass;
-//! * [`backfill_schedule`] — conservative backfilling around node
-//!   [`Reservation`]s (the §5 open problem / MAUI-style discipline),
-//!   skyline-accelerated;
 //! * [`render_gantt`] — ASCII Gantt charts for the examples.
 
 #![warn(missing_docs)]
@@ -33,9 +27,7 @@ mod criteria;
 mod difftests;
 mod gantt;
 mod list;
-mod reserve;
 mod schedule;
-pub mod skyline;
 mod validate;
 
 pub use compact::pull_earlier;
@@ -44,7 +36,5 @@ pub use gantt::{render_gantt, MAX_GANTT_WIDTH};
 pub use list::{
     bench_grid, list_completions, list_schedule, try_list_schedule, FreeSet, ListError, ListTask,
 };
-pub use reserve::{backfill_schedule, Reservation};
 pub use schedule::{Placement, Schedule};
-pub use skyline::Skyline;
 pub use validate::{validate, validate_no_overlap, validate_with_releases, ValidationError};

@@ -357,8 +357,7 @@ impl FitTree {
 /// interval unions. Free sets stay a handful of contiguous runs in
 /// practice, so both operations are `O(segments)` — and a claimed set
 /// is carried through event heaps as ranges, not `k` ids. Shared by
-/// the greedy list engine here and the skyline EASY queue in the
-/// front-end crate.
+/// the greedy list engine here and the front-end crate's EASY queue.
 #[derive(Debug, Clone)]
 pub struct FreeSet {
     set: ProcSet,
@@ -524,7 +523,7 @@ fn greedy<L: Ledger>(
     }
 }
 
-/// The pre-skyline engine, verbatim: full task-list rescans and free
+/// The first list engine, verbatim: full task-list rescans and free
 /// list re-sorts. Reference semantics for the differential tests.
 #[cfg(test)]
 mod scan {

@@ -188,7 +188,7 @@ fn sweep_overlaps(placements: &[Placement]) -> Result<(), ValidationError> {
 /// directly on the interval representation (sortedness and
 /// disjointness are `ProcSet` invariants). This is the check
 /// available when a schedule has no backing [`Instance`] — raw
-/// [`crate::ListTask`] lists in the skyline differential suite, CLI
+/// [`crate::ListTask`] lists in the list engine's differential suite, CLI
 /// grids — where the full [`validate`] cannot run (durations and
 /// completeness need the instance).
 pub fn validate_no_overlap(schedule: &Schedule) -> Result<(), ValidationError> {

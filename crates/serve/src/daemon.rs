@@ -73,7 +73,7 @@ pub struct ServeSummary {
 
 /// The built-in low-latency scheduler: each task at its argmin-time
 /// allotment (the first minimum, so a rigid profile resolves to exactly
-/// its requested width), packed by the skyline greedy list engine. No
+/// its requested width), packed by the greedy list engine. No
 /// dual phase — the cost per batch is one `O(m)` scan per task plus the
 /// list pass, which is what a high-rate daemon wants as its default.
 pub fn greedy_scheduler() -> &'static dyn Scheduler {

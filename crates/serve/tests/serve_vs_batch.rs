@@ -230,8 +230,7 @@ fn ulp_overlapping_windows_do_not_overcommit_the_bookkeeping() {
     // Regression: this grid makes the list engine release a completion
     // event 1e-15 early, emitting two placements whose windows overlap
     // by one ulp on the same processors. The validator tolerates that,
-    // and the batch loop's skyline bookkeeping must too (it used to
-    // panic "skyline overcommitted" here).
+    // and the batch loop's bookkeeping must too.
     let m = 50;
     let events = demt_serve::grid_events(200, m, 3);
     let mut cfg = ServeConfig::new(m);

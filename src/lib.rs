@@ -15,7 +15,7 @@
 //! | [`model`] | `demt-model` | moldable tasks, instances, canonical queries |
 //! | [`distr`] | `demt-distr` | seeded random variates (Box–Muller, log-uniform) |
 //! | [`workload`] | `demt-workload` | the four SPAA'04 workload families |
-//! | [`platform`] | `demt-platform` | schedules, criteria, validation, greedy list engine, skyline backfilling, Gantt |
+//! | [`platform`] | `demt-platform` | schedules, criteria, validation, greedy list engine, Gantt |
 //! | [`kernels`] | `demt-kernels` | knapsack DPs, chain packing, bisection |
 //! | [`lp`] | `demt-lp` | revised simplex with warm-start API (LU + eta-file basis) |
 //! | [`dual`] | `demt-dual` | dual-approximation makespan substrate & bound |
@@ -112,9 +112,8 @@ pub mod prelude {
         try_online_batch_schedule, BatchLoop, OnlineError, OnlineJob, OnlineResult,
     };
     pub use demt_platform::{
-        backfill_schedule, list_schedule, render_gantt, try_list_schedule, validate,
-        validate_no_overlap, validate_with_releases, Criteria, ListError, ListTask, Placement,
-        Reservation, Schedule, Skyline,
+        list_schedule, render_gantt, try_list_schedule, validate, validate_no_overlap,
+        validate_with_releases, Criteria, ListError, ListTask, Placement, Schedule,
     };
     pub use demt_serve::{run_events, JobEvent, ServeConfig, ServeError, ServeStats};
     pub use demt_workload::{generate, WorkloadKind, WorkloadSpec};

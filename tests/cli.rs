@@ -808,9 +808,11 @@ fn serve_demt_output_matches_the_checked_in_golden() {
 
 #[test]
 fn repro_and_table_outputs_match_the_checked_in_goldens() {
-    // Byte goldens of the §4 figure sweep, the ablation CSV and the two
-    // metrics tables: a refactor of the DEMT pipeline, the sweep runner
-    // or the table printer must leave all four unchanged.
+    // Byte goldens of the §4 figure sweep, the ablation CSV, the two
+    // metrics tables, the list engine's schedule and two replaybench
+    // result documents: a refactor of the DEMT pipeline, the sweep
+    // runner, the table printer, the list engine or the EASY queue must
+    // leave all of them unchanged.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let data = root.join("tests/data");
     let dir = std::env::temp_dir().join(format!("demt-cli-goldens-{}", std::process::id()));
@@ -879,6 +881,24 @@ fn repro_and_table_outputs_match_the_checked_in_goldens() {
     assert!(
         listbench == golden("listbench_300x200_s11.json"),
         "list engine schedule differs"
+    );
+    // Both replay legs' result documents: the EASY queue's and the
+    // serve loop's placement hashes and metrics (timing goes to stderr).
+    let replay = run(&["replaybench", "--gen-trace", "n=2e4,m=1e3,seed=7"]);
+    assert!(
+        replay == golden("replaybench_gen_n2e4_m1e3_s7.json"),
+        "generated-trace replay differs"
+    );
+    let replay = run(&[
+        "replaybench",
+        "--swf",
+        "tests/data/sample.swf",
+        "--procs",
+        "64",
+    ]);
+    assert!(
+        replay == golden("replaybench_swf_sample_64.json"),
+        "SWF replay differs"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
