@@ -52,7 +52,7 @@
 
 use demt_dual::{dual_approx, DualConfig};
 use demt_lp::{Basis, LinearProgram, Relation};
-use demt_model::{approx_le, Instance, MoldableTask};
+use demt_model::{Instance, MoldableTask};
 
 /// Horizons per warm-start chain in the sweep APIs. Chunks are cut at
 /// this fixed size — *independent of the worker count* — so the warm
@@ -273,11 +273,7 @@ pub fn assemble_minsum_lp(inst: &Instance, cmax_estimate: f64) -> MinsumLp {
     let deadlines = &boundaries[1..n_intervals];
     let mut surf = vec![f64::INFINITY; last];
     for (i, t) in inst.tasks().iter().enumerate() {
-        let first = if t.is_exactly_monotone() {
-            monotone_surfaces(t, deadlines, &mut surf)
-        } else {
-            surfaces_within(t.times(), deadlines, &mut surf)
-        };
+        let first = task_surfaces(t, deadlines, &mut surf);
         for l in 0..n_intervals {
             let surface = if l == last {
                 // The unbounded interval meets every allotment.
@@ -345,15 +341,16 @@ pub fn assemble_minsum_lp(inst: &Instance, cmax_estimate: f64) -> MinsumLp {
     }
 }
 
-/// Every bounded surface coefficient of an exactly monotone task
-/// ([`demt_model::MoldableTask::is_exactly_monotone`]), one binary
-/// search per deadline. On return `surf[ℓ]` equals
+/// Every bounded surface coefficient of a task, one
+/// [`MoldableTask::min_area_within`] query per deadline: `O(1)` each on
+/// a rigid task, a binary search on an exactly monotone one, a scan on
+/// any other vector. On return `surf[ℓ]` equals
 /// `min_area_within(deadlines[ℓ])` for every `ℓ ≥ first`, the returned
 /// index, and no allotment meets `deadlines[ℓ]` for `ℓ < first`. The
 /// deadlines go from the last down and stop at the first that no
-/// allotment meets: `deadlines` is ascending, so none before it fits
-/// either.
-fn monotone_surfaces(task: &MoldableTask, deadlines: &[f64], surf: &mut [f64]) -> usize {
+/// allotment meets: `deadlines` is ascending and `approx_le(p, ·)` is
+/// monotone in the deadline, so none before it fits either.
+fn task_surfaces(task: &MoldableTask, deadlines: &[f64], surf: &mut [f64]) -> usize {
     let mut first = deadlines.len();
     for (l, &d) in deadlines.iter().enumerate().rev() {
         let Some(area) = task.min_area_within(d) else {
@@ -361,48 +358,6 @@ fn monotone_surfaces(task: &MoldableTask, deadlines: &[f64], surf: &mut [f64]) -
         };
         surf[l] = area;
         first = l;
-    }
-    first
-}
-
-/// Every bounded surface coefficient of any task in a single walk over
-/// its times, with [`monotone_surfaces`]'s contract: on return
-/// `surf[ℓ]` equals `min_area_within(deadlines[ℓ])` for every
-/// `ℓ ≥ first`, and no allotment meets `deadlines[ℓ]` for `ℓ < first`
-/// (`first == deadlines.len()` when none meets any).
-///
-/// Each allotment `k` is charged to the first deadline it meets;
-/// `approx_le(p, ·)` is monotone in the deadline, so a prefix min over
-/// the deadlines takes the min over the very set `min_area_within`
-/// scans, and `min` is exact: the coefficients match it bit for bit.
-/// The search for the first deadline starts from the previous
-/// allotment's, so it is `O(1)` amortized on monotone vectors and
-/// correct on any. `deadlines` must be ascending.
-fn surfaces_within(times: &[f64], deadlines: &[f64], surf: &mut [f64]) -> usize {
-    let nb = deadlines.len();
-    surf.fill(f64::INFINITY);
-    let mut first = nb;
-    let mut l = nb;
-    for (i, &p) in times.iter().enumerate() {
-        let area = (i + 1) as f64 * p;
-        // `nb` stands for the unbounded interval, which every time meets.
-        let meets = |l: usize| l == nb || approx_le(p, deadlines[l]);
-        if meets(l) {
-            while l > 0 && meets(l - 1) {
-                l -= 1;
-            }
-        } else {
-            while !meets(l) {
-                l += 1;
-            }
-        }
-        if l < nb {
-            surf[l] = surf[l].min(area);
-            first = first.min(l);
-        }
-    }
-    for l in first + 1..nb {
-        surf[l] = surf[l].min(surf[l - 1]);
     }
     first
 }
@@ -601,7 +556,7 @@ pub fn instance_bounds_detailed(
 mod tests {
     use super::*;
     use demt_exec::Pool;
-    use demt_model::{InstanceBuilder, MoldableTask, TaskId, REL_EPS};
+    use demt_model::{approx_le, InstanceBuilder, TaskId, REL_EPS};
     use demt_platform::{list_schedule, Criteria, ListTask};
     use demt_workload::{generate, WorkloadKind};
     use proptest::prelude::*;
@@ -651,8 +606,8 @@ mod tests {
             .collect()
     }
 
-    /// Both surface paths, the binary searches of exactly monotone tasks
-    /// and the walk, against the scans.
+    /// The assembled surfaces, read off the task queries, against the
+    /// scans.
     fn assert_surfaces_match_scans(inst: &Instance, cmax: f64) {
         let ml = assemble_minsum_lp(inst, cmax);
         assert_eq!(
@@ -695,14 +650,8 @@ mod tests {
 
     #[test]
     fn surfaces_match_per_interval_scans_on_rigid_tasks() {
+        // Rigid tasks answer in closed form at every width.
         let (inst, horizons) = rigid_instance();
-        // Widths 1 and 2 are exactly monotone, the wider ones are not.
-        let flags: Vec<bool> = inst
-            .tasks()
-            .iter()
-            .map(|t| t.is_exactly_monotone())
-            .collect();
-        assert_eq!(flags, [true, false, false, false, true]);
         for cmax in horizons {
             assert_surfaces_match_scans(&inst, cmax);
         }
@@ -819,8 +768,8 @@ mod tests {
                 (Just(cmax), prop::collection::vec(task, 1..=6))
             }),
         ) {
-            // The raw vectors mostly take the walk; their monotonized
-            // twins take the binary searches.
+            // The raw vectors mostly scan; their monotonized twins take
+            // the binary searches.
             let m = tasks[0].1.len();
             let mut b = InstanceBuilder::new(m);
             for (w, times) in tasks {

@@ -19,8 +19,8 @@
 
 use demt_model::{Instance, MoldableTask};
 
-/// Why a λ was rejected (diagnostics; `None` from
-/// [`crate::CanonicalAllotments::check_lambda`] means accepted).
+/// Why a λ was rejected (diagnostics; `None` from [`check_lambda`]
+/// means accepted).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Rejection {
     /// Some task cannot run within λ at all.
@@ -44,12 +44,52 @@ pub enum Rejection {
     },
 }
 
-/// The canonical-allotment queries as whole-vector scans, for any
-/// vector: the test reference both the memo's staircases and the
-/// monotone tasks' binary searches are compared against.
+/// Tests the three necessary conditions at target makespan λ, reading
+/// each task's `S_i(λ)` and `allotᵢ(λ)` from its own queries: `O(n)`
+/// on rigid tasks, `O(n log m)` on exactly monotone ones, `O(n·m)` on
+/// any other vector. The area sum is one fold in task order. `None`
+/// means λ is accepted.
+pub fn check_lambda(inst: &Instance, lambda: f64) -> Option<Rejection> {
+    let m = inst.procs();
+    let mut total_area = 0.0;
+    let mut midpoint_procs = 0usize;
+    for (i, t) in inst.tasks().iter().enumerate() {
+        match t.min_area_within(lambda) {
+            None => return Some(Rejection::TaskDoesNotFit { task: i }),
+            Some(a) => total_area += a,
+        }
+        if t.min_time() > lambda / 2.0 {
+            // `min_area_within` returned `Some` above, so an allotment
+            // within lambda exists; treat a disagreement between the
+            // two queries as a rejection rather than panicking.
+            match t.min_alloc_within(lambda) {
+                Some(p) => midpoint_procs += p,
+                None => return Some(Rejection::TaskDoesNotFit { task: i }),
+            }
+        }
+    }
+    let capacity = m as f64 * lambda;
+    if total_area > capacity * (1.0 + 1e-12) {
+        return Some(Rejection::SurfaceOverflow {
+            area: total_area,
+            capacity,
+        });
+    }
+    if midpoint_procs > m {
+        return Some(Rejection::MidpointOverflow {
+            procs: midpoint_procs,
+            capacity: m,
+        });
+    }
+    None
+}
+
+/// The predicate on whole-vector scans, for any vector: the test
+/// reference the task queries are compared against.
 #[cfg(test)]
 pub(crate) mod scan {
-    use demt_model::{approx_le, MoldableTask};
+    use super::Rejection;
+    use demt_model::{approx_le, Instance, MoldableTask};
 
     /// `MoldableTask::min_alloc_within` by scanning: the first
     /// allotment whose time meets `t`.
@@ -73,56 +113,38 @@ pub(crate) mod scan {
         best
     }
 
-    /// `MoldableTask::min_area_within` by scanning.
-    pub(crate) fn min_area_within(task: &MoldableTask, t: f64) -> Option<f64> {
-        min_area_alloc_within(task, t).map(|(_, area)| area)
-    }
-}
-
-/// Tests the three necessary conditions at target makespan λ by scanning
-/// every task's whole processing-time vector, `O(n·m)`: the reference
-/// the memoized [`crate::CanonicalAllotments::check_lambda`] is
-/// compared against.
-#[cfg(test)]
-pub(crate) fn check_lambda(inst: &Instance, lambda: f64) -> Option<Rejection> {
-    let m = inst.procs();
-    let mut total_area = 0.0;
-    let mut midpoint_procs = 0usize;
-    for (i, t) in inst.tasks().iter().enumerate() {
-        match scan::min_area_within(t, lambda) {
-            None => return Some(Rejection::TaskDoesNotFit { task: i }),
-            Some(a) => total_area += a,
-        }
-        if t.min_time() > lambda / 2.0 {
-            // `min_area_within` returned `Some` above, so an allotment
-            // within lambda exists; treat a disagreement between the
-            // two queries as a rejection rather than panicking.
-            match scan::min_alloc_within(t, lambda) {
-                Some(p) => midpoint_procs += p,
+    /// [`super::check_lambda`] with every query a scan, `O(n·m)`.
+    pub(crate) fn check_lambda(inst: &Instance, lambda: f64) -> Option<Rejection> {
+        let m = inst.procs();
+        let mut total_area = 0.0;
+        let mut midpoint_procs = 0usize;
+        for (i, t) in inst.tasks().iter().enumerate() {
+            match min_area_alloc_within(t, lambda) {
                 None => return Some(Rejection::TaskDoesNotFit { task: i }),
+                Some((_, a)) => total_area += a,
+            }
+            if t.min_time() > lambda / 2.0 {
+                match min_alloc_within(t, lambda) {
+                    Some(p) => midpoint_procs += p,
+                    None => return Some(Rejection::TaskDoesNotFit { task: i }),
+                }
             }
         }
+        let capacity = m as f64 * lambda;
+        if total_area > capacity * (1.0 + 1e-12) {
+            return Some(Rejection::SurfaceOverflow {
+                area: total_area,
+                capacity,
+            });
+        }
+        if midpoint_procs > m {
+            return Some(Rejection::MidpointOverflow {
+                procs: midpoint_procs,
+                capacity: m,
+            });
+        }
+        None
     }
-    let capacity = m as f64 * lambda;
-    if total_area > capacity * (1.0 + 1e-12) {
-        return Some(Rejection::SurfaceOverflow {
-            area: total_area,
-            capacity,
-        });
-    }
-    if midpoint_procs > m {
-        return Some(Rejection::MidpointOverflow {
-            procs: midpoint_procs,
-            capacity: m,
-        });
-    }
-    None
-}
-
-/// Convenience wrapper: `true` when λ passes all conditions.
-#[cfg(test)]
-pub(crate) fn lambda_feasible(inst: &Instance, lambda: f64) -> bool {
-    check_lambda(inst, lambda).is_none()
 }
 
 /// A λ that always passes: large enough that the midpoint set is empty,
@@ -153,6 +175,51 @@ pub fn trivial_lower_bound(inst: &Instance) -> f64 {
 mod tests {
     use super::*;
     use demt_model::InstanceBuilder;
+    use demt_workload::{generate, WorkloadKind};
+
+    #[test]
+    fn queries_match_the_scans_on_every_family() {
+        for kind in WorkloadKind::ALL {
+            for seed in 0..3 {
+                let inst = generate(kind, 25, 16, seed);
+                let lo = 0.5 * trivial_lower_bound(&inst);
+                let hi = 1.5 * trivially_feasible_lambda(&inst);
+                for step in 0..40 {
+                    let t = lo + (hi - lo) * step as f64 / 39.0;
+                    for task in inst.tasks() {
+                        let ctx = format!("{kind}/{seed} at {t}");
+                        assert_eq!(
+                            task.min_alloc_within(t),
+                            scan::min_alloc_within(task, t),
+                            "{ctx}"
+                        );
+                        assert_eq!(
+                            task.min_area_alloc_within(t),
+                            scan::min_area_alloc_within(task, t),
+                            "{ctx}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn predicate_agrees_with_the_scans_on_a_lambda_grid() {
+        for kind in WorkloadKind::ALL {
+            let inst = generate(kind, 30, 12, 7);
+            let lo = 0.3 * trivial_lower_bound(&inst);
+            let hi = 2.0 * trivially_feasible_lambda(&inst);
+            for step in 0..60 {
+                let lambda = lo + (hi - lo) * step as f64 / 59.0;
+                assert_eq!(
+                    check_lambda(&inst, lambda),
+                    scan::check_lambda(&inst, lambda),
+                    "{kind}: λ = {lambda}"
+                );
+            }
+        }
+    }
 
     /// Three unit tasks with no speed-up on two processors: the optimal
     /// makespan is 2 and the predicate threshold is exactly 2.
@@ -210,7 +277,7 @@ mod tests {
         let mut last = false;
         let mut lambda = 0.2;
         while lambda < 4.0 {
-            let now = lambda_feasible(&inst, lambda);
+            let now = check_lambda(&inst, lambda).is_none();
             assert!(!last || now, "predicate flipped back at λ = {lambda}");
             last = now;
             lambda += 0.05;
@@ -223,7 +290,7 @@ mod tests {
         for seed in 0..5 {
             let inst = demt_workload::generate(demt_workload::WorkloadKind::Mixed, 30, 8, seed);
             let lambda = trivially_feasible_lambda(&inst);
-            assert!(lambda_feasible(&inst, lambda), "seed {seed}");
+            assert_eq!(check_lambda(&inst, lambda), None, "seed {seed}");
         }
     }
 

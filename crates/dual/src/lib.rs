@@ -9,27 +9,26 @@
 //! 2. **Makespan lower bound** for the experimental ratios (§3.3:
 //!    "for Cmax a good lower bound may easily be obtained by dual
 //!    approximation") — the largest λ *rejected* by the necessary-
-//!    condition predicate [`CanonicalAllotments::check_lambda`];
+//!    condition predicate [`check_lambda`];
 //! 3. **Allotment selection** for the three "List Graham" baselines
 //!    (§4.1: "every task is alloted using the number of processors
 //!    selected by \[7\]"), together with the canonical shelf order.
 //!
-//! The one entry point is [`dual_approx`]: one bisection per instance,
-//! evaluating the predicate on one [`CanonicalAllotments`] memo, then
-//! the shelf construction at the accepted λ, reading its allotments from
-//! that same memo. The construction is total in λ, so it does not
-//! re-check the bisection's answer. The naive `O(n·m)` predicate the
-//! memo replicates is kept only as the test reference it is compared
-//! against.
+//! The one entry point is [`dual_approx`]: one bisection per instance
+//! on the predicate, then the shelf construction at the accepted λ.
+//! Both read `allotᵢ(λ)` and `S_i(λ)` from each task's own queries
+//! ([`demt_model::MoldableTask::min_alloc_within`],
+//! [`demt_model::MoldableTask::min_area_alloc_within`]): `O(1)` on a
+//! rigid task, one binary search on an exactly monotone one, a scan on
+//! any other vector. The construction is total in λ, so it does not
+//! re-check the bisection's answer.
 
 #![warn(missing_docs)]
 
 mod feasibility;
-mod memo;
 mod shelves;
 
-pub use feasibility::{trivial_lower_bound, trivially_feasible_lambda, Rejection};
-pub use memo::CanonicalAllotments;
+pub use feasibility::{check_lambda, trivial_lower_bound, trivially_feasible_lambda, Rejection};
 pub use shelves::ShelfClass;
 
 use shelves::build_shelves;
@@ -73,11 +72,6 @@ pub struct DualResult {
     pub cmax_estimate: f64,
     /// Feasibility predicate evaluations the bisection made.
     pub lambda_checks: usize,
-    /// Tasks that needed a sorted allotment staircase, those that are
-    /// not exactly monotone
-    /// ([`demt_model::MoldableTask::is_exactly_monotone`]); zero on
-    /// the four SPAA'04 generator families.
-    pub staircases_built: usize,
 }
 
 /// Runs the full dual approximation: bisection on λ, then the two-shelf
@@ -93,19 +87,14 @@ pub struct DualResult {
 /// ```
 pub fn dual_approx(inst: &Instance, cfg: &DualConfig) -> DualResult {
     assert!(!inst.is_empty(), "dual approximation of an empty instance");
-    // The canonical allotments are indexed once and shared by every
-    // bisection iteration: the predicate then costs O(n log m) per λ
-    // guess instead of the naive O(n·m) re-scan, with bit-identical
-    // accept/reject decisions (see `memo` tests).
-    let memo = CanonicalAllotments::new(inst);
     let lo = trivial_lower_bound(inst);
     let hi = trivially_feasible_lambda(inst).max(lo);
     let mut lambda_checks = 0;
     let th = bisect_threshold(lo, hi, cfg.rel_eps, |lambda| {
         lambda_checks += 1;
-        memo.lambda_feasible(lambda)
+        check_lambda(inst, lambda).is_none()
     });
-    let build = build_shelves(inst, &memo, th.accepted);
+    let build = build_shelves(inst, th.accepted);
     let cmax_estimate = build.schedule.makespan();
     DualResult {
         lower_bound: th.rejected.max(lo),
@@ -116,14 +105,13 @@ pub fn dual_approx(inst: &Instance, cfg: &DualConfig) -> DualResult {
         schedule: build.schedule,
         cmax_estimate,
         lambda_checks,
-        staircases_built: memo.staircases_built(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feasibility::lambda_feasible;
+    use crate::feasibility::scan;
     use demt_model::InstanceBuilder;
     use demt_platform::validate;
     use demt_workload::{generate, WorkloadKind};
@@ -205,51 +193,26 @@ mod tests {
     }
 
     #[test]
-    fn memoized_bisection_matches_naive_end_to_end() {
-        // dual_approx drives the bisection through the allotment memo;
-        // replaying it with the naive predicate must land on the exact
-        // same threshold (bit-for-bit), for every workload family.
+    fn bisection_matches_the_scanned_predicate_end_to_end() {
+        // Replaying dual_approx's bisection with the scanned predicate
+        // must land on the exact same threshold (bit-for-bit), for
+        // every workload family, and count the same predicate calls.
         for kind in WorkloadKind::ALL {
-            let inst = generate(kind, 35, 16, 9);
-            let full = dual_approx(&inst, &DualConfig::default());
-            let lo = trivial_lower_bound(&inst);
-            let hi = trivially_feasible_lambda(&inst).max(lo);
-            let th = demt_kernels::bisect_threshold(lo, hi, DualConfig::default().rel_eps, |l| {
-                lambda_feasible(&inst, l)
-            });
-            assert_eq!(full.lower_bound.to_bits(), th.rejected.max(lo).to_bits());
-            assert_eq!(full.lambda.to_bits(), th.accepted.to_bits());
-        }
-    }
-
-    #[test]
-    fn monotone_families_build_no_staircase() {
-        for kind in WorkloadKind::ALL {
-            for m in [1, 16, 200] {
-                let inst = generate(kind, 30, m, 3);
-                let r = dual_approx(&inst, &DualConfig::default());
-                assert_eq!(r.staircases_built, 0, "{kind} m = {m}");
-                // The replayed bisection counts its own predicate calls.
+            for (n, m, seed) in [(35, 16, 9), (40, 32, 2), (30, 1, 3), (30, 200, 3)] {
+                let inst = generate(kind, n, m, seed);
+                let full = dual_approx(&inst, &DualConfig::default());
                 let lo = trivial_lower_bound(&inst);
                 let hi = trivially_feasible_lambda(&inst).max(lo);
                 let mut calls = 0;
-                let _ = bisect_threshold(lo, hi, DualConfig::default().rel_eps, |l| {
+                let th = bisect_threshold(lo, hi, DualConfig::default().rel_eps, |l| {
                     calls += 1;
-                    lambda_feasible(&inst, l)
+                    scan::check_lambda(&inst, l).is_none()
                 });
-                assert_eq!(r.lambda_checks, calls, "{kind} m = {m}");
+                assert_eq!(full.lower_bound.to_bits(), th.rejected.max(lo).to_bits());
+                assert_eq!(full.lambda.to_bits(), th.accepted.to_bits());
+                assert_eq!(full.lambda_checks, calls, "{kind} m = {m}");
             }
         }
-        // Least-area allotments wider than the fewest processors: both
-        // tasks are non-monotone, so both need a staircase.
-        let mut b = InstanceBuilder::new(5);
-        for _ in 0..2 {
-            b.push_times(1.0, vec![100.0, 10.0, 6.0, 6.0, 6.0]).unwrap();
-        }
-        let inst = b.build().unwrap();
-        let r = dual_approx(&inst, &DualConfig::default());
-        assert_eq!(r.staircases_built, inst.len());
-        assert!(r.lambda_checks > 0);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! monotone model, where the least-area allotment is wider than the
 //! oracle's fewest processors) are serialized by the list engine.
 
-use crate::CanonicalAllotments;
 use demt_kernels::{min_area_partition, ShelfChoice, ShelfItem};
 use demt_model::{Instance, TaskId};
 use demt_platform::{list_schedule, ListTask, Schedule};
@@ -48,13 +47,8 @@ pub(crate) struct ShelfBuild {
 }
 
 /// Builds the two-shelf structure and its compacted schedule at any
-/// λ > 0, reading every allotment from `memo` (the instance's memo the
-/// bisection already built).
-pub(crate) fn build_shelves(
-    inst: &Instance,
-    memo: &CanonicalAllotments,
-    lambda: f64,
-) -> ShelfBuild {
+/// λ > 0, reading every allotment from the tasks' own queries.
+pub(crate) fn build_shelves(inst: &Instance, lambda: f64) -> ShelfBuild {
     let half = lambda / 2.0;
     let n = inst.len();
 
@@ -71,12 +65,18 @@ pub(crate) fn build_shelves(
             class[i] = ShelfClass::Small;
             continue;
         }
-        let (k1, a1) = memo.shelf1_alloc(i, lambda);
+        // The least area meeting λ, or when none does the fastest
+        // allotment, the widest on time ties: `(m, m·p(m))` on a
+        // nonincreasing vector.
+        let (k1, a1) = t.min_area_alloc_within(lambda).unwrap_or_else(|| {
+            let (k, p) = t.widest_fastest_alloc();
+            (k, k as f64 * p)
+        });
         big_ids.push(t.id());
         items.push(ShelfItem {
             procs_shelf1: k1,
             area_shelf1: a1,
-            shelf2: memo.min_area_alloc_within(i, half),
+            shelf2: t.min_area_alloc_within(half),
         });
     }
 
@@ -146,7 +146,7 @@ mod tests {
     fn classes_partition_and_allotments_fit() {
         let inst = mixed_instance();
         let lambda = trivially_feasible_lambda(&inst);
-        let build = build_shelves(&inst, &CanonicalAllotments::new(&inst), lambda);
+        let build = build_shelves(&inst, lambda);
         for id in inst.ids() {
             let k = build.allotment[id.index()];
             assert!(k >= 1 && k <= inst.procs());
@@ -163,11 +163,7 @@ mod tests {
     #[test]
     fn order_lists_long_then_short_then_small() {
         let inst = mixed_instance();
-        let build = build_shelves(
-            &inst,
-            &CanonicalAllotments::new(&inst),
-            trivially_feasible_lambda(&inst),
-        );
+        let build = build_shelves(&inst, trivially_feasible_lambda(&inst));
         let rank = |c: ShelfClass| match c {
             ShelfClass::Long => 0,
             ShelfClass::Short => 1,
@@ -188,7 +184,7 @@ mod tests {
         for seed in 0..8 {
             let inst = demt_workload::generate(demt_workload::WorkloadKind::Mixed, 40, 16, seed);
             let lambda = trivially_feasible_lambda(&inst);
-            let build = build_shelves(&inst, &CanonicalAllotments::new(&inst), lambda);
+            let build = build_shelves(&inst, lambda);
             validate(&inst, &build.schedule).unwrap();
             // The list engine over shelf allotments stays within the
             // theoretical 3λ envelope with a wide margin in practice.
@@ -214,9 +210,8 @@ mod tests {
     #[test]
     fn forced_long_shelf_tasks_past_m_are_serialized() {
         let inst = wide_least_area_instance();
-        let memo = CanonicalAllotments::new(&inst);
-        assert!(memo.lambda_feasible(10.0));
-        let build = build_shelves(&inst, &memo, 10.0);
+        assert_eq!(crate::check_lambda(&inst, 10.0), None);
+        let build = build_shelves(&inst, 10.0);
         assert_eq!(build.allotment, vec![3, 3]);
         assert_eq!(build.class, vec![ShelfClass::Long; 2]);
         validate(&inst, &build.schedule).unwrap();
@@ -228,15 +223,27 @@ mod tests {
         let inst = mixed_instance();
         // No task fits 0.1, so all four are long-shelf tasks at their
         // shortest time; the flat sequential profiles tie on every
-        // allotment and take the first staircase entry, the widest.
-        let memo = CanonicalAllotments::new(&inst);
-        assert_eq!(memo.staircases_built(), 0);
-        for memo in [memo, CanonicalAllotments::staircased(&inst)] {
-            let build = build_shelves(&inst, &memo, 0.1);
-            assert_eq!(build.allotment, vec![4, 4, 4, 4]);
-            assert_eq!(build.class, vec![ShelfClass::Long; 4]);
-            validate(&inst, &build.schedule).unwrap();
-        }
+        // allotment and take the widest.
+        let build = build_shelves(&inst, 0.1);
+        assert_eq!(build.allotment, vec![4, 4, 4, 4]);
+        assert_eq!(build.class, vec![ShelfClass::Long; 4]);
+        validate(&inst, &build.schedule).unwrap();
+    }
+
+    #[test]
+    fn the_fastest_fallback_takes_the_widest_tie_off_the_monotone_model() {
+        // The fastest time, 2, sits on allotments 2 and 3 of an
+        // unflagged vector: below every time the shelf-1 fallback takes
+        // 3, not `fastest_alloc`'s 2 nor the last allotment.
+        let mut b = InstanceBuilder::new(4);
+        b.push_times(1.0, vec![12.0, 2.0, 2.0, 5.0]).unwrap();
+        let inst = b.build().unwrap();
+        assert!(!inst.tasks()[0].is_exactly_monotone());
+        assert_eq!(inst.tasks()[0].fastest_alloc(), (2, 2.0));
+        let build = build_shelves(&inst, 1.0);
+        assert_eq!(build.allotment, vec![3]);
+        assert_eq!(build.class, vec![ShelfClass::Long]);
+        validate(&inst, &build.schedule).unwrap();
     }
 
     fn any_instance() -> impl Strategy<Value = Instance> {
@@ -269,20 +276,14 @@ mod tests {
             raw in any_instance(),
             lambda in 0.01f64..120.0,
         ) {
-            // Raw vectors mostly take staircases, monotonized ones
-            // answer by binary search; every task staircased is the
-            // reference for both.
+            // Raw vectors mostly scan, monotonized ones answer by
+            // binary search.
             for inst in [monotonized(&raw), raw] {
-                let build = build_shelves(&inst, &CanonicalAllotments::new(&inst), lambda);
+                let build = build_shelves(&inst, lambda);
                 prop_assert!(validate(&inst, &build.schedule).is_ok());
                 let mut ids = build.order.clone();
                 ids.sort_unstable();
                 prop_assert_eq!(ids, inst.ids().collect::<Vec<_>>());
-                let reference =
-                    build_shelves(&inst, &CanonicalAllotments::staircased(&inst), lambda);
-                prop_assert_eq!(&build.allotment, &reference.allotment);
-                prop_assert_eq!(&build.class, &reference.class);
-                prop_assert_eq!(&build.order, &reference.order);
             }
         }
     }

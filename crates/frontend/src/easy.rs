@@ -236,8 +236,20 @@ mod tests {
     use demt_model::{MoldableTask, TaskId};
 
     fn job(id: usize, release: f64, procs: usize, time: f64, m: usize) -> SubmittedJob {
+        weighted_job(id, release, procs, time, m, 1.0)
+    }
+
+    /// [`job`] of weight `weight`.
+    fn weighted_job(
+        id: usize,
+        release: f64,
+        procs: usize,
+        time: f64,
+        m: usize,
+        weight: f64,
+    ) -> SubmittedJob {
         SubmittedJob {
-            task: MoldableTask::rigid(TaskId(id), 1.0, procs, time, m).unwrap(),
+            task: MoldableTask::rigid(TaskId(id), weight, procs, time, m).unwrap(),
             release,
             rigid_procs: procs,
         }
@@ -365,10 +377,8 @@ mod tests {
     #[test]
     fn priority_order_lets_heavy_jobs_jump_the_queue() {
         let m = 2;
-        let mut light = job(0, 0.0, 2, 2.0, m);
-        light.task.set_weight(1.0);
-        let mut heavy = job(1, 0.0, 2, 2.0, m);
-        heavy.task.set_weight(9.0);
+        let light = job(0, 0.0, 2, 2.0, m);
+        let heavy = weighted_job(1, 0.0, 2, 2.0, m, 9.0);
         let jobs = vec![light, heavy];
         let fifo = fcfs_in(m, &jobs, QueueOrder::Arrival);
         assert_eq!(fifo.placement_of(TaskId(0)).unwrap().start, 0.0);
@@ -384,10 +394,8 @@ mod tests {
     #[test]
     fn priority_order_respects_releases() {
         let m = 2;
-        let mut early_light = job(0, 0.0, 2, 3.0, m);
-        early_light.task.set_weight(1.0);
-        let mut late_heavy = job(1, 1.0, 2, 1.0, m);
-        late_heavy.task.set_weight(9.0);
+        let early_light = job(0, 0.0, 2, 3.0, m);
+        let late_heavy = weighted_job(1, 1.0, 2, 1.0, m, 9.0);
         let jobs = vec![early_light, late_heavy];
         let s = fcfs_in(m, &jobs, QueueOrder::Priority);
         // The heavy job was not there at t=0: the light one runs first.

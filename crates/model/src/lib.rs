@@ -26,13 +26,17 @@
 //! * [`MoldableTask::min_area_within`] — the paper's `S_{i,j}`: the
 //!   smallest *area* (processors × time) achievable under a deadline.
 //!
-//! Both are one binary search, `O(log m)`, on a task that is monotone
-//! *exactly*, compared as plain `f64` without the tolerance
+//! The task is the one engine that answers them; the dual
+//! approximation and the §3.3 LP bound call it directly. A rigid task
+//! answers in closed form, `O(1)`, from its width and time, without
+//! materializing its vector. On a task that is monotone *exactly*,
+//! compared as plain `f64` without the tolerance
 //! ([`MoldableTask::is_exactly_monotone`], folded when the task is
-//! built): its allotments meeting a deadline are a suffix of `1..=m`,
-//! and the first is both the fewest processors and the least area.
-//! The four SPAA'04 generator families produce such tasks. Any other
-//! vector is scanned, `O(m)`.
+//! built), each is one binary search, `O(log m)`: its allotments
+//! meeting a deadline are a suffix of `1..=m`, and the first is both
+//! the fewest processors and the least area. The four SPAA'04
+//! generator families produce such tasks. Any other vector is
+//! scanned, `O(m)`.
 
 #![warn(missing_docs)]
 

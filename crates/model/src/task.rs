@@ -1,6 +1,6 @@
 //! Moldable task: processing-time vector, weight, canonical queries.
 
-use crate::{approx_le, ModelError, REL_EPS};
+use crate::{approx_le, ModelError};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -33,10 +33,10 @@ impl std::fmt::Display for TaskId {
 /// materialize an `m`-entry vector (80 KB per job at `m = 10⁴`, the
 /// dominant cost of the serve daemon's event loop), yet every entry is
 /// one of two values determined by the rigid width. Queries compute
-/// those values on demand; the handful of callers that genuinely need
-/// a `&[f64]` (the dual memo, hand-written tests) get one from a lazy
-/// per-task cache, so the slow path stays available without taxing the
-/// fast one.
+/// those values on demand, the deadline queries included; the few
+/// callers that genuinely need a `&[f64]` (serialization,
+/// [`MoldableTask::monotonized`], tests) get one from a lazy per-task
+/// cache, so the slow path stays available without taxing the fast one.
 #[derive(Debug, Clone)]
 enum Times {
     /// Full vector: `v[k-1]` is the execution time on `k` processors.
@@ -345,16 +345,6 @@ impl MoldableTask {
         self.weight
     }
 
-    /// Replaces the weight (used by generators that draw priorities
-    /// independently from shapes).
-    pub fn set_weight(&mut self, weight: f64) {
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "weight must be positive"
-        );
-        self.weight = weight;
-    }
-
     /// Re-identifies the task (used when instances are assembled from
     /// independently generated parts).
     pub fn set_id(&mut self, id: TaskId) {
@@ -430,6 +420,20 @@ impl MoldableTask {
         }
     }
 
+    /// Last allotment achieving the minimum execution time, with that
+    /// time: [`Self::fastest_alloc`] with ties broken to the largest
+    /// `k`. `O(1)` on a nonincreasing vector (the rigid form included),
+    /// whose last entry is its minimum; a scan from the last entry
+    /// otherwise.
+    pub fn widest_fastest_alloc(&self) -> (usize, f64) {
+        let fastest = self.min_time();
+        let k = (1..=self.max_procs())
+            .rev()
+            .find(|&k| self.times.at(k) == fastest)
+            .unwrap_or(1);
+        (k, fastest)
+    }
+
     /// Sequential processing time `p(1)`.
     #[inline]
     pub fn seq_time(&self) -> f64 {
@@ -487,33 +491,52 @@ impl MoldableTask {
         }
     }
 
-    /// On an exactly monotone task, the first allotment whose time
-    /// meets `t` and that time. `approx_le(·, t)` is monotone in its
-    /// first argument, so on a nonincreasing vector the allotments
-    /// meeting `t` are a suffix and one binary search finds its start.
+    /// The first allotment whose time meets `t` and its area, on a task
+    /// where that allotment also has the least area among those meeting
+    /// `t`: the rigid form or an exactly monotone vector. The rigid form
+    /// answers from its four numbers, without the vector: every entry
+    /// meets `t` when `seq` does, else those from the width on when
+    /// `time` does; the least area is `seq` either way, bit-equal to the
+    /// scan's `1·seq` and `width·time` (the product `seq` was built
+    /// from). On a nonincreasing vector the allotments meeting `t` are a
+    /// suffix (`approx_le(·, t)` is monotone in its first argument), so
+    /// one binary search finds its start, and the work never falls along
+    /// it.
     fn first_within(&self, t: f64) -> Option<(usize, f64)> {
-        let v = self.times.as_slice();
-        let i = v.partition_point(|&p| !approx_le(p, t));
-        v.get(i).map(|&p| (i + 1, p))
+        match self.times {
+            Times::Rigid { seq, .. } if approx_le(seq, t) => Some((1, seq)),
+            Times::Rigid {
+                width,
+                time,
+                seq,
+                len,
+                ..
+            } => (len >= width && approx_le(time, t)).then_some((width, seq)),
+            Times::Explicit { ref v, .. } => {
+                let i = v.partition_point(|&p| !approx_le(p, t));
+                v.get(i).map(|&p| (i + 1, (i + 1) as f64 * p))
+            }
+        }
     }
 
     /// The paper's `allotᵢ`: smallest allotment `k` with `p(k) ≤ t`
     /// (up to the workspace tolerance), or `None` when even `min_time`
-    /// exceeds `t`. `O(log m)` on an exactly monotone task
-    /// ([`Self::is_exactly_monotone`]); otherwise a linear scan, correct
-    /// for arbitrary vectors. `approx_le(·, t)` is monotone in its first
-    /// argument, so the answer is `Some` exactly when
-    /// `approx_le(self.min_time(), t)`: a caller that only asks whether
-    /// the task fits `t` should test that instead.
+    /// exceeds `t`. `O(1)` on a rigid task, `O(log m)` on an exactly
+    /// monotone one ([`Self::is_exactly_monotone`]); otherwise a linear
+    /// scan, correct for arbitrary vectors. `approx_le(·, t)` is
+    /// monotone in its first argument, so the answer is `Some` exactly
+    /// when `approx_le(self.min_time(), t)`: a caller that only asks
+    /// whether the task fits `t` should test that instead.
     pub fn min_alloc_within(&self, t: f64) -> Option<usize> {
-        if self.is_exactly_monotone() {
+        let Times::Explicit {
+            ref v,
+            monotone: false,
+            ..
+        } = self.times
+        else {
             return self.first_within(t).map(|(k, _)| k);
-        }
-        self.times
-            .as_slice()
-            .iter()
-            .position(|&p| approx_le(p, t))
-            .map(|i| i + 1)
+        };
+        v.iter().position(|&p| approx_le(p, t)).map(|i| i + 1)
     }
 
     /// The paper's `S_{i,j}`: the minimal area `k·p(k)` over allotments
@@ -526,16 +549,21 @@ impl MoldableTask {
     }
 
     /// Allotment achieving [`Self::min_area_within`], together with the
-    /// area; the smallest such allotment on area ties. On an exactly
-    /// monotone task the work never falls with `k`, so this is the first
-    /// allotment meeting `t`, [`Self::min_alloc_within`], in `O(log m)`;
-    /// otherwise a linear scan.
+    /// area; the smallest such allotment on area ties. On a rigid or an
+    /// exactly monotone task it is the first allotment meeting `t`,
+    /// [`Self::min_alloc_within`], in `O(1)` and `O(log m)`; otherwise a
+    /// linear scan.
     pub fn min_area_alloc_within(&self, t: f64) -> Option<(usize, f64)> {
-        if self.is_exactly_monotone() {
-            return self.first_within(t).map(|(k, p)| (k, k as f64 * p));
-        }
+        let Times::Explicit {
+            ref v,
+            monotone: false,
+            ..
+        } = self.times
+        else {
+            return self.first_within(t);
+        };
         let mut best: Option<(usize, f64)> = None;
-        for (i, &p) in self.times.as_slice().iter().enumerate() {
+        for (i, &p) in v.iter().enumerate() {
             if approx_le(p, t) {
                 let area = (i + 1) as f64 * p;
                 if best.is_none_or(|(_, b)| area < b) {
@@ -607,50 +635,6 @@ impl MoldableTask {
             weight: self.weight,
             times: Times::explicit(t).0,
         }
-    }
-
-    /// Extends (or truncates) the vector to cover exactly `m` processors.
-    /// Extension is *flat* (`p(k) = p(max)` for `k > max`), which keeps
-    /// times non-increasing and work non-decreasing.
-    pub fn resized(&self, m: usize) -> Self {
-        assert!(m >= 1);
-        // A rigid task stays rigid: flat extension repeats `time`, and a
-        // truncation below the width leaves only `seq` entries — both are
-        // what the virtual vector already answers for any `len`.
-        if let Times::Rigid {
-            width, time, seq, ..
-        } = self.times
-        {
-            return Self {
-                id: self.id,
-                weight: self.weight,
-                times: Times::Rigid {
-                    width,
-                    time,
-                    seq,
-                    len: m,
-                    cache: OnceLock::new(),
-                },
-            };
-        }
-        let last = self.times.at(self.times.len());
-        let mut t = self.times.as_slice().to_vec();
-        t.resize(m, last);
-        Self {
-            id: self.id,
-            weight: self.weight,
-            times: Times::explicit(t).0,
-        }
-    }
-
-    /// True when two tasks have the same shape and weight up to the
-    /// workspace tolerance (ids may differ). Test helper.
-    pub fn same_profile(&self, other: &Self) -> bool {
-        self.times.len() == other.times.len()
-            && (self.weight - other.weight).abs() <= REL_EPS * self.weight.abs().max(1.0)
-            && (1..=self.times.len())
-                .map(|k| (self.times.at(k), other.times.at(k)))
-                .all(|(a, b)| (a - b).abs() <= REL_EPS * a.abs().max(1.0))
     }
 }
 
@@ -796,7 +780,7 @@ mod tests {
     #[test]
     fn monotonized_is_identity_on_monotonic_tasks() {
         let good = task(&[10.0, 6.0, 4.0, 3.0]);
-        assert!(good.same_profile(&good.monotonized()));
+        assert_eq!(good.monotonized(), good);
     }
 
     #[test]
@@ -822,6 +806,78 @@ mod tests {
         assert_eq!(r.min_area_alloc_within(2.0), Some((3, 6.0)));
     }
 
+    /// The three deadline queries and the widest fastest allotment of
+    /// `v` by scanning, areas and times as bits.
+    fn scanned_queries(v: &[f64], t: f64) -> [Option<(usize, u64)>; 3] {
+        let alloc = v.iter().position(|&p| approx_le(p, t));
+        let mut area: Option<(usize, f64)> = None;
+        for (i, &p) in v.iter().enumerate() {
+            let a = (i + 1) as f64 * p;
+            if approx_le(p, t) && area.is_none_or(|(_, b)| a < b) {
+                area = Some((i + 1, a));
+            }
+        }
+        let fastest = v.iter().copied().fold(f64::INFINITY, f64::min);
+        let widest = v.iter().rposition(|&p| p == fastest);
+        [
+            alloc.map(|i| (i + 1, 0)),
+            area.map(|(k, a)| (k, a.to_bits())),
+            widest.map(|i| (i + 1, fastest.to_bits())),
+        ]
+    }
+
+    /// The same answers from the task's own queries.
+    fn queries(task: &MoldableTask, t: f64) -> [Option<(usize, u64)>; 3] {
+        let area = task.min_area_alloc_within(t).map(|(k, a)| (k, a.to_bits()));
+        assert_eq!(
+            task.min_area_within(t).map(f64::to_bits),
+            area.map(|(_, a)| a)
+        );
+        let (k, p) = task.widest_fastest_alloc();
+        [
+            task.min_alloc_within(t).map(|k| (k, 0)),
+            area,
+            Some((k, p.to_bits())),
+        ]
+    }
+
+    #[test]
+    fn rigid_tasks_answer_like_the_scan_without_materializing() {
+        let m = 9;
+        let time = 0.7;
+        let mut rigid: Vec<MoldableTask> = (1..=m)
+            .map(|width| MoldableTask::rigid(TaskId(width), 1.0, width, time, m).unwrap())
+            .collect();
+        // Truncated below its width: only `seq` entries remain.
+        rigid.push(MoldableTask {
+            id: TaskId(0),
+            weight: 1.0,
+            times: Times::Rigid {
+                width: 6,
+                time,
+                seq: 6.0 * time,
+                len: 4,
+                cache: OnceLock::new(),
+            },
+        });
+        for task in &rigid {
+            let (width, _) = task.rigid_shape().unwrap();
+            let len = task.max_procs();
+            let v: Vec<f64> = (1..=len).map(|k| task.time(k)).collect();
+            let seq = time * width as f64;
+            for p in [seq, time] {
+                let edge = p - crate::REL_EPS * p.max(1.0);
+                for t in [p, p.next_down(), edge, edge.next_down(), 0.5 * p, 2.0 * p] {
+                    assert_eq!(queries(task, t), scanned_queries(&v, t), "{v:?} at {t:e}");
+                }
+            }
+            let Times::Rigid { ref cache, .. } = task.times else {
+                unreachable!("built rigid")
+            };
+            assert!(cache.get().is_none(), "width {width} materialized");
+        }
+    }
+
     #[test]
     fn rigid_width_outside_the_machine_is_a_typed_error() {
         for width in [0, 6, usize::MAX] {
@@ -837,17 +893,6 @@ mod tests {
         }
         let err = MoldableTask::rigid(TaskId(4), 1.0, 9, 1.0, 2).unwrap_err();
         assert_eq!(err.to_string(), "task 4: rigid width 9 outside 1..=2");
-    }
-
-    #[test]
-    fn resized_flat_extension_keeps_monotony() {
-        let t = task(&[10.0, 6.0]).resized(5);
-        assert_eq!(t.max_procs(), 5);
-        assert_eq!(t.time(5), 6.0);
-        assert!(t.is_monotonic());
-        let shrunk = t.resized(1);
-        assert_eq!(shrunk.max_procs(), 1);
-        assert_eq!(shrunk.time(1), 10.0);
     }
 
     /// The scans the cached minima replace, in the same fold order.
@@ -882,13 +927,7 @@ mod tests {
             .flat_map(|t| {
                 let json = serde_json::to_string(t).unwrap();
                 let back: MoldableTask = serde_json::from_str(&json).unwrap();
-                [
-                    t.monotonized(),
-                    t.resized(t.max_procs() + 3),
-                    t.resized(2),
-                    t.resized(1),
-                    back,
-                ]
+                [t.monotonized(), back]
             })
             .collect();
         tasks.extend(derived);
@@ -915,7 +954,6 @@ mod tests {
         let t = task(&[4.0, 2.5, 2.0]);
         let json = serde_json::to_string(&t).unwrap();
         let back: MoldableTask = serde_json::from_str(&json).unwrap();
-        assert!(t.same_profile(&back));
-        assert_eq!(t.id(), back.id());
+        assert_eq!(t, back);
     }
 }

@@ -1,8 +1,9 @@
-//! Differential tests of the exactly-monotone fast path: on a task whose
-//! times never rise and whose work never falls, compared as plain `f64`,
+//! Differential tests of the deadline queries: on a task whose times
+//! never rise and whose work never falls, compared as plain `f64`,
 //! `min_alloc_within`, `min_area_within` and `min_area_alloc_within` are
-//! binary searches. They must answer bit for bit what a whole-vector
-//! scan answers, and the flag must be exactly the in-order definition.
+//! binary searches, and any other vector is scanned. Either way they
+//! must answer bit for bit what a whole-vector scan answers, and the
+//! flag must be exactly the in-order definition.
 
 use demt_model::{approx_le, MoldableTask, TaskId, REL_EPS};
 use proptest::prelude::*;
@@ -33,11 +34,17 @@ fn scan_min_area_alloc(v: &[f64], t: f64) -> Option<(usize, f64)> {
     best
 }
 
-/// Around every distinct time, where `approx_le(·, t)` flips, the three
-/// queries equal the scans; the flag equals the definition.
+/// Around every distinct time, where `approx_le(·, t)` flips, and far
+/// below and above it, the three queries equal the scans and answer
+/// `Some` exactly when `min_time` meets the deadline; the flag equals
+/// the definition, and the widest fastest allotment the last minimum.
 fn assert_queries_match_the_scans(task: &MoldableTask) {
     let v = task.times().to_vec();
     assert_eq!(task.is_exactly_monotone(), exactly_monotone(&v), "{:?}", v);
+    let fastest = v.iter().copied().fold(f64::INFINITY, f64::min);
+    let widest = v.iter().rposition(|&p| p == fastest).map(|i| i + 1);
+    let (k, p) = task.widest_fastest_alloc();
+    assert_eq!((Some(k), p.to_bits()), (widest, fastest.to_bits()), "{v:?}");
     for &p in &v {
         let d = REL_EPS * p.max(1.0);
         let edge = p - d;
@@ -51,8 +58,16 @@ fn assert_queries_match_the_scans(task: &MoldableTask) {
             p - 2.0 * d,
             p - 0.5 * d,
             p + d,
+            0.5 * p,
+            2.0 * p,
         ];
         for t in probes {
+            // The batch loop's O(1) eligibility test.
+            assert_eq!(
+                approx_le(task.min_time(), t),
+                task.min_alloc_within(t).is_some(),
+                "{v:?} t={t}"
+            );
             let area_alloc = scan_min_area_alloc(&v, t);
             assert_eq!(
                 task.min_alloc_within(t),
@@ -111,6 +126,37 @@ fn task(v: Vec<f64>) -> MoldableTask {
     MoldableTask::new(TaskId(0), 1.0, v).unwrap()
 }
 
+#[test]
+fn fixed_shapes_answer_like_the_scan() {
+    // Both sides of the exact-monotony flag, each shape with its flag.
+    let shapes: Vec<(Vec<f64>, bool)> = vec![
+        // Plateaus, as in Cirne-shaped profiles.
+        (vec![9.0, 5.0, 3.5, 3.5, 3.5, 3.0, 3.0, 3.0], true),
+        // Plateaus whose work dips at k = 3.
+        (vec![9.7, 5.1, 3.3, 3.3, 3.3, 2.9, 2.9, 2.9], false),
+        // Strictly decreasing.
+        ((1..=9).map(|k| 10.0 / k as f64 + 0.5).collect(), true),
+        // Work dips at k = 3: the least area is not the first fit.
+        (vec![12.0, 11.0, 2.0, 2.0], false),
+        // Non-monotone: times rise again and work dips.
+        (vec![12.0, 11.0, 2.0, 2.0, 5.0, 1.9, 2.1, 1.9], false),
+        // The fastest time on two allotments, then a slower one.
+        (vec![12.0, 2.0, 2.0, 5.0], false),
+        // All equal: every allotment ties.
+        (vec![0.1 + 0.2; 7], true),
+        // Sub-unit times, where the tolerance floor of 1 applies.
+        (vec![0.9, 0.45, 0.3, 0.3 - 1e-10, 0.2], false),
+        (vec![0.75, 0.5, 0.375, 0.375 - 1e-10, 0.3125], true),
+        // m = 1.
+        (vec![4.5], true),
+    ];
+    for (times, flagged) in shapes {
+        let t = task(times);
+        assert_eq!(t.is_exactly_monotone(), flagged, "{:?}", t.times());
+        assert_queries_match_the_scans(&t);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -152,25 +198,15 @@ proptest! {
     }
 
     #[test]
-    fn monotonized_and_resized_outputs_answer_like_the_scan(
+    fn raw_and_monotonized_vectors_answer_like_the_scan(
         raw in prop::collection::vec(0.05f64..50.0, 1..24),
-        extra in 1usize..8,
     ) {
         let t = task(raw);
         let fixed = t.monotonized();
         prop_assert!(fixed.is_exactly_monotone(), "{:?}", fixed.times());
         prop_assert_eq!(fixed.monotonized().times(), fixed.times());
-        let shrunk = t.max_procs().div_ceil(2);
-        for derived in [
-            t.clone(),
-            fixed.resized(fixed.max_procs() + extra),
-            t.resized(t.max_procs() + extra),
-            t.resized(shrunk),
-            fixed.resized(shrunk),
-            fixed,
-        ] {
-            assert_queries_match_the_scans(&derived);
-        }
+        assert_queries_match_the_scans(&t);
+        assert_queries_match_the_scans(&fixed);
     }
 
     #[test]
@@ -178,12 +214,8 @@ proptest! {
         m in 1usize..12,
         width in 1usize..12,
         time in 0.01f64..20.0,
-        len in 1usize..14,
     ) {
         let width = width.min(m);
-        let rigid = MoldableTask::rigid(TaskId(0), 1.0, width, time, m).unwrap();
-        for t in [rigid.resized(len), rigid] {
-            assert_queries_match_the_scans(&t);
-        }
+        assert_queries_match_the_scans(&MoldableTask::rigid(TaskId(0), 1.0, width, time, m).unwrap());
     }
 }

@@ -83,9 +83,7 @@ proptest! {
         let b1 = minsum_lower_bound(&inst, &BoundConfig::default());
         let mut builder = InstanceBuilder::new(inst.procs());
         for t in inst.tasks() {
-            let mut t2 = t.clone();
-            t2.set_weight(t.weight() * 2.0);
-            builder.push_task(t2).unwrap();
+            builder.push_times(t.weight() * 2.0, t.times().to_vec()).unwrap();
         }
         let doubled = builder.build().unwrap();
         let b2 = minsum_lower_bound(&doubled, &BoundConfig::default());
