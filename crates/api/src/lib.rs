@@ -464,7 +464,9 @@ mod tests {
         assert_eq!(runs(&inst(4, &[a]), &inst(8, &[a])), 2, "machine-sensitive");
         // Ids do not enter the key: a derived instance re-ids its tasks
         // densely and still hits the entry of the same content.
-        let (tail, _) = inst(4, &[a, b]).restrict(&[TaskId(1)]).unwrap();
+        let mut second = inst(4, &[a, b]).tasks()[1].clone();
+        second.set_id(TaskId(0));
+        let tail = Instance::new(4, vec![second]).unwrap();
         assert_eq!(runs(&tail, &inst(4, &[b])), 1, "id-blind");
         let moved = rigid(7, 1, 5.0, 4).unwrap();
         assert_eq!(task_hash(&moved), task_hash(&tail.tasks()[0]));

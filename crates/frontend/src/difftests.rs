@@ -1,16 +1,15 @@
 //! Differential suite for the queue engine: on random rigid job
-//! streams, the slice engine ([`queue_schedule`](crate::queue_schedule),
-//! and the same feed under [`QueueOrder::Priority`]) and the streamed
-//! [`replay_queue`](crate::replay_queue) must reproduce the
-//! independent rescan loop `queue_schedule_scan` **bit
-//! for bit** — compared as serialized JSON, so every start instant,
-//! duration and processor identity list participates in the equality.
-//! This is the contract that makes replaybench's EASY leg independent
-//! of streaming versus materialization.
+//! streams, sorted by release where they were drawn unsorted, the
+//! streamed [`replay_queue`](crate::replay_queue) must reproduce the
+//! independent rescan loop `queue_schedule_scan` **bit for bit**
+//! under every policy and order — compared as serialized JSON, so
+//! every start instant, duration and processor identity list
+//! participates in the equality. This is the contract that makes the
+//! queue rows of `demt frontend`, `demt swf` and replaybench's EASY
+//! leg independent of streaming versus materialization.
 
-use crate::easy::queue_schedule_scan;
-use crate::replay::run_queue;
-use crate::{queue_schedule, replay_queue};
+use crate::easy::{queue_schedule_scan, replay_schedule};
+use crate::replay_queue;
 use crate::{QueueOrder, QueuePolicy, SubmittedJob};
 use demt_model::{MoldableTask, TaskId};
 use demt_platform::{validate_no_overlap, Schedule};
@@ -101,43 +100,12 @@ fn arb_job_stream() -> impl Strategy<Value = (usize, Vec<SubmittedJob>)> {
         })
 }
 
-/// The queue engine over an unsorted slice in `order`: arrival order is
-/// [`queue_schedule`] itself, priority order is the same
-/// `(release, index)` feed collected from [`run_queue`].
-fn slice_engine(
-    m: usize,
-    jobs: &[SubmittedJob],
-    policy: QueuePolicy,
-    order: QueueOrder,
-) -> Schedule {
-    if order == QueueOrder::Arrival {
-        return queue_schedule(m, jobs, policy).expect("valid feeds queue cleanly");
-    }
-    let mut by_release: Vec<usize> = (0..jobs.len()).collect();
-    by_release.sort_by(|&a, &b| jobs[a].release.total_cmp(&jobs[b].release).then(a.cmp(&b)));
-    let mut s = Schedule::new(m);
-    let feed = by_release.iter().map(|&i| (i, &jobs[i]));
-    run_queue(m, feed, policy, order, |_, p| s.push(p)).expect("valid feeds queue cleanly");
-    s
-}
-
-/// The slice engine against the oracle, every policy and order.
-fn assert_engines_agree(m: usize, jobs: &[SubmittedJob]) -> Result<(), TestCaseError> {
-    for policy in POLICIES {
-        for order in ORDERS {
-            let fast = slice_engine(m, jobs, policy, order);
-            let scan = queue_schedule_scan(m, jobs, policy, order);
-            prop_assert_eq!(
-                json(&fast),
-                json(&scan),
-                "engines diverge under {:?}/{:?} on m={}",
-                policy,
-                order,
-                m
-            );
-        }
-    }
-    Ok(())
+/// An unsorted stream in the engine's feed order: by release, ties in
+/// slice order.
+fn by_release(jobs: &[SubmittedJob]) -> Vec<SubmittedJob> {
+    let mut sorted = jobs.to_vec();
+    sorted.sort_by(|a, b| a.release.total_cmp(&b.release));
+    sorted
 }
 
 /// The streamed engine against the oracle on a release-sorted feed,
@@ -172,12 +140,12 @@ proptest! {
 
     #[test]
     fn queue_engine_matches_the_scan_oracle_continuous((m, jobs) in continuous_stream(false)) {
-        assert_engines_agree(m, &jobs)?;
+        assert_stream_matches(m, &by_release(&jobs))?;
     }
 
     #[test]
     fn queue_engine_matches_the_scan_oracle_on_tie_heavy_grids((m, jobs) in grid_stream(false)) {
-        assert_engines_agree(m, &jobs)?;
+        assert_stream_matches(m, &by_release(&jobs))?;
     }
 
     #[test]
@@ -196,8 +164,9 @@ proptest! {
 
     #[test]
     fn easy_queue_engines_agree_byte_for_byte((m, jobs) in arb_job_stream()) {
+        let jobs = by_release(&jobs);
         for policy in POLICIES {
-            let engine = queue_schedule(m, &jobs, policy).unwrap();
+            let engine = replay_schedule(m, &jobs, policy, QueueOrder::Arrival);
             let scan = queue_schedule_scan(m, &jobs, policy, QueueOrder::Arrival);
             prop_assert_eq!(json(&engine), json(&scan), "{:?} diverged", policy);
             prop_assert!(validate_no_overlap(&engine).is_ok());

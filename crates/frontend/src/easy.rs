@@ -14,18 +14,18 @@
 //!   do not push that reservation back (they either finish before it or
 //!   fit in the processors it leaves spare).
 //!
-//! One engine implements both, streamed over a feed:
-//! [`replay_queue`](crate::replay_queue). [`queue_schedule`] collects
-//! it over a slice in arrival order. A separate quadratic
-//! rescan loop, `queue_schedule_scan`, is compiled only under
+//! One engine implements both, streamed over a feed in release order:
+//! [`replay_queue`](crate::replay_queue). A separate quadratic rescan
+//! loop over a slice, `queue_schedule_scan`, is compiled only under
 //! `#[cfg(test)]`, as the oracle the engine is tested against.
 
-use crate::replay::{run_queue, ReplayError};
-use crate::stream::SubmittedJob;
-use demt_platform::Schedule;
 use serde::{Deserialize, Serialize};
 #[cfg(test)]
-use {demt_model::ProcSet, demt_platform::Placement};
+use {
+    crate::stream::SubmittedJob,
+    demt_model::ProcSet,
+    demt_platform::{Placement, Schedule},
+};
 
 /// Queueing discipline of the front-end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,39 +48,28 @@ pub enum QueueOrder {
     Priority,
 }
 
-/// Simulates the front-end on `m` processors and returns the resulting
-/// schedule (placements carry explicit processor indices so the
-/// workspace validator can audit it against the rigid instance).
-///
-/// Jobs queue in arrival order among those already released, ties
-/// broken by slice index. A request that does not fit the machine is
-/// a typed [`ReplayError::BadRequest`].
-///
-/// This collects the streaming engine behind
-/// [`replay_queue`](crate::replay_queue), fed in `(release, index)`
-/// order with each job's slice index as its sequence key, so the
-/// stream need not be sorted. Placements are bitwise identical to the
-/// test-only rescan oracle.
-pub fn queue_schedule(
+/// The queue engine collected over a release-sorted slice in `order`,
+/// for tests that inspect whole schedules: each placement of
+/// [`replay_queue`](crate::replay_queue) is pushed in decision order.
+#[cfg(test)]
+pub(crate) fn replay_schedule(
     m: usize,
     jobs: &[SubmittedJob],
     policy: QueuePolicy,
-) -> Result<Schedule, ReplayError> {
-    let mut by_release: Vec<usize> = (0..jobs.len()).collect();
-    by_release.sort_by(|&a, &b| jobs[a].release.total_cmp(&jobs[b].release).then(a.cmp(&b)));
-    let mut schedule = Schedule::new(m);
-    let feed = by_release.iter().map(|&i| (i, &jobs[i]));
-    run_queue(m, feed, policy, QueueOrder::Arrival, |_, p| {
-        schedule.push(p)
-    })?;
-    Ok(schedule)
+    order: QueueOrder,
+) -> Schedule {
+    let mut s = Schedule::new(m);
+    crate::replay_queue(m, jobs.iter().cloned(), policy, order, |_, p| {
+        s.push(p.clone())
+    })
+    .expect("release-sorted feeds of fitting requests replay cleanly");
+    s
 }
 
 /// The per-round rescan engine, an independent differential oracle for
-/// the queue engine: [`queue_schedule`] and
-/// [`replay_queue`](crate::replay_queue) must agree with it bit for bit
-/// on every stream (the crate's `difftests`). Quadratic in the stream
-/// length.
+/// the queue engine: [`replay_queue`](crate::replay_queue) must agree
+/// with it bit for bit on every release-sorted stream (the crate's
+/// `difftests`). Quadratic in the stream length.
 #[cfg(test)]
 pub(crate) fn queue_schedule_scan(
     m: usize,
@@ -255,14 +244,14 @@ mod tests {
         }
     }
 
-    /// The FCFS engine streamed over a release-sorted slice in `order`.
+    /// The engine under `policy` in arrival order.
+    fn queue(m: usize, jobs: &[SubmittedJob], policy: QueuePolicy) -> Schedule {
+        replay_schedule(m, jobs, policy, QueueOrder::Arrival)
+    }
+
+    /// The FCFS engine in `order`.
     fn fcfs_in(m: usize, jobs: &[SubmittedJob], order: QueueOrder) -> Schedule {
-        let mut s = Schedule::new(m);
-        crate::replay_queue(m, jobs.iter().cloned(), QueuePolicy::Fcfs, order, |_, p| {
-            s.push(p.clone())
-        })
-        .unwrap();
-        s
+        replay_schedule(m, jobs, QueuePolicy::Fcfs, order)
     }
 
     #[test]
@@ -275,7 +264,7 @@ mod tests {
             job(1, 0.1, 2, 1.0, m), // head of queue at t=0.1, blocked until 4
             job(2, 0.2, 1, 1.0, m),
         ];
-        let s = queue_schedule(m, &jobs, QueuePolicy::Fcfs).unwrap();
+        let s = queue(m, &jobs, QueuePolicy::Fcfs);
         assert_eq!(s.placement_of(TaskId(1)).unwrap().start, 4.0);
         assert_eq!(
             s.placement_of(TaskId(2)).unwrap().start,
@@ -292,7 +281,7 @@ mod tests {
             job(1, 0.1, 2, 1.0, m),
             job(2, 0.2, 1, 1.0, m), // finishes at 1.2 ≤ head reservation 4
         ];
-        let s = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill).unwrap();
+        let s = queue(m, &jobs, QueuePolicy::EasyBackfill);
         assert_eq!(
             s.placement_of(TaskId(2)).unwrap().start,
             0.2,
@@ -310,7 +299,7 @@ mod tests {
             job(1, 0.1, 2, 1.0, m),
             job(2, 0.2, 1, 10.0, m), // would run past the reservation and use its procs
         ];
-        let s = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill).unwrap();
+        let s = queue(m, &jobs, QueuePolicy::EasyBackfill);
         assert_eq!(
             s.placement_of(TaskId(1)).unwrap().start,
             4.0,
@@ -343,7 +332,7 @@ mod tests {
         // Within 1e-12 of t_r: one spare processor, job 4 backfills, and
         // the head still starts at 4 (job 1 is released with job 0).
         let jobs = stream(5e-13);
-        let engine = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill).unwrap();
+        let engine = queue(m, &jobs, QueuePolicy::EasyBackfill);
         let scan = queue_schedule_scan(m, &jobs, QueuePolicy::EasyBackfill, QueueOrder::Arrival);
         assert_eq!(engine, scan);
         assert_eq!(engine.placement_of(TaskId(4)).unwrap().start, 0.2);
@@ -351,7 +340,7 @@ mod tests {
         // Past the tolerance: no spare processor, so job 4 waits for
         // job 1's completion, after the head has started.
         let jobs = stream(1e-9);
-        let engine = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill).unwrap();
+        let engine = queue(m, &jobs, QueuePolicy::EasyBackfill);
         let scan = queue_schedule_scan(m, &jobs, QueuePolicy::EasyBackfill, QueueOrder::Arrival);
         assert_eq!(engine, scan);
         assert_eq!(engine.placement_of(TaskId(3)).unwrap().start, 4.0);
@@ -365,7 +354,7 @@ mod tests {
             .map(|i| job(i, i as f64 * 0.3, 1 + i % 3, 0.5 + (i % 5) as f64 * 0.4, m))
             .collect();
         for policy in [QueuePolicy::Fcfs, QueuePolicy::EasyBackfill] {
-            let s = queue_schedule(m, &jobs, policy).unwrap();
+            let s = queue(m, &jobs, policy);
             assert_eq!(s.len(), 20, "{policy:?}");
             // Starts respect releases.
             for p in s.placements() {
@@ -419,12 +408,8 @@ mod tests {
                 )
             })
             .collect();
-        let f = queue_schedule(m, &jobs, QueuePolicy::Fcfs)
-            .unwrap()
-            .makespan();
-        let e = queue_schedule(m, &jobs, QueuePolicy::EasyBackfill)
-            .unwrap()
-            .makespan();
+        let f = queue(m, &jobs, QueuePolicy::Fcfs).makespan();
+        let e = queue(m, &jobs, QueuePolicy::EasyBackfill).makespan();
         assert!(e <= f + 1e-9, "EASY {e} vs FCFS {f}");
     }
 }

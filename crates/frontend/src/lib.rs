@@ -9,15 +9,16 @@
 //!
 //! * [`submit_stream`] — Poisson job arrivals over any workload family,
 //!   with the "knee, rounded up to a power of two" rigid-request habit;
-//! * [`queue_schedule`] — FCFS and EASY-backfilling engines over those
-//!   rigid requests;
-//! * the moldable side reuses `demt-online` (SWW batches over DEMT);
-//! * [`try_stream_metrics`] — waiting time, response time, bounded
-//!   slowdown, utilization.
+//! * [`replay_queue`] — the FCFS and EASY-backfilling engine over those
+//!   rigid requests, streamed one placement at a time;
+//! * the moldable side reuses `demt-online`
+//!   (`stream_batch_schedule`: SWW batches over DEMT);
+//! * [`ReplayMetrics`] — waiting time, response time, bounded slowdown
+//!   and utilization, folded from either engine's placements.
 //!
 //! ```
-//! use demt_frontend::{submit_stream, queue_schedule, try_stream_metrics,
-//!                     QueuePolicy, StreamSpec};
+//! use demt_frontend::{submit_stream, replay_queue, QueueOrder, QueuePolicy,
+//!                     ReplayMetrics, StreamSpec};
 //! use demt_workload::WorkloadKind;
 //! let spec = StreamSpec {
 //!     kind: WorkloadKind::Cirne, jobs: 30, procs: 16,
@@ -25,9 +26,12 @@
 //!     ..StreamSpec::default()
 //! };
 //! let jobs = submit_stream(&spec);
-//! let schedule = queue_schedule(16, &jobs, QueuePolicy::EasyBackfill).unwrap();
-//! let metrics = try_stream_metrics(&jobs, &schedule, 16).unwrap();
-//! assert!(metrics.mean_response > 0.0);
+//! let mut metrics = ReplayMetrics::new();
+//! replay_queue(16, jobs, QueuePolicy::EasyBackfill, QueueOrder::Arrival, |job, p| {
+//!     metrics.record(p.task, job.release, p.start, p.duration, p.procs.len()).unwrap();
+//! })
+//! .unwrap();
+//! assert!(metrics.finish(16).unwrap().mean_response > 0.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -40,11 +44,8 @@ mod replay;
 mod stream;
 mod swf;
 
-pub use easy::{queue_schedule, QueueOrder, QueuePolicy};
-pub use metrics::{
-    try_job_metrics, try_stream_metrics, JobMetrics, MetricsError, ReplayMetrics, ReplaySummary,
-    StreamMetrics, SLOWDOWN_TAU,
-};
+pub use easy::{QueueOrder, QueuePolicy};
+pub use metrics::{MetricsError, ReplayMetrics, ReplaySummary, SLOWDOWN_TAU};
 pub use replay::{replay_queue, ReplayError, ReplayOutcome};
 pub use stream::{rigid_request, submit_stream, ArrivalModel, StreamSpec, SubmittedJob};
 pub use swf::{
@@ -52,10 +53,7 @@ pub use swf::{
     SwfRecord,
 };
 
-use demt_api::Scheduler;
 use demt_model::{Instance, ModelError, MoldableTask};
-use demt_online::OnlineJob;
-use demt_platform::Schedule;
 
 /// Builds the *rigid* instance a queue scheduler effectively runs (each
 /// job pinned at its request) — used to validate queue schedules with
@@ -73,30 +71,13 @@ pub fn rigid_instance(m: usize, jobs: &[SubmittedJob]) -> Result<Instance, Model
     Instance::new(m, tasks)
 }
 
-/// Runs the moldable path: SWW batches (`demt-online`) over any
-/// [`Scheduler`] (pass the registry's `"demt"` entry for the paper's
-/// system). Rejects a malformed stream with the on-line engine's typed
-/// [`OnlineError`](demt_online::OnlineError).
-pub fn moldable_schedule(
-    m: usize,
-    jobs: &[SubmittedJob],
-    scheduler: &dyn Scheduler,
-) -> Result<Schedule, demt_online::OnlineError> {
-    let online_jobs: Vec<OnlineJob> = jobs
-        .iter()
-        .map(|j| OnlineJob {
-            task: j.task.clone(),
-            release: j.release,
-        })
-        .collect();
-    demt_online::try_online_batch_schedule(m, &online_jobs, scheduler).map(|r| r.schedule)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::easy::replay_schedule;
     use demt_core::DemtScheduler;
-    use demt_platform::validate_with_releases;
+    use demt_online::{stream_batch_schedule, OnlineJob};
+    use demt_platform::{validate_with_releases, Placement, Schedule};
     use demt_workload::WorkloadKind;
 
     fn spec() -> StreamSpec {
@@ -110,13 +91,38 @@ mod tests {
         }
     }
 
+    /// Folds `placements` (with their release dates) into the summary.
+    fn summary<'a>(
+        m: usize,
+        rows: impl IntoIterator<Item = (f64, &'a Placement)>,
+    ) -> ReplaySummary {
+        let mut metrics = ReplayMetrics::new();
+        for (release, p) in rows {
+            metrics
+                .record(p.task, release, p.start, p.duration, p.procs.len())
+                .unwrap();
+        }
+        metrics.finish(m).unwrap()
+    }
+
+    /// The queue engine's summary of `jobs` under `policy`.
+    fn queue_summary(m: usize, jobs: &[SubmittedJob], policy: QueuePolicy) -> ReplaySummary {
+        let s = replay_schedule(m, jobs, policy, QueueOrder::Arrival);
+        summary(
+            m,
+            s.placements()
+                .iter()
+                .map(|p| (jobs[p.task.index()].release, p)),
+        )
+    }
+
     #[test]
     fn queue_schedules_validate_against_the_rigid_instance() {
         let jobs = submit_stream(&spec());
         let inst = rigid_instance(16, &jobs).unwrap();
         let releases: Vec<f64> = jobs.iter().map(|j| j.release).collect();
         for policy in [QueuePolicy::Fcfs, QueuePolicy::EasyBackfill] {
-            let s = queue_schedule(16, &jobs, policy).unwrap();
+            let s = replay_schedule(16, &jobs, policy, QueueOrder::Arrival);
             validate_with_releases(&inst, &s, Some(&releases))
                 .unwrap_or_else(|e| panic!("{policy:?}: {e}"));
         }
@@ -127,12 +133,26 @@ mod tests {
         let jobs = submit_stream(&spec());
         let inst = Instance::new(16, jobs.iter().map(|j| j.task.clone()).collect()).unwrap();
         let releases: Vec<f64> = jobs.iter().map(|j| j.release).collect();
-        let demt = moldable_schedule(16, &jobs, &DemtScheduler).expect("valid stream");
+        let online = jobs.iter().map(|j| OnlineJob {
+            task: j.task.clone(),
+            release: j.release,
+        });
+        let mut demt = Schedule::new(16);
+        stream_batch_schedule(16, online, &DemtScheduler, |placements, _| {
+            for p in placements {
+                demt.push(p.clone());
+            }
+        })
+        .expect("valid stream");
         validate_with_releases(&inst, &demt, Some(&releases)).unwrap();
 
-        let fcfs = queue_schedule(16, &jobs, QueuePolicy::Fcfs).unwrap();
-        let m_demt = try_stream_metrics(&jobs, &demt, 16).unwrap();
-        let m_fcfs = try_stream_metrics(&jobs, &fcfs, 16).unwrap();
+        let m_demt = summary(
+            16,
+            demt.placements()
+                .iter()
+                .map(|p| (releases[p.task.index()], p)),
+        );
+        let m_fcfs = queue_summary(16, &jobs, QueuePolicy::Fcfs);
         // The headline of the paper's pitch: moldability + DEMT lowers
         // the average response time versus rigid FCFS.
         assert!(
@@ -148,13 +168,9 @@ mod tests {
         let mut s = spec();
         s.mean_interarrival = 0.15; // heavy congestion
         let jobs = submit_stream(&s);
-        let metrics = |policy| {
-            let s = queue_schedule(16, &jobs, policy).unwrap();
-            try_stream_metrics(&jobs, &s, 16).unwrap()
-        };
         let (fcfs, easy) = (
-            metrics(QueuePolicy::Fcfs),
-            metrics(QueuePolicy::EasyBackfill),
+            queue_summary(16, &jobs, QueuePolicy::Fcfs),
+            queue_summary(16, &jobs, QueuePolicy::EasyBackfill),
         );
         assert!(
             easy.mean_wait <= fcfs.mean_wait + 1e-9,

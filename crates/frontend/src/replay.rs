@@ -11,16 +11,14 @@
 //! running. That is what lets `demt replaybench` push archive-scale
 //! traces (10⁶+ jobs) through the queue disciplines in constant memory.
 //!
-//! [`queue_schedule`](crate::queue_schedule) collects the same engine
-//! over a slice. Both are tested against an independent
-//! quadratic rescan loop, compiled only under `#[cfg(test)]` (the
-//! crate's `difftests`).
+//! `demt frontend` and `demt swf` fold their FCFS and EASY rows from
+//! it too. It is tested against an independent quadratic rescan loop,
+//! compiled only under `#[cfg(test)]` (the crate's `difftests`).
 
 use crate::stream::SubmittedJob;
 use crate::{QueueOrder, QueuePolicy};
 use demt_model::{ProcSet, TaskId};
 use demt_platform::{FreeSet, Placement};
-use std::borrow::Borrow;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
@@ -91,6 +89,11 @@ pub struct ReplayOutcome {
     pub makespan: f64,
 }
 
+/// Running jobs by (completion, sequence key), with their processor
+/// identities and width. Completions are finite and non-negative, so
+/// the bit pattern orders like the value.
+type Running = BTreeMap<(u64, usize), (ProcSet, usize)>;
+
 /// Simulates the front-end queue disciplines over a release-sorted job
 /// feed on `m` processors, invoking `on_start` once per job **at
 /// decision time** with the job and its placement (explicit processor
@@ -112,38 +115,15 @@ where
     I: IntoIterator<Item = SubmittedJob>,
     F: FnMut(&SubmittedJob, &Placement),
 {
-    run_queue(m, jobs.into_iter().enumerate(), policy, order, |j, p| {
-        on_start(j, &p)
-    })
-}
-
-/// Running jobs by (completion, sequence key), with their processor
-/// identities and width. Completions are finite and non-negative, so
-/// the bit pattern orders like the value.
-type Running = BTreeMap<(u64, usize), (ProcSet, usize)>;
-
-/// The queue engine. Each job comes with a sequence key, unique per
-/// job: the waiting queue breaks priority ties by it (so it is the
-/// arrival order), and [`ReplayError::OutOfOrder`] reports it as the
-/// feed position.
-pub(crate) fn run_queue<J, I, F>(
-    m: usize,
-    jobs: I,
-    policy: QueuePolicy,
-    order: QueueOrder,
-    mut on_start: F,
-) -> Result<ReplayOutcome, ReplayError>
-where
-    J: Borrow<SubmittedJob>,
-    I: IntoIterator<Item = (usize, J)>,
-    F: FnMut(&SubmittedJob, Placement),
-{
-    let mut feed = jobs.into_iter().peekable();
+    // Each job's feed position is its sequence key: the waiting queue
+    // breaks priority ties by it (so it is the arrival order), and
+    // [`ReplayError::OutOfOrder`] reports it.
+    let mut feed = jobs.into_iter().enumerate().peekable();
     let mut prev = f64::NEG_INFINITY;
     // Waiting jobs by (priority, sequence key): weight descending under
     // `Priority` (`order_bits` makes the float key total-order safe),
     // a constant under `Arrival`.
-    let mut waiting: BTreeMap<(Reverse<u64>, usize), J> = BTreeMap::new();
+    let mut waiting: BTreeMap<(Reverse<u64>, usize), SubmittedJob> = BTreeMap::new();
     let mut running: Running = BTreeMap::new();
     let mut free = FreeSet::full(m);
     let mut now = 0.0_f64;
@@ -153,8 +133,7 @@ where
     };
     loop {
         // Admit every job released by `now`, validating on the way in.
-        while let Some((seq, j)) = feed.next_if(|(_, j)| j.borrow().release <= now + 1e-12) {
-            let job = j.borrow();
+        while let Some((seq, job)) = feed.next_if(|(_, j)| j.release <= now + 1e-12) {
             if job.release < prev {
                 return Err(ReplayError::OutOfOrder {
                     index: seq,
@@ -174,12 +153,13 @@ where
                 QueueOrder::Arrival => Reverse(0u64),
                 QueueOrder::Priority => Reverse(order_bits(job.task.weight())),
             };
-            waiting.insert((priority, seq), j);
+            waiting.insert((priority, seq), job);
         }
         // Start jobs at `now` until none can.
         while let Some(key) = next_start(&waiting, &free, &running, now, policy) {
-            let Some(j) = waiting.remove(&key) else { break };
-            let job = j.borrow();
+            let Some(job) = waiting.remove(&key) else {
+                break;
+            };
             let d = job.rigid_time();
             let end = now + d;
             let procs = free.take_lowest(job.rigid_procs);
@@ -194,7 +174,7 @@ where
                 duration: d,
                 procs,
             };
-            on_start(job, placement);
+            on_start(&job, &placement);
         }
         if waiting.is_empty() && feed.peek().is_none() {
             return Ok(outcome);
@@ -203,9 +183,7 @@ where
         let next_completion = running
             .first_key_value()
             .map_or(f64::INFINITY, |(&(c, _), _)| f64::from_bits(c));
-        let next_arrival = feed
-            .peek()
-            .map_or(f64::INFINITY, |(_, j)| j.borrow().release);
+        let next_arrival = feed.peek().map_or(f64::INFINITY, |(_, j)| j.release);
         let next = next_completion.min(next_arrival);
         if !next.is_finite() {
             return Err(ReplayError::Stalled {
@@ -226,15 +204,14 @@ where
 /// The waiting job to start at `now`, if any: the queue head if it
 /// fits; under EASY, otherwise the first later job that fits now and
 /// does not push back the head's reservation.
-fn next_start<J: Borrow<SubmittedJob>>(
-    waiting: &BTreeMap<(Reverse<u64>, usize), J>,
+fn next_start(
+    waiting: &BTreeMap<(Reverse<u64>, usize), SubmittedJob>,
     free: &FreeSet,
     running: &Running,
     now: f64,
     policy: QueuePolicy,
 ) -> Option<(Reverse<u64>, usize)> {
     let (&head_key, head) = waiting.first_key_value()?;
-    let head = head.borrow();
     if head.rigid_procs <= free.len() {
         return Some(head_key);
     }
@@ -268,7 +245,6 @@ fn next_start<J: Borrow<SubmittedJob>>(
         .iter()
         .skip(1)
         .find(|&(_, j)| {
-            let j: &SubmittedJob = j.borrow();
             j.rigid_procs <= free.len()
                 && (now + j.rigid_time() <= t_r + 1e-12 || j.rigid_procs <= slack)
         })

@@ -489,7 +489,8 @@ mod tests {
 
     #[test]
     fn swf_stream_feeds_the_queue_engines() {
-        use crate::{queue_schedule, rigid_instance, QueuePolicy};
+        use crate::easy::replay_schedule;
+        use crate::{rigid_instance, QueueOrder, QueuePolicy};
         use demt_platform::validate_with_releases;
         let recs = parse_swf(SAMPLE).unwrap();
         let m = 8;
@@ -497,7 +498,7 @@ mod tests {
         let inst = rigid_instance(m, &jobs).unwrap();
         let releases: Vec<f64> = jobs.iter().map(|j| j.release).collect();
         for policy in [QueuePolicy::Fcfs, QueuePolicy::EasyBackfill] {
-            let s = queue_schedule(m, &jobs, policy).unwrap();
+            let s = replay_schedule(m, &jobs, policy, QueueOrder::Arrival);
             validate_with_releases(&inst, &s, Some(&releases)).unwrap();
         }
     }

@@ -67,14 +67,6 @@ pub enum ModelError {
         /// The machine's processor count `m`.
         procs: usize,
     },
-    /// A task id referenced an instance of fewer tasks (e.g. in
-    /// [`crate::Instance::restrict`]).
-    TaskOutOfRange {
-        /// The out-of-range id.
-        task: usize,
-        /// Number of tasks in the instance.
-        tasks: usize,
-    },
 }
 
 impl fmt::Display for ModelError {
@@ -110,9 +102,6 @@ impl fmt::Display for ModelError {
             }
             ModelError::RigidWidthOutOfRange { task, width, procs } => {
                 write!(f, "task {task}: rigid width {width} outside 1..={procs}")
-            }
-            ModelError::TaskOutOfRange { task, tasks } => {
-                write!(f, "task id {task} out of range for an instance of {tasks} tasks")
             }
         }
     }

@@ -153,33 +153,6 @@ impl Instance {
             total_weight: self.total_weight(),
         }
     }
-
-    /// Restriction of the instance to a subset of tasks, re-identifying
-    /// them densely and returning the id mapping `new → old`. Used by
-    /// the on-line batch wrapper.
-    ///
-    /// # Errors
-    ///
-    /// [`ModelError::TaskOutOfRange`] when `keep` names an id the
-    /// instance does not have.
-    pub fn restrict(&self, keep: &[TaskId]) -> Result<(Instance, Vec<TaskId>), ModelError> {
-        let mut tasks = Vec::with_capacity(keep.len());
-        let mut mapping = Vec::with_capacity(keep.len());
-        for (new_id, &old) in keep.iter().enumerate() {
-            let Some(task) = self.tasks.get(old.0) else {
-                return Err(ModelError::TaskOutOfRange {
-                    task: old.0,
-                    tasks: self.tasks.len(),
-                });
-            };
-            let mut t = task.clone();
-            t.set_id(TaskId(new_id));
-            tasks.push(t);
-            mapping.push(old);
-        }
-        let inst = Instance::new(self.procs, tasks)?;
-        Ok((inst, mapping))
-    }
 }
 
 /// Aggregate description of an instance (sizes, work, weight envelope).
@@ -299,16 +272,6 @@ impl InstanceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::REL_EPS;
-
-    /// True when two tasks have the same shape and weight up to the
-    /// workspace tolerance (ids may differ).
-    fn same_profile(a: &MoldableTask, b: &MoldableTask) -> bool {
-        let close = |x: f64, y: f64| (x - y).abs() <= REL_EPS * x.abs().max(1.0);
-        a.max_procs() == b.max_procs()
-            && close(a.weight(), b.weight())
-            && (1..=a.max_procs()).all(|k| close(a.time(k), b.time(k)))
-    }
 
     fn small() -> Instance {
         let mut b = InstanceBuilder::new(3);
@@ -374,24 +337,6 @@ mod tests {
         assert_eq!(s.procs, 3);
         assert!((s.total_seq_time - 17.0).abs() < 1e-12);
         assert!((s.max_seq_time - 9.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn restriction_reindexes_and_maps_back() {
-        let inst = small();
-        let (sub, map) = inst
-            .restrict(&[TaskId(2), TaskId(0)])
-            .expect("ids in range");
-        assert_eq!(sub.len(), 2);
-        assert_eq!(map, vec![TaskId(2), TaskId(0)]);
-        assert!(same_profile(sub.task(TaskId(0)), inst.task(TaskId(2))));
-        assert!(same_profile(sub.task(TaskId(1)), inst.task(TaskId(0))));
-    }
-
-    #[test]
-    fn restriction_rejects_out_of_range_ids() {
-        let err = small().restrict(&[TaskId(7)]).unwrap_err();
-        assert_eq!(err, ModelError::TaskOutOfRange { task: 7, tasks: 3 });
     }
 
     #[test]

@@ -55,7 +55,9 @@ enum Times {
     /// Rigid emulation over `len` processors: `seq = time·width` below
     /// `width` (so no scheduler ever prefers a smaller allotment),
     /// `time` at and above. Bitwise identical to the vector
-    /// [`MoldableTask::rigid`] historically built.
+    /// [`MoldableTask::rigid`] historically built. Invariant:
+    /// `1 ≤ width ≤ len` — [`MoldableTask::rigid`], the only
+    /// constructor, rejects any other width.
     Rigid {
         width: usize,
         time: f64,
@@ -400,11 +402,7 @@ impl MoldableTask {
         match self.times {
             // width > 1 ⇒ seq = time·width > time, so the first minimum
             // of the virtual vector [seq.., time..] sits exactly at the
-            // width; width == 1 ⇒ the vector is flat at `time`. A vector
-            // truncated below the width is flat at `seq`.
-            Times::Rigid {
-                width, len, seq, ..
-            } if len < width => (1, seq),
+            // width; width == 1 ⇒ the vector is flat at `time`.
             Times::Rigid { width, time, .. } => (width, time),
             Times::Explicit { ref v, .. } => {
                 let mut best_k = 1;
@@ -485,16 +483,15 @@ impl MoldableTask {
             // `[seq.., time..]` with `seq = width·time`: times never rise,
             // and the work `k·seq` rises below the width, then falls back
             // to `width·time = seq` at it, from `(width−1)·seq`: a fall
-            // exactly when `width ≥ 3`. A vector truncated below the
-            // width is flat at `seq`.
-            Times::Rigid { width, len, .. } => width <= 2 || len < width,
+            // exactly when `width ≥ 3`.
+            Times::Rigid { width, .. } => width <= 2,
         }
     }
 
     /// The first allotment whose time meets `t` and its area, on a task
     /// where that allotment also has the least area among those meeting
     /// `t`: the rigid form or an exactly monotone vector. The rigid form
-    /// answers from its four numbers, without the vector: every entry
+    /// answers from `seq`, `width` and `time`, without the vector: every entry
     /// meets `t` when `seq` does, else those from the width on when
     /// `time` does; the least area is `seq` either way, bit-equal to the
     /// scan's `1·seq` and `width·time` (the product `seq` was built
@@ -506,12 +503,8 @@ impl MoldableTask {
         match self.times {
             Times::Rigid { seq, .. } if approx_le(seq, t) => Some((1, seq)),
             Times::Rigid {
-                width,
-                time,
-                seq,
-                len,
-                ..
-            } => (len >= width && approx_le(time, t)).then_some((width, seq)),
+                width, time, seq, ..
+            } => approx_le(time, t).then_some((width, seq)),
             Times::Explicit { ref v, .. } => {
                 let i = v.partition_point(|&p| !approx_le(p, t));
                 v.get(i).map(|&p| (i + 1, (i + 1) as f64 * p))
@@ -845,21 +838,9 @@ mod tests {
     fn rigid_tasks_answer_like_the_scan_without_materializing() {
         let m = 9;
         let time = 0.7;
-        let mut rigid: Vec<MoldableTask> = (1..=m)
+        let rigid: Vec<MoldableTask> = (1..=m)
             .map(|width| MoldableTask::rigid(TaskId(width), 1.0, width, time, m).unwrap())
             .collect();
-        // Truncated below its width: only `seq` entries remain.
-        rigid.push(MoldableTask {
-            id: TaskId(0),
-            weight: 1.0,
-            times: Times::Rigid {
-                width: 6,
-                time,
-                seq: 6.0 * time,
-                len: 4,
-                cache: OnceLock::new(),
-            },
-        });
         for task in &rigid {
             let (width, _) = task.rigid_shape().unwrap();
             let len = task.max_procs();

@@ -937,7 +937,7 @@ mod tests {
         // A wrapper that asks the dual about a sub-instance before its
         // own must still get its own batch's dual back.
         let wrapper = FnScheduler::new("derived", "Derived", |inst, ctx| {
-            let (head, _) = inst.restrict(&[TaskId(0)]).unwrap();
+            let head = Instance::new(inst.procs(), vec![inst.tasks()[0].clone()]).unwrap();
             ctx.dual(&head);
             let got = format!("{:?}", ctx.dual(inst));
             let want = format!("{:?}", dual_approx(inst, &demt_dual::DualConfig::default()));

@@ -340,40 +340,55 @@ fn frontend_cmd(f: &Flags) -> Result<(), FlagError> {
         seed: f.num("seed", 0)?,
     };
     let jobs = submit_stream(&spec);
-    let queue =
-        |policy| queue_schedule(spec.procs, &jobs, policy).unwrap_or_else(|e| die(&e.to_string()));
-    let (fcfs, easy) = (queue(QueuePolicy::Fcfs), queue(QueuePolicy::EasyBackfill));
-    let demt_s = moldable_schedule(
-        spec.procs,
-        &jobs,
-        registry().by_name("demt").expect("demt registered"),
-    )
-    .unwrap_or_else(|e| die(&e.to_string()));
     print_metrics_table(
         &jobs,
         spec.procs,
-        &[
-            ("FCFS (rigid)", &fcfs),
-            ("EASY backfill (rigid)", &easy),
-            ("DEMT (moldable)", &demt_s),
-        ],
+        ["FCFS (rigid)", "EASY backfill (rigid)", "DEMT (moldable)"],
     );
     Ok(())
 }
 
-/// Prints the `frontend`/`swf` table: one row of stream metrics per
-/// named schedule of `jobs` on `m` processors.
-fn print_metrics_table(
-    jobs: &[demt::frontend::SubmittedJob],
-    m: usize,
-    rows: &[(&str, &Schedule)],
-) {
+/// Prints the `frontend`/`swf` table over a release-sorted stream with
+/// dense ids in feed order, one row per name: the FCFS and EASY queues
+/// on the rigid requests, then on-line DEMT batches on the moldable
+/// jobs. Each row folds its engine's placements into a
+/// [`ReplayMetrics`](demt::frontend::ReplayMetrics) as they are
+/// decided, the way `demt replaybench` measures its legs.
+fn print_metrics_table(jobs: &[demt::frontend::SubmittedJob], m: usize, names: [&str; 3]) {
+    use demt::frontend::{replay_queue, QueueOrder, QueuePolicy, ReplayMetrics};
+    let mut rows = names.map(|name| (name, ReplayMetrics::new()));
+    let fold = |(name, met): &mut (&str, ReplayMetrics), release: f64, p: &Placement| {
+        met.record(p.task, release, p.start, p.duration, p.procs.len())
+            .unwrap_or_else(|e| die(&format!("{name}: {e}")))
+    };
+    for (row, policy) in rows
+        .iter_mut()
+        .zip([QueuePolicy::Fcfs, QueuePolicy::EasyBackfill])
+    {
+        let feed = jobs.iter().cloned();
+        replay_queue(m, feed, policy, QueueOrder::Arrival, |j, p| {
+            fold(row, j.release, p)
+        })
+        .unwrap_or_else(|e| die(&e.to_string()));
+    }
+    let online = jobs.iter().map(|j| OnlineJob {
+        task: j.task.clone(),
+        release: j.release,
+    });
+    let scheduler = registry().by_name("demt").expect("demt registered");
+    demt::online::stream_batch_schedule(m, online, scheduler, |placements, releases| {
+        for (p, &release) in placements.iter().zip(releases) {
+            fold(&mut rows[2], release, p);
+        }
+    })
+    .unwrap_or_else(|e| die(&e.to_string()));
     println!(
         "{:<26} {:>10} {:>10} {:>10} {:>8}",
         "policy", "wait", "response", "slowdown", "util"
     );
-    for &(name, s) in rows {
-        let met = demt::frontend::try_stream_metrics(jobs, s, m)
+    for (name, met) in rows {
+        let met = met
+            .finish(m)
             .unwrap_or_else(|e| die(&format!("{name}: {e}")));
         println!(
             "{:<26} {:>10.2} {:>10.2} {:>10.2} {:>7.0}%",
@@ -407,17 +422,13 @@ fn swf_cmd(f: &Flags) -> Result<(), FlagError> {
     if jobs.is_empty() {
         die("no usable jobs in the trace");
     }
-    let queue = |policy| queue_schedule(m, &jobs, policy).unwrap_or_else(|e| die(&e.to_string()));
-    let (fcfs, easy) = (queue(QueuePolicy::Fcfs), queue(QueuePolicy::EasyBackfill));
-    let demt_s = moldable_schedule(m, &jobs, registry().by_name("demt").expect("registered"))
-        .unwrap_or_else(|e| die(&e.to_string()));
     print_metrics_table(
         &jobs,
         m,
-        &[
-            ("FCFS (trace sizes)", &fcfs),
-            ("EASY (trace sizes)", &easy),
-            ("DEMT (re-moldable)", &demt_s),
+        [
+            "FCFS (trace sizes)",
+            "EASY (trace sizes)",
+            "DEMT (re-moldable)",
         ],
     );
     Ok(())
