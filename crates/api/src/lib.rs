@@ -292,6 +292,7 @@ impl SchedulerRegistry {
     /// Adds a scheduler. Panics if its name is already registered —
     /// duplicate names would make string dispatch ambiguous.
     pub fn register(&mut self, scheduler: Box<dyn Scheduler>) {
+        // demt-lint: allow(P1, names are unique by construction: every registry is built from one fixed list of distinct built-in schedulers)
         assert!(
             self.by_name(scheduler.name()).is_none(),
             "scheduler {:?} registered twice",

@@ -96,6 +96,7 @@ pub struct MinsumBound {
 /// Builds the interval boundaries: `0, t_0, …, t_{K+1}` with
 /// `t_j = cmax / 2^(K-j)` and `K = ⌊log₂(cmax/tmin)⌋`, clamped to 24.
 pub fn interval_boundaries(cmax: f64, tmin: f64) -> Vec<f64> {
+    // demt-lint: allow(P1, callers pass a dual estimate and the tmin of a non-empty instance, both positive)
     assert!(
         cmax > 0.0 && tmin > 0.0,
         "horizon and tmin must be positive"
@@ -128,6 +129,7 @@ pub fn interval_boundaries(cmax: f64, tmin: f64) -> Vec<f64> {
 /// assert!(b.boundaries[0] == 0.0);         // leading zero-cost interval
 /// ```
 pub fn minsum_lower_bound(inst: &Instance, cfg: &BoundConfig) -> MinsumBound {
+    // demt-lint: allow(P1, documented precondition: a non-empty instance; `demt bound` rejects an empty one with exit 2 before calling)
     assert!(!inst.is_empty(), "bound of an empty instance");
     let dual = dual_approx(inst, &cfg.dual);
     minsum_lower_bound_with_horizon(inst, dual.cmax_estimate, cfg)

@@ -63,6 +63,7 @@ const MAX_K: usize = 48;
 /// Builds the batch plan (steps "for j = 0..K" of the §3.2 pseudo-code,
 /// plus overflow batches).
 pub fn build_batches(inst: &Instance, cfg: &DemtConfig, cmax_estimate: f64) -> BatchPlan {
+    // demt-lint: allow(P1, the dual estimate of a non-empty instance is positive and finite)
     assert!(cmax_estimate > 0.0 && cmax_estimate.is_finite());
     let m = inst.procs();
     let tmin = inst.min_min_time();
@@ -82,6 +83,7 @@ pub fn build_batches(inst: &Instance, cfg: &DemtConfig, cmax_estimate: f64) -> B
     let max_rounds = k + inst.len() + 8;
 
     while !remaining.is_empty() {
+        // demt-lint: allow(P1, once t_j passes the smallest fastest time every round places a task, so the loop ends within k + n rounds)
         assert!(j <= max_rounds, "batch loop failed to converge");
         let t_j = cmax_estimate * 2f64.powi(j as i32 - k as i32);
         // S = tasks that fit the batch length: some allotment fits t_j

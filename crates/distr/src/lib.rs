@@ -49,6 +49,7 @@ pub struct Uniform {
 impl Uniform {
     /// Uniform on `[lo, hi)`; requires `lo < hi`, both finite.
     pub fn new(lo: f64, hi: f64) -> Self {
+        // demt-lint: allow(P1, documented constructor precondition (finite lo < hi); callers pass constants)
         assert!(
             lo.is_finite() && hi.is_finite() && lo < hi,
             "invalid uniform bounds"
@@ -89,6 +90,7 @@ pub struct Normal {
 impl Normal {
     /// `N(mean, sd²)`; `sd` must be positive and finite.
     pub fn new(mean: f64, sd: f64) -> Self {
+        // demt-lint: allow(P1, documented constructor precondition (finite mean, sd > 0); callers pass constants)
         assert!(
             mean.is_finite() && sd.is_finite() && sd > 0.0,
             "invalid normal parameters"
@@ -136,6 +138,7 @@ impl TruncatedNormal {
     /// window lies more than 12σ away from the mean, where rejection
     /// sampling would effectively never terminate.
     pub fn new(mean: f64, sd: f64, lo: f64, hi: f64) -> Self {
+        // demt-lint: allow(P1, documented constructor precondition (finite lo < hi); callers pass constants)
         assert!(
             lo.is_finite() && hi.is_finite() && lo < hi,
             "invalid truncation window"
@@ -148,6 +151,7 @@ impl TruncatedNormal {
         } else {
             0.0
         };
+        // demt-lint: allow(P1, documented constructor precondition: a window within 12 sd of the mean; callers pass constants)
         assert!(
             dist < 12.0,
             "truncation window unreachable by rejection sampling"
@@ -203,6 +207,7 @@ pub struct LogUniform {
 impl LogUniform {
     /// Log-uniform on `[lo, hi]`; requires `0 < lo < hi`.
     pub fn new(lo: f64, hi: f64) -> Self {
+        // demt-lint: allow(P1, documented constructor precondition (finite 0 < lo < hi); callers pass constants or lo = 1 < m)
         assert!(
             lo.is_finite() && hi.is_finite() && lo > 0.0 && lo < hi,
             "invalid log-uniform bounds"
@@ -232,12 +237,14 @@ pub struct Exponential {
 impl Exponential {
     /// Exponential with rate `λ > 0`.
     pub fn new(rate: f64) -> Self {
+        // demt-lint: allow(P1, documented constructor precondition (finite rate > 0))
         assert!(rate.is_finite() && rate > 0.0, "invalid exponential rate");
         Self { rate }
     }
 
     /// Exponential with the given mean (`1/λ`).
     pub fn with_mean(mean: f64) -> Self {
+        // demt-lint: allow(P1, documented constructor precondition (finite mean > 0); stream and trace specs check their gap first)
         assert!(mean.is_finite() && mean > 0.0, "invalid exponential mean");
         Self { rate: 1.0 / mean }
     }
@@ -273,6 +280,7 @@ pub struct Pareto {
 impl Pareto {
     /// Pareto with scale `xm > 0` and shape `α > 0`.
     pub fn new(scale: f64, shape: f64) -> Self {
+        // demt-lint: allow(P1, documented constructor precondition (finite scale and shape > 0))
         assert!(
             scale.is_finite() && scale > 0.0 && shape.is_finite() && shape > 0.0,
             "invalid pareto parameters"
@@ -283,6 +291,7 @@ impl Pareto {
     /// Pareto with the given mean and shape `α > 1` (the mean
     /// `α·xm/(α−1)` only exists there): `xm = mean·(α−1)/α`.
     pub fn with_mean(mean: f64, shape: f64) -> Self {
+        // demt-lint: allow(P1, documented constructor precondition (finite mean > 0, shape > 1); trace specs check gap and shape when parsed)
         assert!(
             mean.is_finite() && mean > 0.0 && shape.is_finite() && shape > 1.0,
             "pareto mean requires shape > 1"

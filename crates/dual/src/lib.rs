@@ -86,6 +86,7 @@ pub struct DualResult {
 /// demt_platform::validate(&inst, &r.schedule).unwrap(); // constructive witness
 /// ```
 pub fn dual_approx(inst: &Instance, cfg: &DualConfig) -> DualResult {
+    // demt-lint: allow(P1, documented precondition: a non-empty instance; the schedulers and `demt bound` handle the empty one before asking for a dual)
     assert!(!inst.is_empty(), "dual approximation of an empty instance");
     let lo = trivial_lower_bound(inst);
     let hi = trivially_feasible_lambda(inst).max(lo);

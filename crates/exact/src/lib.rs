@@ -211,7 +211,9 @@ pub fn exact_optimum(
     inst: &Instance,
     objective: Objective,
 ) -> Result<ExactResult, NodeBudgetExceeded> {
+    // demt-lint: allow(P1, documented precondition: a non-empty instance; `demt exact` checks the task count first)
     assert!(!inst.is_empty(), "exact optimum of an empty instance");
+    // demt-lint: allow(P1, documented precondition: at most MAX_TASKS tasks; `demt exact` checks the task count first)
     assert!(
         inst.len() <= MAX_TASKS,
         "exact search is capped at {MAX_TASKS} tasks (got {})",
@@ -235,6 +237,7 @@ pub fn exact_optimum(
     if s.nodes > MAX_NODES {
         return Err(NodeBudgetExceeded);
     }
+    // demt-lint: allow(P1, a search within the node budget visits at least one complete schedule; known reachable when times near 1e200 overflow the objective)
     assert!(s.best.is_finite(), "search must find some schedule");
 
     // Materialize the witness with explicit processor indices: replay
@@ -251,6 +254,7 @@ pub fn exact_optimum(
                 *a = start + p;
             }
         }
+        // demt-lint: allow(P1, the witness replays the search's own feasible placements, so enough processors are free at every start)
         assert_eq!(procs.len(), k, "witness replay must be feasible");
         schedule.push(Placement {
             task: id,

@@ -9,10 +9,11 @@ use demt_baselines::{gang, list_saf, list_shelf, list_wlptf, sequential_lptf};
 use demt_bounds::{instance_bounds, BoundConfig};
 use demt_core::{demt_schedule, DemtConfig};
 use demt_dual::{dual_approx, DualConfig};
-use demt_exact::{exact_cmax, exact_minsum};
+use demt_exact::{exact_cmax, exact_minsum, ExactResult};
 use demt_model::{Instance, InstanceBuilder};
 use demt_platform::Criteria;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn tiny_instance() -> impl Strategy<Value = Instance> {
     (2usize..4, 2usize..5).prop_flat_map(|(m, n)| {
@@ -29,39 +30,78 @@ fn tiny_instance() -> impl Strategy<Value = Instance> {
     })
 }
 
+/// Arbitrary positive time vectors, neither monotone nor work-monotone:
+/// a wider allotment may run slower, which the family above never
+/// draws.
+fn non_monotone_instance() -> impl Strategy<Value = Instance> {
+    (2usize..=6, 2usize..=7).prop_flat_map(|(m, n)| {
+        let row = (prop::collection::vec(0.2f64..8.0, m..=m), 0.2f64..5.0);
+        prop::collection::vec(row, n..=n).prop_map(move |rows| {
+            let mut b = InstanceBuilder::new(m);
+            for (times, w) in rows {
+                b.push_times(w, times).unwrap();
+            }
+            b.build().unwrap()
+        })
+    })
+}
+
+/// The true optima lie between every certified lower bound and every
+/// algorithm's achieved value.
+fn assert_sandwich(
+    inst: &Instance,
+    opt_cmax: &ExactResult,
+    opt_minsum: &ExactResult,
+) -> Result<(), TestCaseError> {
+    // 1. Certified bounds sit below the true optima.
+    let bounds = instance_bounds(inst, &BoundConfig::default());
+    prop_assert!(
+        bounds.cmax <= opt_cmax.value * (1.0 + 1e-7),
+        "Cmax bound {} exceeds optimum {}",
+        bounds.cmax,
+        opt_cmax.value
+    );
+    prop_assert!(
+        bounds.minsum <= opt_minsum.value * (1.0 + 1e-7),
+        "minsum bound {} exceeds optimum {}",
+        bounds.minsum,
+        opt_minsum.value
+    );
+
+    // 2. Every algorithm sits above the true optima.
+    let dual = dual_approx(inst, &DualConfig::default());
+    let schedules = [
+        ("demt", demt_schedule(inst, &DemtConfig::default()).schedule),
+        ("gang", gang(inst)),
+        ("sequential", sequential_lptf(inst)),
+        ("list", list_shelf(inst, &dual)),
+        ("lptf", list_wlptf(inst, &dual)),
+        ("saf", list_saf(inst, &dual)),
+    ];
+    for (name, s) in &schedules {
+        let c = Criteria::evaluate(inst, s);
+        prop_assert!(
+            c.makespan >= opt_cmax.value * (1.0 - 1e-7),
+            "{name}: makespan {} beats the optimum {}",
+            c.makespan,
+            opt_cmax.value
+        );
+        prop_assert!(
+            c.weighted_completion >= opt_minsum.value * (1.0 - 1e-7),
+            "{name}: minsum {} beats the optimum {}",
+            c.weighted_completion,
+            opt_minsum.value
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
     fn optimum_sandwich(inst in tiny_instance()) {
-        let opt_cmax = exact_cmax(&inst).unwrap();
-        let opt_minsum = exact_minsum(&inst).unwrap();
-
-        // 1. Certified bounds sit below the true optima.
-        let bounds = instance_bounds(&inst, &BoundConfig::default());
-        prop_assert!(bounds.cmax <= opt_cmax.value * (1.0 + 1e-7),
-            "Cmax bound {} exceeds optimum {}", bounds.cmax, opt_cmax.value);
-        prop_assert!(bounds.minsum <= opt_minsum.value * (1.0 + 1e-7),
-            "minsum bound {} exceeds optimum {}", bounds.minsum, opt_minsum.value);
-
-        // 2. Every algorithm sits above the true optima.
-        let dual = dual_approx(&inst, &DualConfig::default());
-        let schedules = [
-            ("demt", demt_schedule(&inst, &DemtConfig::default()).schedule),
-            ("gang", gang(&inst)),
-            ("sequential", sequential_lptf(&inst)),
-            ("list", list_shelf(&inst, &dual)),
-            ("lptf", list_wlptf(&inst, &dual)),
-            ("saf", list_saf(&inst, &dual)),
-        ];
-        for (name, s) in &schedules {
-            let c = Criteria::evaluate(&inst, s);
-            prop_assert!(c.makespan >= opt_cmax.value * (1.0 - 1e-7),
-                "{name}: makespan {} beats the optimum {}", c.makespan, opt_cmax.value);
-            prop_assert!(c.weighted_completion >= opt_minsum.value * (1.0 - 1e-7),
-                "{name}: minsum {} beats the optimum {}",
-                c.weighted_completion, opt_minsum.value);
-        }
+        assert_sandwich(&inst, &exact_cmax(&inst).unwrap(), &exact_minsum(&inst).unwrap())?;
     }
 
     #[test]
@@ -76,6 +116,19 @@ proptest! {
         let opt_c = exact_cmax(&inst).unwrap();
         prop_assert!(r.criteria.makespan <= 3.0 * opt_c.value + 1e-9,
             "DEMT Cmax {} vs optimum {}", r.criteria.makespan, opt_c.value);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn optimum_sandwich_on_non_monotone_times(inst in non_monotone_instance()) {
+        // A search that passes the node budget (7 tasks at m = 6, say)
+        // has no optimum to compare against.
+        if let (Ok(cmax), Ok(minsum)) = (exact_cmax(&inst), exact_minsum(&inst)) {
+            assert_sandwich(&inst, &cmax, &minsum)?;
+        }
     }
 }
 

@@ -100,6 +100,39 @@ fn arb_job_stream() -> impl Strategy<Value = (usize, Vec<SubmittedJob>)> {
         })
 }
 
+/// Overload stream: bursts of grid releases far faster than the machine
+/// drains them, so the waiting queue grows well past one block (32
+/// jobs) and blocks split and merge. Widths come from a menu around
+/// `m/2` and `m`, so a candidate's width often equals the free count
+/// or the reservation's slack; weights from {1, 2}, so priority order
+/// inserts mid-queue among many equal-weight ties; runtimes on a 0.25
+/// grid, some nudged by ±1e-13 or +9e-13, so backfill completions land
+/// within the 1e-12 tolerance of the head's reservation from either
+/// side.
+fn overload_stream() -> impl Strategy<Value = (usize, Vec<SubmittedJob>)> {
+    (4usize..=12).prop_flat_map(|m| {
+        let row = (0u32..4, 0usize..6, 1u32..10, 0usize..4, 1u32..3);
+        prop::collection::vec(row, 60..160).prop_map(move |rows| {
+            let half = m / 2;
+            let widths = [1, half - 1, half, half + 1, m - 1, m];
+            let nudges = [0.0, 1e-13, -1e-13, 9e-13];
+            let mut clock = 0;
+            let jobs = rows
+                .into_iter()
+                .enumerate()
+                .map(|(i, (gap, w, d, nudge, weight))| {
+                    // Three in four gaps are zero: arrivals come in bursts.
+                    clock += u32::from(gap == 3);
+                    let time = f64::from(d) * 0.25 + nudges[nudge];
+                    let release = f64::from(clock) * 0.25;
+                    job(i, release, widths[w], time, f64::from(weight), m)
+                })
+                .collect();
+            (m, jobs)
+        })
+    })
+}
+
 /// An unsorted stream in the engine's feed order: by release, ties in
 /// slice order.
 fn by_release(jobs: &[SubmittedJob]) -> Vec<SubmittedJob> {
@@ -155,6 +188,15 @@ proptest! {
 
     #[test]
     fn streamed_replay_matches_on_tie_heavy_grids((m, jobs) in grid_stream(true)) {
+        assert_stream_matches(m, &jobs)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn queue_engine_matches_the_scan_oracle_under_overload((m, jobs) in overload_stream()) {
         assert_stream_matches(m, &jobs)?;
     }
 }

@@ -43,6 +43,7 @@ mod metrics;
 mod replay;
 mod stream;
 mod swf;
+mod waiting;
 
 pub use easy::{QueueOrder, QueuePolicy};
 pub use metrics::{MetricsError, ReplayMetrics, ReplaySummary, SLOWDOWN_TAU};

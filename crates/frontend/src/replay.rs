@@ -4,7 +4,24 @@
 //! cursor over the feed, a waiting queue ordered by [`QueueOrder`], a
 //! completion-ordered running set, [`FreeSet`] processor identities,
 //! and an EASY head reservation read off the running set in completion
-//! order. It never holds the stream or the schedule. Jobs
+//! order.
+//!
+//! The waiting queue is a `Vec` of blocks of at most 2B = 32 jobs in
+//! queue-key order (`crate::waiting`), each with a summary: its
+//! smallest width, smallest runtime, and smallest runtime per
+//! power-of-two width class. The backfill test only gets easier for a
+//! narrower or shorter job, so the pass skips every block whose summary
+//! corners all fail it and tests the jobs of the others exactly, in
+//! queue order. An insert binary-searches the blocks by key (priority
+//! order inserts mid-queue), appends open a new block when the last is
+//! full, a full block in the middle splits in half, and after a removal
+//! a block merges into a neighbour whenever the two fit in one. So a
+//! start attempt costs `O(1)` in free-set fragments (the free count is
+//! a [`FreeSet`] field) and far less than one test per queued job
+//! under overload; [`ReplayOutcome::backfill_examined`] counts the
+//! tests.
+//!
+//! The engine never holds the stream or the schedule. Jobs
 //! are pulled from the feed as virtual time reaches their release,
 //! each placement is handed to a callback at decision time and
 //! dropped, and live state is bounded by the jobs currently queued or
@@ -16,6 +33,7 @@
 //! compiled only under `#[cfg(test)]` (the crate's `difftests`).
 
 use crate::stream::SubmittedJob;
+use crate::waiting::{Slot, Waiting, HEAD};
 use crate::{QueueOrder, QueuePolicy};
 use demt_model::{ProcSet, TaskId};
 use demt_platform::{FreeSet, Placement};
@@ -87,6 +105,11 @@ pub struct ReplayOutcome {
     pub decisions: usize,
     /// Latest completion instant (`0` for an empty feed).
     pub makespan: f64,
+    /// Waiting jobs whose backfill predicate was evaluated, over all
+    /// start attempts: the work of the backfill pass, which the block
+    /// summaries keep below one test per queued job and attempt. A pure
+    /// function of the feed, policy and order.
+    pub backfill_examined: usize,
 }
 
 /// Running jobs by (completion, sequence key), with their processor
@@ -123,13 +146,14 @@ where
     // Waiting jobs by (priority, sequence key): weight descending under
     // `Priority` (`order_bits` makes the float key total-order safe),
     // a constant under `Arrival`.
-    let mut waiting: BTreeMap<(Reverse<u64>, usize), SubmittedJob> = BTreeMap::new();
+    let mut waiting = Waiting::default();
     let mut running: Running = BTreeMap::new();
     let mut free = FreeSet::full(m);
     let mut now = 0.0_f64;
     let mut outcome = ReplayOutcome {
         decisions: 0,
         makespan: 0.0,
+        backfill_examined: 0,
     };
     loop {
         // Admit every job released by `now`, validating on the way in.
@@ -156,14 +180,21 @@ where
             waiting.insert((priority, seq), job);
         }
         // Start jobs at `now` until none can.
-        while let Some(key) = next_start(&waiting, &free, &running, now, policy) {
-            let Some(job) = waiting.remove(&key) else {
+        while let Some(slot) = next_start(
+            &waiting,
+            &free,
+            &running,
+            now,
+            policy,
+            &mut outcome.backfill_examined,
+        ) {
+            let Some(((_, seq), job)) = waiting.remove(slot) else {
                 break;
             };
             let d = job.rigid_time();
             let end = now + d;
             let procs = free.take_lowest(job.rigid_procs);
-            running.insert((end.to_bits(), key.1), (procs.clone(), job.rigid_procs));
+            running.insert((end.to_bits(), seq), (procs.clone(), job.rigid_procs));
             outcome.decisions += 1;
             if end > outcome.makespan {
                 outcome.makespan = end;
@@ -203,17 +234,20 @@ where
 
 /// The waiting job to start at `now`, if any: the queue head if it
 /// fits; under EASY, otherwise the first later job that fits now and
-/// does not push back the head's reservation.
+/// does not push back the head's reservation. `examined` counts the
+/// later jobs the backfill predicate is evaluated on.
 fn next_start(
-    waiting: &BTreeMap<(Reverse<u64>, usize), SubmittedJob>,
+    waiting: &Waiting,
     free: &FreeSet,
     running: &Running,
     now: f64,
     policy: QueuePolicy,
-) -> Option<(Reverse<u64>, usize)> {
-    let (&head_key, head) = waiting.first_key_value()?;
-    if head.rigid_procs <= free.len() {
-        return Some(head_key);
+    examined: &mut usize,
+) -> Option<Slot> {
+    let head = waiting.head()?;
+    let free = free.len();
+    if head.rigid_procs <= free {
+        return Some(HEAD);
     }
     if policy == QueuePolicy::Fcfs {
         return None;
@@ -227,7 +261,7 @@ fn next_start(
     let mut ends = running
         .iter()
         .map(|(&(end, _), &(_, k))| (f64::from_bits(end), k));
-    let mut count = free.len();
+    let mut count = free;
     let t_r = ends.find_map(|(end, k)| {
         count += k;
         (count >= head.rigid_procs).then_some(end)
@@ -241,18 +275,17 @@ fn next_start(
     let slack = count - head.rigid_procs;
     // A later job may jump ahead iff it fits now and either finishes
     // before the reservation or fits in the processors it leaves spare.
-    waiting
-        .iter()
-        .skip(1)
-        .find(|&(_, j)| {
-            j.rigid_procs <= free.len()
-                && (now + j.rigid_time() <= t_r + 1e-12 || j.rigid_procs <= slack)
-        })
-        .map(|(&key, _)| key)
+    // Both tests only get easier for a narrower or shorter job, which
+    // is what lets the queue skip blocks by their summaries.
+    waiting.first_fit_after_head(
+        |procs, time| procs <= free && (now + time <= t_r + 1e-12 || procs <= slack),
+        examined,
+    )
 }
 
 /// Maps an `f64` onto a `u64` whose natural order equals
-/// [`f64::total_cmp`], so float priorities can key a [`BTreeMap`].
+/// [`f64::total_cmp`], so float priorities can key the ordered waiting
+/// queue.
 fn order_bits(x: f64) -> u64 {
     let b = x.to_bits();
     if b >> 63 == 1 {
@@ -301,6 +334,31 @@ mod tests {
         ));
     }
 
+    /// 120 jobs in eight bursts on m = 8: the queue holds up to about
+    /// a hundred jobs, so the backfill pass walks several blocks.
+    fn overload_feed(m: usize) -> Vec<SubmittedJob> {
+        (0..120)
+            .map(|i| {
+                let procs = [1, 3, 4, 5, 8][(i * 7) % 5];
+                let time = 0.5 + ((i * 5) % 9) as f64 * 0.25;
+                job(i, (i / 15) as f64, procs, time, m)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn backfill_examined_is_pinned_on_a_small_overload_feed() {
+        let m = 8;
+        let run = |policy| {
+            replay_queue(m, overload_feed(m), policy, QueueOrder::Arrival, |_, _| {}).unwrap()
+        };
+        let easy = run(QueuePolicy::EasyBackfill);
+        assert_eq!(easy.decisions, 120);
+        assert_eq!(easy.backfill_examined, 544);
+        // FCFS never backfills, so it never examines a job.
+        assert_eq!(run(QueuePolicy::Fcfs).backfill_examined, 0);
+    }
+
     #[test]
     fn empty_feed_yields_an_empty_outcome() {
         let out = replay_queue(
@@ -313,5 +371,6 @@ mod tests {
         .unwrap();
         assert_eq!(out.decisions, 0);
         assert_eq!(out.makespan, 0.0);
+        assert_eq!(out.backfill_examined, 0);
     }
 }

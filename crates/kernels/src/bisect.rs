@@ -30,10 +30,12 @@ pub fn bisect_threshold(
     rel_eps: f64,
     mut feasible: impl FnMut(f64) -> bool,
 ) -> Threshold {
+    // demt-lint: allow(P1, documented precondition: a finite positive bracket; callers bracket with trivial bounds of a non-empty instance)
     assert!(
         lo.is_finite() && hi.is_finite() && lo > 0.0 && lo <= hi,
         "invalid bracket"
     );
+    // demt-lint: allow(P1, documented precondition: 0 < rel_eps < 1; callers pass configuration constants)
     assert!(rel_eps > 0.0 && rel_eps < 1.0, "invalid tolerance");
     if feasible(lo) {
         return Threshold {

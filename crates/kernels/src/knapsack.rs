@@ -54,10 +54,12 @@ pub struct WeightSelection {
 pub fn max_weight_knapsack(items: &[WeightItem], capacity: usize) -> WeightSelection {
     let n = items.len();
     for it in items {
+        // demt-lint: allow(P1, documented precondition: items cost at least one processor; callers build items from allotments >= 1)
         assert!(
             it.procs >= 1,
             "knapsack items must cost at least one processor"
         );
+        // demt-lint: allow(P1, documented precondition: finite weights >= 0; task weights are checked positive and finite by the model)
         assert!(
             it.weight.is_finite() && it.weight >= 0.0,
             "weights must be finite and ≥ 0"

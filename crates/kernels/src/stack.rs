@@ -37,8 +37,10 @@ pub struct Chain<H> {
 /// Every item must individually fit (`len ≤ max_len`); the paper
 /// guarantees this by only merging tasks with `pᵢ(1) ≤ t_j / 2 ≤ t_j`.
 pub fn pack_chains<H: Copy>(items: &[StackItem<H>], max_len: f64) -> Vec<Chain<H>> {
+    // demt-lint: allow(P1, documented precondition: a finite positive chain length; callers pass a batch length t_j > 0)
     assert!(max_len > 0.0 && max_len.is_finite());
     for it in items {
+        // demt-lint: allow(P1, documented precondition: every item fits a chain; the paper only merges tasks with p(1) <= t_j / 2)
         assert!(
             it.len > 0.0 && it.len <= max_len * (1.0 + 1e-12),
             "stack item longer than the chain capacity"

@@ -12,7 +12,7 @@
 //! | rule | invariant |
 //! |---|---|
 //! | `D1` | no nondeterminism sources in library code: `HashMap`/`HashSet`, `Instant::now`/`SystemTime` outside the designated timing modules, `thread::current()` |
-//! | `P1` | no `unwrap`/`expect`/`panic!`/`unimplemented!`/`todo!` in library (non-test, non-bin) code |
+//! | `P1` | no `unwrap`/`expect`/`panic!`/`unimplemented!`/`todo!`/`unreachable!` and no `assert!`/`assert_eq!`/`assert_ne!` in library (non-test, non-bin) code; `debug_assert!` is exempt ([`parser::PANIC_MACROS`]) |
 //! | `F1` | no bare float `==`/`!=` against a literal outside audited helpers |
 //! | `L1` | crate `[dependencies]` edges must be in the layering DAG declared in `ARCHITECTURE.md` ([`layering::ALLOWED_DEPS`]) |
 //! | `U1` | no `unsafe`, anywhere (not even with an escape hatch) |
@@ -615,7 +615,8 @@ USAGE: demt-lint [--root DIR] [--config FILE] [--format human|json|sarif]
 RULES (levels from lint.toml [levels]; all deny by default)
   D1  nondeterminism sources in library code (HashMap/HashSet,
       Instant::now / SystemTime outside [paths].timing, thread::current)
-  P1  unwrap/expect/panic!/unimplemented!/todo! in library code
+  P1  unwrap/expect/panic!/unimplemented!/todo!/unreachable! and
+      assert!/assert_eq!/assert_ne! in library code (not debug_assert!)
   F1  bare float ==/!= against a literal
   L1  crate [dependencies] edge not in the declared layering DAG
   U1  unsafe code (not suppressible)

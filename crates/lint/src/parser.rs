@@ -58,10 +58,23 @@ pub struct CallSite {
     pub col: u32,
 }
 
+/// The macros P1 and P2 count as panic sites. `debug_assert!` and its
+/// variants are not among them: they compile out of the release profile
+/// every shipped binary is built with (ARCHITECTURE, "Invariants").
+pub const PANIC_MACROS: [&str; 7] = [
+    "panic",
+    "todo",
+    "unimplemented",
+    "unreachable",
+    "assert",
+    "assert_eq",
+    "assert_ne",
+];
+
 /// A direct panic site (`unwrap`/`expect` call or panicking macro).
 #[derive(Debug, Clone)]
 pub struct PanicSite {
-    /// What panics: `unwrap`, `expect`, `panic!`, `todo!`, `unimplemented!`.
+    /// What panics: `unwrap`, `expect`, or a [`PANIC_MACROS`] macro.
     pub what: String,
     /// 1-based source line.
     pub line: u32,
@@ -688,7 +701,7 @@ impl<'a> Parser<'a> {
                     if text(self.t, i + 1) == Some("!")
                         && matches!(kind(self.t, i + 2), Some(TokenKind::Open))
                     {
-                        if matches!(word, "panic" | "todo" | "unimplemented") {
+                        if PANIC_MACROS.contains(&word) {
                             out.panics.push(PanicSite {
                                 what: format!("{word}!"),
                                 line: tok.line,

@@ -10,6 +10,7 @@
 
 use crate::config::{known_rule, Config};
 use crate::lexer::{Lexed, Token, TokenKind};
+use crate::parser::PANIC_MACROS;
 use crate::Diagnostic;
 
 /// How the driver classified a file; decides which rules apply.
@@ -221,7 +222,7 @@ pub fn scan_tokens(
                         );
                     }
                     let next_bang = text(toks, i + 1) == Some("!");
-                    if next_bang && matches!(word, "panic" | "unimplemented" | "todo") {
+                    if next_bang && PANIC_MACROS.contains(&word) {
                         emit(
                             "P1",
                             t,

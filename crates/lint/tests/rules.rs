@@ -16,6 +16,10 @@ const FIXTURES: &[(&str, &str)] = &[
     ("fixtures/d2.rs", include_str!("fixtures/d2.rs")),
     ("fixtures/f1.rs", include_str!("fixtures/f1.rs")),
     ("fixtures/p1.rs", include_str!("fixtures/p1.rs")),
+    (
+        "fixtures/p1_assert.rs",
+        include_str!("fixtures/p1_assert.rs"),
+    ),
     ("fixtures/p2.rs", include_str!("fixtures/p2.rs")),
     ("fixtures/u1.rs", include_str!("fixtures/u1.rs")),
 ];
@@ -59,6 +63,33 @@ fn p1_flags_every_panicking_construct() {
     for needle in ["unwrap", "expect", "panic!", "todo!", "unimplemented!"] {
         assert!(messages.contains(needle), "missing {needle}: {messages}");
     }
+}
+
+#[test]
+fn p1_and_p2_count_the_assert_family() {
+    // Four P1 sites (assert!, assert_eq!, assert_ne!, unreachable!),
+    // none for debug_assert!, and one P2 for the pub caller of
+    // `checked`; the roots themselves sit at distance 0, which P2 does
+    // not list.
+    let diags = lint_fixture("fixtures/p1_assert.rs");
+    assert_eq!(rules_of(&diags), vec!["P1", "P1", "P1", "P1", "P2"]);
+    let messages: String = diags.iter().map(|d| d.message.as_str()).collect();
+    for needle in [
+        "`assert!`",
+        "`assert_eq!`",
+        "`assert_ne!`",
+        "`unreachable!`",
+    ] {
+        assert!(messages.contains(needle), "missing {needle}: {messages}");
+    }
+    assert!(!messages.contains("debug_assert"), "{messages}");
+    let p2 = &diags[4].message;
+    assert!(
+        p2.contains("`caller`") || p2.contains("::caller"),
+        "names the caller: {p2}"
+    );
+    assert!(p2.contains("checked"), "shows the call chain: {p2}");
+    assert!(p2.contains("`assert!`"), "names the panic site: {p2}");
 }
 
 #[test]

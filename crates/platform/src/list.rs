@@ -354,31 +354,35 @@ impl FitTree {
 
 /// Free-processor identities as a sorted interval set ([`ProcSet`]):
 /// take-`k`-lowest splits off a prefix of segments, releases are
-/// interval unions. Free sets stay a handful of contiguous runs in
-/// practice, so both operations are `O(segments)` — and a claimed set
-/// is carried through event heaps as ranges, not `k` ids. Shared by
-/// the greedy list engine here and the front-end crate's EASY queue.
+/// interval unions merged into the set's own buffer. Free sets stay a
+/// handful of contiguous runs in practice, so both operations are
+/// `O(segments)` — and a claimed set is carried through event heaps as
+/// ranges, not `k` ids. The free count is a field both operations keep
+/// up to date, so [`FreeSet::len`] is `O(1)`: the engines read it on
+/// every decision. Shared by the greedy list engine here and the
+/// front-end crate's EASY queue.
 #[derive(Debug, Clone)]
 pub struct FreeSet {
     set: ProcSet,
+    len: usize,
 }
 
 impl FreeSet {
     /// All `m` processors free.
     pub fn full(m: usize) -> Self {
-        Self {
-            set: ProcSet::full(m),
-        }
+        let set = ProcSet::full(m);
+        let len = set.len();
+        Self { set, len }
     }
 
     /// Number of free processors.
     pub fn len(&self) -> usize {
-        self.set.len()
+        self.len
     }
 
     /// Whether no processor is free.
     pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
+        self.len == 0
     }
 
     /// Removes and returns the `k` lowest free ids as an interval set.
@@ -388,13 +392,19 @@ impl FreeSet {
     /// release builds the set is left untouched and the empty set comes
     /// back (the validator then rejects the malformed placement).
     pub fn take_lowest(&mut self, k: usize) -> ProcSet {
-        debug_assert!(k <= self.set.len(), "take exceeds free count");
-        self.set.take_k_lowest(k).unwrap_or_default()
+        debug_assert!(k <= self.len, "take exceeds free count");
+        match self.set.take_k_lowest(k) {
+            Some(taken) => {
+                self.len -= k;
+                taken
+            }
+            None => ProcSet::new(),
+        }
     }
 
     /// Marks a whole claimed set free again (interval union).
     pub fn release(&mut self, procs: &ProcSet) {
-        self.set.union_with(procs);
+        self.len = self.set.union_with(procs);
     }
 }
 
@@ -503,6 +513,7 @@ fn greedy<L: Ledger>(
             .map(|(Reverse(EventTime(t)), _)| *t)
             .unwrap_or(f64::INFINITY);
         let next = next_event.min(next_release);
+        // demt-lint: allow(P1, checked input: each task has a finite ready time and positive duration, so an unplaced task always has a pending event)
         assert!(
             next.is_finite(),
             "list engine stalled: no event and no release"

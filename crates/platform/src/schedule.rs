@@ -124,6 +124,7 @@ pub struct Schedule {
 impl Schedule {
     /// Empty schedule on `m` processors.
     pub fn new(procs: usize) -> Self {
+        // demt-lint: allow(P1, documented precondition: m >= 1; instances and the list engine reject machines without processors)
         assert!(procs > 0, "schedule needs at least one processor");
         Self {
             procs,
@@ -133,6 +134,7 @@ impl Schedule {
 
     /// Schedule from pre-built placements.
     pub fn from_placements(procs: usize, placements: Vec<Placement>) -> Self {
+        // demt-lint: allow(P1, documented precondition: m >= 1; instances and the list engine reject machines without processors)
         assert!(procs > 0, "schedule needs at least one processor");
         Self { procs, placements }
     }

@@ -54,6 +54,7 @@ fn claim(name: &str, pass: bool, detail: String) -> Claim {
 pub fn check_figure(fig: &FigureResult) -> Vec<Claim> {
     let mut out = Vec::new();
     let n_pts = fig.points.len();
+    // demt-lint: allow(P1, documented precondition: figures sweep at least two points; every preset does)
     assert!(n_pts >= 2, "claims need at least two sweep points");
     let l = last(fig);
 

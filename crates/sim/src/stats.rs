@@ -37,6 +37,7 @@ impl RatioAccum {
     /// Folds one run's `(value, bound)` pair in. Bounds must be
     /// positive — the harness guarantees this (instances are non-empty).
     pub fn push(&mut self, value: f64, bound: f64) {
+        // demt-lint: allow(P1, documented precondition: positive bounds and finite values; the harness runs non-empty instances)
         assert!(
             bound > 0.0 && value.is_finite(),
             "bad ratio inputs {value}/{bound}"
@@ -51,6 +52,7 @@ impl RatioAccum {
 
     /// The paper's average ratio: ratio of sums.
     pub fn average(&self) -> f64 {
+        // demt-lint: allow(P1, documented precondition: at least one run; the harness averages only after its runs)
         assert!(self.runs > 0, "average of an empty accumulator");
         self.sum_value / self.sum_bound
     }

@@ -20,8 +20,11 @@
 ///
 /// The returned value satisfies `1 ≤ S(n) ≤ min(n, A)` for `n ≥ 1`.
 pub fn downey_speedup(n: usize, a: f64, sigma: f64) -> f64 {
+    // demt-lint: allow(P1, documented precondition: n >= 1; allotments start at 1)
     assert!(n >= 1, "speed-up is defined for n ≥ 1");
+    // demt-lint: allow(P1, documented precondition: finite A >= 1; generators draw A from [1, m])
     assert!(a >= 1.0 && a.is_finite(), "average parallelism must be ≥ 1");
+    // demt-lint: allow(P1, documented precondition: finite sigma >= 0; generators draw sigma from non-negative laws)
     assert!(sigma >= 0.0 && sigma.is_finite(), "variance must be ≥ 0");
     let nf = n as f64;
     let s = if sigma <= 1.0 {
@@ -49,6 +52,7 @@ pub fn downey_speedup(n: usize, a: f64, sigma: f64) -> f64 {
 /// Moldable processing-time vector `p(1..=m)` for a job of sequential
 /// time `seq` following Downey's model: `p(n) = seq / S(n)`.
 pub fn downey_times(seq: f64, m: usize, a: f64, sigma: f64) -> Vec<f64> {
+    // demt-lint: allow(P1, documented precondition: a positive finite sequential time; generators and the SWF lift pass one)
     assert!(
         seq > 0.0 && seq.is_finite(),
         "sequential time must be positive"

@@ -34,10 +34,12 @@ pub fn recursive_times<R: Rng + ?Sized>(
     degree_law: &TruncatedNormal,
     rng: &mut R,
 ) -> Vec<f64> {
+    // demt-lint: allow(P1, documented precondition: a positive finite sequential time; generators draw one)
     assert!(
         seq > 0.0 && seq.is_finite(),
         "sequential time must be positive"
     );
+    // demt-lint: allow(P1, documented precondition: m >= 1; instances reject machines without processors)
     assert!(m >= 1);
     let mut times = Vec::with_capacity(m);
     times.push(seq);
@@ -53,6 +55,7 @@ pub fn recursive_times<R: Rng + ?Sized>(
 /// Closed-form value of the recursion for a *constant* degree, used by
 /// tests: `p(j) = p(1) · Π_{l=2..j} (1-α+l)/(1+l)`.
 pub fn recursive_times_const(seq: f64, m: usize, alpha: f64) -> Vec<f64> {
+    // demt-lint: allow(P1, documented precondition: alpha in [0, 1]; test-only callers pass constants)
     assert!((0.0..=1.0).contains(&alpha));
     let x = 1.0 - alpha;
     let mut times = Vec::with_capacity(m);
